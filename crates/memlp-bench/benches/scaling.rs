@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use memlp_bench::fmt_time;
-use memlp_core::{CrossbarPdipSolver, CrossbarSolverOptions};
+use memlp_core::{CrossbarPdipSolver, CrossbarSolver, CrossbarSolverOptions};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::parallel::with_threads;
 use memlp_lp::generator::RandomLp;

@@ -1,5 +1,5 @@
 use memlp_crossbar::{CrossbarConfig, Phase};
-use memlp_linalg::{ops, parallel, LuFactors, Matrix};
+use memlp_linalg::{ops, LuFactors, Matrix};
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::{Budget, BudgetCause};
 use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState};
@@ -7,9 +7,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::hw::{HwContext, TileTraffic};
-use crate::recovery::{self, RecoveryEvent, RecoveryPolicy, RecoveryReport};
+use crate::recovery::{attempt_score, Attempt, Ladder, RecoveryPolicy};
+use crate::solver::{admit_dense_core, CrossbarSolution, CrossbarSolver};
 use crate::tiles::{TiledMatrix, ANALOG_TILE_SIDE};
-use crate::trace::{IterationRecord, SolverTrace, WriteStats};
+use crate::trace::{IterationRecord, SolverTrace};
 use crate::transform::SignSplit;
 
 /// Stable block keys: each physical crossbar region the solver programs gets
@@ -184,43 +185,40 @@ struct LargeScaleSystem {
     dual_feedback: f64,
 }
 
-impl LargeScaleSolver {
-    /// Creates a solver over the given hardware configuration.
-    pub fn new(config: CrossbarConfig, options: LargeScaleOptions) -> Self {
-        LargeScaleSolver { config, options }
-    }
-
-    /// The hardware configuration.
-    pub fn config(&self) -> &CrossbarConfig {
+impl CrossbarSolver for LargeScaleSolver {
+    fn config(&self) -> &CrossbarConfig {
         &self.config
     }
 
-    /// Solves `lp` with the retry scheme. Failed attempts are kept and the
-    /// best-scoring one (smallest relative residual/gap) is what the final
-    /// classification sees once the retry budget is spent.
-    pub fn solve(&self, lp: &LpProblem) -> crate::CrossbarSolution {
-        self.solve_budgeted(lp, Budget::none())
+    /// The Eqn 16c core is a dense `(n+m)²` factorization on every path,
+    /// so an instance whose core would blow the allocation guard is
+    /// refused up front instead of attempting the allocation.
+    fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError> {
+        admit_dense_core(lp.num_vars() + lp.num_constraints())
     }
 
-    /// [`Self::solve`] under an explicit iteration/deadline [`Budget`],
-    /// polled once per split iteration cumulatively across retry attempts.
-    /// Expiry returns the best iterate seen so far with
-    /// [`crate::CrossbarSolution::degraded`] set; with [`Budget::none()`]
-    /// this is bitwise identical to [`Self::solve`].
-    pub fn solve_budgeted(&self, lp: &LpProblem, budget: Budget<'_>) -> crate::CrossbarSolution {
-        let mut report = RecoveryReport::new(self.options.recovery);
-        let bnorm = 1.0 + ops::inf_norm(lp.b());
-        let cnorm = 1.0 + ops::inf_norm(lp.c());
-        let score_of = |sol: &LpSolution| -> f64 {
-            if sol.x.is_empty() {
-                return f64::INFINITY;
-            }
-            let pr = sol.primal_residual / bnorm;
-            let dr = sol.dual_residual / cnorm;
-            let gap = sol.duality_gap / (1.0 + sol.objective.abs());
-            pr.max(dr).max(gap)
+    /// Algorithm 2 has no warm entry point: `warm` and `reuse_salt` are
+    /// ignored and every attempt starts cold on `hw`. Failed attempts are
+    /// kept and the best-scoring one (smallest relative residual/gap) is
+    /// what the exhaustion rule sees once the retry budget is spent.
+    fn solve_on(
+        &self,
+        lp: &LpProblem,
+        hw: &mut HwContext,
+        budget: Budget<'_>,
+        _warm: Option<(&[f64], &[f64])>,
+        _reuse_salt: Option<u64>,
+    ) -> CrossbarSolution {
+        let ladder = Ladder {
+            policy: self.options.recovery,
+            retries: self.options.retries,
+            alpha: self.options.alpha,
+            seed_base: 0x1A26_0000,
+            alpha_check_always: false,
+            keep_best: true,
+            classify_accepted: true,
+            fallback_iterations: self.options.pdip.max_iterations,
         };
-        let mut best: Option<(f64, LpSolution, SolverTrace, usize)> = None;
         // The equilibrated problem and its Aᵀ are attempt-invariant
         // (equilibration is deterministic); hoist them out of the retry
         // loop so each attempt only redraws hardware variation.
@@ -236,185 +234,32 @@ impl LargeScaleSolver {
             (lp.clone(), None)
         };
         let at = wlp.a().transpose();
-        // The hardware context persists across attempts: fault plans belong
-        // to the physical array, while each `begin_attempt` redraws the
-        // Eqn 18 variation (the §4.3 double check).
-        let mut hw = HwContext::new(self.config);
         let mut spent = 0usize;
-        for attempt in 0..=self.options.retries {
-            hw.begin_attempt(0x1A26_0000 + attempt as u64);
-            let outcome = self.attempt(
-                lp,
-                &wlp,
-                &eq,
-                &at,
-                &mut hw,
-                attempt as u64,
-                budget,
-                &mut spent,
-            );
-            for e in hw.take_recovery_events() {
-                report.push(e);
-            }
-            // See the Algorithm-1 solver: Infeasible from hardware with
-            // write–verify-confirmed defects is the fault talking, not a
-            // certificate — keep climbing the ladder.
-            let hw_suspect = self.options.recovery.acts() && report.saw_faults();
-            match outcome {
-                Ok((solution, mut trace, Some(cause))) => {
-                    // Budget expiry ends the solve now: return the best
-                    // iterate available, skipping retry escalation and the
-                    // digital fallback the caller no longer has time for.
-                    trace.events = report.events.clone();
-                    trace.writes = WriteStats::from_ledger(hw.ledger());
-                    return crate::CrossbarSolution {
-                        solution,
-                        ledger: *hw.ledger(),
-                        trace,
-                        retries_used: attempt,
-                        recovery: report,
-                        degraded: Some(cause),
-                    };
-                }
-                Ok((mut solution, mut trace, None)) => {
-                    let failed = matches!(solution.status, LpStatus::NumericalFailure)
-                        || (matches!(
-                            solution.status,
-                            LpStatus::IterationLimit | LpStatus::Infeasible
-                        ) && hw_suspect)
-                        || (solution.status == LpStatus::IterationLimit
-                            && attempt < self.options.retries)
-                        // Strict §3.2 α-recheck for fault-suspect Optimal
-                        // verdicts (see the Algorithm-1 solver).
-                        || (solution.status == LpStatus::Optimal
-                            && hw_suspect
-                            && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha));
-                    if !failed {
-                        self.classify_exhausted(lp, &mut solution);
-                        trace.events = report.events.clone();
-                        trace.writes = WriteStats::from_ledger(hw.ledger());
-                        return crate::CrossbarSolution {
-                            solution,
-                            ledger: *hw.ledger(),
-                            trace,
-                            retries_used: attempt,
-                            recovery: report,
-                            degraded: None,
-                        };
-                    }
-                    let score = score_of(&solution);
-                    if best.as_ref().map(|(s, ..)| score < *s).unwrap_or(true) {
-                        best = Some((score, solution, trace, attempt));
-                    }
-                }
-                Err(()) => {
-                    if best.is_none() {
-                        best = Some((
-                            f64::INFINITY,
-                            LpSolution::failed(LpStatus::NumericalFailure, 0),
-                            SolverTrace::new(),
-                            attempt,
-                        ));
-                    }
-                }
-            }
-            if attempt < self.options.retries {
-                recovery::escalate_hardware(self.options.recovery, &mut hw, &mut report);
-                report.push(RecoveryEvent::VariationRedraw {
-                    attempt: attempt + 1,
-                });
-            }
-        }
-        // The retry loop always runs at least once; if the invariant ever
-        // breaks, report a numerical failure instead of panicking mid-solve.
-        let (_, mut solution, mut trace, attempt) = best.unwrap_or_else(|| {
-            (
-                f64::INFINITY,
-                LpSolution::failed(LpStatus::NumericalFailure, 0),
-                SolverTrace::new(),
-                0,
-            )
-        });
-        self.classify_exhausted(lp, &mut solution);
-        // Rung 4: defective hardware that exhausted the analog ladder hands
-        // the problem to the bounded digital solve (fault-free failures keep
-        // their analog verdict). Fault-era Infeasible verdicts are
-        // re-checked too — a genuine contradiction still reports Infeasible
-        // from the digital certificate.
-        // (An α-failing `Optimal` — one that spent every attempt failing
-        // the strict recheck above — qualifies for fallback too; an
-        // α-passing one promoted by `classify_exhausted` keeps its analog
-        // answer.)
-        let unresolved = matches!(
-            solution.status,
-            LpStatus::NumericalFailure | LpStatus::IterationLimit | LpStatus::Infeasible
-        ) || (solution.status == LpStatus::Optimal
-            && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha));
-        if unresolved && self.options.recovery.allows_digital() && report.saw_faults() {
-            let (digital, events) =
-                recovery::digital_fallback(lp, self.options.pdip.max_iterations);
-            for e in events {
-                report.push(e);
-            }
-            solution = digital;
-        }
-        trace.events = report.events.clone();
-        trace.writes = WriteStats::from_ledger(hw.ledger());
-        crate::CrossbarSolution {
-            solution,
-            ledger: *hw.ledger(),
-            trace,
-            retries_used: attempt,
-            recovery: report,
-            degraded: None,
-        }
+        ladder.run(
+            lp,
+            hw,
+            None,
+            |hw, k| self.attempt(lp, &wlp, &eq, &at, hw, k as u64, budget, &mut spent),
+            |solution| self.classify_exhausted(lp, solution),
+        )
+    }
+}
+
+impl LargeScaleSolver {
+    /// Creates a solver over the given hardware configuration.
+    pub fn new(config: CrossbarConfig, options: LargeScaleOptions) -> Self {
+        LargeScaleSolver { config, options }
     }
 
-    /// Cheap admission check mirroring
-    /// [`crate::CrossbarPdipSolver::preflight`]: the Eqn 16c core is a
-    /// dense `(n+m)²` factorization, so an instance whose core would blow
-    /// the [`crate::DENSE_CORE_LIMIT_BYTES`] allocation guard is refused up
-    /// front instead of attempting the allocation.
-    pub fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError> {
-        let dim = lp.num_vars() + lp.num_constraints();
-        let bytes = 8 * (dim as u64) * (dim as u64);
-        if bytes > crate::DENSE_CORE_LIMIT_BYTES {
-            return Err(CoreSolveError::CoreTooLarge {
-                dim,
-                bytes,
-                limit: crate::DENSE_CORE_LIMIT_BYTES,
-            });
-        }
-        Ok(())
+    /// [`CrossbarSolver::solve_budgeted`] without a budget.
+    pub fn solve(&self, lp: &LpProblem) -> CrossbarSolution {
+        self.solve_budgeted(lp, Budget::none())
     }
 
-    /// Solves a batch of problems concurrently (one independent solver pass
-    /// per problem, results in input order). `jobs = 0` resolves the worker
-    /// count from `MEMLP_THREADS` / available parallelism. Each problem
-    /// simulates on its own deterministic [`HwContext`], so batching never
-    /// changes results relative to sequential [`Self::solve`] calls.
-    ///
-    /// As in [`CrossbarPdipSolver::solve_batch`], parallelism applies
-    /// across batch items only — inner kernels run serial per worker to
-    /// avoid oversubscription on the small per-solve matrices.
-    ///
-    /// [`CrossbarPdipSolver::solve_batch`]: crate::CrossbarPdipSolver::solve_batch
-    pub fn solve_batch(
-        &self,
-        lps: &[LpProblem],
-        jobs: usize,
-    ) -> Vec<Result<crate::CrossbarSolution, CoreSolveError>> {
-        let jobs = if jobs == 0 {
-            parallel::Threads::resolve().get()
-        } else {
-            jobs
-        };
-        parallel::run_indexed(jobs, lps.len(), |i| {
-            parallel::with_threads(1, || {
-                self.preflight(&lps[i])?;
-                Ok(self.solve(&lps[i]))
-            })
-        })
+    /// [`CrossbarSolver::solve_budgeted`], callable without the trait in
+    /// scope.
+    pub fn solve_budgeted(&self, lp: &LpProblem, budget: Budget<'_>) -> CrossbarSolution {
+        CrossbarSolver::solve_budgeted(self, lp, budget)
     }
 
     /// Per §3.2, once the retry budget is spent a run whose residual is
@@ -428,17 +273,12 @@ impl LargeScaleSolver {
             LpStatus::NumericalFailure | LpStatus::IterationLimit
         ) && !solution.x.is_empty()
         {
-            let bnorm = 1.0 + ops::inf_norm(lp.b());
-            let cnorm = 1.0 + ops::inf_norm(lp.c());
-            let pr = solution.primal_residual / bnorm;
-            let dr = solution.dual_residual / cnorm;
-            let gap = solution.duality_gap / (1.0 + solution.objective.abs());
-            let score = pr.max(dr).max(gap);
+            let pr = solution.primal_residual / (1.0 + ops::inf_norm(lp.b()));
             if pr >= self.options.infeasible_floor
                 && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha)
             {
                 solution.status = LpStatus::Infeasible;
-            } else if score <= self.options.accept_floor
+            } else if attempt_score(lp, solution) <= self.options.accept_floor
                 && {
                     let dual: f64 = lp.b().iter().zip(&solution.y).map(|(b, y)| b * y).sum();
                     (solution.objective - dual).abs() / (1.0 + solution.objective.abs()) <= 0.5
@@ -464,7 +304,7 @@ impl LargeScaleSolver {
         salt: u64,
         budget: Budget<'_>,
         spent: &mut usize,
-    ) -> Result<(LpSolution, SolverTrace, Option<BudgetCause>), ()> {
+    ) -> Option<Attempt> {
         let opts = &self.options.pdip;
         // Hardware sees the equilibrated problem (`wlp`, with `at = wlp.Aᵀ`
         // precomputed by the caller); acceptance checks and the reported
@@ -481,7 +321,7 @@ impl LargeScaleSolver {
                     *w *= s;
                 }
             }
-            Ok((state.into_solution(lp, status, iter), trace, cause))
+            Some((state.into_solution(lp, status, iter), trace, cause))
         };
         let mut state = PdipState::new(wlp, opts);
         let mut trace = SolverTrace::new();
@@ -493,8 +333,7 @@ impl LargeScaleSolver {
             self.options.dual_feedback,
             hw,
             salt,
-        )
-        .ok_or(())?;
+        )?;
 
         let bnorm = 1.0 + ops::inf_norm(wlp.b());
         let cnorm = 1.0 + ops::inf_norm(wlp.c());
@@ -639,7 +478,7 @@ impl LargeScaleSolver {
             //     r2 (Eqn 17b), solve the diagonal system (Eqn 16b).
             sys.update_diagonals(&state, hw);
             let clip2 = 10.0 * (1.0 + ops::inf_norm(&state.z).max(ops::inf_norm(&state.w)));
-            let (dz, dw) = sys.solve2(&state, mu, clip2, hw).ok_or(())?;
+            let (dz, dw) = sys.solve2(&state, mu, clip2, hw)?;
             let theta2 =
                 positivity_cap(theta, &state.z, &dz).min(positivity_cap(theta, &state.w, &dw));
             for (v, d) in state.z.iter_mut().zip(&dz) {

@@ -57,10 +57,10 @@ mod transform;
 
 pub use hw::HwContext;
 pub use large_scale::{LargeScaleOptions, LargeScaleSolver};
-pub use newton::{AugmentedDirections, AugmentedSystem, DENSE_CORE_LIMIT_BYTES};
+pub use newton::{dense_core_bytes, AugmentedDirections, AugmentedSystem, DENSE_CORE_LIMIT_BYTES};
 pub use pdhg_analog::{CrossbarPdhgOptions, CrossbarPdhgSolver};
 pub use recovery::{RecoveryEvent, RecoveryPolicy, RecoveryReport};
-pub use solver::{CrossbarPdipSolver, CrossbarSolution, CrossbarSolverOptions};
+pub use solver::{CrossbarPdipSolver, CrossbarSolution, CrossbarSolver, CrossbarSolverOptions};
 pub use tiles::{TiledMatrix, ANALOG_TILE_SIDE};
 pub use trace::{FactorStats, IterationRecord, SolverTrace, WriteStats};
 pub use transform::SignSplit;

@@ -65,8 +65,9 @@ mod key {
 /// (`n = 256² = 65 536`), whose sparse core fits in a few hundred MB.
 pub const DENSE_CORE_LIMIT_BYTES: u64 = 2 * 1024 * 1024 * 1024;
 
-/// Bytes the dense `(dim)²` core buffer would need.
-fn dense_core_bytes(dim: usize) -> u64 {
+/// Bytes the dense `(dim)²` core buffer would need — the size rule behind
+/// [`DENSE_CORE_LIMIT_BYTES`] for every caller that admits or routes by it.
+pub fn dense_core_bytes(dim: usize) -> u64 {
     8 * dim as u64 * dim as u64
 }
 

@@ -32,15 +32,16 @@
 
 use memlp_crossbar::{CrossbarConfig, Phase};
 use memlp_linalg::{kernels, norm_est};
-use memlp_lp::{Equilibration, LpProblem, LpStatus};
+use memlp_lp::{Equilibration, LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::Budget;
 use memlp_solvers::pdhg::{self, PdhgOperator, PdhgOptions, PdhgStats};
+use memlp_solvers::pdip::CoreSolveError;
 
 use crate::hw::{HwContext, TileTraffic};
-use crate::recovery::{self, RecoveryEvent, RecoveryPolicy, RecoveryReport};
-use crate::solver::CrossbarSolution;
+use crate::recovery::{Attempt, Ladder, RecoveryPolicy};
+use crate::solver::{CrossbarSolution, CrossbarSolver};
 use crate::tiles::{TiledMatrix, ANALOG_TILE_SIDE};
-use crate::trace::{FactorStats, IterationRecord, SolverTrace, WriteStats};
+use crate::trace::{IterationRecord, SolverTrace};
 use crate::transform::SignSplit;
 
 /// Stable block keys for the PDHG arrays. Disjoint from the Newton-system
@@ -333,56 +334,18 @@ pub struct CrossbarPdhgSolver {
     options: CrossbarPdhgOptions,
 }
 
-impl CrossbarPdhgSolver {
-    /// Creates a solver over the given hardware configuration.
-    pub fn new(config: CrossbarConfig, options: CrossbarPdhgOptions) -> Self {
-        CrossbarPdhgSolver { config, options }
-    }
-
-    /// The hardware configuration.
-    pub fn config(&self) -> &CrossbarConfig {
+impl CrossbarSolver for CrossbarPdhgSolver {
+    fn config(&self) -> &CrossbarConfig {
         &self.config
     }
 
-    /// The solver options.
-    pub fn options(&self) -> &CrossbarPdhgOptions {
-        &self.options
+    /// The first-order backend is matrix-free — it has no dense core to
+    /// refuse, so every well-formed problem is admitted.
+    fn preflight(&self, _lp: &LpProblem) -> Result<(), CoreSolveError> {
+        Ok(())
     }
 
-    /// Solves `lp`, re-solving on failure up to the retry budget and
-    /// escalating through the fault-recovery ladder between attempts.
-    pub fn solve(&self, lp: &LpProblem) -> CrossbarSolution {
-        self.solve_budgeted(lp, Budget::none())
-    }
-
-    /// [`Self::solve`] under an explicit iteration/deadline [`Budget`],
-    /// polled once per PDHG iteration cumulatively across attempts. On
-    /// expiry the best KKT iterate observed so far is returned with
-    /// [`CrossbarSolution::degraded`] set.
-    pub fn solve_budgeted(&self, lp: &LpProblem, budget: Budget<'_>) -> CrossbarSolution {
-        let mut hw = HwContext::new(self.config);
-        self.solve_inner(lp, &mut hw, budget, None, None)
-    }
-
-    /// Solves on an **existing** hardware context — the warm-pool entry
-    /// point used by `memlp-serve`. Semantics mirror
-    /// [`CrossbarPdipSolver::solve_on`](crate::CrossbarPdipSolver::solve_on):
-    /// warm reuse keeps the variation draw and delta-write code caches (a
-    /// repeat request's setup writes skip as delta no-ops), `warm` seeds
-    /// the first attempt's iterate from a previous solution, and
-    /// escalation retries redraw variation like a cold solve.
-    pub fn solve_on(
-        &self,
-        lp: &LpProblem,
-        hw: &mut HwContext,
-        budget: Budget<'_>,
-        warm: Option<(&[f64], &[f64])>,
-        reuse_salt: u64,
-    ) -> CrossbarSolution {
-        self.solve_inner(lp, hw, budget, warm, Some(reuse_salt))
-    }
-
-    fn solve_inner(
+    fn solve_on(
         &self,
         lp: &LpProblem,
         hw: &mut HwContext,
@@ -390,7 +353,16 @@ impl CrossbarPdhgSolver {
         warm: Option<(&[f64], &[f64])>,
         reuse_salt: Option<u64>,
     ) -> CrossbarSolution {
-        let mut report = RecoveryReport::new(self.options.recovery);
+        let ladder = Ladder {
+            policy: self.options.recovery,
+            retries: self.options.retries,
+            alpha: self.options.alpha,
+            seed_base: 0,
+            alpha_check_always: true,
+            keep_best: false,
+            classify_accepted: false,
+            fallback_iterations: 250,
+        };
         // Row equilibration (when enabled) happens *before* the arrays
         // are programmed: the crossbar maps every coefficient onto one
         // shared conductance range, so balancing row maxima is worth
@@ -421,135 +393,107 @@ impl CrossbarPdhgSolver {
         let a = wlp.sparse_a();
         let est = norm_est::spectral_norm(a);
         let sigma_floor = est.safe_sigma(norm_est::upper_bound(a));
-        let mut last = None;
-        for attempt in 0..=self.options.retries {
-            match reuse_salt {
-                Some(salt) if attempt == 0 => hw.begin_reuse(salt),
-                _ => hw.begin_attempt(attempt as u64),
-            }
-            let init = if attempt == 0 {
-                warm_scaled
-                    .as_ref()
-                    .map(|(x0, y0)| (x0.as_slice(), y0.as_slice()))
-            } else {
-                None
-            };
-            let mut op = AnalogSplitOperator::program(&wlp, hw);
-            let sigma = op.realized_norm(sigma_floor);
-            let mut outcome =
-                pdhg::solve_with_operator(&wlp, &mut op, sigma, &self.options.pdhg, budget, init);
-            // The loop terminates on residuals estimated through the
-            // array readout, and readout noise puts a floor under the
-            // measured dual residual — a run that exhausts its iterations
-            // may already hold a converged iterate it cannot see. The
-            // arbiter is a noise-free check against the *realized* blocks
-            // (converged-on-realized is what "optimal" means on analog
-            // hardware; the α-test below still guards true-problem
-            // feasibility, exactly as for the PDIP solvers).
-            if outcome.cause.is_none() && outcome.solution.status == LpStatus::IterationLimit {
-                let s = &mut outcome.solution;
-                let (ax, aty) = op.realized_products(&s.x, &s.y);
-                let (pr, dr, gap) = pdhg::kkt_with_products(&wlp, &s.x, &s.y, &ax, &aty);
-                let o = &self.options.pdhg;
-                if pr <= o.eps_primal && dr <= o.eps_dual && gap <= o.eps_gap {
-                    s.status = LpStatus::Optimal;
-                    s.primal_residual = pr;
-                    s.dual_residual = dr;
-                    s.duality_gap = gap;
-                }
-            }
-            drop(op);
-            // Back to the caller's space: unscale duals and rescore the
-            // residual fields against the original problem (the digital
-            // recomputation `solve_with_operator` itself performs, just
-            // against `lp` instead of the scaled copy).
-            if let Some(e) = &eq {
-                outcome.solution.y = e.unscale_duals(&outcome.solution.y);
-                pdhg::rescore(lp, &mut outcome.solution);
-            }
-            let trace = trace_from_stats(&outcome.stats);
-            for e in hw.take_recovery_events() {
-                report.push(e);
-            }
-            // Budget expiry ends the solve now, exactly as in the PDIP
-            // retry ladder: best effort by the deadline, no escalation.
-            if let Some(cause) = outcome.cause {
-                return self.finish(outcome.solution, trace, hw, attempt, report, Some(cause));
-            }
-            let solution = outcome.solution;
-            let hw_suspect = self.options.recovery.acts() && report.saw_faults();
-            let failed = matches!(solution.status, LpStatus::NumericalFailure)
-                || (matches!(
-                    solution.status,
-                    LpStatus::IterationLimit | LpStatus::Infeasible
-                ) && hw_suspect)
-                || (solution.status == LpStatus::IterationLimit && attempt < self.options.retries)
-                // A converged run on suspect hardware gets the strict §3.2
-                // α-check digitally: the analog KKT residuals describe the
-                // realized (faulty) operator, not the true problem.
-                || (solution.status == LpStatus::Optimal
-                    && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha));
-            if !failed {
-                return self.finish(solution, trace, hw, attempt, report, None);
-            }
-            last = Some((solution, trace, attempt));
-            if attempt < self.options.retries {
-                recovery::escalate_hardware(self.options.recovery, hw, &mut report);
-                report.push(RecoveryEvent::VariationRedraw {
-                    attempt: attempt + 1,
-                });
+        ladder.run(
+            lp,
+            hw,
+            reuse_salt,
+            |hw, k| {
+                let init = if k == 0 {
+                    warm_scaled
+                        .as_ref()
+                        .map(|(x0, y0)| (x0.as_slice(), y0.as_slice()))
+                } else {
+                    None
+                };
+                Some(self.attempt(lp, &wlp, eq.as_ref(), hw, budget, init, sigma_floor))
+            },
+            |solution| self.classify_exhausted(lp, solution),
+        )
+    }
+}
+
+impl CrossbarPdhgSolver {
+    /// Creates a solver over the given hardware configuration.
+    pub fn new(config: CrossbarConfig, options: CrossbarPdhgOptions) -> Self {
+        CrossbarPdhgSolver { config, options }
+    }
+
+    /// The solver options.
+    pub fn options(&self) -> &CrossbarPdhgOptions {
+        &self.options
+    }
+
+    /// [`CrossbarSolver::solve_budgeted`] without a budget.
+    pub fn solve(&self, lp: &LpProblem) -> CrossbarSolution {
+        self.solve_budgeted(lp, Budget::none())
+    }
+
+    /// [`CrossbarSolver::solve_budgeted`], callable without the trait in
+    /// scope.
+    pub fn solve_budgeted(&self, lp: &LpProblem, budget: Budget<'_>) -> CrossbarSolution {
+        CrossbarSolver::solve_budgeted(self, lp, budget)
+    }
+
+    /// One solve attempt: program the sign-split arrays, run the PDHG
+    /// loop on them, and bring the result back to the caller's space.
+    #[allow(clippy::too_many_arguments)]
+    fn attempt(
+        &self,
+        lp: &LpProblem,
+        wlp: &LpProblem,
+        eq: Option<&Equilibration>,
+        hw: &mut HwContext,
+        budget: Budget<'_>,
+        init: Option<(&[f64], &[f64])>,
+        sigma_floor: f64,
+    ) -> Attempt {
+        let mut op = AnalogSplitOperator::program(wlp, hw);
+        let sigma = op.realized_norm(sigma_floor);
+        let mut outcome =
+            pdhg::solve_with_operator(wlp, &mut op, sigma, &self.options.pdhg, budget, init);
+        // The loop terminates on residuals estimated through the
+        // array readout, and readout noise puts a floor under the
+        // measured dual residual — a run that exhausts its iterations
+        // may already hold a converged iterate it cannot see. The
+        // arbiter is a noise-free check against the *realized* blocks
+        // (converged-on-realized is what "optimal" means on analog
+        // hardware; the α-test below still guards true-problem
+        // feasibility, exactly as for the PDIP solvers).
+        if outcome.cause.is_none() && outcome.solution.status == LpStatus::IterationLimit {
+            let s = &mut outcome.solution;
+            let (ax, aty) = op.realized_products(&s.x, &s.y);
+            let (pr, dr, gap) = pdhg::kkt_with_products(wlp, &s.x, &s.y, &ax, &aty);
+            let o = &self.options.pdhg;
+            if pr <= o.eps_primal && dr <= o.eps_dual && gap <= o.eps_gap {
+                s.status = LpStatus::Optimal;
+                s.primal_residual = pr;
+                s.dual_residual = dr;
+                s.duality_gap = gap;
             }
         }
-        let (mut solution, trace, attempt) = last.unwrap_or_else(|| {
-            (
-                memlp_lp::LpSolution::failed(LpStatus::NumericalFailure, 0),
-                SolverTrace::new(),
-                0,
-            )
-        });
-        // Retry budget exhausted. An α-violating "Optimal" is demoted
-        // before the fallback decision (it was `failed` every attempt).
+        drop(op);
+        // Back to the caller's space: unscale duals and rescore the
+        // residual fields against the original problem (the digital
+        // recomputation `solve_with_operator` itself performs, just
+        // against `lp` instead of the scaled copy).
+        if let Some(e) = eq {
+            outcome.solution.y = e.unscale_duals(&outcome.solution.y);
+            pdhg::rescore(lp, &mut outcome.solution);
+        }
+        (
+            outcome.solution,
+            trace_from_stats(&outcome.stats),
+            outcome.cause,
+        )
+    }
+
+    /// Exhaustion rule: an α-violating "Optimal" (one that failed the α
+    /// check on every attempt) is demoted before the fallback decision.
+    fn classify_exhausted(&self, lp: &LpProblem, solution: &mut LpSolution) {
         if solution.status == LpStatus::Optimal
             && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha)
         {
             solution.status = LpStatus::NumericalFailure;
-        }
-        // Digital fallback ladder (first-order rung, then dense PDIP) for
-        // runs defective hardware left unresolved — same gate as the
-        // crossbar PDIP solvers: fault-free failures keep their verdict.
-        let unresolved = matches!(
-            solution.status,
-            LpStatus::NumericalFailure | LpStatus::IterationLimit | LpStatus::Infeasible
-        );
-        if unresolved && self.options.recovery.allows_digital() && report.saw_faults() {
-            let (digital, events) = recovery::digital_fallback(lp, 250);
-            for e in events {
-                report.push(e);
-            }
-            solution = digital;
-        }
-        self.finish(solution, trace, hw, attempt, report, None)
-    }
-
-    fn finish(
-        &self,
-        solution: memlp_lp::LpSolution,
-        mut trace: SolverTrace,
-        hw: &mut HwContext,
-        retries_used: usize,
-        report: RecoveryReport,
-        degraded: Option<memlp_solvers::budget::BudgetCause>,
-    ) -> CrossbarSolution {
-        trace.events = report.events.clone();
-        trace.writes = WriteStats::from_ledger(hw.ledger());
-        trace.factors = FactorStats::from_ledger(hw.ledger());
-        CrossbarSolution {
-            solution,
-            ledger: *hw.ledger(),
-            trace,
-            retries_used,
-            recovery: report,
-            degraded,
         }
     }
 }
@@ -641,7 +585,7 @@ mod tests {
         let lp = RandomLp::paper(16, 5).feasible();
         let s = solver(5.0, 7);
         let mut hw = HwContext::new(*s.config());
-        let cold = s.solve_on(&lp, &mut hw, Budget::none(), None, 0);
+        let cold = s.solve_on(&lp, &mut hw, Budget::none(), None, Some(0));
         assert_eq!(cold.solution.status, LpStatus::Optimal, "{}", cold.solution);
         let after_cold = cold.ledger.counts();
         let warm = s.solve_on(
@@ -649,7 +593,7 @@ mod tests {
             &mut hw,
             Budget::none(),
             Some((&cold.solution.x, &cold.solution.y)),
-            1,
+            Some(1),
         );
         assert_eq!(warm.solution.status, LpStatus::Optimal, "{}", warm.solution);
         let after_warm = warm.ledger.counts();

@@ -24,9 +24,22 @@
 //! [`RecoveryPolicy::Hardware`] stops after rung 3 (analog-only recovery),
 //! and [`RecoveryPolicy::Disabled`] reports faults without acting on them —
 //! the ablation baseline.
+//!
+//! All three crossbar solvers climb the ladder through one function,
+//! [`Ladder::run`]: a family supplies its attempt body, its exhaustion
+//! rule and a handful of constants (see [`Ladder`]); everything else —
+//! attempt seeding, event draining, budget expiry, the failure test,
+//! escalation, the digital-fallback gate and the final accounting — is
+//! shared.
 
+use memlp_linalg::ops;
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
+use memlp_solvers::budget::BudgetCause;
 use memlp_solvers::{LpSolver, NormalEqPdip, PdhgOptions, PdhgSolver, PdipOptions};
+
+use crate::hw::HwContext;
+use crate::solver::CrossbarSolution;
+use crate::trace::{FactorStats, SolverTrace, WriteStats};
 
 /// How far the solvers may escalate when faults are detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,14 +171,199 @@ impl RecoveryReport {
     }
 }
 
+/// What one solve attempt of a crossbar family produced: the verdict and
+/// iterate (in the caller's unscaled space), the attempt's per-iteration
+/// trace, and `Some(cause)` when the solve budget expired during it.
+pub(crate) type Attempt = (LpSolution, SolverTrace, Option<BudgetCause>);
+
+/// The §4.3 double-checking scheme as one retry ladder: re-solve with
+/// fresh variation on failure, escalating through the hardware rungs
+/// between attempts, and hand a run that defective hardware left
+/// unresolved to the digital fallback.
+///
+/// The fields are what differs between the solver families. Each is kept
+/// exactly as the family had it; none is harmonised, because verdicts on
+/// problems that exhaust the ladder depend on them.
+pub(crate) struct Ladder {
+    /// How far the solve may escalate.
+    pub policy: RecoveryPolicy,
+    /// Re-solve attempts after the first.
+    pub retries: usize,
+    /// The §3.2 relaxed feasibility parameter of `A·x ⪯ α·b`.
+    pub alpha: f64,
+    /// Attempt `k` seeds its variation redraw with `seed_base + k`.
+    pub seed_base: u64,
+    /// Run the α check on every `Optimal` attempt (analog PDHG: its KKT
+    /// residuals describe the realized operator), not only on hardware
+    /// suspected of faults (the PDIP families).
+    pub alpha_check_always: bool,
+    /// Keep the best-scoring failed attempt for the exhaustion rule
+    /// (Algorithm 2) instead of the last one.
+    pub keep_best: bool,
+    /// Apply the exhaustion rule to accepted attempts too (Algorithm 2);
+    /// the other families return an accepted attempt unclassified.
+    pub classify_accepted: bool,
+    /// Iteration cap of the dense digital fallback rung.
+    pub fallback_iterations: usize,
+}
+
+impl Ladder {
+    /// Runs the ladder on `hw`. `reuse_salt` starts the first attempt on
+    /// warm hardware ([`HwContext::begin_reuse`]); every other attempt
+    /// redraws variation ([`HwContext::begin_attempt`]). `attempt` runs
+    /// one solve attempt (`None`: the attempt could not program the
+    /// hardware) given its index; `exhausted` reclassifies the kept
+    /// attempt once the retries are spent.
+    pub(crate) fn run(
+        &self,
+        lp: &LpProblem,
+        hw: &mut HwContext,
+        reuse_salt: Option<u64>,
+        mut attempt: impl FnMut(&mut HwContext, usize) -> Option<Attempt>,
+        exhausted: impl Fn(&mut LpSolution),
+    ) -> CrossbarSolution {
+        let mut report = RecoveryReport::new(self.policy);
+        let mut kept: Option<(f64, LpSolution, SolverTrace, usize)> = None;
+        for k in 0..=self.retries {
+            match reuse_salt {
+                Some(salt) if k == 0 => hw.begin_reuse(salt),
+                _ => hw.begin_attempt(self.seed_base + k as u64),
+            }
+            let outcome = attempt(hw, k);
+            report.events.extend(hw.take_recovery_events());
+            let (mut solution, trace) = match outcome {
+                // Budget expiry ends the solve now: the caller asked for
+                // the best answer available by the deadline, not for the
+                // ladder to keep burning iterations it no longer has.
+                Some((solution, trace, Some(cause))) => {
+                    return finish(solution, trace, hw, k, report, Some(cause))
+                }
+                Some((solution, trace, None)) => (solution, trace),
+                None => (
+                    LpSolution::failed(LpStatus::NumericalFailure, 0),
+                    SolverTrace::new(),
+                ),
+            };
+            if !self.failed(lp, &solution, &report, k) {
+                if self.classify_accepted {
+                    exhausted(&mut solution);
+                }
+                return finish(solution, trace, hw, k, report, None);
+            }
+            let score = attempt_score(lp, &solution);
+            if kept
+                .as_ref()
+                .is_none_or(|(best, ..)| !self.keep_best || score < *best)
+            {
+                kept = Some((score, solution, trace, k));
+            }
+            if k < self.retries {
+                escalate_hardware(self.policy, hw, &mut report);
+                // Rung 3 — the §4.3 double check: the next attempt
+                // rewrites everything with freshly drawn variation.
+                report.push(RecoveryEvent::VariationRedraw { attempt: k + 1 });
+            }
+        }
+        // The retry loop always runs at least once; if the invariant ever
+        // breaks, report a numerical failure instead of panicking mid-solve.
+        let (_, mut solution, trace, k) = kept.unwrap_or_else(|| {
+            (
+                f64::INFINITY,
+                LpSolution::failed(LpStatus::NumericalFailure, 0),
+                SolverTrace::new(),
+                0,
+            )
+        });
+        exhausted(&mut solution);
+        // Rungs 4–5 — a run that defective hardware left unresolved falls
+        // back to the digital solve (fault-free failures keep their analog
+        // verdict: the fallback is a fault countermeasure, not a general
+        // safety net). Fault-era Infeasible verdicts are re-checked too —
+        // the digital solve re-derives the certificate from the true
+        // problem, so a genuine contradiction still reports Infeasible —
+        // and so is an `Optimal` that fails the α check.
+        let unresolved = matches!(
+            solution.status,
+            LpStatus::NumericalFailure | LpStatus::IterationLimit | LpStatus::Infeasible
+        ) || (solution.status == LpStatus::Optimal
+            && !lp.satisfies_relaxed_scaled(&solution.x, self.alpha));
+        if unresolved && self.policy.allows_digital() && report.saw_faults() {
+            let (digital, events) = digital_fallback(lp, self.fallback_iterations);
+            report.events.extend(events);
+            solution = digital;
+        }
+        finish(solution, trace, hw, k, report, None)
+    }
+
+    /// The ladder's failure test: `false` accepts attempt `k` as the
+    /// answer.
+    fn failed(
+        &self,
+        lp: &LpProblem,
+        solution: &LpSolution,
+        report: &RecoveryReport,
+        k: usize,
+    ) -> bool {
+        // A verdict from hardware that write–verify has flagged as
+        // defective is not trustworthy: a dead line erases a constraint
+        // row, and the residual the controller observes is the fault, not
+        // a certificate.
+        let hw_suspect = self.policy.acts() && report.saw_faults();
+        match solution.status {
+            LpStatus::NumericalFailure => true,
+            LpStatus::IterationLimit => hw_suspect || k < self.retries,
+            LpStatus::Infeasible => hw_suspect,
+            // The strict (not stall-relaxed) §3.2 α check, run digitally
+            // on the true problem: a dead line hides exactly the
+            // constraint its row carried.
+            LpStatus::Optimal => {
+                (hw_suspect || self.alpha_check_always)
+                    && !lp.satisfies_relaxed_scaled(&solution.x, self.alpha)
+            }
+            LpStatus::Unbounded => false,
+        }
+    }
+}
+
+/// Worst of the relative primal residual, dual residual and duality gap
+/// (infinite for an empty iterate): how the ladder ranks failed attempts.
+pub(crate) fn attempt_score(lp: &LpProblem, solution: &LpSolution) -> f64 {
+    if solution.x.is_empty() {
+        return f64::INFINITY;
+    }
+    let pr = solution.primal_residual / (1.0 + ops::inf_norm(lp.b()));
+    let dr = solution.dual_residual / (1.0 + ops::inf_norm(lp.c()));
+    let gap = solution.duality_gap / (1.0 + solution.objective.abs());
+    pr.max(dr).max(gap)
+}
+
+/// Builds the [`CrossbarSolution`], mirroring the recovery events and the
+/// ledger's write and factorization figures into the trace.
+fn finish(
+    solution: LpSolution,
+    mut trace: SolverTrace,
+    hw: &HwContext,
+    retries_used: usize,
+    recovery: RecoveryReport,
+    degraded: Option<BudgetCause>,
+) -> CrossbarSolution {
+    trace.events = recovery.events.clone();
+    trace.writes = WriteStats::from_ledger(hw.ledger());
+    trace.factors = FactorStats::from_ledger(hw.ledger());
+    CrossbarSolution {
+        solution,
+        ledger: *hw.ledger(),
+        trace,
+        retries_used,
+        recovery,
+        degraded,
+    }
+}
+
 /// Rungs 1–2 of the ladder, run between failed attempts when the policy
 /// permits hardware countermeasures: re-program weak stuck cells, then
-/// remap dead lines onto spares. Shared by both crossbar solvers.
-pub(crate) fn escalate_hardware(
-    policy: RecoveryPolicy,
-    hw: &mut crate::hw::HwContext,
-    report: &mut RecoveryReport,
-) {
+/// remap dead lines onto spares.
+fn escalate_hardware(policy: RecoveryPolicy, hw: &mut HwContext, report: &mut RecoveryReport) {
     if !policy.acts() {
         return;
     }
@@ -193,10 +391,7 @@ pub(crate) fn escalate_hardware(
 /// exit falls through to the bounded iterative-refinement PDIP, whose
 /// infeasibility/unboundedness certificates are the trusted ones.
 /// Returns the adopted solution plus the rung events in climb order.
-pub(crate) fn digital_fallback(
-    lp: &LpProblem,
-    max_iterations: usize,
-) -> (LpSolution, Vec<RecoveryEvent>) {
+fn digital_fallback(lp: &LpProblem, max_iterations: usize) -> (LpSolution, Vec<RecoveryEvent>) {
     let first_order = PdhgSolver::new(PdhgOptions {
         eps_primal: 1e-6,
         eps_dual: 1e-6,

@@ -5,9 +5,9 @@ use memlp_solvers::budget::{Budget, BudgetCause};
 use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState, SolvePath};
 
 use crate::hw::HwContext;
-use crate::newton::{AugmentedSystem, DENSE_CORE_LIMIT_BYTES};
-use crate::recovery::{self, RecoveryEvent, RecoveryPolicy, RecoveryReport};
-use crate::trace::{FactorStats, IterationRecord, SolverTrace, WriteStats};
+use crate::newton::{dense_core_bytes, AugmentedSystem, DENSE_CORE_LIMIT_BYTES};
+use crate::recovery::{Attempt, Ladder, RecoveryPolicy, RecoveryReport};
+use crate::trace::{IterationRecord, SolverTrace};
 
 /// Options specific to the crossbar solvers, wrapping [`PdipOptions`] with
 /// the paper's hardware-level policies.
@@ -92,6 +92,111 @@ pub struct CrossbarSolution {
     pub degraded: Option<BudgetCause>,
 }
 
+/// The crossbar solver families — [`CrossbarPdipSolver`] (Algorithm 1),
+/// [`LargeScaleSolver`](crate::LargeScaleSolver) (Algorithm 2) and
+/// [`CrossbarPdhgSolver`](crate::CrossbarPdhgSolver) — behind one
+/// object-safe surface, so a front end (the CLI's solver registry, the
+/// serve worker) holds a `dyn CrossbarSolver` instead of matching on the
+/// family.
+pub trait CrossbarSolver: Sync {
+    /// The hardware configuration a cold solve provisions.
+    fn config(&self) -> &CrossbarConfig;
+
+    /// Cheap admission check a batch or service front end runs **before**
+    /// committing hardware attempts: an instance whose dense core would
+    /// blow the [`DENSE_CORE_LIMIT_BYTES`] allocation guard is refused up
+    /// front with [`CoreSolveError::CoreTooLarge`] instead of burning a
+    /// full retry ladder to learn the same thing.
+    fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError>;
+
+    /// Solves `lp` on an **existing** hardware context — the warm-pool
+    /// entry point used by `memlp-serve`.
+    ///
+    /// With `reuse_salt = Some(salt)` the first attempt restarts only the
+    /// transient noise via [`HwContext::begin_reuse`] (salted, e.g., with
+    /// a per-context solve counter), keeping the array's variation draw,
+    /// delta-write code caches and fault state — so a repeat solve of the
+    /// same problem family skips unchanged cell writes. `None` starts
+    /// cold, exactly as a solve on fresh hardware does. Escalation
+    /// retries always redraw variation via [`HwContext::begin_attempt`].
+    ///
+    /// `warm` optionally seeds the first attempt's iterate from a previous
+    /// solution's `(x, y)` pair; escalation retries restart from the
+    /// family's default point so a bad warm point can never mask a
+    /// hardware fault.
+    fn solve_on(
+        &self,
+        lp: &LpProblem,
+        hw: &mut HwContext,
+        budget: Budget<'_>,
+        warm: Option<(&[f64], &[f64])>,
+        reuse_salt: Option<u64>,
+    ) -> CrossbarSolution;
+
+    /// Solves `lp` on freshly provisioned hardware under an explicit
+    /// iteration/deadline [`Budget`], re-solving on failure up to the
+    /// retry budget and escalating through the fault-recovery ladder
+    /// between attempts (see [`RecoveryPolicy`]).
+    ///
+    /// The budget is polled once per iteration, cumulatively across retry
+    /// attempts. When it expires the solve stops cooperatively and returns
+    /// the best iterate observed so far with [`CrossbarSolution::degraded`]
+    /// set — no retry escalation and no digital fallback are attempted
+    /// past the deadline. With [`Budget::none()`] the solve is unbudgeted.
+    fn solve_budgeted(&self, lp: &LpProblem, budget: Budget<'_>) -> CrossbarSolution {
+        self.solve_on(lp, &mut HwContext::new(*self.config()), budget, None, None)
+    }
+
+    /// Solves a batch of problems concurrently, one independent solver pass
+    /// per problem, returning per-item results in input order.
+    ///
+    /// Admission is per item: a poisoned instance (one [`Self::preflight`]
+    /// refuses) yields an `Err` in *its* slot while every sibling still
+    /// solves and returns normally.
+    ///
+    /// `jobs = 0` resolves the worker count from the environment
+    /// (`MEMLP_THREADS`, then available parallelism). Each problem is an
+    /// isolated simulation with its own [`HwContext`] and deterministic
+    /// seeds, so batch results are identical to per-problem cold solves at
+    /// any worker count.
+    ///
+    /// Parallelism is applied *across* batch items only: each worker runs
+    /// its solves with the inner kernels pinned serial. The per-solve
+    /// matrices are far too small to amortize nested thread fan-out, and
+    /// oversubscribing (jobs × kernel threads) used to make `threads=2`
+    /// slower than `threads=1`.
+    fn solve_batch(
+        &self,
+        lps: &[LpProblem],
+        jobs: usize,
+    ) -> Vec<Result<CrossbarSolution, CoreSolveError>> {
+        let jobs = if jobs == 0 {
+            parallel::Threads::resolve().get()
+        } else {
+            jobs
+        };
+        parallel::run_indexed(jobs, lps.len(), |i| {
+            parallel::with_threads(1, || {
+                self.preflight(&lps[i])?;
+                Ok(self.solve_budgeted(&lps[i], Budget::none()))
+            })
+        })
+    }
+}
+
+/// Refuses a dense `dim × dim` core past [`DENSE_CORE_LIMIT_BYTES`].
+pub(crate) fn admit_dense_core(dim: usize) -> Result<(), CoreSolveError> {
+    let bytes = dense_core_bytes(dim);
+    if bytes > DENSE_CORE_LIMIT_BYTES {
+        return Err(CoreSolveError::CoreTooLarge {
+            dim,
+            bytes,
+            limit: DENSE_CORE_LIMIT_BYTES,
+        });
+    }
+    Ok(())
+}
+
 /// **Algorithm 1** — the memristor crossbar-based linear program solver.
 ///
 /// Each PDIP iteration (paper §3.2):
@@ -127,64 +232,21 @@ pub struct CrossbarPdipSolver {
     options: CrossbarSolverOptions,
 }
 
-impl CrossbarPdipSolver {
-    /// Creates a solver over the given hardware configuration.
-    pub fn new(config: CrossbarConfig, options: CrossbarSolverOptions) -> Self {
-        CrossbarPdipSolver { config, options }
-    }
-
-    /// The hardware configuration.
-    pub fn config(&self) -> &CrossbarConfig {
+impl CrossbarSolver for CrossbarPdipSolver {
+    fn config(&self) -> &CrossbarConfig {
         &self.config
     }
 
-    /// Solves `lp`, re-solving on numerical failure up to the configured
-    /// retry budget and escalating through the fault-recovery ladder
-    /// between attempts (see [`RecoveryPolicy`]).
-    pub fn solve(&self, lp: &LpProblem) -> CrossbarSolution {
-        self.solve_budgeted(lp, Budget::none())
+    /// Only an explicit [`SolvePath::Dense`] is refused: `Auto` and
+    /// `Sparse` reroute around the guard, so they pass.
+    fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError> {
+        if self.options.pdip.path == SolvePath::Dense {
+            admit_dense_core(lp.num_vars() + lp.num_constraints())?;
+        }
+        Ok(())
     }
 
-    /// [`Self::solve`] under an explicit iteration/deadline [`Budget`].
-    ///
-    /// The budget is polled once per Newton iteration, cumulatively across
-    /// retry attempts. When it expires the solve stops cooperatively and
-    /// returns the best iterate observed so far with
-    /// [`CrossbarSolution::degraded`] set — no retry escalation and no
-    /// digital fallback are attempted past the deadline. With
-    /// [`Budget::none()`] this is bitwise identical to [`Self::solve`].
-    pub fn solve_budgeted(&self, lp: &LpProblem, budget: Budget<'_>) -> CrossbarSolution {
-        let mut hw = HwContext::new(self.config);
-        self.solve_inner(lp, &mut hw, budget, None, None)
-    }
-
-    /// Solves `lp` on an **existing** hardware context — the warm-pool entry
-    /// point used by `memlp-serve`.
-    ///
-    /// Unlike [`Self::solve`], which provisions a fresh array per call, this
-    /// restarts transient noise via [`HwContext::begin_reuse`] (salted with
-    /// `reuse_salt`, e.g. a per-context solve counter) while keeping the
-    /// array's variation draw, delta-write code caches, and fault state —
-    /// so a repeat solve of the same problem family skips unchanged cell
-    /// writes. Escalation retries still redraw variation via
-    /// [`HwContext::begin_attempt`], exactly as a cold solve would.
-    ///
-    /// `warm` optionally seeds the interior-point iteration from a previous
-    /// solution's `(x, y)` pair (see [`PdipState::warm_start`]); it applies
-    /// to the first attempt only — escalation retries restart centrally so
-    /// a bad warm point can never mask a hardware fault.
-    pub fn solve_on(
-        &self,
-        lp: &LpProblem,
-        hw: &mut HwContext,
-        budget: Budget<'_>,
-        warm: Option<(&[f64], &[f64])>,
-        reuse_salt: u64,
-    ) -> CrossbarSolution {
-        self.solve_inner(lp, hw, budget, warm, Some(reuse_salt))
-    }
-
-    fn solve_inner(
+    fn solve_on(
         &self,
         lp: &LpProblem,
         hw: &mut HwContext,
@@ -192,93 +254,55 @@ impl CrossbarPdipSolver {
         warm: Option<(&[f64], &[f64])>,
         reuse_salt: Option<u64>,
     ) -> CrossbarSolution {
-        let mut report = RecoveryReport::new(self.options.recovery);
-        let mut last = None;
-        // Aᵀ is attempt-invariant; hoist it out of the retry loop. The
-        // hardware context is hoisted too: fault plans are properties of the
-        // physical array and must persist across §4.3 re-solve attempts
-        // (only the Eqn 18 variation redraws).
+        let ladder = Ladder {
+            policy: self.options.recovery,
+            retries: self.options.retries,
+            alpha: self.options.alpha,
+            seed_base: 0,
+            alpha_check_always: false,
+            keep_best: false,
+            classify_accepted: false,
+            fallback_iterations: self.options.pdip.max_iterations,
+        };
+        // Aᵀ is attempt-invariant; hoist it out of the retry loop. Fault
+        // plans persist in `hw` across attempts (only the Eqn 18
+        // variation redraws).
         let at = lp.a().transpose();
         let mut spent = 0usize;
-        for attempt in 0..=self.options.retries {
-            match reuse_salt {
-                // Warm reuse applies to the first attempt only; escalation
-                // retries redraw variation like any cold re-solve.
-                Some(salt) if attempt == 0 => hw.begin_reuse(salt),
-                _ => hw.begin_attempt(attempt as u64),
-            }
-            let init = if attempt == 0 { warm } else { None };
-            let (solution, mut trace, cause) = self.attempt(lp, &at, hw, budget, &mut spent, init);
-            for e in hw.take_recovery_events() {
-                report.push(e);
-            }
-            // Budget expiry ends the solve *now*: the caller asked for the
-            // best answer available by the deadline, not for the recovery
-            // ladder to keep burning iterations it no longer has.
-            if let Some(cause) = cause {
-                trace.events = report.events.clone();
-                trace.writes = WriteStats::from_ledger(hw.ledger());
-                trace.factors = FactorStats::from_ledger(hw.ledger());
-                return CrossbarSolution {
-                    solution,
-                    ledger: *hw.ledger(),
-                    trace,
-                    retries_used: attempt,
-                    recovery: report,
-                    degraded: Some(cause),
-                };
-            }
-            // An Infeasible verdict from hardware that write–verify has
-            // flagged as defective is not trustworthy: a dead line erases a
-            // constraint row, and the residual the controller observes is
-            // the fault, not a certificate. Keep climbing the ladder.
-            let hw_suspect = self.options.recovery.acts() && report.saw_faults();
-            let failed = matches!(solution.status, LpStatus::NumericalFailure)
-                || (matches!(
-                    solution.status,
-                    LpStatus::IterationLimit | LpStatus::Infeasible
-                ) && hw_suspect)
-                || (solution.status == LpStatus::IterationLimit && attempt < self.options.retries)
-                // A stall-path "Optimal" on defective hardware gets the
-                // strict (not stall-relaxed) §3.2 α-check digitally: a
-                // dead line hides exactly the constraint its row carried.
-                || (solution.status == LpStatus::Optimal
-                    && hw_suspect
-                    && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha));
-            if !failed {
-                trace.events = report.events.clone();
-                trace.writes = WriteStats::from_ledger(hw.ledger());
-                trace.factors = FactorStats::from_ledger(hw.ledger());
-                return CrossbarSolution {
-                    solution,
-                    ledger: *hw.ledger(),
-                    trace,
-                    retries_used: attempt,
-                    recovery: report,
-                    degraded: None,
-                };
-            }
-            last = Some((solution, trace, attempt));
-            if attempt < self.options.retries {
-                recovery::escalate_hardware(self.options.recovery, hw, &mut report);
-                // Rung 3 — the §4.3 double check: the next attempt rewrites
-                // everything with freshly drawn variation.
-                report.push(RecoveryEvent::VariationRedraw {
-                    attempt: attempt + 1,
-                });
-            }
-        }
-        // The retry loop always runs at least once; if the invariant ever
-        // breaks, report a numerical failure instead of panicking mid-solve.
-        let (mut solution, mut trace, attempt) = last.unwrap_or_else(|| {
-            (
-                LpSolution::failed(LpStatus::NumericalFailure, 0),
-                SolverTrace::new(),
-                0,
-            )
-        });
-        // Retry budget exhausted: a residual pinned at the infeasibility
-        // level that also fails the §3.2 relaxed check is the verdict.
+        ladder.run(
+            lp,
+            hw,
+            reuse_salt,
+            |hw, k| {
+                let init = if k == 0 { warm } else { None };
+                Some(self.attempt(lp, &at, hw, budget, &mut spent, init))
+            },
+            |solution| self.classify_exhausted(lp, solution),
+        )
+    }
+}
+
+impl CrossbarPdipSolver {
+    /// Creates a solver over the given hardware configuration.
+    pub fn new(config: CrossbarConfig, options: CrossbarSolverOptions) -> Self {
+        CrossbarPdipSolver { config, options }
+    }
+
+    /// [`CrossbarSolver::solve_budgeted`] without a budget.
+    pub fn solve(&self, lp: &LpProblem) -> CrossbarSolution {
+        self.solve_budgeted(lp, Budget::none())
+    }
+
+    /// [`CrossbarSolver::solve_budgeted`], callable without the trait in
+    /// scope.
+    pub fn solve_budgeted(&self, lp: &LpProblem, budget: Budget<'_>) -> CrossbarSolution {
+        CrossbarSolver::solve_budgeted(self, lp, budget)
+    }
+
+    /// Exhaustion rule: once the retries are spent, a residual pinned at
+    /// the infeasibility level that also fails the §3.2 relaxed check is
+    /// the verdict.
+    fn classify_exhausted(&self, lp: &LpProblem, solution: &mut LpSolution) {
         if matches!(
             solution.status,
             LpStatus::NumericalFailure | LpStatus::IterationLimit
@@ -295,97 +319,6 @@ impl CrossbarPdipSolver {
                 solution.status = LpStatus::Infeasible;
             }
         }
-        // Rung 4 — a run that defective hardware left unresolved falls back
-        // to the bounded digital solve (fault-free failures keep their
-        // analog verdict: the fallback is a fault countermeasure, not a
-        // general safety net). Fault-era Infeasible verdicts are re-checked
-        // too — the digital solve re-derives the certificate from the true
-        // problem, so a genuine contradiction still reports Infeasible.
-        // (An α-failing `Optimal` — one that spent every attempt failing
-        // the strict recheck above — qualifies for fallback too.)
-        let unresolved = matches!(
-            solution.status,
-            LpStatus::NumericalFailure | LpStatus::IterationLimit | LpStatus::Infeasible
-        ) || (solution.status == LpStatus::Optimal
-            && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha));
-        if unresolved && self.options.recovery.allows_digital() && report.saw_faults() {
-            let (digital, events) =
-                recovery::digital_fallback(lp, self.options.pdip.max_iterations);
-            for e in events {
-                report.push(e);
-            }
-            solution = digital;
-        }
-        trace.events = report.events.clone();
-        trace.writes = WriteStats::from_ledger(hw.ledger());
-        trace.factors = FactorStats::from_ledger(hw.ledger());
-        CrossbarSolution {
-            solution,
-            ledger: *hw.ledger(),
-            trace,
-            retries_used: attempt,
-            recovery: report,
-            degraded: None,
-        }
-    }
-
-    /// Cheap admission check a batch or service front-end can run **before**
-    /// committing hardware attempts: an explicit [`SolvePath::Dense`] whose
-    /// `(n+m)²` core would blow the [`DENSE_CORE_LIMIT_BYTES`] allocation
-    /// guard is refused up front with [`CoreSolveError::CoreTooLarge`]
-    /// instead of burning a full retry ladder to learn the same thing.
-    /// (`Auto`/`Sparse` paths reroute around the guard, so they pass.)
-    pub fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError> {
-        if self.options.pdip.path == SolvePath::Dense {
-            let dim = lp.num_vars() + lp.num_constraints();
-            let bytes = 8 * (dim as u64) * (dim as u64);
-            if bytes > DENSE_CORE_LIMIT_BYTES {
-                return Err(CoreSolveError::CoreTooLarge {
-                    dim,
-                    bytes,
-                    limit: DENSE_CORE_LIMIT_BYTES,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves a batch of problems concurrently, one independent solver pass
-    /// per problem, returning per-item results in input order.
-    ///
-    /// Admission is per item: a poisoned instance (e.g. one whose explicit
-    /// dense core trips [`CoreSolveError::CoreTooLarge`], see
-    /// [`Self::preflight`]) yields an `Err` in *its* slot while every
-    /// sibling still solves and returns normally — the serve worker relies
-    /// on this to shed one bad job without failing the batch.
-    ///
-    /// `jobs = 0` resolves the worker count from the environment
-    /// (`MEMLP_THREADS`, then available parallelism). Each problem is an
-    /// isolated simulation with its own [`HwContext`] and deterministic
-    /// seeds, so batch results are identical to per-problem [`Self::solve`]
-    /// calls at any worker count.
-    ///
-    /// Parallelism is applied *across* batch items only: each worker runs
-    /// its solves with the inner kernels pinned serial. The per-solve
-    /// matrices are far too small to amortize nested thread fan-out, and
-    /// oversubscribing (jobs × kernel threads) used to make `threads=2`
-    /// slower than `threads=1`.
-    pub fn solve_batch(
-        &self,
-        lps: &[LpProblem],
-        jobs: usize,
-    ) -> Vec<Result<CrossbarSolution, CoreSolveError>> {
-        let jobs = if jobs == 0 {
-            parallel::Threads::resolve().get()
-        } else {
-            jobs
-        };
-        parallel::run_indexed(jobs, lps.len(), |i| {
-            parallel::with_threads(1, || {
-                self.preflight(&lps[i])?;
-                Ok(self.solve(&lps[i]))
-            })
-        })
     }
 
     /// One full solve attempt on freshly written hardware.
@@ -397,7 +330,7 @@ impl CrossbarPdipSolver {
         budget: Budget<'_>,
         spent: &mut usize,
         init: Option<(&[f64], &[f64])>,
-    ) -> (LpSolution, SolverTrace, Option<BudgetCause>) {
+    ) -> Attempt {
         let opts = &self.options.pdip;
         // A warm start clamps the previous iterate strictly inside the
         // positive orthant; the floor keeps the first complementarity
@@ -744,7 +677,7 @@ mod tests {
         let lp = RandomLp::paper(16, 5).feasible();
         let s = solver(5.0, 7);
         let mut hw = HwContext::new(*s.config());
-        let cold = s.solve_on(&lp, &mut hw, Budget::none(), None, 0);
+        let cold = s.solve_on(&lp, &mut hw, Budget::none(), None, Some(0));
         assert_eq!(cold.solution.status, LpStatus::Optimal, "{}", cold.solution);
         let after_cold = cold.ledger.counts();
         // Same problem family on the same warm context: the delta-write
@@ -755,7 +688,7 @@ mod tests {
             &mut hw,
             Budget::none(),
             Some((&cold.solution.x, &cold.solution.y)),
-            1,
+            Some(1),
         );
         assert_eq!(warm.solution.status, LpStatus::Optimal, "{}", warm.solution);
         let after_warm = warm.ledger.counts();

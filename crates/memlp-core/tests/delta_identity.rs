@@ -6,7 +6,7 @@
 //! under delta equals written under full reprogramming.
 
 use memlp_core::{
-    CrossbarPdipSolver, CrossbarSolution, CrossbarSolverOptions, LargeScaleOptions,
+    CrossbarPdipSolver, CrossbarSolution, CrossbarSolver, CrossbarSolverOptions, LargeScaleOptions,
     LargeScaleSolver,
 };
 use memlp_crossbar::CrossbarConfig;

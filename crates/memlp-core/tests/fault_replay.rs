@@ -7,7 +7,7 @@
 //! must never leak into results.
 
 use memlp_core::{
-    CrossbarPdipSolver, CrossbarSolution, CrossbarSolverOptions, LargeScaleOptions,
+    CrossbarPdipSolver, CrossbarSolution, CrossbarSolver, CrossbarSolverOptions, LargeScaleOptions,
     LargeScaleSolver, RecoveryPolicy,
 };
 use memlp_crossbar::{CrossbarConfig, FaultModel};

@@ -11,7 +11,9 @@
 //! hardware) redraws the fault plans and still detects/escalates rather
 //! than inheriting stale state.
 
-use memlp_core::{Budget, CrossbarPdipSolver, CrossbarSolverOptions, HwContext, RecoveryPolicy};
+use memlp_core::{
+    Budget, CrossbarPdipSolver, CrossbarSolver, CrossbarSolverOptions, HwContext, RecoveryPolicy,
+};
 use memlp_crossbar::{CrossbarConfig, FaultModel};
 use memlp_lp::generator::RandomLp;
 use memlp_lp::LpStatus;
@@ -42,7 +44,7 @@ fn warm_reuse_keeps_repairs_and_does_not_reescalate() {
     let s = solver();
     let mut hw = HwContext::new(faulty_config(11));
 
-    let first = s.solve_on(&lp, &mut hw, Budget::none(), None, 0);
+    let first = s.solve_on(&lp, &mut hw, Budget::none(), None, Some(0));
     assert_eq!(first.solution.status, LpStatus::Optimal);
     assert!(
         first.recovery.saw_faults(),
@@ -54,7 +56,7 @@ fn warm_reuse_keeps_repairs_and_does_not_reescalate() {
     // the first solve persist, so the ladder has nothing left to do.
     for salt in 1..=2u64 {
         let warm = (first.solution.x.as_slice(), first.solution.y.as_slice());
-        let again = s.solve_on(&lp, &mut hw, Budget::none(), Some(warm), salt);
+        let again = s.solve_on(&lp, &mut hw, Budget::none(), Some(warm), Some(salt));
         assert_eq!(again.solution.status, LpStatus::Optimal, "reuse {salt}");
         assert!(
             again.recovery.escalations() <= first.recovery.escalations(),
@@ -72,14 +74,14 @@ fn new_blocks_on_a_reused_context_still_escalate() {
     let s = solver();
     let mut hw = HwContext::new(faulty_config(11));
 
-    let first = s.solve_on(&small, &mut hw, Budget::none(), None, 0);
+    let first = s.solve_on(&small, &mut hw, Budget::none(), None, Some(0));
     assert_eq!(first.solution.status, LpStatus::Optimal);
     assert!(first.recovery.saw_faults());
 
     // A different problem shape programs different physical blocks: their
     // fault plans are drawn fresh (salted per block key), so detection
     // and recovery must fire again on the *same* context.
-    let second = s.solve_on(&big, &mut hw, Budget::none(), None, 1);
+    let second = s.solve_on(&big, &mut hw, Budget::none(), None, Some(1));
     assert_eq!(second.solution.status, LpStatus::Optimal);
     assert!(
         second.recovery.saw_faults(),
@@ -96,10 +98,10 @@ fn reuse_sequence_replays_bitwise() {
         let s = solver();
         let mut hw = HwContext::new(faulty_config(11));
         let mut out = Vec::new();
-        let first = s.solve_on(&lp, &mut hw, Budget::none(), None, 0);
+        let first = s.solve_on(&lp, &mut hw, Budget::none(), None, Some(0));
         for salt in 1..=2u64 {
             let warm = (first.solution.x.as_slice(), first.solution.y.as_slice());
-            let r = s.solve_on(&lp, &mut hw, Budget::none(), Some(warm), salt);
+            let r = s.solve_on(&lp, &mut hw, Budget::none(), Some(warm), Some(salt));
             out.push((
                 r.solution.status,
                 r.solution.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -130,12 +132,12 @@ fn reset_contexts_redraw_plans_and_still_escalate() {
     let s = solver();
 
     let mut worn = HwContext::new(faulty_config(11));
-    let first = s.solve_on(&lp, &mut worn, Budget::none(), None, 0);
+    let first = s.solve_on(&lp, &mut worn, Budget::none(), None, Some(0));
     assert!(first.recovery.saw_faults());
 
     // Fresh silicon, new seed: same fault *model*, independent defects.
     let mut replacement = HwContext::new(faulty_config(11).with_seed(0xD15EA5E));
-    let redrawn = s.solve_on(&lp, &mut replacement, Budget::none(), None, 0);
+    let redrawn = s.solve_on(&lp, &mut replacement, Budget::none(), None, Some(0));
     assert_eq!(redrawn.solution.status, LpStatus::Optimal);
     assert!(
         redrawn.recovery.saw_faults(),

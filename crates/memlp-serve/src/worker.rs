@@ -16,8 +16,8 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use memlp_core::{
-    Budget, CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolution,
-    HwContext, IterationDeadline, WriteStats,
+    Budget, CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolver,
+    IterationDeadline, WriteStats,
 };
 use memlp_linalg::Matrix;
 use memlp_lp::LpProblem;
@@ -39,10 +39,10 @@ pub struct QueuedJob {
 /// Runs until the queue is closed **and** drained, so a graceful drain
 /// finishes every admitted job before the worker exits.
 pub fn run_worker(queue: &JobQueue<QueuedJob>, cfg: &ServeConfig, stats: &ServerStats) {
-    let solver = WorkerSolver::new(cfg);
+    let solver = instantiate(cfg);
     let mut pool = ContextPool::new(cfg.crossbar, cfg.pool_capacity);
     while let Some(q) = queue.pop() {
-        let resp = solve_one(&solver, &mut pool, cfg, &q.job);
+        let resp = solve_one(solver.as_ref(), &mut pool, cfg, &q.job);
         stats.record(&resp);
         // A gone receiver means the client hung up; the result is wasted
         // but the worker keeps serving.
@@ -50,52 +50,21 @@ pub fn run_worker(queue: &JobQueue<QueuedJob>, cfg: &ServeConfig, stats: &Server
     }
 }
 
-/// The worker's solver dispatch: one [`ServeSolver`] family instantiated
-/// at startup, both driven through the identical warm-pool `solve_on`
-/// contract (warm `(x, y)` seeds plus delta-programmed setup writes work
-/// the same way for Newton iterates and PDHG iterates).
-enum WorkerSolver {
-    Pdip(CrossbarPdipSolver),
-    Pdhg(CrossbarPdhgSolver),
-}
-
-impl WorkerSolver {
-    fn new(cfg: &ServeConfig) -> Self {
-        match cfg.solver {
-            ServeSolver::Pdip => {
-                WorkerSolver::Pdip(CrossbarPdipSolver::new(cfg.crossbar, cfg.options))
-            }
-            ServeSolver::Pdhg => WorkerSolver::Pdhg(CrossbarPdhgSolver::new(
-                cfg.crossbar,
-                CrossbarPdhgOptions {
-                    recovery: cfg.options.recovery,
-                    ..CrossbarPdhgOptions::default()
-                },
-            )),
-        }
-    }
-
-    /// Admission check. The first-order backend is matrix-free — it has
-    /// no dense core to refuse, so every well-formed problem is admitted.
-    fn preflight(&self, lp: &LpProblem) -> Result<(), String> {
-        match self {
-            WorkerSolver::Pdip(s) => s.preflight(lp).map_err(|e| e.to_string()),
-            WorkerSolver::Pdhg(_) => Ok(()),
-        }
-    }
-
-    fn solve_on(
-        &self,
-        lp: &LpProblem,
-        hw: &mut HwContext,
-        budget: Budget<'_>,
-        warm: Option<(&[f64], &[f64])>,
-        salt: u64,
-    ) -> CrossbarSolution {
-        match self {
-            WorkerSolver::Pdip(s) => s.solve_on(lp, hw, budget, warm, salt),
-            WorkerSolver::Pdhg(s) => s.solve_on(lp, hw, budget, warm, salt),
-        }
+/// The worker's solver: the configured [`ServeSolver`] family,
+/// instantiated at startup and driven through the warm-pool
+/// [`CrossbarSolver::solve_on`] contract (warm `(x, y)` seeds plus
+/// delta-programmed setup writes work the same way for Newton iterates
+/// and PDHG iterates).
+fn instantiate(cfg: &ServeConfig) -> Box<dyn CrossbarSolver> {
+    match cfg.solver {
+        ServeSolver::Pdip => Box::new(CrossbarPdipSolver::new(cfg.crossbar, cfg.options)),
+        ServeSolver::Pdhg => Box::new(CrossbarPdhgSolver::new(
+            cfg.crossbar,
+            CrossbarPdhgOptions {
+                recovery: cfg.options.recovery,
+                ..CrossbarPdhgOptions::default()
+            },
+        )),
     }
 }
 
@@ -109,7 +78,7 @@ fn build_problem(job: &SolveJob) -> Result<LpProblem, String> {
 }
 
 fn solve_one(
-    solver: &WorkerSolver,
+    solver: &dyn CrossbarSolver,
     pool: &mut ContextPool,
     cfg: &ServeConfig,
     job: &SolveJob,
@@ -119,8 +88,10 @@ fn solve_one(
         Ok(lp) => lp,
         Err(message) => return Response::Error { message },
     };
-    if let Err(message) = solver.preflight(&lp) {
-        return Response::Error { message };
+    if let Err(e) = solver.preflight(&lp) {
+        return Response::Error {
+            message: e.to_string(),
+        };
     }
     let key = FamilyKey {
         tag: job.family.clone(),
@@ -166,7 +137,7 @@ fn solve_one(
                 .warm
                 .as_ref()
                 .map(|(x, y)| (x.as_slice(), y.as_slice()));
-            solver.solve_on(&lp, &mut entry.hw, budget, warm, salt)
+            solver.solve_on(&lp, &mut entry.hw, budget, warm, Some(salt))
         };
         let writes = WriteStats::from_ledger(entry.hw.ledger()).since(&before);
 

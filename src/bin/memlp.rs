@@ -9,7 +9,8 @@
 //!             [--stuck-rate <frac>] [--dead-line-rate <frac>]
 //!             [--transient-rate <frac>] [--spares <n>]
 //!             [--recovery off|hardware|full]
-//! memlp serve [--addr <host:port>] [--queue-depth <n>] [--workers <n>]
+//! memlp serve [--addr <host:port>] [--solver alg1|pdhg-analog]
+//!             [--queue-depth <n>] [--workers <n>]
 //!             [--variation <pct>] [--seed <n>]        # long-running daemon
 //! memlp client <addr> [solve <file.lp> ... | health | drain]
 //! memlp generate <m> [--seed <n>] [--infeasible]   # emit a random LP
@@ -31,8 +32,10 @@
 //! instead of failing. `--solver pdhg` is the matrix-free first-order
 //! backend (digital CSR), `pdhg-analog` runs the same loop on crossbar
 //! MVMs, and `auto` picks per problem: PDIP while the dense Newton core
-//! fits the `DENSE_CORE_LIMIT_BYTES` allocation guard, PDHG past it. The
-//! `.lp` dialect is documented in `memlp_lp::format`.
+//! fits the `DENSE_CORE_LIMIT_BYTES` allocation guard, PDHG past it.
+//! `serve` runs the crossbar families `alg1` (default) and `pdhg-analog`
+//! under the same names. The `.lp` dialect is documented in
+//! `memlp_lp::format`.
 
 use std::process::ExitCode;
 
@@ -57,7 +60,7 @@ const USAGE: &str = "usage:
   memlp solve <file.lp> [<file.lp> ...] [--solver alg1|alg2|simplex|pdip|mehrotra|pdhg|pdhg-analog|auto] [--path auto|dense|sparse] [--variation <pct>] [--seed <n>] [--jobs <n>] [--quiet]
               [--max-iters <n>] [--timeout-iters <n>] [--no-tile-elision]
               [--stuck-rate <frac>] [--dead-line-rate <frac>] [--transient-rate <frac>] [--spares <n>] [--recovery off|hardware|full]
-  memlp serve [--addr <host:port>] [--solver pdip|pdhg] [--queue-depth <n>] [--workers <n>] [--variation <pct>] [--seed <n>] [--max-iters <n>] [--timeout-iters <n>]
+  memlp serve [--addr <host:port>] [--solver alg1|pdhg-analog] [--queue-depth <n>] [--workers <n>] [--variation <pct>] [--seed <n>] [--max-iters <n>] [--timeout-iters <n>]
   memlp client <addr> (solve <file.lp> [...] [--max-iters <n>] [--timeout-iters <n>] [--family <tag>] | health | drain)
   memlp generate <m> [--seed <n>] [--infeasible]
   memlp info <file.lp>";
@@ -247,6 +250,95 @@ fn load(path: &str) -> Result<LpProblem, String> {
     format::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
+/// One solved row: the LP result plus, for crossbar families, the hardware
+/// ledger, the recovery report and the budget-degradation cause.
+type SolveRow = (
+    LpSolution,
+    Option<memlp_crossbar::CostLedger>,
+    Option<RecoveryReport>,
+    Option<BudgetCause>,
+);
+
+/// What `--solver <name>` selects: one solve function, and whether the
+/// batch pins its inner kernels to one thread per item.
+struct Family {
+    solve: Box<dyn Fn(&LpProblem, Budget<'_>) -> Result<SolveRow, String> + Sync>,
+    pin_kernels: bool,
+}
+
+/// A crossbar family: admission check, then a cold solve on fresh
+/// hardware, with the ledger and recovery report in the row.
+fn crossbar(solver: impl CrossbarSolver + 'static) -> Family {
+    Family {
+        solve: Box::new(move |lp, budget| {
+            solver.preflight(lp).map_err(|e| e.to_string())?;
+            let r = solver.solve_budgeted(lp, budget);
+            Ok((r.solution, Some(r.ledger), Some(r.recovery), r.degraded))
+        }),
+        pin_kernels: true,
+    }
+}
+
+/// A digital family: no hardware accounting, kernels left unpinned.
+fn digital(
+    solve: impl Fn(&LpProblem, Budget<'_>) -> (LpSolution, Option<BudgetCause>) + Sync + 'static,
+) -> Family {
+    Family {
+        solve: Box::new(move |lp, budget| {
+            let (sol, cause) = solve(lp, budget);
+            Ok((sol, None, None, cause))
+        }),
+        pin_kernels: false,
+    }
+}
+
+/// The solver registry, keyed by the `--solver` name.
+fn solver_family(f: &Flags, config: CrossbarConfig) -> Result<Family, String> {
+    let pdip = NormalEqPdip::new(PdipOptions {
+        path: f.path,
+        ..PdipOptions::default()
+    });
+    Ok(match f.solver.as_str() {
+        "alg1" => {
+            let mut options = CrossbarSolverOptions {
+                recovery: f.recovery,
+                ..CrossbarSolverOptions::default()
+            };
+            options.pdip.path = f.path;
+            crossbar(CrossbarPdipSolver::new(config, options))
+        }
+        "alg2" => crossbar(LargeScaleSolver::new(
+            config,
+            LargeScaleOptions {
+                recovery: f.recovery,
+                ..LargeScaleOptions::default()
+            },
+        )),
+        "pdhg-analog" => crossbar(CrossbarPdhgSolver::new(
+            config,
+            CrossbarPdhgOptions {
+                recovery: f.recovery,
+                ..CrossbarPdhgOptions::default()
+            },
+        )),
+        "simplex" => digital(|lp, _| (Simplex::default().solve(lp), None)),
+        "pdip" => digital(move |lp, budget| pdip.solve_budgeted(lp, budget)),
+        "mehrotra" => digital(|lp, budget| MehrotraPdip::default().solve_budgeted(lp, budget)),
+        "pdhg" => digital(|lp, budget| PdhgSolver::default().solve_budgeted(lp, budget)),
+        // Digital auto-selection: PDIP while the dense Newton core fits
+        // the allocation guard, the matrix-free PDHG backend past it.
+        "auto" => digital(move |lp, budget| {
+            let dim = lp.num_vars() + lp.num_constraints();
+            if memlp_core::dense_core_bytes(dim) > memlp_core::DENSE_CORE_LIMIT_BYTES {
+                PdhgSolver::default().solve_budgeted(lp, budget)
+            } else {
+                pdip.solve_budgeted(lp, budget)
+            }
+        }),
+        other => return Err(format!("unknown solver `{other}`")),
+    })
+}
+
 fn solve_cmd(args: &[String]) -> Result<(), String> {
     let f = parse_flags(args)?;
     if f.positional.is_empty() {
@@ -274,134 +366,34 @@ fn solve_cmd(args: &[String]) -> Result<(), String> {
     } else {
         f.jobs
     };
-
-    type SolveRow = (
-        LpSolution,
-        Option<memlp_crossbar::CostLedger>,
-        Option<RecoveryReport>,
-        Option<BudgetCause>,
-    );
-    // Per-item budget: the deterministic deadline is owned by the worker
-    // closure, so every problem gets its own fresh tick count. (A plain fn
-    // rather than a closure so the deadline borrow's lifetime stays
-    // generic.)
-    fn budget_for(max_iters: Option<usize>, dl: Option<&IterationDeadline>) -> Budget<'_> {
-        let mut b = Budget::none();
-        if let Some(n) = max_iters {
-            b = b.with_max_iters(n);
-        }
-        if let Some(d) = dl {
-            b = b.with_deadline(d);
-        }
-        b
-    }
-    let max_iters = f.max_iters;
-    let timeout_iters = f.timeout_iters;
+    let family = solver_family(&f, config)?;
+    let (max_iters, timeout_iters) = (f.max_iters, f.timeout_iters);
     // Multi-file batches fan out across `jobs` workers; every problem is an
     // isolated deterministic simulation, so results (and the single-file
     // output) are identical to sequential solves. Admission errors (e.g. an
     // oversized explicit-dense core) land in the failing item's slot only.
-    let results: Vec<Result<SolveRow, String>> = match f.solver.as_str() {
-        "alg1" => {
-            let mut options = CrossbarSolverOptions {
-                recovery: f.recovery,
-                ..CrossbarSolverOptions::default()
+    // Crossbar families pin their inner kernels to one thread per item:
+    // the per-solve matrices are too small to amortize nested fan-out.
+    let results: Vec<Result<SolveRow, String>> =
+        memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
+            // Per-item budget: every problem gets its own fresh deadline.
+            let solve = || {
+                let dl = timeout_iters.map(IterationDeadline::new);
+                let mut budget = Budget::none();
+                if let Some(n) = max_iters {
+                    budget = budget.with_max_iters(n);
+                }
+                if let Some(d) = dl.as_ref() {
+                    budget = budget.with_deadline(d);
+                }
+                (family.solve)(&lps[i], budget)
             };
-            options.pdip.path = f.path;
-            let s = CrossbarPdipSolver::new(config, options);
-            memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
-                memlp_linalg::parallel::with_threads(1, || {
-                    s.preflight(&lps[i]).map_err(|e| e.to_string())?;
-                    let dl = timeout_iters.map(IterationDeadline::new);
-                    let r = s.solve_budgeted(&lps[i], budget_for(max_iters, dl.as_ref()));
-                    Ok((r.solution, Some(r.ledger), Some(r.recovery), r.degraded))
-                })
-            })
-        }
-        "alg2" => {
-            let options = LargeScaleOptions {
-                recovery: f.recovery,
-                ..LargeScaleOptions::default()
-            };
-            let s = LargeScaleSolver::new(config, options);
-            memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
-                memlp_linalg::parallel::with_threads(1, || {
-                    s.preflight(&lps[i]).map_err(|e| e.to_string())?;
-                    let dl = timeout_iters.map(IterationDeadline::new);
-                    let r = s.solve_budgeted(&lps[i], budget_for(max_iters, dl.as_ref()));
-                    Ok((r.solution, Some(r.ledger), Some(r.recovery), r.degraded))
-                })
-            })
-        }
-        "simplex" => {
-            let s = Simplex::default();
-            memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
-                Ok((s.solve(&lps[i]), None, None, None))
-            })
-        }
-        "pdip" => {
-            let s = NormalEqPdip::new(PdipOptions {
-                path: f.path,
-                ..PdipOptions::default()
-            });
-            memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
-                let dl = timeout_iters.map(IterationDeadline::new);
-                let (sol, cause) = s.solve_budgeted(&lps[i], budget_for(max_iters, dl.as_ref()));
-                Ok((sol, None, None, cause))
-            })
-        }
-        "mehrotra" => {
-            let s = MehrotraPdip::default();
-            memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
-                let dl = timeout_iters.map(IterationDeadline::new);
-                let (sol, cause) = s.solve_budgeted(&lps[i], budget_for(max_iters, dl.as_ref()));
-                Ok((sol, None, None, cause))
-            })
-        }
-        "pdhg" => {
-            let s = PdhgSolver::default();
-            memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
-                let dl = timeout_iters.map(IterationDeadline::new);
-                let (sol, cause) = s.solve_budgeted(&lps[i], budget_for(max_iters, dl.as_ref()));
-                Ok((sol, None, None, cause))
-            })
-        }
-        "pdhg-analog" => {
-            let options = CrossbarPdhgOptions {
-                recovery: f.recovery,
-                ..CrossbarPdhgOptions::default()
-            };
-            let s = CrossbarPdhgSolver::new(config, options);
-            memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
-                memlp_linalg::parallel::with_threads(1, || {
-                    let dl = timeout_iters.map(IterationDeadline::new);
-                    let r = s.solve_budgeted(&lps[i], budget_for(max_iters, dl.as_ref()));
-                    Ok((r.solution, Some(r.ledger), Some(r.recovery), r.degraded))
-                })
-            })
-        }
-        // Digital auto-selection: PDIP while the dense Newton core fits
-        // the allocation guard, the matrix-free PDHG backend past it.
-        "auto" => {
-            let pdip = NormalEqPdip::new(PdipOptions {
-                path: f.path,
-                ..PdipOptions::default()
-            });
-            let pdhg = PdhgSolver::default();
-            memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
-                let dim = (lps[i].num_vars() + lps[i].num_constraints()) as u64;
-                let dl = timeout_iters.map(IterationDeadline::new);
-                let budget = budget_for(max_iters, dl.as_ref());
-                let (sol, cause) = if 8 * dim * dim > memlp_core::DENSE_CORE_LIMIT_BYTES {
-                    pdhg.solve_budgeted(&lps[i], budget)
-                } else {
-                    pdip.solve_budgeted(&lps[i], budget)
-                };
-                Ok((sol, None, None, cause))
-            })
-        }
-        other => return Err(format!("unknown solver `{other}`")),
-    };
+            if family.pin_kernels {
+                memlp_linalg::parallel::with_threads(1, solve)
+            } else {
+                solve()
+            }
+        });
 
     let multi = results.len() > 1;
     let mut failures = Vec::new();
@@ -504,12 +496,28 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .with_variation(f.variation)
         .with_seed(f.seed)
         .with_tile_elision(!f.no_tile_elision);
+    // The daemon serves the crossbar families with a warm-pool entry
+    // point, under the same names `solve` gives them; the digital solver
+    // names are refused rather than silently mapped onto hardware.
     let serve_solver = match f.solver.as_str() {
-        // `alg1` is the solve-command default; treat it as PDIP here so
-        // `memlp serve` without `--solver` keeps its historical behavior.
-        "alg1" | "pdip" => memlp_serve::ServeSolver::Pdip,
-        "pdhg" | "pdhg-analog" => memlp_serve::ServeSolver::Pdhg,
-        other => return Err(format!("serve supports --solver pdip|pdhg, got `{other}`")),
+        "alg1" => memlp_serve::ServeSolver::Pdip,
+        "pdhg-analog" => memlp_serve::ServeSolver::Pdhg,
+        digital @ ("pdip" | "pdhg") => {
+            let crossbar = if digital == "pdip" {
+                "alg1"
+            } else {
+                "pdhg-analog"
+            };
+            return Err(format!(
+                "serve runs crossbar solvers only: `{digital}` is the digital solver; \
+                 use --solver {crossbar} for its crossbar counterpart"
+            ));
+        }
+        other => {
+            return Err(format!(
+                "serve supports --solver alg1|pdhg-analog, got `{other}`"
+            ))
+        }
     };
     let config = memlp_serve::ServeConfig::default()
         .with_crossbar(crossbar)

@@ -51,7 +51,7 @@ pub use memlp_noc as noc;
 pub use memlp_solvers as solvers;
 
 pub use memlp_core::{
-    CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolution,
+    CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolution, CrossbarSolver,
     CrossbarSolverOptions, LargeScaleOptions, LargeScaleSolver, RecoveryEvent, RecoveryPolicy,
     RecoveryReport, SignSplit,
 };
@@ -62,8 +62,8 @@ pub use memlp_noc::{NocConfig, TiledCrossbar, Topology};
 pub mod prelude {
     pub use memlp_core::{
         CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolution,
-        CrossbarSolverOptions, LargeScaleOptions, LargeScaleSolver, RecoveryEvent, RecoveryPolicy,
-        RecoveryReport, SignSplit,
+        CrossbarSolver, CrossbarSolverOptions, LargeScaleOptions, LargeScaleSolver, RecoveryEvent,
+        RecoveryPolicy, RecoveryReport, SignSplit,
     };
     pub use memlp_crossbar::{
         CostLedger, Crossbar, CrossbarConfig, FaultModel, Fidelity, ReadoutMode,

@@ -394,6 +394,41 @@ fn serve_and_client_round_trip() {
     assert!(status.success(), "server must exit cleanly after drain");
 }
 
+/// `serve --solver` takes the registry names of the crossbar families
+/// with a warm-pool entry point; the digital names `pdip` and `pdhg` are
+/// refused with an error that names the crossbar counterpart.
+#[test]
+fn serve_solver_names_match_the_solve_registry() {
+    use std::io::{BufRead, BufReader};
+
+    for name in ["alg1", "pdhg-analog"] {
+        let mut server = memlp()
+            .args(["serve", "--solver", name])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut lines = BufReader::new(server.stdout.take().unwrap()).lines();
+        let first = lines.next().expect("startup line").unwrap();
+        let addr = first
+            .strip_prefix("listening on ")
+            .unwrap_or_else(|| panic!("{name}: unexpected startup line: {first}"))
+            .to_string();
+        let out = memlp().args(["client", &addr, "drain"]).output().unwrap();
+        assert!(out.status.success(), "{name}: drain failed");
+        assert!(server.wait().unwrap().success(), "{name}: unclean exit");
+    }
+
+    for (name, crossbar) in [("pdip", "alg1"), ("pdhg", "pdhg-analog")] {
+        let out = memlp().args(["serve", "--solver", name]).output().unwrap();
+        assert!(!out.status.success(), "serve must refuse `{name}`");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("--solver {crossbar}")),
+            "`{name}` must point at `{crossbar}`: {err}"
+        );
+    }
+}
+
 #[test]
 fn bad_usage_prints_help() {
     let out = memlp().args(["frobnicate"]).output().unwrap();
