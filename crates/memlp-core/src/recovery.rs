@@ -181,9 +181,9 @@ pub(crate) type Attempt = (LpSolution, SolverTrace, Option<BudgetCause>);
 /// between attempts, and hand a run that defective hardware left
 /// unresolved to the digital fallback.
 ///
-/// The fields are what differs between the solver families. Each is kept
-/// exactly as the family had it; none is harmonised, because verdicts on
-/// problems that exhaust the ladder depend on them.
+/// The fields are what differs between the solver families (DESIGN §11).
+/// They are not harmonised: verdicts on problems that exhaust the ladder
+/// depend on them.
 pub(crate) struct Ladder {
     /// How far the solve may escalate.
     pub policy: RecoveryPolicy,

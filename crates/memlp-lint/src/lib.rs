@@ -30,7 +30,6 @@
 //! // memlp-lint: allow(panic::expect, reason = "invariant: set by program()")
 //! ```
 
-pub mod cache;
 pub mod graph;
 pub mod lexer;
 pub mod parser;
@@ -72,8 +71,8 @@ pub fn lint_sources(files: Vec<(String, String)>) -> Report {
     }
 }
 
-/// Pass 2 + unused-allow over pass-1 results (fresh or cache-loaded),
-/// returning the merged, sorted finding list.
+/// Pass 2 + unused-allow over pass-1 results, returning the merged,
+/// sorted finding list.
 fn finish_pipeline(analyses: &mut [rules::FileAnalysis]) -> Vec<Finding> {
     let mut findings = graph::cross_findings(analyses);
     for a in analyses.iter() {
@@ -112,75 +111,32 @@ pub fn workspace_files(root: &Path) -> Result<Vec<String>, String> {
     Ok(files)
 }
 
-/// Lints every workspace source file under `root` (no cache).
+/// Lints every workspace source file under `root`: pass 1 per file, then
+/// the cross-file pass over all of them.
 ///
 /// # Errors
 ///
 /// Returns a description of the first I/O failure (unreadable directory or
 /// file).
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    lint_workspace_cached(root, None)
-}
-
-/// Lints the workspace with an optional incremental cache file. When
-/// `cache_path` is `Some`, per-file pass-1 results are reloaded for files
-/// whose content hash is unchanged and the cache is rewritten afterwards;
-/// the cross-file pass always re-runs, so output is byte-identical with a
-/// cold, warm, or absent cache.
-///
-/// # Errors
-///
-/// Returns a description of the first I/O failure. A corrupt or stale
-/// cache is not an error — it reads as empty.
-pub fn lint_workspace_cached(root: &Path, cache_path: Option<&Path>) -> Result<Report, String> {
     // Opt-in phase timing on stderr (stdout stays byte-stable).
     let timing = std::env::var_os("MEMLP_LINT_TIMING").is_some();
     // memlp-lint: allow(determinism::wall-clock, reason = "diagnostic phase timing printed to stderr behind MEMLP_LINT_TIMING; findings and exit code never depend on it")
     let t0 = std::time::Instant::now();
     let files = workspace_files(root)?;
-    let mut cache = match cache_path {
-        Some(p) => cache::Cache::load(p),
-        None => cache::Cache::default(),
-    };
-    let t_load = t0.elapsed();
-
     let mut analyses = Vec::with_capacity(files.len());
     for rel in &files {
         let src =
             std::fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel}: {e}"))?;
-        let analysis = match cache.get(rel, &src) {
-            Some(a) => a,
-            None => {
-                let a = rules::analyze_file(rel, &src);
-                // Stored before the cross pass touches directives, so
-                // cached usage flags reflect pass 1 only.
-                cache.put(&a, &src);
-                a
-            }
-        };
-        analyses.push(analysis);
+        analyses.push(rules::analyze_file(rel, &src));
     }
     let t_pass1 = t0.elapsed();
-
     let findings = finish_pipeline(&mut analyses);
-    let t_pass2 = t0.elapsed();
-    if let Some(p) = cache_path {
-        cache.retain_files(&files);
-        // A fully-warm run leaves the file as-is (store is the expensive
-        // half of the round trip).
-        if cache.is_dirty() {
-            cache.store(p)?;
-        }
-    }
     if timing {
         eprintln!(
-            "memlp-lint timing: load {:?}, pass1 {:?} ({} hit / {} miss), pass2 {:?}, store {:?}",
-            t_load,
-            t_pass1 - t_load,
-            cache.hits,
-            cache.misses,
-            t_pass2 - t_pass1,
-            t0.elapsed() - t_pass2
+            "memlp-lint timing: pass1 {:?}, pass2 {:?}",
+            t_pass1,
+            t0.elapsed() - t_pass1
         );
     }
     Ok(Report {

@@ -4,16 +4,11 @@
 //!
 //! ```text
 //! memlp-lint [--root <path>] [--format human|json|sarif] [--list-rules]
-//!            [--explain <rule>] [--no-cache] [--quiet]
+//!            [--explain <rule>] [--quiet]
 //! ```
 //!
 //! Exit codes: `0` clean (warn findings allowed), `1` deny findings, `2`
 //! usage or I/O error.
-//!
-//! By default pass-1 results are cached in `.memlp-lint-cache.json` at the
-//! workspace root (content-hash keyed; the cross-file pass always re-runs,
-//! so cached and cold runs print byte-identical output). `--no-cache`
-//! neither reads nor writes the cache file.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,7 +26,6 @@ struct Args {
     format: Format,
     list_rules: bool,
     explain: Option<String>,
-    no_cache: bool,
     quiet: bool,
 }
 
@@ -41,7 +35,6 @@ fn parse_args() -> Result<Args, String> {
         format: Format::Human,
         list_rules: false,
         explain: None,
-        no_cache: false,
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
@@ -65,12 +58,11 @@ fn parse_args() -> Result<Args, String> {
             // the alias already ends in `--`) is ignored.
             "--" => {}
             "--list-rules" => args.list_rules = true,
-            "--no-cache" => args.no_cache = true,
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: memlp-lint [--root <path>] [--format human|json|sarif] \
-                            [--list-rules] [--explain <rule>] [--no-cache] [--quiet]"
+                            [--list-rules] [--explain <rule>] [--quiet]"
                         .into(),
                 )
             }
@@ -126,13 +118,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let cache_path = root.join(memlp_lint::cache::CACHE_FILE);
-    let cache_arg = if args.no_cache {
-        None
-    } else {
-        Some(cache_path.as_path())
-    };
-    let report = match memlp_lint::lint_workspace_cached(&root, cache_arg) {
+    let report = match memlp_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(msg) => {
             eprintln!("memlp-lint: {msg}");

@@ -24,7 +24,7 @@
 //!   into exact comparisons or unclamped indexing.
 //!
 //! This module owns the rule registry, the per-file token pass
-//! ([`analyze_file`] — pass 1, content-addressed and cacheable), and the
+//! ([`analyze_file`] — pass 1, pure in the file content and path), and the
 //! directive (`memlp-lint: allow(...)`) machinery. The cross-file pass
 //! lives in [`crate::graph`] and is stitched in by [`crate::lint_sources`].
 
@@ -428,7 +428,7 @@ impl FileAnalysis {
 }
 
 /// Pass 1: lex, token-scan, and parse one file. Pure in the file content
-/// and path — this is the unit the content-hash cache stores.
+/// and path.
 pub fn analyze_file(rel_path: &str, src: &str) -> FileAnalysis {
     let ctx = FileCtx::classify(rel_path);
     let lexed = lex(src);

@@ -8,10 +8,69 @@
 //! report order, and object keys are `BTreeMap`-sorted.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::cache::Json;
 use crate::report::Report;
 use crate::rules::{Severity, RULES};
+
+/// The JSON subset the emitter writes. Numbers are integers.
+enum Json {
+    Num(i64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(BTreeMap<String, Json>),
+}
+
+impl Json {
+    /// Compact single-line rendering (deterministic: object keys are
+    /// `BTreeMap`-ordered).
+    fn render_into(&self, out: &mut String) {
+        match self {
+            Json::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => {
+                out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\r' => out.push_str("\\r"),
+                        '\t' => out.push_str("\\t"),
+                        c if (c as u32) < 0x20 => {
+                            let _ = write!(out, "\\u{:04x}", c as u32);
+                        }
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            Json::Arr(v) => {
+                out.push('[');
+                for (i, item) in v.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.render_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(m) => {
+                out.push('{');
+                for (i, (k, v)) in m.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    Json::Str(k.clone()).render_into(out);
+                    out.push(':');
+                    v.render_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
 
 fn s(text: &str) -> Json {
     Json::Str(text.to_string())
@@ -133,7 +192,8 @@ pub fn to_sarif(report: &Report) -> String {
             ])]),
         ),
     ]);
-    let mut out = doc.render();
+    let mut out = String::new();
+    doc.render_into(&mut out);
     out.push('\n');
     out
 }
@@ -154,8 +214,86 @@ mod tests {
         assert!(text.contains("\"ruleId\":\"panic::unwrap\""));
         assert!(text.contains("\"level\":\"error\""));
         assert!(text.contains("\"startLine\":1"));
-        // Parses back with the cache's JSON reader.
-        assert!(crate::cache::parse_json(text.trim()).is_some());
+        // The whole document is well-formed JSON.
+        let bytes = text.trim().as_bytes();
+        let mut pos = 0;
+        assert_eq!(skip_value(bytes, &mut pos), Some(()));
+        assert_eq!(pos, bytes.len(), "trailing bytes after the document");
+    }
+
+    fn skip_ws(b: &[u8], pos: &mut usize) {
+        while b.get(*pos).is_some_and(|c| c.is_ascii_whitespace()) {
+            *pos += 1;
+        }
+    }
+
+    /// Steps over one JSON value (objects, arrays, strings, integers);
+    /// `None` on any syntax error.
+    fn skip_value(b: &[u8], pos: &mut usize) -> Option<()> {
+        skip_ws(b, pos);
+        match *b.get(*pos)? {
+            open @ (b'{' | b'[') => {
+                let close = if open == b'{' { b'}' } else { b']' };
+                *pos += 1;
+                skip_ws(b, pos);
+                if *b.get(*pos)? == close {
+                    *pos += 1;
+                    return Some(());
+                }
+                loop {
+                    if open == b'{' {
+                        skip_ws(b, pos);
+                        skip_string(b, pos)?;
+                        skip_ws(b, pos);
+                        (*b.get(*pos)? == b':').then_some(())?;
+                        *pos += 1;
+                    }
+                    skip_value(b, pos)?;
+                    skip_ws(b, pos);
+                    match *b.get(*pos)? {
+                        b',' => *pos += 1,
+                        c if c == close => {
+                            *pos += 1;
+                            return Some(());
+                        }
+                        _ => return None,
+                    }
+                }
+            }
+            b'"' => skip_string(b, pos),
+            _ => {
+                if b[*pos] == b'-' {
+                    *pos += 1;
+                }
+                let digits = *pos;
+                while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+                    *pos += 1;
+                }
+                (*pos > digits).then_some(())
+            }
+        }
+    }
+
+    fn skip_string(b: &[u8], pos: &mut usize) -> Option<()> {
+        (*b.get(*pos)? == b'"').then_some(())?;
+        *pos += 1;
+        loop {
+            match *b.get(*pos)? {
+                b'"' => {
+                    *pos += 1;
+                    return Some(());
+                }
+                b'\\' => {
+                    *pos += match *b.get(*pos + 1)? {
+                        b'u' => 6,
+                        b'"' | b'\\' | b'/' | b'n' | b'r' | b't' | b'b' | b'f' => 2,
+                        _ => return None,
+                    };
+                }
+                c if c < 0x20 => return None,
+                _ => *pos += 1,
+            }
+        }
     }
 
     #[test]

@@ -436,3 +436,57 @@ fn every_cross_file_finding_has_a_witness_ending_at_the_seed() {
         }
     }
 }
+
+/// End to end through the binary on a two-file workspace: editing only
+/// the *callee* must surface the cross-file finding at the caller's entry
+/// point, and reverting it must retire the finding again.
+#[test]
+fn editing_a_callee_retriggers_and_retires_the_cross_file_finding() {
+    use std::path::Path;
+    use std::process::Command;
+
+    const LIB_RS: &str = "#![forbid(unsafe_code)]\n\
+        mod helper;\n\
+        \n\
+        pub fn api(xs: &[u32]) -> u32 {\n\
+        \x20   crate::helper::pick(xs)\n\
+        }\n";
+    // Callee with a reachable private panic (seed for `reach::panic`).
+    const HELPER_PANICKY: &str = "fn pick(xs: &[u32]) -> u32 {\n\
+        \x20   xs.first().copied().unwrap()\n\
+        }\n";
+    // Same callee, total: no seed.
+    const HELPER_TOTAL: &str = "fn pick(xs: &[u32]) -> u32 {\n\
+        \x20   xs.first().copied().unwrap_or(0)\n\
+        }\n";
+
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("callee_edit");
+    let src = root.join("src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+    std::fs::write(src.join("lib.rs"), LIB_RS).unwrap();
+    let helper = src.join("helper.rs");
+    let run = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_memlp-lint"))
+            .args(["--root", root.to_str().unwrap(), "--format", "json"])
+            .output()
+            .expect("spawn memlp-lint");
+        (out.status.code(), String::from_utf8(out.stdout).unwrap())
+    };
+
+    std::fs::write(&helper, HELPER_TOTAL).unwrap();
+    let (code, out) = run();
+    assert_eq!(code, Some(0), "{out}");
+    assert!(!out.contains("reach::panic"), "{out}");
+
+    std::fs::write(&helper, HELPER_PANICKY).unwrap();
+    let (code, out) = run();
+    assert_eq!(code, Some(1), "{out}");
+    assert!(out.contains("\"rule\": \"reach::panic\""), "{out}");
+    assert!(out.contains("entry point `memlp::api`"), "{out}");
+
+    std::fs::write(&helper, HELPER_TOTAL).unwrap();
+    let (code, out) = run();
+    assert_eq!(code, Some(0), "{out}");
+    assert!(!out.contains("reach::panic"), "{out}");
+}

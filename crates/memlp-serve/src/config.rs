@@ -3,7 +3,8 @@
 use memlp_core::CrossbarSolverOptions;
 use memlp_crossbar::CrossbarConfig;
 
-/// Which crossbar solver family the workers run.
+/// Which crossbar solver family the workers run (`memlp serve --solver
+/// alg1|pdhg-analog`).
 ///
 /// Both families share the warm-context pool, budgets, and recovery
 /// machinery; the choice is the per-iteration primitive. PDIP converges
@@ -13,10 +14,11 @@ use memlp_crossbar::CrossbarConfig;
 /// endurance at all and the digital controller state stays O(n + m).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeSolver {
-    /// Algorithm 1: the crossbar PDIP solver (default).
+    /// Algorithm 1: the crossbar PDIP solver (default; `alg1`).
     #[default]
     Pdip,
-    /// The crossbar-native first-order backend (restarted PDHG).
+    /// The crossbar-native first-order backend (restarted PDHG;
+    /// `pdhg-analog`).
     Pdhg,
 }
 

@@ -259,10 +259,13 @@ type SolveRow = (
     Option<BudgetCause>,
 );
 
+/// Solves one LP under a budget; `Err` is an admission refusal.
+type SolveFn = dyn Fn(&LpProblem, Budget<'_>) -> Result<SolveRow, String> + Sync;
+
 /// What `--solver <name>` selects: one solve function, and whether the
 /// batch pins its inner kernels to one thread per item.
 struct Family {
-    solve: Box<dyn Fn(&LpProblem, Budget<'_>) -> Result<SolveRow, String> + Sync>,
+    solve: Box<SolveFn>,
     pin_kernels: bool,
 }
 
