@@ -259,44 +259,33 @@ type SolveRow = (
     Option<BudgetCause>,
 );
 
-/// Solves one LP under a budget; `Err` is an admission refusal.
-type SolveFn = dyn Fn(&LpProblem, Budget<'_>) -> Result<SolveRow, String> + Sync;
-
-/// What `--solver <name>` selects: one solve function, and whether the
-/// batch pins its inner kernels to one thread per item.
-struct Family {
-    solve: Box<SolveFn>,
-    pin_kernels: bool,
-}
+/// What `--solver <name>` selects: solves one LP under a budget; `Err` is
+/// an admission refusal.
+type SolveFn = Box<dyn Fn(&LpProblem, Budget<'_>) -> Result<SolveRow, String> + Sync>;
 
 /// A crossbar family: admission check, then a cold solve on fresh
-/// hardware, with the ledger and recovery report in the row.
-fn crossbar(solver: impl CrossbarSolver + 'static) -> Family {
-    Family {
-        solve: Box::new(move |lp, budget| {
-            solver.preflight(lp).map_err(|e| e.to_string())?;
-            let r = solver.solve_budgeted(lp, budget);
-            Ok((r.solution, Some(r.ledger), Some(r.recovery), r.degraded))
-        }),
-        pin_kernels: true,
-    }
+/// hardware with the inner kernels pinned to one thread (the per-solve
+/// matrices are too small to amortize nested fan-out under `--jobs`).
+fn crossbar(solver: impl CrossbarSolver + 'static) -> SolveFn {
+    Box::new(move |lp, budget| {
+        solver.preflight(lp).map_err(|e| e.to_string())?;
+        let r = memlp_linalg::parallel::with_threads(1, || solver.solve_budgeted(lp, budget));
+        Ok((r.solution, Some(r.ledger), Some(r.recovery), r.degraded))
+    })
 }
 
 /// A digital family: no hardware accounting, kernels left unpinned.
 fn digital(
     solve: impl Fn(&LpProblem, Budget<'_>) -> (LpSolution, Option<BudgetCause>) + Sync + 'static,
-) -> Family {
-    Family {
-        solve: Box::new(move |lp, budget| {
-            let (sol, cause) = solve(lp, budget);
-            Ok((sol, None, None, cause))
-        }),
-        pin_kernels: false,
-    }
+) -> SolveFn {
+    Box::new(move |lp, budget| {
+        let (sol, cause) = solve(lp, budget);
+        Ok((sol, None, None, cause))
+    })
 }
 
 /// The solver registry, keyed by the `--solver` name.
-fn solver_family(f: &Flags, config: CrossbarConfig) -> Result<Family, String> {
+fn solver_family(f: &Flags, config: CrossbarConfig) -> Result<SolveFn, String> {
     let pdip = NormalEqPdip::new(PdipOptions {
         path: f.path,
         ..PdipOptions::default()
@@ -369,33 +358,23 @@ fn solve_cmd(args: &[String]) -> Result<(), String> {
     } else {
         f.jobs
     };
-    let family = solver_family(&f, config)?;
-    let (max_iters, timeout_iters) = (f.max_iters, f.timeout_iters);
+    let solve = solver_family(&f, config)?;
     // Multi-file batches fan out across `jobs` workers; every problem is an
     // isolated deterministic simulation, so results (and the single-file
     // output) are identical to sequential solves. Admission errors (e.g. an
     // oversized explicit-dense core) land in the failing item's slot only.
-    // Crossbar families pin their inner kernels to one thread per item:
-    // the per-solve matrices are too small to amortize nested fan-out.
     let results: Vec<Result<SolveRow, String>> =
         memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
             // Per-item budget: every problem gets its own fresh deadline.
-            let solve = || {
-                let dl = timeout_iters.map(IterationDeadline::new);
-                let mut budget = Budget::none();
-                if let Some(n) = max_iters {
-                    budget = budget.with_max_iters(n);
-                }
-                if let Some(d) = dl.as_ref() {
-                    budget = budget.with_deadline(d);
-                }
-                (family.solve)(&lps[i], budget)
-            };
-            if family.pin_kernels {
-                memlp_linalg::parallel::with_threads(1, solve)
-            } else {
-                solve()
+            let dl = f.timeout_iters.map(IterationDeadline::new);
+            let mut budget = Budget::none();
+            if let Some(n) = f.max_iters {
+                budget = budget.with_max_iters(n);
             }
+            if let Some(d) = dl.as_ref() {
+                budget = budget.with_deadline(d);
+            }
+            solve(&lps[i], budget)
         });
 
     let multi = results.len() > 1;
@@ -500,26 +479,20 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .with_seed(f.seed)
         .with_tile_elision(!f.no_tile_elision);
     // The daemon serves the crossbar families with a warm-pool entry
-    // point, under the same names `solve` gives them; the digital solver
-    // names are refused rather than silently mapped onto hardware.
+    // point, under the names `solve` gives them; the digital names are
+    // refused rather than silently mapped onto hardware.
     let serve_solver = match f.solver.as_str() {
         "alg1" => memlp_serve::ServeSolver::Pdip,
         "pdhg-analog" => memlp_serve::ServeSolver::Pdhg,
-        digital @ ("pdip" | "pdhg") => {
-            let crossbar = if digital == "pdip" {
-                "alg1"
-            } else {
-                "pdhg-analog"
+        other => {
+            let hint = match other {
+                "pdip" => "; `pdip` is digital, use --solver alg1",
+                "pdhg" => "; `pdhg` is digital, use --solver pdhg-analog",
+                _ => "",
             };
             return Err(format!(
-                "serve runs crossbar solvers only: `{digital}` is the digital solver; \
-                 use --solver {crossbar} for its crossbar counterpart"
+                "serve supports --solver alg1|pdhg-analog, got `{other}`{hint}"
             ));
-        }
-        other => {
-            return Err(format!(
-                "serve supports --solver alg1|pdhg-analog, got `{other}`"
-            ))
         }
     };
     let config = memlp_serve::ServeConfig::default()

@@ -423,7 +423,7 @@ fn serve_solver_names_match_the_solve_registry() {
         assert!(!out.status.success(), "serve must refuse `{name}`");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains(&format!("--solver {crossbar}")),
+            err.contains(&format!("use --solver {crossbar}")),
             "`{name}` must point at `{crossbar}`: {err}"
         );
     }
