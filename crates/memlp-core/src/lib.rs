@@ -27,6 +27,10 @@
 //! rungs climbed (re-program → remap → variation redraw → digital
 //! fallback; see [`RecoveryPolicy`]).
 //!
+//! These two and the analog PDHG backend ([`CrossbarPdhgSolver`])
+//! implement [`CrossbarSolver`], the one surface the CLI and the serve
+//! daemon dispatch through (admission check, warm-pool solve, batch).
+//!
 //! # Example
 //!
 //! ```

@@ -25,7 +25,8 @@
 //! The iteration itself is [`memlp_solvers::pdhg::solve_with_operator`] —
 //! bit-for-bit the same restarted, adaptively-weighted loop as the
 //! digital path; only the operator differs. Retry, recovery-ladder, and
-//! budget semantics mirror [`CrossbarPdipSolver`].
+//! budget semantics come from the ladder shared with [`CrossbarPdipSolver`]
+//! (`recovery::Ladder`).
 //!
 //! [`CrossbarPdipSolver`]: crate::CrossbarPdipSolver
 //! [`TiledCrossbar::mvm_transposed`]: memlp_noc::TiledCrossbar::mvm_transposed
