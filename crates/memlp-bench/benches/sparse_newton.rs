@@ -4,10 +4,11 @@
 //! For each memlp-lp domain at m ∈ {128, 512} the bench programs one
 //! `AugmentedSystem` on ideal hardware, assembles a real PDIP right-hand
 //! side, then times the per-iteration core solve under both
-//! `SolvePath::Dense` (flat copy + partial-pivot LU of the (n+m) core) and
-//! `SolvePath::Sparse` (diagonal scatter + symbolic-reuse refactor of the
-//! Schur core). The analog work is identical on both paths, so the ratio
-//! is pure digital-controller speedup.
+//! `SolvePath::Dense` (Schur reduction of the (n+m) core to a min(n,m)
+//! system + its partial-pivot LU) and `SolvePath::Sparse` (diagonal
+//! scatter + symbolic-reuse refactor of the (n+m) core). The analog work
+//! is identical on both paths, so the ratio is pure digital-controller
+//! speedup.
 //!
 //! Emits `BENCH_sparse.json` at the repository root (hand-rolled JSON — no
 //! serde in the offline dependency set) and *asserts* the ≥ 5× gate on the
@@ -36,10 +37,12 @@ const GATED: [(&str, usize); 2] = [("routing", 512), ("transport", 512)];
 struct Timing {
     /// Median wall-clock of one core solve, seconds.
     secs: f64,
-    /// Factorization flops per iteration (exact for sparse, the 2/3·N³
-    /// model for dense).
+    /// Factorization flops per iteration (exact for sparse; for dense the
+    /// 2·k²·K + 2/3·k³ model of forming and factoring the k = min(n,m)
+    /// Schur matrix, K = max(n,m)).
     flops: u64,
-    /// Stored factor entries (|L|+|U|+diagonal for sparse, N² for dense).
+    /// Stored factor entries (|L|+|U|+diagonal for sparse, k² + K·k for
+    /// dense).
     factor_nnz: u64,
 }
 

@@ -23,10 +23,12 @@
 //! Every symbol above is the **realized** (variation-perturbed) block. The
 //! analog array solves this entire system in O(1); the simulator recovers
 //! the identical solution by exact block elimination down to an `(n+m)`
-//! dense core (DESIGN.md §4) — pure algebra, no approximation.
+//! core (DESIGN.md §4) — pure algebra, no approximation. The core's two
+//! off-diagonal blocks are diagonal, so the dense path eliminates one more
+//! block and factors only a `min(n,m)` Schur system (DESIGN.md §13).
 
 use memlp_crossbar::Phase;
-use memlp_linalg::{LuFactors, Matrix, SparseLu, SparseMatrix};
+use memlp_linalg::{inf_norm_mat, ops, LuFactors, Matrix, SparseLu, SparseMatrix};
 use memlp_lp::LpProblem;
 use memlp_solvers::pdip::{CoreSolveError, PdipState, SolvePath, StepDirections};
 
@@ -71,6 +73,16 @@ pub fn dense_core_bytes(dim: usize) -> u64 {
     8 * dim as u64 * dim as u64
 }
 
+/// Normwise backward error `‖K·Δ − r‖∞ / (‖K‖∞·‖Δ‖∞ + ‖r‖∞)` on the
+/// unreduced `(n+m)` core above which a reduced (Schur) dense solve is
+/// discarded for the `(n+m)` LU. It catches a Schur system that lost
+/// accuracy without meeting an exactly zero pivot: over 22 000 Newton steps
+/// of 720 Algorithm 1 solves of paper random LPs (m = 24…128, 10%
+/// variation) the accepted ones stayed below 4e-11, while the 31 that lost
+/// accuracy (diverging infeasible iterates at m ≤ 48) all measured 1.5e-8
+/// or more.
+const REDUCED_RESIDUAL_TOL: f64 = 1e-9;
+
 /// The realized augmented system: static blocks written once, diagonal
 /// blocks rewritten every iteration.
 #[derive(Debug, Clone)]
@@ -108,12 +120,17 @@ pub struct AugmentedSystem {
     /// as the raw blocks.
     ax_eff: Matrix,
     ay_eff: Matrix,
+    /// `‖ax_eff‖∞` and `‖ay_eff‖∞`, the static part of the core norm the
+    /// reduced solve's residual check scales by.
+    ax_norm: f64,
+    ay_norm: f64,
     /// The `(n+m)²` core with the **static** blocks (`ax_eff`, `ay_eff`)
-    /// pre-placed and the diagonal coupling blocks zeroed. Built **lazily**
-    /// on the first dense core solve after a (re)programming — never for a
-    /// sparse-only run, and never past [`DENSE_CORE_LIMIT_BYTES`] — then
-    /// each per-iteration solve copies it and overwrites only the two
-    /// diagonal blocks instead of reassembling the matrix from its blocks.
+    /// pre-placed and the diagonal coupling blocks zeroed, for the `(n+m)`
+    /// LU fallback of the dense path. Built **lazily** on the first
+    /// fallback after a (re)programming — never for a run the reduced or
+    /// sparse solve serves, and never past [`DENSE_CORE_LIMIT_BYTES`] —
+    /// then each fallback copies it and overwrites only the two diagonal
+    /// blocks instead of reassembling the matrix from its blocks.
     core_base: Matrix,
     /// Reduce-and-solve scratch buffers, reused across iterations.
     scratch: SolveScratch,
@@ -152,14 +169,21 @@ struct SparseCore {
 }
 
 /// Reusable allocations for [`AugmentedSystem::solve`]: the reduced
-/// right-hand sides, coupling diagonals, and the `(n+m)²` core matrix.
+/// right-hand sides, coupling diagonals, the Schur-solve matrices and the
+/// `(n+m)²` fallback core.
 #[derive(Debug, Clone, Default)]
 struct SolveScratch {
     r1p: Vec<f64>,
     r2p: Vec<f64>,
-    /// `−Iw·W/Y` — the Δy coupling, stored pre-negated for the core.
-    neg_d1: Vec<f64>,
+    /// `Iw·W/Y` — the Δy coupling, entering the core as `−diag(d1)`.
+    d1: Vec<f64>,
     d2: Vec<f64>,
+    /// The eliminated-side static block with row `i` divided by the
+    /// eliminated diagonal's entry `i` (`max(n,m) × min(n,m)`).
+    scaled: Matrix,
+    /// The `min(n,m)²` Schur matrix, factored in place.
+    schur: Matrix,
+    /// The `(n+m)²` fallback core, allocated on the first fallback.
     k: Matrix,
     /// LU pivot/permutation buffer, recycled across factorizations.
     piv: Vec<usize>,
@@ -256,6 +280,8 @@ impl AugmentedSystem {
             yd: Vec::new(),
             ax_eff: Matrix::default(),
             ay_eff: Matrix::default(),
+            ax_norm: 0.0,
+            ay_norm: 0.0,
             core_base: Matrix::default(),
             scratch: SolveScratch::default(),
             cells,
@@ -294,6 +320,8 @@ impl AugmentedSystem {
                 self.ay_eff[(i, j)] -= self.atn[(i, rr)] * f;
             }
         }
+        self.ax_norm = inf_norm_mat(&self.ax_eff);
+        self.ay_norm = inf_norm_mat(&self.ay_eff);
         // The realized off-diagonal values (and possibly the realized
         // pattern, under faults/repairs) just changed; both cached cores
         // must be rebuilt from the new statics. The dense base is rebuilt
@@ -344,6 +372,8 @@ impl AugmentedSystem {
         ] {
             m.scale_mut(f);
         }
+        self.ax_norm *= f;
+        self.ay_norm *= f;
         // The sparse core's static entries drift by the same factor; its
         // diagonal slots are rewritten from scratch every solve, so scaling
         // them too is harmless.
@@ -364,7 +394,7 @@ impl AugmentedSystem {
             &mut self.selx,
             &mut self.sely,
         ] {
-            memlp_linalg::ops::scale(f, d);
+            ops::scale(f, d);
         }
     }
 
@@ -558,12 +588,10 @@ impl AugmentedSystem {
                 *v -= c;
             }
         }
-        // Δy coefficient in R1: −diag(Iw·W/Y), stored negated.
-        self.scratch.neg_d1.clear();
+        // Δy coefficient in R1: −diag(Iw·W/Y).
+        self.scratch.d1.clear();
         for i in 0..m {
-            self.scratch
-                .neg_d1
-                .push(-(self.iw[i] * self.wd[i] / self.yd[i]));
+            self.scratch.d1.push(self.iw[i] * self.wd[i] / self.yd[i]);
         }
 
         // R2 reduction: Δv = (r6 − I₃·Δz)/I₄, Δz = (r3 − Z·Δx)/X.
@@ -593,9 +621,10 @@ impl AugmentedSystem {
         // The (m+n) core — rows R1/R2 of the reduced system, unknowns
         // [Δx | Δy]. The digital controller factors it either sparse (CSR
         // core with the symbolic analysis and diagonal value slots reused
-        // across iterations) or dense (cached static base plus two diagonal
-        // writes). A sparse breakdown — the static-pivot elimination
-        // meeting a realized-singular pivot — falls back to the dense
+        // across iterations) or dense (a `min(n,m)` Schur solve, with the
+        // `(n+m)` LU as its fallback). A sparse breakdown — the
+        // static-pivot elimination meeting a realized-singular pivot —
+        // falls back to the dense
         // factorization for the iteration, so path selection can never make
         // a solvable realized system fail. The dense buffers are gated by
         // [`DENSE_CORE_LIMIT_BYTES`]: an oversized core under `Auto` (or
@@ -677,10 +706,123 @@ impl AugmentedSystem {
         })
     }
 
-    /// Dense core solve: flat-copy the cached static base, overwrite the
-    /// two coupling diagonals, LU-factor with the recycled buffers. The
-    /// rhs order matches the base's row order `[R1; R2]`.
+    /// Dense core solve. Both off-diagonal blocks of the core are diagonal,
+    /// so the larger block of unknowns eliminates exactly and only a
+    /// `min(n,m)²` Schur system is LU-factored ([`Self::solve_core_reduced`]).
+    /// The `(n+m)` LU ([`Self::solve_core_full`]) runs only when the
+    /// reduction cannot serve the iteration.
     fn solve_core_dense(&mut self, hw: &mut HwContext) -> Option<Vec<f64>> {
+        hw.note_rebuild_avoided();
+        match self.solve_core_reduced(hw) {
+            Some(core) => Some(core),
+            None => self.solve_core_full(hw),
+        }
+    }
+
+    /// Schur solve of the core `[[Ax_eff, −diag(d1)], [diag(d2), Ay_eff]]`.
+    /// With `n ≤ m`, `Δy = (Ax_eff·Δx − r1′)/d1` leaves the `n×n` system
+    /// `(diag(d2) + Ay_eff·diag(1/d1)·Ax_eff)·Δx = r2′ + Ay_eff·(r1′/d1)`;
+    /// with `n > m`, `Δx = (r2′ − Ay_eff·Δy)/d2` leaves the `m×m` system
+    /// `(diag(d1) + Ax_eff·diag(1/d2)·Ay_eff)·Δy = Ax_eff·(r2′/d2) − r1′`.
+    /// In both, with `σ = ±1`, kept unknowns `u` and eliminated `v`:
+    /// `S = diag(f) + L·diag(1/e)·R`, `S·u = σ·g_keep + L·(g_elim/e)` and
+    /// `v = σ·(R·u − g_elim)/e`.
+    ///
+    /// `None` — an eliminated diagonal entry realized as exactly zero (a
+    /// stuck cell), a singular Schur factorization, or a non-finite or
+    /// inaccurate result on the unreduced core — sends the iteration to
+    /// the `(n+m)` LU.
+    fn solve_core_reduced(&mut self, hw: &mut HwContext) -> Option<Vec<f64>> {
+        let (n, m) = (self.n, self.m);
+        let SolveScratch {
+            r1p,
+            r2p,
+            d1,
+            d2,
+            scaled,
+            schur,
+            piv,
+            ..
+        } = &mut self.scratch;
+        let (left, right, elim, keep, g_keep, g_elim, sign) = if n <= m {
+            (&self.ay_eff, &self.ax_eff, &*d1, &*d2, &*r2p, &*r1p, 1.0)
+        } else {
+            (&self.ax_eff, &self.ay_eff, &*d2, &*d1, &*r1p, &*r2p, -1.0)
+        };
+        if elim.contains(&0.0) {
+            return None;
+        }
+        let (k, big) = (keep.len(), elim.len());
+
+        // S = diag(f) + L·(R/e), through the shared matmul kernel.
+        if scaled.rows() != big || scaled.cols() != k {
+            *scaled = Matrix::zeros(big, k);
+        }
+        for (i, &e) in elim.iter().enumerate() {
+            for (s, &r) in scaled.row_mut(i).iter_mut().zip(right.row(i)) {
+                *s = r / e;
+            }
+        }
+        left.matmul_into(scaled, schur).ok()?;
+        for (j, &f) in keep.iter().enumerate() {
+            schur[(j, j)] += f;
+        }
+        let t: Vec<f64> = g_elim.iter().zip(elim).map(|(g, e)| g / e).collect();
+        let mut rhs = left.matvec(&t);
+        for (v, g) in rhs.iter_mut().zip(g_keep) {
+            *v += sign * g;
+        }
+
+        let lu = LuFactors::factor_reusing(std::mem::take(schur), std::mem::take(piv)).ok()?;
+        // Forming S costs 2·k²·K flops and its LU ⅔·k³; the factor entries
+        // held are S's k² plus the K·k scaled block (the block LU's U₁₂).
+        let (kf, bf) = (k as u64, big as u64);
+        hw.note_factorization(2 * kf * kf * bf + 2 * kf * kf * kf / 3, kf * kf + bf * kf);
+        let u = lu.solve(&rhs);
+        (*schur, *piv) = lu.into_parts();
+        let u = u.ok()?;
+
+        let ru = right.matvec(&u);
+        let v: Vec<f64> = ru
+            .iter()
+            .zip(g_elim)
+            .zip(elim)
+            .map(|((r, g), e)| sign * (r - g) / e)
+            .collect();
+        if !u.iter().chain(&v).all(|x| x.is_finite()) {
+            return None;
+        }
+
+        // Residual of the unreduced core: the eliminated rows
+        // `R·u − σ·e∘v = g_elim` and the kept rows `σ·f∘u + L·v = g_keep`.
+        let lv = left.matvec(&v);
+        let res_elim = ru
+            .iter()
+            .zip(&v)
+            .zip(elim.iter().zip(g_elim))
+            .map(|((r, vi), (e, g))| (r - sign * e * vi - g).abs());
+        let res_keep = lv
+            .iter()
+            .zip(&u)
+            .zip(keep.iter().zip(g_keep))
+            .map(|((l, ui), (f, g))| (sign * f * ui + l - g).abs());
+        let residual = res_elim.chain(res_keep).fold(0.0f64, f64::max);
+        let core_norm = (self.ax_norm + ops::inf_norm(d1)).max(self.ay_norm + ops::inf_norm(d2));
+        let scale = core_norm * ops::inf_norm(&u).max(ops::inf_norm(&v))
+            + ops::inf_norm(r1p).max(ops::inf_norm(r2p));
+        if residual > REDUCED_RESIDUAL_TOL * scale {
+            return None;
+        }
+
+        let (mut core, tail) = if n <= m { (u, v) } else { (v, u) };
+        core.extend(tail);
+        Some(core)
+    }
+
+    /// The `(n+m)` LU fallback: flat-copy the cached static base,
+    /// overwrite the two coupling diagonals, LU-factor with the recycled
+    /// buffers. The rhs order matches the base's row order `[R1; R2]`.
+    fn solve_core_full(&mut self, hw: &mut HwContext) -> Option<Vec<f64>> {
         let (n, m) = (self.n, self.m);
         let dim = n + m;
         if self.core_base.rows() != dim {
@@ -698,16 +840,16 @@ impl AugmentedSystem {
             .k
             .as_mut_slice()
             .copy_from_slice(self.core_base.as_slice());
-        self.scratch.k.set_diag_block(0, n, &self.scratch.neg_d1);
+        let neg_d1: Vec<f64> = self.scratch.d1.iter().map(|v| -v).collect();
+        self.scratch.k.set_diag_block(0, n, &neg_d1);
         self.scratch.k.set_diag_block(m, 0, &self.scratch.d2);
-        hw.note_rebuild_avoided();
         self.scratch.rhs.clear();
         self.scratch.rhs.extend_from_slice(&self.scratch.r1p);
         self.scratch.rhs.extend_from_slice(&self.scratch.r2p);
 
         // Factor the core in place, then hand its buffers back to the
         // scratch so the (n+m)² matrix and the pivot vector are reused
-        // next iteration.
+        // next fallback.
         let core_mat = std::mem::take(&mut self.scratch.k);
         let piv = std::mem::take(&mut self.scratch.piv);
         let lu = match LuFactors::factor_reusing(core_mat, piv) {
@@ -739,8 +881,8 @@ impl AugmentedSystem {
         for (slot, v) in sc.d2_slots.iter().zip(&self.scratch.d2) {
             vals[*slot] = *v;
         }
-        for (slot, v) in sc.d1_slots.iter().zip(&self.scratch.neg_d1) {
-            vals[*slot] = *v;
+        for (slot, v) in sc.d1_slots.iter().zip(&self.scratch.d1) {
+            vals[*slot] = -*v;
         }
         sc.lu.refactor(&sc.k).ok()?;
         hw.note_factorization(sc.lu.flops(), sc.lu.factor_nnz() as u64);
@@ -833,5 +975,84 @@ impl AugmentedSystem {
     /// Residual views into an assembled `r`: (primal ρ, dual σ).
     pub fn residual_views<'a>(&self, r: &'a [f64]) -> (&'a [f64], &'a [f64]) {
         (&r[..self.m], &r[self.m..self.m + self.n])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use memlp_crossbar::CrossbarConfig;
+    use memlp_lp::domains::{transportation_lp, TransportationProblem};
+    use memlp_lp::generator::RandomLp;
+    use memlp_solvers::pdip::PdipOptions;
+
+    /// Programs `lp` at its start iterate and runs one dense solve, which
+    /// leaves the reduced right-hand sides and coupling diagonals in the
+    /// scratch for the core solvers to be called on directly. `w_cell`
+    /// overrides one realized W-diagonal cell first (`0.0` is what a
+    /// stuck-off cell reads).
+    fn primed(
+        lp: &LpProblem,
+        variation_pct: f64,
+        w_cell: Option<(usize, f64)>,
+    ) -> (AugmentedSystem, HwContext) {
+        let opts = PdipOptions::default();
+        let state = PdipState::new(lp, &opts);
+        let cfg = CrossbarConfig::paper_default()
+            .with_variation(variation_pct)
+            .with_seed(17);
+        let mut hw = HwContext::new(cfg);
+        let mut sys = AugmentedSystem::program(lp, &state, &mut hw);
+        sys.set_solve_path(SolvePath::Dense);
+        if let Some((i, v)) = w_cell {
+            sys.wd[i] = v;
+        }
+        let s = sys.s_vector(&state);
+        let ms = sys.mvm(&s, &mut hw);
+        let r = sys.assemble_rhs(&sys.rhs_constant(lp, state.mu(opts.delta)), &ms);
+        sys.solve(&r, &mut hw).expect("solvable realized system");
+        (sys, hw)
+    }
+
+    #[test]
+    fn schur_solve_matches_the_full_lu_in_both_orientations() {
+        let transport =
+            transportation_lp(&TransportationProblem::random(3, 9, 5)).expect("valid domain");
+        for lp in [RandomLp::paper(24, 31).feasible(), transport] {
+            for variation in [0.0, 10.0] {
+                let (mut sys, mut hw) = primed(&lp, variation, None);
+                let reduced = sys.solve_core_reduced(&mut hw).expect("reduction applies");
+                let full = sys.solve_core_full(&mut hw).expect("non-singular core");
+                let scale = ops::inf_norm(&full);
+                for (r, f) in reduced.iter().zip(&full) {
+                    assert!(
+                        (r - f).abs() <= 1e-9 * scale,
+                        "n={} m={} at {variation}%: {r} vs {f}",
+                        lp.num_vars(),
+                        lp.num_constraints()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_schur_solves_return_the_full_lu_directions() {
+        // A stuck-off W cell makes d1[i] = 0, so Δy cannot be eliminated.
+        // A W cell read at 1e-14 (where diverging infeasible iterates
+        // end up) puts a 1e14-scaled rank-one term into S, which swamps
+        // the rest of it: the residual check must reject that solve.
+        let lp = RandomLp::paper(24, 31).feasible();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for w in [0.0, 1e-14] {
+            for variation in [0.0, 10.0] {
+                let (mut sys, mut hw) = primed(&lp, variation, Some((2, w)));
+                let ctx = format!("w = {w} at {variation}%");
+                assert!(sys.solve_core_reduced(&mut hw).is_none(), "{ctx}: accepted");
+                let dense = sys.solve_core_dense(&mut hw).expect("fallback solves");
+                let full = sys.solve_core_full(&mut hw).expect("non-singular core");
+                assert_eq!(bits(&dense), bits(&full), "{ctx}");
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@ use memlp_core::{
     LargeScaleSolver,
 };
 use memlp_crossbar::CrossbarConfig;
-use memlp_linalg::parallel::with_threads;
+use memlp_linalg::parallel::{with_threads, Threads};
 use memlp_lp::{generator::RandomLp, LpProblem};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -109,6 +109,36 @@ fn alg2_delta_matches_full_reprogram_at_all_thread_counts() {
             assert_same_behaviour(delta, full, &ctx);
             assert_conserved(delta, full, &ctx);
         }
+    }
+}
+
+/// The m = 24 cases above never split a kernel across threads. At the
+/// paper's m = 128 the Schur product of Algorithm 1's dense Newton core
+/// (2·n²·m flops) crosses the threading cutoff, so this is where thread
+/// invariance of the solve is actually exercised.
+#[test]
+fn alg1_is_bitwise_thread_invariant_past_the_kernel_cutoff() {
+    let lp = RandomLp::paper(128, 623).feasible();
+    let (n, m) = (lp.num_vars(), lp.num_constraints());
+    assert!(
+        Threads::exact(2).for_flops(2 * n * n * m) > 1,
+        "the Schur product must span more than one thread"
+    );
+    let cfg = CrossbarConfig::paper_default()
+        .with_variation(10.0)
+        .with_seed(7);
+    let solver = CrossbarPdipSolver::new(cfg, CrossbarSolverOptions::default());
+    let baseline = with_threads(1, || solver.solve(&lp));
+    assert!(baseline.solution.status.is_optimal());
+    for threads in THREADS {
+        let got = with_threads(threads, || solver.solve(&lp));
+        let ctx = format!("alg1 m=128 at {threads} threads");
+        assert_same_behaviour(&got, &baseline, &ctx);
+        assert_eq!(
+            got.ledger.counts(),
+            baseline.ledger.counts(),
+            "{ctx}: ledger"
+        );
     }
 }
 

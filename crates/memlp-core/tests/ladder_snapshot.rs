@@ -8,6 +8,13 @@
 //! the per-family ladders before they were folded into one; any change to
 //! retry seeding, the failure test, exhaustion rules or the digital
 //! fallback gate shows up here as a changed line.
+//!
+//! The hash also moves with the digital Newton arithmetic: the ADC ranges
+//! on the raw solve's largest entry, so its rounding reaches the solution
+//! bits. The Algorithm 1 fault-free, budget and infeasible hashes were
+//! re-recorded when the dense core moved from the `(n+m)` LU to the
+//! `min(n,m)` Schur solve; their statuses, iteration counts, retries and
+//! events did not change.
 
 use memlp_core::{
     Budget, CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolution,
@@ -172,7 +179,7 @@ fn pdhg_analog_ladder_snapshot() {
 }
 
 const ALG1: &[&str] = &[
-    "alg1 FaultFree: 643769ae51665d78 Optimal retries=0 degraded=None",
+    "alg1 FaultFree: b5a2e014eafc5881 Optimal retries=0 degraded=None",
     "alg1 Faulty: 6f7ae5e60de390fb Optimal retries=2 degraded=None",
     "  FaultsDetected { block: 0, stuck_cells: 1, weak_cells: 0, dead_rows: 0, dead_cols: 0 }",
     "  FaultsDetected { block: 1, stuck_cells: 1, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
@@ -189,8 +196,8 @@ const ALG1: &[&str] = &[
     "  Remapped { rows: 0, cols: 0, unmapped: 1 }",
     "  VariationRedraw { attempt: 2 }",
     "  FirstOrderFallback { iterations: 1808 }",
-    "alg1 BudgetExpires: 2f5f82d785932264 IterationLimit retries=0 degraded=Some(MaxIters)",
-    "alg1 Infeasible: bf1b868ca5325141 Infeasible retries=0 degraded=None",
+    "alg1 BudgetExpires: 5d77445f5d9057c1 IterationLimit retries=0 degraded=Some(MaxIters)",
+    "alg1 Infeasible: 7a6e6d33bb21e32e Infeasible retries=0 degraded=None",
 ];
 const ALG2: &[&str] = &[
     "alg2 FaultFree: 6004f79df3b705ac Optimal retries=0 degraded=None",

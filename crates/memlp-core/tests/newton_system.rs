@@ -1,12 +1,14 @@
 //! Direct tests of the Eqn-14a augmented system against the textbook
 //! Newton system it must reproduce.
 
-use memlp_core::{AugmentedSystem, HwContext};
+use memlp_core::{AugmentedDirections, AugmentedSystem, FactorStats, HwContext};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::ops;
+use memlp_lp::domains::{transportation_lp, TransportationProblem};
 use memlp_lp::generator::RandomLp;
+use memlp_lp::LpProblem;
 use memlp_solvers::pdip::{PdipOptions, PdipState};
-use memlp_solvers::{DensePdip, LpSolver};
+use memlp_solvers::{DensePdip, LpSolver, SolvePath};
 
 /// Ideal hardware (no variation, 16-bit converters) for exact comparisons.
 fn ideal_hw() -> HwContext {
@@ -219,4 +221,162 @@ fn update_diagonals_uses_run_phase_budget() {
         "one full X/Y/Z/W rewrite"
     );
     assert_eq!(after.setup_writes, before.setup_writes);
+}
+
+/// The two orientations of the dense core's Schur reduction: `n < m`
+/// eliminates Δy (a paper random LP), `n > m` eliminates Δx (transport).
+fn orientation_suite() -> Vec<(&'static str, LpProblem)> {
+    let transport =
+        transportation_lp(&TransportationProblem::random(3, 9, 5)).expect("valid domain");
+    assert!(transport.num_vars() > transport.num_constraints());
+    vec![
+        ("paper", RandomLp::paper(24, 31).feasible()),
+        ("transport", transport),
+    ]
+}
+
+/// Which start-iterate diagonal to zero before programming, so its cell
+/// realizes as exactly zero — what a stuck-off cell reads.
+#[derive(Clone, Copy)]
+enum ZeroCell {
+    None,
+    /// `w[i] = 0`: a W-diagonal cell, so `d1[i] = 0`.
+    W(usize),
+    /// `z[j] = 0`: a Z-diagonal cell, so `d2[j] = 0`.
+    Z(usize),
+}
+
+/// One Newton solve at the starting iterate on `path`, on hardware with
+/// `variation_pct` device variation: the directions and the factorization
+/// counters that solve added to the ledger. The hardware seed is fixed, so
+/// every path sees the same realized system.
+fn newton_step(
+    lp: &LpProblem,
+    path: SolvePath,
+    variation_pct: f64,
+    zero: ZeroCell,
+) -> (AugmentedDirections, FactorStats) {
+    let opts = PdipOptions::default();
+    let mut state = PdipState::new(lp, &opts);
+    match zero {
+        ZeroCell::None => {}
+        ZeroCell::W(i) => state.w[i] = 0.0,
+        ZeroCell::Z(j) => state.z[j] = 0.0,
+    }
+    let cfg = CrossbarConfig::paper_default()
+        .with_variation(variation_pct)
+        .with_seed(17);
+    let mut hw = HwContext::new(cfg);
+    let mut sys = AugmentedSystem::program(lp, &state, &mut hw);
+    sys.set_solve_path(path);
+    let s = sys.s_vector(&state);
+    let ms = sys.mvm(&s, &mut hw);
+    let constant = sys.rhs_constant(lp, state.mu(opts.delta));
+    let r = sys.assemble_rhs(&constant, &ms);
+    let before = FactorStats::from_ledger(hw.ledger());
+    let dirs = sys.solve(&r, &mut hw).expect("solvable realized system");
+    let after = FactorStats::from_ledger(hw.ledger());
+    let added = FactorStats {
+        factorizations: after.factorizations - before.factorizations,
+        flops: after.flops - before.flops,
+        factor_nnz: after.factor_nnz - before.factor_nnz,
+    };
+    (dirs, added)
+}
+
+/// `(Δx, Δy, Δw, Δz)` of `got` equal `want`'s to `1e-9` of the largest
+/// `Δx`/`Δy` entry.
+fn assert_same_directions(got: &AugmentedDirections, want: &AugmentedDirections, ctx: &str) {
+    let flat = |a: &AugmentedDirections| -> Vec<f64> {
+        let d = &a.dirs;
+        [&d.dx, &d.dy, &d.dw, &d.dz]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect()
+    };
+    let scale = ops::inf_norm(&want.dirs.dx).max(ops::inf_norm(&want.dirs.dy));
+    assert!(scale > 0.0, "{ctx}: vacuous comparison");
+    for (i, (g, w)) in flat(got).iter().zip(&flat(want)).enumerate() {
+        assert!(
+            (g - w).abs() <= 1e-9 * scale,
+            "{ctx}: direction entry {i}: {g} vs {w}"
+        );
+    }
+}
+
+/// Ledger counters of one `(n+m)` partial-pivot LU.
+fn full_lu(lp: &LpProblem) -> FactorStats {
+    let d = (lp.num_vars() + lp.num_constraints()) as u64;
+    FactorStats {
+        factorizations: 1,
+        flops: 2 * d * d * d / 3,
+        factor_nnz: d * d,
+    }
+}
+
+/// Ledger counters of one `min(n,m)` Schur solve: `2·k²·K + ⅔·k³` flops,
+/// `k²` LU entries plus the `K·k` scaled block.
+fn schur(lp: &LpProblem) -> FactorStats {
+    let (n, m) = (lp.num_vars() as u64, lp.num_constraints() as u64);
+    let (k, big) = (n.min(m), n.max(m));
+    FactorStats {
+        factorizations: 1,
+        flops: 2 * k * k * big + 2 * k * k * k / 3,
+        factor_nnz: k * k + big * k,
+    }
+}
+
+#[test]
+fn reduced_dense_solve_matches_the_unreduced_core() {
+    // The dense path factors only the min(n,m) Schur system; the sparse
+    // path factors the whole (n+m) core. On the same realized system both
+    // must return the same directions, in both orientations, with and
+    // without device variation.
+    for (name, lp) in orientation_suite() {
+        for variation in [0.0, 10.0] {
+            let ctx = format!("{name} at {variation}% variation");
+            let (reduced, stats) = newton_step(&lp, SolvePath::Dense, variation, ZeroCell::None);
+            let (unreduced, sparse) =
+                newton_step(&lp, SolvePath::Sparse, variation, ZeroCell::None);
+            assert!(
+                sparse.flops < full_lu(&lp).flops,
+                "{ctx}: the sparse reference fell back to the dense path"
+            );
+            assert_same_directions(&reduced, &unreduced, &ctx);
+            assert_eq!(stats, schur(&lp), "{ctx}: factorization counters");
+        }
+    }
+}
+
+#[test]
+fn zero_eliminated_diagonal_falls_back_to_the_full_lu() {
+    // A cell of the eliminated diagonal that realizes as exactly zero
+    // leaves the Schur reduction undefined, so the dense path runs (and
+    // records) the (n+m) LU instead. Δy is eliminated through d1 (W) when
+    // n < m, Δx through d2 (Z) when n > m. A zero on the kept diagonal is
+    // harmless — diag(f) + L·diag(1/e)·R stays non-singular — and must
+    // not fall back.
+    for (name, lp) in orientation_suite() {
+        let (w, z) = (ZeroCell::W(2), ZeroCell::Z(2));
+        let (eliminated, kept) = if lp.num_vars() <= lp.num_constraints() {
+            (w, z)
+        } else {
+            (z, w)
+        };
+        for variation in [0.0, 10.0] {
+            let ctx = format!("{name} at {variation}% variation");
+            let (dirs, stats) = newton_step(&lp, SolvePath::Dense, variation, eliminated);
+            assert_eq!(stats, full_lu(&lp), "{ctx}: fallback counters");
+            assert!(
+                [&dirs.dirs.dx, &dirs.dirs.dy]
+                    .into_iter()
+                    .flatten()
+                    .all(|v| v.is_finite()),
+                "{ctx}: fallback directions"
+            );
+            let (_, stats) = newton_step(&lp, SolvePath::Dense, variation, kept);
+            assert_eq!(stats, schur(&lp), "{ctx}: kept-diagonal zero fell back");
+        }
+    }
 }

@@ -288,15 +288,34 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != b.rows()`.
     pub fn matmul(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
+        let mut c = Matrix::default();
+        self.matmul_into(b, &mut c)?;
+        Ok(c)
+    }
+
+    /// [`Self::matmul`] into a caller-owned buffer: `c` is overwritten with
+    /// `A·B`, reallocating only when its shape differs, so a loop that
+    /// multiplies at a fixed shape reuses one allocation. The result is
+    /// bit-for-bit the product `matmul` returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != b.rows()`
+    /// (`c` is left untouched).
+    pub fn matmul_into(&self, b: &Matrix, c: &mut Matrix) -> Result<(), LinalgError> {
         if self.cols != b.rows {
             return Err(dim_mismatch(
                 format!("{}x{} · {}xK", self.rows, self.cols, self.cols),
                 format!("{}x{} · {}x{}", self.rows, self.cols, b.rows, b.cols),
             ));
         }
-        let mut c = Matrix::zeros(self.rows, b.cols);
+        if c.rows != self.rows || c.cols != b.cols {
+            *c = Matrix::zeros(self.rows, b.cols);
+        } else {
+            c.data.fill(0.0);
+        }
         if c.data.is_empty() {
-            return Ok(c);
+            return Ok(());
         }
         // Each C element accumulates sequentially over k regardless of the
         // band partition or register-tile shape, so threading and tiling
@@ -319,7 +338,7 @@ impl Matrix {
                 self.cols,
             );
         });
-        Ok(c)
+        Ok(())
     }
 
     /// Computes the scaled Gram (normal) matrix `N = A·diag(d)·Aᵀ` — the
@@ -658,6 +677,24 @@ mod tests {
             c,
             Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]).unwrap()
         );
+    }
+
+    #[test]
+    fn matmul_into_overwrites_and_reshapes_the_buffer() {
+        let a = Matrix::from_fn(5, 3, |i, j| (i as f64) - 0.5 * j as f64);
+        let b = Matrix::from_fn(3, 4, |i, j| 1.0 + (i * 4 + j) as f64);
+        let want = a.matmul(&b).unwrap();
+        // Same shape with stale contents: overwritten, not accumulated.
+        let mut c = Matrix::from_fn(5, 4, |_, _| 7.0);
+        a.matmul_into(&b, &mut c).unwrap();
+        assert_eq!(c, want);
+        // Wrong shape: reallocated.
+        let mut c = Matrix::zeros(2, 2);
+        a.matmul_into(&b, &mut c).unwrap();
+        assert_eq!(c, want);
+        // Mismatch: rejected, buffer untouched.
+        assert!(b.matmul_into(&b, &mut c).is_err());
+        assert_eq!(c, want);
     }
 
     #[test]
