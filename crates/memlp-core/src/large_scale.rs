@@ -42,19 +42,29 @@ mod key {
     pub const YD: u32 = 19;
 }
 
+/// Step-length decay half-life in iterations: `θ_k = θ / (1 + k/THETA_DECAY)`.
+/// The slow decay damps the limit-cycle oscillation the constant-step
+/// split iteration otherwise settles into.
+const THETA_DECAY: f64 = 30.0;
+
+/// Gain κ on the dual residual-feedback term: the `Δy` read-out from the
+/// `[ρ, 0]` solve carries the unresolved primal residual `r⊥ = ρ − A·Δx`
+/// (scaled by 1/λ); it is re-scaled by `−κ·λ` in the summing-amplifier
+/// stage and added to the min-norm dual step. The sign flip corrects the
+/// positive-only fill's anti-Newton polarity (crossbars cannot store
+/// negative λ); without this term the primal residual floors at the
+/// least-squares residual of `A`.
+const DUAL_FEEDBACK: f64 = 1.0;
+
 /// Options for the large-scale solver (Algorithm 2, §3.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LargeScaleOptions {
     /// Outer-loop options (tolerances, iteration cap, divergence bound).
     pub pdip: PdipOptions,
     /// The base step length θ (§3.4: "θ … were found to be better to be
-    /// constant to guarantee convergence"). See [`LargeScaleOptions::theta_decay`].
+    /// constant to guarantee convergence"), decayed with a fixed
+    /// 30-iteration half-life.
     pub theta: f64,
-    /// Step-length decay half-life in iterations (0 disables decay and
-    /// keeps the paper's strictly constant θ). A slow decay
-    /// `θ_k = θ / (1 + k/decay)` damps the limit-cycle oscillation the
-    /// constant-step split iteration otherwise settles into.
-    pub theta_decay: usize,
     /// Magnitude of the `RU`/`RL` fill relative to the mean |A| coefficient
     /// — the "very small" values that make Eqn 16c non-singular.
     pub fill_scale: f64,
@@ -70,20 +80,6 @@ pub struct LargeScaleOptions {
     /// classified as infeasible: a planted contradiction pins the residual
     /// at the contradiction gap, far above the solver's noise floor.
     pub infeasible_floor: f64,
-    /// Row-equilibrate the problem before mapping it onto the crossbar.
-    /// The converters quantize relative to the *global* signal maximum, so
-    /// constraints with small coefficients drown in other rows' noise
-    /// unless rows are normalized; dual variables are un-scaled digitally
-    /// on the way out.
-    pub equilibrate: bool,
-    /// Gain κ on the dual residual-feedback term: the `Δy` read-out from
-    /// the `[ρ, 0]` solve carries the unresolved primal residual
-    /// `r⊥ = ρ − A·Δx` (scaled by 1/λ); it is re-scaled by `−κ·λ` in the
-    /// summing-amplifier stage and added to the min-norm dual step. The
-    /// sign flip corrects the positive-only fill's anti-Newton polarity
-    /// (crossbars cannot store negative λ); without this term the primal
-    /// residual floors at the least-squares residual of `A`.
-    pub dual_feedback: f64,
     /// How far the solver may escalate when write–verify reports defects
     /// (see [`RecoveryPolicy`]).
     pub recovery: RecoveryPolicy,
@@ -100,7 +96,6 @@ impl Default for LargeScaleOptions {
                 ..PdipOptions::default()
             },
             theta: 0.30,
-            theta_decay: 30,
             fill_scale: 0.05,
             // The large-scale solver's residual floor is coarser than
             // Algorithm 1's (as is its accuracy in the paper), so its
@@ -114,8 +109,6 @@ impl Default for LargeScaleOptions {
             // post-check remains the hard guard on what is accepted.
             accept_floor: 0.25,
             infeasible_floor: 0.30,
-            equilibrate: false,
-            dual_feedback: 1.0,
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -181,8 +174,6 @@ struct LargeScaleSystem {
     mvm_grid_tiles: usize,
     /// Nominal λ the controller targeted for the RU/RL fill.
     fill_nominal: f64,
-    /// Residual-feedback gain κ (from the solver options).
-    dual_feedback: f64,
 }
 
 impl CrossbarSolver for LargeScaleSolver {
@@ -219,27 +210,15 @@ impl CrossbarSolver for LargeScaleSolver {
             classify_accepted: true,
             fallback_iterations: self.options.pdip.max_iterations,
         };
-        // The equilibrated problem and its Aᵀ are attempt-invariant
-        // (equilibration is deterministic); hoist them out of the retry
-        // loop so each attempt only redraws hardware variation.
-        let (wlp, eq) = if self.options.equilibrate {
-            // Equilibration failing (overflow on a subnormal row maximum)
-            // only loses conditioning, never correctness: fall back to the
-            // unscaled problem.
-            match memlp_lp::equilibrate(lp) {
-                Ok((scaled, eq)) => (scaled, Some(eq)),
-                Err(_) => (lp.clone(), None),
-            }
-        } else {
-            (lp.clone(), None)
-        };
-        let at = wlp.a().transpose();
+        // Aᵀ is attempt-invariant; hoist it out of the retry loop so each
+        // attempt only redraws hardware variation.
+        let at = lp.a().transpose();
         let mut spent = 0usize;
         ladder.run(
             lp,
             hw,
             None,
-            |hw, k| self.attempt(lp, &wlp, &eq, &at, hw, k as u64, budget, &mut spent),
+            |hw, k| self.attempt(lp, &at, hw, k as u64, budget, &mut spent),
             |solution| self.classify_exhausted(lp, solution),
         )
     }
@@ -293,12 +272,9 @@ impl LargeScaleSolver {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
         lp: &LpProblem,
-        wlp: &LpProblem,
-        eq: &Option<memlp_lp::Equilibration>,
         at: &Matrix,
         hw: &mut HwContext,
         salt: u64,
@@ -306,37 +282,19 @@ impl LargeScaleSolver {
         spent: &mut usize,
     ) -> Option<Attempt> {
         let opts = &self.options.pdip;
-        // Hardware sees the equilibrated problem (`wlp`, with `at = wlp.Aᵀ`
-        // precomputed by the caller); acceptance checks and the reported
-        // solution always refer to the original `lp` (x is shared;
-        // duals/slacks are un-scaled via `finish`).
-        let finish = |mut state: PdipState,
+        let finish = |state: PdipState,
                       status: LpStatus,
                       iter: usize,
                       trace: SolverTrace,
                       cause: Option<BudgetCause>| {
-            if let Some(eq) = eq {
-                state.y = eq.unscale_duals(&state.y);
-                for (w, s) in state.w.iter_mut().zip(&eq.row_scales) {
-                    *w *= s;
-                }
-            }
             Some((state.into_solution(lp, status, iter), trace, cause))
         };
-        let mut state = PdipState::new(wlp, opts);
+        let mut state = PdipState::new(lp, opts);
         let mut trace = SolverTrace::new();
-        let mut sys = LargeScaleSystem::program(
-            wlp,
-            at,
-            &state,
-            self.options.fill_scale,
-            self.options.dual_feedback,
-            hw,
-            salt,
-        )?;
+        let mut sys = LargeScaleSystem::program(lp, at, &state, self.options.fill_scale, hw, salt)?;
 
-        let bnorm = 1.0 + ops::inf_norm(wlp.b());
-        let cnorm = 1.0 + ops::inf_norm(wlp.c());
+        let bnorm = 1.0 + ops::inf_norm(lp.b());
+        let cnorm = 1.0 + ops::inf_norm(lp.c());
         let base_theta = self.options.theta;
         // Small systems have genuinely lower noise floors (fewer summed
         // noise terms per output line), so the stall-acceptance level
@@ -366,29 +324,19 @@ impl LargeScaleSolver {
                 return finish(chosen, LpStatus::IterationLimit, iter, trace, Some(cause));
             }
             *spent += 1;
-            if !(ops::all_finite(&state.x) && ops::all_finite(&state.y)) {
-                return finish(state, LpStatus::NumericalFailure, iter, trace, None);
-            }
-            if ops::inf_norm(&state.y) > opts.divergence_bound {
-                return finish(state, LpStatus::Infeasible, iter, trace, None);
-            }
-            if ops::inf_norm(&state.x) > opts.divergence_bound {
-                return finish(state, LpStatus::Unbounded, iter, trace, None);
+            if let Some(status) = state.divergence(opts.divergence_bound) {
+                return finish(state, status, iter, trace, None);
             }
 
-            let theta = if self.options.theta_decay == 0 {
-                base_theta
-            } else {
-                base_theta / (1.0 + iter as f64 / self.options.theta_decay as f64)
-            };
+            let theta = base_theta / (1.0 + iter as f64 / THETA_DECAY);
 
             // --- System 1: r1 via the fill-free MVM (Eqn 17a).
             let mu = state.mu(opts.delta);
-            let r1 = sys.rhs1(wlp, &state, hw);
+            let r1 = sys.rhs1(lp, &state, hw);
             let (rho, sigma) = (&r1[..sys.m], &r1[sys.m..sys.m + sys.n]);
             let pr = ops::inf_norm(rho) / bnorm;
             let dr = ops::inf_norm(sigma) / cnorm;
-            let gap = state.duality_gap() / (1.0 + wlp.objective(&state.x).abs());
+            let gap = state.duality_gap() / (1.0 + lp.objective(&state.x).abs());
             trace.push(IterationRecord {
                 mu,
                 gap,
@@ -418,19 +366,19 @@ impl LargeScaleSolver {
                     let candidate = tail
                         .mean()
                         .filter(|avg| {
-                            let avg_pr = ops::inf_norm(&avg.primal_residual(wlp)) / bnorm;
+                            let avg_pr = ops::inf_norm(&avg.primal_residual(lp)) / bnorm;
                             avg_pr < best_score
                         })
                         .unwrap_or_else(|| best_state.clone());
-                    let cand_pr = ops::inf_norm(&candidate.primal_residual(wlp)) / bnorm;
+                    let cand_pr = ops::inf_norm(&candidate.primal_residual(lp)) / bnorm;
                     let cand_score = best_score.min(cand_pr);
                     // A corrupted dual pair can show a small zᵀx + yᵀw
                     // while the primal and dual objectives disagree badly.
                     // A *catastrophic* disagreement blocks acceptance (the
                     // duals of the split iteration are legitimately sloppy,
                     // so only gross mismatch is disqualifying).
-                    let cobj = wlp.objective(&candidate.x);
-                    let cdual: f64 = wlp.b().iter().zip(&candidate.y).map(|(b, y)| b * y).sum();
+                    let cobj = lp.objective(&candidate.x);
+                    let cdual: f64 = lp.b().iter().zip(&candidate.y).map(|(b, y)| b * y).sum();
                     let obj_gap = (cobj - cdual).abs() / (1.0 + cobj.abs());
                     // Classification by stall level: the solver's noise
                     // floor sits well below accept_floor; a residual pinned
@@ -571,7 +519,6 @@ impl LargeScaleSystem {
         at: &Matrix,
         state: &PdipState,
         fill_scale: f64,
-        dual_feedback: f64,
         hw: &mut HwContext,
         salt: u64,
     ) -> Option<LargeScaleSystem> {
@@ -686,7 +633,6 @@ impl LargeScaleSystem {
             mvm_live_tiles,
             mvm_grid_tiles,
             fill_nominal: fill,
-            dual_feedback,
         };
         sys.update_diagonals(state, hw);
         Some(sys)
@@ -838,7 +784,7 @@ impl LargeScaleSystem {
         // Combine in the summing-amplifier stage: re-scale the feedback by
         // −κ·λ (flipping the positive-fill polarity back to Newton's) and
         // add the min-norm step.
-        let gain = -self.dual_feedback * self.fill_nominal;
+        let gain = -DUAL_FEEDBACK * self.fill_nominal;
         let dy: Vec<f64> = dy_minnorm
             .iter()
             .zip(&dy_feedback_raw)
@@ -944,30 +890,6 @@ mod tests {
                 res.solution
             );
         }
-    }
-
-    #[test]
-    fn equilibrated_path_solves_and_unscales_duals() {
-        let lp = RandomLp::paper(48, 41).feasible();
-        let reference = NormalEqPdip::default().solve(&lp);
-        let opts = LargeScaleOptions {
-            equilibrate: true,
-            ..LargeScaleOptions::default()
-        };
-        let res =
-            LargeScaleSolver::new(CrossbarConfig::paper_default().with_seed(2), opts).solve(&lp);
-        assert_eq!(res.solution.status, LpStatus::Optimal, "{}", res.solution);
-        let rel = (res.solution.objective - reference.objective).abs()
-            / (1.0 + reference.objective.abs());
-        assert!(rel < 0.12, "relative error {rel}");
-        // Duals must come back in the ORIGINAL row scaling: weak duality
-        // against the original b (generous tolerance for analog noise).
-        let dual_obj: f64 = lp.b().iter().zip(&res.solution.y).map(|(b, y)| b * y).sum();
-        assert!(
-            dual_obj >= res.solution.objective - 0.5 * (1.0 + res.solution.objective.abs()),
-            "dual {dual_obj} vs primal {} — unscaling broken?",
-            res.solution.objective
-        );
     }
 
     #[test]

@@ -374,26 +374,8 @@ impl CrossbarPdipSolver {
             }
             *spent += 1;
             // Divergence / NaN checks are digital (the controller tracks s).
-            if !(ops::all_finite(&state.x) && ops::all_finite(&state.y)) {
-                return (
-                    state.into_solution(lp, LpStatus::NumericalFailure, iter),
-                    trace,
-                    None,
-                );
-            }
-            if ops::inf_norm(&state.y) > opts.divergence_bound {
-                return (
-                    state.into_solution(lp, LpStatus::Infeasible, iter),
-                    trace,
-                    None,
-                );
-            }
-            if ops::inf_norm(&state.x) > opts.divergence_bound {
-                return (
-                    state.into_solution(lp, LpStatus::Unbounded, iter),
-                    trace,
-                    None,
-                );
+            if let Some(status) = state.divergence(opts.divergence_bound) {
+                return (state.into_solution(lp, status, iter), trace, None);
             }
 
             // (1) O(N) coefficient updates; static blocks age by the

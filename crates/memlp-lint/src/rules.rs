@@ -125,7 +125,7 @@ pub const RULES: &[(&str, Severity, &str)] = &[
     (
         "panic::panic-macro",
         Severity::Deny,
-        "no panic!/todo!/unimplemented! in non-test library code",
+        "no panic!/todo!/unimplemented!/unreachable! in non-test library code",
     ),
     (
         "float::strict-eq",
@@ -226,8 +226,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              // memlp-lint: allow(panic::unwrap, reason = \"...\")."
         }
         "panic::panic-macro" => {
-            "`panic!`/`todo!`/`unimplemented!` in non-test library code aborts the caller's \
-             solve. Return an Error instead."
+            "`panic!`/`todo!`/`unimplemented!`/`unreachable!` in non-test library code aborts \
+             the caller's solve. Return an Error instead."
         }
         "float::strict-eq" => {
             "Strict equality against a non-zero float literal is a tolerance bug in solver \
@@ -1020,7 +1020,7 @@ fn scan_tokens(
                             ),
                         );
                     }
-                    if matches!(text, "panic" | "todo" | "unimplemented")
+                    if matches!(text, "panic" | "todo" | "unimplemented" | "unreachable")
                         && next.map(|n| n.text == "!").unwrap_or(false)
                     {
                         emit(

@@ -13,6 +13,9 @@ fn t() {
 fn u() {
     unimplemented!()
 }
+fn v() {
+    unreachable!()
+}
 fn fine(o: Option<u32>) -> u32 {
     o.unwrap_or_default()
 }

@@ -126,6 +126,7 @@ fn panic_rules_fire_outside_test_modules_only() {
             (8, "panic::panic-macro"),
             (11, "panic::panic-macro"),
             (14, "panic::panic-macro"),
+            (17, "panic::panic-macro"),
         ],
     );
 }

@@ -58,24 +58,25 @@ use memlp_lp::{LpProblem, LpSolution};
 /// A linear program solver.
 ///
 /// Object-safe so benches can iterate over a heterogeneous baseline set.
+/// [`LpSolver::solve_budgeted`] is the one required solve method;
+/// [`LpSolver::solve`] is it under [`Budget::none`].
 pub trait LpSolver {
     /// Solves the canonical-form problem.
-    fn solve(&self, lp: &LpProblem) -> LpSolution;
+    fn solve(&self, lp: &LpProblem) -> LpSolution {
+        self.solve_budgeted(lp, Budget::none()).0
+    }
 
     /// Solves under an iteration [`Budget`], polled once per Newton
     /// iteration. On a budget exit the best-so-far iterate is returned
     /// with `LpStatus::IterationLimit` and the triggering [`BudgetCause`];
-    /// with [`Budget::none`] the behaviour (and bit pattern) of
-    /// [`LpSolver::solve`] is preserved exactly. Solvers without
-    /// cooperative checks (e.g. simplex) ignore the budget.
+    /// with [`Budget::none`] the result is bit-for-bit that of
+    /// [`LpSolver::solve`]. Solvers without cooperative checks (e.g.
+    /// simplex) ignore the budget.
     fn solve_budgeted(
         &self,
         lp: &LpProblem,
         budget: Budget<'_>,
-    ) -> (LpSolution, Option<BudgetCause>) {
-        let _ = budget;
-        (self.solve(lp), None)
-    }
+    ) -> (LpSolution, Option<BudgetCause>);
 
     /// Short human-readable name for tables and logs.
     fn name(&self) -> &'static str;

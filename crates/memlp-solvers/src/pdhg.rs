@@ -373,10 +373,6 @@ pub fn rescore(lp: &LpProblem, sol: &mut LpSolution) {
 }
 
 impl LpSolver for PdhgSolver {
-    fn solve(&self, lp: &LpProblem) -> LpSolution {
-        self.solve_full(lp, Budget::none(), None).solution
-    }
-
     fn solve_budgeted(
         &self,
         lp: &LpProblem,

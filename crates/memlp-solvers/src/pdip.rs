@@ -6,9 +6,20 @@
 //! length, and re-center with the Eqn 8 barrier parameter. This module owns
 //! that outer loop's state so the solvers differ only in *how the Newton
 //! system is solved* — which is exactly the paper's framing.
+//!
+//! The three digital baselines ([`crate::DensePdip`],
+//! [`crate::NormalEqPdip`], [`crate::MehrotraPdip`]) share one loop: the
+//! exit tests of [`PdipState::outcome`], one budget poll, the solver's
+//! Newton solve, then [`PdipState::step_length`] and
+//! [`PdipState::apply_step`]. Each solver supplies only the Newton solve.
+//! The Ω divergence rule ([`PdipState::divergence`]: non-finite `x`/`y`,
+//! then `‖y‖∞ > Ω`, then `‖x‖∞ > Ω`) is the one both crossbar algorithms
+//! in `memlp-core` also apply at the top of every iteration.
 
 use memlp_linalg::ops;
-use memlp_lp::{LpProblem, LpStatus};
+use memlp_lp::{LpProblem, LpSolution, LpStatus};
+
+use crate::budget::{Budget, BudgetCause};
 
 /// Which digital factorization path solves the Newton system.
 ///
@@ -181,21 +192,6 @@ pub struct PdipState {
     pub z: Vec<f64>,
 }
 
-/// What an iteration concluded.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IterationOutcome {
-    /// Keep iterating.
-    Continue,
-    /// All three §3.1 exit conditions met.
-    Converged,
-    /// `‖y‖∞` exceeded Ω: the dual is unbounded ⇒ primal infeasible.
-    PrimalInfeasible,
-    /// `‖x‖∞` exceeded Ω: the primal is unbounded (dual infeasible).
-    PrimalUnbounded,
-    /// NaN/∞ crept into the iterate.
-    NumericalFailure,
-}
-
 impl PdipState {
     /// Initializes all variables to `opts.initial_value` (the paper
     /// initializes "as arbitrary vectors"; a strictly positive constant is
@@ -312,44 +308,48 @@ impl PdipState {
         }
     }
 
-    /// Evaluates the §3.1 exit tests: convergence, divergence
-    /// (infeasible/unbounded certificates), or numerical failure.
-    pub fn outcome(&self, lp: &LpProblem, opts: &PdipOptions) -> IterationOutcome {
-        if !(ops::all_finite(&self.x)
-            && ops::all_finite(&self.y)
-            && ops::all_finite(&self.w)
-            && ops::all_finite(&self.z))
-        {
-            return IterationOutcome::NumericalFailure;
+    /// The §3.1 divergence rule, shared by every PDIP loop: NaN/∞ in `x`
+    /// or `y` is a [`LpStatus::NumericalFailure`]; `‖y‖∞ > Ω` means the
+    /// dual is unbounded, so the primal is [`LpStatus::Infeasible`];
+    /// `‖x‖∞ > Ω` means the primal is [`LpStatus::Unbounded`]. `None`
+    /// while the iterate stays inside the bound.
+    pub fn divergence(&self, bound: f64) -> Option<LpStatus> {
+        if !(ops::all_finite(&self.x) && ops::all_finite(&self.y)) {
+            Some(LpStatus::NumericalFailure)
+        } else if ops::inf_norm(&self.y) > bound {
+            Some(LpStatus::Infeasible)
+        } else if ops::inf_norm(&self.x) > bound {
+            Some(LpStatus::Unbounded)
+        } else {
+            None
         }
-        if ops::inf_norm(&self.y) > opts.divergence_bound {
-            return IterationOutcome::PrimalInfeasible;
+    }
+
+    /// Evaluates the §3.1 exit tests on the exact (digital) residuals:
+    /// numerical failure, divergence (infeasible/unbounded certificates)
+    /// or convergence ([`LpStatus::Optimal`]). `None` means keep
+    /// iterating.
+    pub fn outcome(&self, lp: &LpProblem, opts: &PdipOptions) -> Option<LpStatus> {
+        if !(ops::all_finite(&self.w) && ops::all_finite(&self.z)) {
+            return Some(LpStatus::NumericalFailure);
         }
-        if ops::inf_norm(&self.x) > opts.divergence_bound {
-            return IterationOutcome::PrimalUnbounded;
+        if let Some(status) = self.divergence(opts.divergence_bound) {
+            return Some(status);
         }
         let pr = ops::inf_norm(&self.primal_residual(lp)) / (1.0 + ops::inf_norm(lp.b()));
         let dr = ops::inf_norm(&self.dual_residual(lp)) / (1.0 + ops::inf_norm(lp.c()));
         let gap = self.duality_gap() / (1.0 + lp.objective(&self.x).abs());
-        if pr <= opts.eps_primal && dr <= opts.eps_dual && gap <= opts.eps_gap {
-            IterationOutcome::Converged
-        } else {
-            IterationOutcome::Continue
-        }
+        (pr <= opts.eps_primal && dr <= opts.eps_dual && gap <= opts.eps_gap)
+            .then_some(LpStatus::Optimal)
     }
 
     /// Builds the final [`memlp_lp::LpSolution`] record for this state.
-    pub fn into_solution(
-        self,
-        lp: &LpProblem,
-        status: LpStatus,
-        iterations: usize,
-    ) -> memlp_lp::LpSolution {
+    pub fn into_solution(self, lp: &LpProblem, status: LpStatus, iterations: usize) -> LpSolution {
         let primal_residual = ops::inf_norm(&self.primal_residual(lp));
         let dual_residual = ops::inf_norm(&self.dual_residual(lp));
         let duality_gap = self.duality_gap();
         let objective = lp.objective(&self.x);
-        memlp_lp::LpSolution {
+        LpSolution {
             status,
             objective,
             iterations,
@@ -366,7 +366,7 @@ impl PdipState {
 /// when the Newton solve failed are certificates of infeasibility or
 /// unboundedness (the Newton system condition number blows up along the
 /// divergent ray well before `‖·‖∞` reaches Ω).
-pub fn classify_breakdown(state: &PdipState, _opts: &PdipOptions) -> LpStatus {
+pub fn classify_breakdown(state: &PdipState) -> LpStatus {
     // On an infeasible primal the duals diverge along a ray while x stays
     // bounded (and vice versa for an unbounded primal); a two-orders-of-
     // magnitude imbalance at breakdown is taken as the certificate.
@@ -381,16 +381,36 @@ pub fn classify_breakdown(state: &PdipState, _opts: &PdipOptions) -> LpStatus {
     }
 }
 
-/// Maps an [`IterationOutcome`] to a terminal [`LpStatus`] (panics on
-/// `Continue`, which is not terminal).
-pub fn status_for(outcome: IterationOutcome) -> LpStatus {
-    match outcome {
-        IterationOutcome::Converged => LpStatus::Optimal,
-        IterationOutcome::PrimalInfeasible => LpStatus::Infeasible,
-        IterationOutcome::PrimalUnbounded => LpStatus::Unbounded,
-        IterationOutcome::NumericalFailure => LpStatus::NumericalFailure,
-        IterationOutcome::Continue => unreachable!("Continue is not a terminal outcome"),
+/// The digital PDIP loop every software baseline runs: the [`outcome`]
+/// exit tests, one [`Budget`] poll, the Newton solve supplied by the
+/// caller, and the Eqn 11 damped step. `directions` returning `None` is a
+/// numerical breakdown, classified by [`classify_breakdown`].
+///
+/// [`outcome`]: PdipState::outcome
+pub(crate) fn newton_loop(
+    lp: &LpProblem,
+    opts: &PdipOptions,
+    budget: Budget<'_>,
+    mut directions: impl FnMut(&PdipState) -> Option<StepDirections>,
+) -> (LpSolution, Option<BudgetCause>) {
+    let mut state = PdipState::new(lp, opts);
+    for iter in 0..opts.max_iterations {
+        if let Some(status) = state.outcome(lp, opts) {
+            return (state.into_solution(lp, status, iter), None);
+        }
+        if let Some(cause) = budget.check(iter) {
+            let sol = state.into_solution(lp, LpStatus::IterationLimit, iter);
+            return (sol, Some(cause));
+        }
+        let Some(dirs) = directions(&state) else {
+            let status = classify_breakdown(&state);
+            return (state.into_solution(lp, status, iter), None);
+        };
+        let theta = state.step_length(&dirs, opts.step_safety);
+        state.apply_step(&dirs, theta);
     }
+    let status = state.outcome(lp, opts).unwrap_or(LpStatus::IterationLimit);
+    (state.into_solution(lp, status, opts.max_iterations), None)
 }
 
 #[cfg(test)]
@@ -492,10 +512,28 @@ mod tests {
         };
         let mut s = PdipState::new(&lp, &opts);
         s.y[0] = 100.0;
-        assert_eq!(s.outcome(&lp, &opts), IterationOutcome::PrimalInfeasible);
+        assert_eq!(s.outcome(&lp, &opts), Some(LpStatus::Infeasible));
         let mut s = PdipState::new(&lp, &opts);
         s.x[0] = 100.0;
-        assert_eq!(s.outcome(&lp, &opts), IterationOutcome::PrimalUnbounded);
+        assert_eq!(s.outcome(&lp, &opts), Some(LpStatus::Unbounded));
+    }
+
+    #[test]
+    fn divergence_checks_finiteness_then_duals_then_primals() {
+        let lp = sample();
+        let opts = PdipOptions::default();
+        let s = PdipState::new(&lp, &opts);
+        assert_eq!(s.divergence(10.0), None);
+        let mut both = s.clone();
+        both.x[0] = 100.0;
+        both.y[0] = 100.0;
+        assert_eq!(both.divergence(10.0), Some(LpStatus::Infeasible));
+        both.x[1] = f64::INFINITY;
+        assert_eq!(both.divergence(10.0), Some(LpStatus::NumericalFailure));
+        // The slacks are not part of the rule.
+        let mut slack = s;
+        slack.w[0] = f64::NAN;
+        assert_eq!(slack.divergence(10.0), None);
     }
 
     #[test]
@@ -504,7 +542,7 @@ mod tests {
         let opts = PdipOptions::default();
         let mut s = PdipState::new(&lp, &opts);
         s.z[1] = f64::NAN;
-        assert_eq!(s.outcome(&lp, &opts), IterationOutcome::NumericalFailure);
+        assert_eq!(s.outcome(&lp, &opts), Some(LpStatus::NumericalFailure));
     }
 
     #[test]
@@ -518,24 +556,7 @@ mod tests {
         s.w = vec![1e-12, 1e-12];
         s.y = vec![0.4, 0.2];
         s.z = vec![1e-12, 1e-12];
-        assert_eq!(s.outcome(&lp, &opts), IterationOutcome::Converged);
-    }
-
-    #[test]
-    fn status_mapping() {
-        assert_eq!(status_for(IterationOutcome::Converged), LpStatus::Optimal);
-        assert_eq!(
-            status_for(IterationOutcome::PrimalInfeasible),
-            LpStatus::Infeasible
-        );
-        assert_eq!(
-            status_for(IterationOutcome::PrimalUnbounded),
-            LpStatus::Unbounded
-        );
-        assert_eq!(
-            status_for(IterationOutcome::NumericalFailure),
-            LpStatus::NumericalFailure
-        );
+        assert_eq!(s.outcome(&lp, &opts), Some(LpStatus::Optimal));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 use memlp_linalg::{LuFactors, Matrix};
-use memlp_lp::{LpProblem, LpSolution, LpStatus};
+use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
-use crate::pdip::{status_for, IterationOutcome, PdipOptions, PdipState, StepDirections};
+use crate::pdip::{newton_loop, PdipOptions, PdipState, StepDirections};
 use crate::LpSolver;
 
 /// The PDIP method solving the **full** `2(n+m)` Newton system (Eqn 12) by
@@ -77,10 +77,6 @@ impl DensePdip {
 }
 
 impl LpSolver for DensePdip {
-    fn solve(&self, lp: &LpProblem) -> LpSolution {
-        self.solve_budgeted(lp, Budget::none()).0
-    }
-
     fn solve_budgeted(
         &self,
         lp: &LpProblem,
@@ -89,41 +85,18 @@ impl LpSolver for DensePdip {
         let opts = &self.options;
         let n = lp.num_vars();
         let m = lp.num_constraints();
-        let mut state = PdipState::new(lp, opts);
-
-        for iter in 0..opts.max_iterations {
-            match state.outcome(lp, opts) {
-                IterationOutcome::Continue => {}
-                terminal => return (state.into_solution(lp, status_for(terminal), iter), None),
-            }
-            if let Some(cause) = budget.check(iter) {
-                let sol = state.into_solution(lp, LpStatus::IterationLimit, iter);
-                return (sol, Some(cause));
-            }
+        newton_loop(lp, opts, budget, |state| {
             let mu = state.mu(opts.delta);
-            let k = Self::newton_matrix(lp, &state);
-            let rhs = Self::newton_rhs(lp, &state, mu);
-            let delta = match LuFactors::factor(k).and_then(|lu| lu.solve(&rhs)) {
-                Ok(d) => d,
-                Err(_) => {
-                    let status = crate::pdip::classify_breakdown(&state, opts);
-                    return (state.into_solution(lp, status, iter), None);
-                }
-            };
-            let dirs = StepDirections {
+            let k = Self::newton_matrix(lp, state);
+            let rhs = Self::newton_rhs(lp, state, mu);
+            let delta = LuFactors::factor(k).and_then(|lu| lu.solve(&rhs)).ok()?;
+            Some(StepDirections {
                 dx: delta[..n].to_vec(),
                 dy: delta[n..n + m].to_vec(),
                 dw: delta[n + m..n + 2 * m].to_vec(),
                 dz: delta[n + 2 * m..].to_vec(),
-            };
-            let theta = state.step_length(&dirs, opts.step_safety);
-            state.apply_step(&dirs, theta);
-        }
-        let status = match state.outcome(lp, opts) {
-            IterationOutcome::Continue => LpStatus::IterationLimit,
-            terminal => status_for(terminal),
-        };
-        (state.into_solution(lp, status, opts.max_iterations), None)
+            })
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -135,6 +108,7 @@ impl LpSolver for DensePdip {
 mod tests {
     use super::*;
     use memlp_lp::generator::RandomLp;
+    use memlp_lp::LpStatus;
 
     #[test]
     fn solves_known_2x2() {

@@ -1,10 +1,8 @@
 use memlp_linalg::{ops, LuFactors};
-use memlp_lp::{LpProblem, LpSolution, LpStatus};
+use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
-use crate::pdip::{
-    classify_breakdown, status_for, IterationOutcome, PdipOptions, PdipState, StepDirections,
-};
+use crate::pdip::{newton_loop, PdipOptions, PdipState, StepDirections};
 use crate::LpSolver;
 
 /// Mehrotra's predictor–corrector PDIP — the algorithm behind essentially
@@ -115,80 +113,52 @@ impl MehrotraPdip {
         }
         Some(StepDirections { dx, dy, dw, dz })
     }
+
+    /// One predictor–corrector Newton solve: factor once, back-solve the
+    /// affine predictor, then the re-centred corrector. `None` on a
+    /// singular factor or non-finite directions.
+    fn step(lp: &LpProblem, state: &PdipState) -> Option<StepDirections> {
+        let n = lp.num_vars();
+        let m = lp.num_constraints();
+        let red = Self::factor(lp, state)?;
+
+        // Predictor: pure affine step (µ = 0).
+        let comp_xz_aff: Vec<f64> = (0..n).map(|j| -state.x[j] * state.z[j]).collect();
+        let comp_yw_aff: Vec<f64> = (0..m).map(|i| -state.y[i] * state.w[i]).collect();
+        let aff = Self::directions(lp, state, &red, &comp_xz_aff, &comp_yw_aff)?;
+        let alpha_aff = state.step_length(&aff, 1.0);
+
+        // Adaptive centring: σ = (µ_aff / µ)³.
+        let mu = state.duality_gap() / (n + m) as f64;
+        let mut gap_aff = 0.0;
+        for j in 0..n {
+            gap_aff += (state.x[j] + alpha_aff * aff.dx[j]) * (state.z[j] + alpha_aff * aff.dz[j]);
+        }
+        for i in 0..m {
+            gap_aff += (state.y[i] + alpha_aff * aff.dy[i]) * (state.w[i] + alpha_aff * aff.dw[i]);
+        }
+        let mu_aff = gap_aff / (n + m) as f64;
+        let sigma_c = (mu_aff / mu.max(f64::MIN_POSITIVE)).clamp(0.0, 1.0).powi(3);
+
+        // Corrector: recentre and cancel the predictor's second-order
+        // complementarity error.
+        let comp_xz: Vec<f64> = (0..n)
+            .map(|j| sigma_c * mu - state.x[j] * state.z[j] - aff.dx[j] * aff.dz[j])
+            .collect();
+        let comp_yw: Vec<f64> = (0..m)
+            .map(|i| sigma_c * mu - state.y[i] * state.w[i] - aff.dy[i] * aff.dw[i])
+            .collect();
+        Self::directions(lp, state, &red, &comp_xz, &comp_yw)
+    }
 }
 
 impl LpSolver for MehrotraPdip {
-    fn solve(&self, lp: &LpProblem) -> LpSolution {
-        self.solve_budgeted(lp, Budget::none()).0
-    }
-
     fn solve_budgeted(
         &self,
         lp: &LpProblem,
         budget: Budget<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
-        let opts = &self.options;
-        let n = lp.num_vars();
-        let m = lp.num_constraints();
-        let mut state = PdipState::new(lp, opts);
-
-        for iter in 0..opts.max_iterations {
-            match state.outcome(lp, opts) {
-                IterationOutcome::Continue => {}
-                terminal => return (state.into_solution(lp, status_for(terminal), iter), None),
-            }
-            if let Some(cause) = budget.check(iter) {
-                let sol = state.into_solution(lp, LpStatus::IterationLimit, iter);
-                return (sol, Some(cause));
-            }
-            let Some(red) = Self::factor(lp, &state) else {
-                let status = classify_breakdown(&state, opts);
-                return (state.into_solution(lp, status, iter), None);
-            };
-
-            // Predictor: pure affine step (µ = 0).
-            let comp_xz_aff: Vec<f64> = (0..n).map(|j| -state.x[j] * state.z[j]).collect();
-            let comp_yw_aff: Vec<f64> = (0..m).map(|i| -state.y[i] * state.w[i]).collect();
-            let Some(aff) = Self::directions(lp, &state, &red, &comp_xz_aff, &comp_yw_aff) else {
-                let status = classify_breakdown(&state, opts);
-                return (state.into_solution(lp, status, iter), None);
-            };
-            let alpha_aff = state.step_length(&aff, 1.0);
-
-            // Adaptive centring: σ = (µ_aff / µ)³.
-            let mu = state.duality_gap() / (n + m) as f64;
-            let mut gap_aff = 0.0;
-            for j in 0..n {
-                gap_aff +=
-                    (state.x[j] + alpha_aff * aff.dx[j]) * (state.z[j] + alpha_aff * aff.dz[j]);
-            }
-            for i in 0..m {
-                gap_aff +=
-                    (state.y[i] + alpha_aff * aff.dy[i]) * (state.w[i] + alpha_aff * aff.dw[i]);
-            }
-            let mu_aff = gap_aff / (n + m) as f64;
-            let sigma_c = (mu_aff / mu.max(f64::MIN_POSITIVE)).clamp(0.0, 1.0).powi(3);
-
-            // Corrector: recentre and cancel the predictor's second-order
-            // complementarity error.
-            let comp_xz: Vec<f64> = (0..n)
-                .map(|j| sigma_c * mu - state.x[j] * state.z[j] - aff.dx[j] * aff.dz[j])
-                .collect();
-            let comp_yw: Vec<f64> = (0..m)
-                .map(|i| sigma_c * mu - state.y[i] * state.w[i] - aff.dy[i] * aff.dw[i])
-                .collect();
-            let Some(dirs) = Self::directions(lp, &state, &red, &comp_xz, &comp_yw) else {
-                let status = classify_breakdown(&state, opts);
-                return (state.into_solution(lp, status, iter), None);
-            };
-            let theta = state.step_length(&dirs, opts.step_safety);
-            state.apply_step(&dirs, theta);
-        }
-        let status = match state.outcome(lp, opts) {
-            IterationOutcome::Continue => LpStatus::IterationLimit,
-            terminal => status_for(terminal),
-        };
-        (state.into_solution(lp, status, opts.max_iterations), None)
+        newton_loop(lp, &self.options, budget, |state| Self::step(lp, state))
     }
 
     fn name(&self) -> &'static str {
@@ -202,6 +172,7 @@ mod tests {
     use crate::NormalEqPdip;
     use memlp_linalg::Matrix;
     use memlp_lp::generator::RandomLp;
+    use memlp_lp::LpStatus;
 
     #[test]
     fn solves_known_2x2() {

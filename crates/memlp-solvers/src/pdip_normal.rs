@@ -1,8 +1,8 @@
 use memlp_linalg::{iterative, ops, LuFactors, Matrix, SparseLu, SparseMatrix};
-use memlp_lp::{LpProblem, LpSolution, LpStatus};
+use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
-use crate::pdip::{status_for, IterationOutcome, PdipOptions, PdipState, StepDirections};
+use crate::pdip::{newton_loop, PdipOptions, PdipState, StepDirections};
 use crate::LpSolver;
 
 /// PDIP with the Newton system reduced to `m×m` **normal equations** — the
@@ -272,45 +272,18 @@ impl NormalEqPdip {
 }
 
 impl LpSolver for NormalEqPdip {
-    fn solve(&self, lp: &LpProblem) -> LpSolution {
-        self.solve_budgeted(lp, Budget::none()).0
-    }
-
     fn solve_budgeted(
         &self,
         lp: &LpProblem,
         budget: Budget<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
         let opts = &self.options;
-        let mut state = PdipState::new(lp, opts);
         let mut scratch = NormalScratch::default();
         let use_sparse = opts.path.use_sparse(lp.density());
-
-        for iter in 0..opts.max_iterations {
-            match state.outcome(lp, opts) {
-                IterationOutcome::Continue => {}
-                terminal => return (state.into_solution(lp, status_for(terminal), iter), None),
-            }
-            if let Some(cause) = budget.check(iter) {
-                let sol = state.into_solution(lp, LpStatus::IterationLimit, iter);
-                return (sol, Some(cause));
-            }
+        newton_loop(lp, opts, budget, |state| {
             let mu = state.mu(opts.delta);
-            let dirs = match Self::directions(lp, &state, mu, &mut scratch, use_sparse) {
-                Some(d) => d,
-                None => {
-                    let status = crate::pdip::classify_breakdown(&state, opts);
-                    return (state.into_solution(lp, status, iter), None);
-                }
-            };
-            let theta = state.step_length(&dirs, opts.step_safety);
-            state.apply_step(&dirs, theta);
-        }
-        let status = match state.outcome(lp, opts) {
-            IterationOutcome::Continue => LpStatus::IterationLimit,
-            terminal => status_for(terminal),
-        };
-        (state.into_solution(lp, status, opts.max_iterations), None)
+            Self::directions(lp, state, mu, &mut scratch, use_sparse)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -323,6 +296,7 @@ mod tests {
     use super::*;
     use memlp_linalg::Matrix;
     use memlp_lp::generator::RandomLp;
+    use memlp_lp::LpStatus;
 
     #[test]
     fn solves_known_2x2() {

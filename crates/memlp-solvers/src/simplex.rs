@@ -1,5 +1,6 @@
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 
+use crate::budget::{Budget, BudgetCause};
 use crate::LpSolver;
 
 /// A two-phase primal simplex solver (dense tableau, Bland's anti-cycling
@@ -190,10 +191,9 @@ impl Simplex {
             tol: self.tolerance,
         }
     }
-}
 
-impl LpSolver for Simplex {
-    fn solve(&self, lp: &LpProblem) -> LpSolution {
+    /// Runs both phases on a fresh tableau.
+    fn solve_tableau(&self, lp: &LpProblem) -> LpSolution {
         let n = lp.num_vars();
         let m = lp.num_constraints();
         let mut t = self.build_tableau(lp);
@@ -283,6 +283,17 @@ impl LpSolver for Simplex {
             dual_residual: 0.0,
             duality_gap: (dual_obj - objective).abs(),
         }
+    }
+}
+
+impl LpSolver for Simplex {
+    /// Pivots to the end: the budget is ignored.
+    fn solve_budgeted(
+        &self,
+        lp: &LpProblem,
+        _budget: Budget<'_>,
+    ) -> (LpSolution, Option<BudgetCause>) {
+        (self.solve_tableau(lp), None)
     }
 
     fn name(&self) -> &'static str {

@@ -1,0 +1,173 @@
+//! Snapshot of every digital `LpSolver` on four LPs under three budgets.
+//!
+//! Solvers: simplex, dense PDIP, normal-equations PDIP on its dense and
+//! its sparse path, Mehrotra PDIP and digital PDHG. LPs: two feasible
+//! paper instances (m = 24 and m = 48), one infeasible and one
+//! unbounded. Runs: plain `solve`, a `max_iters(3)` budget and a
+//! two-poll `IterationDeadline`.
+//!
+//! Each run pins its status, iteration count, budget cause and a hash of
+//! the solution bits. The expected lines were recorded before the three
+//! PDIP baselines were folded onto one Newton loop; any change to the
+//! loop's exit order, its budget polling or its arithmetic shows up here
+//! as a changed line.
+
+use memlp_lp::generator::RandomLp;
+use memlp_lp::{LpProblem, LpSolution};
+use memlp_solvers::{
+    Budget, BudgetCause, DensePdip, IterationDeadline, LpSolver, MehrotraPdip, NormalEqPdip,
+    PdhgSolver, PdipOptions, Simplex, SolvePath,
+};
+
+fn solvers() -> Vec<(&'static str, Box<dyn LpSolver>)> {
+    let normal = |path| {
+        NormalEqPdip::new(PdipOptions {
+            path,
+            ..PdipOptions::default()
+        })
+    };
+    vec![
+        ("simplex", Box::new(Simplex::default())),
+        ("dense", Box::new(DensePdip::default())),
+        ("normal-dense", Box::new(normal(SolvePath::Dense))),
+        ("normal-sparse", Box::new(normal(SolvePath::Sparse))),
+        ("mehrotra", Box::new(MehrotraPdip::default())),
+        ("pdhg", Box::new(PdhgSolver::default())),
+    ]
+}
+
+fn problems() -> Vec<(&'static str, LpProblem)> {
+    vec![
+        ("feasible24", RandomLp::paper(24, 7).feasible()),
+        ("feasible48", RandomLp::paper(48, 8).feasible()),
+        ("infeasible", RandomLp::paper(16, 9).infeasible()),
+        ("unbounded", RandomLp::paper(16, 9).unbounded()),
+    ]
+}
+
+/// FNV-1a over `x`, `y`, the objective and the three residual fields,
+/// bit for bit.
+fn solution_hash(s: &LpSolution) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for v in s.x.iter().chain(&s.y) {
+        eat(v.to_bits());
+    }
+    for v in [
+        s.objective,
+        s.primal_residual,
+        s.dual_residual,
+        s.duality_gap,
+    ] {
+        eat(v.to_bits());
+    }
+    h
+}
+
+fn line(solver: &str, lp: &str, run: &str, s: &LpSolution, cause: Option<BudgetCause>) -> String {
+    format!(
+        "{solver} {lp} {run}: {:?} iters={} cause={cause:?} {:016x}",
+        s.status,
+        s.iterations,
+        solution_hash(s)
+    )
+}
+
+#[test]
+fn digital_solver_snapshot() {
+    let mut actual = Vec::new();
+    for (sname, solver) in solvers() {
+        for (lname, lp) in problems() {
+            let plain = solver.solve(&lp);
+            actual.push(line(sname, lname, "solve", &plain, None));
+            let (s, cause) = solver.solve_budgeted(&lp, Budget::none().with_max_iters(3));
+            actual.push(line(sname, lname, "max_iters3", &s, cause));
+            let deadline = IterationDeadline::new(2);
+            let (s, cause) = solver.solve_budgeted(&lp, Budget::none().with_deadline(&deadline));
+            actual.push(line(sname, lname, "deadline2", &s, cause));
+        }
+    }
+    let actual = actual.join("\n");
+    let expected = EXPECTED.join("\n");
+    assert_eq!(actual, expected, "digital snapshot changed:\n{actual}");
+}
+
+const EXPECTED: &[&str] = &[
+    "simplex feasible24 solve: Optimal iters=23 cause=None 9e28cb64eb3f6b5a",
+    "simplex feasible24 max_iters3: Optimal iters=23 cause=None 9e28cb64eb3f6b5a",
+    "simplex feasible24 deadline2: Optimal iters=23 cause=None 9e28cb64eb3f6b5a",
+    "simplex feasible48 solve: Optimal iters=73 cause=None 5c869fc59d78c685",
+    "simplex feasible48 max_iters3: Optimal iters=73 cause=None 5c869fc59d78c685",
+    "simplex feasible48 deadline2: Optimal iters=73 cause=None 5c869fc59d78c685",
+    "simplex infeasible solve: Infeasible iters=4 cause=None cb78d0fe07bedd85",
+    "simplex infeasible max_iters3: Infeasible iters=4 cause=None cb78d0fe07bedd85",
+    "simplex infeasible deadline2: Infeasible iters=4 cause=None cb78d0fe07bedd85",
+    "simplex unbounded solve: Unbounded iters=11 cause=None cb78d0fe07bedd85",
+    "simplex unbounded max_iters3: Unbounded iters=11 cause=None cb78d0fe07bedd85",
+    "simplex unbounded deadline2: Unbounded iters=11 cause=None cb78d0fe07bedd85",
+    "dense feasible24 solve: Optimal iters=12 cause=None 41a3716bb44e0f00",
+    "dense feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7c68f5fa344cb542",
+    "dense feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) bb4ed63707dca418",
+    "dense feasible48 solve: Optimal iters=13 cause=None 054ccef0937c07fe",
+    "dense feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) b3cdf67e081e269e",
+    "dense feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 5bc71a6781ac5a05",
+    "dense infeasible solve: Infeasible iters=21 cause=None e4ff37bdebb0c633",
+    "dense infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) d953d0b3610953f5",
+    "dense infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 2e192176efec2ae4",
+    "dense unbounded solve: Unbounded iters=22 cause=None 31b806e25ee04689",
+    "dense unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) e5b7c8e767d844c2",
+    "dense unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f5266773193c2128",
+    "normal-dense feasible24 solve: Optimal iters=12 cause=None 420a85d23cbfe773",
+    "normal-dense feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) bf2cbde6d16f7c1f",
+    "normal-dense feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) e62befd46cebd128",
+    "normal-dense feasible48 solve: Optimal iters=13 cause=None 6593047c6f04f2f8",
+    "normal-dense feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7d31bef5252f9593",
+    "normal-dense feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) e34d14799eda27be",
+    "normal-dense infeasible solve: Infeasible iters=9 cause=None 404754c5299c86c5",
+    "normal-dense infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 41271ca109123c36",
+    "normal-dense infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f97b03da1460236f",
+    "normal-dense unbounded solve: Unbounded iters=22 cause=None 224c8e2034fb6d32",
+    "normal-dense unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7ef79d1df76ef5eb",
+    "normal-dense unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 6057fd0bc531af7e",
+    "normal-sparse feasible24 solve: Optimal iters=12 cause=None a2ce103801934abc",
+    "normal-sparse feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 3a966bbe1f5d6997",
+    "normal-sparse feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 3374ac069cc5e5f2",
+    "normal-sparse feasible48 solve: Optimal iters=13 cause=None 351d5bd667222387",
+    "normal-sparse feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 07e939b890589afe",
+    "normal-sparse feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 50b686b8db0e03dd",
+    "normal-sparse infeasible solve: Infeasible iters=11 cause=None 8fe511f034023d51",
+    "normal-sparse infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 6fdfce757d406874",
+    "normal-sparse infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 19c2a4532a5956be",
+    "normal-sparse unbounded solve: Unbounded iters=34 cause=None f5cb9e14ed873f46",
+    "normal-sparse unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 91774f28e99dabf3",
+    "normal-sparse unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 4ff1b754cdd0bc60",
+    "mehrotra feasible24 solve: Optimal iters=7 cause=None 57c6c2d246c49dc4",
+    "mehrotra feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 84d21cc347db8c68",
+    "mehrotra feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) fed52750aeed3de6",
+    "mehrotra feasible48 solve: Optimal iters=7 cause=None 7d762b848c278ce3",
+    "mehrotra feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 128b7a7f841ffaca",
+    "mehrotra feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f56a438ae0adfe02",
+    "mehrotra infeasible solve: Infeasible iters=5 cause=None 5b6981b8f0a5c9b7",
+    "mehrotra infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) c030a0d3b64bb2d4",
+    "mehrotra infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) b04940864d02584d",
+    "mehrotra unbounded solve: Unbounded iters=8 cause=None d43ceca5b8ace3f7",
+    "mehrotra unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 9bdb2b9860fb93c9",
+    "mehrotra unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) db5f880b6df9266a",
+    "pdhg feasible24 solve: Optimal iters=1872 cause=None b1f426686bcfa294",
+    "pdhg feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 6f69e0889ba63a48",
+    "pdhg feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 858c0fe79eeac5fd",
+    "pdhg feasible48 solve: Optimal iters=11584 cause=None 3fe3c80532c4f6f2",
+    "pdhg feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) d1cf91e9a7784f97",
+    "pdhg feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 03c6d8b750aedba0",
+    "pdhg infeasible solve: Infeasible iters=12272 cause=None 4e900c19809c6e36",
+    "pdhg infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) fdf7eb32561b50cb",
+    "pdhg infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 68028b9f1489c838",
+    "pdhg unbounded solve: Unbounded iters=9024 cause=None 9c1de42b610cecf5",
+    "pdhg unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 8387acb64aff79c1",
+    "pdhg unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 9207d91ced430940",
+];

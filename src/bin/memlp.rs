@@ -142,99 +142,31 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--solver" => f.solver = it.next().ok_or("--solver needs a value")?.clone(),
-            "--variation" => {
-                f.variation = it
-                    .next()
-                    .ok_or("--variation needs a value")?
-                    .parse()
-                    .map_err(|_| "--variation must be a number")?
-            }
-            "--seed" => {
-                f.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer")?
-            }
-            "--jobs" => {
-                f.jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|_| "--jobs must be an integer")?
-            }
-            "--stuck-rate" => {
-                f.stuck_rate = it
-                    .next()
-                    .ok_or("--stuck-rate needs a value")?
-                    .parse()
-                    .map_err(|_| "--stuck-rate must be a number")?
-            }
-            "--dead-line-rate" => {
-                f.dead_line_rate = it
-                    .next()
-                    .ok_or("--dead-line-rate needs a value")?
-                    .parse()
-                    .map_err(|_| "--dead-line-rate must be a number")?
-            }
-            "--transient-rate" => {
-                f.transient_rate = it
-                    .next()
-                    .ok_or("--transient-rate needs a value")?
-                    .parse()
-                    .map_err(|_| "--transient-rate must be a number")?
-            }
-            "--spares" => {
-                f.spares = Some(
-                    it.next()
-                        .ok_or("--spares needs a value")?
-                        .parse()
-                        .map_err(|_| "--spares must be an integer")?,
-                )
-            }
+        let flag = a.as_str();
+        match flag {
+            "--solver" => f.solver = flag_value(&mut it, flag)?,
+            "--variation" => f.variation = flag_value(&mut it, flag)?,
+            "--seed" => f.seed = flag_value(&mut it, flag)?,
+            "--jobs" => f.jobs = flag_value(&mut it, flag)?,
+            "--stuck-rate" => f.stuck_rate = flag_value(&mut it, flag)?,
+            "--dead-line-rate" => f.dead_line_rate = flag_value(&mut it, flag)?,
+            "--transient-rate" => f.transient_rate = flag_value(&mut it, flag)?,
+            "--spares" => f.spares = Some(flag_value(&mut it, flag)?),
             "--recovery" => {
-                f.recovery = match it.next().ok_or("--recovery needs a value")?.as_str() {
+                f.recovery = match flag_value::<String>(&mut it, flag)?.as_str() {
                     "off" | "disabled" => RecoveryPolicy::Disabled,
                     "hardware" => RecoveryPolicy::Hardware,
                     "full" => RecoveryPolicy::Full,
                     other => return Err(format!("unknown recovery policy `{other}`")),
                 }
             }
-            "--path" => f.path = it.next().ok_or("--path needs a value")?.parse()?,
-            "--max-iters" => {
-                f.max_iters = Some(
-                    it.next()
-                        .ok_or("--max-iters needs a value")?
-                        .parse()
-                        .map_err(|_| "--max-iters must be an integer")?,
-                )
-            }
-            "--timeout-iters" => {
-                f.timeout_iters = Some(
-                    it.next()
-                        .ok_or("--timeout-iters needs a value")?
-                        .parse()
-                        .map_err(|_| "--timeout-iters must be an integer")?,
-                )
-            }
-            "--addr" => f.addr = it.next().ok_or("--addr needs a value")?.clone(),
-            "--queue-depth" => {
-                f.queue_depth = it
-                    .next()
-                    .ok_or("--queue-depth needs a value")?
-                    .parse()
-                    .map_err(|_| "--queue-depth must be an integer")?
-            }
-            "--workers" => {
-                f.workers = it
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|_| "--workers must be an integer")?
-            }
-            "--family" => f.family = it.next().ok_or("--family needs a value")?.clone(),
+            "--path" => f.path = flag_value(&mut it, flag)?,
+            "--max-iters" => f.max_iters = Some(flag_value(&mut it, flag)?),
+            "--timeout-iters" => f.timeout_iters = Some(flag_value(&mut it, flag)?),
+            "--addr" => f.addr = flag_value(&mut it, flag)?,
+            "--queue-depth" => f.queue_depth = flag_value(&mut it, flag)?,
+            "--workers" => f.workers = flag_value(&mut it, flag)?,
+            "--family" => f.family = flag_value(&mut it, flag)?,
             "--quiet" => f.quiet = true,
             "--no-tile-elision" => f.no_tile_elision = true,
             "--infeasible" => f.infeasible = true,
@@ -243,6 +175,18 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         }
     }
     Ok(f)
+}
+
+/// Takes the value that follows `flag` and parses it; a missing and a
+/// malformed value are both reported under the flag's name.
+fn flag_value<T>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|e| format!("{flag}: invalid value `{raw}`: {e}"))
 }
 
 fn load(path: &str) -> Result<LpProblem, String> {

@@ -441,4 +441,15 @@ fn bad_usage_prints_help() {
 
     let out = memlp().args(["solve", "/nonexistent.lp"]).output().unwrap();
     assert!(!out.status.success());
+
+    // A missing and a malformed flag value both name the flag.
+    for args in [
+        &["generate", "8", "--seed"][..],
+        &["generate", "8", "--seed", "abc"],
+    ] {
+        let out = memlp().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--seed"), "{args:?}: {err}");
+    }
 }
