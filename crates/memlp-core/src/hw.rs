@@ -150,11 +150,6 @@ impl HwContext {
         &self.ledger
     }
 
-    /// Charges an externally computed cost (NoC overheads).
-    pub fn charge_noc(&mut self, time_s: f64, energy_j: f64, transfers: u64) {
-        self.ledger.charge_noc_transfer(time_s, energy_j, transfers);
-    }
-
     /// Records one core-matrix rebuild the solver avoided by reusing its
     /// assembled workspace (digital bookkeeping; free on hardware).
     pub fn note_rebuild_avoided(&mut self) {

@@ -100,15 +100,6 @@ impl FactorStats {
             factor_nnz: c.factor_nnz,
         }
     }
-
-    /// Mean flops per factorization (0 when none ran).
-    pub fn flops_per_factorization(&self) -> f64 {
-        if self.factorizations == 0 {
-            0.0
-        } else {
-            self.flops as f64 / self.factorizations as f64
-        }
-    }
 }
 
 /// A solve attempt's full iteration history.

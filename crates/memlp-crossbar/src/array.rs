@@ -1,4 +1,3 @@
-use memlp_device::FaultMap;
 use memlp_linalg::{LuFactors, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -7,7 +6,7 @@ use crate::config::{CrossbarConfig, Fidelity, ReadoutMode};
 use crate::cost::{CostLedger, Phase};
 use crate::error::CrossbarError;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::mapping::{ConductanceMap, LineRemap};
+use crate::mapping::ConductanceMap;
 use crate::quantize::{Quantizer, WriteQuantizer};
 
 /// Salt separating the fault-plan seed stream from the variation stream:
@@ -56,8 +55,6 @@ pub struct Crossbar {
     /// Hard defects of this physical array (stuck cells, dead lines),
     /// drawn once at creation and persistent across re-programming.
     plan: FaultPlan,
-    /// Spare-line decoder table (populated by [`Crossbar::remap_dead_lines`]).
-    remap: LineRemap,
     ledger: CostLedger,
     /// Cached total conductance, S (settle-energy estimate).
     g_total: f64,
@@ -85,7 +82,6 @@ impl Crossbar {
             rng: StdRng::seed_from_u64(config.seed),
             transient_rng: StdRng::seed_from_u64(config.seed ^ TRANSIENT_SALT),
             plan: FaultPlan::draw(&config.faults, side, side, config.seed ^ FAULT_PLAN_SALT),
-            remap: LineRemap::new(config.spare_lines, config.spare_lines),
             ledger: CostLedger::new(),
             target: None,
             realized: None,
@@ -110,11 +106,6 @@ impl Crossbar {
     /// The cost ledger accumulated so far.
     pub fn ledger(&self) -> &CostLedger {
         &self.ledger
-    }
-
-    /// Resets the cost ledger (e.g. between benchmark trials).
-    pub fn reset_ledger(&mut self) {
-        self.ledger.reset();
     }
 
     /// Programs a non-negative logical matrix into the array (setup phase),
@@ -325,103 +316,6 @@ impl Crossbar {
         self.realized.as_ref().ok_or(CrossbarError::NotProgrammed)
     }
 
-    /// The hard-defect plan of this physical array.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The spare-line decoder table.
-    pub fn remap_table(&self) -> &LineRemap {
-        &self.remap
-    }
-
-    /// Write–verify pass: reads the array back and reports every cell whose
-    /// realized value falls outside the variation band around its target as
-    /// a fault-map entry. A dead line fails verify on every cell, so
-    /// detection of dead lines is exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::NotProgrammed`] before the first program.
-    pub fn verify(&self) -> Result<FaultMap, CrossbarError> {
-        let target = self.target.as_ref().ok_or(CrossbarError::NotProgrammed)?;
-        let realized = self.realized.as_ref().ok_or(CrossbarError::NotProgrammed)?;
-        let map = self.map.ok_or(CrossbarError::NotProgrammed)?;
-        // Anything outside the per-write variation band — widened by the
-        // write-code rounding step, since cells store quantized targets —
-        // plus a floor for small values cannot be explained by Eqn 18
-        // variation and is flagged as a defect.
-        let var = self.config.variation.max_fraction;
-        let rel_band = var + self.wq.rel_step() * (1.0 + var) + 1e-9;
-        let abs_floor = 1e-9 * map.a_max();
-        Ok(FaultMap::detect(
-            target.rows(),
-            target.cols(),
-            target.as_slice(),
-            realized.as_slice(),
-            rel_band,
-            abs_floor,
-        ))
-    }
-
-    /// Re-programs every *weak* stuck cell with an extended pulse budget
-    /// (the first recovery rung): weak faults clear and their cells are
-    /// rewritten from the logical target with fresh variation. Returns the
-    /// number of cells repaired. Charges run-phase writes.
-    pub fn repair_weak_cells(&mut self) -> usize {
-        let weak: Vec<(usize, usize)> = self
-            .plan
-            .cells()
-            .iter()
-            .filter(|c| c.weak)
-            .map(|c| (c.row, c.col))
-            .collect();
-        if weak.is_empty() {
-            return 0;
-        }
-        let repaired = self.plan.repair_weak();
-        self.rewrite_cells_from_target(&weak);
-        repaired
-    }
-
-    /// Relocates logical lines off dead physical lines onto spares (the
-    /// second recovery rung), rewriting the relocated coefficients from the
-    /// logical target. Returns `(rows_remapped, cols_remapped, unmapped)`
-    /// where `unmapped` counts dead lines left over after the spare budget
-    /// ran out. Charges run-phase writes for the relocated cells.
-    pub fn remap_dead_lines(&mut self) -> (usize, usize, usize) {
-        let dead_rows: Vec<usize> = self.plan.dead_rows().to_vec();
-        let dead_cols: Vec<usize> = self.plan.dead_cols().to_vec();
-        let mut rows_done = 0;
-        let mut cols_done = 0;
-        let mut rewrite: Vec<(usize, usize)> = Vec::new();
-        let (trows, tcols) = match self.target.as_ref() {
-            Some(t) => (t.rows(), t.cols()),
-            None => (self.side, self.side),
-        };
-        for &r in &dead_rows {
-            if self.remap.remap_row(r) {
-                self.plan.revive_row(r);
-                rows_done += 1;
-                if r < trows {
-                    rewrite.extend((0..tcols).map(|j| (r, j)));
-                }
-            }
-        }
-        for &c in &dead_cols {
-            if self.remap.remap_col(c) {
-                self.plan.revive_col(c);
-                cols_done += 1;
-                if c < tcols {
-                    rewrite.extend((0..trows).map(|i| (i, c)));
-                }
-            }
-        }
-        self.rewrite_cells_from_target(&rewrite);
-        let unmapped = (dead_rows.len() - rows_done) + (dead_cols.len() - cols_done);
-        (rows_done, cols_done, unmapped)
-    }
-
     /// Analog matrix–vector multiply `y = A·x` against the realized matrix.
     ///
     /// # Errors
@@ -592,55 +486,6 @@ impl Crossbar {
                 (map.to_logical(g), g)
             }
         }
-    }
-
-    /// Rewrites the listed cells from the logical target (post-repair /
-    /// post-remap), refreshing the conductance cache and charging run-phase
-    /// writes. Cells outside the programmed region, or on an array never
-    /// programmed, are skipped.
-    fn rewrite_cells_from_target(&mut self, cells: &[(usize, usize)]) {
-        let Some(map) = self.map else { return };
-        let cols = self.target.as_ref().map_or(0, |t| t.cols());
-        let mut written = 0u64;
-        for &(i, j) in cells {
-            let Some(v) = self
-                .target
-                .as_ref()
-                .and_then(|t| (i < t.rows() && j < t.cols()).then(|| t[(i, j)]))
-            else {
-                continue;
-            };
-            let (logical, g) = self.write_cell(&map, i, j, v);
-            if let Some(r) = self.realized.as_mut() {
-                r[(i, j)] = logical;
-            }
-            if let Some(gm) = self.gmat.as_mut() {
-                gm[(i, j)] = g;
-            }
-            // Keep the delta cache coherent: the cell now freshly holds its
-            // target's code.
-            if let Some(c) = self.codes.as_mut() {
-                c[i * cols + j] = self.wq.code(v);
-            }
-            written += 1;
-        }
-        if written == 0 {
-            return;
-        }
-        self.g_total = match (&self.gmat, &self.realized) {
-            (Some(gm), _) => gm.as_slice().iter().sum(),
-            (None, Some(r)) => {
-                map.g_off() * (r.rows() * r.cols()) as f64
-                    + map.slope() * r.as_slice().iter().sum::<f64>()
-            }
-            (None, None) => 0.0,
-        };
-        self.ledger.charge_writes(
-            &self.config.cost,
-            Phase::Run,
-            written,
-            self.config.variation.max_fraction,
-        );
     }
 
     /// Recomputes the cached total conductance from the current cell state.

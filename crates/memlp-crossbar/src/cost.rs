@@ -217,11 +217,6 @@ impl CostLedger {
         self.setup_time_s
     }
 
-    /// Total latency, s.
-    pub fn total_time_s(&self) -> f64 {
-        self.setup_time_s + self.run_time_s
-    }
-
     /// Total energy, J: dynamic energy plus static peripheral power over the
     /// run-phase duration (what the paper's Fig 7 reports).
     pub fn energy_j(&self, cost: &CostParams) -> f64 {

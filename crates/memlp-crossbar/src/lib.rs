@@ -21,8 +21,9 @@
 //! * [`FaultModel`] / [`FaultPlan`] — validated hard-fault rates (stuck
 //!   cells, dead word/bit lines, transient ADC upsets) and their
 //!   seed-deterministic realization over an array; honored by the
-//!   programming and read paths everywhere, with spare-line remapping
-//!   ([`mapping::LineRemap`]) and weak-cell repair as recovery hooks.
+//!   programming and read paths everywhere. The spare-line table
+//!   ([`mapping::LineRemap`]) and the plan's weak-cell repair and line
+//!   revival are the state `memlp-core`'s recovery ladder drives.
 //!
 //! # The simulation contract
 //!

@@ -17,13 +17,6 @@ pub enum LinalgError {
         /// Human-readable description of the shape that was supplied.
         found: String,
     },
-    /// An iterative method failed to reach the requested tolerance.
-    NotConverged {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-        /// Residual norm when iteration stopped.
-        residual: f64,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -35,10 +28,6 @@ impl fmt::Display for LinalgError {
             LinalgError::DimensionMismatch { expected, found } => {
                 write!(f, "dimension mismatch: expected {expected}, found {found}")
             }
-            LinalgError::NotConverged { iterations, residual } => write!(
-                f,
-                "iterative method did not converge after {iterations} iterations (residual {residual:.3e})"
-            ),
         }
     }
 }
@@ -67,15 +56,6 @@ mod tests {
         let e = dim_mismatch("3x3", "3x4");
         assert!(e.to_string().contains("expected 3x3"));
         assert!(e.to_string().contains("found 3x4"));
-    }
-
-    #[test]
-    fn display_not_converged() {
-        let e = LinalgError::NotConverged {
-            iterations: 10,
-            residual: 0.5,
-        };
-        assert!(e.to_string().contains("10 iterations"));
     }
 
     #[test]

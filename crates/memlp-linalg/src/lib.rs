@@ -8,9 +8,8 @@
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with block operations,
 //! * [`LuFactors`] — blocked LU decomposition with partial pivoting
-//!   (the O(N³) direct method the paper's complexity comparison targets),
-//! * [`iterative`] — Gauss–Seidel and Jacobi (the O(N²)-per-iteration
-//!   methods mentioned in §3.5 of the paper),
+//!   (the O(N³) direct method the paper's complexity comparison targets)
+//!   and iterative refinement against the unfactored matrix,
 //! * [`SparseMatrix`] / [`SparseLu`] — CSR kernels and a fill-reducing
 //!   sparse LU with symbolic-analysis reuse, the structure-exploiting
 //!   digital path matching the paper's O(N)-per-iteration argument,
@@ -50,7 +49,6 @@ mod norms;
 mod sparse;
 mod sparse_lu;
 
-pub mod iterative;
 pub mod kernels;
 pub mod norm_est;
 pub mod ops;
@@ -78,24 +76,4 @@ pub use sparse_lu::SparseLu;
 /// encountered.
 pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     LuFactors::factor(a.clone())?.solve(b)
-}
-
-/// Solves `A·x = b` and polishes the result with `steps` rounds of iterative
-/// refinement (residual recomputed in f64; helpful when `A` is
-/// ill-conditioned).
-///
-/// # Errors
-///
-/// Same error conditions as [`solve`].
-pub fn solve_refined(a: &Matrix, b: &[f64], steps: usize) -> Result<Vec<f64>, LinalgError> {
-    let lu = LuFactors::factor(a.clone())?;
-    let mut x = lu.solve(b)?;
-    for _ in 0..steps {
-        // r = b - A x
-        let ax = a.matvec(&x);
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-        let dx = lu.solve(&r)?;
-        ops::axpy(1.0, &dx, &mut x);
-    }
-    Ok(x)
 }

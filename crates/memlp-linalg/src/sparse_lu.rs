@@ -326,8 +326,8 @@ impl SparseLu {
 
     /// Solves `A·x = b` and polishes with up to `rounds` rounds of
     /// iterative refinement against the exact matrix `a` (the static-pivot
-    /// analogue of [`crate::iterative::refine`] — only strict residual
-    /// improvements are kept).
+    /// analogue of [`LuFactors::refine`](crate::LuFactors::refine) — only
+    /// strict residual improvements are kept).
     ///
     /// # Errors
     ///

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear algebra substrate.
 
-use memlp_linalg::{iterative, ops, solve, solve_refined, LuFactors, Matrix};
+use memlp_linalg::{ops, solve, LuFactors, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a well-conditioned square matrix (random entries plus a strong
@@ -32,7 +32,7 @@ proptest! {
     #[test]
     fn refined_solve_is_no_worse((a, b) in system_strategy()) {
         let x0 = solve(&a, &b).expect("solve");
-        let x1 = solve_refined(&a, &b, 2).expect("refined");
+        let x1 = LuFactors::factor(a.clone()).expect("factor").refine(&a, &b, 2).expect("refined");
         let r0 = ops::inf_norm(&ops::sub(&b, &a.matvec(&x0)));
         let r1 = ops::inf_norm(&ops::sub(&b, &a.matvec(&x1)));
         prop_assert!(r1 <= r0 * 10.0 + 1e-12);
@@ -71,16 +71,6 @@ proptest! {
         ops::scale(alpha, &mut rhs);
         for (l, r) in lhs.iter().zip(&rhs) {
             prop_assert!((l - r).abs() < 1e-9 * r.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn gauss_seidel_agrees_with_lu((a, b) in system_strategy()) {
-        let direct = solve(&a, &b).expect("lu");
-        let gs = iterative::gauss_seidel(&a, &b, iterative::IterOptions::default())
-            .expect("diagonally dominant by construction");
-        for (d, g) in direct.iter().zip(&gs.x) {
-            prop_assert!((d - g).abs() < 1e-6 * d.abs().max(1.0));
         }
     }
 

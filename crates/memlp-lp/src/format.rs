@@ -136,14 +136,18 @@ pub fn parse(text: &str) -> Result<LpProblem, LpError> {
 }
 
 /// Writes a problem in the LP text format (variables named `x0…x{n−1}`).
+///
+/// The objective lists every variable, zero coefficients included: the
+/// parser numbers variables by first appearance, so this pins `xj` to
+/// column `j` and keeps all-zero columns.
 pub fn write(lp: &LpProblem) -> String {
     let mut out = String::new();
     out.push_str("max:");
-    write_expr(&mut out, lp.c(), 1.0);
+    write_expr(&mut out, lp.c(), true);
     out.push_str(";\n");
     for i in 0..lp.num_constraints() {
         let _ = write!(out, "c{i}:");
-        write_expr(&mut out, lp.a().row(i), 1.0);
+        write_expr(&mut out, lp.a().row(i), false);
         let _ = writeln!(out, " <= {};", fmt_num(lp.b()[i]));
     }
     out
@@ -156,24 +160,20 @@ enum Sense {
 }
 
 fn split_objective(stmt: &str) -> Result<(Sense, &str), LpError> {
-    let lower = stmt.trim_start().to_lowercase();
-    if let Some(rest) = lower.strip_prefix("max") {
-        let skip = stmt.len() - rest.len();
-        let rest = stmt[skip..].trim_start();
-        let rest = rest
-            .strip_prefix(':')
-            .ok_or_else(|| syntax("`max:`", stmt))?;
-        Ok((Sense::Max, rest))
-    } else if let Some(rest) = lower.strip_prefix("min") {
-        let skip = stmt.len() - rest.len();
-        let rest = stmt[skip..].trim_start();
-        let rest = rest
-            .strip_prefix(':')
-            .ok_or_else(|| syntax("`min:`", stmt))?;
-        Ok((Sense::Min, rest))
-    } else {
-        Err(syntax("an objective starting with `max:` or `min:`", stmt))
-    }
+    // Match the keyword on the original text: lowercasing can change a
+    // character's byte length, so offsets into a lowercased copy do not
+    // index `stmt`.
+    let trimmed = stmt.trim_start();
+    let (sense, keyword) = match trimmed.get(..3) {
+        Some(k) if k.eq_ignore_ascii_case("max") => (Sense::Max, "`max:`"),
+        Some(k) if k.eq_ignore_ascii_case("min") => (Sense::Min, "`min:`"),
+        _ => return Err(syntax("an objective starting with `max:` or `min:`", stmt)),
+    };
+    let rest = trimmed[3..]
+        .trim_start()
+        .strip_prefix(':')
+        .ok_or_else(|| syntax(keyword, stmt))?;
+    Ok((sense, rest))
 }
 
 fn split_relation(body: &str) -> Result<(&str, &'static str, &str), LpError> {
@@ -274,11 +274,10 @@ fn parse_expr(expr: &str) -> Result<Vec<(f64, String)>, LpError> {
     Ok(terms)
 }
 
-fn write_expr(out: &mut String, coefs: &[f64], scale: f64) {
+fn write_expr(out: &mut String, coefs: &[f64], keep_zeros: bool) {
     let mut first = true;
     for (j, &v) in coefs.iter().enumerate() {
-        let v = v * scale;
-        if v == 0.0 {
+        if v == 0.0 && !keep_zeros {
             continue;
         }
         if first {
@@ -294,7 +293,7 @@ fn write_expr(out: &mut String, coefs: &[f64], scale: f64) {
             out.push_str(" + ");
         }
         let mag = v.abs();
-        if (mag - 1.0).abs() > 1e-15 {
+        if mag != 1.0 {
             let _ = write!(out, "{} ", fmt_num(mag));
         }
         let _ = write!(out, "x{j}");
@@ -351,6 +350,10 @@ mod tests {
         let lp = parse("\\ header\nmax: x ; \\ obj\n c1 : 2x <= 4 ; \\ done\n").unwrap();
         assert_eq!(lp.num_constraints(), 1);
         assert_eq!(lp.a()[(0, 0)], 2.0);
+        // U+0130 lowercases to three bytes; the objective keyword must
+        // still be found in the original text.
+        let lp = parse("min: \u{130}x; c0: \u{130}x <= 1;").unwrap();
+        assert_eq!(lp.c(), &[-1.0]);
     }
 
     #[test]

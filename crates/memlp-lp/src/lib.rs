@@ -42,7 +42,6 @@
 //! ```
 
 mod error;
-mod presolve;
 mod problem;
 mod scaling;
 mod solution;
@@ -52,7 +51,6 @@ pub mod format;
 pub mod generator;
 
 pub use error::LpError;
-pub use presolve::{presolve, Presolved, Restore};
 pub use problem::LpProblem;
 pub use scaling::{equilibrate, Equilibration};
 pub use solution::{LpSolution, LpStatus};

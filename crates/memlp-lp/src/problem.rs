@@ -41,7 +41,7 @@ impl LpProblem {
     }
 
     /// Builds a canonical-form problem CSR-first: domain generators and
-    /// presolve/scaling hand over the sparse matrix they assembled and the
+    /// equilibration hand over the sparse matrix they assembled and the
     /// dense companion is materialized once here.
     ///
     /// # Errors

@@ -236,23 +236,6 @@ impl TiledCrossbar {
         Ok(())
     }
 
-    /// Sweeps every live tile's spare-line remap
-    /// ([`Crossbar::remap_dead_lines`]); elided positions have no hardware
-    /// and are never touched. Returns the summed
-    /// `(rows_remapped, cols_remapped, unresolved)` over the fabric.
-    pub fn remap_dead_lines(&mut self) -> (usize, usize, usize) {
-        let mut rows = 0;
-        let mut cols = 0;
-        let mut unresolved = 0;
-        for tile in self.tiles.iter_mut().flat_map(|r| r.iter_mut()).flatten() {
-            let (r, c, u) = tile.remap_dead_lines();
-            rows += r;
-            cols += c;
-            unresolved += u;
-        }
-        (rows, cols, unresolved)
-    }
-
     /// Analog tiled MVM `y = A·x`, scheduling live tiles only.
     ///
     /// # Errors
@@ -440,109 +423,6 @@ impl TiledCrossbar {
             .charge_noc_transfer(t * live as f64, e * live as f64, live as u64);
         Ok(x)
     }
-
-    /// Analog tiled solve via **block-Jacobi relaxation** — the
-    /// architectural alternative to the composite settling of
-    /// [`TiledCrossbar::solve`]: instead of assuming the inter-tile analog
-    /// fabric lets the whole network settle as one system, each *diagonal*
-    /// tile solves its own block in O(1) and the off-diagonal couplings are
-    /// exchanged as tiled MVM partial sums over the NoC, iterating
-    ///
-    /// ```text
-    /// x_i ← D_ii⁻¹ · (b_i − Σ_{j≠i} A_ij · x_j)
-    /// ```
-    ///
-    /// until the update stops moving. Elided off-diagonal couplings are
-    /// exact zeros and cost no fabric traffic. Converges when the block
-    /// diagonal dominates (it charges per-sweep NoC + analog costs, so the
-    /// ledger shows the latency price of not having composite settling).
-    ///
-    /// # Errors
-    ///
-    /// Shape errors as in [`TiledCrossbar::solve`];
-    /// [`CrossbarError::Linalg`] with a `Singular` source if a diagonal
-    /// block is all-zero (elided — the relaxation has no pivot block), or
-    /// a `NotConverged` source if `sweeps` relaxations do not reach `tol`
-    /// (relative to `‖b‖∞`).
-    pub fn solve_block_jacobi(
-        &mut self,
-        b: &[f64],
-        sweeps: usize,
-        tol: f64,
-    ) -> Result<Vec<f64>, CrossbarError> {
-        if self.rows != self.cols {
-            return Err(CrossbarError::ShapeMismatch {
-                expected: "square logical matrix".into(),
-                found: format!("{}x{}", self.rows, self.cols),
-            });
-        }
-        if b.len() != self.rows {
-            return Err(CrossbarError::ShapeMismatch {
-                expected: format!("rhs of length {}", self.rows),
-                found: format!("length {}", b.len()),
-            });
-        }
-        let bnorm = b.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
-        let blocks = self.tiles.len();
-        let grid = self.occupancy.grid_tiles();
-        let tile_side = self.tile_side;
-        let cols = self.cols;
-        let mut x = vec![0.0; self.rows];
-        for sweep in 1..=sweeps {
-            let mut max_delta = 0.0f64;
-            for bi in 0..blocks {
-                let r0 = bi * tile_side;
-                let rows_here = tile_side.min(self.rows - r0);
-                // Off-diagonal couplings via per-tile analog MVMs over the
-                // live set, fanned out concurrently (each tile has a
-                // private RNG stream); accumulation into the rhs stays in
-                // fixed bj order.
-                let mut rhs: Vec<f64> = b[r0..r0 + rows_here].to_vec();
-                let threads = Threads::resolve().for_flops(2 * rows_here * self.cols);
-                let mut refs: Vec<(usize, &mut Crossbar)> = self.tiles[bi]
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(bj, _)| *bj != bi)
-                    .filter_map(|(bj, slot)| slot.as_mut().map(|t| (bj, t)))
-                    .collect();
-                let partials = parallel::par_map_mut(threads, &mut refs, |_, (bj, tile)| {
-                    let c0 = *bj * tile_side;
-                    let seg = &x[c0..(c0 + tile_side).min(cols)];
-                    tile.mvm(seg)
-                });
-                for partial in partials {
-                    let partial = partial?;
-                    for (r, p) in rhs.iter_mut().zip(&partial) {
-                        *r -= p;
-                    }
-                    let (t, e) = self.noc.transfer_cost(grid, partial.len());
-                    self.noc_ledger.charge_noc_transfer(t, e, 1);
-                }
-                // Diagonal tile solves its block in O(1); an elided
-                // diagonal block is all-zero — structurally singular.
-                let Some(diag) = self.tiles[bi][bi].as_mut() else {
-                    return Err(CrossbarError::Linalg(memlp_linalg::LinalgError::Singular {
-                        column: r0,
-                    }));
-                };
-                let xi = diag.solve(&rhs)?;
-                for (k, v) in xi.iter().enumerate() {
-                    max_delta = max_delta.max((v - x[r0 + k]).abs());
-                    x[r0 + k] = *v;
-                }
-            }
-            if max_delta <= tol * bnorm {
-                return Ok(x);
-            }
-            let _ = sweep;
-        }
-        Err(CrossbarError::Linalg(
-            memlp_linalg::LinalgError::NotConverged {
-                iterations: sweeps,
-                residual: f64::NAN,
-            },
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -671,21 +551,6 @@ mod tests {
             t.refresh(&wrong),
             Err(CrossbarError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn remap_sweep_never_touches_elided_positions() {
-        let a = block_sparse_matrix();
-        let mut t =
-            TiledCrossbar::program(&a, 4, CrossbarConfig::ideal(), NocConfig::default()).unwrap();
-        let occ_before = t.occupancy().clone();
-        let (r, c, u) = t.remap_dead_lines();
-        assert_eq!(
-            (r, c, u),
-            (0, 0, 0),
-            "fault-free fabric has nothing to remap"
-        );
-        assert_eq!(t.occupancy(), &occ_before, "remap never changes occupancy");
     }
 
     #[test]
@@ -827,101 +692,6 @@ mod tests {
             TiledCrossbar::program(&a, 3, CrossbarConfig::ideal(), NocConfig::default()).unwrap();
         assert!(t.solve(&[1.0; 4]).is_err());
         assert_eq!(t.mvm(&[1.0; 6]).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn block_jacobi_matches_composite_solve() {
-        // Strongly block-diagonally dominant system: relaxation converges
-        // and must land on the same solution as composite settling.
-        let n = 12;
-        let a = Matrix::from_fn(n, n, |i, j| {
-            let same_block = i / 4 == j / 4;
-            if i == j {
-                10.0
-            } else if same_block {
-                0.8
-            } else {
-                0.1 + ((i + j) % 3) as f64 * 0.05
-            }
-        });
-        let noc = NocConfig::hierarchical().with_buffer_noise(0.0);
-        let b = vec![1.0; n];
-
-        let mut t1 = TiledCrossbar::program(&a, 4, CrossbarConfig::ideal(), noc).unwrap();
-        let x_composite = t1.solve(&b).unwrap();
-
-        let mut t2 = TiledCrossbar::program(&a, 4, CrossbarConfig::ideal(), noc).unwrap();
-        let x_jacobi = t2.solve_block_jacobi(&b, 200, 1e-6).unwrap();
-
-        for (c, j) in x_composite.iter().zip(&x_jacobi) {
-            assert!((c - j).abs() < 1e-2, "composite {c} vs jacobi {j}");
-        }
-        // The iterative scheme pays many more NoC transfers.
-        assert!(
-            t2.ledger().counts().noc_transfers > t1.ledger().counts().noc_transfers,
-            "block-Jacobi should cost more fabric traffic"
-        );
-    }
-
-    #[test]
-    fn block_jacobi_elides_dead_couplings() {
-        // Block-diagonal system: every off-diagonal coupling is elided, so
-        // the relaxation converges in one sweep with zero coupling traffic.
-        let n = 8;
-        let a = Matrix::from_fn(n, n, |i, j| {
-            if i / 4 == j / 4 {
-                if i == j {
-                    6.0
-                } else {
-                    0.5
-                }
-            } else {
-                0.0
-            }
-        });
-        let noc = NocConfig::hierarchical().with_buffer_noise(0.0);
-        let mut t = TiledCrossbar::program(&a, 4, CrossbarConfig::ideal(), noc).unwrap();
-        assert_eq!(t.tile_count(), 2);
-        let x = t.solve_block_jacobi(&vec![1.0; n], 10, 1e-9).unwrap();
-        let back = a.matvec(&x);
-        for v in &back {
-            assert!((v - 1.0).abs() < 1e-2);
-        }
-        // No off-diagonal hardware → no coupling transfers at all.
-        assert_eq!(t.ledger().counts().noc_transfers, 0);
-    }
-
-    #[test]
-    fn block_jacobi_reports_elided_diagonal_as_singular() {
-        // The (1, 1) diagonal block is all-zero: elided, so the relaxation
-        // has no pivot block to invert.
-        let n = 8;
-        let a = Matrix::from_fn(
-            n,
-            n,
-            |i, j| {
-                if i < 4 && j < 4 && i == j {
-                    3.0
-                } else {
-                    0.0
-                }
-            },
-        );
-        let noc = NocConfig::hierarchical().with_buffer_noise(0.0);
-        let mut t = TiledCrossbar::program(&a, 4, CrossbarConfig::ideal(), noc).unwrap();
-        let err = t.solve_block_jacobi(&vec![1.0; n], 10, 1e-9).unwrap_err();
-        assert!(matches!(err, CrossbarError::Linalg(_)), "{err}");
-    }
-
-    #[test]
-    fn block_jacobi_reports_divergence() {
-        // Off-diagonal-dominant system: relaxation cannot converge.
-        let n = 8;
-        let a = Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { 2.0 });
-        let noc = NocConfig::hierarchical().with_buffer_noise(0.0);
-        let mut t = TiledCrossbar::program(&a, 4, CrossbarConfig::ideal(), noc).unwrap();
-        let err = t.solve_block_jacobi(&vec![1.0; n], 30, 1e-9).unwrap_err();
-        assert!(matches!(err, CrossbarError::Linalg(_)), "{err}");
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!    streams are position-salted (not order-dependent), and the noise
 //!    gating replays over the full grid geometry either way.
 //! 2. **The occupancy index round-trips.** It is built from the planned
-//!    coefficients at `program`, revived tiles become live on `refresh`
-//!    (a real first program), and `remap_dead_lines` — which only ever
-//!    touches live hardware — never changes it.
+//!    coefficients at `program`, and revived tiles become live on
+//!    `refresh` (a real first program).
 
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::parallel::with_threads;
@@ -132,7 +131,7 @@ proptest! {
     }
 
     #[test]
-    fn occupancy_round_trips_through_program_refresh_remap(
+    fn occupancy_round_trips_through_program_and_refresh(
         seed in 0u64..1_000,
         tile_side in 4usize..12,
         row_blocks in 1usize..4,
@@ -177,10 +176,5 @@ proptest! {
                 "refresh and fresh program disagree on occupancy"
             );
         }
-
-        // Remap on a fault-free fabric: no dead lines, no index change.
-        let occ_before = t.occupancy().clone();
-        prop_assert_eq!(t.remap_dead_lines(), (0, 0, 0));
-        prop_assert_eq!(t.occupancy(), &occ_before);
     }
 }

@@ -23,8 +23,8 @@ use rand::{Rng, SeedableRng};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// Nonnegative, diagonally dominant matrix (crossbar-programmable, and
-/// block-Jacobi converges on it).
+/// Nonnegative, diagonally dominant matrix (crossbar-programmable and
+/// well-conditioned for the composite solve).
 fn dominant_matrix(n: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(n, n, |i, j| {
@@ -89,26 +89,6 @@ fn tiled_solve_is_bitwise_thread_invariant() {
             bits(&x),
             bits(&reference),
             "solve differs at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn tiled_block_jacobi_is_bitwise_thread_invariant() {
-    let a = dominant_matrix(24, 5);
-    let b = random_vec(24, 6);
-    let solve = || {
-        noisy_tiled(&a, 8)
-            .solve_block_jacobi(&b, 200, 1e-9)
-            .unwrap()
-    };
-    let reference = with_threads(1, solve);
-    for threads in THREADS {
-        let x = with_threads(threads, solve);
-        assert_eq!(
-            bits(&x),
-            bits(&reference),
-            "block-Jacobi differs at {threads} threads"
         );
     }
 }

@@ -80,12 +80,6 @@ impl ServeConfig {
         self
     }
 
-    /// Replaces the solver options.
-    pub fn with_options(mut self, options: CrossbarSolverOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Selects the solver family the workers run.
     pub fn with_solver(mut self, solver: ServeSolver) -> Self {
         self.solver = solver;

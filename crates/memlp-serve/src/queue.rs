@@ -92,11 +92,6 @@ impl<T> JobQueue<T> {
         self.len() == 0
     }
 
-    /// `true` once [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.locked().closed
-    }
-
     /// Admits a job under `family`, or sheds it if the queue is full or
     /// closed. Never blocks.
     pub fn push(&self, family: &str, item: T) -> Result<(), PushError> {

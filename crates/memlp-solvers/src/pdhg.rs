@@ -387,22 +387,6 @@ impl LpSolver for PdhgSolver {
     }
 }
 
-/// Relative KKT residuals `(primal, dual, gap)` of a candidate `(x, y)`
-/// recomputed digitally against the true problem data — one CSR spmv
-/// pair, same normalization as the loop's own checkpoints.
-///
-/// Analog backends terminate on residuals estimated *through the array
-/// readout*, which carries quantization and read noise: a converged
-/// iterate can satisfy the true KKT system while its measured residuals
-/// hover at the readout noise floor. This digital check is the arbiter
-/// such backends use to confirm (or refuse) a verdict.
-pub fn digital_kkt(lp: &LpProblem, x: &[f64], y: &[f64]) -> (f64, f64, f64) {
-    let a = lp.sparse_a();
-    let ax = a.matvec(x);
-    let aty = a.matvec_transposed(y);
-    kkt_with_products(lp, x, y, &ax, &aty)
-}
-
 /// Relative KKT residuals of `(x, y)` from externally computed products
 /// `Ax` and `Aᵀy`, with the loop's checkpoint normalization.
 ///

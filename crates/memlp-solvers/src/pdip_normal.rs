@@ -1,4 +1,4 @@
-use memlp_linalg::{iterative, ops, LuFactors, Matrix, SparseLu, SparseMatrix};
+use memlp_linalg::{ops, LuFactors, Matrix, SparseLu, SparseMatrix};
 use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
@@ -191,7 +191,7 @@ impl NormalEqPdip {
         work.as_mut_slice().copy_from_slice(nmat.as_slice());
         let piv = std::mem::take(&mut scratch.piv);
         let lu = LuFactors::factor_reusing(work, piv).ok()?;
-        let dy = iterative::refine(&nmat, &lu, &rhs, 2).ok().map(|r| r.x);
+        let dy = lu.refine(&nmat, &rhs, 2).ok();
         let (work, piv) = lu.into_parts();
         scratch.lu = work;
         scratch.piv = piv;

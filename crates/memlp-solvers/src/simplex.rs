@@ -318,15 +318,25 @@ mod tests {
 
     #[test]
     fn solves_known_2x2() {
-        let sol = Simplex::default().solve(&lp_2x2());
-        assert_eq!(sol.status, LpStatus::Optimal);
-        assert!(
-            (sol.objective - 2.8).abs() < 1e-9,
-            "objective {}",
-            sol.objective
-        );
-        assert!((sol.x[0] - 1.6).abs() < 1e-9);
-        assert!((sol.x[1] - 1.2).abs() < 1e-9);
+        // The same core padded with a dominated column (c = −5) and a zero
+        // row keeps its optimum.
+        let padded = LpProblem::new(
+            Matrix::from_rows(&[&[1.0, 2.0, 0.5], &[3.0, 1.0, 0.0], &[0.0, 0.0, 0.0]]).unwrap(),
+            vec![4.0, 6.0, 7.0],
+            vec![1.0, 1.0, -5.0],
+        )
+        .unwrap();
+        for lp in [lp_2x2(), padded] {
+            let sol = Simplex::default().solve(&lp);
+            assert_eq!(sol.status, LpStatus::Optimal);
+            assert!(
+                (sol.objective - 2.8).abs() < 1e-9,
+                "objective {}",
+                sol.objective
+            );
+            assert!((sol.x[0] - 1.6).abs() < 1e-9);
+            assert!((sol.x[1] - 1.2).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -344,6 +354,14 @@ mod tests {
         let lp =
             LpProblem::new(Matrix::from_rows(&[&[-1.0]]).unwrap(), vec![1.0], vec![1.0]).unwrap();
         assert_eq!(Simplex::default().solve(&lp).status, LpStatus::Unbounded);
+        // max x1 with x0 − x1 ≤ 4: x1 rides free on x0.
+        let lp = LpProblem::new(
+            Matrix::from_rows(&[&[1.0, -1.0]]).unwrap(),
+            vec![4.0],
+            vec![0.0, 1.0],
+        )
+        .unwrap();
+        assert_eq!(Simplex::default().solve(&lp).status, LpStatus::Unbounded);
     }
 
     #[test]
@@ -352,6 +370,14 @@ mod tests {
         let lp = LpProblem::new(
             Matrix::from_rows(&[&[1.0], &[-1.0]]).unwrap(),
             vec![1.0, -3.0],
+            vec![1.0],
+        )
+        .unwrap();
+        assert_eq!(Simplex::default().solve(&lp).status, LpStatus::Infeasible);
+        // A zero row with b < 0 (0 ≤ −1).
+        let lp = LpProblem::new(
+            Matrix::from_rows(&[&[0.0], &[1.0]]).unwrap(),
+            vec![-1.0, 3.0],
             vec![1.0],
         )
         .unwrap();

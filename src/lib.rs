@@ -14,7 +14,7 @@
 //! | Devices | [`device`] | Memristor models, pulse programming, process variation |
 //! | LP toolkit | [`lp`] | Canonical problems, duals, random + domain workloads |
 //! | Software baselines | [`solvers`] | Dense PDIP, normal-equations PDIP, simplex |
-//! | Linear algebra | [`linalg`] | Dense matrices, blocked LU, iterative methods |
+//! | Linear algebra | [`linalg`] | Dense and CSR matrices, blocked and sparse LU, iterative refinement |
 //!
 //! # Quickstart
 //!

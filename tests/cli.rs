@@ -442,6 +442,24 @@ fn bad_usage_prints_help() {
     let out = memlp().args(["solve", "/nonexistent.lp"]).output().unwrap();
     assert!(!out.status.success());
 
+    // A file the parser rejects is an error naming the file, not a panic.
+    // U+212A lowercases to a shorter `k`, which once shifted the objective
+    // keyword's byte offset off a char boundary; the row has no relation.
+    let dir = std::env::temp_dir().join("memlp-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("kelvin.lp");
+    std::fs::write(&path, "max:\u{212A};\nc0: \u{212A};\n").unwrap();
+    let out = memlp()
+        .args(["solve", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("kelvin.lp") && !err.contains("panicked"),
+        "{err}"
+    );
+
     // A missing and a malformed flag value both name the flag.
     for args in [
         &["generate", "8", "--seed"][..],
