@@ -10,29 +10,41 @@
 //! is identical on both paths, so the ratio is pure digital-controller
 //! speedup.
 //!
+//! A second section decomposes the digital baseline `NormalEqPdip` on
+//! transport@512: the seconds per iteration of a whole solve against one
+//! `SparseLu::refactor` plus `refine(…, 2)` on that LP's quasidefinite
+//! KKT matrix — the work an iteration cannot avoid. The gate holds the
+//! ratio at or below 2.5×, so O(m·n) work creeping back into the loop
+//! (a dense residual product over the 0.4%-dense `A`) fails it on any
+//! host.
+//!
 //! Emits `BENCH_sparse.json` at the repository root (hand-rolled JSON — no
 //! serde in the offline dependency set) and *asserts* the ≥ 5× gate on the
-//! routing and transport rows at m = 512. The sparse warmup call (symbolic
-//! analysis + first refactor) is excluded, exactly as a solver run
-//! amortizes it over iterations 2..k.
+//! routing and transport rows at m = 512 and the `normal_eq` ratio gate.
+//! The sparse warmup call (symbolic analysis + first refactor) is excluded,
+//! exactly as a solver run amortizes it over iterations 2..k.
 
 use std::time::Instant;
 
 use memlp_bench::fmt_time;
 use memlp_core::{AugmentedSystem, FactorStats, HwContext};
 use memlp_crossbar::CrossbarConfig;
+use memlp_linalg::{SparseLu, SparseMatrix};
 use memlp_lp::domains::{
     assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp, AssignmentProblem,
     MaxFlowNetwork, ProductionPlan, TransportationProblem,
 };
 use memlp_lp::LpProblem;
 use memlp_solvers::pdip::{PdipOptions, PdipState};
-use memlp_solvers::SolvePath;
+use memlp_solvers::{LpSolver, NormalEqPdip, SolvePath};
 
 /// Per-iteration digital speedup the gated rows must clear.
 const GATE_MIN_SPEEDUP: f64 = 5.0;
 /// Rows gated: (domain, target m).
 const GATED: [(&str, usize); 2] = [("routing", 512), ("transport", 512)];
+/// Most a whole `NormalEqPdip` iteration may cost, as a multiple of one
+/// sparse KKT refactor + two-round refine on the same LP.
+const GATE_MAX_ITER_OVER_KKT: f64 = 2.5;
 
 struct Timing {
     /// Median wall-clock of one core solve, seconds.
@@ -122,6 +134,71 @@ fn measure(lp: &LpProblem, path: SolvePath) -> Option<Timing> {
     })
 }
 
+/// The `normal_eq` decomposition: a whole solve's cost per iteration
+/// against its per-iteration sparse KKT floor.
+struct NormalEqSplit {
+    m: usize,
+    n: usize,
+    iterations: usize,
+    /// Median wall-clock of one `NormalEqPdip::default()` solve divided by
+    /// its iteration count, seconds.
+    iter_secs: f64,
+    /// Median wall-clock of one `SparseLu::refactor` + `refine(…, 2)` on
+    /// the LP's KKT matrix, seconds.
+    kkt_secs: f64,
+}
+
+/// `[[D⁻¹, Aᵀ], [A, −E]]` at the iterate `s` (`D = Z⁻¹X`, `E = Y⁻¹W`):
+/// the quasidefinite KKT matrix the sparse `NormalEqPdip` path factors.
+fn kkt_matrix(lp: &LpProblem, s: &PdipState) -> SparseMatrix {
+    let n = lp.num_vars();
+    let a = lp.sparse_a();
+    let mut trips = Vec::with_capacity(2 * a.nnz() + n + lp.num_constraints());
+    trips.extend((0..n).map(|j| (j, j, s.z[j] / s.x[j])));
+    trips.extend((0..lp.num_constraints()).map(|i| (n + i, n + i, -s.w[i] / s.y[i])));
+    for (i, j, v) in a.iter() {
+        trips.push((n + i, j, v));
+        trips.push((j, n + i, v));
+    }
+    let dim = n + lp.num_constraints();
+    SparseMatrix::from_triplets(dim, dim, &trips).expect("KKT assembly")
+}
+
+fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
+    const REPS: usize = 5;
+    let solver = NormalEqPdip::default();
+    let sol = solver.solve(lp); // warmup
+    let mut solves = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let t = Instant::now();
+        let again = solver.solve(lp);
+        solves.push(t.elapsed().as_secs_f64());
+        assert_eq!(again.iterations, sol.iterations, "deterministic solve");
+    }
+
+    // The KKT at the converged iterate: the most ill-conditioned one, where
+    // both refinement rounds run.
+    let state = PdipState::warm_start(lp, &sol.x, &sol.y, 1e-9);
+    let kkt = kkt_matrix(lp, &state);
+    let rhs: Vec<f64> = (0..kkt.rows()).map(|i| 1.0 + (i % 7) as f64).collect();
+    let mut lu = SparseLu::analyze(&kkt).expect("KKT symbolic analysis");
+    let mut kkts = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let t = Instant::now();
+        lu.refactor(&kkt).expect("KKT refactor");
+        let x = lu.refine(&kkt, &rhs, 2).expect("KKT refine");
+        kkts.push(t.elapsed().as_secs_f64());
+        assert!(x.iter().all(|v| v.is_finite()));
+    }
+    NormalEqSplit {
+        m: lp.num_constraints(),
+        n: lp.num_vars(),
+        iterations: sol.iterations,
+        iter_secs: median(solves) / sol.iterations.max(1) as f64,
+        kkt_secs: median(kkts),
+    }
+}
+
 fn fmt_timing(t: &Option<Timing>) -> String {
     match t {
         Some(t) => format!(
@@ -189,8 +266,18 @@ fn main() {
         }
     }
 
+    let split = measure_normal_eq(&build("transport", 512));
+    let ratio = split.iter_secs / split.kkt_secs;
+    println!();
+    println!(
+        "normal_eq transport@512: {} per iteration ({} iterations), KKT refactor+refine {}: {ratio:.2}x (gate <= {GATE_MAX_ITER_OVER_KKT}x)",
+        fmt_time(split.iter_secs),
+        split.iterations,
+        fmt_time(split.kkt_secs),
+    );
+
     // --- BENCH_sparse.json at the repository root.
-    let mut gate_pass = true;
+    let mut gate_pass = ratio <= GATE_MAX_ITER_OVER_KKT;
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"sparse_newton\",\n");
     json.push_str(
@@ -231,6 +318,12 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"normal_eq\": {{\"domain\": \"transport\", \"m_target\": 512, \"m\": {}, \"n\": {}, \
+         \"iterations\": {}, \"iter_seconds\": {:.6}, \"kkt_refactor_refine_seconds\": {:.6}, \
+         \"iter_over_kkt\": {ratio:.2}, \"gate_max_iter_over_kkt\": {GATE_MAX_ITER_OVER_KKT}}},\n",
+        split.m, split.n, split.iterations, split.iter_secs, split.kkt_secs,
+    ));
     for &(domain, m_target) in &GATED {
         let row = rows
             .iter()
@@ -254,6 +347,7 @@ fn main() {
 
     assert!(
         gate_pass,
-        "sparse Newton gate failed: a gated row fell below {GATE_MIN_SPEEDUP}x"
+        "sparse Newton gate failed: a gated row fell below {GATE_MIN_SPEEDUP}x, \
+         or a NormalEqPdip iteration cost above {GATE_MAX_ITER_OVER_KKT}x its KKT solve"
     );
 }

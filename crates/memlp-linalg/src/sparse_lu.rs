@@ -345,20 +345,21 @@ impl SparseLu {
             ));
         }
         let mut x = self.solve(b)?;
-        let mut residual = residual_inf(a, &x, b);
+        // The accepted iterate's residual doubles as the next round's
+        // right-hand side: one product with `a` per round.
+        let (mut r, mut residual) = residual_of(a, &x, b);
         for _ in 0..rounds {
             if residual == 0.0 {
                 break;
             }
-            let ax = a.matvec(&x);
-            let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
             let delta = self.solve(&r)?;
             let candidate: Vec<f64> = x.iter().zip(&delta).map(|(xi, di)| xi + di).collect();
-            let cand_residual = residual_inf(a, &candidate, b);
+            let (cand_r, cand_residual) = residual_of(a, &candidate, b);
             if !cand_residual.is_finite() || cand_residual >= residual {
                 break;
             }
             x = candidate;
+            r = cand_r;
             residual = cand_residual;
         }
         Ok(x)
@@ -452,12 +453,12 @@ fn transpose_pattern(n: usize, ptr: &[usize], idx: &[usize]) -> (Vec<usize>, Vec
     (t_ptr, t_idx)
 }
 
-fn residual_inf(a: &SparseMatrix, x: &[f64], b: &[f64]) -> f64 {
+/// `b − a·x` and its ∞-norm.
+fn residual_of(a: &SparseMatrix, x: &[f64], b: &[f64]) -> (Vec<f64>, f64) {
     let ax = a.matvec(x);
-    b.iter()
-        .zip(&ax)
-        .map(|(bi, ai)| (bi - ai).abs())
-        .fold(0.0, f64::max)
+    let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
+    let norm = r.iter().map(|ri| ri.abs()).fold(0.0, f64::max);
+    (r, norm)
 }
 
 #[cfg(test)]
@@ -530,6 +531,62 @@ mod tests {
             for ((s, d), t) in x.iter().zip(&xd).zip(&xtrue) {
                 assert!((s - t).abs() < 1e-9, "seed {seed}: {s} vs true {t}");
                 assert!((s - d).abs() < 1e-8, "seed {seed}: {s} vs dense {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn refine_matches_recomputing_loop_bitwise() {
+        // Reference: the same loop, recomputing `b − a·x` at the top of
+        // every round.
+        fn recomputing(lu: &SparseLu, a: &SparseMatrix, b: &[f64], rounds: usize) -> Vec<f64> {
+            let residual_inf = |x: &[f64]| {
+                let ax = a.matvec(x);
+                b.iter()
+                    .zip(&ax)
+                    .map(|(bi, ai)| (bi - ai).abs())
+                    .fold(0.0, f64::max)
+            };
+            let mut x = lu.solve(b).unwrap();
+            let mut residual = residual_inf(&x);
+            for _ in 0..rounds {
+                if residual == 0.0 {
+                    break;
+                }
+                let ax = a.matvec(&x);
+                let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
+                let delta = lu.solve(&r).unwrap();
+                let candidate: Vec<f64> = x.iter().zip(&delta).map(|(xi, di)| xi + di).collect();
+                let cand_residual = residual_inf(&candidate);
+                if !cand_residual.is_finite() || cand_residual >= residual {
+                    break;
+                }
+                x = candidate;
+                residual = cand_residual;
+            }
+            x
+        }
+
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for seed in 1..5 {
+            let a = quasidefinite_kkt(9, 14, seed);
+            // Factors of a perturbed matrix make every round do real work.
+            let mut perturbed = a.clone();
+            for v in perturbed.values_mut() {
+                *v *= 1.0 + 1e-4;
+            }
+            let b: Vec<f64> = (0..a.rows()).map(|i| (i as f64).sin() + 0.5).collect();
+            for lu in [
+                SparseLu::factor(&a).unwrap(),
+                SparseLu::factor(&perturbed).unwrap(),
+            ] {
+                for rounds in 0..4 {
+                    assert_eq!(
+                        bits(&lu.refine(&a, &b, rounds).unwrap()),
+                        bits(&recomputing(&lu, &a, &b, rounds)),
+                        "seed {seed}, {rounds} rounds"
+                    );
+                }
             }
         }
     }

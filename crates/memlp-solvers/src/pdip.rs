@@ -15,6 +15,12 @@
 //! The Ω divergence rule ([`PdipState::divergence`]: non-finite `x`/`y`,
 //! then `‖y‖∞ > Ω`, then `‖x‖∞ > Ω`) is the one both crossbar algorithms
 //! in `memlp-core` also apply at the top of every iteration.
+//!
+//! [`PdipState`] touches `A` only through its CSR view
+//! ([`LpProblem::sparse_a`]): the residuals and the warm-start slacks cost
+//! O(nnz(A)), not O(m·n). On a row with no stored zero the CSR row sum
+//! adds its terms in the same 4-lane order as the dense product, so fully
+//! dense LPs (the paper's random instances) get the same bits either way.
 
 use memlp_linalg::ops;
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
@@ -221,14 +227,14 @@ impl PdipState {
         debug_assert_eq!(y0.len(), lp.num_constraints());
         let x: Vec<f64> = x0.iter().map(|&v| v.max(floor)).collect();
         let y: Vec<f64> = y0.iter().map(|&v| v.max(floor)).collect();
-        let ax = lp.a().matvec(&x);
+        let ax = lp.sparse_a().matvec(&x);
         let w: Vec<f64> = lp
             .b()
             .iter()
             .zip(&ax)
             .map(|(b, ax)| (b - ax).max(floor))
             .collect();
-        let aty = lp.a().matvec_transposed(&y);
+        let aty = lp.sparse_a().matvec_transposed(&y);
         let z: Vec<f64> = aty
             .iter()
             .zip(lp.c())
@@ -239,7 +245,7 @@ impl PdipState {
 
     /// Primal residual vector `b − A·x − w` (zero at primal feasibility).
     pub fn primal_residual(&self, lp: &LpProblem) -> Vec<f64> {
-        let ax = lp.a().matvec(&self.x);
+        let ax = lp.sparse_a().matvec(&self.x);
         lp.b()
             .iter()
             .zip(ax.iter().zip(&self.w))
@@ -249,7 +255,7 @@ impl PdipState {
 
     /// Dual residual vector `c − Aᵀ·y + z` (zero at dual feasibility).
     pub fn dual_residual(&self, lp: &LpProblem) -> Vec<f64> {
-        let aty = lp.a().matvec_transposed(&self.y);
+        let aty = lp.sparse_a().matvec_transposed(&self.y);
         lp.c()
             .iter()
             .zip(aty.iter().zip(&self.z))
@@ -461,6 +467,82 @@ mod tests {
         s.y = vec![1.0, 1.0];
         s.z = vec![3.0, 2.0];
         assert!(ops::inf_norm(&s.dual_residual(&lp)) < 1e-12);
+    }
+
+    /// A state with distinct, non-dyadic entries so every product rounds.
+    fn probe_state(lp: &LpProblem) -> PdipState {
+        let fill = |len: usize, shift: f64| -> Vec<f64> {
+            (0..len).map(|k| (shift + k as f64).sqrt()).collect()
+        };
+        PdipState {
+            x: fill(lp.num_vars(), 0.3),
+            w: fill(lp.num_constraints(), 0.7),
+            y: fill(lp.num_constraints(), 1.1),
+            z: fill(lp.num_vars(), 0.2),
+        }
+    }
+
+    /// The residuals and warm start as computed on the dense `lp.a()`.
+    fn dense_reference(lp: &LpProblem, s: &PdipState) -> [Vec<f64>; 4] {
+        let ax = lp.a().matvec(&s.x);
+        let primal = (0..lp.num_constraints())
+            .map(|i| lp.b()[i] - ax[i] - s.w[i])
+            .collect();
+        let aty = lp.a().matvec_transposed(&s.y);
+        let dual = (0..lp.num_vars())
+            .map(|j| lp.c()[j] - aty[j] + s.z[j])
+            .collect();
+        let floor = 1e-2;
+        let x: Vec<f64> = s.x.iter().map(|&v| v.max(floor)).collect();
+        let y: Vec<f64> = s.y.iter().map(|&v| v.max(floor)).collect();
+        let ax = lp.a().matvec(&x);
+        let warm_w = (0..lp.num_constraints())
+            .map(|i| (lp.b()[i] - ax[i]).max(floor))
+            .collect();
+        let aty = lp.a().matvec_transposed(&y);
+        let warm_z = (0..lp.num_vars())
+            .map(|j| (aty[j] - lp.c()[j]).max(floor))
+            .collect();
+        [primal, dual, warm_w, warm_z]
+    }
+
+    fn csr_results(lp: &LpProblem, s: &PdipState) -> [Vec<f64>; 4] {
+        let warm = PdipState::warm_start(lp, &s.x, &s.y, 1e-2);
+        [s.primal_residual(lp), s.dual_residual(lp), warm.w, warm.z]
+    }
+
+    #[test]
+    fn csr_residuals_match_dense_bitwise_on_paper_lps() {
+        use memlp_lp::generator::RandomLp;
+        let gen = RandomLp::paper(24, 7);
+        for lp in [gen.feasible(), gen.infeasible()] {
+            let s = probe_state(&lp);
+            let bits =
+                |vs: [Vec<f64>; 4]| vs.map(|v| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>());
+            assert_eq!(bits(csr_results(&lp, &s)), bits(dense_reference(&lp, &s)));
+        }
+    }
+
+    #[test]
+    fn csr_residuals_match_dense_on_domain_lps() {
+        use memlp_lp::domains::{
+            max_flow_lp, transportation_lp, MaxFlowNetwork, TransportationProblem,
+        };
+        let lps = [
+            transportation_lp(&TransportationProblem::random(4, 24, 1)).unwrap(),
+            max_flow_lp(&MaxFlowNetwork::random_layered(3, 4, 1)).unwrap(),
+        ];
+        for lp in lps {
+            let s = probe_state(&lp);
+            let (got, want) = (csr_results(&lp, &s), dense_reference(&lp, &s));
+            for (g, w) in got.iter().zip(&want) {
+                let diff = g
+                    .iter()
+                    .zip(w)
+                    .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                assert!(diff <= 1e-12 * ops::inf_norm(w).max(1.0), "diff {diff:e}");
+            }
+        }
     }
 
     #[test]

@@ -380,6 +380,65 @@ mod tests {
     }
 
     #[test]
+    fn auto_path_verdicts_on_domain_lps() {
+        use crate::pdip::SolvePath;
+        use crate::Simplex;
+        use memlp_lp::domains::{
+            max_flow_lp, production_schedule_lp, transportation_lp, MaxFlowNetwork, ProductionPlan,
+            TransportationProblem,
+        };
+        // (name, LP, `Auto` runs the sparse KKT path, iterations). Every case
+        // takes its residuals through the CSR view of A, whose row sums
+        // group their terms differently from the dense product, so only
+        // the verdict, the iteration count and the objective are pinned.
+        let cases = [
+            (
+                "transport 4x9",
+                transportation_lp(&TransportationProblem::random(4, 9, 1)),
+                true,
+                14,
+            ),
+            (
+                "transport 4x24",
+                transportation_lp(&TransportationProblem::random(4, 24, 1)),
+                true,
+                16,
+            ),
+            (
+                "routing 3x4",
+                max_flow_lp(&MaxFlowNetwork::random_layered(3, 4, 1)),
+                true,
+                14,
+            ),
+            // Density 2/7 sits above the `Auto` threshold: the dense normal
+            // equations solve its Newton systems.
+            (
+                "scheduling 4x3",
+                production_schedule_lp(&ProductionPlan::random(4, 3, 1)),
+                false,
+                10,
+            ),
+        ];
+        for (name, lp, sparse, iterations) in cases {
+            let lp = lp.unwrap();
+            assert_eq!(SolvePath::Auto.use_sparse(lp.density()), sparse, "{name}");
+            let sol = NormalEqPdip::default().solve(&lp);
+            assert_eq!(sol.status, LpStatus::Optimal, "{name}");
+            assert_eq!(sol.iterations, iterations, "{name}");
+            let reference = Simplex::default().solve(&lp);
+            assert_eq!(reference.status, LpStatus::Optimal, "{name}");
+            let rel =
+                (sol.objective - reference.objective).abs() / (1.0 + reference.objective.abs());
+            assert!(
+                rel < 1e-6,
+                "{name}: {} vs {}",
+                sol.objective,
+                reference.objective
+            );
+        }
+    }
+
+    #[test]
     fn auto_path_picks_sparse_for_sparse_problems() {
         use crate::pdip::SolvePath;
         // Transport at 4×9 has density 2/13 < 0.25 → Auto runs sparse;
