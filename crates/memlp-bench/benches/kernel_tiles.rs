@@ -26,7 +26,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use memlp_bench::fmt_time;
-use memlp_core::{AugmentedSystem, HwContext};
+use memlp_core::{AugmentedSystem, Factorization, HwContext};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::kernels::KernelPolicy;
 use memlp_linalg::parallel::{self, with_threads, MIN_FLOPS_PER_THREAD};
@@ -34,7 +34,6 @@ use memlp_linalg::{kernels, LuFactors, Matrix, SparseMatrix};
 use memlp_lp::domains::{transportation_lp, TransportationProblem};
 use memlp_lp::LpProblem;
 use memlp_solvers::pdip::{PdipOptions, PdipState};
-use memlp_solvers::SolvePath;
 
 /// Tiled-over-naive speedup the m = 512 dense matvec must clear.
 const GATE_MIN_SPEEDUP: f64 = 2.0;
@@ -284,7 +283,7 @@ fn measure_newton(m_target: usize) -> NewtonRow {
     let opts = PdipOptions::default();
     let state = PdipState::new(&lp, &opts);
     let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
-    sys.set_solve_path(SolvePath::Dense);
+    sys.force_factorization(Factorization::Dense);
     let mu = state.mu(opts.delta);
     let s = sys.s_vector(&state);
     let ms = sys.mvm(&s, &mut hw);

@@ -34,7 +34,7 @@ use memlp_lp::domains::{
 };
 use memlp_lp::{LpProblem, LpStatus};
 use memlp_solvers::pdhg::{PdhgOptions, PdhgSolver};
-use memlp_solvers::{Budget, LpSolver, NormalEqPdip, PdipOptions, SolvePath};
+use memlp_solvers::{Budget, LpSolver, NormalEqPdip, PdipOptions};
 
 /// Shared KKT tolerance for the crossover and headline rows.
 const TOL: f64 = 1e-4;
@@ -44,7 +44,6 @@ fn shared_pdip_options() -> PdipOptions {
         eps_primal: TOL,
         eps_dual: TOL,
         eps_gap: TOL,
-        path: SolvePath::Auto,
         ..PdipOptions::default()
     }
 }

@@ -4,8 +4,8 @@
 //! For each memlp-lp domain at m ∈ {128, 512} the bench programs one
 //! `AugmentedSystem` on ideal hardware, assembles a real PDIP right-hand
 //! side, then times the per-iteration core solve under both
-//! `SolvePath::Dense` (Schur reduction of the (n+m) core to a min(n,m)
-//! system + its partial-pivot LU) and `SolvePath::Sparse` (diagonal
+//! `Factorization::Dense` (Schur reduction of the (n+m) core to a min(n,m)
+//! system + its partial-pivot LU) and `Factorization::Sparse` (diagonal
 //! scatter + symbolic-reuse refactor of the (n+m) core). The analog work
 //! is identical on both paths, so the ratio is pure digital-controller
 //! speedup.
@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use memlp_bench::fmt_time;
-use memlp_core::{AugmentedSystem, FactorStats, HwContext};
+use memlp_core::{AugmentedSystem, FactorStats, Factorization, HwContext};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::{SparseLu, SparseMatrix};
 use memlp_lp::domains::{
@@ -36,7 +36,7 @@ use memlp_lp::domains::{
 };
 use memlp_lp::LpProblem;
 use memlp_solvers::pdip::{PdipOptions, PdipState};
-use memlp_solvers::{LpSolver, NormalEqPdip, SolvePath};
+use memlp_solvers::{LpSolver, NormalEqPdip};
 
 /// Per-iteration digital speedup the gated rows must clear.
 const GATE_MIN_SPEEDUP: f64 = 5.0;
@@ -95,16 +95,16 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Times the per-iteration core solve on `path`. Programming, rhs
-/// assembly, and the sparse symbolic analysis happen before the clock
+/// Times the per-iteration core solve under `factorization`. Programming,
+/// rhs assembly, and the sparse symbolic analysis happen before the clock
 /// starts; every timed call does the full per-iteration digital work
 /// (diagonal updates, factorization, triangular solves, back-substitution).
-fn measure(lp: &LpProblem, path: SolvePath) -> Option<Timing> {
+fn measure(lp: &LpProblem, factorization: Factorization) -> Option<Timing> {
     let mut hw = HwContext::new(CrossbarConfig::ideal().with_seed(11));
     let opts = PdipOptions::default();
     let state = PdipState::new(lp, &opts);
     let mut sys = AugmentedSystem::program(lp, &state, &mut hw);
-    sys.set_solve_path(path);
+    sys.force_factorization(factorization);
     let mu = state.mu(opts.delta);
     let s = sys.s_vector(&state);
     let ms = sys.mvm(&s, &mut hw);
@@ -221,8 +221,8 @@ fn main() {
     for &m_target in &[128usize, 512] {
         for domain in ["transport", "routing", "scheduling", "assignment"] {
             let lp = build(domain, m_target);
-            let dense = measure(&lp, SolvePath::Dense);
-            let sparse = measure(&lp, SolvePath::Sparse).expect("sparse core solve");
+            let dense = measure(&lp, Factorization::Dense);
+            let sparse = measure(&lp, Factorization::Sparse).expect("sparse core solve");
             let note = match &dense {
                 Some(_) => None,
                 None => {

@@ -7,8 +7,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::hw::{HwContext, TileTraffic};
+use crate::newton::{dense_core_bytes, DENSE_CORE_LIMIT_BYTES};
 use crate::recovery::{attempt_score, Attempt, Ladder, RecoveryPolicy};
-use crate::solver::{admit_dense_core, CrossbarSolution, CrossbarSolver};
+use crate::solver::{CrossbarSolution, CrossbarSolver};
 use crate::tiles::{TiledMatrix, ANALOG_TILE_SIDE};
 use crate::trace::{IterationRecord, SolverTrace};
 use crate::transform::SignSplit;
@@ -185,7 +186,16 @@ impl CrossbarSolver for LargeScaleSolver {
     /// so an instance whose core would blow the allocation guard is
     /// refused up front instead of attempting the allocation.
     fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError> {
-        admit_dense_core(lp.num_vars() + lp.num_constraints())
+        let dim = lp.num_vars() + lp.num_constraints();
+        let bytes = dense_core_bytes(dim);
+        if bytes > DENSE_CORE_LIMIT_BYTES {
+            return Err(CoreSolveError::CoreTooLarge {
+                dim,
+                bytes,
+                limit: DENSE_CORE_LIMIT_BYTES,
+            });
+        }
+        Ok(())
     }
 
     /// Algorithm 2 has no warm entry point: `warm` and `reuse_salt` are

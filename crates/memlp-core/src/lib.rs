@@ -61,7 +61,9 @@ mod transform;
 
 pub use hw::HwContext;
 pub use large_scale::{LargeScaleOptions, LargeScaleSolver};
-pub use newton::{dense_core_bytes, AugmentedDirections, AugmentedSystem, DENSE_CORE_LIMIT_BYTES};
+pub use newton::{
+    dense_core_bytes, AugmentedDirections, AugmentedSystem, Factorization, DENSE_CORE_LIMIT_BYTES,
+};
 pub use pdhg_analog::{CrossbarPdhgOptions, CrossbarPdhgSolver};
 pub use recovery::{RecoveryEvent, RecoveryPolicy, RecoveryReport};
 pub use solver::{CrossbarPdipSolver, CrossbarSolution, CrossbarSolver, CrossbarSolverOptions};

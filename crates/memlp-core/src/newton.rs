@@ -30,7 +30,7 @@
 use memlp_crossbar::Phase;
 use memlp_linalg::{inf_norm_mat, ops, LuFactors, Matrix, SparseLu, SparseMatrix};
 use memlp_lp::LpProblem;
-use memlp_solvers::pdip::{CoreSolveError, PdipState, SolvePath, StepDirections};
+use memlp_solvers::pdip::{sparse_newton, CoreSolveError, PdipState, StepDirections};
 
 use crate::hw::HwContext;
 use crate::transform::SignSplit;
@@ -82,6 +82,18 @@ pub fn dense_core_bytes(dim: usize) -> u64 {
 /// accuracy (diverging infeasible iterates at m ≤ 48) all measured 1.5e-8
 /// or more.
 const REDUCED_RESIDUAL_TOL: f64 = 1e-9;
+
+/// The digital factorization of the `(n+m)` Newton core, for
+/// [`AugmentedSystem::force_factorization`]. The analog physics is the
+/// same under both; only the controller's arithmetic differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Factorization {
+    /// The `min(n,m)` Schur solve, with the `(n+m)` LU as its fallback.
+    Dense,
+    /// The static-pivot sparse LU with symbolic-analysis reuse, falling
+    /// back to the dense factorization on a pivot breakdown.
+    Sparse,
+}
 
 /// The realized augmented system: static blocks written once, diagonal
 /// blocks rewritten every iteration.
@@ -136,12 +148,12 @@ pub struct AugmentedSystem {
     scratch: SolveScratch,
     /// Total cell count (for settle-energy estimates).
     cells: usize,
-    /// Which digital factorization realizes the core solve (the analog
-    /// physics — quantization, charging — is identical either way).
-    path: SolvePath,
-    /// Fill ratio of the problem's `A`, captured at programming time for
-    /// the [`SolvePath::Auto`] decision.
-    density: f64,
+    /// [`sparse_newton`] of the programmed problem: the factorization the
+    /// input picks.
+    sparse_input: bool,
+    /// A factorization set by [`Self::force_factorization`] in place of
+    /// the input's pick.
+    forced: Option<Factorization>,
     /// Sparse core (CSR pattern, cached diagonal slots, reusable symbolic
     /// analysis), built lazily on the first sparse solve and invalidated
     /// whenever the static blocks are re-realized.
@@ -285,8 +297,8 @@ impl AugmentedSystem {
             core_base: Matrix::default(),
             scratch: SolveScratch::default(),
             cells,
-            path: SolvePath::Auto,
-            density: lp.density(),
+            sparse_input: sparse_newton(lp),
+            forced: None,
             sparse_core: None,
         };
         sys.rebuild_effective();
@@ -332,12 +344,14 @@ impl AugmentedSystem {
         self.sparse_core = None;
     }
 
-    /// Selects the digital factorization path for the core solve
-    /// ([`SolvePath::Auto`] resolves against the programmed problem's fill
-    /// ratio). The analog behaviour — quantization, energy, iterate counts —
-    /// is path-independent; only the controller's factorization changes.
-    pub fn set_solve_path(&mut self, path: SolvePath) {
-        self.path = path;
+    /// Fixes the core's digital factorization, overriding the input's
+    /// pick ([`sparse_newton`], or sparse when the dense core would not
+    /// fit), so the two can be timed and compared on the same system. A
+    /// forced [`Factorization::Dense`] on a core past
+    /// [`DENSE_CORE_LIMIT_BYTES`] fails with
+    /// [`CoreSolveError::CoreTooLarge`].
+    pub fn force_factorization(&mut self, factorization: Factorization) {
+        self.forced = Some(factorization);
     }
 
     /// Rewrites the `X`, `Y`, `Z`, `W` diagonals for the current iterate —
@@ -530,10 +544,10 @@ impl AugmentedSystem {
     /// [`CoreSolveError::Singular`] when the realized system is singular —
     /// the §4.3 variation-induced failure mode the caller handles by
     /// re-solving. [`CoreSolveError::CoreTooLarge`] when the dense
-    /// factorization was required (an explicit [`SolvePath::Dense`], or a
+    /// factorization was required (a forced [`Factorization::Dense`], or a
     /// sparse breakdown with no feasible dense fallback) but the core
-    /// exceeds [`DENSE_CORE_LIMIT_BYTES`]; under [`SolvePath::Auto`] an
-    /// oversized core reroutes to the sparse path instead.
+    /// exceeds [`DENSE_CORE_LIMIT_BYTES`]; otherwise an oversized core
+    /// reroutes to the sparse factorization.
     ///
     /// memlp-lint: analog_source
     pub fn solve(
@@ -624,13 +638,12 @@ impl AugmentedSystem {
         // across iterations) or dense (a `min(n,m)` Schur solve, with the
         // `(n+m)` LU as its fallback). A sparse breakdown — the
         // static-pivot elimination meeting a realized-singular pivot —
-        // falls back to the dense
-        // factorization for the iteration, so path selection can never make
-        // a solvable realized system fail. The dense buffers are gated by
-        // [`DENSE_CORE_LIMIT_BYTES`]: an oversized core under `Auto` (or
-        // `Sparse`-with-fallback) reroutes to the sparse path instead of
-        // attempting the allocation, and an explicit `Dense` reports
-        // `CoreTooLarge` to the caller.
+        // falls back to the dense factorization for the iteration, so the
+        // choice of factorization can never make a solvable realized system
+        // fail. The dense buffers are gated by [`DENSE_CORE_LIMIT_BYTES`]:
+        // an oversized core reroutes to the sparse factorization instead of
+        // attempting the allocation, and a forced `Dense` reports
+        // `CoreTooLarge`.
         let dim = n + m;
         let dense_fits = dense_core_bytes(dim) <= DENSE_CORE_LIMIT_BYTES;
         let too_large = || CoreSolveError::CoreTooLarge {
@@ -638,10 +651,12 @@ impl AugmentedSystem {
             bytes: dense_core_bytes(dim),
             limit: DENSE_CORE_LIMIT_BYTES,
         };
-        if self.path == SolvePath::Dense && !dense_fits {
-            return Err(too_large());
-        }
-        let sparse = if self.path.use_sparse(self.density) || !dense_fits {
+        let use_sparse = match self.forced {
+            Some(Factorization::Dense) if !dense_fits => return Err(too_large()),
+            Some(forced) => forced == Factorization::Sparse,
+            None => self.sparse_input || !dense_fits,
+        };
+        let sparse = if use_sparse {
             self.solve_core_sparse(hw)
         } else {
             None
@@ -1003,7 +1018,7 @@ mod tests {
             .with_seed(17);
         let mut hw = HwContext::new(cfg);
         let mut sys = AugmentedSystem::program(lp, &state, &mut hw);
-        sys.set_solve_path(SolvePath::Dense);
+        sys.force_factorization(Factorization::Dense);
         if let Some((i, v)) = w_cell {
             sys.wd[i] = v;
         }

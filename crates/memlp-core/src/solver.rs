@@ -2,10 +2,10 @@ use memlp_crossbar::{CostLedger, CrossbarConfig};
 use memlp_linalg::{ops, parallel, Matrix};
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::{Budget, BudgetCause};
-use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState, SolvePath};
+use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState};
 
 use crate::hw::HwContext;
-use crate::newton::{dense_core_bytes, AugmentedSystem, DENSE_CORE_LIMIT_BYTES};
+use crate::newton::{AugmentedSystem, Factorization};
 use crate::recovery::{Attempt, Ladder, RecoveryPolicy, RecoveryReport};
 use crate::trace::{IterationRecord, SolverTrace};
 
@@ -103,10 +103,11 @@ pub trait CrossbarSolver: Sync {
     fn config(&self) -> &CrossbarConfig;
 
     /// Cheap admission check a batch or service front end runs **before**
-    /// committing hardware attempts: an instance whose dense core would
-    /// blow the [`DENSE_CORE_LIMIT_BYTES`] allocation guard is refused up
-    /// front with [`CoreSolveError::CoreTooLarge`] instead of burning a
-    /// full retry ladder to learn the same thing.
+    /// committing hardware attempts: an instance the family cannot solve —
+    /// Algorithm 2's dense core past the [`crate::DENSE_CORE_LIMIT_BYTES`]
+    /// allocation guard — is refused up front with
+    /// [`CoreSolveError::CoreTooLarge`] instead of burning a full retry
+    /// ladder to learn the same thing.
     fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError>;
 
     /// Solves `lp` on an **existing** hardware context — the warm-pool
@@ -184,19 +185,6 @@ pub trait CrossbarSolver: Sync {
     }
 }
 
-/// Refuses a dense `dim × dim` core past [`DENSE_CORE_LIMIT_BYTES`].
-pub(crate) fn admit_dense_core(dim: usize) -> Result<(), CoreSolveError> {
-    let bytes = dense_core_bytes(dim);
-    if bytes > DENSE_CORE_LIMIT_BYTES {
-        return Err(CoreSolveError::CoreTooLarge {
-            dim,
-            bytes,
-            limit: DENSE_CORE_LIMIT_BYTES,
-        });
-    }
-    Ok(())
-}
-
 /// **Algorithm 1** — the memristor crossbar-based linear program solver.
 ///
 /// Each PDIP iteration (paper §3.2):
@@ -230,6 +218,10 @@ pub(crate) fn admit_dense_core(dim: usize) -> Result<(), CoreSolveError> {
 pub struct CrossbarPdipSolver {
     config: CrossbarConfig,
     options: CrossbarSolverOptions,
+    /// The core factorization every attempt forces in place of the
+    /// input's pick; set only by the crate's whole-solve comparisons of
+    /// the two factorizations.
+    pub(crate) forced: Option<Factorization>,
 }
 
 impl CrossbarSolver for CrossbarPdipSolver {
@@ -237,12 +229,9 @@ impl CrossbarSolver for CrossbarPdipSolver {
         &self.config
     }
 
-    /// Only an explicit [`SolvePath::Dense`] is refused: `Auto` and
-    /// `Sparse` reroute around the guard, so they pass.
-    fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError> {
-        if self.options.pdip.path == SolvePath::Dense {
-            admit_dense_core(lp.num_vars() + lp.num_constraints())?;
-        }
+    /// Always passes: an oversized dense core reroutes to the sparse
+    /// factorization.
+    fn preflight(&self, _lp: &LpProblem) -> Result<(), CoreSolveError> {
         Ok(())
     }
 
@@ -285,7 +274,11 @@ impl CrossbarSolver for CrossbarPdipSolver {
 impl CrossbarPdipSolver {
     /// Creates a solver over the given hardware configuration.
     pub fn new(config: CrossbarConfig, options: CrossbarSolverOptions) -> Self {
-        CrossbarPdipSolver { config, options }
+        CrossbarPdipSolver {
+            config,
+            options,
+            forced: None,
+        }
     }
 
     /// [`CrossbarSolver::solve_budgeted`] without a budget.
@@ -342,7 +335,9 @@ impl CrossbarPdipSolver {
         };
         let mut trace = SolverTrace::new();
         let mut system = AugmentedSystem::program_with_at(lp, at, &state, hw);
-        system.set_solve_path(opts.path);
+        if let Some(factorization) = self.forced {
+            system.force_factorization(factorization);
+        }
 
         let bnorm = 1.0 + ops::inf_norm(lp.b());
         let cnorm = 1.0 + ops::inf_norm(lp.c());
@@ -475,8 +470,8 @@ impl CrossbarPdipSolver {
             // infeasible run drives the complementarity diagonals into a
             // structurally singular corner long before the iterates
             // formally diverge). A `CoreTooLarge` refusal is routed the
-            // same way: under `Auto` it only surfaces when the sparse path
-            // also broke down, which is the singular-corner signature.
+            // same way: it only surfaces when the sparse core also broke
+            // down, which is the singular-corner signature.
             let Ok(aug) = system.solve(&r, hw) else {
                 // Require a dozen iterations of history so a transient
                 // early singularity on a feasible problem is retried
@@ -687,25 +682,163 @@ mod tests {
 
     #[test]
     fn batch_surfaces_per_item_errors() {
+        use crate::{LargeScaleOptions, LargeScaleSolver};
         use memlp_lp::domains::{assignment_lp, AssignmentProblem};
-        use memlp_solvers::pdip::SolvePath;
-        let good = RandomLp::paper(12, 1).feasible();
+        let good = RandomLp::paper(24, 31).feasible();
+        // Assignment k = 128: a 2.2 GB dense core, past Algorithm 2's guard.
         let big = assignment_lp(&AssignmentProblem::random(128, 7)).expect("valid instance");
-        let opts = CrossbarSolverOptions {
-            pdip: PdipOptions {
-                path: SolvePath::Dense,
-                ..CrossbarSolverOptions::default().pdip
-            },
-            ..CrossbarSolverOptions::default()
-        };
-        let s = CrossbarPdipSolver::new(CrossbarConfig::paper_default().with_seed(3), opts);
+        let s = LargeScaleSolver::new(
+            CrossbarConfig::paper_default().with_seed(1),
+            LargeScaleOptions::default(),
+        );
         // The poisoned middle item errors in its own slot; siblings solve.
         let out = s.solve_batch(&[good.clone(), big, good], 2);
         assert_eq!(out.len(), 3);
-        assert!(matches!(out[1], Err(CoreSolveError::CoreTooLarge { .. })));
+        let err = out[1].as_ref().expect_err("oversized core must be refused");
+        assert!(matches!(err, CoreSolveError::CoreTooLarge { .. }));
+        let msg = err.to_string();
+        assert!(
+            msg.contains("limit")
+                && msg.contains("Algorithm 1")
+                && msg.contains("PDHG")
+                && msg.contains("--solver auto")
+                && !msg.contains("sparse path"),
+            "error must state the limit and only real ways out: {msg}"
+        );
         for i in [0usize, 2] {
             let res = out[i].as_ref().expect("sibling must still solve");
             assert_eq!(res.solution.status, LpStatus::Optimal, "item {i}");
+        }
+    }
+
+    /// Small instances of the four memlp-lp domains, all at or below the
+    /// sparse-Newton density threshold.
+    fn domain_suite() -> Vec<(&'static str, LpProblem)> {
+        use memlp_lp::domains::{
+            assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp,
+            AssignmentProblem, MaxFlowNetwork, ProductionPlan, TransportationProblem,
+        };
+        vec![
+            (
+                "transport",
+                transportation_lp(&TransportationProblem::random(3, 9, 5)).expect("valid domain"),
+            ),
+            (
+                "routing",
+                max_flow_lp(&MaxFlowNetwork::random_layered(3, 3, 7)).expect("valid domain"),
+            ),
+            (
+                "scheduling",
+                production_schedule_lp(&ProductionPlan::random(4, 8, 9)).expect("valid domain"),
+            ),
+            (
+                "assignment",
+                assignment_lp(&AssignmentProblem::random(4, 11)).expect("valid domain"),
+            ),
+        ]
+    }
+
+    /// A whole Algorithm 1 solve with every attempt's core factorization
+    /// forced.
+    fn solve_forced(
+        lp: &LpProblem,
+        config: CrossbarConfig,
+        factorization: Factorization,
+    ) -> CrossbarSolution {
+        CrossbarPdipSolver {
+            forced: Some(factorization),
+            ..CrossbarPdipSolver::new(config, CrossbarSolverOptions::default())
+        }
+        .solve(lp)
+    }
+
+    /// Same status and iterate count, objectives within 1e-7 relative.
+    fn assert_same_solve(dense: &CrossbarSolution, sparse: &CrossbarSolution, what: &str) {
+        assert_eq!(dense.solution.status, LpStatus::Optimal, "{what}");
+        assert_eq!(sparse.solution.status, LpStatus::Optimal, "{what}");
+        assert_eq!(
+            dense.solution.iterations, sparse.solution.iterations,
+            "{what}: iterate counts diverged"
+        );
+        let rel = (dense.solution.objective - sparse.solution.objective).abs()
+            / (1.0 + dense.solution.objective.abs());
+        assert!(rel < 1e-7, "{what}: objective rel diff {rel}");
+    }
+
+    // The sparse core is a digital-controller substitution: the analog
+    // physics is identical under both factorizations, so whole solves must
+    // agree while the sparse one does strictly less digital work.
+
+    #[test]
+    fn domain_lps_pick_the_sparse_core() {
+        for (name, lp) in domain_suite() {
+            assert!(
+                memlp_solvers::pdip::sparse_newton(&lp),
+                "{name}: density {}",
+                lp.density()
+            );
+        }
+    }
+
+    #[test]
+    fn iterate_counts_and_objectives_match_across_paths() {
+        // Routing's zero-rhs conservation rows leave no strict interior, so
+        // paper-default variation fails it under both factorizations alike;
+        // `routing_matches_on_ideal_hardware` covers it.
+        for (name, lp) in domain_suite() {
+            if name == "routing" {
+                continue;
+            }
+            let config = CrossbarConfig::paper_default().with_seed(3);
+            let dense = solve_forced(&lp, config, Factorization::Dense);
+            let sparse = solve_forced(&lp, config, Factorization::Sparse);
+            assert_same_solve(&dense, &sparse, name);
+        }
+    }
+
+    #[test]
+    fn routing_matches_on_ideal_hardware() {
+        let (_, lp) = domain_suite().remove(1);
+        let config = CrossbarConfig::ideal().with_seed(3);
+        let dense = solve_forced(&lp, config, Factorization::Dense);
+        let sparse = solve_forced(&lp, config, Factorization::Sparse);
+        assert_same_solve(&dense, &sparse, "routing");
+    }
+
+    #[test]
+    fn sparse_path_engages_and_reduces_factorization_flops() {
+        for (name, lp) in domain_suite() {
+            let config = CrossbarConfig::paper_default().with_seed(5);
+            let dense = solve_forced(&lp, config, Factorization::Dense);
+            let sparse = solve_forced(&lp, config, Factorization::Sparse);
+            let (d, sp) = (&dense.trace.factors, &sparse.trace.factors);
+            assert!(sp.factorizations > 0, "{name}: sparse core never factored");
+            assert!(
+                sp.flops < d.flops,
+                "{name}: sparse flops {} not below dense {}",
+                sp.flops,
+                d.flops
+            );
+            assert!(
+                sp.factor_nnz < d.factor_nnz,
+                "{name}: sparse fill {} not below dense {}",
+                sp.factor_nnz,
+                d.factor_nnz
+            );
+        }
+    }
+
+    #[test]
+    fn forced_sparse_agrees_on_dense_random_lps() {
+        // The sparse core must stay correct where it is not profitable: a
+        // fully dense random A.
+        for seed in [1, 2, 3] {
+            let lp = RandomLp::paper(15, seed).feasible();
+            assert!(lp.density() > 0.5, "random LP should be dense");
+            let config = CrossbarConfig::paper_default().with_seed(seed);
+            let dense = solve_forced(&lp, config, Factorization::Dense);
+            let sparse = solve_forced(&lp, config, Factorization::Sparse);
+            assert_same_solve(&dense, &sparse, &format!("seed {seed}"));
         }
     }
 

@@ -1,8 +1,8 @@
 //! The dense-core allocation guard (DESIGN.md §14): a realized system
 //! whose `(n+m)²` dense core exceeds `DENSE_CORE_LIMIT_BYTES` must refuse
 //! the dense factorization with a structured error instead of attempting
-//! the allocation, while `SolvePath::Auto` reroutes the same system to the
-//! sparse path and solves it.
+//! the allocation, while the default (unforced) factorization reroutes the
+//! same system to the sparse core and solves it.
 //!
 //! The instance is the smallest shipped domain past the guard: assignment
 //! with k = 128 agents gives n = k² = 16 384, m = 2k = 256, so the core is
@@ -10,11 +10,11 @@
 //! 2 GiB limit. (The bench-scale wall is assignment@512 at ~35 GB; the
 //! guard condition is identical, this one just programs in test time.)
 
-use memlp_core::{AugmentedSystem, HwContext, DENSE_CORE_LIMIT_BYTES};
+use memlp_core::{AugmentedSystem, Factorization, HwContext, DENSE_CORE_LIMIT_BYTES};
 use memlp_crossbar::CrossbarConfig;
 use memlp_lp::domains::{assignment_lp, AssignmentProblem};
 use memlp_lp::LpProblem;
-use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState, SolvePath};
+use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState};
 
 fn oversized_lp() -> LpProblem {
     assignment_lp(&AssignmentProblem::random(128, 7)).expect("valid assignment instance")
@@ -50,9 +50,18 @@ fn dense_path_refuses_oversized_core_and_auto_reroutes_sparse() {
     let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
     let r = rhs_for(&mut sys, &lp, &state, &mut hw);
 
-    // An explicit dense request reports the structured refusal — with the
-    // exact dimension and byte count, so callers can log actionable sizes.
-    sys.set_solve_path(SolvePath::Dense);
+    // The input's pick reroutes to the sparse factorization and produces
+    // directions of the full augmented dimension.
+    let aug = sys
+        .solve(&r, &mut hw)
+        .expect("the oversized core must solve on the sparse factorization");
+    assert_eq!(aug.dirs.dx.len(), n);
+    assert_eq!(aug.dirs.dy.len(), m);
+
+    // A forced dense factorization reports the structured refusal — with
+    // the exact dimension and byte count, so callers can log actionable
+    // sizes.
+    sys.force_factorization(Factorization::Dense);
     let err = sys
         .solve(&r, &mut hw)
         .expect_err("dense path must refuse the oversized core");
@@ -66,18 +75,14 @@ fn dense_path_refuses_oversized_core_and_auto_reroutes_sparse() {
     );
     let msg = err.to_string();
     assert!(
-        msg.contains("dense Newton core") && msg.contains("sparse"),
-        "error must name the failure and the way out: {msg}"
+        msg.contains("dense Newton core")
+            && msg.contains(&format!("{DENSE_CORE_LIMIT_BYTES}-byte limit"))
+            && msg.contains("Algorithm 1")
+            && msg.contains("PDHG")
+            && msg.contains("--solver auto")
+            && !msg.contains("sparse path"),
+        "error must name the failure, the limit and the ways out: {msg}"
     );
-
-    // Auto reroutes to the sparse factorization and produces directions of
-    // the full augmented dimension.
-    sys.set_solve_path(SolvePath::Auto);
-    let aug = sys
-        .solve(&r, &mut hw)
-        .expect("Auto must solve the oversized core via the sparse path");
-    assert_eq!(aug.dirs.dx.len(), n);
-    assert_eq!(aug.dirs.dy.len(), m);
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Direct tests of the Eqn-14a augmented system against the textbook
 //! Newton system it must reproduce.
 
-use memlp_core::{AugmentedDirections, AugmentedSystem, FactorStats, HwContext};
+use memlp_core::{AugmentedDirections, AugmentedSystem, FactorStats, Factorization, HwContext};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::ops;
 use memlp_lp::domains::{transportation_lp, TransportationProblem};
 use memlp_lp::generator::RandomLp;
 use memlp_lp::LpProblem;
 use memlp_solvers::pdip::{PdipOptions, PdipState};
-use memlp_solvers::{DensePdip, LpSolver, SolvePath};
+use memlp_solvers::{DensePdip, LpSolver};
 
 /// Ideal hardware (no variation, 16-bit converters) for exact comparisons.
 fn ideal_hw() -> HwContext {
@@ -246,13 +246,13 @@ enum ZeroCell {
     Z(usize),
 }
 
-/// One Newton solve at the starting iterate on `path`, on hardware with
-/// `variation_pct` device variation: the directions and the factorization
-/// counters that solve added to the ledger. The hardware seed is fixed, so
-/// every path sees the same realized system.
+/// One Newton solve at the starting iterate under `factorization`, on
+/// hardware with `variation_pct` device variation: the directions and the
+/// factorization counters that solve added to the ledger. The hardware
+/// seed is fixed, so both factorizations see the same realized system.
 fn newton_step(
     lp: &LpProblem,
-    path: SolvePath,
+    factorization: Factorization,
     variation_pct: f64,
     zero: ZeroCell,
 ) -> (AugmentedDirections, FactorStats) {
@@ -268,7 +268,7 @@ fn newton_step(
         .with_seed(17);
     let mut hw = HwContext::new(cfg);
     let mut sys = AugmentedSystem::program(lp, &state, &mut hw);
-    sys.set_solve_path(path);
+    sys.force_factorization(factorization);
     let s = sys.s_vector(&state);
     let ms = sys.mvm(&s, &mut hw);
     let constant = sys.rhs_constant(lp, state.mu(opts.delta));
@@ -336,9 +336,10 @@ fn reduced_dense_solve_matches_the_unreduced_core() {
     for (name, lp) in orientation_suite() {
         for variation in [0.0, 10.0] {
             let ctx = format!("{name} at {variation}% variation");
-            let (reduced, stats) = newton_step(&lp, SolvePath::Dense, variation, ZeroCell::None);
+            let (reduced, stats) =
+                newton_step(&lp, Factorization::Dense, variation, ZeroCell::None);
             let (unreduced, sparse) =
-                newton_step(&lp, SolvePath::Sparse, variation, ZeroCell::None);
+                newton_step(&lp, Factorization::Sparse, variation, ZeroCell::None);
             assert!(
                 sparse.flops < full_lu(&lp).flops,
                 "{ctx}: the sparse reference fell back to the dense path"
@@ -366,7 +367,7 @@ fn zero_eliminated_diagonal_falls_back_to_the_full_lu() {
         };
         for variation in [0.0, 10.0] {
             let ctx = format!("{name} at {variation}% variation");
-            let (dirs, stats) = newton_step(&lp, SolvePath::Dense, variation, eliminated);
+            let (dirs, stats) = newton_step(&lp, Factorization::Dense, variation, eliminated);
             assert_eq!(stats, full_lu(&lp), "{ctx}: fallback counters");
             assert!(
                 [&dirs.dirs.dx, &dirs.dirs.dy]
@@ -375,7 +376,7 @@ fn zero_eliminated_diagonal_falls_back_to_the_full_lu() {
                     .all(|v| v.is_finite()),
                 "{ctx}: fallback directions"
             );
-            let (_, stats) = newton_step(&lp, SolvePath::Dense, variation, kept);
+            let (_, stats) = newton_step(&lp, Factorization::Dense, variation, kept);
             assert_eq!(stats, schur(&lp), "{ctx}: kept-diagonal zero fell back");
         }
     }

@@ -1,158 +1,16 @@
-//! Dense-vs-sparse Newton path equivalence on the crossbar solver.
+//! Dense-vs-sparse Newton core equivalence on one Algorithm 1 step.
 //!
 //! The sparse core is a *digital controller* substitution: the analog
-//! physics (realized blocks, quantization, charging) is identical on both
-//! paths, so the solves must agree — same step directions through the
-//! shared ADC, identical iterate counts, matching objectives — while the
-//! factorization counters show the sparse path doing strictly less digital
-//! work on the sparse domain problems.
+//! physics (realized blocks, quantization, charging) is identical under
+//! both factorizations, so the step directions read through the shared ADC
+//! must agree. Whole-solve comparisons (iterate counts, objectives,
+//! factorization counters) are unit tests in `solver.rs`, which can force
+//! the factorization for every attempt.
 
-use memlp_core::{AugmentedSystem, CrossbarPdipSolver, CrossbarSolution, CrossbarSolverOptions};
+use memlp_core::{AugmentedSystem, Factorization};
 use memlp_crossbar::CrossbarConfig;
-use memlp_lp::domains::{
-    assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp, AssignmentProblem,
-    MaxFlowNetwork, ProductionPlan, TransportationProblem,
-};
-use memlp_lp::generator::RandomLp;
-use memlp_lp::{LpProblem, LpStatus};
+use memlp_lp::domains::{transportation_lp, TransportationProblem};
 use memlp_solvers::pdip::{PdipOptions, PdipState};
-use memlp_solvers::SolvePath;
-
-fn domain_suite() -> Vec<(&'static str, LpProblem)> {
-    vec![
-        (
-            "transport",
-            transportation_lp(&TransportationProblem::random(3, 9, 5)).expect("valid domain"),
-        ),
-        (
-            "routing",
-            max_flow_lp(&MaxFlowNetwork::random_layered(3, 3, 7)).expect("valid domain"),
-        ),
-        (
-            "scheduling",
-            production_schedule_lp(&ProductionPlan::random(4, 8, 9)).expect("valid domain"),
-        ),
-        (
-            "assignment",
-            assignment_lp(&AssignmentProblem::random(4, 11)).expect("valid domain"),
-        ),
-    ]
-}
-
-fn solve_with(lp: &LpProblem, path: SolvePath, seed: u64) -> CrossbarSolution {
-    let mut opts = CrossbarSolverOptions::default();
-    opts.pdip.path = path;
-    CrossbarPdipSolver::new(CrossbarConfig::paper_default().with_seed(seed), opts).solve(lp)
-}
-
-#[test]
-fn domain_lps_are_sparse_enough_for_auto() {
-    for (name, lp) in domain_suite() {
-        assert!(
-            SolvePath::Auto.use_sparse(lp.density()),
-            "{name}: density {} should resolve Auto to the sparse path",
-            lp.density()
-        );
-    }
-}
-
-#[test]
-fn iterate_counts_and_objectives_match_across_paths() {
-    // Routing is excluded here: its zero-rhs conservation rows leave no
-    // strict interior, so paper-default variation makes the solve fail on
-    // *both* paths (path-independently) via chaotic failure branches; see
-    // `routing_matches_on_ideal_hardware` for its equivalence check.
-    for (name, lp) in domain_suite() {
-        if name == "routing" {
-            continue;
-        }
-        let dense = solve_with(&lp, SolvePath::Dense, 3);
-        let sparse = solve_with(&lp, SolvePath::Sparse, 3);
-        assert_eq!(
-            dense.solution.status, sparse.solution.status,
-            "{name}: status diverged"
-        );
-        assert_eq!(dense.solution.status, LpStatus::Optimal, "{name}");
-        assert_eq!(
-            dense.solution.iterations, sparse.solution.iterations,
-            "{name}: iterate counts diverged"
-        );
-        let rel = (dense.solution.objective - sparse.solution.objective).abs()
-            / (1.0 + dense.solution.objective.abs());
-        assert!(rel < 1e-7, "{name}: objective rel diff {rel}");
-    }
-}
-
-#[test]
-fn routing_matches_on_ideal_hardware() {
-    let lp = max_flow_lp(&MaxFlowNetwork::random_layered(3, 3, 7)).expect("valid domain");
-    let run = |path: SolvePath| {
-        let mut opts = CrossbarSolverOptions::default();
-        opts.pdip.path = path;
-        CrossbarPdipSolver::new(CrossbarConfig::ideal().with_seed(3), opts).solve(&lp)
-    };
-    let dense = run(SolvePath::Dense);
-    let sparse = run(SolvePath::Sparse);
-    assert_eq!(dense.solution.status, LpStatus::Optimal);
-    assert_eq!(sparse.solution.status, LpStatus::Optimal);
-    assert_eq!(dense.solution.iterations, sparse.solution.iterations);
-    let rel = (dense.solution.objective - sparse.solution.objective).abs()
-        / (1.0 + dense.solution.objective.abs());
-    assert!(rel < 1e-7, "objective rel diff {rel}");
-}
-
-#[test]
-fn sparse_path_engages_and_reduces_factorization_flops() {
-    for (name, lp) in domain_suite() {
-        let dense = solve_with(&lp, SolvePath::Dense, 5);
-        let sparse = solve_with(&lp, SolvePath::Sparse, 5);
-        assert!(
-            sparse.trace.factors.factorizations > 0,
-            "{name}: sparse path never factored"
-        );
-        assert!(
-            sparse.trace.factors.flops < dense.trace.factors.flops,
-            "{name}: sparse flops {} not below dense {}",
-            sparse.trace.factors.flops,
-            dense.trace.factors.flops
-        );
-        assert!(
-            sparse.trace.factors.factor_nnz < dense.trace.factors.factor_nnz,
-            "{name}: sparse fill {} not below dense {}",
-            sparse.trace.factors.factor_nnz,
-            dense.trace.factors.factor_nnz
-        );
-    }
-}
-
-#[test]
-fn forced_sparse_agrees_on_dense_random_lps() {
-    // The sparse path must stay correct even where it is not profitable:
-    // a fully dense random A (density ≈ 1).
-    for seed in [1, 2, 3] {
-        let lp = RandomLp::paper(15, seed).feasible();
-        assert!(lp.density() > 0.5, "random LP should be dense");
-        let dense = solve_with(&lp, SolvePath::Dense, seed);
-        let sparse = solve_with(&lp, SolvePath::Sparse, seed);
-        assert_eq!(dense.solution.status, LpStatus::Optimal, "seed {seed}");
-        assert_eq!(
-            dense.solution.iterations, sparse.solution.iterations,
-            "seed {seed}: iterate counts diverged"
-        );
-        let rel = (dense.solution.objective - sparse.solution.objective).abs()
-            / (1.0 + dense.solution.objective.abs());
-        assert!(rel < 1e-7, "seed {seed}: objective rel diff {rel}");
-    }
-}
-
-#[test]
-fn auto_matches_explicit_selection() {
-    let (_, lp) = domain_suite().remove(0);
-    let auto = solve_with(&lp, SolvePath::Auto, 9);
-    let sparse = solve_with(&lp, SolvePath::Sparse, 9);
-    assert_eq!(auto.solution.iterations, sparse.solution.iterations);
-    assert_eq!(auto.trace.factors, sparse.trace.factors);
-}
 
 #[test]
 fn directions_identical_through_shared_adc() {
@@ -163,10 +21,10 @@ fn directions_identical_through_shared_adc() {
     let lp = transportation_lp(&TransportationProblem::random(3, 9, 5)).expect("valid domain");
     let opts = PdipOptions::default();
     let state = PdipState::new(&lp, &opts);
-    let run = |path: SolvePath| {
+    let run = |factorization: Factorization| {
         let mut hw = memlp_core::HwContext::new(CrossbarConfig::paper_default().with_seed(17));
         let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
-        sys.set_solve_path(path);
+        sys.force_factorization(factorization);
         let mu = state.mu(opts.delta);
         let s = sys.s_vector(&state);
         let ms = sys.mvm(&s, &mut hw);
@@ -174,8 +32,8 @@ fn directions_identical_through_shared_adc() {
         let r = sys.assemble_rhs(&constant, &ms);
         sys.solve(&r, &mut hw).expect("solvable realized system")
     };
-    let d = run(SolvePath::Dense);
-    let sp = run(SolvePath::Sparse);
+    let d = run(Factorization::Dense);
+    let sp = run(Factorization::Sparse);
     let scale = d
         .dirs
         .dx

@@ -85,8 +85,10 @@ fn finish_pipeline(analyses: &mut [rules::FileAnalysis]) -> Vec<Finding> {
 
 /// Collects the workspace-relative scan set under `root`, sorted: the
 /// root package's `src`/`tests`/`examples`/`benches` plus the same four
-/// directories of every crate under `crates/`, minus [`EXCLUDED`]. Public
-/// so the coverage tests can pin the scan set itself, not just the count.
+/// directories of every crate under `crates/`, minus third-party code
+/// (`vendor/`), build output (`target/`) and the lint's own rule fixtures
+/// (`crates/memlp-lint/tests/fixtures/`). Public so the coverage tests can
+/// pin the scan set itself, not just the count.
 ///
 /// # Errors
 ///

@@ -99,8 +99,9 @@ impl LpProblem {
         &self.sparse_a
     }
 
-    /// Fill ratio of `A` (stored non-zeros over `m·n`) — the quantity the
-    /// `SolvePath::Auto` heuristic thresholds on.
+    /// Fill ratio of `A` (stored non-zeros over `m·n`) — the quantity
+    /// `memlp_solvers::pdip::sparse_newton` thresholds to pick the sparse
+    /// or the dense Newton factorization.
     pub fn density(&self) -> f64 {
         self.sparse_a.density()
     }

@@ -47,7 +47,7 @@ pub mod pdip;
 
 pub use budget::{Budget, BudgetCause, Deadline, IterationDeadline};
 pub use pdhg::{PdhgOptions, PdhgSolver};
-pub use pdip::{PdipOptions, SolvePath};
+pub use pdip::PdipOptions;
 pub use pdip_dense::DensePdip;
 pub use pdip_mehrotra::MehrotraPdip;
 pub use pdip_normal::NormalEqPdip;

@@ -27,56 +27,18 @@ use memlp_lp::{LpProblem, LpSolution, LpStatus};
 
 use crate::budget::{Budget, BudgetCause};
 
-/// Which digital factorization path solves the Newton system.
+/// Whether the digital Newton solve of `lp` runs on the sparse
+/// factorization (fill-reducing static-pivot LU with symbolic-analysis
+/// reuse, see `memlp_linalg::SparseLu`) instead of the dense one: true at
+/// a constraint-matrix density of a quarter or less, where the sparse
+/// factorization wins even after fill-in on the domains this workspace
+/// ships (DESIGN.md §13 has the measured crossover).
 ///
-/// The dense path (blocked LU with partial pivoting) is the oracle every
-/// other path is judged against; the sparse path (fill-reducing no-pivot LU
-/// with symbolic-analysis reuse, see `memlp_linalg::SparseLu`) exploits the
-/// structural sparsity of the constraint matrix and must agree with the
-/// dense path to tight tolerance. `Auto` picks per problem by fill ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolvePath {
-    /// Choose by constraint-matrix density: at or below
-    /// [`SolvePath::AUTO_DENSITY_THRESHOLD`] the sparse path runs,
-    /// otherwise dense.
-    #[default]
-    Auto,
-    /// Always dense LU with partial pivoting.
-    Dense,
-    /// Always the fill-reducing sparse LU with symbolic reuse.
-    Sparse,
-}
-
-impl SolvePath {
-    /// Fill-ratio threshold for `Auto`: below a quarter fill the sparse
-    /// factorization wins even after fill-in on the domains this workspace
-    /// ships (see DESIGN.md §13 for the measured crossover).
-    pub const AUTO_DENSITY_THRESHOLD: f64 = 0.25;
-
-    /// Resolves the selector against a measured fill ratio: `true` means
-    /// the sparse path runs.
-    pub fn use_sparse(self, density: f64) -> bool {
-        match self {
-            SolvePath::Auto => density <= Self::AUTO_DENSITY_THRESHOLD,
-            SolvePath::Dense => false,
-            SolvePath::Sparse => true,
-        }
-    }
-}
-
-impl std::str::FromStr for SolvePath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(SolvePath::Auto),
-            "dense" => Ok(SolvePath::Dense),
-            "sparse" => Ok(SolvePath::Sparse),
-            other => Err(format!(
-                "unknown solve path '{other}' (expected auto, dense, or sparse)"
-            )),
-        }
-    }
+/// The input decides; no solver option or CLI flag overrides it. Both factorizations solve
+/// the same Newton system, and the sparse one falls back to the dense one
+/// for any iteration whose static pivots break down.
+pub fn sparse_newton(lp: &LpProblem) -> bool {
+    lp.density() <= 0.25
 }
 
 /// Why a Newton-core solve produced no directions.
@@ -85,10 +47,11 @@ impl std::str::FromStr for SolvePath {
 /// realized system lost rank; callers retry or classify). `CoreTooLarge`
 /// is a *guard*, not a numerical event: the dense factorization would
 /// need an allocation beyond the configured limit (e.g. the ~35 GB
-/// `(n+m)²` core of assignment@512), so it refuses up front.
-/// [`SolvePath::Auto`] falls back to the sparse core before this error
-/// can surface; an explicit [`SolvePath::Dense`] reports it to the
-/// caller instead of attempting the allocation.
+/// `(n+m)²` core of assignment@512), so it refuses up front. Algorithm 1
+/// reroutes an oversized core to its sparse factorization, so the error
+/// surfaces there only if that breaks down too; Algorithm 2, whose
+/// System 1 is always dense, reports it from its preflight instead of
+/// attempting the allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreSolveError {
     /// The realized system is singular (or produced non-finite entries).
@@ -110,8 +73,9 @@ impl std::fmt::Display for CoreSolveError {
             CoreSolveError::Singular => write!(f, "realized Newton system is singular"),
             CoreSolveError::CoreTooLarge { dim, bytes, limit } => write!(
                 f,
-                "dense Newton core of dimension {dim} needs {bytes} bytes \
-                 (limit {limit}); use the sparse path"
+                "dense Newton core of dimension {dim} needs {bytes} bytes, \
+                 over the {limit}-byte limit; Algorithm 1 (`alg1`), PDHG \
+                 (`pdhg`) and `--solver auto` solve it without a dense core"
             ),
         }
     }
@@ -149,10 +113,6 @@ pub struct PdipOptions {
     /// values are more robust to stale iterates, smaller values preserve
     /// more of the warm information.
     pub warm_start_floor: f64,
-    /// Which factorization path solves the Newton system (honored by the
-    /// solvers that have a sparse formulation; purely-dense solvers ignore
-    /// it).
-    pub path: SolvePath,
 }
 
 impl Default for PdipOptions {
@@ -167,7 +127,6 @@ impl Default for PdipOptions {
             max_iterations: 200,
             initial_value: 1.0,
             warm_start_floor: 1e-2,
-            path: SolvePath::Auto,
         }
     }
 }

@@ -2,7 +2,7 @@ use memlp_linalg::{ops, LuFactors, Matrix, SparseLu, SparseMatrix};
 use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
-use crate::pdip::{newton_loop, PdipOptions, PdipState, StepDirections};
+use crate::pdip::{newton_loop, sparse_newton, PdipOptions, PdipState, StepDirections};
 use crate::LpSolver;
 
 /// PDIP with the Newton system reduced to `m×m` **normal equations** — the
@@ -21,9 +21,9 @@ use crate::LpSolver;
 /// with `σ̂ = σ + X⁻¹µe − z` and `ρ̂ = ρ − Y⁻¹µe + w`, where
 /// `ρ = b − Ax − w` and `σ = c − Aᵀy + z`.
 ///
-/// When [`PdipOptions::path`] resolves to sparse (always, or by the `Auto`
-/// density threshold), the same reduction is solved in its **quasidefinite
-/// KKT form** instead of forming `A·D·Aᵀ` densely:
+/// When [`sparse_newton`] holds for the LP (a quarter fill or less), the
+/// same reduction is solved in its **quasidefinite KKT form** instead of
+/// forming `A·D·Aᵀ` densely:
 ///
 /// ```text
 /// ⎡ D⁻¹  Aᵀ ⎤ ⎡Δx⎤   ⎡σ̂⎤          D = Z⁻¹X,  E = Y⁻¹W
@@ -279,7 +279,7 @@ impl LpSolver for NormalEqPdip {
     ) -> (LpSolution, Option<BudgetCause>) {
         let opts = &self.options;
         let mut scratch = NormalScratch::default();
-        let use_sparse = opts.path.use_sparse(lp.density());
+        let use_sparse = sparse_newton(lp);
         newton_loop(lp, opts, budget, |state| {
             let mu = state.mu(opts.delta);
             Self::directions(lp, state, mu, &mut scratch, use_sparse)
@@ -354,20 +354,21 @@ mod tests {
 
     #[test]
     fn sparse_path_matches_dense_path_on_domain_lps() {
-        use crate::pdip::SolvePath;
         use memlp_lp::domains::{transportation_lp, TransportationProblem};
+        // `solve_budgeted` with the factorization fixed.
+        let solve = |lp: &LpProblem, use_sparse: bool| {
+            let opts = PdipOptions::default();
+            let mut scratch = NormalScratch::default();
+            newton_loop(lp, &opts, Budget::none(), |state| {
+                let mu = state.mu(opts.delta);
+                NormalEqPdip::directions(lp, state, mu, &mut scratch, use_sparse)
+            })
+            .0
+        };
         for seed in 0..3 {
             let lp = transportation_lp(&TransportationProblem::random(4, 9, seed)).unwrap();
-            let dense = NormalEqPdip::new(PdipOptions {
-                path: SolvePath::Dense,
-                ..PdipOptions::default()
-            })
-            .solve(&lp);
-            let sparse = NormalEqPdip::new(PdipOptions {
-                path: SolvePath::Sparse,
-                ..PdipOptions::default()
-            })
-            .solve(&lp);
+            let dense = solve(&lp, false);
+            let sparse = solve(&lp, true);
             assert_eq!(dense.status, LpStatus::Optimal);
             assert_eq!(sparse.status, LpStatus::Optimal);
             let rel = (dense.objective - sparse.objective).abs() / (1.0 + dense.objective.abs());
@@ -381,13 +382,12 @@ mod tests {
 
     #[test]
     fn auto_path_verdicts_on_domain_lps() {
-        use crate::pdip::SolvePath;
         use crate::Simplex;
         use memlp_lp::domains::{
             max_flow_lp, production_schedule_lp, transportation_lp, MaxFlowNetwork, ProductionPlan,
             TransportationProblem,
         };
-        // (name, LP, `Auto` runs the sparse KKT path, iterations). Every case
+        // (name, LP, the sparse KKT path runs, iterations). Every case
         // takes its residuals through the CSR view of A, whose row sums
         // group their terms differently from the dense product, so only
         // the verdict, the iteration count and the objective are pinned.
@@ -410,7 +410,7 @@ mod tests {
                 true,
                 14,
             ),
-            // Density 2/7 sits above the `Auto` threshold: the dense normal
+            // Density 2/7 sits above the sparse threshold: the dense normal
             // equations solve its Newton systems.
             (
                 "scheduling 4x3",
@@ -421,7 +421,7 @@ mod tests {
         ];
         for (name, lp, sparse, iterations) in cases {
             let lp = lp.unwrap();
-            assert_eq!(SolvePath::Auto.use_sparse(lp.density()), sparse, "{name}");
+            assert_eq!(sparse_newton(&lp), sparse, "{name}");
             let sol = NormalEqPdip::default().solve(&lp);
             assert_eq!(sol.status, LpStatus::Optimal, "{name}");
             assert_eq!(sol.iterations, iterations, "{name}");
@@ -440,14 +440,13 @@ mod tests {
 
     #[test]
     fn auto_path_picks_sparse_for_sparse_problems() {
-        use crate::pdip::SolvePath;
-        // Transport at 4×9 has density 2/13 < 0.25 → Auto runs sparse;
-        // RandomLp is fully dense → Auto runs dense. Both must still solve.
+        // Transport at 4×9 has density 2/13 → sparse; RandomLp is
+        // fully dense → dense. Both must still solve.
         use memlp_lp::domains::{transportation_lp, TransportationProblem};
         let sparse_lp = transportation_lp(&TransportationProblem::random(4, 9, 3)).unwrap();
-        assert!(SolvePath::Auto.use_sparse(sparse_lp.density()));
+        assert!(sparse_newton(&sparse_lp));
         let dense_lp = RandomLp::paper(16, 3).feasible();
-        assert!(!SolvePath::Auto.use_sparse(dense_lp.density()));
+        assert!(!sparse_newton(&dense_lp));
         assert_eq!(
             NormalEqPdip::default().solve(&sparse_lp).status,
             LpStatus::Optimal

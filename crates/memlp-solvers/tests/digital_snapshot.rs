@@ -1,36 +1,32 @@
-//! Snapshot of every digital `LpSolver` on four LPs under three budgets.
+//! Snapshot of every digital `LpSolver` on five LPs under three budgets.
 //!
-//! Solvers: simplex, dense PDIP, normal-equations PDIP on its dense and
-//! its sparse path, Mehrotra PDIP and digital PDHG. LPs: two feasible
-//! paper instances (m = 24 and m = 48), one infeasible and one
-//! unbounded. Runs: plain `solve`, a `max_iters(3)` budget and a
-//! two-poll `IterationDeadline`.
+//! Solvers: simplex, dense PDIP, normal-equations PDIP, Mehrotra PDIP and
+//! digital PDHG. LPs: two feasible paper instances (m = 24 and m = 48), one
+//! infeasible and one unbounded — all dense, so the normal-equations PDIP
+//! factors them densely — and a transportation LP, whose density puts the
+//! normal-equations PDIP on its sparse KKT path. Runs: plain `solve`, a
+//! `max_iters(3)` budget and a two-poll `IterationDeadline`.
 //!
 //! Each run pins its status, iteration count, budget cause and a hash of
 //! the solution bits. The expected lines were recorded before the three
-//! PDIP baselines were folded onto one Newton loop; any change to the
+//! PDIP baselines were folded onto one Newton loop (the transportation
+//! lines before the Newton-path selector was deleted); any change to the
 //! loop's exit order, its budget polling or its arithmetic shows up here
 //! as a changed line.
 
+use memlp_lp::domains::{transportation_lp, TransportationProblem};
 use memlp_lp::generator::RandomLp;
 use memlp_lp::{LpProblem, LpSolution};
 use memlp_solvers::{
     Budget, BudgetCause, DensePdip, IterationDeadline, LpSolver, MehrotraPdip, NormalEqPdip,
-    PdhgSolver, PdipOptions, Simplex, SolvePath,
+    PdhgSolver, Simplex,
 };
 
 fn solvers() -> Vec<(&'static str, Box<dyn LpSolver>)> {
-    let normal = |path| {
-        NormalEqPdip::new(PdipOptions {
-            path,
-            ..PdipOptions::default()
-        })
-    };
     vec![
         ("simplex", Box::new(Simplex::default())),
         ("dense", Box::new(DensePdip::default())),
-        ("normal-dense", Box::new(normal(SolvePath::Dense))),
-        ("normal-sparse", Box::new(normal(SolvePath::Sparse))),
+        ("normal", Box::new(NormalEqPdip::default())),
         ("mehrotra", Box::new(MehrotraPdip::default())),
         ("pdhg", Box::new(PdhgSolver::default())),
     ]
@@ -42,6 +38,10 @@ fn problems() -> Vec<(&'static str, LpProblem)> {
         ("feasible48", RandomLp::paper(48, 8).feasible()),
         ("infeasible", RandomLp::paper(16, 9).infeasible()),
         ("unbounded", RandomLp::paper(16, 9).unbounded()),
+        (
+            "transport",
+            transportation_lp(&TransportationProblem::random(4, 9, 1)).expect("valid domain"),
+        ),
     ]
 }
 
@@ -110,6 +110,9 @@ const EXPECTED: &[&str] = &[
     "simplex unbounded solve: Unbounded iters=11 cause=None cb78d0fe07bedd85",
     "simplex unbounded max_iters3: Unbounded iters=11 cause=None cb78d0fe07bedd85",
     "simplex unbounded deadline2: Unbounded iters=11 cause=None cb78d0fe07bedd85",
+    "simplex transport solve: Optimal iters=57 cause=None fa1317efc2809e7a",
+    "simplex transport max_iters3: Optimal iters=57 cause=None fa1317efc2809e7a",
+    "simplex transport deadline2: Optimal iters=57 cause=None fa1317efc2809e7a",
     "dense feasible24 solve: Optimal iters=12 cause=None 41a3716bb44e0f00",
     "dense feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7c68f5fa344cb542",
     "dense feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) bb4ed63707dca418",
@@ -122,30 +125,24 @@ const EXPECTED: &[&str] = &[
     "dense unbounded solve: Unbounded iters=22 cause=None 31b806e25ee04689",
     "dense unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) e5b7c8e767d844c2",
     "dense unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f5266773193c2128",
-    "normal-dense feasible24 solve: Optimal iters=12 cause=None 420a85d23cbfe773",
-    "normal-dense feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) bf2cbde6d16f7c1f",
-    "normal-dense feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) e62befd46cebd128",
-    "normal-dense feasible48 solve: Optimal iters=13 cause=None 6593047c6f04f2f8",
-    "normal-dense feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7d31bef5252f9593",
-    "normal-dense feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) e34d14799eda27be",
-    "normal-dense infeasible solve: Infeasible iters=9 cause=None 404754c5299c86c5",
-    "normal-dense infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 41271ca109123c36",
-    "normal-dense infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f97b03da1460236f",
-    "normal-dense unbounded solve: Unbounded iters=22 cause=None 224c8e2034fb6d32",
-    "normal-dense unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7ef79d1df76ef5eb",
-    "normal-dense unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 6057fd0bc531af7e",
-    "normal-sparse feasible24 solve: Optimal iters=12 cause=None a2ce103801934abc",
-    "normal-sparse feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 3a966bbe1f5d6997",
-    "normal-sparse feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 3374ac069cc5e5f2",
-    "normal-sparse feasible48 solve: Optimal iters=13 cause=None 351d5bd667222387",
-    "normal-sparse feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 07e939b890589afe",
-    "normal-sparse feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 50b686b8db0e03dd",
-    "normal-sparse infeasible solve: Infeasible iters=11 cause=None 8fe511f034023d51",
-    "normal-sparse infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 6fdfce757d406874",
-    "normal-sparse infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 19c2a4532a5956be",
-    "normal-sparse unbounded solve: Unbounded iters=34 cause=None f5cb9e14ed873f46",
-    "normal-sparse unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 91774f28e99dabf3",
-    "normal-sparse unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 4ff1b754cdd0bc60",
+    "dense transport solve: Optimal iters=14 cause=None 650735b6e350d98b",
+    "dense transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 2294ca21e81d0df5",
+    "dense transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) b72524c686cecc34",
+    "normal feasible24 solve: Optimal iters=12 cause=None 420a85d23cbfe773",
+    "normal feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) bf2cbde6d16f7c1f",
+    "normal feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) e62befd46cebd128",
+    "normal feasible48 solve: Optimal iters=13 cause=None 6593047c6f04f2f8",
+    "normal feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7d31bef5252f9593",
+    "normal feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) e34d14799eda27be",
+    "normal infeasible solve: Infeasible iters=9 cause=None 404754c5299c86c5",
+    "normal infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 41271ca109123c36",
+    "normal infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f97b03da1460236f",
+    "normal unbounded solve: Unbounded iters=22 cause=None 224c8e2034fb6d32",
+    "normal unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7ef79d1df76ef5eb",
+    "normal unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 6057fd0bc531af7e",
+    "normal transport solve: Optimal iters=14 cause=None 1a24064f5e66c1f2",
+    "normal transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 12315842950a179d",
+    "normal transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 8745d586af65075b",
     "mehrotra feasible24 solve: Optimal iters=7 cause=None 57c6c2d246c49dc4",
     "mehrotra feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 84d21cc347db8c68",
     "mehrotra feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) fed52750aeed3de6",
@@ -158,6 +155,9 @@ const EXPECTED: &[&str] = &[
     "mehrotra unbounded solve: Unbounded iters=8 cause=None d43ceca5b8ace3f7",
     "mehrotra unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 9bdb2b9860fb93c9",
     "mehrotra unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) db5f880b6df9266a",
+    "mehrotra transport solve: Optimal iters=9 cause=None 9b1bf93746c534f7",
+    "mehrotra transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) b278d8a40f2444a2",
+    "mehrotra transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 3e52149cdfd58a4f",
     "pdhg feasible24 solve: Optimal iters=1872 cause=None b1f426686bcfa294",
     "pdhg feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 6f69e0889ba63a48",
     "pdhg feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 858c0fe79eeac5fd",
@@ -170,4 +170,7 @@ const EXPECTED: &[&str] = &[
     "pdhg unbounded solve: Unbounded iters=9024 cause=None 9c1de42b610cecf5",
     "pdhg unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 8387acb64aff79c1",
     "pdhg unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 9207d91ced430940",
+    "pdhg transport solve: Optimal iters=2144 cause=None c51de6a3bc24d144",
+    "pdhg transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 77904f2acbbfab49",
+    "pdhg transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 05a0c5df777702ec",
 ];

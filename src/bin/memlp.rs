@@ -3,9 +3,8 @@
 //! ```text
 //! memlp solve <file.lp> [<file.lp> ...]
 //!             [--solver alg1|alg2|simplex|pdip|mehrotra|pdhg|pdhg-analog|auto]
-//!             [--path auto|dense|sparse]
 //!             [--variation <pct>] [--seed <n>] [--jobs <n>] [--quiet]
-//!             [--max-iters <n>] [--timeout-iters <n>] [--no-tile-elision]
+//!             [--max-iters <n>] [--timeout-iters <n>]
 //!             [--stuck-rate <frac>] [--dead-line-rate <frac>]
 //!             [--transient-rate <frac>] [--spares <n>]
 //!             [--recovery off|hardware|full]
@@ -23,10 +22,9 @@
 //! `--stuck-rate` is the total stuck-cell fraction (split evenly between
 //! stuck-on and stuck-off), `--dead-line-rate` kills whole word/bit lines,
 //! `--transient-rate` flips ADC read-outs, and `--recovery` selects how far
-//! the solvers escalate when write–verify reports defects. `--path` selects
-//! the digital Newton factorization (sparse Schur core vs dense LU; `auto`
-//! picks by constraint-matrix density) for the solvers that honor it.
-//! `--max-iters` caps total Newton iterations and `--timeout-iters` sets a
+//! the solvers escalate when write–verify reports defects. The LP's
+//! constraint-matrix density picks the digital factorization (sparse or
+//! dense) of each Newton system. `--max-iters` caps total Newton iterations and `--timeout-iters` sets a
 //! deterministic per-solve deadline (in iteration polls); either budget
 //! expiring returns the best iterate found with a `degraded:` verdict
 //! instead of failing. `--solver pdhg` is the matrix-free first-order
@@ -57,8 +55,8 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  memlp solve <file.lp> [<file.lp> ...] [--solver alg1|alg2|simplex|pdip|mehrotra|pdhg|pdhg-analog|auto] [--path auto|dense|sparse] [--variation <pct>] [--seed <n>] [--jobs <n>] [--quiet]
-              [--max-iters <n>] [--timeout-iters <n>] [--no-tile-elision]
+  memlp solve <file.lp> [<file.lp> ...] [--solver alg1|alg2|simplex|pdip|mehrotra|pdhg|pdhg-analog|auto] [--variation <pct>] [--seed <n>] [--jobs <n>] [--quiet]
+              [--max-iters <n>] [--timeout-iters <n>]
               [--stuck-rate <frac>] [--dead-line-rate <frac>] [--transient-rate <frac>] [--spares <n>] [--recovery off|hardware|full]
   memlp serve [--addr <host:port>] [--solver alg1|pdhg-analog] [--queue-depth <n>] [--workers <n>] [--variation <pct>] [--seed <n>] [--max-iters <n>] [--timeout-iters <n>]
   memlp client <addr> (solve <file.lp> [...] [--max-iters <n>] [--timeout-iters <n>] [--family <tag>] | health | drain)
@@ -98,8 +96,6 @@ struct Flags {
     spares: Option<usize>,
     /// Recovery escalation policy: off | hardware | full.
     recovery: RecoveryPolicy,
-    /// Digital Newton factorization path: auto | dense | sparse.
-    path: SolvePath,
     /// Cap on total Newton iterations (None = unlimited).
     max_iters: Option<usize>,
     /// Deterministic deadline in iteration polls (None = none).
@@ -112,9 +108,6 @@ struct Flags {
     workers: usize,
     /// Problem-family tag for client jobs (warm-context pooling key).
     family: String,
-    /// Escape hatch: fabricate and program every tile, including
-    /// planned-zero ones (disables DESIGN.md §18 zero-tile elision).
-    no_tile_elision: bool,
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -131,14 +124,12 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         transient_rate: 0.0,
         spares: None,
         recovery: RecoveryPolicy::Full,
-        path: SolvePath::Auto,
         max_iters: None,
         timeout_iters: None,
         addr: "127.0.0.1:0".into(),
         queue_depth: 16,
         workers: 1,
         family: "default".into(),
-        no_tile_elision: false,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -160,7 +151,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     other => return Err(format!("unknown recovery policy `{other}`")),
                 }
             }
-            "--path" => f.path = flag_value(&mut it, flag)?,
             "--max-iters" => f.max_iters = Some(flag_value(&mut it, flag)?),
             "--timeout-iters" => f.timeout_iters = Some(flag_value(&mut it, flag)?),
             "--addr" => f.addr = flag_value(&mut it, flag)?,
@@ -168,7 +158,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--workers" => f.workers = flag_value(&mut it, flag)?,
             "--family" => f.family = flag_value(&mut it, flag)?,
             "--quiet" => f.quiet = true,
-            "--no-tile-elision" => f.no_tile_elision = true,
             "--infeasible" => f.infeasible = true,
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
             other => f.positional.push(other.to_string()),
@@ -230,19 +219,15 @@ fn digital(
 
 /// The solver registry, keyed by the `--solver` name.
 fn solver_family(f: &Flags, config: CrossbarConfig) -> Result<SolveFn, String> {
-    let pdip = NormalEqPdip::new(PdipOptions {
-        path: f.path,
-        ..PdipOptions::default()
-    });
+    let pdip = NormalEqPdip::default();
     Ok(match f.solver.as_str() {
-        "alg1" => {
-            let mut options = CrossbarSolverOptions {
+        "alg1" => crossbar(CrossbarPdipSolver::new(
+            config,
+            CrossbarSolverOptions {
                 recovery: f.recovery,
                 ..CrossbarSolverOptions::default()
-            };
-            options.pdip.path = f.path;
-            crossbar(CrossbarPdipSolver::new(config, options))
-        }
+            },
+        )),
         "alg2" => crossbar(LargeScaleSolver::new(
             config,
             LargeScaleOptions {
@@ -292,7 +277,6 @@ fn solve_cmd(args: &[String]) -> Result<(), String> {
     let mut config = CrossbarConfig::paper_default()
         .with_variation(f.variation)
         .with_seed(f.seed)
-        .with_tile_elision(!f.no_tile_elision)
         .with_faults(faults);
     if let Some(spares) = f.spares {
         config = config.with_spare_lines(spares);
@@ -420,8 +404,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     }
     let crossbar = CrossbarConfig::paper_default()
         .with_variation(f.variation)
-        .with_seed(f.seed)
-        .with_tile_elision(!f.no_tile_elision);
+        .with_seed(f.seed);
     // The daemon serves the crossbar families with a warm-pool entry
     // point, under the names `solve` gives them; the digital names are
     // refused rather than silently mapped onto hardware.

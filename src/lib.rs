@@ -74,6 +74,6 @@ pub mod prelude {
     pub use memlp_noc::{NocConfig, TiledCrossbar, Topology};
     pub use memlp_solvers::{
         Budget, BudgetCause, Deadline, DensePdip, IterationDeadline, LpSolver, MehrotraPdip,
-        NormalEqPdip, PdhgOptions, PdhgSolver, PdipOptions, Simplex, SolvePath,
+        NormalEqPdip, PdhgOptions, PdhgSolver, PdipOptions, Simplex,
     };
 }

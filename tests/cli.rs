@@ -70,6 +70,19 @@ fn generate_info_solve_pipeline() {
         let budget = if *solver == "alg2" { 0.12 } else { 0.05 };
         assert!(rel < budget, "{solver}: {obj} vs simplex {reference}");
     }
+
+    // Without --quiet, Algorithm 1 reports its Newton factorization
+    // counters.
+    let out = memlp()
+        .args(["solve", path.to_str().unwrap(), "--solver", "alg1"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("newton:") && text.contains("factorization"),
+        "alg1 should report factorization counters: {text}"
+    );
 }
 
 #[test]
@@ -161,91 +174,6 @@ fn fault_flags_drive_the_recovery_ladder() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("fault"), "{err}");
-}
-
-/// `--path` selects the digital Newton factorization. Every valid value
-/// must solve (and, unless quieted, report the factorization counters);
-/// an unknown value must be rejected with the expected message.
-#[test]
-fn path_flag_selects_newton_factorization() {
-    let dir = std::env::temp_dir().join("memlp-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("path-flag.lp");
-    let out = memlp()
-        .args(["generate", "24", "--seed", "11"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    std::fs::write(&path, &out.stdout).unwrap();
-
-    let mut objectives = Vec::new();
-    for mode in ["auto", "dense", "sparse"] {
-        let out = memlp()
-            .args([
-                "solve",
-                path.to_str().unwrap(),
-                "--solver",
-                "alg1",
-                "--path",
-                mode,
-            ])
-            .output()
-            .unwrap();
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success(),
-            "--path {mode} must solve: {text}{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(
-            text.contains("newton:") && text.contains("factorization"),
-            "--path {mode} should report factorization counters: {text}"
-        );
-        let obj: f64 = text
-            .lines()
-            .find_map(|l| l.strip_prefix("objective: "))
-            .expect("objective line")
-            .trim()
-            .parse()
-            .expect("numeric objective");
-        objectives.push(obj);
-    }
-    // Identical hardware seed → the paths agree on the optimum.
-    for obj in &objectives[1..] {
-        let rel = (obj - objectives[0]).abs() / (1.0 + objectives[0].abs());
-        assert!(rel < 1e-6, "paths diverged: {objectives:?}");
-    }
-
-    // The software pdip honors the flag too.
-    let out = memlp()
-        .args([
-            "solve",
-            path.to_str().unwrap(),
-            "--solver",
-            "pdip",
-            "--path",
-            "sparse",
-            "--quiet",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // Unknown value → the parse error names the accepted set.
-    let out = memlp()
-        .args(["solve", path.to_str().unwrap(), "--path", "banded"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("unknown solve path") && err.contains("expected auto, dense, or sparse"),
-        "{err}"
-    );
 }
 
 /// `--max-iters` / `--timeout-iters` degrade gracefully: the exhausted
@@ -459,6 +387,19 @@ fn bad_usage_prints_help() {
         err.contains("kelvin.lp") && !err.contains("panicked"),
         "{err}"
     );
+
+    // The density picks the Newton factorization and tile elision is
+    // always on: neither has a flag.
+    for flag in [&["--path", "sparse"][..], &["--no-tile-elision"]] {
+        let out = memlp()
+            .args(["solve", path.to_str().unwrap()])
+            .args(flag)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag"), "{flag:?}: {err}");
+    }
 
     // A missing and a malformed flag value both name the flag.
     for args in [
