@@ -2,7 +2,7 @@
 //! at 8 bits (§4.1); this ablation sweeps the ADC/DAC width and shows
 //! where the accuracy saturates, justifying that design point.
 
-use memlp_bench::{run_trials, Stats, Table};
+use memlp_bench::{run_trials, trials, Stats, Table};
 use memlp_core::{CrossbarPdipSolver, CrossbarSolverOptions};
 use memlp_crossbar::CrossbarConfig;
 use memlp_lp::generator::RandomLp;
@@ -10,10 +10,7 @@ use memlp_solvers::{LpSolver, NormalEqPdip};
 
 fn main() {
     let m = 64;
-    let trials = std::env::var("MEMLP_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let trials = trials(4);
     println!("Ablation: ADC/DAC bit width at m = {m}, 10% variation, {trials} trials");
 
     let mut t = Table::new(

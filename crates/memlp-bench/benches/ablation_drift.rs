@@ -5,7 +5,7 @@
 //! assumption breaks and (b) how much a periodic static-block refresh
 //! buys back, at what write cost.
 
-use memlp_bench::{run_trials, Stats, Table};
+use memlp_bench::{run_trials, trials, Stats, Table};
 use memlp_core::{CrossbarPdipSolver, CrossbarSolverOptions};
 use memlp_crossbar::CrossbarConfig;
 use memlp_device::DriftModel;
@@ -14,10 +14,7 @@ use memlp_solvers::{LpSolver, NormalEqPdip};
 
 fn main() {
     let m = 48;
-    let trials = std::env::var("MEMLP_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let trials = trials(4);
     println!("Ablation: retention τ × refresh cadence at m = {m}, 5% variation, {trials} trials");
     println!("(a solve at this size runs ~2-20 ms of hardware time)");
 

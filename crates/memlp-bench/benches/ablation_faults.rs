@@ -2,7 +2,7 @@
 //! paper studies multiplicative variation only; real arrays also suffer
 //! hard defects. How much of the PDIP loop's noise tolerance carries over?
 
-use memlp_bench::{run_trials, Stats, Table};
+use memlp_bench::{run_trials, trials, Stats, Table};
 use memlp_core::{CrossbarPdipSolver, CrossbarSolverOptions};
 use memlp_crossbar::{CrossbarConfig, FaultModel};
 use memlp_lp::generator::RandomLp;
@@ -10,10 +10,7 @@ use memlp_solvers::{LpSolver, NormalEqPdip};
 
 fn main() {
     let m = 48;
-    let trials = std::env::var("MEMLP_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let trials = trials(4);
     println!("Ablation: stuck-at fault rate at m = {m}, 5% variation, {trials} trials");
 
     let mut t = Table::new(

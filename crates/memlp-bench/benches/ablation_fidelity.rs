@@ -4,17 +4,14 @@
 //! leakage through "zero" cells and the Eqn-5 output divider. This
 //! ablation quantifies the gap on raw crossbar operations.
 
-use memlp_bench::{run_trials, Stats, Table};
+use memlp_bench::{run_trials, trials, Stats, Table};
 use memlp_crossbar::{Crossbar, CrossbarConfig, ReadoutMode};
 use memlp_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let trials = std::env::var("MEMLP_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
+    let trials = trials(6);
     println!("Ablation: functional vs circuit fidelity on raw crossbar ops ({trials} trials)");
 
     let mut t = Table::new(

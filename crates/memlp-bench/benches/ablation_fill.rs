@@ -3,7 +3,7 @@
 //! the magnitude and shows the working range: too small amplifies the
 //! weakly determined dual directions, too large corrupts the step quality.
 
-use memlp_bench::{run_trials, Stats, Table};
+use memlp_bench::{run_trials, trials, Stats, Table};
 use memlp_core::{LargeScaleOptions, LargeScaleSolver};
 use memlp_crossbar::CrossbarConfig;
 use memlp_lp::generator::RandomLp;
@@ -11,10 +11,7 @@ use memlp_solvers::{LpSolver, NormalEqPdip};
 
 fn main() {
     let m = 64;
-    let trials = std::env::var("MEMLP_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let trials = trials(4);
     println!("Ablation: Algorithm 2 fill scale at m = {m}, 10% variation, {trials} trials");
 
     let mut t = Table::new(

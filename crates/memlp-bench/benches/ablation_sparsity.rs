@@ -4,7 +4,7 @@
 //! cost is proportional to nnz. This ablation sweeps constraint-matrix
 //! density and reports setup vs run cost and accuracy.
 
-use memlp_bench::{fmt_time, run_trials, Stats, Table};
+use memlp_bench::{fmt_time, run_trials, trials, Stats, Table};
 use memlp_core::{CrossbarPdipSolver, CrossbarSolverOptions};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::SparseMatrix;
@@ -13,10 +13,7 @@ use memlp_solvers::{LpSolver, NormalEqPdip};
 
 fn main() {
     let m = 96;
-    let trials = std::env::var("MEMLP_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let trials = trials(4);
     println!("Ablation: constraint-matrix density at m = {m}, 5% variation, {trials} trials");
 
     let mut t = Table::new(

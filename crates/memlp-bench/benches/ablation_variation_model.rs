@@ -5,7 +5,7 @@
 //! This ablation re-runs the accuracy experiment with a Gaussian whose 3σ
 //! equals the same maximum.
 
-use memlp_bench::{run_trials, Stats, Table};
+use memlp_bench::{run_trials, trials, Stats, Table};
 use memlp_core::{CrossbarPdipSolver, CrossbarSolverOptions};
 use memlp_crossbar::CrossbarConfig;
 use memlp_device::VariationModel;
@@ -14,10 +14,7 @@ use memlp_solvers::{LpSolver, NormalEqPdip};
 
 fn main() {
     let m = 64;
-    let trials = std::env::var("MEMLP_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let trials = trials(4);
     println!("Ablation: variation distribution at m = {m}, {trials} trials");
 
     let mut t = Table::new(

@@ -1,14 +1,11 @@
 //! Microbenchmark for the register-tiled digital kernels (DESIGN.md §14).
 //!
 //! Measures flop rates for the hot dense kernels — matvec, matmul,
-//! `scaled_gram`, blocked LU, CSR SpMV — at m ∈ {128, 512} under three
-//! regimes: a *naive* single-accumulator scalar loop (written here, the
-//! pre-lane baseline), the *plain* 4-lane reference loops
-//! (`KernelPolicy::plain`, the pre-tiling production code), and the
-//! register-*tiled* default policy. Kernel rates are pinned to one worker
+//! `scaled_gram`, blocked LU, CSR SpMV — at m ∈ {128, 512} against a
+//! *naive* single-accumulator scalar loop written here (the pre-lane,
+//! pre-tiling baseline). Rates are pinned to one worker
 //! (`with_threads(1)`) so they measure instruction-level throughput, not
-//! the thread pool; the end-to-end rows run with the default thread budget
-//! because that is what a solver iteration sees.
+//! the thread pool.
 //!
 //! Emits `BENCH_kernels.json` at the repository root and *asserts*:
 //!   * every measured rate is physically sane (0.01–1000 GF/s — the
@@ -25,15 +22,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use memlp_bench::fmt_time;
-use memlp_core::{AugmentedSystem, Factorization, HwContext};
-use memlp_crossbar::CrossbarConfig;
-use memlp_linalg::kernels::KernelPolicy;
 use memlp_linalg::parallel::{self, with_threads, MIN_FLOPS_PER_THREAD};
-use memlp_linalg::{kernels, LuFactors, Matrix, SparseMatrix};
-use memlp_lp::domains::{transportation_lp, TransportationProblem};
-use memlp_lp::LpProblem;
-use memlp_solvers::pdip::{PdipOptions, PdipState};
+use memlp_linalg::{LuFactors, Matrix, SparseMatrix};
 
 /// Tiled-over-naive speedup the m = 512 dense matvec must clear.
 const GATE_MIN_SPEEDUP: f64 = 2.0;
@@ -128,6 +118,45 @@ fn naive_matmul(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     }
 }
 
+/// Naive upper-triangle `A·diag(d)·Aᵀ`, one accumulator per entry,
+/// mirrored into the lower triangle.
+fn naive_scaled_gram(a: &Matrix, d: &[f64], g: &mut Matrix) {
+    let (m, n) = (a.rows(), a.cols());
+    for i in 0..m {
+        for k in i..m {
+            let mut acc = 0.0;
+            for j in 0..n {
+                acc += a[(i, j)] * d[j] * a[(k, j)];
+            }
+            g[(i, k)] = acc;
+            g[(k, i)] = acc;
+        }
+    }
+}
+
+/// Naive unblocked right-looking LU with partial pivoting, in place.
+fn naive_lu(a: &mut Matrix) {
+    let n = a.rows();
+    for j in 0..n {
+        let mut p = j;
+        for i in j + 1..n {
+            if a[(i, j)].abs() > a[(p, j)].abs() {
+                p = i;
+            }
+        }
+        a.swap_rows(p, j);
+        let pivot = a[(j, j)];
+        for i in j + 1..n {
+            let lij = a[(i, j)] / pivot;
+            a[(i, j)] = lij;
+            for c in j + 1..n {
+                let u = a[(j, c)];
+                a[(i, c)] -= lij * u;
+            }
+        }
+    }
+}
+
 /// Naive CSR row loop, one accumulator per row.
 fn naive_spmv(s: &SparseMatrix, x: &[f64], y: &mut [f64]) {
     let rp = s.row_ptr();
@@ -147,7 +176,6 @@ struct KernelRow {
     m: usize,
     flops: u64,
     naive: f64,
-    plain: f64,
     tiled: f64,
 }
 
@@ -176,11 +204,6 @@ fn measure_kernels() -> Vec<KernelRow> {
                 m,
                 flops: mv_flops,
                 naive: gflops(mv_flops, || naive_matvec(&a, black_box(&x), &mut y)),
-                plain: gflops(mv_flops, || {
-                    kernels::with_policy(KernelPolicy::plain(), || {
-                        black_box(a.matvec(black_box(&x)));
-                    })
-                }),
                 tiled: gflops(mv_flops, || {
                     black_box(a.matvec(black_box(&x)));
                 }),
@@ -193,56 +216,43 @@ fn measure_kernels() -> Vec<KernelRow> {
                 m,
                 flops: mm_flops,
                 naive: gflops(mm_flops, || naive_matmul(&a, black_box(&b), &mut c)),
-                plain: gflops(mm_flops, || {
-                    kernels::with_policy(KernelPolicy::plain(), || {
-                        black_box(a.matmul(black_box(&b)).unwrap());
-                    })
-                }),
                 tiled: gflops(mm_flops, || {
                     black_box(a.matmul(black_box(&b)).unwrap());
                 }),
             });
 
-            // scaled_gram has no naive twin in this file: its pre-lane
-            // form is exactly the plain policy (scale + lane dot per
-            // row), so the naive column reports the plain rate.
+            // The same count for both columns: the naive loop computes the
+            // upper triangle only, as `scaled_gram` does.
             let sg_flops = (2 * m * m * m + m * m) as u64;
-            let plain_sg = gflops(sg_flops, || {
-                kernels::with_policy(KernelPolicy::plain(), || {
-                    black_box(a.scaled_gram(black_box(&d)));
-                })
-            });
+            let mut g = Matrix::zeros(m, m);
             rows.push(KernelRow {
                 kernel: "scaled_gram",
                 m,
                 flops: sg_flops,
-                naive: plain_sg,
-                plain: plain_sg,
+                naive: gflops(sg_flops, || naive_scaled_gram(&a, black_box(&d), &mut g)),
                 tiled: gflops(sg_flops, || {
                     black_box(a.scaled_gram(black_box(&d)));
                 }),
             });
 
-            // LU: the 2/3·n³ model; the naive column mirrors plain for
-            // the same reason (the pre-tiling trailing update is the
-            // plain-policy path).
+            // LU: the 2/3·n³ model for both columns; each call factors a
+            // fresh copy of the same matrix.
             let lu_flops = 2 * (m * m * m) as u64 / 3;
-            let plain_lu = gflops(lu_flops, || {
-                kernels::with_policy(KernelPolicy::plain(), || {
-                    black_box(LuFactors::factor(lu_src.clone()).unwrap());
-                })
-            });
             rows.push(KernelRow {
                 kernel: "lu_factor",
                 m,
                 flops: lu_flops,
-                naive: plain_lu,
-                plain: plain_lu,
+                naive: gflops(lu_flops, || {
+                    let mut work = lu_src.clone();
+                    naive_lu(&mut work);
+                    black_box(work);
+                }),
                 tiled: gflops(lu_flops, || {
                     black_box(LuFactors::factor(lu_src.clone()).unwrap());
                 }),
             });
 
+            // The CSR gather tree has one kernel; the tiled column reports it.
             let sp_flops = 2 * sp.nnz() as u64;
             let mut ys = vec![0.0; m];
             rows.push(KernelRow {
@@ -250,11 +260,6 @@ fn measure_kernels() -> Vec<KernelRow> {
                 m,
                 flops: sp_flops,
                 naive: gflops(sp_flops, || naive_spmv(&sp, black_box(&x), &mut ys)),
-                // The CSR gather tree is policy-independent: plain and
-                // tiled are the same code, reported once each.
-                plain: gflops(sp_flops, || {
-                    black_box(sp.matvec(black_box(&x)));
-                }),
                 tiled: gflops(sp_flops, || {
                     black_box(sp.matvec(black_box(&x)));
                 }),
@@ -262,57 +267,6 @@ fn measure_kernels() -> Vec<KernelRow> {
         });
     }
     rows
-}
-
-struct NewtonRow {
-    m: usize,
-    n: usize,
-    plain_secs: f64,
-    tiled_secs: f64,
-}
-
-/// End-to-end per-iteration Newton cost: the dense-path core solve of a
-/// transport instance (programming, rhs assembly, and warmup excluded),
-/// timed under the plain policy and under the default tiled policy, with
-/// the default thread budget — the dense digital work a solver iteration
-/// actually pays.
-fn measure_newton(m_target: usize) -> NewtonRow {
-    let lp: LpProblem = transportation_lp(&TransportationProblem::random(4, m_target - 4, 21))
-        .expect("valid domain instance");
-    let mut hw = HwContext::new(CrossbarConfig::ideal().with_seed(11));
-    let opts = PdipOptions::default();
-    let state = PdipState::new(&lp, &opts);
-    let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
-    sys.force_factorization(Factorization::Dense);
-    let mu = state.mu(opts.delta);
-    let s = sys.s_vector(&state);
-    let ms = sys.mvm(&s, &mut hw);
-    let constant = sys.rhs_constant(&lp, mu);
-    let r = sys.assemble_rhs(&constant, &ms);
-
-    let mut time_policy = |policy: Option<KernelPolicy>| {
-        let mut run = || match policy {
-            Some(p) => kernels::with_policy(p, || sys.solve(&r, &mut hw)),
-            None => sys.solve(&r, &mut hw),
-        };
-        run().expect("solvable system"); // warmup
-        let reps = 7;
-        let mut times = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t = Instant::now();
-            black_box(run().expect("solvable system"));
-            times.push(t.elapsed().as_secs_f64());
-        }
-        median(times)
-    };
-    let plain_secs = time_policy(Some(KernelPolicy::plain()));
-    let tiled_secs = time_policy(None);
-    NewtonRow {
-        m: lp.num_constraints(),
-        n: lp.num_vars(),
-        plain_secs,
-        tiled_secs,
-    }
 }
 
 /// One extra naive/tiled matvec@512 pair, timed back-to-back, for the
@@ -357,34 +311,19 @@ fn main() {
     println!("register-tiled kernel microbench (single-thread rates, GF/s)");
     println!();
     println!(
-        "{:>12} {:>5} {:>12} {:>8} {:>8} {:>8} {:>9}",
-        "kernel", "m", "flops", "naive", "plain", "tiled", "tiled/nv"
+        "{:>12} {:>5} {:>12} {:>8} {:>8} {:>9}",
+        "kernel", "m", "flops", "naive", "tiled", "tiled/nv"
     );
     let rows = measure_kernels();
     for r in &rows {
         println!(
-            "{:>12} {:>5} {:>12} {:>8.2} {:>8.2} {:>8.2} {:>8.2}x",
+            "{:>12} {:>5} {:>12} {:>8.2} {:>8.2} {:>8.2}x",
             r.kernel,
             r.m,
             r.flops,
             r.naive,
-            r.plain,
             r.tiled,
             r.speedup()
-        );
-    }
-
-    println!();
-    println!("end-to-end dense-path Newton iteration (default threads)");
-    let newton: Vec<NewtonRow> = SIZES.iter().map(|&m| measure_newton(m)).collect();
-    for r in &newton {
-        println!(
-            "  transport m={:<4} n={:<5} plain {:>10}  tiled {:>10}  ({:.2}x)",
-            r.m,
-            r.n,
-            fmt_time(r.plain_secs),
-            fmt_time(r.tiled_secs),
-            r.plain_secs / r.tiled_secs
         );
     }
 
@@ -405,7 +344,7 @@ fn main() {
     // The flop-rate assertion: every measured rate must be physically
     // sane, or the flops model in some row is wrong.
     for r in &rows {
-        for (variant, rate) in [("naive", r.naive), ("plain", r.plain), ("tiled", r.tiled)] {
+        for (variant, rate) in [("naive", r.naive), ("tiled", r.tiled)] {
             assert!(
                 rate.is_finite() && (0.01..1000.0).contains(&rate),
                 "{}@{} {variant}: {rate} GF/s is not a believable flop rate",
@@ -452,30 +391,15 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"m\": {}, \"flops\": {}, \
-             \"naive_gflops\": {:.3}, \"plain_gflops\": {:.3}, \
-             \"tiled_gflops\": {:.3}, \"speedup_vs_naive\": {:.3}}}{}\n",
+             \"naive_gflops\": {:.3}, \"tiled_gflops\": {:.3}, \
+             \"speedup_vs_naive\": {:.3}}}{}\n",
             r.kernel,
             r.m,
             r.flops,
             r.naive,
-            r.plain,
             r.tiled,
             r.speedup(),
             if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"newton_iteration\": [\n");
-    for (i, r) in newton.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"domain\": \"transport\", \"path\": \"dense\", \"m\": {}, \"n\": {}, \
-             \"plain_secs\": {:.6}, \"tiled_secs\": {:.6}, \"speedup\": {:.3}}}{}\n",
-            r.m,
-            r.n,
-            r.plain_secs,
-            r.tiled_secs,
-            r.plain_secs / r.tiled_secs,
-            if i + 1 < newton.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");

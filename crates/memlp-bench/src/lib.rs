@@ -8,7 +8,8 @@
 //!   exponentially 4…1024, n = m/3, variation ∈ {0, 5, 10, 20}%, repeated
 //!   trials), scaled by environment variables:
 //!   - `MEMLP_FULL=1` — full paper grid (sizes to 1024, more trials),
-//!   - `MEMLP_TRIALS=k` — override the trial count,
+//!   - `MEMLP_TRIALS=k` — override the trial count (read by [`trials`],
+//!     which the ablation benches share),
 //! * [`Stats`] — streaming mean/min/max summaries,
 //! * [`Table`] — aligned console tables plus CSV files under
 //!   `target/memlp-results/`,
@@ -50,10 +51,7 @@ impl Sweep {
             vec![4, 16, 64, 256]
         };
         sizes.retain(|&m| m <= heavy_limit);
-        let trials = std::env::var("MEMLP_TRIALS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if full { 10 } else { 3 });
+        let trials = trials(if full { 10 } else { 3 });
         Sweep {
             sizes,
             variations: vec![0.0, 5.0, 10.0, 20.0],
@@ -217,6 +215,14 @@ impl Table {
         println!("(csv: {})", path.display());
         Some(path)
     }
+}
+
+/// The trial count: `MEMLP_TRIALS` when it parses, else `default`.
+pub fn trials(default: usize) -> usize {
+    std::env::var("MEMLP_TRIALS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Runs `trials` independent executions of `f(trial_index)` across threads

@@ -1,6 +1,8 @@
 //! Register-tiled, autovectorizer-friendly microkernels for the dense hot
-//! paths (and the blocked CSR SpMV), plus the [`KernelPolicy`] that selects
-//! tile shapes at the `Matrix`/CSR entry points.
+//! paths (and the blocked CSR SpMV). There is one tile shape — [`MR`]-row
+//! matvec tiles and [`MR`] × [`NR`] update tiles — and plain loops below
+//! [`TILE_CUTOFF_FLOPS`]; the `Matrix` and LU entry points pick between
+//! the two from the operation's flop count alone.
 //!
 //! # Why tiles help on this workload
 //!
@@ -9,7 +11,7 @@
 //! The scalar kernels (one output element at a time, a single 4-lane
 //! accumulator tree) already vectorize, but they are latency-bound: one
 //! f64 add chain per lane leaves most of the FP pipes idle. A register
-//! tile computes `MR` output rows (matvec) or an `MR × NR` output block
+//! tile computes [`MR`] output rows (matvec) or an `MR × NR` output block
 //! (matmul / LU trailing update) per pass, which
 //!
 //! 1. multiplies the number of independent accumulation chains (`MR × 4`
@@ -17,7 +19,7 @@
 //! 2. shares each loaded `x`/`B`-row chunk across all `MR` rows, cutting
 //!    memory traffic per flop.
 //!
-//! # Determinism across tile shapes (and threads)
+//! # Determinism: tiled ≡ plain, at every thread count
 //!
 //! Every kernel obeys one discipline, inherited from [`crate::ops::dot`]:
 //!
@@ -25,17 +27,17 @@
 //!   accumulator lanes — lane `l` sums the elements at indices
 //!   `≡ l (mod 4)` in order — combined as `(s0 + s1) + (s2 + s3)`, with a
 //!   sequential tail. The lane assignment is a pure function of the
-//!   problem shape, never of `MR`/`NR` or the thread count.
+//!   problem shape, never of the tiling or the thread count.
 //! * **Updates** (matmul, LU trailing update) accumulate each output
 //!   element sequentially over the inner `k` index, seeded from the
 //!   element's current value. Tiling groups *outputs* into register
 //!   blocks; it never reorders the per-element sum.
 //!
-//! Because per-element arithmetic order is fixed, every supported tile
-//! shape — including the plain-loop fallback below the flop cutoff — is
-//! **bit-for-bit identical**, and tiling composes freely with the fixed
-//! band partitions of [`crate::parallel`]. The `kernel_properties` and
-//! `threaded` test suites pin both properties.
+//! Because per-element arithmetic order is fixed, the tiled kernels and
+//! the plain loops below the flop cutoff are **bit-for-bit identical**,
+//! and tiling composes freely with the fixed band partitions of
+//! [`crate::parallel`]. The `kernel_properties` and `threaded` test
+//! suites pin both properties.
 //!
 //! # Packing
 //!
@@ -49,13 +51,21 @@
 use std::cell::Cell;
 
 /// Accumulator lanes per reduction — the fixed fan-out of the workspace's
-/// summation tree (see [`crate::ops::dot`]). Never varies with the policy.
+/// summation tree (see [`crate::ops::dot`]). Never varies with the tiling.
 pub const LANES: usize = 4;
 
-/// Default flop count below which the tiled paths stand down and the plain
+/// Output rows per register tile, for both matvec and the update kernel.
+/// Chosen on the kernel microbench as the best all-round height (see
+/// DESIGN.md §14).
+pub const MR: usize = 4;
+
+/// Output columns per [`gemm_acc`] register tile.
+pub const NR: usize = 8;
+
+/// Flop count below which the tiled paths stand down and the plain
 /// scalar loops run instead (dispatch and remainder handling cost more
 /// than they save on tiny operands). Both paths are bitwise-identical, so
-/// the cutoff is a pure performance knob.
+/// the cutoff only moves time.
 pub const TILE_CUTOFF_FLOPS: usize = 2048;
 
 /// Scratch budget for [`gemm_acc`]'s packed `B` column blocks. Sized to
@@ -68,105 +78,9 @@ pub const TILE_CUTOFF_FLOPS: usize = 2048;
 pub const PACK_BUDGET_BYTES: usize = 4 * 1024 * 1024;
 
 thread_local! {
-    /// Test/bench override installed by [`with_policy`].
-    static OVERRIDE: Cell<Option<KernelPolicy>> = const { Cell::new(None) };
     /// Reusable packing scratch; taken/restored so nested users degrade to
     /// a fresh allocation instead of aliasing.
     static PACK: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
-}
-
-/// Tile-shape selection for the dense microkernels.
-///
-/// The policy is resolved at each `Matrix`/CSR entry point
-/// ([`KernelPolicy::resolve`]): a thread-local override installed by
-/// [`with_policy`] (how the invariance tests and the kernel microbench
-/// pin shapes) falls back to [`KernelPolicy::tiled`]. All supported
-/// shapes produce bit-for-bit identical results; unsupported shapes fall
-/// back to the plain loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelPolicy {
-    /// Output rows per register tile. Supported: 1 (plain), 2, 4, 8.
-    pub mr: usize,
-    /// Output columns per matmul/trailing-update register tile.
-    /// Supported: 4, 8. Ignored when `mr` is 1.
-    pub nr: usize,
-    /// Total-flop threshold below which the plain loops run.
-    pub tile_cutoff_flops: usize,
-}
-
-impl Default for KernelPolicy {
-    fn default() -> Self {
-        KernelPolicy::tiled()
-    }
-}
-
-impl KernelPolicy {
-    /// The production policy: MR = 4 row tiles, 4×8 matmul tiles. Measured
-    /// on the kernel microbench as the best all-round shape (see
-    /// DESIGN.md §14).
-    pub const fn tiled() -> Self {
-        KernelPolicy {
-            mr: 4,
-            nr: 8,
-            tile_cutoff_flops: TILE_CUTOFF_FLOPS,
-        }
-    }
-
-    /// The plain-loop reference: no register tiling at any size. Bitwise
-    /// identical to every tiled shape; used as the comparison baseline by
-    /// the property tests and the microbench.
-    pub const fn plain() -> Self {
-        KernelPolicy {
-            mr: 1,
-            nr: LANES,
-            tile_cutoff_flops: usize::MAX,
-        }
-    }
-
-    /// Resolves the active policy: [`with_policy`] override → tiled
-    /// default.
-    pub fn resolve() -> Self {
-        OVERRIDE.with(Cell::get).unwrap_or_default()
-    }
-
-    /// The row-tile height to use for a reduction kernel costing `flops`
-    /// in total: 1 below the cutoff or for unsupported `mr`.
-    pub fn row_tile(self, flops: usize) -> usize {
-        if flops < self.tile_cutoff_flops {
-            return 1;
-        }
-        match self.mr {
-            2 | 4 | 8 => self.mr,
-            _ => 1,
-        }
-    }
-
-    /// The `(MR, NR)` register-tile shape for an update kernel costing
-    /// `flops` in total; `(1, _)` selects the plain loops.
-    pub fn gemm_tile(self, flops: usize) -> (usize, usize) {
-        if flops < self.tile_cutoff_flops {
-            return (1, LANES);
-        }
-        match (self.mr, self.nr) {
-            (2, 4) | (2, 8) | (4, 4) | (4, 8) | (8, 4) => (self.mr, self.nr),
-            _ => (1, LANES),
-        }
-    }
-}
-
-/// Runs `f` with the calling thread's kernel policy forced to `policy`,
-/// restoring the previous override after — the tile-shape analogue of
-/// [`crate::parallel::with_threads`].
-pub fn with_policy<T>(policy: KernelPolicy, f: impl FnOnce() -> T) -> T {
-    let prev = OVERRIDE.with(|c| c.replace(Some(policy)));
-    struct Restore(Option<KernelPolicy>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
 }
 
 /// Hands `f` a zeroed scratch slice of length `len` drawn from a reusable
@@ -187,34 +101,20 @@ pub fn with_pack_buffer<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
 // --- dense matvec -------------------------------------------------------
 
 /// `y[r] = A[r, :] · x` for `y.len()` consecutive rows of a row-major
-/// band `a` (row stride = `cols`), register-tiled `mr` rows at a time.
-/// Every row is an independent 4-lane dot, so the result is bitwise
-/// independent of `mr`.
-pub fn matvec_rows(mr: usize, a: &[f64], cols: usize, x: &[f64], y: &mut [f64]) {
+/// band `a` (row stride = `cols`), register-tiled [`MR`] rows at a time
+/// when `tiled`, else one [`crate::ops::dot`] per row. Every row is an
+/// independent 4-lane dot, so the result is bitwise independent of
+/// `tiled`.
+pub fn matvec_rows(tiled: bool, a: &[f64], cols: usize, x: &[f64], y: &mut [f64]) {
     let rows = y.len();
     debug_assert!(a.len() >= rows * cols);
     debug_assert_eq!(x.len(), cols);
     let mut i = 0;
-    match mr {
-        2 => {
-            while i + 2 <= rows {
-                matvec_tile::<2>(&a[i * cols..], cols, x, &mut y[i..i + 2]);
-                i += 2;
-            }
+    if tiled {
+        while i + MR <= rows {
+            matvec_tile(&a[i * cols..], cols, x, &mut y[i..i + MR]);
+            i += MR;
         }
-        4 => {
-            while i + 4 <= rows {
-                matvec_tile::<4>(&a[i * cols..], cols, x, &mut y[i..i + 4]);
-                i += 4;
-            }
-        }
-        8 => {
-            while i + 8 <= rows {
-                matvec_tile::<8>(&a[i * cols..], cols, x, &mut y[i..i + 8]);
-                i += 8;
-            }
-        }
-        _ => {}
     }
     while i < rows {
         y[i] = crate::ops::dot(&a[i * cols..(i + 1) * cols], x);
@@ -226,7 +126,7 @@ pub fn matvec_rows(mr: usize, a: &[f64], cols: usize, x: &[f64], y: &mut [f64]) 
 /// chunk per step. Per row this is exactly the [`crate::ops::dot`] lane
 /// tree, so remainder rows handled by `dot` agree bitwise.
 #[inline]
-fn matvec_tile<const MR: usize>(a: &[f64], cols: usize, x: &[f64], y: &mut [f64]) {
+fn matvec_tile(a: &[f64], cols: usize, x: &[f64], y: &mut [f64]) {
     let chunks = cols / LANES;
     let mut acc = [[0.0f64; LANES]; MR];
     for c in 0..chunks {
@@ -251,12 +151,13 @@ fn matvec_tile<const MR: usize>(a: &[f64], cols: usize, x: &[f64], y: &mut [f64]
 // --- matmul / trailing-update accumulation ------------------------------
 
 /// `C[r, j] += Σ_k A[r, k] · B[k, j]` over `rows × n` outputs, with row
-/// strides `ldc`/`lda`/`ldb` (`B` is read at column offset 0). Each
-/// output element is seeded from its current value and accumulated
-/// **sequentially over `k`**, so the result is bitwise independent of the
-/// `(mr, nr)` register-tile shape — and identical to the plain i-k-j
-/// loops. The LU trailing update reuses this with a pre-negated packed
-/// `A` (IEEE negation is exact, so `C += (−L)·U` is bitwise `C −= L·U`).
+/// strides `ldc`/`lda`/`ldb` (`B` is read at column offset 0), in
+/// [`MR`] × [`NR`] register tiles when `tiled`, else by the plain i-k-j
+/// loops. Each output element is seeded from its current value and
+/// accumulated **sequentially over `k`**, so the result is bitwise
+/// independent of `tiled`. The LU trailing update reuses this with a
+/// pre-negated packed `A` (IEEE negation is exact, so `C += (−L)·U` is
+/// bitwise `C −= L·U`).
 ///
 /// The tiled region packs `B` into `k × NR` column panels, as many at a
 /// time as fit [`PACK_BUDGET_BYTES`] of scratch, then sweeps the row
@@ -273,7 +174,7 @@ fn matvec_tile<const MR: usize>(a: &[f64], cols: usize, x: &[f64], y: &mut [f64]
 /// disjoint outputs, so the block and panel order cannot either.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_acc(
-    (mr, nr): (usize, usize),
+    tiled: bool,
     c: &mut [f64],
     ldc: usize,
     a: &[f64],
@@ -287,52 +188,45 @@ pub fn gemm_acc(
     debug_assert!(rows == 0 || c.len() >= (rows - 1) * ldc + n);
     debug_assert!(rows == 0 || a.len() >= (rows - 1) * lda + k);
     debug_assert!(k == 0 || b.len() >= (k - 1) * ldb + n);
-    let (rt, nt) = match (mr, nr) {
-        (2, 4) | (2, 8) | (4, 4) | (4, 8) | (8, 4) => (rows / mr * mr, n / nr * nr),
-        _ => (0, 0),
+    let (rt, nt) = if tiled {
+        (rows / MR * MR, n / NR * NR)
+    } else {
+        (0, 0)
     };
     if rt > 0 && nt > 0 {
         // Whole NR-panels per column block, at least one even when a
         // single panel overruns the budget (`k` very large).
-        let panels = (PACK_BUDGET_BYTES / 8 / (k * nr)).max(1);
-        let jc = (panels * nr).min(nt);
+        let panels = (PACK_BUDGET_BYTES / 8 / (k * NR)).max(1);
+        let jc = (panels * NR).min(nt);
         with_pack_buffer(k * jc, |bp| {
             let mut jb = 0;
             while jb < nt {
                 let jw = jc.min(nt - jb);
-                for p in 0..jw / nr {
-                    let j0 = jb + p * nr;
-                    let dst = &mut bp[p * k * nr..(p + 1) * k * nr];
+                for p in 0..jw / NR {
+                    let j0 = jb + p * NR;
+                    let dst = &mut bp[p * k * NR..(p + 1) * k * NR];
                     for kk in 0..k {
-                        dst[kk * nr..(kk + 1) * nr]
-                            .copy_from_slice(&b[kk * ldb + j0..kk * ldb + j0 + nr]);
+                        dst[kk * NR..(kk + 1) * NR]
+                            .copy_from_slice(&b[kk * ldb + j0..kk * ldb + j0 + NR]);
                     }
                 }
                 let mut i0 = 0;
                 while i0 < rt {
-                    for p in 0..jw / nr {
-                        let j0 = jb + p * nr;
-                        let panel = &bp[p * k * nr..(p + 1) * k * nr];
+                    for p in 0..jw / NR {
+                        let j0 = jb + p * NR;
+                        let panel = &bp[p * k * NR..(p + 1) * k * NR];
                         let ct = &mut c[i0 * ldc + j0..];
                         let at = &a[i0 * lda..];
-                        match (mr, nr) {
-                            (2, 4) => gemm_tile::<2, 4>(ct, ldc, at, lda, panel, k),
-                            (2, 8) => gemm_tile::<2, 8>(ct, ldc, at, lda, panel, k),
-                            (4, 4) => gemm_tile::<4, 4>(ct, ldc, at, lda, panel, k),
-                            (4, 8) => gemm_tile::<4, 8>(ct, ldc, at, lda, panel, k),
-                            (8, 4) => gemm_tile::<8, 4>(ct, ldc, at, lda, panel, k),
-                            // memlp-lint: allow(panic::panic-macro, reason = "the (rt, nt) match above leaves the tile region empty for every other shape, so this arm is never entered")
-                            _ => unreachable!("tile region is empty for unsupported shapes"),
-                        }
+                        gemm_tile(ct, ldc, at, lda, panel, k);
                     }
-                    i0 += mr;
+                    i0 += MR;
                 }
                 jb += jw;
             }
         });
     }
     // Column remainder of the tiled rows, then the row remainder (the
-    // whole matrix when the plain path is selected).
+    // whole matrix when `tiled` is false).
     gemm_plain(c, ldc, a, lda, b, ldb, 0..rt, nt..n, k);
     gemm_plain(c, ldc, a, lda, b, ldb, rt..rows, 0..n, k);
 }
@@ -371,14 +265,7 @@ fn gemm_plain(
 /// still apply), `bp` a packed `k × NR` panel (row stride `NR`) whose
 /// chunks are shared across the `MR` rows, `k` strictly sequential.
 #[inline]
-fn gemm_tile<const MR: usize, const NR: usize>(
-    c: &mut [f64],
-    ldc: usize,
-    a: &[f64],
-    lda: usize,
-    bp: &[f64],
-    k: usize,
-) {
+fn gemm_tile(c: &mut [f64], ldc: usize, a: &[f64], lda: usize, bp: &[f64], k: usize) {
     let mut acc = [[0.0f64; NR]; MR];
     for (r, acc_r) in acc.iter_mut().enumerate() {
         acc_r.copy_from_slice(&c[r * ldc..r * ldc + NR]);
@@ -402,8 +289,8 @@ fn gemm_tile<const MR: usize, const NR: usize>(
 /// One CSR row's dot product, blocked over the nonzero span: the same
 /// fixed 4-lane tree as [`crate::ops::dot`], with gathered `x` loads.
 /// Four independent chains hide the gather + FP-add latency that made the
-/// single-accumulator loop serial. The discipline is fixed (not
-/// policy-dependent), so sparse results never vary with tile shape.
+/// single-accumulator loop serial. CSR rows have one kernel, so there is
+/// no tiled/plain choice to make.
 #[inline]
 pub fn spmv_row(values: &[f64], col_idx: &[usize], x: &[f64]) -> f64 {
     debug_assert_eq!(values.len(), col_idx.len());
@@ -437,80 +324,40 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_is_tiled() {
-        assert_eq!(KernelPolicy::resolve(), KernelPolicy::tiled());
-    }
-
-    #[test]
-    fn with_policy_overrides_and_restores() {
-        let outer = with_policy(KernelPolicy::plain(), || {
-            let inner = with_policy(KernelPolicy::tiled(), KernelPolicy::resolve);
-            assert_eq!(inner, KernelPolicy::tiled());
-            KernelPolicy::resolve()
-        });
-        assert_eq!(outer, KernelPolicy::plain());
-        assert_eq!(KernelPolicy::resolve(), KernelPolicy::tiled());
-    }
-
-    #[test]
-    fn cutoff_selects_plain_loops() {
-        let p = KernelPolicy::tiled();
-        assert_eq!(p.row_tile(p.tile_cutoff_flops - 1), 1);
-        assert_eq!(p.row_tile(p.tile_cutoff_flops), 4);
-        assert_eq!(p.gemm_tile(0), (1, LANES));
-        assert_eq!(p.gemm_tile(usize::MAX), (4, 8));
-    }
-
-    #[test]
-    fn unsupported_shapes_fall_back_to_plain() {
-        let p = KernelPolicy {
-            mr: 3,
-            nr: 5,
-            tile_cutoff_flops: 0,
-        };
-        assert_eq!(p.row_tile(usize::MAX), 1);
-        assert_eq!(p.gemm_tile(usize::MAX), (1, LANES));
-    }
-
-    #[test]
     fn pack_buffer_is_zeroed_and_reused() {
         with_pack_buffer(4, |b| b.fill(7.0));
         with_pack_buffer(8, |b| assert!(b.iter().all(|&v| v == 0.0)));
     }
 
     #[test]
-    fn matvec_rows_matches_dot_for_every_tile_height() {
-        let (rows, cols) = (13, 19); // crosses every MR and LANES boundary
+    fn matvec_rows_tiled_matches_dot() {
+        let (rows, cols) = (13, 19); // crosses the MR and LANES boundaries
         let a = seq(rows * cols, 0.37, -3.0);
         let x = seq(cols, -0.11, 1.0);
         let mut reference = vec![0.0; rows];
-        matvec_rows(1, &a, cols, &x, &mut reference);
+        matvec_rows(false, &a, cols, &x, &mut reference);
         for i in 0..rows {
             assert_eq!(
                 reference[i],
                 crate::ops::dot(&a[i * cols..(i + 1) * cols], &x)
             );
         }
-        for mr in [2, 4, 8] {
-            let mut y = vec![0.0; rows];
-            matvec_rows(mr, &a, cols, &x, &mut y);
-            assert_eq!(bits(&y), bits(&reference), "mr={mr}");
-        }
+        let mut y = vec![0.0; rows];
+        matvec_rows(true, &a, cols, &x, &mut y);
+        assert_eq!(bits(&y), bits(&reference));
     }
 
     #[test]
-    fn gemm_acc_matches_plain_for_every_tile_shape() {
-        let (rows, n, k) = (11, 14, 9); // not multiples of any MR/NR
+    fn gemm_acc_tiled_matches_plain() {
+        let (rows, n, k) = (11, 14, 9); // not multiples of MR or NR
         let a = seq(rows * k, 0.21, -1.0);
         let b = seq(k * n, -0.13, 0.5);
         let seed = seq(rows * n, 0.05, 0.2);
         let mut reference = seed.clone();
-        gemm_acc((1, LANES), &mut reference, n, &a, k, &b, n, rows, n, k);
-        for tile in [(2, 4), (2, 8), (4, 4), (4, 8), (8, 4)] {
-            let mut c = seed.clone();
-            gemm_acc(tile, &mut c, n, &a, k, &b, n, rows, n, k);
-            assert_eq!(bits(&c), bits(&reference), "tile={tile:?}");
-        }
+        gemm_acc(false, &mut reference, n, &a, k, &b, n, rows, n, k);
+        let mut c = seed.clone();
+        gemm_acc(true, &mut c, n, &a, k, &b, n, rows, n, k);
+        assert_eq!(bits(&c), bits(&reference));
     }
 
     #[test]
@@ -521,7 +368,7 @@ mod tests {
         let b = seq(k * n, 0.9, 0.1);
         let mut c = seq(rows * ldc, 0.0, 1.0);
         let untouched = c.clone();
-        gemm_acc((4, 8), &mut c, ldc, &a, lda, &b, n, rows, n, k);
+        gemm_acc(true, &mut c, ldc, &a, lda, &b, n, rows, n, k);
         for i in 0..rows {
             for j in 0..n {
                 let mut want = 1.0;

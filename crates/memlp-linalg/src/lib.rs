@@ -15,8 +15,8 @@
 //!   digital path matching the paper's O(N)-per-iteration argument,
 //! * [`ops`] — vector kernels (dot, axpy, norms) on plain `&[f64]` slices,
 //! * [`kernels`] — register-tiled, autovectorizer-friendly microkernels
-//!   behind the dense and CSR entry points, with a [`KernelPolicy`]
-//!   selecting tile shapes (all shapes are bitwise-identical),
+//!   behind the dense and CSR entry points: one tile shape above a flop
+//!   cutoff, plain loops below it, bitwise-identical to each other,
 //! * [`parallel`] — the scoped-thread execution layer the hot kernels
 //!   (LU trailing update, matvec, multi-column solves) schedule through,
 //!   governed by `MEMLP_THREADS`,
@@ -55,10 +55,9 @@ pub mod ops;
 pub mod parallel;
 
 pub use error::LinalgError;
-pub use kernels::KernelPolicy;
 pub use lu::LuFactors;
 pub use matrix::Matrix;
-pub use norms::{cond_1_estimate, inf_norm_mat, one_norm_mat};
+pub use norms::inf_norm_mat;
 pub use sparse::SparseMatrix;
 pub use sparse_lu::SparseLu;
 

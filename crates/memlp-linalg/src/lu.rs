@@ -1,5 +1,5 @@
 use crate::error::{dim_mismatch, LinalgError};
-use crate::kernels::{self, KernelPolicy};
+use crate::kernels::{self, TILE_CUTOFF_FLOPS};
 use crate::matrix::Matrix;
 use crate::ops;
 use crate::parallel::{self, Threads};
@@ -144,7 +144,7 @@ impl LuFactors {
                 // aliasing between the L21 columns and the updated tail
                 // and gives the tile kernel a contiguous operand.
                 let flops = 2 * (n - rest) * nb * width;
-                let tile = KernelPolicy::resolve().gemm_tile(flops);
+                let tiled = flops >= TILE_CUTOFF_FLOPS;
                 let threads = Threads::resolve().for_flops(flops);
                 let cols = a.cols();
                 let tail_rows = &mut a.as_mut_slice()[rest * cols..];
@@ -157,7 +157,9 @@ impl LuFactors {
                             }
                         }
                         let tails = &mut band[rest..];
-                        kernels::gemm_acc(tile, tails, cols, l21, nb, &u12, width, rows, width, nb);
+                        kernels::gemm_acc(
+                            tiled, tails, cols, l21, nb, &u12, width, rows, width, nb,
+                        );
                     });
                 });
             }
@@ -207,32 +209,6 @@ impl LuFactors {
             let row = self.lu.row(i);
             let s = crate::ops::dot(&row[i + 1..], &x[i + 1..]);
             x[i] = (x[i] - s) / row[i];
-        }
-        Ok(x)
-    }
-
-    /// Solves `A·X = B` column by column; independent columns are solved
-    /// concurrently above the size cutoff.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.rows() != self.dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(dim_mismatch(
-                format!("{n} rows"),
-                format!("{} rows", b.rows()),
-            ));
-        }
-        let threads = Threads::resolve().for_flops(2 * n * n * b.cols());
-        let cols = parallel::run_indexed(threads, b.cols(), |j| self.solve(&b.col(j)));
-        let mut x = Matrix::zeros(n, b.cols());
-        for (j, col) in cols.into_iter().enumerate() {
-            let col = col?;
-            for i in 0..n {
-                x[(i, j)] = col[i];
-            }
         }
         Ok(x)
     }
@@ -292,25 +268,6 @@ impl LuFactors {
     /// permutation sign).
     pub fn det(&self) -> f64 {
         self.perm_sign * self.lu.diag().iter().product::<f64>()
-    }
-
-    /// Inverse of the original matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors (none expected once factored).
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
-    /// Smallest absolute diagonal entry of U — a cheap proxy for how close
-    /// the factored matrix is to singular (used by the paper's §4.3
-    /// discussion of variation-induced near-singularity).
-    pub fn min_abs_pivot(&self) -> f64 {
-        self.lu
-            .diag()
-            .iter()
-            .fold(f64::INFINITY, |m, v| m.min(v.abs()))
     }
 }
 
@@ -379,19 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0, 2.0], &[2.0, 6.0, 1.0], &[1.0, 1.0, 9.0]]).unwrap();
-        let inv = LuFactors::factor(a.clone()).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        let eye = Matrix::identity(3);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((prod[(i, j)] - eye[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn random_large_roundtrip_crosses_block_boundary() {
         // n > BLOCK so the blocked path (panel + trailing update) is used.
         let n = BLOCK * 2 + 7;
@@ -408,28 +352,6 @@ mod tests {
         let b = a.matvec(&xtrue);
         let x = LuFactors::factor(a).unwrap().solve(&b).unwrap();
         assert_close(&x, &xtrue, 1e-8);
-    }
-
-    #[test]
-    fn solve_matrix_matches_column_solves() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let lu = LuFactors::factor(a.clone()).unwrap();
-        let x = lu.solve_matrix(&b).unwrap();
-        let prod = a.matmul(&x).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn min_abs_pivot_small_for_near_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 + 1e-9]]).unwrap();
-        let lu = LuFactors::factor(a).unwrap();
-        assert!(lu.min_abs_pivot() < 1e-8);
     }
 
     fn dominant_system() -> (Matrix, Vec<f64>, Vec<f64>) {

@@ -2,7 +2,7 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 
 use crate::error::{dim_mismatch, LinalgError};
-use crate::kernels::{self, KernelPolicy};
+use crate::kernels::{self, TILE_CUTOFF_FLOPS};
 use crate::parallel::{self, Threads};
 
 /// A dense, row-major matrix of `f64` values.
@@ -92,16 +92,6 @@ impl Matrix {
             cols: c,
             data,
         })
-    }
-
-    /// Creates a square matrix with `d` on the diagonal and zeros elsewhere.
-    pub fn from_diag(d: &[f64]) -> Self {
-        let n = d.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &v) in d.iter().enumerate() {
-            m.data[i * n + i] = v;
-        }
-        m
     }
 
     /// Wraps an existing row-major buffer as a matrix.
@@ -234,10 +224,10 @@ impl Matrix {
         // so banding the output across threads — and register-tiling rows
         // inside each band — is bit-for-bit identical to serial.
         let flops = 2 * self.rows * self.cols;
-        let mr = KernelPolicy::resolve().row_tile(flops);
+        let tiled = flops >= TILE_CUTOFF_FLOPS;
         let threads = Threads::resolve().for_flops(flops);
         parallel::par_bands(threads, &mut y, |start, band| {
-            kernels::matvec_rows(mr, &self.data[start * self.cols..], self.cols, x, band);
+            kernels::matvec_rows(tiled, &self.data[start * self.cols..], self.cols, x, band);
         });
         y
     }
@@ -313,15 +303,15 @@ impl Matrix {
             return Ok(());
         }
         // Each C element accumulates sequentially over k regardless of the
-        // band partition or register-tile shape, so threading and tiling
+        // band partition or register tiling, so threading and tiling
         // are both bitwise-invariant (see `kernels`).
         let flops = 2 * self.rows * self.cols * b.cols;
-        let tile = KernelPolicy::resolve().gemm_tile(flops);
+        let tiled = flops >= TILE_CUTOFF_FLOPS;
         let threads = Threads::resolve().for_flops(flops);
         parallel::par_chunk_bands(threads, &mut c.data, b.cols, |first_row, band| {
             let rows = band.len() / b.cols;
             kernels::gemm_acc(
-                tile,
+                tiled,
                 band,
                 b.cols,
                 &self.data[first_row * self.cols..],
@@ -366,9 +356,9 @@ impl Matrix {
         // scratch (one multiply per column instead of one per output
         // element), then the upper-triangle entries are fixed-order dots
         // against rows k ≥ i — register-tiled like matvec. Per-element
-        // bits depend only on the packed values, never on the tile shape.
+        // bits depend only on the packed values, never on the tiling.
         let flops = m * m * n + m * n;
-        let mr = KernelPolicy::resolve().row_tile(flops);
+        let tiled = flops >= TILE_CUTOFF_FLOPS;
         let threads = Threads::resolve().for_flops(flops);
         parallel::par_chunks(threads, &mut out.data, m, |i, orow| {
             kernels::with_pack_buffer(n, |scaled| {
@@ -376,7 +366,7 @@ impl Matrix {
                 for ((s, &aij), &dj) in scaled.iter_mut().zip(ai).zip(d) {
                     *s = aij * dj;
                 }
-                kernels::matvec_rows(mr, &self.data[i * n..], n, scaled, &mut orow[i..]);
+                kernels::matvec_rows(tiled, &self.data[i * n..], n, scaled, &mut orow[i..]);
             });
         });
         for i in 0..m {
@@ -403,16 +393,6 @@ impl Matrix {
     /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
     pub fn sub(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
         self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Returns the elementwise (Hadamard) product `self ∘ other`, the
-    /// operation used by the paper's process-variation model (Eqn 18).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(other, |a, b| a * b)
     }
 
     fn zip_with(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Result<Matrix, LinalgError> {
@@ -527,11 +507,6 @@ impl Matrix {
         }
         b
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -619,13 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn from_diag_places_entries() {
-        let m = Matrix::from_diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(m.diag(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(m[(0, 1)], 0.0);
-    }
-
-    #[test]
     fn transpose_roundtrip() {
         let m = Matrix::from_fn(3, 5, |i, j| (i * 10 + j) as f64);
         let t = m.transpose();
@@ -693,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_hadamard() {
+    fn add_and_sub() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
         let b = Matrix::from_rows(&[&[3.0, 5.0]]).unwrap();
         assert_eq!(
@@ -703,10 +671,6 @@ mod tests {
         assert_eq!(
             b.sub(&a).unwrap(),
             Matrix::from_rows(&[&[2.0, 3.0]]).unwrap()
-        );
-        assert_eq!(
-            a.hadamard(&b).unwrap(),
-            Matrix::from_rows(&[&[3.0, 10.0]]).unwrap()
         );
         assert!(a.add(&Matrix::zeros(2, 2)).is_err());
     }
@@ -795,11 +759,5 @@ mod tests {
                 assert_eq!(got[(i, k)], got[(k, i)]);
             }
         }
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let m = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

@@ -1,18 +1,4 @@
-use crate::lu::LuFactors;
 use crate::matrix::Matrix;
-
-/// Matrix 1-norm (maximum absolute column sum).
-pub fn one_norm_mat(a: &Matrix) -> f64 {
-    let mut best = 0.0f64;
-    for j in 0..a.cols() {
-        let mut s = 0.0;
-        for i in 0..a.rows() {
-            s += a[(i, j)].abs();
-        }
-        best = best.max(s);
-    }
-    best
-}
 
 /// Matrix infinity-norm (maximum absolute row sum).
 pub fn inf_norm_mat(a: &Matrix) -> f64 {
@@ -23,94 +9,13 @@ pub fn inf_norm_mat(a: &Matrix) -> f64 {
     best
 }
 
-/// Estimates the 1-norm condition number `κ₁(A) = ‖A‖₁·‖A⁻¹‖₁` using
-/// Hager's power-method-style estimator on the factored inverse.
-///
-/// The estimate is a lower bound that is almost always within a small factor
-/// of the true value; it is used by the variation studies (§4.3 of the paper
-/// relates near-singular coefficient matrices to accuracy loss).
-///
-/// # Errors
-///
-/// Propagates solve failures from the factorization.
-pub fn cond_1_estimate(a: &Matrix, lu: &LuFactors) -> Result<f64, crate::LinalgError> {
-    let n = lu.dim();
-    if n == 0 {
-        return Ok(0.0);
-    }
-    // Hager's algorithm estimates ‖A⁻¹‖₁ via A⁻¹x and A⁻ᵀx products; we get
-    // A⁻ᵀ products by solving with the transpose (factor once, reuse).
-    let at = a.transpose();
-    let lut = LuFactors::factor(at)?;
-    let mut x = vec![1.0 / n as f64; n];
-    let mut est = 0.0f64;
-    for _ in 0..5 {
-        let y = lu.solve(&x)?;
-        let ynorm = crate::ops::one_norm(&y);
-        let xi: Vec<f64> = y
-            .iter()
-            .map(|v| if *v >= 0.0 { 1.0 } else { -1.0 })
-            .collect();
-        let z = lut.solve(&xi)?;
-        let (jmax, zmax) = z
-            .iter()
-            .enumerate()
-            .fold((0usize, 0.0f64), |(jm, zm), (j, &v)| {
-                if v.abs() > zm {
-                    (j, v.abs())
-                } else {
-                    (jm, zm)
-                }
-            });
-        est = est.max(ynorm);
-        if zmax <= crate::ops::dot(&z, &x).abs() {
-            break;
-        }
-        x.iter_mut().for_each(|v| *v = 0.0);
-        x[jmax] = 1.0;
-    }
-    Ok(one_norm_mat(a) * est)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn one_norm_is_max_column_sum() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(one_norm_mat(&a), 6.0);
-    }
-
-    #[test]
     fn inf_norm_is_max_row_sum() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(inf_norm_mat(&a), 7.0);
-    }
-
-    #[test]
-    fn cond_of_identity_is_one() {
-        let a = Matrix::identity(4);
-        let lu = LuFactors::factor(a.clone()).unwrap();
-        let c = cond_1_estimate(&a, &lu).unwrap();
-        assert!((c - 1.0).abs() < 1e-12, "cond estimate {c}");
-    }
-
-    #[test]
-    fn cond_detects_ill_conditioning() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1e-8]]).unwrap();
-        let lu = LuFactors::factor(a.clone()).unwrap();
-        let c = cond_1_estimate(&a, &lu).unwrap();
-        assert!(c > 1e7, "cond estimate {c} should be ≥ 1e7");
-    }
-
-    #[test]
-    fn cond_scale_invariant() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        let mut b = a.clone();
-        b.scale_mut(100.0);
-        let ca = cond_1_estimate(&a, &LuFactors::factor(a.clone()).unwrap()).unwrap();
-        let cb = cond_1_estimate(&b, &LuFactors::factor(b.clone()).unwrap()).unwrap();
-        assert!((ca - cb).abs() / ca < 1e-10);
     }
 }

@@ -101,12 +101,6 @@ pub fn inf_norm(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |m, &v| m.max(v.abs()))
 }
 
-/// Euclidean norm `‖x‖₂`.
-#[inline]
-pub fn two_norm(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
 /// One norm `Σ |x_i|`.
 #[inline]
 pub fn one_norm(x: &[f64]) -> f64 {
@@ -179,7 +173,6 @@ mod tests {
     fn norms_known_values() {
         let x = [3.0, -4.0];
         assert_eq!(inf_norm(&x), 4.0);
-        assert!((two_norm(&x) - 5.0).abs() < 1e-12);
         assert_eq!(one_norm(&x), 7.0);
     }
 

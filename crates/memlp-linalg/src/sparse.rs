@@ -321,33 +321,6 @@ impl SparseMatrix {
         }
     }
 
-    /// Sparse×dense product `A·B` (`O(nnz(A)·cols(B))`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() !=
-    /// b.rows()`.
-    pub fn matmul_dense(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != b.rows() {
-            return Err(dim_mismatch(
-                format!("{} rows", self.cols),
-                format!("{} rows", b.rows()),
-            ));
-        }
-        let mut c = Matrix::zeros(self.rows, b.cols());
-        for i in 0..self.rows {
-            let out = c.row_mut(i);
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let v = self.values[k];
-                let brow = b.row(self.col_idx[k]);
-                for (o, &bv) in out.iter_mut().zip(brow) {
-                    *o += v * bv;
-                }
-            }
-        }
-        Ok(c)
-    }
-
     /// Sparse×sparse product `A·B` (Gustavson's algorithm with a dense
     /// accumulator per output row; column indices emitted sorted, so the
     /// result is a canonical CSR matrix).
@@ -424,94 +397,6 @@ impl SparseMatrix {
             *v *= d[j];
         }
         scaled.matmul_sparse(&self.transpose())
-    }
-
-    /// Forward substitution `L·x = b` for a lower-triangular CSR matrix
-    /// (stored entries above the diagonal are rejected; the diagonal must be
-    /// present and non-zero in every row).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch or a
-    /// stored entry above the diagonal, and [`LinalgError::Singular`] if a
-    /// diagonal entry is missing or zero.
-    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        self.check_triangular_shapes(b)?;
-        let mut x = b.to_vec();
-        for i in 0..self.rows {
-            let mut diag = 0.0;
-            let mut s = x[i];
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
-                match j.cmp(&i) {
-                    std::cmp::Ordering::Less => s -= self.values[k] * x[j],
-                    std::cmp::Ordering::Equal => diag = self.values[k],
-                    std::cmp::Ordering::Greater => {
-                        return Err(dim_mismatch(
-                            "lower-triangular matrix",
-                            format!("entry ({i}, {j}) above the diagonal"),
-                        ))
-                    }
-                }
-            }
-            if diag == 0.0 {
-                return Err(LinalgError::Singular { column: i });
-            }
-            x[i] = s / diag;
-        }
-        Ok(x)
-    }
-
-    /// Backward substitution `U·x = b` for an upper-triangular CSR matrix
-    /// (stored entries below the diagonal are rejected; the diagonal must be
-    /// present and non-zero in every row).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch or a
-    /// stored entry below the diagonal, and [`LinalgError::Singular`] if a
-    /// diagonal entry is missing or zero.
-    pub fn solve_upper(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        self.check_triangular_shapes(b)?;
-        let mut x = b.to_vec();
-        for i in (0..self.rows).rev() {
-            let mut diag = 0.0;
-            let mut s = x[i];
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
-                match j.cmp(&i) {
-                    std::cmp::Ordering::Greater => s -= self.values[k] * x[j],
-                    std::cmp::Ordering::Equal => diag = self.values[k],
-                    std::cmp::Ordering::Less => {
-                        return Err(dim_mismatch(
-                            "upper-triangular matrix",
-                            format!("entry ({i}, {j}) below the diagonal"),
-                        ))
-                    }
-                }
-            }
-            if diag == 0.0 {
-                return Err(LinalgError::Singular { column: i });
-            }
-            x[i] = s / diag;
-        }
-        Ok(x)
-    }
-
-    fn check_triangular_shapes(&self, b: &[f64]) -> Result<(), LinalgError> {
-        if self.rows != self.cols {
-            return Err(dim_mismatch(
-                "square matrix",
-                format!("{}x{}", self.rows, self.cols),
-            ));
-        }
-        if b.len() != self.rows {
-            return Err(dim_mismatch(
-                format!("vector of length {}", self.rows),
-                format!("length {}", b.len()),
-            ));
-        }
-        Ok(())
     }
 
     fn prune_zeros(&mut self) {
@@ -644,21 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_dense_matches_dense_matmul() {
-        let a = sample_dense();
-        let s = SparseMatrix::from_dense(&a);
-        let b = Matrix::from_rows(&[&[1.0, 2.0], &[0.5, -1.0], &[3.0, 0.0], &[-2.0, 4.0]]).unwrap();
-        let want = a.matmul(&b).unwrap();
-        let got = s.matmul_dense(&b).unwrap();
-        for i in 0..want.rows() {
-            for j in 0..want.cols() {
-                assert!((want[(i, j)] - got[(i, j)]).abs() < 1e-12);
-            }
-        }
-        assert!(s.matmul_dense(&Matrix::zeros(3, 3)).is_err());
-    }
-
-    #[test]
     fn matmul_sparse_matches_dense_and_stays_canonical() {
         let a = sample_dense();
         let s = SparseMatrix::from_dense(&a);
@@ -687,48 +557,6 @@ mod tests {
             }
         }
         assert!(s.scaled_gram(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn triangular_solves_match_dense_lu() {
-        let l = SparseMatrix::from_triplets(
-            3,
-            3,
-            &[
-                (0, 0, 2.0),
-                (1, 0, 1.0),
-                (1, 1, 4.0),
-                (2, 1, -1.0),
-                (2, 2, 0.5),
-            ],
-        )
-        .unwrap();
-        let x = l.solve_lower(&[2.0, 6.0, 1.0]).unwrap();
-        // Forward-substitute by hand: x0=1, x1=(6-1)/4=1.25, x2=(1+1.25)/0.5=4.5.
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 1.25).abs() < 1e-12);
-        assert!((x[2] - 4.5).abs() < 1e-12);
-
-        let u = l.transpose();
-        let b = u.matvec(&[1.0, -2.0, 3.0]);
-        let y = u.solve_upper(&b).unwrap();
-        assert!((y[0] - 1.0).abs() < 1e-12);
-        assert!((y[1] + 2.0).abs() < 1e-12);
-        assert!((y[2] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn triangular_solve_rejects_bad_shapes_and_singularity() {
-        let l = SparseMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 1.0)]).unwrap();
-        // Missing diagonal in row 1 → singular.
-        assert!(l.solve_lower(&[1.0, 1.0]).is_err());
-        // Entry above the diagonal rejected by solve_lower.
-        let bad =
-            SparseMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)]).unwrap();
-        assert!(bad.solve_lower(&[1.0, 1.0]).is_err());
-        assert!(bad.solve_upper(&[1.0]).is_err());
-        let rect = SparseMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
-        assert!(rect.solve_lower(&[1.0, 1.0]).is_err());
     }
 
     #[test]

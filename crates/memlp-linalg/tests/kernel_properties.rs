@@ -3,35 +3,24 @@
 //!
 //! The kernels module promises that tiling is a *scheduling* choice, not a
 //! numerics choice: every reduction uses the same fixed 4-lane tree as
-//! `ops::dot` regardless of the row-tile height, and every update kernel
-//! accumulates k-sequentially into the current `C` value exactly like the
-//! plain i-k-j loop. These tests pin that promise bit-for-bit across every
-//! supported tile shape, on shapes that land on, just under, and just over
-//! the MR/NR tile boundaries — the remainder-handling edge cases.
+//! `ops::dot` whether rows run in `MR`-tall tiles or one at a time, and
+//! every update kernel accumulates k-sequentially into the current `C`
+//! value exactly like the plain i-k-j loop. These tests pin that promise
+//! bit-for-bit at two levels:
 //!
-//! Policies are forced through `kernels::with_policy` with a zero flop
-//! cutoff so even tiny shapes exercise the tiled paths (the production
-//! cutoff would route them to the plain loops and the test would compare
-//! the reference against itself).
+//! * the kernels themselves, `tiled = true` against `tiled = false`, on
+//!   random shapes 1..=26 — every remainder class of `MR` = 4 and
+//!   `NR` = 8, including shapes with no whole tile at all — and on the LU
+//!   trailing-update form (negated packed `A`, `C` wider than the update);
+//! * the `Matrix` and `LuFactors` entry points on shapes above
+//!   `TILE_CUTOFF_FLOPS`, so the tiled path production takes is compared
+//!   against reference loops written out here.
 
-use memlp_linalg::kernels::{self, KernelPolicy};
-use memlp_linalg::{LuFactors, Matrix};
+use memlp_linalg::kernels::{self, TILE_CUTOFF_FLOPS};
+use memlp_linalg::{ops, LuFactors, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Every (MR, NR) pair the gemm dispatcher monomorphizes, plus the row
-/// tile heights matvec supports on its own.
-const TILE_SHAPES: [(usize, usize); 5] = [(2, 4), (2, 8), (4, 4), (4, 8), (8, 4)];
-
-/// A policy that forces the (mr, nr) tile at any problem size.
-fn forced(mr: usize, nr: usize) -> KernelPolicy {
-    KernelPolicy {
-        mr,
-        nr,
-        tile_cutoff_flops: 0,
-    }
-}
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -59,151 +48,148 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Runs `f` under the plain-loop policy and under every tile shape, and
-/// asserts all outputs are bit-identical.
-fn assert_tile_shape_invariant(label: &str, f: impl Fn() -> Vec<f64>) {
-    let reference = kernels::with_policy(KernelPolicy::plain(), &f);
-    for (mr, nr) in TILE_SHAPES {
-        let got = kernels::with_policy(forced(mr, nr), &f);
-        assert_eq!(
-            bits(&got),
-            bits(&reference),
-            "{label}: tile shape {mr}x{nr} changed the result"
-        );
-    }
-}
-
-// --- Fixed shapes that actually clear the production cutoff, so the
-// --- default policy's tiled path is also pinned against the plain loops
-// --- (not just the forced-policy variants).
-
-#[test]
-fn matvec_default_policy_matches_plain_loops() {
-    let a = random_matrix(257, 131, 40);
-    let x = random_vec(131, 41);
-    let reference = kernels::with_policy(KernelPolicy::plain(), || a.matvec(&x));
-    let tiled = a.matvec(&x);
-    assert_eq!(bits(&tiled), bits(&reference));
-}
-
-#[test]
-fn matmul_default_policy_matches_plain_loops() {
-    let a = random_matrix(67, 45, 42);
-    let b = random_matrix(45, 53, 43);
-    let reference = kernels::with_policy(KernelPolicy::plain(), || {
-        a.matmul(&b).unwrap().as_slice().to_vec()
-    });
-    let tiled = a.matmul(&b).unwrap().as_slice().to_vec();
-    assert_eq!(bits(&tiled), bits(&reference));
-}
-
-#[test]
-fn lu_default_policy_matches_plain_loops() {
-    // n = 129 crosses the LU panel width, so the packed trailing-update
-    // gemm runs on a multi-panel factorization with ragged remainders.
-    let a = dominant_matrix(129, 44);
-    let b = random_vec(129, 45);
-    let reference = kernels::with_policy(KernelPolicy::plain(), || {
-        LuFactors::factor(a.clone()).unwrap().solve(&b).unwrap()
-    });
-    let tiled = LuFactors::factor(a.clone()).unwrap().solve(&b).unwrap();
-    assert_eq!(bits(&tiled), bits(&reference));
-}
-
-#[test]
-fn scaled_gram_default_policy_matches_plain_loops() {
-    let a = random_matrix(66, 47, 46);
-    let d: Vec<f64> = random_vec(47, 47).iter().map(|v| v.abs() + 0.1).collect();
-    let reference = kernels::with_policy(KernelPolicy::plain(), || {
-        a.scaled_gram(&d).as_slice().to_vec()
-    });
-    let tiled = a.scaled_gram(&d).as_slice().to_vec();
-    assert_eq!(bits(&tiled), bits(&reference));
-}
-
-// --- Property tests: random shapes straddling the MR/NR boundaries
-// --- (1..=26 covers every remainder class of 2, 4, and 8), every tile
-// --- shape forced on each.
+// --- Kernel level: tiled against plain on every remainder class.
 
 proptest! {
     #[test]
-    fn matvec_is_bitwise_tile_shape_invariant(
-        (rows, cols, seed) in (1usize..27, 1usize..27, 0u64..1000),
+    fn matvec_rows_tiled_matches_plain(
+        (rows, cols, seed) in (1usize..=26, 1usize..=26, 0u64..1000),
     ) {
-        let a = random_matrix(rows, cols, seed);
+        let a = random_vec(rows * cols, seed);
         let x = random_vec(cols, seed ^ 0x711e);
-        let reference = kernels::with_policy(KernelPolicy::plain(), || a.matvec(&x));
-        for (mr, nr) in TILE_SHAPES {
-            let got = kernels::with_policy(forced(mr, nr), || a.matvec(&x));
-            prop_assert_eq!(bits(&got), bits(&reference));
-        }
+        let mut plain = vec![0.0; rows];
+        let mut tiled = vec![0.0; rows];
+        kernels::matvec_rows(false, &a, cols, &x, &mut plain);
+        kernels::matvec_rows(true, &a, cols, &x, &mut tiled);
+        prop_assert_eq!(bits(&tiled), bits(&plain));
     }
 
     #[test]
-    fn matmul_is_bitwise_tile_shape_invariant(
-        (m, k, n, seed) in (1usize..18, 1usize..18, 1usize..18, 0u64..1000),
+    fn gemm_acc_tiled_matches_plain(
+        (rows, n, k, seed) in (1usize..=26, 1usize..=26, 1usize..=26, 0u64..1000),
     ) {
-        let a = random_matrix(m, k, seed);
-        let b = random_matrix(k, n, seed ^ 0x9e77);
-        let reference = kernels::with_policy(KernelPolicy::plain(), || {
-            a.matmul(&b).unwrap().as_slice().to_vec()
-        });
-        for (mr, nr) in TILE_SHAPES {
-            let got = kernels::with_policy(forced(mr, nr), || {
-                a.matmul(&b).unwrap().as_slice().to_vec()
-            });
-            prop_assert_eq!(bits(&got), bits(&reference));
-        }
+        let a = random_vec(rows * k, seed);
+        let b = random_vec(k * n, seed ^ 0x9e77);
+        let c = random_vec(rows * n, seed ^ 0xc0de);
+        let update = |tiled: bool| {
+            let mut out = c.clone();
+            kernels::gemm_acc(tiled, &mut out, n, &a, k, &b, n, rows, n, k);
+            out
+        };
+        prop_assert_eq!(bits(&update(true)), bits(&update(false)));
     }
 
+    /// The LU trailing update's call: `A` is the negated packed `L₂₁`
+    /// panel and `C` the trailing columns of rows `ldc > n` wide, entered
+    /// at a column offset. Columns left of the update stay untouched.
     #[test]
-    fn scaled_gram_is_bitwise_tile_shape_invariant(
-        (m, n, seed) in (1usize..18, 1usize..18, 0u64..1000),
+    fn gemm_acc_trailing_update_form_matches_plain(
+        (rows, n, k, extra, seed) in
+            (1usize..=26, 1usize..=26, 1usize..=26, 1usize..=9, 0u64..1000),
     ) {
-        let a = random_matrix(m, n, seed);
-        let d: Vec<f64> = random_vec(n, seed ^ 0x6ea3)
-            .iter()
-            .map(|v| v.abs() + 0.1)
-            .collect();
-        let reference = kernels::with_policy(KernelPolicy::plain(), || {
-            a.scaled_gram(&d).as_slice().to_vec()
-        });
-        for (mr, nr) in TILE_SHAPES {
-            let got = kernels::with_policy(forced(mr, nr), || {
-                a.scaled_gram(&d).as_slice().to_vec()
-            });
-            prop_assert_eq!(bits(&got), bits(&reference));
-        }
-    }
-
-    #[test]
-    fn lu_factor_is_bitwise_tile_shape_invariant(
-        (n, seed) in (1usize..40, 0u64..500),
-    ) {
-        let a = dominant_matrix(n, seed);
-        let b = random_vec(n, seed ^ 0x1a57);
-        let f = || LuFactors::factor(a.clone()).unwrap().solve(&b).unwrap();
-        let reference = kernels::with_policy(KernelPolicy::plain(), f);
-        for (mr, nr) in TILE_SHAPES {
-            let got = kernels::with_policy(forced(mr, nr), f);
-            prop_assert_eq!(bits(&got), bits(&reference));
+        let ldc = n + extra;
+        let neg_l: Vec<f64> = random_vec(rows * k, seed).iter().map(|v| -v).collect();
+        let u = random_vec(k * n, seed ^ 0x1a57);
+        let c = random_vec(rows * ldc, seed ^ 0xc0de);
+        let update = |tiled: bool| {
+            let mut out = c.clone();
+            kernels::gemm_acc(tiled, &mut out[extra..], ldc, &neg_l, k, &u, n, rows, n, k);
+            out
+        };
+        let tiled = update(true);
+        prop_assert_eq!(bits(&tiled), bits(&update(false)));
+        for i in 0..rows {
+            let left = i * ldc..i * ldc + extra;
+            prop_assert_eq!(bits(&tiled[left.clone()]), bits(&c[left]));
         }
     }
 }
 
-// --- A multi-kernel chain under one override, the way a solver iteration
-// --- composes them: gram → factor → solve, every tile shape bit-identical.
+// --- Entry level: shapes above the cutoff against inline reference loops.
 
 #[test]
-fn chained_kernels_are_bitwise_tile_shape_invariant() {
-    let a = random_matrix(93, 61, 50);
-    let d: Vec<f64> = random_vec(61, 51).iter().map(|v| v.abs() + 0.1).collect();
-    let b = random_vec(93, 52);
-    assert_tile_shape_invariant("gram+lu chain 93x61", || {
-        let mut g = a.scaled_gram(&d);
-        for i in 0..93 {
-            g[(i, i)] += 93.0;
+fn matvec_matches_dot_per_row() {
+    let (rows, cols) = (257, 131);
+    assert!(2 * rows * cols >= TILE_CUTOFF_FLOPS);
+    let a = random_matrix(rows, cols, 40);
+    let x = random_vec(cols, 41);
+    let reference: Vec<f64> = (0..rows).map(|i| ops::dot(a.row(i), &x)).collect();
+    assert_eq!(bits(&a.matvec(&x)), bits(&reference));
+}
+
+#[test]
+fn matmul_matches_ikj_accumulation() {
+    let (m, k, n) = (67, 45, 53);
+    assert!(2 * m * k * n >= TILE_CUTOFF_FLOPS);
+    let a = random_matrix(m, k, 42);
+    let b = random_matrix(k, n, 43);
+    let mut reference = vec![0.0; m * n];
+    for i in 0..m {
+        for kk in 0..k {
+            let aik = a[(i, kk)];
+            for j in 0..n {
+                reference[i * n + j] += aik * b[(kk, j)];
+            }
         }
-        LuFactors::factor(g).unwrap().solve(&b).unwrap()
-    });
+    }
+    assert_eq!(bits(a.matmul(&b).unwrap().as_slice()), bits(&reference));
+}
+
+#[test]
+fn scaled_gram_matches_dot_of_scaled_rows() {
+    let (m, n) = (66, 47);
+    assert!(m * m * n >= TILE_CUTOFF_FLOPS);
+    let a = random_matrix(m, n, 46);
+    let d: Vec<f64> = random_vec(n, 47).iter().map(|v| v.abs() + 0.1).collect();
+    let mut reference = vec![0.0; m * m];
+    for i in 0..m {
+        let scaled: Vec<f64> = a.row(i).iter().zip(&d).map(|(v, di)| v * di).collect();
+        for k in i..m {
+            let v = ops::dot(a.row(k), &scaled);
+            reference[i * m + k] = v;
+            reference[k * m + i] = v;
+        }
+    }
+    assert_eq!(bits(a.scaled_gram(&d).as_slice()), bits(&reference));
+}
+
+/// n = 129 crosses the LU panel width, so the tiled trailing update runs
+/// on a multi-panel factorization with ragged remainders. The reference is
+/// unblocked right-looking elimination, which applies the same updates to
+/// every element in the same order as the blocked factorization.
+#[test]
+fn lu_matches_unblocked_elimination() {
+    let n = 129;
+    let a = dominant_matrix(n, 44);
+    let b = random_vec(n, 45);
+    let mut lu = a.clone();
+    let mut x = b.clone();
+    for j in 0..n {
+        let mut p = j;
+        for i in j + 1..n {
+            if lu[(i, j)].abs() > lu[(p, j)].abs() {
+                p = i;
+            }
+        }
+        lu.swap_rows(p, j);
+        x.swap(p, j);
+        let inv_pivot = 1.0 / lu[(j, j)];
+        for i in j + 1..n {
+            let lij = lu[(i, j)] * inv_pivot;
+            lu[(i, j)] = lij;
+            for c in j + 1..n {
+                let u = lu[(j, c)];
+                lu[(i, c)] -= lij * u;
+            }
+        }
+    }
+    for i in 1..n {
+        x[i] -= ops::dot(&lu.row(i)[..i], &x[..i]);
+    }
+    for i in (0..n).rev() {
+        let s = ops::dot(&lu.row(i)[i + 1..], &x[i + 1..]);
+        x[i] = (x[i] - s) / lu[(i, i)];
+    }
+    let got = LuFactors::factor(a).unwrap().solve(&b).unwrap();
+    assert_eq!(bits(&got), bits(&x));
 }

@@ -80,7 +80,7 @@ proptest! {
         let n = x.len().min(y.len());
         let (x, y) = (&x[..n], &y[..n]);
         let d = ops::dot(x, y).abs();
-        let bound = ops::two_norm(x) * ops::two_norm(y);
+        let bound = (ops::dot(x, x) * ops::dot(y, y)).sqrt();
         prop_assert!(d <= bound * (1.0 + 1e-9) + 1e-9);
     }
 

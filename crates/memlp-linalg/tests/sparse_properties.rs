@@ -29,26 +29,6 @@ fn sparse_dense_strategy() -> impl Strategy<Value = Matrix> {
     })
 }
 
-/// Strategy: a sparse lower-triangular matrix with a safely nonzero
-/// diagonal, plus a right-hand side to solve against.
-fn triangular_strategy() -> impl Strategy<Value = (usize, SparseMatrix, Vec<f64>)> {
-    (2usize..=7).prop_flat_map(|n| {
-        let diag = proptest::collection::vec(prop_oneof![-3.0f64..-0.5, 0.5f64..3.0], n);
-        let below = proptest::collection::vec(
-            (1..n, 0..n, prop_oneof![Just(0.0), -2.0f64..2.0]),
-            0..=2 * n,
-        );
-        let rhs = proptest::collection::vec(-3.0f64..3.0, n);
-        (diag, below, rhs).prop_map(move |(d, off, b)| {
-            let mut ts: Vec<(usize, usize, f64)> =
-                d.iter().enumerate().map(|(i, &v)| (i, i, v)).collect();
-            ts.extend(off.into_iter().filter(|&(i, j, _)| j < i));
-            let l = SparseMatrix::from_triplets(n, n, &ts).expect("in bounds");
-            (n, l, b)
-        })
-    })
-}
-
 /// Strategy: a strictly diagonally dominant sparse system (so the
 /// static-pivot LU is guaranteed stable) with a right-hand side.
 fn dominant_system_strategy() -> impl Strategy<Value = (SparseMatrix, Vec<f64>)> {
@@ -179,35 +159,10 @@ proptest! {
             .collect();
         let b = SparseMatrix::from_triplets(inner, cols, &kept).expect("in bounds");
         let want = a.to_dense().matmul(&b.to_dense()).expect("conforming");
-        let via_sparse = a.matmul_sparse(&b).expect("conforming").to_dense();
-        let via_dense = a.matmul_dense(&b.to_dense()).expect("conforming");
-        for ((got_s, got_d), w) in via_sparse
-            .as_slice()
-            .iter()
-            .zip(via_dense.as_slice())
-            .zip(want.as_slice())
-        {
-            prop_assert!((got_s - w).abs() <= 1e-10 * w.abs().max(1.0), "{got_s} vs {w}");
-            prop_assert!((got_d - w).abs() <= 1e-10 * w.abs().max(1.0), "{got_d} vs {w}");
+        let got = a.matmul_sparse(&b).expect("conforming").to_dense();
+        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+            prop_assert!((g - w).abs() <= 1e-10 * w.abs().max(1.0), "{g} vs {w}");
         }
-    }
-
-    #[test]
-    fn triangular_solves_invert_their_matvec(
-        (n, lower, b) in triangular_strategy()
-    ) {
-        // `solve_lower` must invert L: L·x == b (checked through the sparse
-        // matvec, the independent kernel). Upper goes through the transpose.
-        let x = lower.solve_lower(&b).expect("nonzero diagonal");
-        for (got, want) in lower.matvec(&x).iter().zip(&b) {
-            prop_assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0), "{got} vs {want}");
-        }
-        let upper = lower.transpose();
-        let x = upper.solve_upper(&b).expect("nonzero diagonal");
-        for (got, want) in upper.matvec(&x).iter().zip(&b) {
-            prop_assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0), "{got} vs {want}");
-        }
-        let _ = n;
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! `parallel::with_threads`) would be a deny finding. The pool's own
 //! internals carry the workspace's only reasoned allows.
 
-use memlp_linalg::kernels::{self, KernelPolicy};
 use memlp_linalg::parallel::with_threads;
 use memlp_linalg::{LuFactors, Matrix};
 use proptest::prelude::*;
@@ -109,80 +108,44 @@ fn lu_factor_and_solve_large_are_bitwise_thread_invariant() {
     });
 }
 
-#[test]
-fn lu_solve_matrix_large_is_bitwise_thread_invariant() {
-    let a = dominant_matrix(256, 11);
-    let b = random_matrix(256, 8, 12);
-    assert_bitwise_invariant("lu solve_matrix n=256 k=8", || {
-        LuFactors::factor(a.clone())
-            .unwrap()
-            .solve_matrix(&b)
-            .unwrap()
-            .as_slice()
-            .to_vec()
-    });
-}
-
-// --- Tile-shape × thread-count cross product: the register-tiled kernels
-// --- must be invariant on BOTH axes at once. Threading partitions rows
-// --- into bands of whole tiles-worth of chunks; tiling partitions each
+// --- Ragged shapes above the tile cutoff: no dimension is a multiple of
+// --- the register tile, so every band ends in remainder rows/columns and
+// --- the plain remainder loops run alongside the tiles at every thread
+// --- count. Threading partitions rows into bands; tiling partitions each
 // --- band's rows into MR-tall register tiles — neither changes the
-// --- per-element reduction tree, so every (policy, threads) pair lands on
-// --- the same bits. This is the contract that lets `KernelPolicy` be
-// --- retuned without re-baselining any golden output.
-
-/// Runs `f` under every (tile shape, thread budget) pair and asserts all
-/// outputs are bit-identical to the plain-loop single-thread result.
-fn assert_bitwise_tile_and_thread_invariant(label: &str, f: impl Fn() -> Vec<f64>) {
-    const SHAPES: [(usize, usize); 5] = [(2, 4), (2, 8), (4, 4), (4, 8), (8, 4)];
-    let reference = kernels::with_policy(KernelPolicy::plain(), || with_threads(1, &f));
-    for (mr, nr) in SHAPES {
-        let policy = KernelPolicy {
-            mr,
-            nr,
-            tile_cutoff_flops: 0,
-        };
-        for t in THREADS {
-            let got = kernels::with_policy(policy, || with_threads(t, &f));
-            assert_eq!(
-                bits(&got),
-                bits(&reference),
-                "{label}: tile {mr}x{nr} at {t} threads changed the result"
-            );
-        }
-    }
-}
+// --- per-element reduction tree, so every thread budget lands on the same
+// --- bits.
 
 #[test]
-fn matvec_is_bitwise_tile_and_thread_invariant() {
+fn matvec_ragged_is_bitwise_thread_invariant() {
     let a = random_matrix(509, 387, 20);
     let x = random_vec(387, 21);
-    assert_bitwise_tile_and_thread_invariant("matvec 509x387", || a.matvec(&x));
+    assert_bitwise_invariant("matvec 509x387", || a.matvec(&x));
 }
 
 #[test]
-fn matmul_is_bitwise_tile_and_thread_invariant() {
+fn matmul_ragged_is_bitwise_thread_invariant() {
     let a = random_matrix(157, 93, 22);
     let b = random_matrix(93, 101, 23);
-    assert_bitwise_tile_and_thread_invariant("matmul 157x93·93x101", || {
+    assert_bitwise_invariant("matmul 157x93·93x101", || {
         a.matmul(&b).unwrap().as_slice().to_vec()
     });
 }
 
 #[test]
-fn scaled_gram_is_bitwise_tile_and_thread_invariant() {
+fn scaled_gram_ragged_is_bitwise_thread_invariant() {
     let a = random_matrix(131, 87, 24);
     let d: Vec<f64> = random_vec(87, 25).iter().map(|v| v.abs() + 0.1).collect();
-    assert_bitwise_tile_and_thread_invariant("scaled_gram 131x87", || {
+    assert_bitwise_invariant("scaled_gram 131x87", || {
         a.scaled_gram(&d).as_slice().to_vec()
     });
 }
 
 #[test]
-fn lu_solve_is_bitwise_tile_and_thread_invariant() {
+fn lu_solve_ragged_is_bitwise_thread_invariant() {
     let a = dominant_matrix(193, 26);
     let b = random_vec(193, 27);
-    assert_bitwise_tile_and_thread_invariant("lu solve n=193", || {
+    assert_bitwise_invariant("lu solve n=193", || {
         LuFactors::factor(a.clone()).unwrap().solve(&b).unwrap()
     });
 }

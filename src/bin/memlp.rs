@@ -577,7 +577,8 @@ fn info_cmd(args: &[String]) -> Result<(), String> {
     let f = parse_flags(args)?;
     let path = f.positional.first().ok_or("info needs a file argument")?;
     let lp = load(path)?;
-    let split = SignSplit::split(lp.a());
+    let compensations = SignSplit::split(lp.a()).num_compensations()
+        + SignSplit::split(&lp.a().transpose()).num_compensations();
     let sparse = memlp_linalg::SparseMatrix::from_dense(lp.a());
     println!("constraints (m):        {}", lp.num_constraints());
     println!("variables (n):          {}", lp.num_vars());
@@ -587,14 +588,8 @@ fn info_cmd(args: &[String]) -> Result<(), String> {
         sparse.density() * 100.0
     );
     println!("max |coefficient|:      {:.6}", lp.max_abs_coefficient());
-    println!(
-        "compensation variables: {} (§3.2 transform)",
-        split.num_compensations() + SignSplit::split(&lp.a().transpose()).num_compensations()
-    );
-    let dim = 3 * lp.num_vars()
-        + 3 * lp.num_constraints()
-        + split.num_compensations()
-        + SignSplit::split(&lp.a().transpose()).num_compensations();
+    println!("compensation variables: {compensations} (§3.2 transform)");
+    let dim = 3 * lp.num_vars() + 3 * lp.num_constraints() + compensations;
     println!("Algorithm-1 system dim: {dim}");
     println!(
         "Algorithm-2 system dim: {}",
