@@ -159,22 +159,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies column `j` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(
-            j < self.cols,
-            "column index {j} out of bounds for {} columns",
-            self.cols
-        );
-        (0..self.rows)
-            .map(|i| self.data[i * self.cols + j])
-            .collect()
-    }
-
     /// Returns the main diagonal as a vector.
     pub fn diag(&self) -> Vec<f64> {
         let n = self.rows.min(self.cols);
@@ -709,12 +693,6 @@ mod tests {
     fn set_block_panics_out_of_bounds() {
         let mut big = Matrix::zeros(2, 2);
         big.set_block(1, 1, &Matrix::zeros(2, 2));
-    }
-
-    #[test]
-    fn col_extracts_column() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(m.col(1), vec![2.0, 4.0]);
     }
 
     #[test]

@@ -327,9 +327,73 @@ pub fn par_bands<T: Send>(threads: usize, data: &mut [T], f: impl Fn(usize, &mut
     });
 }
 
+/// A value filled at most once, on first use, and then shared read-only —
+/// the workspace's one lazily built cache that may be read from several
+/// threads (`memlp_lp::LpProblem` keeps its dense view of `A` in one).
+///
+/// Only one initializer ever runs; racing readers wait for it and all see
+/// the same value. An initializer that computes a deterministic function
+/// of its inputs therefore gives the same bits whichever thread fills the
+/// slot, so results stay thread-invariant. A clone copies the value if the
+/// slot is already filled and is empty otherwise.
+#[derive(Debug, Clone)]
+pub struct WriteOnce<T>(
+    // memlp-lint: allow(concurrency::primitive, reason = "write-once shared cache: one initializer runs and every reader sees its value, so fill order cannot change results")
+    OnceLock<T>,
+);
+
+impl<T> WriteOnce<T> {
+    /// An empty slot.
+    pub fn new() -> Self {
+        WriteOnce(Default::default())
+    }
+
+    /// A slot filled with `value` from the start.
+    pub fn filled(value: T) -> Self {
+        WriteOnce(value.into())
+    }
+
+    /// The value, if the slot has been filled.
+    pub fn get(&self) -> Option<&T> {
+        self.0.get()
+    }
+
+    /// The value, running `init` first if the slot is still empty.
+    pub fn get_or_init(&self, init: impl FnOnce() -> T) -> &T {
+        self.0.get_or_init(init)
+    }
+}
+
+impl<T> Default for WriteOnce<T> {
+    fn default() -> Self {
+        WriteOnce::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_once_fills_once_and_clones_its_state() {
+        let slot = WriteOnce::new();
+        assert_eq!(slot.get(), None);
+        let empty_clone = slot.clone();
+        assert_eq!(*slot.get_or_init(|| 7), 7);
+        assert_eq!(*slot.get_or_init(|| 9), 7);
+        assert_eq!(empty_clone.get(), None);
+        assert_eq!(slot.clone().get(), Some(&7));
+        assert_eq!(WriteOnce::filled(3).get(), Some(&3));
+    }
+
+    #[test]
+    fn write_once_readers_agree_under_a_race() {
+        // Each worker offers its own index; whichever fills the slot, every
+        // reader sees that one value.
+        let slot = WriteOnce::new();
+        let seen = run_indexed(4, 16, |i| *slot.get_or_init(|| i));
+        assert!(seen.iter().all(|&v| v == seen[0]));
+    }
 
     #[test]
     fn resolve_is_at_least_one() {

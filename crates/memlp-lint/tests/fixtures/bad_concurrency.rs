@@ -8,3 +8,4 @@ fn worker() -> u64 {
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 static LOCK: Mutex<()> = Mutex::new(());
+static CACHE: std::sync::OnceLock<u64> = std::sync::OnceLock::new();

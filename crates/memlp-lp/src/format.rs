@@ -29,17 +29,24 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use memlp_linalg::Matrix;
+use memlp_linalg::SparseMatrix;
 
 use crate::error::LpError;
 use crate::problem::LpProblem;
 
 /// Parses the LP text format into a canonical-form problem.
 ///
-/// Variable order is the order of first appearance.
+/// Variable order is the order of first appearance. The text is read in
+/// one pass, names borrowed from it (text with `\` comments or CRLF line
+/// ends is first copied without them), and the constraint terms become CSR triplets, so
+/// the problem arrives with its dense view unbuilt
+/// ([`LpProblem::from_sparse`]). Repeated terms of one variable in a row
+/// are summed in the order written and a row entry that sums to zero is
+/// dropped, so [`LpProblem::a`] holds what a dense `+=` of the terms would.
 ///
 /// # Errors
 ///
@@ -47,50 +54,25 @@ use crate::problem::LpProblem;
 /// for any syntax problem, and [`LpError::NonFinite`] for unparseable
 /// numbers.
 pub fn parse(text: &str) -> Result<LpProblem, LpError> {
-    // Strip comments, join into statements separated by ';'.
-    let cleaned: String = text
-        .lines()
-        .map(|l| l.split('\\').next().unwrap_or(""))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let statements: Vec<&str> = cleaned
-        .split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if statements.is_empty() {
-        return Err(syntax("an objective statement", "empty input"));
-    }
+    let cleaned = strip_comments(text);
+    let mut statements = cleaned.split(';').map(str::trim).filter(|s| !s.is_empty());
+    let objective = statements
+        .next()
+        .ok_or_else(|| syntax("an objective statement", "empty input"))?;
 
-    let mut vars: Vec<String> = Vec::new();
-    let mut var_index: BTreeMap<String, usize> = BTreeMap::new();
-    let intern = |name: &str, vars: &mut Vec<String>, var_index: &mut BTreeMap<String, usize>| {
-        if let Some(&i) = var_index.get(name) {
-            i
-        } else {
-            let i = vars.len();
-            vars.push(name.to_string());
-            var_index.insert(name.to_string(), i);
-            i
-        }
-    };
+    let mut vars: BTreeMap<&str, usize> = BTreeMap::new();
 
     // Objective.
-    let (sense, obj_expr) = split_objective(statements[0])?;
-    let obj_terms = parse_expr(obj_expr)?;
-    let mut c_map: Vec<(usize, f64)> = Vec::new();
-    for (coef, name) in &obj_terms {
-        let i = intern(name, &mut vars, &mut var_index);
-        c_map.push((i, *coef));
-    }
+    let (sense, obj_expr) = split_objective(objective)?;
+    let mut c_terms: Vec<(usize, f64)> = Vec::new();
+    for_each_term(obj_expr, |coef, name| {
+        c_terms.push((intern(&mut vars, name), coef));
+    })?;
 
-    // Constraints.
-    struct Row {
-        terms: Vec<(usize, f64)>,
-        rhs: f64,
-    }
-    let mut rows: Vec<Row> = Vec::new();
-    for stmt in &statements[1..] {
+    // Constraints, as CSR triplets.
+    let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+    let mut b: Vec<f64> = Vec::new();
+    for stmt in statements {
         // Optional "name:" prefix — but be careful not to eat "<=".
         let body = match stmt.find(':') {
             Some(pos) => &stmt[pos + 1..],
@@ -100,54 +82,71 @@ pub fn parse(text: &str) -> Result<LpProblem, LpError> {
         let rhs_val: f64 = rhs.trim().parse().map_err(|_| LpError::NonFinite {
             location: format!("right-hand side `{rhs}`"),
         })?;
-        let terms = parse_expr(lhs)?;
         // Canonicalize: `expr >= r` becomes `−expr <= −r`.
         let sign = if op == "<=" { 1.0 } else { -1.0 };
-        let mut row = Vec::with_capacity(terms.len());
-        for (coef, name) in &terms {
-            let i = intern(name, &mut vars, &mut var_index);
-            row.push((i, sign * coef));
-        }
-        rows.push(Row {
-            terms: row,
-            rhs: sign * rhs_val,
-        });
+        let row = b.len();
+        for_each_term(lhs, |coef, name| {
+            triplets.push((row, intern(&mut vars, name), sign * coef));
+        })?;
+        b.push(sign * rhs_val);
     }
 
     let n = vars.len();
     if n == 0 {
         return Err(syntax("at least one variable", "none found"));
     }
-    let m = rows.len();
-    let mut a = Matrix::zeros(m, n);
-    let mut b = vec![0.0; m];
-    for (i, row) in rows.iter().enumerate() {
-        for &(j, v) in &row.terms {
-            a[(i, j)] += v;
-        }
-        b[i] = row.rhs;
-    }
+    let a = SparseMatrix::from_triplets(b.len(), n, &triplets)?;
     let mut c = vec![0.0; n];
     let obj_sign = if sense == Sense::Max { 1.0 } else { -1.0 };
-    for (j, v) in c_map {
+    for (j, v) in c_terms {
         c[j] += obj_sign * v;
     }
-    LpProblem::new(a, b, c)
+    LpProblem::from_sparse(a, b, c)
+}
+
+/// The column of `name`: variables are numbered in order of first
+/// appearance, and names stay borrowed from the text.
+fn intern<'a>(vars: &mut BTreeMap<&'a str, usize>, name: &'a str) -> usize {
+    let next = vars.len();
+    *vars.entry(name).or_insert(next)
+}
+
+/// The text with every `\` comment cut off at its line end and CRLF line
+/// ends turned into LF (error messages quote statements from it). Text
+/// with neither is borrowed as is.
+fn strip_comments(text: &str) -> Cow<'_, str> {
+    if !text.contains(['\\', '\r']) {
+        return Cow::Borrowed(text);
+    }
+    Cow::Owned(
+        text.lines()
+            .map(|l| l.split('\\').next().unwrap_or(""))
+            .collect::<Vec<_>>()
+            .join("\n"),
+    )
 }
 
 /// Writes a problem in the LP text format (variables named `x0…x{n−1}`).
 ///
 /// The objective lists every variable, zero coefficients included: the
 /// parser numbers variables by first appearance, so this pins `xj` to
-/// column `j` and keeps all-zero columns.
+/// column `j` and keeps all-zero columns. Constraint rows are read from
+/// the CSR matrix, so writing never builds the dense view.
 pub fn write(lp: &LpProblem) -> String {
     let mut out = String::new();
     out.push_str("max:");
-    write_expr(&mut out, lp.c(), true);
+    write_expr(&mut out, lp.c().iter().copied().enumerate());
     out.push_str(";\n");
+    let a = lp.sparse_a();
+    let (row_ptr, cols, vals) = (a.row_ptr(), a.col_idx(), a.values());
     for i in 0..lp.num_constraints() {
         let _ = write!(out, "c{i}:");
-        write_expr(&mut out, lp.a().row(i), false);
+        let span = row_ptr[i]..row_ptr[i + 1];
+        let terms = cols[span.clone()]
+            .iter()
+            .copied()
+            .zip(vals[span].iter().copied());
+        write_expr(&mut out, terms.filter(|&(_, v)| v != 0.0));
         let _ = writeln!(out, " <= {};", fmt_num(lp.b()[i]));
     }
     out
@@ -186,100 +185,110 @@ fn split_relation(body: &str) -> Result<(&str, &'static str, &str), LpError> {
     }
 }
 
-/// Parses `[+-] [coef [*]] name …` into (coefficient, name) terms.
-fn parse_expr(expr: &str) -> Result<Vec<(f64, String)>, LpError> {
-    let mut terms = Vec::new();
-    // Insert separators before +/- so we can split into signed terms, but
-    // keep exponents like `1e-3` intact.
-    let mut normalized = String::with_capacity(expr.len() + 8);
-    let chars: Vec<char> = expr.chars().collect();
-    for (k, &ch) in chars.iter().enumerate() {
-        if (ch == '+' || ch == '-') && k > 0 {
-            let prev = chars[..k].iter().rev().find(|c| !c.is_whitespace());
-            let is_exponent = matches!(prev, Some('e') | Some('E'))
-                && chars[..k]
-                    .iter()
-                    .rev()
-                    .nth(1)
-                    .map(|c| c.is_ascii_digit() || *c == '.')
-                    .unwrap_or(false);
-            if !is_exponent {
-                normalized.push('\u{1f}');
+/// Parses `[+-] [coef [*]] name …` and hands each term to `emit` as
+/// (coefficient, name), the name borrowed from `expr`.
+///
+/// Terms start at every `+` or `-` after the first character, except the
+/// sign of an exponent (`1e-3`: the sign follows an `e`/`E` that follows
+/// a digit or `.`); U+001F also breaks a term.
+fn for_each_term<'a>(expr: &'a str, mut emit: impl FnMut(f64, &'a str)) -> Result<(), LpError> {
+    let bytes = expr.as_bytes();
+    let mut any = false;
+    let mut start = 0;
+    for (k, &ch) in bytes.iter().enumerate() {
+        let breaks = match ch {
+            b'+' | b'-' => {
+                k > 0
+                    && !(k >= 2
+                        && matches!(bytes[k - 1], b'e' | b'E')
+                        && (bytes[k - 2].is_ascii_digit() || bytes[k - 2] == b'.'))
             }
-        }
-        normalized.push(ch);
-    }
-    for raw in normalized.split('\u{1f}') {
-        let term = raw.trim();
-        if term.is_empty() {
-            continue;
-        }
-        let (sign, rest) = match term.strip_prefix('-') {
-            Some(r) => (-1.0, r.trim_start()),
-            None => (1.0, term.strip_prefix('+').unwrap_or(term).trim_start()),
+            0x1f => true,
+            _ => false,
         };
-        if rest.is_empty() {
-            return Err(syntax("a term after the sign", term));
+        if breaks {
+            any |= parse_term(&expr[start..k], &mut emit)?;
+            // The separator byte itself is dropped; a sign opens the next
+            // term.
+            start = if ch == 0x1f { k + 1 } else { k };
         }
-        // Split into leading number and variable name.
-        let rest = rest.replace('*', " ");
-        let mut parts = rest.split_whitespace();
-        let first = parts.next().ok_or_else(|| syntax("a term", term))?;
-        let (coef, name) = if first
-            .chars()
-            .next()
-            .map(|c| c.is_ascii_digit() || c == '.')
-            .unwrap_or(false)
-        {
-            // Either `2 x` (separate tokens) or the glued form `2x`. For
-            // the glued form take the longest numeric prefix (so exponents
-            // like `1e-3` are not split at the `e`).
-            if let Ok(coef) = first.parse::<f64>() {
-                let name = parts
-                    .next()
-                    .ok_or_else(|| syntax("a variable after the coefficient", term))?;
-                (coef, name.to_string())
-            } else {
-                let (split_at, coef) = (1..first.len())
-                    .rev()
-                    .filter(|&k| first.is_char_boundary(k))
-                    .find_map(|k| first[..k].parse::<f64>().ok().map(|coef| (k, coef)))
-                    .ok_or_else(|| LpError::NonFinite {
-                        location: format!("coefficient `{first}`"),
-                    })?;
-                if parts.next().is_some() {
-                    return Err(syntax("a single `coef var` term", term));
-                }
-                (coef, first[split_at..].to_string())
-            }
-        } else {
-            (1.0, first.to_string())
-        };
-        if parts.next().is_some() {
-            return Err(syntax("a single `coef var` term", term));
-        }
-        if !name
-            .chars()
-            .next()
-            .map(char::is_alphabetic)
-            .unwrap_or(false)
-        {
-            return Err(syntax("a variable name starting with a letter", &name));
-        }
-        terms.push((sign * coef, name));
     }
-    if terms.is_empty() {
+    any |= parse_term(&expr[start..], &mut emit)?;
+    if !any {
         return Err(syntax("at least one term", expr));
     }
-    Ok(terms)
+    Ok(())
 }
 
-fn write_expr(out: &mut String, coefs: &[f64], keep_zeros: bool) {
-    let mut first = true;
-    for (j, &v) in coefs.iter().enumerate() {
-        if v == 0.0 && !keep_zeros {
-            continue;
+/// Parses one signed term; blank text is no term (`Ok(false)`).
+fn parse_term<'a>(raw: &'a str, emit: &mut impl FnMut(f64, &'a str)) -> Result<bool, LpError> {
+    let term = raw.trim();
+    if term.is_empty() {
+        return Ok(false);
+    }
+    let (sign, rest) = match term.strip_prefix('-') {
+        Some(r) => (-1.0, r.trim_start()),
+        None => (1.0, term.strip_prefix('+').unwrap_or(term).trim_start()),
+    };
+    if rest.is_empty() {
+        return Err(syntax("a term after the sign", term));
+    }
+    // Split into leading number and variable name; `*` separates like
+    // whitespace.
+    let mut parts = rest
+        .split(|c: char| c.is_whitespace() || c == '*')
+        .filter(|p| !p.is_empty());
+    let first = parts.next().ok_or_else(|| syntax("a term", term))?;
+    let (coef, name) = if first
+        .chars()
+        .next()
+        .map(|c| c.is_ascii_digit() || c == '.')
+        .unwrap_or(false)
+    {
+        // Either `2 x` (separate tokens) or the glued form `2x`. For
+        // the glued form take the longest numeric prefix (so exponents
+        // like `1e-3` are not split at the `e`).
+        if let Ok(coef) = first.parse::<f64>() {
+            let name = parts
+                .next()
+                .ok_or_else(|| syntax("a variable after the coefficient", term))?;
+            (coef, name)
+        } else {
+            let (split_at, coef) = (1..first.len())
+                .rev()
+                .filter(|&k| first.is_char_boundary(k))
+                .find_map(|k| first[..k].parse::<f64>().ok().map(|coef| (k, coef)))
+                .ok_or_else(|| LpError::NonFinite {
+                    location: format!("coefficient `{first}`"),
+                })?;
+            if parts.next().is_some() {
+                return Err(syntax("a single `coef var` term", term));
+            }
+            (coef, &first[split_at..])
         }
+    } else {
+        (1.0, first)
+    };
+    if parts.next().is_some() {
+        return Err(syntax("a single `coef var` term", term));
+    }
+    if !name
+        .chars()
+        .next()
+        .map(char::is_alphabetic)
+        .unwrap_or(false)
+    {
+        return Err(syntax("a variable name starting with a letter", name));
+    }
+    emit(sign * coef, name);
+    Ok(true)
+}
+
+/// Writes `(column, coefficient)` terms as ` a x0 + b x1 …`, or
+/// ` 0 x0` when there are none.
+fn write_expr(out: &mut String, terms: impl Iterator<Item = (usize, f64)>) {
+    let mut first = true;
+    for (j, v) in terms {
         if first {
             if v < 0.0 {
                 out.push_str(" -");

@@ -1,3 +1,4 @@
+use memlp_linalg::parallel::WriteOnce;
 use memlp_linalg::{ops, Matrix, SparseMatrix};
 
 use crate::error::LpError;
@@ -8,23 +9,33 @@ use crate::error::LpError;
 /// Invariants enforced at construction: `A` is `m×n`, `b` has length `m`,
 /// `c` has length `n`, and every coefficient is finite.
 ///
-/// The constraint matrix is carried in **both** representations from
-/// construction onward: the dense [`Matrix`] (the crossbar-programming and
-/// dense-oracle view) and a CSR [`SparseMatrix`] (the structure-exploiting
-/// digital view). The two always describe the same matrix; sparse Newton
-/// paths pick by [`density`](Self::density) without any per-solve
-/// conversion cost.
-#[derive(Debug, Clone, PartialEq)]
+/// The constraint matrix is stored once, in CSR form
+/// ([`sparse_a`](Self::sparse_a)): the structure-exploiting digital view
+/// that the sparse Newton paths, PDHG and the `.lp` codec read. The dense
+/// [`Matrix`] ([`a`](Self::a)) — the crossbar-programming and
+/// dense-oracle view — is derived from it on the first call, or kept from
+/// construction when the caller hands one to [`new`](Self::new). A sparse
+/// path therefore never pays the `O(m·n)` dense fill, and the two views
+/// always describe the same matrix.
+#[derive(Debug, Clone)]
 pub struct LpProblem {
-    a: Matrix,
     sparse_a: SparseMatrix,
+    dense_a: WriteOnce<Matrix>,
     b: Vec<f64>,
     c: Vec<f64>,
 }
 
+/// Problems are equal when their CSR matrices, `b` and `c` are; whether
+/// the dense view has been built does not matter.
+impl PartialEq for LpProblem {
+    fn eq(&self, other: &Self) -> bool {
+        self.sparse_a == other.sparse_a && self.b == other.b && self.c == other.c
+    }
+}
+
 impl LpProblem {
-    /// Builds a canonical-form problem from a dense constraint matrix (the
-    /// CSR companion is extracted once here).
+    /// Builds a canonical-form problem from a dense constraint matrix. The
+    /// CSR matrix is extracted here and `a` is kept as the dense view.
     ///
     /// # Errors
     ///
@@ -37,12 +48,13 @@ impl LpProblem {
             });
         }
         let sparse_a = SparseMatrix::from_dense(&a);
-        Self::from_parts(a, sparse_a, b, c)
+        Self::from_parts(sparse_a, WriteOnce::filled(a), b, c)
     }
 
-    /// Builds a canonical-form problem CSR-first: domain generators and
-    /// equilibration hand over the sparse matrix they assembled and the
-    /// dense companion is materialized once here.
+    /// Builds a canonical-form problem CSR-first: the parser, domain
+    /// generators and equilibration hand over the sparse matrix they
+    /// assembled, and the dense view stays unbuilt until [`a`](Self::a) is
+    /// called.
     ///
     /// # Errors
     ///
@@ -53,25 +65,24 @@ impl LpProblem {
                 location: "A".into(),
             });
         }
-        let a = sparse_a.to_dense();
-        Self::from_parts(a, sparse_a, b, c)
+        Self::from_parts(sparse_a, WriteOnce::new(), b, c)
     }
 
     fn from_parts(
-        a: Matrix,
         sparse_a: SparseMatrix,
+        dense_a: WriteOnce<Matrix>,
         b: Vec<f64>,
         c: Vec<f64>,
     ) -> Result<Self, LpError> {
-        if b.len() != a.rows() {
+        if b.len() != sparse_a.rows() {
             return Err(LpError::ShapeMismatch {
-                expected: format!("b of length {}", a.rows()),
+                expected: format!("b of length {}", sparse_a.rows()),
                 found: format!("length {}", b.len()),
             });
         }
-        if c.len() != a.cols() {
+        if c.len() != sparse_a.cols() {
             return Err(LpError::ShapeMismatch {
-                expected: format!("c of length {}", a.cols()),
+                expected: format!("c of length {}", sparse_a.cols()),
                 found: format!("length {}", c.len()),
             });
         }
@@ -85,16 +96,23 @@ impl LpProblem {
                 location: format!("c[{i}]"),
             });
         }
-        Ok(LpProblem { a, sparse_a, b, c })
+        Ok(LpProblem {
+            sparse_a,
+            dense_a,
+            b,
+            c,
+        })
     }
 
-    /// Constraint matrix `A` (m×n), dense view.
+    /// Constraint matrix `A` (m×n), dense view. Built from the CSR matrix
+    /// on the first call (an `O(m·n)` fill) unless the problem was
+    /// constructed from a dense matrix; later calls return the same view.
     pub fn a(&self) -> &Matrix {
-        &self.a
+        self.dense_a.get_or_init(|| self.sparse_a.to_dense())
     }
 
-    /// Constraint matrix `A` (m×n), CSR view — same matrix as
-    /// [`a`](Self::a), kept in sync from construction.
+    /// Constraint matrix `A` (m×n), CSR view — the stored matrix, the same
+    /// one [`a`](Self::a) shows densely.
     pub fn sparse_a(&self) -> &SparseMatrix {
         &self.sparse_a
     }
@@ -118,12 +136,12 @@ impl LpProblem {
 
     /// Number of constraints `m`.
     pub fn num_constraints(&self) -> usize {
-        self.a.rows()
+        self.sparse_a.rows()
     }
 
     /// Number of variables `n`.
     pub fn num_vars(&self) -> usize {
-        self.a.cols()
+        self.sparse_a.cols()
     }
 
     /// Objective value `cᵀx`.
@@ -145,7 +163,7 @@ impl LpProblem {
         if x.iter().any(|&v| v < -tol) {
             return false;
         }
-        let ax = self.a.matvec(x);
+        let ax = self.a().matvec(x);
         ax.iter()
             .zip(&self.b)
             .all(|(l, r)| *l <= r + tol * r.abs().max(1.0))
@@ -166,7 +184,7 @@ impl LpProblem {
         if x.iter().any(|&v| v < -slack) {
             return false;
         }
-        let ax = self.a.matvec(x);
+        let ax = self.a().matvec(x);
         ax.iter()
             .zip(&self.b)
             .all(|(l, r)| *l <= r + slack * r.abs().max(1.0))
@@ -186,7 +204,7 @@ impl LpProblem {
         if x.iter().any(|&v| v < -slack) {
             return false;
         }
-        let ax = self.a.matvec(x);
+        let ax = self.a().matvec(x);
         ax.iter().zip(&self.b).all(|(l, r)| *l <= r + slack)
     }
 
@@ -194,7 +212,6 @@ impl LpProblem {
     /// the dual of `max cᵀx, Ax ⪯ b, x ⪰ 0` is `min bᵀy, Aᵀy ⪰ c, y ⪰ 0`,
     /// which canonicalizes to `max (−b)ᵀy, (−Aᵀ)y ⪯ −c, y ⪰ 0`.
     pub fn dual(&self) -> LpProblem {
-        let at = self.a.transpose().map(|v| -v);
         let mut sat = self.sparse_a.transpose();
         for v in sat.values_mut() {
             *v = -*v;
@@ -202,8 +219,8 @@ impl LpProblem {
         let neg_c: Vec<f64> = self.c.iter().map(|v| -v).collect();
         let neg_b: Vec<f64> = self.b.iter().map(|v| -v).collect();
         LpProblem {
-            a: at,
             sparse_a: sat,
+            dense_a: WriteOnce::new(),
             b: neg_c,
             c: neg_b,
         }
@@ -212,8 +229,10 @@ impl LpProblem {
     /// Largest absolute coefficient across `A`, `b`, `c` — the dynamic range
     /// the crossbar must represent.
     pub fn max_abs_coefficient(&self) -> f64 {
-        self.a
-            .max_abs()
+        self.sparse_a
+            .values()
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()))
             .max(ops::inf_norm(&self.b))
             .max(ops::inf_norm(&self.c))
     }
@@ -371,5 +390,47 @@ mod tests {
         let lp = sample();
         let d = lp.dual();
         assert_eq!(d.sparse_a().to_dense(), *d.a());
+    }
+
+    /// The dense view once built, bit for bit against the CSR matrix.
+    fn assert_view_matches_csr(lp: &LpProblem) {
+        let view: Vec<u64> = lp.a().as_slice().iter().map(|v| v.to_bits()).collect();
+        let dense = lp.sparse_a().to_dense();
+        let csr: Vec<u64> = dense.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(view, csr);
+        assert!(lp.dense_a.get().is_some());
+    }
+
+    #[test]
+    fn csr_first_constructors_leave_the_dense_view_unbuilt() {
+        let parsed =
+            crate::format::parse("max: 3x - y;\nc0: x + 2y - x <= 4;\nc1: y >= -1;").unwrap();
+        let sparse = LpProblem::from_sparse(
+            SparseMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (1, 2, -2.0)]).unwrap(),
+            vec![1.0, 1.0],
+            vec![1.0, 0.0, 0.0],
+        )
+        .unwrap();
+        let dual = sample().dual();
+        let (scaled, _) = crate::equilibrate(&sample()).unwrap();
+        for lp in [&parsed, &sparse, &dual, &scaled] {
+            // Shape, density, coefficient range, equality, cloning and the
+            // text writer all read the CSR matrix.
+            let _ = (lp.num_vars(), lp.num_constraints(), lp.density());
+            let _ = lp.max_abs_coefficient();
+            let _ = crate::format::write(lp);
+            assert!(lp == &lp.clone());
+            assert!(lp.dense_a.get().is_none());
+            assert_view_matches_csr(lp);
+        }
+        // A clone taken after the fill carries the view along.
+        assert!(parsed.clone().dense_a.get().is_some());
+    }
+
+    #[test]
+    fn dense_constructor_keeps_the_callers_matrix_as_the_view() {
+        let lp = sample();
+        assert!(lp.dense_a.get().is_some());
+        assert_view_matches_csr(&lp);
     }
 }

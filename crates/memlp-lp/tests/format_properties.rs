@@ -7,10 +7,23 @@
 //! 2. **Never panics.** `parse` returns `Ok` or `Err` on strings built from
 //!    a token alphabet of the format's punctuation plus multi-byte
 //!    characters whose lowercase has a different byte length.
+//! 3. **CSR assembly matches a dense `+=`.** On generated text with
+//!    repeated and cancelling terms, `>=` rows and every coefficient
+//!    spelling (`2 x`, glued `2x` and `1e-3y`, `2*x`), the parsed CSR matrix
+//!    equals, bit for bit, `SparseMatrix::from_dense` of a dense matrix
+//!    built by adding each term into a zeroed cell in the order written.
+//! 4. **The writer reads CSR rows without changing a byte.** On the four
+//!    domain LPs, `write` matches a reference that walks the dense rows.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use memlp_linalg::Matrix;
+use memlp_linalg::{Matrix, SparseMatrix};
+use std::fmt::Write as _;
+
+use memlp_lp::domains::{
+    assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp, AssignmentProblem,
+    MaxFlowNetwork, ProductionPlan, TransportationProblem,
+};
 use memlp_lp::format::{parse, write};
 use memlp_lp::generator::RandomLp;
 use memlp_lp::LpProblem;
@@ -78,6 +91,138 @@ fn token_soup() -> impl Strategy<Value = String> {
         })
 }
 
+/// One written term: variable, magnitude, minus sign, spelling.
+type Term = (usize, f64, bool, usize);
+
+/// Magnitudes the terms are written with: integers, fractions, exponents
+/// and one that rounds (0.1).
+const MAGNITUDES: [f64; 7] = [1.0, 2.0, 0.5, 1e-3, 0.1, 250.0, 3.75e-7];
+
+/// Variable names, none starting with a letter a number could absorb
+/// (`e`, `E`) so the glued spellings stay unambiguous.
+const NAMES: [&str; 5] = ["x", "y", "z1", "w_2", "q"];
+
+fn term() -> impl Strategy<Value = Term> {
+    (
+        0usize..NAMES.len(),
+        0usize..MAGNITUDES.len(),
+        any::<bool>(),
+        0usize..6,
+    )
+        .prop_map(|(v, k, neg, style)| (v, MAGNITUDES[k], neg, style))
+}
+
+/// A row's terms, with a cancelling copy of some terms appended so
+/// entries that sum to exactly zero occur.
+fn terms() -> impl Strategy<Value = Vec<Term>> {
+    (proptest::collection::vec(term(), 1..6), any::<bool>()).prop_map(|(mut ts, cancel)| {
+        if cancel {
+            let (v, mag, neg, style) = ts[0];
+            ts.push((v, mag, !neg, (style + 1) % 6));
+        }
+        ts
+    })
+}
+
+/// Writes the terms in their spellings.
+fn write_terms(out: &mut String, terms: &[Term]) {
+    for (k, &(v, mag, neg, style)) in terms.iter().enumerate() {
+        let name = NAMES[v];
+        out.push_str(match (k, neg) {
+            (0, true) => " -",
+            (0, false) => " ",
+            (_, true) => " - ",
+            (_, false) => " + ",
+        });
+        match style {
+            0 => out.push_str(&format!("{mag} {name}")),
+            1 => out.push_str(&format!("{mag}{name}")),
+            2 => out.push_str(&format!("{mag:e}{name}")),
+            3 => out.push_str(&format!("{mag:e} * {name}")),
+            4 => out.push_str(&format!("{mag}*{name}")),
+            // Unit coefficient written as a bare name.
+            _ => out.push_str(name),
+        }
+    }
+}
+
+fn coefficient_of(&(_, mag, neg, style): &Term) -> f64 {
+    let mag = if style == 5 { 1.0 } else { mag };
+    if neg {
+        -mag
+    } else {
+        mag
+    }
+}
+
+/// An LP as written: (maximize?, objective, rows of (terms, `>=`?, rhs)).
+type Written = (bool, Vec<Term>, Vec<(Vec<Term>, bool, f64)>);
+
+fn written_lp() -> impl Strategy<Value = Written> {
+    (
+        any::<bool>(),
+        terms(),
+        proptest::collection::vec((terms(), any::<bool>(), 0u32..19), 0..6),
+    )
+        .prop_map(|(max, obj, rows)| {
+            let rows = rows
+                .into_iter()
+                .map(|(ts, ge, rhs)| (ts, ge, (f64::from(rhs) - 9.0) * 0.5))
+                .collect();
+            (max, obj, rows)
+        })
+}
+
+fn lp_text((max, obj, rows): &Written) -> String {
+    let mut text = String::from(if *max { "max:" } else { "min:" });
+    write_terms(&mut text, obj);
+    text.push_str(";\n");
+    for (i, (ts, ge, rhs)) in rows.iter().enumerate() {
+        text.push_str(&format!("c{i}:"));
+        write_terms(&mut text, ts);
+        text.push_str(&format!(" {} {rhs};\n", if *ge { ">=" } else { "<=" }));
+    }
+    text
+}
+
+/// The reference: columns numbered by first appearance, every term added
+/// into a zeroed dense cell (`>=` rows negated), then converted to CSR.
+fn dense_reference((max, obj, rows): &Written) -> (SparseMatrix, Vec<f64>, Vec<f64>) {
+    let mut order: Vec<usize> = Vec::new();
+    let mut column = |v: usize| match order.iter().position(|&u| u == v) {
+        Some(j) => j,
+        None => {
+            order.push(v);
+            order.len() - 1
+        }
+    };
+    let obj_cols: Vec<usize> = obj.iter().map(|t| column(t.0)).collect();
+    let row_cols: Vec<Vec<usize>> = rows
+        .iter()
+        .map(|(ts, _, _)| ts.iter().map(|t| column(t.0)).collect())
+        .collect();
+    let n = order.len();
+    let mut a = Matrix::zeros(rows.len(), n);
+    let mut b = vec![0.0; rows.len()];
+    for (i, (ts, ge, rhs)) in rows.iter().enumerate() {
+        let sign = if *ge { -1.0 } else { 1.0 };
+        for (t, &j) in ts.iter().zip(&row_cols[i]) {
+            a[(i, j)] += sign * coefficient_of(t);
+        }
+        b[i] = sign * rhs;
+    }
+    let mut c = vec![0.0; n];
+    let obj_sign = if *max { 1.0 } else { -1.0 };
+    for (t, &j) in obj.iter().zip(&obj_cols) {
+        c[j] += obj_sign * coefficient_of(t);
+    }
+    (SparseMatrix::from_dense(&a), b, c)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -96,8 +241,81 @@ proptest! {
     }
 
     #[test]
+    fn parsed_csr_matches_dense_accumulation(lp in written_lp()) {
+        let text = lp_text(&lp);
+        let parsed = parse(&text).expect("generated LP parses");
+        let (a, b, c) = dense_reference(&lp);
+        let got = parsed.sparse_a();
+        prop_assert_eq!((got.rows(), got.cols()), (a.rows(), a.cols()), "text:\n{}", text);
+        prop_assert_eq!(got.row_ptr(), a.row_ptr(), "text:\n{}", text);
+        prop_assert_eq!(got.col_idx(), a.col_idx(), "text:\n{}", text);
+        prop_assert_eq!(bits(got.values()), bits(a.values()), "text:\n{}", text);
+        prop_assert_eq!(bits(parsed.b()), bits(&b));
+        prop_assert_eq!(bits(parsed.c()), bits(&c));
+        prop_assert_eq!(bits(parsed.a().as_slice()), bits(a.to_dense().as_slice()));
+    }
+
+    #[test]
     fn parse_never_panics_on_token_soup(text in token_soup()) {
         let outcome = catch_unwind(AssertUnwindSafe(|| parse(&text).is_ok()));
         prop_assert!(outcome.is_ok(), "parse panicked on {:?}", text);
+    }
+}
+
+/// The writer as it was when it walked the dense rows of `A`.
+fn write_from_dense_rows(lp: &LpProblem) -> String {
+    fn num(v: f64) -> String {
+        if v == v.trunc() && v.abs() < 1e15 {
+            format!("{}", v as i64)
+        } else {
+            format!("{v}")
+        }
+    }
+    fn expr(out: &mut String, coefs: &[f64], keep_zeros: bool) {
+        let mut first = true;
+        for (j, &v) in coefs.iter().enumerate() {
+            if v == 0.0 && !keep_zeros {
+                continue;
+            }
+            out.push_str(match (first, v < 0.0) {
+                (true, true) => " -",
+                (true, false) => " ",
+                (false, true) => " - ",
+                (false, false) => " + ",
+            });
+            first = false;
+            if v.abs() != 1.0 {
+                let _ = write!(out, "{} ", num(v.abs()));
+            }
+            let _ = write!(out, "x{j}");
+        }
+        if first {
+            out.push_str(" 0 x0");
+        }
+    }
+    let mut out = String::from("max:");
+    expr(&mut out, lp.c(), true);
+    out.push_str(";\n");
+    for i in 0..lp.num_constraints() {
+        let _ = write!(out, "c{i}:");
+        expr(&mut out, lp.a().row(i), false);
+        let _ = writeln!(out, " <= {};", num(lp.b()[i]));
+    }
+    out
+}
+
+#[test]
+fn writer_matches_the_dense_row_writer_on_domain_lps() {
+    let lps = [
+        transportation_lp(&TransportationProblem::random(4, 40, 3)),
+        max_flow_lp(&MaxFlowNetwork::random_layered(4, 5, 3)),
+        production_schedule_lp(&ProductionPlan::random(3, 12, 3)),
+        assignment_lp(&AssignmentProblem::random(6, 3)),
+    ];
+    for lp in lps {
+        let lp = lp.expect("domain LP builds");
+        let text = write(&lp);
+        assert_eq!(text, write_from_dense_rows(&lp));
+        assert_eq!(parse(&text).expect("written LP parses"), lp);
     }
 }

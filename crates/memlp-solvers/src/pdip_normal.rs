@@ -138,7 +138,6 @@ impl NormalEqPdip {
     ) -> Option<StepDirections> {
         let n = lp.num_vars();
         let m = lp.num_constraints();
-        let a = lp.a();
 
         let rho = s.primal_residual(lp);
         let sigma = s.dual_residual(lp);
@@ -155,6 +154,9 @@ impl NormalEqPdip {
             // this iteration.
         }
 
+        // Dense normal equations: the only place this solver reads the
+        // dense view of A.
+        let a = lp.a();
         // D = Z⁻¹X (diagonal), E = Y⁻¹W (diagonal).
         let d: Vec<f64> = (0..n).map(|j| s.x[j] / s.z[j]).collect();
         let e: Vec<f64> = (0..m).map(|i| s.w[i] / s.y[i]).collect();

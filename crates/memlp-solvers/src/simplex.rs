@@ -157,6 +157,7 @@ impl Simplex {
         let n_art = art_rows.len();
         let cols = n + m + n_art;
 
+        let a = lp.a();
         let mut rows = Vec::with_capacity(m);
         let mut basis = vec![0usize; m];
         let mut negated = vec![false; m];
@@ -165,8 +166,8 @@ impl Simplex {
             let mut row = vec![0.0; cols + 1];
             let flip = lp.b()[i] < 0.0;
             let sgn = if flip { -1.0 } else { 1.0 };
-            for (j, rj) in row.iter_mut().enumerate().take(n) {
-                *rj = sgn * lp.a()[(i, j)];
+            for (rj, &aij) in row.iter_mut().zip(a.row(i)) {
+                *rj = sgn * aij;
             }
             row[n + i] = sgn; // slack
             row[cols] = sgn * lp.b()[i];

@@ -577,9 +577,18 @@ fn info_cmd(args: &[String]) -> Result<(), String> {
     let f = parse_flags(args)?;
     let path = f.positional.first().ok_or("info needs a file argument")?;
     let lp = load(path)?;
-    let compensations = SignSplit::split(lp.a()).num_compensations()
-        + SignSplit::split(&lp.a().transpose()).num_compensations();
-    let sparse = memlp_linalg::SparseMatrix::from_dense(lp.a());
+    // §3.2 compensation count, read off the CSR matrix: one per column and
+    // one per row that holds a negative entry (the splits of A and Aᵀ).
+    let sparse = lp.sparse_a();
+    let mut neg_rows = vec![false; lp.num_constraints()];
+    let mut neg_cols = vec![false; lp.num_vars()];
+    for (i, j, v) in sparse.iter() {
+        if v < 0.0 {
+            neg_rows[i] = true;
+            neg_cols[j] = true;
+        }
+    }
+    let compensations = neg_rows.iter().chain(&neg_cols).filter(|&&neg| neg).count();
     println!("constraints (m):        {}", lp.num_constraints());
     println!("variables (n):          {}", lp.num_vars());
     println!(

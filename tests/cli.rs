@@ -85,6 +85,84 @@ fn generate_info_solve_pipeline() {
     );
 }
 
+/// `memlp info` on a mixed-sign LP: the compensation count is one per
+/// column plus one per row holding a negative entry (here columns x, y, z,
+/// w and rows c0, c1, c3; the `>=` row is negated first).
+#[test]
+fn info_counts_compensations_on_a_mixed_sign_lp() {
+    let dir = std::env::temp_dir().join("memlp-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("mixed.lp");
+    std::fs::write(
+        &path,
+        "max: 3 x + 2 y - z + 0.5 w + v;\n\
+         c0: x + 2 y - z <= 4;\n\
+         c1: -2x + y >= -3;\n\
+         c2: y + w + v <= 5.5;\n\
+         c3: 6 z - 0.25 w - x <= 1e-3;\n",
+    )
+    .unwrap();
+    let out = memlp()
+        .args(["info", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "constraints (m):        4\n\
+         variables (n):          5\n\
+         nonzeros in A:          11 (density 55.0%)\n\
+         max |coefficient|:      6.000000\n\
+         compensation variables: 7 (§3.2 transform)\n\
+         Algorithm-1 system dim: 34\n\
+         Algorithm-2 system dim: 9\n"
+    );
+}
+
+/// A sparse LP whose dense `A` would not fit the process: transport 2×8000
+/// has m = 8002 and n = 16000, so the dense view would take 1.02 GB, while
+/// the `.lp` text is under 1 MB. Parsing, `info`, sparse PDIP and the
+/// `auto` pick (PDHG: the dense Newton core is past its guard) never build
+/// that view, so they run under a 400 MB address-space limit.
+#[test]
+fn sparse_paths_never_build_the_dense_matrix() {
+    use memlp_lp::domains::{transportation_lp, TransportationProblem};
+
+    let dir = std::env::temp_dir().join("memlp-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("transport-2x8000.lp");
+    let tp = TransportationProblem::random(2, 8000, 7);
+    assert!(tp.supply.iter().sum::<f64>() >= tp.demand.iter().sum::<f64>());
+    let lp = transportation_lp(&tp).unwrap();
+    assert_eq!((lp.num_constraints(), lp.num_vars()), (8002, 16000));
+    std::fs::write(&path, memlp_lp::format::write(&lp)).unwrap();
+
+    let limited = |args: &str| {
+        let out = Command::new("bash")
+            .arg("-c")
+            .arg(format!("ulimit -v 400000; exec \"$0\" {args} \"$1\""))
+            .arg(env!("CARGO_BIN_EXE_memlp"))
+            .arg(&path)
+            .env("MEMLP_THREADS", "1")
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "{args}: exit {:?}: {text}{}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        text
+    };
+    let info = limited("info");
+    assert!(info.contains("nonzeros in A:          32000"), "{info}");
+    let pdip = limited("solve --solver pdip --quiet");
+    assert!(pdip.starts_with("status:    optimal\n"), "{pdip}");
+    let auto = limited("solve --solver auto --quiet --max-iters 200");
+    assert!(auto.contains("iterations: 200\n"), "{auto}");
+}
+
 #[test]
 fn solve_reports_infeasible_with_nonzero_exit() {
     let dir = std::env::temp_dir().join("memlp-cli-test");
