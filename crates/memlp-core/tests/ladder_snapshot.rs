@@ -15,12 +15,19 @@
 //! re-recorded when the dense core moved from the `(n+m)` LU to the
 //! `min(n,m)` Schur solve; their statuses, iteration counts, retries and
 //! events did not change.
+//!
+//! The paper LPs above are dense, so Algorithm 1 factors them densely. The
+//! sparse-core snapshot runs Algorithm 1 fault-free and faulty on a
+//! transportation LP and a routing LP, whose densities put its Newton core
+//! on the sparse factorization; those lines were recorded before the
+//! sparse core moved onto the shared KKT type of `memlp-linalg`.
 
 use memlp_core::{
     Budget, CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolution,
     CrossbarSolverOptions, LargeScaleOptions, LargeScaleSolver,
 };
 use memlp_crossbar::{CrossbarConfig, FaultModel};
+use memlp_lp::domains::{max_flow_lp, transportation_lp, MaxFlowNetwork, TransportationProblem};
 use memlp_lp::generator::RandomLp;
 use memlp_lp::LpProblem;
 use memlp_solvers::pdhg::PdhgOptions;
@@ -169,6 +176,29 @@ fn alg1_ladder_snapshot() {
 }
 
 #[test]
+fn alg1_sparse_core_snapshot() {
+    let problems = [
+        (
+            "transport",
+            transportation_lp(&TransportationProblem::random(4, 9, 1)),
+        ),
+        (
+            "routing",
+            max_flow_lp(&MaxFlowNetwork::random_layered(3, 4, 0)),
+        ),
+    ];
+    let mut actual = Vec::new();
+    for (name, lp) in problems {
+        let lp = lp.expect("valid domain");
+        for cond in [Condition::FaultFree, Condition::Faulty] {
+            let s = CrossbarPdipSolver::new(config(cond, 4), CrossbarSolverOptions::default());
+            actual.push(line(&format!("alg1 {name}"), cond, &s.solve(&lp)));
+        }
+    }
+    check(actual, ALG1_SPARSE);
+}
+
+#[test]
 fn alg2_ladder_snapshot() {
     check(CONDITIONS.iter().map(|&c| alg2(c)).collect(), ALG2);
 }
@@ -198,6 +228,54 @@ const ALG1: &[&str] = &[
     "  FirstOrderFallback { iterations: 1808 }",
     "alg1 BudgetExpires: 5d77445f5d9057c1 IterationLimit retries=0 degraded=Some(MaxIters)",
     "alg1 Infeasible: 7a6e6d33bb21e32e Infeasible retries=0 degraded=None",
+];
+const ALG1_SPARSE: &[&str] = &[
+    "alg1 transport FaultFree: 165b54f75a00dd75 Optimal retries=0 degraded=None",
+    "alg1 transport Faulty: 0afdd0ce65e557ae Optimal retries=2 degraded=None",
+    "  FaultsDetected { block: 0, stuck_cells: 2, weak_cells: 0, dead_rows: 0, dead_cols: 0 }",
+    "  FaultsDetected { block: 1, stuck_cells: 5, weak_cells: 2, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 2, stuck_cells: 3, weak_cells: 2, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 3, stuck_cells: 3, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 5, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 6, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 7, stuck_cells: 0, weak_cells: 0, dead_rows: 2, dead_cols: 0 }",
+    "  FaultsDetected { block: 8, stuck_cells: 0, weak_cells: 0, dead_rows: 2, dead_cols: 0 }",
+    "  FaultsDetected { block: 9, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 12, stuck_cells: 1, weak_cells: 1, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 13, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 14, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 15, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 16, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 17, stuck_cells: 1, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  Reprogrammed { repaired: 5, remaining: 10 }",
+    "  Remapped { rows: 16, cols: 0, unmapped: 0 }",
+    "  VariationRedraw { attempt: 1 }",
+    "  VariationRedraw { attempt: 2 }",
+    "  FirstOrderFallback { iterations: 1520 }",
+    "alg1 routing FaultFree: 7c32d0970cad9873 Infeasible retries=1 degraded=None",
+    "  VariationRedraw { attempt: 1 }",
+    "alg1 routing Faulty: 47e92cabce230f76 Optimal retries=2 degraded=None",
+    "  FaultsDetected { block: 0, stuck_cells: 7, weak_cells: 3, dead_rows: 0, dead_cols: 0 }",
+    "  FaultsDetected { block: 1, stuck_cells: 10, weak_cells: 4, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 2, stuck_cells: 7, weak_cells: 4, dead_rows: 0, dead_cols: 0 }",
+    "  FaultsDetected { block: 3, stuck_cells: 3, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 4, stuck_cells: 1, weak_cells: 0, dead_rows: 2, dead_cols: 0 }",
+    "  FaultsDetected { block: 5, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 6, stuck_cells: 2, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 7, stuck_cells: 0, weak_cells: 0, dead_rows: 2, dead_cols: 0 }",
+    "  FaultsDetected { block: 8, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 9, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 12, stuck_cells: 1, weak_cells: 1, dead_rows: 0, dead_cols: 0 }",
+    "  FaultsDetected { block: 13, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 15, stuck_cells: 0, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
+    "  FaultsDetected { block: 16, stuck_cells: 3, weak_cells: 1, dead_rows: 3, dead_cols: 0 }",
+    "  FaultsDetected { block: 17, stuck_cells: 1, weak_cells: 0, dead_rows: 3, dead_cols: 0 }",
+    "  Reprogrammed { repaired: 13, remaining: 22 }",
+    "  Remapped { rows: 16, cols: 0, unmapped: 2 }",
+    "  VariationRedraw { attempt: 1 }",
+    "  Remapped { rows: 0, cols: 0, unmapped: 2 }",
+    "  VariationRedraw { attempt: 2 }",
+    "  FirstOrderFallback { iterations: 736 }",
 ];
 const ALG2: &[&str] = &[
     "alg2 FaultFree: 6004f79df3b705ac Optimal retries=0 degraded=None",

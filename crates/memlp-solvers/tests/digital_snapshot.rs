@@ -13,8 +13,13 @@
 //! lines before the Newton-path selector was deleted); any change to the
 //! loop's exit order, its budget polling or its arithmetic shows up here
 //! as a changed line.
+//!
+//! One more line pins the normal-equations PDIP on a routing LP whose
+//! sparse KKT factorization breaks down on some iterations, which then
+//! fall back to the dense normal equations. It was recorded before the KKT
+//! assembly moved into `memlp-linalg`.
 
-use memlp_lp::domains::{transportation_lp, TransportationProblem};
+use memlp_lp::domains::{max_flow_lp, transportation_lp, MaxFlowNetwork, TransportationProblem};
 use memlp_lp::generator::RandomLp;
 use memlp_lp::{LpProblem, LpSolution};
 use memlp_solvers::{
@@ -95,6 +100,16 @@ fn digital_solver_snapshot() {
     let actual = actual.join("\n");
     let expected = EXPECTED.join("\n");
     assert_eq!(actual, expected, "digital snapshot changed:\n{actual}");
+}
+
+#[test]
+fn normal_eq_kkt_fallback_snapshot() {
+    let lp = max_flow_lp(&MaxFlowNetwork::random_layered(12, 12, 3)).expect("valid domain");
+    let s = NormalEqPdip::default().solve(&lp);
+    assert_eq!(
+        line("normal", "routing12", "solve", &s, None),
+        "normal routing12 solve: Optimal iters=16 cause=None 87fd5e68a3b6ea0d"
+    );
 }
 
 const EXPECTED: &[&str] = &[
