@@ -35,7 +35,6 @@ pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 
 use std::path::{Path, PathBuf};
 

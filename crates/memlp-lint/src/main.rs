@@ -3,7 +3,7 @@
 //! on deny-level findings.
 //!
 //! ```text
-//! memlp-lint [--root <path>] [--format human|json|sarif] [--list-rules]
+//! memlp-lint [--root <path>] [--format human|json] [--list-rules]
 //!            [--explain <rule>] [--quiet]
 //! ```
 //!
@@ -18,7 +18,6 @@ use memlp_lint::rules::Severity;
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 struct Args {
@@ -47,8 +46,7 @@ fn parse_args() -> Result<Args, String> {
             "--format" => match it.next().as_deref() {
                 Some("json") => args.format = Format::Json,
                 Some("human") => args.format = Format::Human,
-                Some("sarif") => args.format = Format::Sarif,
-                other => return Err(format!("--format expects human|json|sarif, got {other:?}")),
+                other => return Err(format!("--format expects human|json, got {other:?}")),
             },
             "--explain" => {
                 let v = it.next().ok_or("--explain needs a rule id")?;
@@ -60,11 +58,9 @@ fn parse_args() -> Result<Args, String> {
             "--list-rules" => args.list_rules = true,
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => {
-                return Err(
-                    "usage: memlp-lint [--root <path>] [--format human|json|sarif] \
+                return Err("usage: memlp-lint [--root <path>] [--format human|json] \
                             [--list-rules] [--explain <rule>] [--quiet]"
-                        .into(),
-                )
+                    .into())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
@@ -128,7 +124,6 @@ fn main() -> ExitCode {
 
     match args.format {
         Format::Json => print!("{}", report.to_json()),
-        Format::Sarif => print!("{}", memlp_lint::sarif::to_sarif(&report)),
         Format::Human if !args.quiet => print!("{}", report.to_human()),
         Format::Human => {
             // Quiet mode: deny findings only, no snippets or witnesses.

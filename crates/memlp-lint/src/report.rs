@@ -17,7 +17,7 @@
 //!
 //! Cross-file findings additionally carry a `"witness"` array of
 //! `{"file", "line", "label"}` steps — the call chain from the rule's
-//! anchor to the finding site. SARIF output lives in [`crate::sarif`].
+//! anchor to the finding site.
 
 use std::fmt::Write as _;
 
