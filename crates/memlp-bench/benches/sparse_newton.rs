@@ -12,8 +12,9 @@
 //!
 //! A second section decomposes the digital baseline `NormalEqPdip` on
 //! transport@512: the seconds per iteration of a whole solve against one
-//! `SparseLu::refactor` plus `refine(…, 2)` on that LP's quasidefinite
-//! KKT matrix — the work an iteration cannot avoid. The gate holds the
+//! `BlockKkt::refactor` (the `n + m` diagonal writes plus the numeric
+//! refactor) and `solve(…, 2)` on that LP's quasidefinite KKT matrix —
+//! the work an iteration cannot avoid. The gate holds the
 //! ratio at or below 2.5×, so O(m·n) work creeping back into the loop
 //! (a dense residual product over the 0.4%-dense `A`) fails it on any
 //! host.
@@ -29,7 +30,7 @@ use std::time::Instant;
 use memlp_bench::fmt_time;
 use memlp_core::{AugmentedSystem, FactorStats, Factorization, HwContext};
 use memlp_crossbar::CrossbarConfig;
-use memlp_linalg::{SparseLu, SparseMatrix};
+use memlp_linalg::BlockKkt;
 use memlp_lp::domains::{
     assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp, AssignmentProblem,
     MaxFlowNetwork, ProductionPlan, TransportationProblem,
@@ -64,9 +65,8 @@ struct Row {
     m: usize,
     n: usize,
     density: f64,
-    dense: Option<Timing>,
-    sparse: Option<Timing>,
-    note: Option<&'static str>,
+    dense: Timing,
+    sparse: Timing,
 }
 
 /// Domain instances sized so the LP has exactly `m_target` constraints
@@ -80,10 +80,9 @@ fn build(domain: &'static str, m_target: usize) -> LpProblem {
         ("scheduling", 128) => production_schedule_lp(&ProductionPlan::random(8, 120, 21)),
         ("scheduling", 512) => production_schedule_lp(&ProductionPlan::random(8, 504, 21)),
         ("assignment", 128) => assignment_lp(&AssignmentProblem::random(64, 21)),
-        // k = 256 agents give m = 512 but n = k² = 65536: the (n+m)² dense
-        // core buffer alone would be ~35 GB, which the dense path now
-        // refuses via `DENSE_CORE_LIMIT_BYTES`. The sparse core fits, so
-        // the row is measured sparse-only with the dense column null.
+        // k = 256 agents give m = 512 but n = k² = 65536: the (n+m)² LU
+        // buffer would be ~35 GB, past `DENSE_CORE_LIMIT_BYTES`, but the
+        // dense column's min(n,m) Schur solve needs ~270 MB and runs.
         ("assignment", 512) => assignment_lp(&AssignmentProblem::random(256, 21)),
         _ => unreachable!("unknown bench row"),
     };
@@ -143,25 +142,9 @@ struct NormalEqSplit {
     /// Median wall-clock of one `NormalEqPdip::default()` solve divided by
     /// its iteration count, seconds.
     iter_secs: f64,
-    /// Median wall-clock of one `SparseLu::refactor` + `refine(…, 2)` on
+    /// Median wall-clock of one `BlockKkt::refactor` + `solve(…, 2)` on
     /// the LP's KKT matrix, seconds.
     kkt_secs: f64,
-}
-
-/// `[[D⁻¹, Aᵀ], [A, −E]]` at the iterate `s` (`D = Z⁻¹X`, `E = Y⁻¹W`):
-/// the quasidefinite KKT matrix the sparse `NormalEqPdip` path factors.
-fn kkt_matrix(lp: &LpProblem, s: &PdipState) -> SparseMatrix {
-    let n = lp.num_vars();
-    let a = lp.sparse_a();
-    let mut trips = Vec::with_capacity(2 * a.nnz() + n + lp.num_constraints());
-    trips.extend((0..n).map(|j| (j, j, s.z[j] / s.x[j])));
-    trips.extend((0..lp.num_constraints()).map(|i| (n + i, n + i, -s.w[i] / s.y[i])));
-    for (i, j, v) in a.iter() {
-        trips.push((n + i, j, v));
-        trips.push((j, n + i, v));
-    }
-    let dim = n + lp.num_constraints();
-    SparseMatrix::from_triplets(dim, dim, &trips).expect("KKT assembly")
 }
 
 fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
@@ -178,15 +161,19 @@ fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
 
     // The KKT at the converged iterate: the most ill-conditioned one, where
     // both refinement rounds run.
-    let state = PdipState::warm_start(lp, &sol.x, &sol.y, 1e-9);
-    let kkt = kkt_matrix(lp, &state);
-    let rhs: Vec<f64> = (0..kkt.rows()).map(|i| 1.0 + (i % 7) as f64).collect();
-    let mut lu = SparseLu::analyze(&kkt).expect("KKT symbolic analysis");
+    let s = PdipState::warm_start(lp, &sol.x, &sol.y, 1e-9);
+    let d_inv: Vec<f64> = s.z.iter().zip(&s.x).map(|(z, x)| z / x).collect();
+    let e: Vec<f64> = s.w.iter().zip(&s.y).map(|(w, y)| w / y).collect();
+    let a = lp.sparse_a();
+    let mut kkt = BlockKkt::new(&a.transpose(), a).expect("KKT symbolic analysis");
+    let rhs: Vec<f64> = (0..d_inv.len() + e.len())
+        .map(|i| 1.0 + (i % 7) as f64)
+        .collect();
     let mut kkts = Vec::with_capacity(REPS);
     for _ in 0..REPS {
         let t = Instant::now();
-        lu.refactor(&kkt).expect("KKT refactor");
-        let x = lu.refine(&kkt, &rhs, 2).expect("KKT refine");
+        kkt.refactor(&d_inv, &e).expect("KKT refactor");
+        let x = kkt.solve(&rhs, 2).expect("KKT refine");
         kkts.push(t.elapsed().as_secs_f64());
         assert!(x.iter().all(|v| v.is_finite()));
     }
@@ -199,14 +186,11 @@ fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
     }
 }
 
-fn fmt_timing(t: &Option<Timing>) -> String {
-    match t {
-        Some(t) => format!(
-            "{{\"seconds\": {:.6}, \"flops\": {}, \"factor_nnz\": {}}}",
-            t.secs, t.flops, t.factor_nnz
-        ),
-        None => "null".into(),
-    }
+fn fmt_timing(t: &Timing) -> String {
+    format!(
+        "{{\"seconds\": {:.6}, \"flops\": {}, \"factor_nnz\": {}}}",
+        t.secs, t.flops, t.factor_nnz
+    )
 }
 
 fn main() {
@@ -221,37 +205,17 @@ fn main() {
     for &m_target in &[128usize, 512] {
         for domain in ["transport", "routing", "scheduling", "assignment"] {
             let lp = build(domain, m_target);
-            let dense = measure(&lp, Factorization::Dense);
+            let dense = measure(&lp, Factorization::Dense).expect("dense core solve");
             let sparse = measure(&lp, Factorization::Sparse).expect("sparse core solve");
-            let note = match &dense {
-                Some(_) => None,
-                None => {
-                    // The only admissible dense refusal is the allocation
-                    // guard on the one oversized core; anything else would
-                    // be a real regression the bench must not paper over.
-                    assert_eq!(
-                        (domain, m_target),
-                        ("assignment", 512),
-                        "unexpected dense-path failure"
-                    );
-                    Some(
-                        "dense path refused by DENSE_CORE_LIMIT_BYTES: the (n+m)^2 \
-                         core buffer would be ~35 GB; sparse timing is real",
-                    )
-                }
-            };
-            let (dense_col, speedup_col) = match &dense {
-                Some(d) => (fmt_time(d.secs), format!("{:>8.1}x", d.secs / sparse.secs)),
-                None => ("refused".into(), format!("{:>9}", "-")),
-            };
             println!(
-                "{domain:>11} {:>5} {:>5} {:>6.4} {:>8} {:>12} {:>12} {speedup_col}",
+                "{domain:>11} {:>5} {:>5} {:>6.4} {:>8} {:>12} {:>12} {:>8.1}x",
                 lp.num_constraints(),
                 lp.num_vars(),
                 lp.density(),
                 "",
-                dense_col,
+                fmt_time(dense.secs),
                 fmt_time(sparse.secs),
+                dense.secs / sparse.secs,
             );
             rows.push(Row {
                 domain,
@@ -260,8 +224,7 @@ fn main() {
                 n: lp.num_vars(),
                 density: lp.density(),
                 dense,
-                sparse: Some(sparse),
-                note,
+                sparse,
             });
         }
     }
@@ -287,20 +250,15 @@ fn main() {
     json.push_str("  \"gate_rows\": [\"routing@512\", \"transport@512\"],\n");
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let speedup = match (&r.dense, &r.sparse) {
-            (Some(d), Some(s)) => format!("{:.2}", d.secs / s.secs),
-            _ => "null".into(),
-        };
-        let flops_ratio = match (&r.dense, &r.sparse) {
-            (Some(d), Some(s)) if s.flops > 0 => {
-                format!("{:.2}", d.flops as f64 / s.flops as f64)
-            }
-            _ => "null".into(),
+        let flops_ratio = if r.sparse.flops > 0 {
+            format!("{:.2}", r.dense.flops as f64 / r.sparse.flops as f64)
+        } else {
+            "null".into()
         };
         json.push_str(&format!(
             "    {{\"domain\": \"{}\", \"m_target\": {}, \"m\": {}, \"n\": {}, \
              \"density\": {:.5}, \"dense\": {}, \"sparse\": {}, \
-             \"speedup_time\": {}, \"speedup_flops\": {}, \"note\": {}}}{}\n",
+             \"speedup_time\": {:.2}, \"speedup_flops\": {}}}{}\n",
             r.domain,
             r.m_target,
             r.m,
@@ -308,12 +266,8 @@ fn main() {
             r.density,
             fmt_timing(&r.dense),
             fmt_timing(&r.sparse),
-            speedup,
+            r.dense.secs / r.sparse.secs,
             flops_ratio,
-            match r.note {
-                Some(n) => format!("\"{n}\""),
-                None => "null".into(),
-            },
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -329,10 +283,7 @@ fn main() {
             .iter()
             .find(|r| r.domain == domain && r.m_target == m_target)
             .expect("gated row present");
-        let (Some(d), Some(s)) = (&row.dense, &row.sparse) else {
-            panic!("gated row {domain}@{m_target} was skipped");
-        };
-        let speedup = d.secs / s.secs;
+        let speedup = row.dense.secs / row.sparse.secs;
         println!("gate {domain}@{m_target}: {speedup:.1}x (need >= {GATE_MIN_SPEEDUP}x)");
         if speedup < GATE_MIN_SPEEDUP {
             gate_pass = false;

@@ -28,7 +28,7 @@
 //! block and factors only a `min(n,m)` Schur system (DESIGN.md §13).
 
 use memlp_crossbar::Phase;
-use memlp_linalg::{inf_norm_mat, ops, LuFactors, Matrix, SparseLu, SparseMatrix};
+use memlp_linalg::{inf_norm_mat, ops, BlockKkt, LuFactors, Matrix, SparseMatrix};
 use memlp_lp::LpProblem;
 use memlp_solvers::pdip::{sparse_newton, CoreSolveError, PdipState, StepDirections};
 
@@ -58,19 +58,39 @@ mod key {
     pub const YD: u32 = 17;
 }
 
-/// Allocation guard for the dense core path: the `(n+m)²` base buffer and
-/// its per-iteration working copy each stay below this many bytes, or the
-/// dense factorization refuses with [`CoreSolveError::CoreTooLarge`]
-/// instead of attempting the allocation. 2 GiB admits cores up to
+/// Allocation guard for the dense core path: each dense buffer a
+/// factorization allocates stays below this many bytes, or that
+/// factorization refuses with [`CoreSolveError::CoreTooLarge`] instead of
+/// attempting the allocation. Algorithm 1's `min(n,m)` Schur solve is
+/// admitted by its own buffers (`8·k·(k+K)` bytes, `k = min(n,m)`,
+/// `K = max(n,m)`) and its `(n+m)` LU fallback by the `(n+m)²` core
+/// ([`dense_core_bytes`]). 2 GiB admits `(n+m)²` cores up to
 /// `n + m ≈ 16 000` — comfortably past every dense-path domain this
 /// workspace ships — while refusing the ~35 GB core of assignment@512
-/// (`n = 256² = 65 536`), whose sparse core fits in a few hundred MB.
+/// (`n = 256² = 65 536`).
 pub const DENSE_CORE_LIMIT_BYTES: u64 = 2 * 1024 * 1024 * 1024;
 
 /// Bytes the dense `(dim)²` core buffer would need — the size rule behind
-/// [`DENSE_CORE_LIMIT_BYTES`] for every caller that admits or routes by it.
+/// [`DENSE_CORE_LIMIT_BYTES`] for the `(n+m)` LU and for every caller that
+/// routes by it.
 pub fn dense_core_bytes(dim: usize) -> u64 {
     8 * dim as u64 * dim as u64
+}
+
+/// Bytes the `min(n,m)` Schur solve allocates: its `k×k` matrix and the
+/// `K×k` scaled block, with `k = min(n,m)` and `K = max(n,m)`.
+fn schur_bytes(n: usize, m: usize) -> u64 {
+    let (k, big) = (n.min(m) as u64, n.max(m) as u64);
+    8 * k * (k + big)
+}
+
+/// The refusal for a dense buffer of `bytes` on the `dim` core.
+fn too_large(dim: usize, bytes: u64) -> CoreSolveError {
+    CoreSolveError::CoreTooLarge {
+        dim,
+        bytes,
+        limit: DENSE_CORE_LIMIT_BYTES,
+    }
 }
 
 /// Normwise backward error `‖K·Δ − r‖∞ / (‖K‖∞·‖Δ‖∞ + ‖r‖∞)` on the
@@ -154,30 +174,16 @@ pub struct AugmentedSystem {
     /// A factorization set by [`Self::force_factorization`] in place of
     /// the input's pick.
     forced: Option<Factorization>,
-    /// Sparse core (CSR pattern, cached diagonal slots, reusable symbolic
-    /// analysis), built lazily on the first sparse solve and invalidated
-    /// whenever the static blocks are re-realized.
-    sparse_core: Option<SparseCore>,
-}
-
-/// The row-permuted sparse core `K' = [[diag(d2), Ay_eff], [Ax_eff,
-/// diag(−d1)]]` — rows `[R2; R1]` of the dense core, so every diagonal
-/// entry is structurally present (`d2`/`−d1` are products of strictly
-/// positive iterate components) and the static-pivot [`SparseLu`] can
-/// eliminate straight down the diagonal. Unknown order is unchanged
-/// (`[Δx | Δy]`), so the solution vector reads exactly like the dense
-/// core's. The off-diagonal blocks change only when the static blocks are
-/// re-realized (the whole core is rebuilt then); the `2(n+m)` diagonal
-/// entries are rewritten through cached value slots each iteration, and the
-/// symbolic analysis is reused across every iteration of the solve.
-#[derive(Debug, Clone)]
-struct SparseCore {
-    k: SparseMatrix,
-    /// CSR value slots of the `d2[j]` diagonal entries (rows `0..n`).
-    d2_slots: Vec<usize>,
-    /// CSR value slots of the `−d1[i]` diagonal entries (rows `n..n+m`).
-    d1_slots: Vec<usize>,
-    lu: SparseLu,
+    /// The row-permuted sparse core `[[diag(d2), Ay_eff], [Ax_eff,
+    /// −diag(d1)]]` — rows `[R2; R1]` of the dense core, so every diagonal
+    /// entry is structurally present (`d2`/`d1` are products of strictly
+    /// positive iterate components) and the static-pivot LU can eliminate
+    /// straight down the diagonal. Unknown order is unchanged (`[Δx | Δy]`).
+    /// Off-diagonal entries are the realized non-zeros of `ay_eff`/`ax_eff`
+    /// (a stuck-off cell is a zero in the dense core too). Built lazily on
+    /// the first sparse solve and invalidated whenever the static blocks
+    /// are re-realized.
+    sparse_core: Option<BlockKkt>,
 }
 
 /// Reusable allocations for [`AugmentedSystem::solve`]: the reduced
@@ -345,9 +351,9 @@ impl AugmentedSystem {
     }
 
     /// Fixes the core's digital factorization, overriding the input's
-    /// pick ([`sparse_newton`], or sparse when the dense core would not
+    /// pick ([`sparse_newton`], or sparse when the Schur solve would not
     /// fit), so the two can be timed and compared on the same system. A
-    /// forced [`Factorization::Dense`] on a core past
+    /// forced [`Factorization::Dense`] whose Schur buffers pass
     /// [`DENSE_CORE_LIMIT_BYTES`] fails with
     /// [`CoreSolveError::CoreTooLarge`].
     pub fn force_factorization(&mut self, factorization: Factorization) {
@@ -388,13 +394,8 @@ impl AugmentedSystem {
         }
         self.ax_norm *= f;
         self.ay_norm *= f;
-        // The sparse core's static entries drift by the same factor; its
-        // diagonal slots are rewritten from scratch every solve, so scaling
-        // them too is harmless.
-        if let Some(sc) = self.sparse_core.as_mut() {
-            for v in sc.k.values_mut() {
-                *v *= f;
-            }
+        if let Some(core) = self.sparse_core.as_mut() {
+            core.scale(f);
         }
         for d in [
             &mut self.iw,
@@ -543,11 +544,12 @@ impl AugmentedSystem {
     ///
     /// [`CoreSolveError::Singular`] when the realized system is singular —
     /// the §4.3 variation-induced failure mode the caller handles by
-    /// re-solving. [`CoreSolveError::CoreTooLarge`] when the dense
-    /// factorization was required (a forced [`Factorization::Dense`], or a
-    /// sparse breakdown with no feasible dense fallback) but the core
-    /// exceeds [`DENSE_CORE_LIMIT_BYTES`]; otherwise an oversized core
-    /// reroutes to the sparse factorization.
+    /// re-solving. [`CoreSolveError::CoreTooLarge`] when a dense buffer the
+    /// solve needs passes [`DENSE_CORE_LIMIT_BYTES`]: the `min(n,m)` Schur
+    /// solve under a forced [`Factorization::Dense`] or after a sparse
+    /// breakdown, or the `(n+m)` LU fallback of a rejected Schur solve.
+    /// Unforced, a core whose Schur solve would not fit reroutes to the
+    /// sparse factorization.
     ///
     /// memlp-lint: analog_source
     pub fn solve(
@@ -633,28 +635,24 @@ impl AugmentedSystem {
         }
 
         // The (m+n) core — rows R1/R2 of the reduced system, unknowns
-        // [Δx | Δy]. The digital controller factors it either sparse (CSR
-        // core with the symbolic analysis and diagonal value slots reused
-        // across iterations) or dense (a `min(n,m)` Schur solve, with the
-        // `(n+m)` LU as its fallback). A sparse breakdown — the
+        // [Δx | Δy]. The digital controller factors it either sparse (the
+        // KKT core with the symbolic analysis and diagonal value slots
+        // reused across iterations) or dense (a `min(n,m)` Schur solve,
+        // with the `(n+m)` LU as its fallback). A sparse breakdown — the
         // static-pivot elimination meeting a realized-singular pivot —
         // falls back to the dense factorization for the iteration, so the
         // choice of factorization can never make a solvable realized system
-        // fail. The dense buffers are gated by [`DENSE_CORE_LIMIT_BYTES`]:
-        // an oversized core reroutes to the sparse factorization instead of
-        // attempting the allocation, and a forced `Dense` reports
-        // `CoreTooLarge`.
+        // fail. Each dense buffer is admitted by its own size against
+        // [`DENSE_CORE_LIMIT_BYTES`]: a Schur solve past it reroutes to the
+        // sparse factorization (a forced `Dense` reports `CoreTooLarge`),
+        // and an LU fallback past it reports `CoreTooLarge`.
         let dim = n + m;
-        let dense_fits = dense_core_bytes(dim) <= DENSE_CORE_LIMIT_BYTES;
-        let too_large = || CoreSolveError::CoreTooLarge {
-            dim,
-            bytes: dense_core_bytes(dim),
-            limit: DENSE_CORE_LIMIT_BYTES,
-        };
+        let schur = schur_bytes(n, m);
+        let schur_fits = schur <= DENSE_CORE_LIMIT_BYTES;
         let use_sparse = match self.forced {
-            Some(Factorization::Dense) if !dense_fits => return Err(too_large()),
+            Some(Factorization::Dense) if !schur_fits => return Err(too_large(dim, schur)),
             Some(forced) => forced == Factorization::Sparse,
-            None => self.sparse_input || !dense_fits,
+            None => self.sparse_input || !schur_fits,
         };
         let sparse = if use_sparse {
             self.solve_core_sparse(hw)
@@ -663,8 +661,8 @@ impl AugmentedSystem {
         };
         let core = match sparse {
             Some(c) => c,
-            None if dense_fits => self.solve_core_dense(hw).ok_or(CoreSolveError::Singular)?,
-            None => return Err(too_large()),
+            None if schur_fits => self.solve_core_dense(hw)?,
+            None => return Err(too_large(dim, schur)),
         };
         let dx = core[..n].to_vec();
         let dy = core[n..].to_vec();
@@ -725,13 +723,20 @@ impl AugmentedSystem {
     /// so the larger block of unknowns eliminates exactly and only a
     /// `min(n,m)²` Schur system is LU-factored ([`Self::solve_core_reduced`]).
     /// The `(n+m)` LU ([`Self::solve_core_full`]) runs only when the
-    /// reduction cannot serve the iteration.
-    fn solve_core_dense(&mut self, hw: &mut HwContext) -> Option<Vec<f64>> {
+    /// reduction cannot serve the iteration, and refuses with
+    /// [`CoreSolveError::CoreTooLarge`] when its `(n+m)²` buffers would
+    /// pass [`DENSE_CORE_LIMIT_BYTES`].
+    fn solve_core_dense(&mut self, hw: &mut HwContext) -> Result<Vec<f64>, CoreSolveError> {
         hw.note_rebuild_avoided();
-        match self.solve_core_reduced(hw) {
-            Some(core) => Some(core),
-            None => self.solve_core_full(hw),
+        if let Some(core) = self.solve_core_reduced(hw) {
+            return Ok(core);
         }
+        let dim = self.n + self.m;
+        let bytes = dense_core_bytes(dim);
+        if bytes > DENSE_CORE_LIMIT_BYTES {
+            return Err(too_large(dim, bytes));
+        }
+        self.solve_core_full(hw).ok_or(CoreSolveError::Singular)
     }
 
     /// Schur solve of the core `[[Ax_eff, −diag(d1)], [diag(d2), Ay_eff]]`.
@@ -842,7 +847,7 @@ impl AugmentedSystem {
         let dim = n + m;
         if self.core_base.rows() != dim {
             // Lazy (re)build of the static base — see `rebuild_effective`.
-            // The caller has already checked `DENSE_CORE_LIMIT_BYTES`.
+            // `solve_core_dense` has already checked `DENSE_CORE_LIMIT_BYTES`.
             let mut base = Matrix::zeros(dim, dim);
             base.set_block(0, 0, &self.ax_eff);
             base.set_block(m, n, &self.ay_eff);
@@ -880,81 +885,31 @@ impl AugmentedSystem {
         core.ok()
     }
 
-    /// Sparse core solve: write the coupling diagonals into their cached
-    /// CSR value slots, refactor over the reused symbolic analysis, and
-    /// solve with two refinement rounds (compensating the static-pivot
-    /// factorization's lower raw accuracy so both paths agree through the
-    /// shared ADC quantization). The row-permuted core takes its rhs as
-    /// `[R2; R1]`; the solution order `[Δx | Δy]` is the dense core's.
-    /// `None` sends the iteration to the dense fallback.
+    /// Sparse core solve: write the coupling diagonals into the KKT core,
+    /// refactor over the reused symbolic analysis, and solve with two
+    /// refinement rounds (compensating the static-pivot factorization's
+    /// lower raw accuracy so both paths agree through the shared ADC
+    /// quantization). The row-permuted core takes its rhs as `[R2; R1]`;
+    /// the solution order `[Δx | Δy]` is the dense core's. `None` sends the
+    /// iteration to the dense fallback.
     fn solve_core_sparse(&mut self, hw: &mut HwContext) -> Option<Vec<f64>> {
         if self.sparse_core.is_none() {
-            self.sparse_core = self.build_sparse_core();
+            let ay = SparseMatrix::from_dense(&self.ay_eff);
+            let ax = SparseMatrix::from_dense(&self.ax_eff);
+            self.sparse_core = BlockKkt::new(&ay, &ax).ok();
         }
-        let sc = self.sparse_core.as_mut()?;
-        let vals = sc.k.values_mut();
-        for (slot, v) in sc.d2_slots.iter().zip(&self.scratch.d2) {
-            vals[*slot] = *v;
-        }
-        for (slot, v) in sc.d1_slots.iter().zip(&self.scratch.d1) {
-            vals[*slot] = -*v;
-        }
-        sc.lu.refactor(&sc.k).ok()?;
-        hw.note_factorization(sc.lu.flops(), sc.lu.factor_nnz() as u64);
+        let core = self.sparse_core.as_mut()?;
+        core.refactor(&self.scratch.d2, &self.scratch.d1).ok()?;
+        hw.note_factorization(core.flops(), core.factor_nnz() as u64);
         hw.note_rebuild_avoided();
         self.scratch.rhs.clear();
         self.scratch.rhs.extend_from_slice(&self.scratch.r2p);
         self.scratch.rhs.extend_from_slice(&self.scratch.r1p);
-        let sol = sc.lu.refine(&sc.k, &self.scratch.rhs, 2).ok()?;
+        let sol = core.solve(&self.scratch.rhs, 2).ok()?;
         if !sol.iter().all(|v| v.is_finite()) {
             return None;
         }
         Some(sol)
-    }
-
-    /// Assembles the sparse core from the realized effective blocks.
-    /// Explicit unit placeholders reserve the coupling-diagonal slots (the
-    /// realized diagonals are strictly positive products of iterate
-    /// components, so the target pattern always contains them);
-    /// off-diagonal entries come from the realized `ax_eff`/`ay_eff`
-    /// non-zeros, faithfully dropping cells that realized as zero (a
-    /// stuck-off cell is a zero in the dense core too). The fill-reducing
-    /// symbolic analysis runs once per (re)programming.
-    fn build_sparse_core(&self) -> Option<SparseCore> {
-        let (n, m) = (self.n, self.m);
-        let mut trips: Vec<(usize, usize, f64)> = Vec::new();
-        for j in 0..n {
-            trips.push((j, j, 1.0));
-            for i in 0..m {
-                let v = self.ay_eff[(j, i)];
-                if v != 0.0 {
-                    trips.push((j, n + i, v));
-                }
-            }
-        }
-        for i in 0..m {
-            for j in 0..n {
-                let v = self.ax_eff[(i, j)];
-                if v != 0.0 {
-                    trips.push((n + i, j, v));
-                }
-            }
-            trips.push((n + i, n + i, -1.0));
-        }
-        let k = SparseMatrix::from_triplets(n + m, n + m, &trips).ok()?;
-        let d2_slots = (0..n)
-            .map(|j| k.entry_index(j, j))
-            .collect::<Option<Vec<_>>>()?;
-        let d1_slots = (0..m)
-            .map(|i| k.entry_index(n + i, n + i))
-            .collect::<Option<Vec<_>>>()?;
-        let lu = SparseLu::analyze(&k).ok()?;
-        Some(SparseCore {
-            k,
-            d2_slots,
-            d1_slots,
-            lu,
-        })
     }
 
     /// The constant part of Eqn 15a's right-hand side:

@@ -470,8 +470,9 @@ impl CrossbarPdipSolver {
             // infeasible run drives the complementarity diagonals into a
             // structurally singular corner long before the iterates
             // formally diverge). A `CoreTooLarge` refusal is routed the
-            // same way: it only surfaces when the sparse core also broke
-            // down, which is the singular-corner signature.
+            // same way: it only surfaces when a factorization broke down
+            // and its fallback would not fit, which is the singular-corner
+            // signature.
             let Ok(aug) = system.solve(&r, hw) else {
                 // Require a dozen iterations of history so a transient
                 // early singularity on a feasible problem is retried

@@ -13,6 +13,9 @@
 //! * [`SparseMatrix`] / [`SparseLu`] — CSR kernels and a fill-reducing
 //!   sparse LU with symbolic-analysis reuse, the structure-exploiting
 //!   digital path matching the paper's O(N)-per-iteration argument,
+//! * [`BlockKkt`] — the fixed-pattern quasi-definite KKT matrix
+//!   `[[diag(p), B], [C, −diag(q)]]`, assembled once with its diagonal
+//!   slots and symbolic analysis, which both sparse Newton paths refactor,
 //! * [`ops`] — vector kernels (dot, axpy, norms) on plain `&[f64]` slices,
 //! * [`kernels`] — register-tiled, autovectorizer-friendly microkernels
 //!   behind the dense and CSR entry points: one tile shape above a flop
@@ -42,6 +45,7 @@
 //! # }
 //! ```
 
+mod block_kkt;
 mod error;
 mod lu;
 mod matrix;
@@ -54,6 +58,7 @@ pub mod norm_est;
 pub mod ops;
 pub mod parallel;
 
+pub use block_kkt::BlockKkt;
 pub use error::LinalgError;
 pub use lu::LuFactors;
 pub use matrix::Matrix;

@@ -102,6 +102,26 @@ impl SparseMatrix {
         Ok(m)
     }
 
+    /// Wraps CSR arrays the caller has already written in canonical form
+    /// (ascending columns within each row, no duplicates).
+    pub(crate) fn from_csr(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> SparseMatrix {
+        debug_assert_eq!(row_ptr.len(), rows + 1);
+        debug_assert_eq!(col_idx.len(), values.len());
+        SparseMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Converts from a dense matrix, keeping only non-zero entries.
     pub fn from_dense(dense: &Matrix) -> SparseMatrix {
         let rows = dense.rows();
@@ -278,17 +298,6 @@ impl SparseMatrix {
     /// keep the CSR pattern and overwrite only the numbers.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
-    }
-
-    /// The storage slot of entry `(i, j)` in [`Self::values`], or `None` if
-    /// the coordinate is outside the stored pattern. Binary search within
-    /// the row — `O(log nnz_row)`.
-    pub fn entry_index(&self, i: usize, j: usize) -> Option<usize> {
-        if i >= self.rows {
-            return None;
-        }
-        let span = &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]];
-        span.binary_search(&j).ok().map(|k| self.row_ptr[i] + k)
     }
 
     /// CSR transpose: returns `Aᵀ` in CSR form (counting sort, `O(nnz)`).
@@ -511,9 +520,7 @@ mod tests {
     fn duplicates_that_cancel_are_pruned() {
         let s =
             SparseMatrix::from_triplets(2, 2, &[(0, 1, 3.0), (0, 1, -3.0), (1, 0, 1.0)]).unwrap();
-        assert_eq!(s.nnz(), 1);
-        assert_eq!(s.entry_index(0, 1), None);
-        assert!(s.entry_index(1, 0).is_some());
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![(1, 0, 1.0)]);
     }
 
     #[test]
@@ -562,9 +569,8 @@ mod tests {
     #[test]
     fn values_mut_updates_in_place() {
         let mut s = SparseMatrix::from_dense(&sample_dense());
-        let k = s.entry_index(2, 1).unwrap();
-        s.values_mut()[k] = 7.5;
+        // Stored order (0,0), (0,2), (2,1), (2,3): slot 2 holds (2, 1).
+        s.values_mut()[2] = 7.5;
         assert_eq!(s.to_dense()[(2, 1)], 7.5);
-        assert_eq!(s.entry_index(9, 0), None);
     }
 }

@@ -381,11 +381,6 @@ impl SparseLu {
     pub fn factor_nnz(&self) -> usize {
         self.l_idx.len() + self.u_idx.len() + self.n
     }
-
-    /// The fill-reducing permutation (`perm[new] = old`).
-    pub fn permutation(&self) -> &[usize] {
-        &self.perm
-    }
 }
 
 /// Greedy minimum-degree ordering on the symmetrized pattern of `a`, with

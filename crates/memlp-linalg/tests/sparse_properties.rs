@@ -1,8 +1,9 @@
 //! Property-based tests for the CSR sparse matrix: construction from
 //! triplets (including duplicates and explicit zeros), dense round-trips,
-//! and agreement of the sparse kernels with their dense counterparts.
+//! agreement of the sparse kernels with their dense counterparts, and the
+//! block KKT matrix assembled straight into CSR.
 
-use memlp_linalg::{Matrix, SparseLu, SparseMatrix};
+use memlp_linalg::{BlockKkt, LuFactors, Matrix, SparseLu, SparseMatrix};
 use proptest::prelude::*;
 
 /// Strategy: arbitrary dimensions (1..=8 × 1..=8) with 0..=24 triplets,
@@ -54,6 +55,58 @@ fn dominant_system_strategy() -> impl Strategy<Value = (SparseMatrix, Vec<f64>)>
             (a, b)
         })
     })
+}
+
+/// Strategy: a sparse `rows × cols` block with few entries, so empty rows
+/// and columns are common.
+fn block(rows: usize, cols: usize) -> impl Strategy<Value = SparseMatrix> {
+    proptest::collection::vec(
+        (0..rows, 0..cols, prop_oneof![-2.0f64..-0.1, 0.1f64..2.0]),
+        0..=rows + cols,
+    )
+    .prop_map(move |ts| SparseMatrix::from_triplets(rows, cols, &ts).expect("in bounds"))
+}
+
+/// Strategy: KKT blocks `B` (`n×m`), an unrelated `C` (`m×n`), and
+/// diagonals `p`, `q` in `[0.5, 2)`.
+#[allow(clippy::type_complexity)]
+fn kkt_strategy() -> impl Strategy<Value = (SparseMatrix, SparseMatrix, Vec<f64>, Vec<f64>)> {
+    (1usize..=6, 1usize..=6).prop_flat_map(|(n, m)| {
+        (
+            block(n, m),
+            block(m, n),
+            proptest::collection::vec(0.5f64..2.0, n),
+            proptest::collection::vec(0.5f64..2.0, m),
+        )
+    })
+}
+
+/// `[[diag(p), B], [C, −diag(q)]]` through the sorting triplet builder.
+fn kkt_from_triplets(b: &SparseMatrix, c: &SparseMatrix, p: &[f64], q: &[f64]) -> SparseMatrix {
+    let (n, m) = (b.rows(), b.cols());
+    let mut ts: Vec<(usize, usize, f64)> = Vec::new();
+    ts.extend(p.iter().enumerate().map(|(j, &v)| (j, j, v)));
+    ts.extend(q.iter().enumerate().map(|(i, &v)| (n + i, n + i, -v)));
+    ts.extend(b.iter().map(|(j, i, v)| (j, n + i, v)));
+    ts.extend(c.iter().map(|(i, j, v)| (n + i, j, v)));
+    SparseMatrix::from_triplets(n + m, n + m, &ts).expect("in bounds")
+}
+
+/// CSR arrays with the values as bit patterns.
+fn csr_bits(a: &SparseMatrix) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
+    (
+        a.row_ptr().to_vec(),
+        a.col_idx().to_vec(),
+        a.values().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+fn scaled(a: &SparseMatrix, f: f64) -> SparseMatrix {
+    let mut a = a.clone();
+    for v in a.values_mut() {
+        *v *= f;
+    }
+    a
 }
 
 /// Reference accumulation of triplets into a dense matrix.
@@ -208,7 +261,12 @@ proptest! {
                 .filter(|&(r, c, _)| r == i && c != i)
                 .map(|(_, _, v)| v.abs())
                 .sum();
-            let slot = a2.entry_index(i, i).expect("diagonal present");
+            let lo = a2.row_ptr()[i];
+            let slot = lo
+                + a2.col_idx()[lo..a2.row_ptr()[i + 1]]
+                    .iter()
+                    .position(|&c| c == i)
+                    .expect("diagonal present");
             a2.values_mut()[slot] = off + 1.0;
         }
 
@@ -239,6 +297,64 @@ proptest! {
         // A different shape is always a hard error.
         let wrong = SparseMatrix::from_triplets(n + 1, n + 1, &[(0, 0, 1.0)]).expect("in bounds");
         prop_assert!(lu.refactor(&wrong).is_err());
+    }
+
+    #[test]
+    fn block_kkt_assembles_what_triplets_build((b, c, p, q) in kkt_strategy()) {
+        let (n, m) = (b.rows(), b.cols());
+        let mut kkt = BlockKkt::new(&b, &c).expect("conforming blocks");
+        let placeholders = kkt_from_triplets(&b, &c, &vec![1.0; n], &vec![1.0; m]);
+        prop_assert_eq!(csr_bits(kkt.matrix()), csr_bits(&placeholders));
+        // The diagonal is written before the numeric factorization, which
+        // may break down on this unsymmetric draw; the slots are what is
+        // checked here.
+        let _ = kkt.refactor(&p, &q);
+        prop_assert_eq!(csr_bits(kkt.matrix()), csr_bits(&kkt_from_triplets(&b, &c, &p, &q)));
+        // Shapes: C must be m×n and the diagonals n and m long.
+        prop_assert_eq!(BlockKkt::new(&b, &b).is_err(), n != m);
+        prop_assert!(kkt.refactor(&p[..n - 1], &q).is_err());
+    }
+
+    #[test]
+    fn block_kkt_solves_like_dense_lu(
+        (b, _, p, q) in kkt_strategy(),
+        raw in proptest::collection::vec(-3.0f64..3.0, 12)
+    ) {
+        // C = Bᵀ: a symmetric quasi-definite matrix, which the static
+        // pivot order factors for any diagonal p, q > 0.
+        let mut kkt = BlockKkt::new(&b, &b.transpose()).expect("conforming blocks");
+        kkt.refactor(&p, &q).expect("quasi-definite");
+        let rhs = &raw[..kkt.matrix().rows()];
+        let got = kkt.solve(rhs, 2).expect("sized rhs");
+        let want = LuFactors::factor(kkt.matrix().to_dense())
+            .expect("nonsingular")
+            .solve(rhs)
+            .expect("sized rhs");
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn block_kkt_scale_matches_scaled_blocks(
+        (b, _, p, q) in kkt_strategy(),
+        f in 0.5f64..1.5
+    ) {
+        let c = b.transpose();
+        let mut aged = BlockKkt::new(&b, &c).expect("conforming blocks");
+        aged.scale(f);
+        aged.refactor(&p, &q).expect("quasi-definite");
+        let mut fresh = BlockKkt::new(&scaled(&b, f), &scaled(&c, f)).expect("conforming blocks");
+        fresh.refactor(&p, &q).expect("quasi-definite");
+        prop_assert_eq!(csr_bits(aged.matrix()), csr_bits(fresh.matrix()));
+        let rhs = vec![1.0; p.len() + q.len()];
+        let bits = |x: Vec<f64>| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(aged.solve(&rhs, 2).expect("sized rhs")),
+            bits(fresh.solve(&rhs, 2).expect("sized rhs"))
+        );
+        prop_assert_eq!(aged.flops(), fresh.flops());
+        prop_assert_eq!(aged.factor_nnz(), fresh.factor_nnz());
     }
 
     #[test]

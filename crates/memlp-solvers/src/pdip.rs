@@ -48,19 +48,22 @@ pub fn sparse_newton(lp: &LpProblem) -> bool {
 /// is a *guard*, not a numerical event: the dense factorization would
 /// need an allocation beyond the configured limit (e.g. the ~35 GB
 /// `(n+m)²` core of assignment@512), so it refuses up front. Algorithm 1
-/// reroutes an oversized core to its sparse factorization, so the error
-/// surfaces there only if that breaks down too; Algorithm 2, whose
+/// admits its `min(n,m)` Schur solve and its `(n+m)` LU fallback each by
+/// its own buffers and reroutes a core whose Schur solve would not fit to
+/// its sparse factorization, so the error surfaces there only when a
+/// dense buffer it cannot avoid passes the limit; Algorithm 2, whose
 /// System 1 is always dense, reports it from its preflight instead of
 /// attempting the allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreSolveError {
     /// The realized system is singular (or produced non-finite entries).
     Singular,
-    /// The dense `(n+m)²` core would exceed the allocation guard.
+    /// A dense buffer of the core solve would exceed the allocation guard.
     CoreTooLarge {
         /// Core dimension `n + m`.
         dim: usize,
-        /// Bytes the dense core buffer would need (`8·dim²`).
+        /// Bytes the refused dense buffer would need (`8·dim²` for the
+        /// `(n+m)` LU).
         bytes: u64,
         /// The configured allocation limit in bytes.
         limit: u64,

@@ -1,4 +1,4 @@
-use memlp_linalg::{ops, LuFactors, Matrix, SparseLu, SparseMatrix};
+use memlp_linalg::{ops, BlockKkt, LuFactors, Matrix};
 use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
@@ -31,8 +31,10 @@ use crate::LpSolver;
 /// ```
 ///
 /// The KKT pattern is fixed for the whole solve — only the two diagonals
-/// move between iterations — so the fill-reducing symbolic analysis runs
-/// once and every iteration is a numeric refactor (`memlp_linalg::SparseLu`).
+/// move between iterations. [`memlp_linalg::BlockKkt`] assembles it once,
+/// row by row from the CSR views of `Aᵀ` and `A` with no sort, and runs
+/// the fill-reducing symbolic analysis once; every iteration writes the
+/// two diagonals into their recorded slots and refactors numerically.
 /// Any sparse breakdown (static pivot failure) falls back to the dense
 /// normal equations for that iteration, keeping the solver total.
 ///
@@ -53,74 +55,14 @@ pub struct NormalEqPdip {
 }
 
 /// Per-solve factorization scratch: the `m×m` LU working copy and the
-/// pivot vector are recycled across iterations instead of reallocated.
+/// pivot vector are recycled across iterations instead of reallocated, and
+/// the sparse KKT matrix (pattern and symbolic analysis fixed per solve)
+/// is built on the first sparse iteration.
 #[derive(Debug, Clone, Default)]
 struct NormalScratch {
     lu: Matrix,
     piv: Vec<usize>,
-    sparse: Option<SparseKkt>,
-}
-
-/// Sparse-path scratch: the assembled KKT matrix (pattern fixed per solve,
-/// diagonal values rewritten each iteration) and the reusable symbolic
-/// factorization.
-#[derive(Debug, Clone)]
-struct SparseKkt {
-    kkt: SparseMatrix,
-    /// Storage slot of `(j, j)` for each variable `j` (the `D⁻¹` diagonal).
-    dx_slots: Vec<usize>,
-    /// Storage slot of `(n+i, n+i)` for each constraint `i` (the `−E`
-    /// diagonal).
-    dy_slots: Vec<usize>,
-    lu: SparseLu,
-}
-
-impl SparseKkt {
-    /// Assembles `[[D⁻¹, Aᵀ], [A, −E]]` with unit diagonals as
-    /// placeholders and runs the one-off symbolic analysis.
-    fn build(lp: &LpProblem) -> Option<SparseKkt> {
-        let n = lp.num_vars();
-        let m = lp.num_constraints();
-        let a = lp.sparse_a();
-        let mut trips = Vec::with_capacity(2 * a.nnz() + n + m);
-        for j in 0..n {
-            trips.push((j, j, 1.0));
-        }
-        for i in 0..m {
-            trips.push((n + i, n + i, -1.0));
-        }
-        for (i, j, v) in a.iter() {
-            trips.push((n + i, j, v));
-            trips.push((j, n + i, v));
-        }
-        let kkt = SparseMatrix::from_triplets(n + m, n + m, &trips).ok()?;
-        let dx_slots: Vec<usize> = (0..n)
-            .map(|j| kkt.entry_index(j, j))
-            .collect::<Option<_>>()?;
-        let dy_slots: Vec<usize> = (0..m)
-            .map(|i| kkt.entry_index(n + i, n + i))
-            .collect::<Option<_>>()?;
-        let lu = SparseLu::analyze(&kkt).ok()?;
-        Some(SparseKkt {
-            kkt,
-            dx_slots,
-            dy_slots,
-            lu,
-        })
-    }
-
-    /// Writes the iteration's diagonals (`D⁻¹ = Z X⁻¹`, `−E = −W Y⁻¹`) and
-    /// refactors on the cached symbolic analysis.
-    fn refactor(&mut self, s: &PdipState) -> Result<(), memlp_linalg::LinalgError> {
-        let vals = self.kkt.values_mut();
-        for (j, &slot) in self.dx_slots.iter().enumerate() {
-            vals[slot] = s.z[j] / s.x[j];
-        }
-        for (i, &slot) in self.dy_slots.iter().enumerate() {
-            vals[slot] = -s.w[i] / s.y[i];
-        }
-        self.lu.refactor(&self.kkt)
-    }
+    kkt: Option<BlockKkt>,
 }
 
 impl NormalEqPdip {
@@ -234,11 +176,15 @@ impl NormalEqPdip {
     ) -> Option<StepDirections> {
         let n = lp.num_vars();
         let m = lp.num_constraints();
-        if scratch.sparse.is_none() {
-            scratch.sparse = Some(SparseKkt::build(lp)?);
+        if scratch.kkt.is_none() {
+            let a = lp.sparse_a();
+            scratch.kkt = Some(BlockKkt::new(&a.transpose(), a).ok()?);
         }
-        let sk = scratch.sparse.as_mut()?;
-        sk.refactor(s).ok()?;
+        let kkt = scratch.kkt.as_mut()?;
+        // D⁻¹ = Z X⁻¹ and E = W Y⁻¹.
+        let d_inv: Vec<f64> = (0..n).map(|j| s.z[j] / s.x[j]).collect();
+        let e: Vec<f64> = (0..m).map(|i| s.w[i] / s.y[i]).collect();
+        kkt.refactor(&d_inv, &e).ok()?;
 
         let mut rhs = Vec::with_capacity(n + m);
         rhs.extend_from_slice(sigma_hat);
@@ -246,7 +192,7 @@ impl NormalEqPdip {
         // Two refinement rounds against the exact KKT matrix, mirroring the
         // dense path: the static-pivot factors lose digits the refinement
         // recovers, keeping both paths at reference accuracy.
-        let sol = sk.lu.refine(&sk.kkt, &rhs, 2).ok()?;
+        let sol = kkt.solve(&rhs, 2).ok()?;
         let (dx, dy) = sol.split_at(n);
 
         // Δz = µX⁻¹e − z − X⁻¹Z·Δx;  Δw = µY⁻¹e − w − Y⁻¹W·Δy.
