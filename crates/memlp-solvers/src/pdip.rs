@@ -11,7 +11,11 @@
 //! [`crate::NormalEqPdip`], [`crate::MehrotraPdip`]) share one loop: the
 //! exit tests of [`PdipState::outcome`], one budget poll, the solver's
 //! Newton solve, then [`PdipState::step_length`] and
-//! [`PdipState::apply_step`]. Each solver supplies only the Newton solve.
+//! [`PdipState::apply_step`]. Each solver supplies only the Newton solve,
+//! and the two normal-equations solvers share its linear algebra: one
+//! core factors the reduced system per iteration (sparse KKT form when
+//! [`sparse_newton`] holds, else dense normal equations), which
+//! `NormalEqPdip` back-solves once and `MehrotraPdip` twice.
 //! The Ω divergence rule ([`PdipState::divergence`]: non-finite `x`/`y`,
 //! then `‖y‖∞ > Ω`, then `‖x‖∞ > Ω`) is the one both crossbar algorithms
 //! in `memlp-core` also apply at the top of every iteration.
@@ -145,6 +149,16 @@ pub struct StepDirections {
     pub dw: Vec<f64>,
     /// Δz (length n).
     pub dz: Vec<f64>,
+}
+
+impl StepDirections {
+    /// Whether every component of all four directions is finite.
+    pub(crate) fn is_finite(&self) -> bool {
+        ops::all_finite(&self.dx)
+            && ops::all_finite(&self.dy)
+            && ops::all_finite(&self.dw)
+            && ops::all_finite(&self.dz)
+    }
 }
 
 /// The PDIP iterate `(x, w, y, z)` plus residual bookkeeping.

@@ -1,15 +1,17 @@
-use memlp_linalg::{ops, LuFactors};
 use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
 use crate::pdip::{newton_loop, PdipOptions, PdipState, StepDirections};
+use crate::pdip_normal::NormalEqCore;
 use crate::LpSolver;
 
 /// Mehrotra's predictor–corrector PDIP — the algorithm behind essentially
 /// every production interior-point LP code (and Matlab's `linprog`
 /// interior-point mode).
 ///
-/// Each iteration factors the normal matrix **once** and back-solves twice:
+/// Each iteration factors the reduced Newton system **once** and
+/// back-solves it twice, on the same factorization as
+/// [`crate::NormalEqPdip`] (sparse KKT form or dense normal equations):
 ///
 /// 1. **predictor** (affine scaling, µ = 0) — measures how much progress a
 ///    pure Newton step on the complementarity conditions could make;
@@ -38,94 +40,71 @@ pub struct MehrotraPdip {
     pub options: PdipOptions,
 }
 
-struct Reduction {
-    lu: LuFactors,
-    d: Vec<f64>, // X/Z
-    rho: Vec<f64>,
-    sigma: Vec<f64>,
-}
-
 impl MehrotraPdip {
     /// Creates the solver with explicit options.
     pub fn new(options: PdipOptions) -> Self {
         MehrotraPdip { options }
     }
 
-    /// Factors the normal matrix `A·(X/Z)·Aᵀ + W/Y` for the current state.
-    fn factor(lp: &LpProblem, s: &PdipState) -> Option<Reduction> {
-        let n = lp.num_vars();
-        let m = lp.num_constraints();
-        let a = lp.a();
-        let d: Vec<f64> = (0..n).map(|j| s.x[j] / s.z[j]).collect();
-        let e: Vec<f64> = (0..m).map(|i| s.w[i] / s.y[i]).collect();
-        // A·D·Aᵀ via the threaded gram kernel, then the E diagonal.
-        let mut nmat = a.scaled_gram(&d);
-        for i in 0..m {
-            nmat[(i, i)] += e[i];
-        }
-        let reg = 1e-12 * (1.0 + nmat.max_abs());
-        for i in 0..m {
-            nmat[(i, i)] += reg;
-        }
-        let lu = LuFactors::factor(nmat).ok()?;
-        Some(Reduction {
-            lu,
-            d,
-            rho: s.primal_residual(lp),
-            sigma: s.dual_residual(lp),
+    /// [`LpSolver::solve_budgeted`] with the Newton systems solved on
+    /// `core`.
+    pub(crate) fn solve_on(
+        &self,
+        lp: &LpProblem,
+        budget: Budget<'_>,
+        mut core: NormalEqCore<'_>,
+    ) -> (LpSolution, Option<BudgetCause>) {
+        newton_loop(lp, &self.options, budget, |state| {
+            let rho = state.primal_residual(lp);
+            let sigma = state.dual_residual(lp);
+            core.step(state, |core| Self::step(core, state, &rho, &sigma))
         })
     }
 
-    /// Back-solves the reduced system for given complementarity targets:
-    /// `Z·Δx + X·Δz = comp_xz`, `W·Δy + Y·Δw = comp_yw`.
+    /// Back-solves the factored system for given complementarity targets,
+    /// `Z·Δx + X·Δz = comp_xz` and `W·Δy + Y·Δw = comp_yw`, with the
+    /// iterate's residuals `ρ = b − Ax − w` and `σ = c − Aᵀy + z`.
     fn directions(
-        lp: &LpProblem,
+        core: &NormalEqCore<'_>,
         s: &PdipState,
-        red: &Reduction,
+        rho: &[f64],
+        sigma: &[f64],
         comp_xz: &[f64],
         comp_yw: &[f64],
     ) -> Option<StepDirections> {
-        let n = lp.num_vars();
-        let m = lp.num_constraints();
-        let a = lp.a();
-        let sigma_hat: Vec<f64> = (0..n).map(|j| red.sigma[j] + comp_xz[j] / s.x[j]).collect();
-        let rho_hat: Vec<f64> = (0..m).map(|i| red.rho[i] - comp_yw[i] / s.y[i]).collect();
-        let dsig: Vec<f64> = (0..n).map(|j| red.d[j] * sigma_hat[j]).collect();
-        let adsig = a.matvec(&dsig);
-        let rhs: Vec<f64> = (0..m).map(|i| adsig[i] - rho_hat[i]).collect();
-        let dy = red.lu.solve(&rhs).ok()?;
-        let atdy = a.matvec_transposed(&dy);
-        let dx: Vec<f64> = (0..n)
-            .map(|j| red.d[j] * (sigma_hat[j] - atdy[j]))
+        let sigma_hat: Vec<f64> = (0..s.x.len())
+            .map(|j| sigma[j] + comp_xz[j] / s.x[j])
             .collect();
-        let dz: Vec<f64> = (0..n)
+        let rho_hat: Vec<f64> = (0..s.y.len())
+            .map(|i| rho[i] - comp_yw[i] / s.y[i])
+            .collect();
+        let (dx, dy) = core.solve(&sigma_hat, &rho_hat)?;
+        let dz = (0..dx.len())
             .map(|j| (comp_xz[j] - s.z[j] * dx[j]) / s.x[j])
             .collect();
-        let dw: Vec<f64> = (0..m)
+        let dw = (0..dy.len())
             .map(|i| (comp_yw[i] - s.w[i] * dy[i]) / s.y[i])
             .collect();
-        if !(ops::all_finite(&dx)
-            && ops::all_finite(&dy)
-            && ops::all_finite(&dw)
-            && ops::all_finite(&dz))
-        {
-            return None;
-        }
         Some(StepDirections { dx, dy, dw, dz })
     }
 
-    /// One predictor–corrector Newton solve: factor once, back-solve the
-    /// affine predictor, then the re-centred corrector. `None` on a
-    /// singular factor or non-finite directions.
-    fn step(lp: &LpProblem, state: &PdipState) -> Option<StepDirections> {
-        let n = lp.num_vars();
-        let m = lp.num_constraints();
-        let red = Self::factor(lp, state)?;
+    /// One predictor–corrector Newton solve on the factored system:
+    /// back-solve the affine predictor, then the re-centred corrector.
+    /// `None` on a failed solve or non-finite predictor directions.
+    fn step(
+        core: &NormalEqCore<'_>,
+        state: &PdipState,
+        rho: &[f64],
+        sigma: &[f64],
+    ) -> Option<StepDirections> {
+        let n = state.x.len();
+        let m = state.y.len();
 
         // Predictor: pure affine step (µ = 0).
         let comp_xz_aff: Vec<f64> = (0..n).map(|j| -state.x[j] * state.z[j]).collect();
         let comp_yw_aff: Vec<f64> = (0..m).map(|i| -state.y[i] * state.w[i]).collect();
-        let aff = Self::directions(lp, state, &red, &comp_xz_aff, &comp_yw_aff)?;
+        let aff = Self::directions(core, state, rho, sigma, &comp_xz_aff, &comp_yw_aff)
+            .filter(StepDirections::is_finite)?;
         let alpha_aff = state.step_length(&aff, 1.0);
 
         // Adaptive centring: σ = (µ_aff / µ)³.
@@ -148,7 +127,7 @@ impl MehrotraPdip {
         let comp_yw: Vec<f64> = (0..m)
             .map(|i| sigma_c * mu - state.y[i] * state.w[i] - aff.dy[i] * aff.dw[i])
             .collect();
-        Self::directions(lp, state, &red, &comp_xz, &comp_yw)
+        Self::directions(core, state, rho, sigma, &comp_xz, &comp_yw)
     }
 }
 
@@ -158,7 +137,7 @@ impl LpSolver for MehrotraPdip {
         lp: &LpProblem,
         budget: Budget<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
-        newton_loop(lp, &self.options, budget, |state| Self::step(lp, state))
+        self.solve_on(lp, budget, NormalEqCore::new(lp))
     }
 
     fn name(&self) -> &'static str {

@@ -1,4 +1,4 @@
-use memlp_linalg::{ops, BlockKkt, LuFactors, Matrix};
+use memlp_linalg::{BlockKkt, LuFactors, Matrix};
 use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
@@ -37,6 +37,7 @@ use crate::LpSolver;
 /// two diagonals into their recorded slots and refactors numerically.
 /// Any sparse breakdown (static pivot failure) falls back to the dense
 /// normal equations for that iteration, keeping the solver total.
+/// [`crate::MehrotraPdip`] shares both factorizations.
 ///
 /// # Example
 ///
@@ -54,167 +55,41 @@ pub struct NormalEqPdip {
     pub options: PdipOptions,
 }
 
-/// Per-solve factorization scratch: the `m×m` LU working copy and the
-/// pivot vector are recycled across iterations instead of reallocated, and
-/// the sparse KKT matrix (pattern and symbolic analysis fixed per solve)
-/// is built on the first sparse iteration.
-#[derive(Debug, Clone, Default)]
-struct NormalScratch {
-    lu: Matrix,
-    piv: Vec<usize>,
-    kkt: Option<BlockKkt>,
-}
-
 impl NormalEqPdip {
     /// Creates the solver with explicit options.
     pub fn new(options: PdipOptions) -> Self {
         NormalEqPdip { options }
     }
 
-    fn directions(
+    /// [`LpSolver::solve_budgeted`] with the Newton systems solved on
+    /// `core`.
+    pub(crate) fn solve_on(
+        &self,
         lp: &LpProblem,
-        s: &PdipState,
-        mu: f64,
-        scratch: &mut NormalScratch,
-        use_sparse: bool,
-    ) -> Option<StepDirections> {
+        budget: Budget<'_>,
+        mut core: NormalEqCore<'_>,
+    ) -> (LpSolution, Option<BudgetCause>) {
+        let opts = &self.options;
         let n = lp.num_vars();
         let m = lp.num_constraints();
-
-        let rho = s.primal_residual(lp);
-        let sigma = s.dual_residual(lp);
-
-        // σ̂ = σ + µX⁻¹e − z;  ρ̂ = ρ − µY⁻¹e + w.
-        let sigma_hat: Vec<f64> = (0..n).map(|j| sigma[j] + mu / s.x[j] - s.z[j]).collect();
-        let rho_hat: Vec<f64> = (0..m).map(|i| rho[i] - mu / s.y[i] + s.w[i]).collect();
-
-        if use_sparse {
-            if let Some(dirs) = Self::sparse_directions(lp, s, mu, &sigma_hat, &rho_hat, scratch) {
-                return Some(dirs);
-            }
-            // Static-pivot breakdown: fall through to the dense oracle for
-            // this iteration.
-        }
-
-        // Dense normal equations: the only place this solver reads the
-        // dense view of A.
-        let a = lp.a();
-        // D = Z⁻¹X (diagonal), E = Y⁻¹W (diagonal).
-        let d: Vec<f64> = (0..n).map(|j| s.x[j] / s.z[j]).collect();
-        let e: Vec<f64> = (0..m).map(|i| s.w[i] / s.y[i]).collect();
-
-        // Normal matrix N = A·D·Aᵀ + E (A·D·Aᵀ via the threaded gram
-        // kernel — the dominant per-iteration cost at O(m²n)).
-        let mut nmat = a.scaled_gram(&d);
-        for i in 0..m {
-            nmat[(i, i)] += e[i];
-        }
-        // Tiny static regularization keeps the factorization alive when a
-        // diverging dual drives e_i → 0 on linearly dependent rows (the
-        // infeasible-detection path); far below solution accuracy.
-        let reg = 1e-12 * (1.0 + nmat.max_abs());
-        for i in 0..m {
-            nmat[(i, i)] += reg;
-        }
-
-        // RHS: A·D·σ̂ − ρ̂.
-        let dsig: Vec<f64> = (0..n).map(|j| d[j] * sigma_hat[j]).collect();
-        let adsig = a.matvec(&dsig);
-        let rhs: Vec<f64> = (0..m).map(|i| adsig[i] - rho_hat[i]).collect();
-
-        // LU solve polished by two rounds of iterative refinement: the
-        // normal matrix grows ill-conditioned as µ → 0, and the reference
-        // solver should deliver the full double-precision digits the
-        // crossbar solutions are judged against. Refinement needs the
-        // unfactored matrix too, so the factorization works on the
-        // scratch's recycled working copy rather than a fresh clone.
-        let mut work = std::mem::take(&mut scratch.lu);
-        if work.rows() != m || work.cols() != m {
-            work = Matrix::zeros(m, m);
-        }
-        work.as_mut_slice().copy_from_slice(nmat.as_slice());
-        let piv = std::mem::take(&mut scratch.piv);
-        let lu = LuFactors::factor_reusing(work, piv).ok()?;
-        let dy = lu.refine(&nmat, &rhs, 2).ok();
-        let (work, piv) = lu.into_parts();
-        scratch.lu = work;
-        scratch.piv = piv;
-        let dy = dy?;
-
-        // Δx = D·(σ̂ − Aᵀ·Δy).
-        let atdy = a.matvec_transposed(&dy);
-        let dx: Vec<f64> = (0..n).map(|j| d[j] * (sigma_hat[j] - atdy[j])).collect();
-        // Δz = µX⁻¹e − z − X⁻¹Z·Δx.
-        let dz: Vec<f64> = (0..n)
-            .map(|j| mu / s.x[j] - s.z[j] - s.z[j] / s.x[j] * dx[j])
-            .collect();
-        // Δw = µY⁻¹e − w − Y⁻¹W·Δy.
-        let dw: Vec<f64> = (0..m)
-            .map(|i| mu / s.y[i] - s.w[i] - s.w[i] / s.y[i] * dy[i])
-            .collect();
-
-        if !(ops::all_finite(&dx)
-            && ops::all_finite(&dy)
-            && ops::all_finite(&dw)
-            && ops::all_finite(&dz))
-        {
-            return None;
-        }
-        Some(StepDirections { dx, dy, dw, dz })
-    }
-
-    /// The sparse quasidefinite-KKT solve: symbolic analysis cached in the
-    /// scratch, numeric refactor + refined triangular solves per iteration.
-    /// Returns `None` on any sparse breakdown (caller falls back to dense).
-    fn sparse_directions(
-        lp: &LpProblem,
-        s: &PdipState,
-        mu: f64,
-        sigma_hat: &[f64],
-        rho_hat: &[f64],
-        scratch: &mut NormalScratch,
-    ) -> Option<StepDirections> {
-        let n = lp.num_vars();
-        let m = lp.num_constraints();
-        if scratch.kkt.is_none() {
-            let a = lp.sparse_a();
-            scratch.kkt = Some(BlockKkt::new(&a.transpose(), a).ok()?);
-        }
-        let kkt = scratch.kkt.as_mut()?;
-        // D⁻¹ = Z X⁻¹ and E = W Y⁻¹.
-        let d_inv: Vec<f64> = (0..n).map(|j| s.z[j] / s.x[j]).collect();
-        let e: Vec<f64> = (0..m).map(|i| s.w[i] / s.y[i]).collect();
-        kkt.refactor(&d_inv, &e).ok()?;
-
-        let mut rhs = Vec::with_capacity(n + m);
-        rhs.extend_from_slice(sigma_hat);
-        rhs.extend_from_slice(rho_hat);
-        // Two refinement rounds against the exact KKT matrix, mirroring the
-        // dense path: the static-pivot factors lose digits the refinement
-        // recovers, keeping both paths at reference accuracy.
-        let sol = kkt.solve(&rhs, 2).ok()?;
-        let (dx, dy) = sol.split_at(n);
-
-        // Δz = µX⁻¹e − z − X⁻¹Z·Δx;  Δw = µY⁻¹e − w − Y⁻¹W·Δy.
-        let dz: Vec<f64> = (0..n)
-            .map(|j| mu / s.x[j] - s.z[j] - s.z[j] / s.x[j] * dx[j])
-            .collect();
-        let dw: Vec<f64> = (0..m)
-            .map(|i| mu / s.y[i] - s.w[i] - s.w[i] / s.y[i] * dy[i])
-            .collect();
-
-        if !(ops::all_finite(dx)
-            && ops::all_finite(dy)
-            && ops::all_finite(&dw)
-            && ops::all_finite(&dz))
-        {
-            return None;
-        }
-        Some(StepDirections {
-            dx: dx.to_vec(),
-            dy: dy.to_vec(),
-            dw,
-            dz,
+        newton_loop(lp, opts, budget, |s| {
+            let mu = s.mu(opts.delta);
+            let rho = s.primal_residual(lp);
+            let sigma = s.dual_residual(lp);
+            // σ̂ = σ + µX⁻¹e − z;  ρ̂ = ρ − µY⁻¹e + w.
+            let sigma_hat: Vec<f64> = (0..n).map(|j| sigma[j] + mu / s.x[j] - s.z[j]).collect();
+            let rho_hat: Vec<f64> = (0..m).map(|i| rho[i] - mu / s.y[i] + s.w[i]).collect();
+            core.step(s, |core| {
+                let (dx, dy) = core.solve(&sigma_hat, &rho_hat)?;
+                // Δz = µX⁻¹e − z − X⁻¹Z·Δx;  Δw = µY⁻¹e − w − Y⁻¹W·Δy.
+                let dz = (0..n)
+                    .map(|j| mu / s.x[j] - s.z[j] - s.z[j] / s.x[j] * dx[j])
+                    .collect();
+                let dw = (0..m)
+                    .map(|i| mu / s.y[i] - s.w[i] - s.w[i] / s.y[i] * dy[i])
+                    .collect();
+                Some(StepDirections { dx, dy, dw, dz })
+            })
         })
     }
 }
@@ -225,17 +100,143 @@ impl LpSolver for NormalEqPdip {
         lp: &LpProblem,
         budget: Budget<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
-        let opts = &self.options;
-        let mut scratch = NormalScratch::default();
-        let use_sparse = sparse_newton(lp);
-        newton_loop(lp, opts, budget, |state| {
-            let mu = state.mu(opts.delta);
-            Self::directions(lp, state, mu, &mut scratch, use_sparse)
-        })
+        self.solve_on(lp, budget, NormalEqCore::new(lp))
     }
 
     fn name(&self) -> &'static str {
         "pdip-normal-eq"
+    }
+}
+
+/// The Newton linear algebra of the normal-equations PDIP solvers
+/// ([`NormalEqPdip`], [`crate::MehrotraPdip`]), one per solve.
+/// [`Self::step`] factors the reduced system once per iteration;
+/// [`Self::solve`] back-solves it for any `(σ̂, ρ̂)`, with two rounds of
+/// iterative refinement on either factorization: the system grows
+/// ill-conditioned as µ → 0, and the reference solver should deliver the
+/// full double-precision digits the crossbar solutions are judged against.
+pub(crate) struct NormalEqCore<'a> {
+    lp: &'a LpProblem,
+    /// Whether iterations try the sparse KKT factorization first (tests
+    /// force either path by setting it).
+    sparse: bool,
+    /// The sparse KKT matrix (pattern and symbolic analysis fixed per
+    /// solve), built on the first sparse iteration.
+    kkt: Option<BlockKkt>,
+    /// The dense normal equations of the latest dense factorization; its
+    /// LU buffers are recycled by the next one.
+    dense: Option<DenseNormal>,
+    /// Whether [`Self::solve`] uses the KKT factors (else `dense`).
+    on_kkt: bool,
+}
+
+/// `N = A·D·Aᵀ + E`, kept unfactored for refinement, its scaling
+/// `D = Z⁻¹X` and its LU factors.
+struct DenseNormal {
+    nmat: Matrix,
+    d: Vec<f64>,
+    lu: LuFactors,
+}
+
+impl<'a> NormalEqCore<'a> {
+    /// The core for `lp`, on the factorization [`sparse_newton`] picks.
+    pub(crate) fn new(lp: &'a LpProblem) -> Self {
+        NormalEqCore {
+            lp,
+            sparse: sparse_newton(lp),
+            kkt: None,
+            dense: None,
+            on_kkt: false,
+        }
+    }
+
+    /// One iteration's Newton work at `s`: factors the reduced system,
+    /// then runs `step`, which solves it as often as it needs. A sparse
+    /// breakdown — a failed refactor, a failed solve or non-finite
+    /// directions — re-runs the whole step on the dense normal equations.
+    /// `None` when the dense path breaks down too.
+    pub(crate) fn step(
+        &mut self,
+        s: &PdipState,
+        mut step: impl FnMut(&Self) -> Option<StepDirections>,
+    ) -> Option<StepDirections> {
+        if self.sparse && self.factor_kkt(s).is_some() {
+            if let Some(dirs) = step(self).filter(StepDirections::is_finite) {
+                return Some(dirs);
+            }
+        }
+        self.factor_dense(s)?;
+        step(self).filter(StepDirections::is_finite)
+    }
+
+    /// Solves the reduced system of the current factorization for
+    /// `(Δx, Δy)`.
+    pub(crate) fn solve(&self, sigma_hat: &[f64], rho_hat: &[f64]) -> Option<(Vec<f64>, Vec<f64>)> {
+        if self.on_kkt {
+            let mut rhs = Vec::with_capacity(sigma_hat.len() + rho_hat.len());
+            rhs.extend_from_slice(sigma_hat);
+            rhs.extend_from_slice(rho_hat);
+            let mut dx = self.kkt.as_ref()?.solve(&rhs, 2).ok()?;
+            let dy = dx.split_off(sigma_hat.len());
+            return Some((dx, dy));
+        }
+        let DenseNormal { nmat, d, lu } = self.dense.as_ref()?;
+        let a = self.lp.a();
+        // RHS: A·D·σ̂ − ρ̂.
+        let dsig: Vec<f64> = d.iter().zip(sigma_hat).map(|(d, s)| d * s).collect();
+        let adsig = a.matvec(&dsig);
+        let rhs: Vec<f64> = adsig.iter().zip(rho_hat).map(|(ad, r)| ad - r).collect();
+        let dy = lu.refine(nmat, &rhs, 2).ok()?;
+        // Δx = D·(σ̂ − Aᵀ·Δy).
+        let atdy = a.matvec_transposed(&dy);
+        let dx = (0..d.len())
+            .map(|j| d[j] * (sigma_hat[j] - atdy[j]))
+            .collect();
+        Some((dx, dy))
+    }
+
+    /// Refactors the KKT form on the cached symbolic analysis.
+    fn factor_kkt(&mut self, s: &PdipState) -> Option<()> {
+        self.on_kkt = true;
+        if self.kkt.is_none() {
+            let a = self.lp.sparse_a();
+            self.kkt = Some(BlockKkt::new(&a.transpose(), a).ok()?);
+        }
+        // D⁻¹ = Z X⁻¹ and E = W Y⁻¹.
+        let d_inv: Vec<f64> = s.z.iter().zip(&s.x).map(|(z, x)| z / x).collect();
+        let e: Vec<f64> = s.w.iter().zip(&s.y).map(|(w, y)| w / y).collect();
+        self.kkt.as_mut()?.refactor(&d_inv, &e).ok()
+    }
+
+    /// Forms and factors the dense normal equations: the only place
+    /// either solver reads the dense view of A.
+    fn factor_dense(&mut self, s: &PdipState) -> Option<()> {
+        self.on_kkt = false;
+        let m = self.lp.num_constraints();
+        // Refinement needs the unfactored matrix too, so the LU works on
+        // a working copy recycled from the previous dense factorization.
+        let (mut work, piv) = match self.dense.take() {
+            Some(dense) => dense.lu.into_parts(),
+            None => (Matrix::zeros(m, m), Vec::new()),
+        };
+        let d: Vec<f64> = s.x.iter().zip(&s.z).map(|(x, z)| x / z).collect();
+        // N = A·D·Aᵀ + E (A·D·Aᵀ via the threaded gram kernel — the
+        // dominant per-iteration cost at O(m²n)).
+        let mut nmat = self.lp.a().scaled_gram(&d);
+        for i in 0..m {
+            nmat[(i, i)] += s.w[i] / s.y[i];
+        }
+        // Tiny static regularization keeps the factorization alive when a
+        // diverging dual drives e_i → 0 on linearly dependent rows (the
+        // infeasible-detection path); far below solution accuracy.
+        let reg = 1e-12 * (1.0 + nmat.max_abs());
+        for i in 0..m {
+            nmat[(i, i)] += reg;
+        }
+        work.as_mut_slice().copy_from_slice(nmat.as_slice());
+        let lu = LuFactors::factor_reusing(work, piv).ok()?;
+        self.dense = Some(DenseNormal { nmat, d, lu });
+        Some(())
     }
 }
 
@@ -302,29 +303,40 @@ mod tests {
 
     #[test]
     fn sparse_path_matches_dense_path_on_domain_lps() {
+        use crate::MehrotraPdip;
         use memlp_lp::domains::{transportation_lp, TransportationProblem};
-        // `solve_budgeted` with the factorization fixed.
-        let solve = |lp: &LpProblem, use_sparse: bool| {
-            let opts = PdipOptions::default();
-            let mut scratch = NormalScratch::default();
-            newton_loop(lp, &opts, Budget::none(), |state| {
-                let mu = state.mu(opts.delta);
-                NormalEqPdip::directions(lp, state, mu, &mut scratch, use_sparse)
-            })
-            .0
+        // Both normal-equations solvers with the factorization forced.
+        let solve = |lp: &LpProblem, sparse: bool| {
+            let core = || NormalEqCore {
+                sparse,
+                ..NormalEqCore::new(lp)
+            };
+            [
+                (
+                    "normal",
+                    NormalEqPdip::default().solve_on(lp, Budget::none(), core()),
+                ),
+                (
+                    "mehrotra",
+                    MehrotraPdip::default().solve_on(lp, Budget::none(), core()),
+                ),
+            ]
         };
         for seed in 0..3 {
             let lp = transportation_lp(&TransportationProblem::random(4, 9, seed)).unwrap();
-            let dense = solve(&lp, false);
-            let sparse = solve(&lp, true);
-            assert_eq!(dense.status, LpStatus::Optimal);
-            assert_eq!(sparse.status, LpStatus::Optimal);
-            let rel = (dense.objective - sparse.objective).abs() / (1.0 + dense.objective.abs());
-            assert!(rel < 1e-7, "seed {seed}: rel {rel:.3e}");
-            assert_eq!(
-                dense.iterations, sparse.iterations,
-                "seed {seed}: iterate counts diverged"
-            );
+            for ((name, (dense, _)), (_, (sparse, _))) in
+                solve(&lp, false).into_iter().zip(solve(&lp, true))
+            {
+                assert_eq!(dense.status, LpStatus::Optimal, "{name} seed {seed}");
+                assert_eq!(sparse.status, LpStatus::Optimal, "{name} seed {seed}");
+                let rel =
+                    (dense.objective - sparse.objective).abs() / (1.0 + dense.objective.abs());
+                assert!(rel < 1e-7, "{name} seed {seed}: rel {rel:.3e}");
+                assert_eq!(
+                    dense.iterations, sparse.iterations,
+                    "{name} seed {seed}: iterate counts diverged"
+                );
+            }
         }
     }
 

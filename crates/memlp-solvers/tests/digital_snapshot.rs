@@ -14,6 +14,15 @@
 //! loop's exit order, its budget polling or its arithmetic shows up here
 //! as a changed line.
 //!
+//! Twelve `mehrotra` lines were re-recorded when Mehrotra PDIP moved onto
+//! the normal-equations PDIP's Newton core; their statuses and iteration
+//! counts did not move. The dense instances (feasible24 and feasible48
+//! under all three runs, infeasible `solve` and `max_iters3`, unbounded
+//! `solve`) moved because the dense normal equations are now polished by
+//! two rounds of iterative refinement; the three transport lines moved
+//! because that LP's density puts Mehrotra on the sparse KKT
+//! factorization. The other three `mehrotra` lines kept their bits.
+//!
 //! One more line pins the normal-equations PDIP on a routing LP whose
 //! sparse KKT factorization breaks down on some iterations, which then
 //! fall back to the dense normal equations. It was recorded before the KKT
@@ -158,21 +167,21 @@ const EXPECTED: &[&str] = &[
     "normal transport solve: Optimal iters=14 cause=None 1a24064f5e66c1f2",
     "normal transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 12315842950a179d",
     "normal transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 8745d586af65075b",
-    "mehrotra feasible24 solve: Optimal iters=7 cause=None 57c6c2d246c49dc4",
-    "mehrotra feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 84d21cc347db8c68",
-    "mehrotra feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) fed52750aeed3de6",
-    "mehrotra feasible48 solve: Optimal iters=7 cause=None 7d762b848c278ce3",
-    "mehrotra feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 128b7a7f841ffaca",
-    "mehrotra feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f56a438ae0adfe02",
-    "mehrotra infeasible solve: Infeasible iters=5 cause=None 5b6981b8f0a5c9b7",
-    "mehrotra infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) c030a0d3b64bb2d4",
+    "mehrotra feasible24 solve: Optimal iters=7 cause=None f930ee8f13889775",
+    "mehrotra feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 20e578c576df9e33",
+    "mehrotra feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 1630300aa27cfe51",
+    "mehrotra feasible48 solve: Optimal iters=7 cause=None 58ecb6ba1c5be850",
+    "mehrotra feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 4bcc2bb080aafc97",
+    "mehrotra feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) a4ee93f4db6a2f0b",
+    "mehrotra infeasible solve: Infeasible iters=5 cause=None 0a1836dec6c7bbc4",
+    "mehrotra infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 2d138e5f532fc540",
     "mehrotra infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) b04940864d02584d",
-    "mehrotra unbounded solve: Unbounded iters=8 cause=None d43ceca5b8ace3f7",
+    "mehrotra unbounded solve: Unbounded iters=8 cause=None a49dab92c1cbd92e",
     "mehrotra unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 9bdb2b9860fb93c9",
     "mehrotra unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) db5f880b6df9266a",
-    "mehrotra transport solve: Optimal iters=9 cause=None 9b1bf93746c534f7",
-    "mehrotra transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) b278d8a40f2444a2",
-    "mehrotra transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 3e52149cdfd58a4f",
+    "mehrotra transport solve: Optimal iters=9 cause=None cd904165f228e2e0",
+    "mehrotra transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 2d252b2294903155",
+    "mehrotra transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) c93e5ba1e1333960",
     "pdhg feasible24 solve: Optimal iters=1872 cause=None b1f426686bcfa294",
     "pdhg feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 6f69e0889ba63a48",
     "pdhg feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 858c0fe79eeac5fd",

@@ -96,10 +96,12 @@ struct Flags {
     spares: Option<usize>,
     /// Recovery escalation policy: off | hardware | full.
     recovery: RecoveryPolicy,
-    /// Cap on total Newton iterations (None = unlimited).
-    max_iters: Option<usize>,
-    /// Deterministic deadline in iteration polls (None = none).
-    timeout_iters: Option<usize>,
+    /// Cap on total Newton iterations (None = unlimited). `u32` is the
+    /// wire width, so an out-of-range value is refused at parse time.
+    max_iters: Option<u32>,
+    /// Deterministic deadline in iteration polls (None = none), `u32` for
+    /// the same reason.
+    timeout_iters: Option<u32>,
     /// Listen/connect address for serve/client.
     addr: String,
     /// Admission-queue depth for serve.
@@ -294,10 +296,10 @@ fn solve_cmd(args: &[String]) -> Result<(), String> {
     let results: Vec<Result<SolveRow, String>> =
         memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
             // Per-item budget: every problem gets its own fresh deadline.
-            let dl = f.timeout_iters.map(IterationDeadline::new);
+            let dl = f.timeout_iters.map(|t| IterationDeadline::new(t as usize));
             let mut budget = Budget::none();
             if let Some(n) = f.max_iters {
-                budget = budget.with_max_iters(n);
+                budget = budget.with_max_iters(n as usize);
             }
             if let Some(d) = dl.as_ref() {
                 budget = budget.with_deadline(d);
@@ -428,8 +430,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .with_queue_depth(f.queue_depth)
         .with_workers(f.workers);
     let config = memlp_serve::ServeConfig {
-        default_max_iters: f.max_iters.unwrap_or(0) as u32,
-        default_deadline_ticks: f.timeout_iters.unwrap_or(0) as u32,
+        default_max_iters: f.max_iters.unwrap_or(0),
+        default_deadline_ticks: f.timeout_iters.unwrap_or(0),
         ..config
     };
     let server = memlp_serve::Server::bind(&f.addr, config)
@@ -457,8 +459,8 @@ fn job_for(lp: &LpProblem, f: &Flags) -> memlp_serve::SolveJob {
         a: lp.a().as_slice().to_vec(),
         b: lp.b().to_vec(),
         c: lp.c().to_vec(),
-        max_iters: f.max_iters.unwrap_or(0) as u32,
-        deadline_ticks: f.timeout_iters.unwrap_or(0) as u32,
+        max_iters: f.max_iters.unwrap_or(0),
+        deadline_ticks: f.timeout_iters.unwrap_or(0),
     }
 }
 

@@ -121,9 +121,11 @@ fn info_counts_compensations_on_a_mixed_sign_lp() {
 
 /// A sparse LP whose dense `A` would not fit the process: transport 2×8000
 /// has m = 8002 and n = 16000, so the dense view would take 1.02 GB, while
-/// the `.lp` text is under 1 MB. Parsing, `info`, sparse PDIP and the
-/// `auto` pick (PDHG: the dense Newton core is past its guard) never build
-/// that view, so they run under a 400 MB address-space limit.
+/// the `.lp` text is under 1 MB. Parsing, `info`, the two normal-equations
+/// PDIP solvers (`pdip` and `mehrotra`, both on the sparse KKT
+/// factorization) and the `auto` pick (PDHG: the dense Newton core is past
+/// its guard) never build that view, so they run under a 400 MB
+/// address-space limit.
 #[test]
 fn sparse_paths_never_build_the_dense_matrix() {
     use memlp_lp::domains::{transportation_lp, TransportationProblem};
@@ -159,6 +161,8 @@ fn sparse_paths_never_build_the_dense_matrix() {
     assert!(info.contains("nonzeros in A:          32000"), "{info}");
     let pdip = limited("solve --solver pdip --quiet");
     assert!(pdip.starts_with("status:    optimal\n"), "{pdip}");
+    let mehrotra = limited("solve --solver mehrotra --quiet");
+    assert!(mehrotra.starts_with("status:    optimal\n"), "{mehrotra}");
     let auto = limited("solve --solver auto --quiet --max-iters 200");
     assert!(auto.contains("iterations: 200\n"), "{auto}");
 }
@@ -327,6 +331,31 @@ fn budget_flags_degrade_gracefully() {
     };
     assert!(!String::from_utf8_lossy(&ample.stdout).contains("degraded:"));
     assert_eq!(objective(&ample.stdout), objective(&unbudgeted.stdout));
+}
+
+/// The budget flags travel as `u32` on the serving wire, so a value past
+/// `u32::MAX` is refused under the flag's name instead of wrapping
+/// (`4294967296` would otherwise become 0, "no cap").
+#[test]
+fn budget_flags_refuse_values_past_u32() {
+    let dir = std::env::temp_dir().join("memlp-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("budget-wrap.lp");
+    let out = memlp()
+        .args(["generate", "8", "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    std::fs::write(&path, &out.stdout).unwrap();
+    for flag in ["--max-iters", "--timeout-iters"] {
+        let out = memlp()
+            .args(["solve", path.to_str().unwrap(), flag, "4294967296"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag}: {err}");
+        assert!(err.contains(flag), "{flag}: {err}");
+    }
 }
 
 /// Full serve lifecycle through the real binary: daemon up, warm repeat
