@@ -208,8 +208,8 @@ impl<'a> NormalEqCore<'a> {
         self.kkt.as_mut()?.refactor(&d_inv, &e).ok()
     }
 
-    /// Forms and factors the dense normal equations: the only place
-    /// either solver reads the dense view of A.
+    /// Forms and factors the dense normal equations. This path and its
+    /// back-solve are the only readers of the dense view of A.
     fn factor_dense(&mut self, s: &PdipState) -> Option<()> {
         self.on_kkt = false;
         let m = self.lp.num_constraints();
