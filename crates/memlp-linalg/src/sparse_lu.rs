@@ -22,13 +22,29 @@
 //! Ordering is greedy minimum degree on the symmetrized pattern with a
 //! dense-tail cutoff: once every remaining node is adjacent to (nearly)
 //! every other, further bookkeeping cannot reduce fill and the tail is
-//! emitted in index order. The fill pattern itself comes from the classic
-//! one-pass elimination-tree symbolic analysis (column counts + column
-//! lists), so analysis is O(|L|), not O(n²).
+//! emitted in index order. It runs on flat data. The symmetrized pattern
+//! is built once as CSR; a node's adjacency list is its CSR row until the
+//! list first changes, then a sorted `Vec` of its own. The next pivot
+//! comes off a binary min-heap of `(degree, node)` with lazy deletion.
+//! Eliminating a node updates the lists of its `d` live neighbours: each
+//! gets the clique's missing members by binary-search insertion (clique
+//! short against the list; the eliminated node stays as a dead entry
+//! until half the list is dead) or by one sorted merge, and each
+//! neighbour whose degree changed costs one `O(log n)` heap push. That is
+//! the exact greedy rule, lowest degree first and ties to the lowest
+//! index, so the permutation is the one the first, `BTreeSet`-based
+//! version computed (the test module keeps that version as its oracle);
+//! only the per-entry tree nodes and rebalancing are gone. The fill
+//! pattern itself comes from the classic one-pass elimination-tree
+//! symbolic analysis (column counts + column lists) over the permuted
+//! strictly-lower pattern, which is counted into CSR from the same
+//! symmetrized pattern with its rows already sorted, so that part is
+//! O(|L|), not O(n²).
 
 use crate::error::{dim_mismatch, LinalgError};
 use crate::sparse::SparseMatrix;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Pivots whose magnitude falls at (or below) this floor abort the numeric
 /// factorization: the static pivot order has broken down and the caller
@@ -41,6 +57,10 @@ const PIVOT_FLOOR: f64 = 1e-292;
 /// Remaining-node count at or below which the ordering stops optimizing
 /// and emits the rest of the nodes in index order.
 const TINY_TAIL: usize = 8;
+
+/// A clique shorter than `1/SHORT_CLIQUE` of a neighbour's adjacency list
+/// is inserted into it by binary search; a longer one is merged.
+const SHORT_CLIQUE: usize = 4;
 
 /// Sparse LU factors `P·A·Pᵀ = L·U` with a fill-reducing symmetric
 /// permutation `P`, reusable symbolic analysis, and per-refactor flop
@@ -113,27 +133,14 @@ impl SparseLu {
             ));
         }
         let n = a.rows();
-        let perm = min_degree_order(a);
+        let (sym_ptr, sym_idx) = symmetrized_pattern(a);
+        let perm = min_degree_order(&sym_ptr, &sym_idx);
         let mut iperm = vec![0usize; n];
         for (new, &old) in perm.iter().enumerate() {
             iperm[old] = new;
         }
 
-        // Strictly-lower pattern of the permuted, symmetrized matrix,
-        // grouped by row with sorted unique columns.
-        let mut lower_rows: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, j, _) in a.iter() {
-            if i == j {
-                continue;
-            }
-            let (pi, pj) = (iperm[i], iperm[j]);
-            let (r, c) = if pi > pj { (pi, pj) } else { (pj, pi) };
-            lower_rows[r].push(c);
-        }
-        for row in &mut lower_rows {
-            row.sort_unstable();
-            row.dedup();
-        }
+        let (lower_ptr, lower_idx) = permuted_lower_pattern(&sym_ptr, &sym_idx, &perm, &iperm);
 
         // One-pass elimination-tree symbolic analysis: column counts, then
         // column lists. Column `j` of the Cholesky-shaped factor is exactly
@@ -144,7 +151,7 @@ impl SparseLu {
         let mut col_count = vec![0usize; n];
         for k in 0..n {
             flag[k] = k;
-            for &j0 in &lower_rows[k] {
+            for &j0 in &lower_idx[lower_ptr[k]..lower_ptr[k + 1]] {
                 let mut j = j0;
                 while flag[j] != k {
                     col_count[j] += 1;
@@ -169,7 +176,7 @@ impl SparseLu {
         }
         for k in 0..n {
             flag[k] = k;
-            for &j0 in &lower_rows[k] {
+            for &j0 in &lower_idx[lower_ptr[k]..lower_ptr[k + 1]] {
                 let mut j = j0;
                 while flag[j] != k {
                     u_idx[next[j]] = k;
@@ -383,49 +390,190 @@ impl SparseLu {
     }
 }
 
-/// Greedy minimum-degree ordering on the symmetrized pattern of `a`, with
-/// deterministic tie-breaking (lowest node index) and a dense-tail cutoff.
-fn min_degree_order(a: &SparseMatrix) -> Vec<usize> {
-    let n = a.rows();
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (i, j, _) in a.iter() {
-        if i != j {
-            adj[i].insert(j);
-            adj[j].insert(i);
-        }
-    }
-    let mut buckets: BTreeSet<(usize, usize)> = (0..n).map(|v| (adj[v].len(), v)).collect();
+/// Greedy minimum-degree ordering of the symmetric pattern `ptr`/`idx`
+/// (CSR, sorted rows, no diagonal), with deterministic tie-breaking
+/// (lowest node index) and a dense-tail cutoff.
+///
+/// The next pivot comes off a min-heap of `(degree, node)` entries with
+/// lazy deletion: an entry is pushed whenever a node's degree changes and
+/// skipped when popped if its node is gone or its degree is stale, so the
+/// first live entry is the lowest `(degree, node)` pair. Eliminating `v`
+/// joins its live neighbours into a clique. A neighbour whose list is long
+/// against the clique gets the missing members by binary-search insertion
+/// and keeps `v` as a dead entry (counted, and dropped by one compaction
+/// once dead entries are more than half its list); any other neighbour's
+/// list is rebuilt by one sorted merge that drops its dead entries.
+fn min_degree_order(ptr: &[usize], idx: &[usize]) -> Vec<usize> {
+    let n = ptr.len() - 1;
+    let mut adj = Adjacency {
+        ptr,
+        idx,
+        own: vec![None; n],
+    };
+    // `dead[u]`: entries of `u`'s list that name eliminated nodes.
+    let mut dead = vec![0usize; n];
+    let mut eliminated = vec![false; n];
+    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
+        (0..n).map(|v| Reverse((adj.list(v).len(), v))).collect();
     let mut order = Vec::with_capacity(n);
-    while let Some(&(deg, v)) = buckets.iter().next() {
+    let mut clique: Vec<usize> = Vec::new();
+    let mut merged: Vec<usize> = Vec::new();
+    while let Some(Reverse((deg, v))) = heap.pop() {
+        if eliminated[v] || deg != adj.list(v).len() - dead[v] {
+            continue;
+        }
         let remaining = n - order.len();
         if remaining <= TINY_TAIL || deg + 1 >= remaining {
             // Every remaining node is (nearly) adjacent to every other:
             // no ordering can reduce fill, emit the tail deterministically.
-            let mut rest: Vec<usize> = buckets.iter().map(|&(_, node)| node).collect();
-            rest.sort_unstable();
-            order.extend(rest);
+            order.extend((0..n).filter(|&u| !eliminated[u]));
             break;
         }
-        buckets.remove(&(deg, v));
+        eliminated[v] = true;
         order.push(v);
-        let neigh: Vec<usize> = adj[v].iter().copied().collect();
-        for &u in &neigh {
-            buckets.remove(&(adj[u].len(), u));
-            adj[u].remove(&v);
-        }
-        adj[v].clear();
-        // Eliminating v turns its neighborhood into a clique.
-        for (ai, &u) in neigh.iter().enumerate() {
-            for &w in &neigh[ai + 1..] {
-                adj[u].insert(w);
-                adj[w].insert(u);
+        clique.clear();
+        clique.extend(adj.list(v).iter().copied().filter(|&u| !eliminated[u]));
+        adj.own[v] = None;
+        for &u in &clique {
+            let len = adj.list(u).len();
+            let before = len - dead[u];
+            if clique.len() * SHORT_CLIQUE < len {
+                let list = adj.list_mut(u);
+                dead[u] += 1;
+                for &w in &clique {
+                    if w != u {
+                        if let Err(pos) = list.binary_search(&w) {
+                            list.insert(pos, w);
+                        }
+                    }
+                }
+                if 2 * dead[u] > list.len() {
+                    list.retain(|&w| !eliminated[w]);
+                    dead[u] = 0;
+                }
+            } else {
+                merged.clear();
+                merge_union(adj.list(u), |w| !eliminated[w], &clique, u, &mut merged);
+                merged = adj.own[u]
+                    .replace(std::mem::take(&mut merged))
+                    .unwrap_or_default();
+                dead[u] = 0;
             }
-        }
-        for &u in &neigh {
-            buckets.insert((adj[u].len(), u));
+            let after = adj.list(u).len() - dead[u];
+            if after != before {
+                heap.push(Reverse((after, u)));
+            }
         }
     }
     order
+}
+
+/// The ordering's sorted adjacency lists: each node's row of the input
+/// pattern until its list first changes, then a `Vec` of its own (most
+/// nodes are eliminated before that happens, so they never allocate).
+struct Adjacency<'a> {
+    ptr: &'a [usize],
+    idx: &'a [usize],
+    own: Vec<Option<Vec<usize>>>,
+}
+
+impl Adjacency<'_> {
+    fn list(&self, u: usize) -> &[usize] {
+        match &self.own[u] {
+            Some(list) => list,
+            None => &self.idx[self.ptr[u]..self.ptr[u + 1]],
+        }
+    }
+
+    fn list_mut(&mut self, u: usize) -> &mut Vec<usize> {
+        let (ptr, idx) = (self.ptr, self.idx);
+        self.own[u].get_or_insert_with(|| idx[ptr[u]..ptr[u + 1]].to_vec())
+    }
+}
+
+/// Off-diagonal pattern of `a + aᵀ` (square `a`), CSR with ascending,
+/// duplicate-free rows: row `i` of `a` merged with row `i` of `aᵀ`.
+fn symmetrized_pattern(a: &SparseMatrix) -> (Vec<usize>, Vec<usize>) {
+    let n = a.rows();
+    let (a_ptr, a_idx) = (a.row_ptr(), a.col_idx());
+    let (t_ptr, t_idx) = transpose_pattern(n, a_ptr, a_idx);
+    let mut ptr = Vec::with_capacity(n + 1);
+    ptr.push(0);
+    let mut idx = Vec::with_capacity(2 * a_idx.len());
+    for i in 0..n {
+        let row = &a_idx[a_ptr[i]..a_ptr[i + 1]];
+        let col = &t_idx[t_ptr[i]..t_ptr[i + 1]];
+        merge_union(row, |j| j != i, col, i, &mut idx);
+        ptr.push(idx.len());
+    }
+    (ptr, idx)
+}
+
+/// Appends to `out` the sorted union of the entries of `a` that `keep`
+/// admits and the entries of `b` other than `skip`; both are ascending and
+/// duplicate-free.
+fn merge_union(
+    a: &[usize],
+    keep: impl Fn(usize) -> bool,
+    b: &[usize],
+    skip: usize,
+    out: &mut Vec<usize>,
+) {
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        if x < y {
+            if keep(x) {
+                out.push(x);
+            }
+            i += 1;
+        } else {
+            if y != skip && (x > y || keep(x)) {
+                out.push(y);
+            }
+            i += usize::from(x == y);
+            j += 1;
+        }
+    }
+    out.extend(a[i..].iter().copied().filter(|&x| keep(x)));
+    out.extend(b[j..].iter().copied().filter(|&y| y != skip));
+}
+
+/// Strictly-lower pattern of `P·S·Pᵀ` for the symmetric pattern `S`
+/// (`ptr`/`idx`) and `perm[new] = old`, `iperm[old] = new`: CSR by row.
+/// Columns are visited in ascending new index and appended to the rows
+/// below them, so every row comes out sorted without a sort.
+fn permuted_lower_pattern(
+    ptr: &[usize],
+    idx: &[usize],
+    perm: &[usize],
+    iperm: &[usize],
+) -> (Vec<usize>, Vec<usize>) {
+    let n = perm.len();
+    let mut l_ptr = vec![0usize; n + 1];
+    for (c, &old) in perm.iter().enumerate() {
+        for &nb in &idx[ptr[old]..ptr[old + 1]] {
+            if iperm[nb] > c {
+                l_ptr[iperm[nb] + 1] += 1;
+            }
+        }
+    }
+    for r in 0..n {
+        l_ptr[r + 1] += l_ptr[r];
+    }
+    let mut next = l_ptr.clone();
+    let mut l_idx = vec![0usize; l_ptr[n]];
+    for (c, &old) in perm.iter().enumerate() {
+        for &nb in &idx[ptr[old]..ptr[old + 1]] {
+            let r = iperm[nb];
+            if r > c {
+                l_idx[next[r]] = c;
+                next[r] += 1;
+            }
+        }
+    }
+    (l_ptr, l_idx)
 }
 
 /// Counting-sort transpose of a CSR index pattern (no values).
@@ -488,6 +636,149 @@ mod tests {
             }
         }
         SparseMatrix::from_triplets(n + m, n + m, &trips).unwrap()
+    }
+
+    /// The ordering as first written, over `BTreeSet` adjacency and degree
+    /// buckets: the oracle the flat [`min_degree_order`] must match.
+    fn reference_min_degree_order(a: &SparseMatrix) -> Vec<usize> {
+        use std::collections::BTreeSet;
+        let n = a.rows();
+        let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        for (i, j, _) in a.iter() {
+            if i != j {
+                adj[i].insert(j);
+                adj[j].insert(i);
+            }
+        }
+        let mut buckets: BTreeSet<(usize, usize)> = (0..n).map(|v| (adj[v].len(), v)).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(&(deg, v)) = buckets.iter().next() {
+            let remaining = n - order.len();
+            if remaining <= TINY_TAIL || deg + 1 >= remaining {
+                let mut rest: Vec<usize> = buckets.iter().map(|&(_, node)| node).collect();
+                rest.sort_unstable();
+                order.extend(rest);
+                break;
+            }
+            buckets.remove(&(deg, v));
+            order.push(v);
+            let neigh: Vec<usize> = adj[v].iter().copied().collect();
+            for &u in &neigh {
+                buckets.remove(&(adj[u].len(), u));
+                adj[u].remove(&v);
+            }
+            adj[v].clear();
+            for (ai, &u) in neigh.iter().enumerate() {
+                for &w in &neigh[ai + 1..] {
+                    adj[u].insert(w);
+                    adj[w].insert(u);
+                }
+            }
+            for &u in &neigh {
+                buckets.insert((adj[u].len(), u));
+            }
+        }
+        order
+    }
+
+    /// A random square pattern, not symmetric: each off-diagonal entry is
+    /// kept with probability `density`, and rows/columns `0..hubs` with
+    /// probability one half (long adjacency lists against short cliques).
+    fn random_pattern(n: usize, density: f64, hubs: usize, seed: u64) -> SparseMatrix {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut trips = Vec::new();
+        for i in 0..n {
+            if next() < 0.5 {
+                trips.push((i, i, 1.0));
+            }
+            for j in 0..n {
+                let p = if i < hubs || j < hubs { 0.5 } else { density };
+                if i != j && next() < p {
+                    trips.push((i, j, 1.0));
+                }
+            }
+        }
+        SparseMatrix::from_triplets(n, n, &trips).unwrap()
+    }
+
+    /// Dense first row and column over a diagonal: the wrong-way arrow.
+    fn arrow(n: usize) -> SparseMatrix {
+        let mut trips = vec![(0usize, 0usize, (n + 1) as f64)];
+        for i in 1..n {
+            trips.push((i, i, 2.0));
+            trips.push((0, i, 1.0));
+            trips.push((i, 0, 1.0));
+        }
+        SparseMatrix::from_triplets(n, n, &trips).unwrap()
+    }
+
+    fn assert_matches_reference(a: &SparseMatrix, what: &str) {
+        let (ptr, idx) = symmetrized_pattern(a);
+        let got = min_degree_order(&ptr, &idx);
+        assert_eq!(got, reference_min_degree_order(a), "{what}");
+        let mut seen = got.clone();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (0..a.rows()).collect::<Vec<_>>(),
+            "{what}: a permutation"
+        );
+    }
+
+    #[test]
+    fn ordering_matches_the_btreeset_reference() {
+        for seed in 1..=20 {
+            let a = quasidefinite_kkt(8 + seed as usize, 12 + 2 * seed as usize, seed);
+            assert_matches_reference(&a, &format!("quasidefinite_kkt seed {seed}"));
+        }
+        for seed in 1..=40 {
+            let n = 10 + (seed as usize * 7) % 90;
+            let density = [0.01, 0.03, 0.08, 0.2][seed as usize % 4];
+            let hubs = seed as usize % 3;
+            let a = random_pattern(n, density, hubs, seed);
+            assert_matches_reference(&a, &format!("random n {n} density {density} seed {seed}"));
+        }
+        for n in [2, 9, 40, 300] {
+            assert_matches_reference(&arrow(n), &format!("arrow n {n}"));
+        }
+        for n in 0..=TINY_TAIL {
+            for seed in 0..4 {
+                let a = random_pattern(n, 0.3, 0, seed);
+                assert_matches_reference(&a, &format!("tiny n {n} seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn ordering_cuts_to_the_dense_tail_mid_way() {
+        // A 12-node clique on the even nodes 0..22 plus 18 leaves hung on
+        // it. The leaves go first; then 12 > TINY_TAIL nodes remain, each
+        // adjacent to all the others, and the cutoff emits them in index
+        // order.
+        let core: Vec<usize> = (0..12).map(|k| 2 * k).collect();
+        let mut trips = Vec::new();
+        for &u in &core {
+            for &w in &core {
+                if u != w {
+                    trips.push((u, w, 1.0));
+                }
+            }
+        }
+        let leaves: Vec<usize> = (0..12).map(|k| 2 * k + 1).chain(24..30).collect();
+        for (k, &leaf) in leaves.iter().enumerate() {
+            trips.push((leaf, core[k % core.len()], 1.0));
+        }
+        let a = SparseMatrix::from_triplets(30, 30, &trips).unwrap();
+        assert_matches_reference(&a, "dense tail");
+        let (ptr, idx) = symmetrized_pattern(&a);
+        let order = min_degree_order(&ptr, &idx);
+        assert_eq!(order[leaves.len()..], core[..]);
     }
 
     #[test]
@@ -638,13 +929,7 @@ mod tests {
         // Arrow pointing the wrong way: natural order fills completely,
         // min-degree keeps the factors linear in n.
         let n = 40;
-        let mut trips = vec![(0usize, 0usize, (n + 1) as f64)];
-        for i in 1..n {
-            trips.push((i, i, 2.0));
-            trips.push((0, i, 1.0));
-            trips.push((i, 0, 1.0));
-        }
-        let a = SparseMatrix::from_triplets(n, n, &trips).unwrap();
+        let a = arrow(n);
         let lu = SparseLu::factor(&a).unwrap();
         assert!(
             lu.factor_nnz() <= 5 * n,

@@ -30,7 +30,6 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use memlp_linalg::SparseMatrix;
@@ -41,9 +40,11 @@ use crate::problem::LpProblem;
 /// Parses the LP text format into a canonical-form problem.
 ///
 /// Variable order is the order of first appearance. The text is read in
-/// one pass, names borrowed from it (text with `\` comments or CRLF line
-/// ends is first copied without them), and the constraint terms become CSR triplets, so
-/// the problem arrives with its dense view unbuilt
+/// one pass (text with `\` comments or CRLF line ends is first copied
+/// without them). Names stay borrowed from it and are numbered through a
+/// flat open-addressed table (fixed FNV-1a hash, linear probing), which is
+/// only looked up, never iterated. The constraint terms become CSR
+/// triplets, so the problem arrives with its dense view unbuilt
 /// ([`LpProblem::from_sparse`]). Repeated terms of one variable in a row
 /// are summed in the order written and a row entry that sums to zero is
 /// dropped, so [`LpProblem::a`] holds what a dense `+=` of the terms would.
@@ -60,13 +61,13 @@ pub fn parse(text: &str) -> Result<LpProblem, LpError> {
         .next()
         .ok_or_else(|| syntax("an objective statement", "empty input"))?;
 
-    let mut vars: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut vars = NameTable::default();
 
     // Objective.
     let (sense, obj_expr) = split_objective(objective)?;
     let mut c_terms: Vec<(usize, f64)> = Vec::new();
     for_each_term(obj_expr, |coef, name| {
-        c_terms.push((intern(&mut vars, name), coef));
+        c_terms.push((vars.intern(name), coef));
     })?;
 
     // Constraints, as CSR triplets.
@@ -86,12 +87,12 @@ pub fn parse(text: &str) -> Result<LpProblem, LpError> {
         let sign = if op == "<=" { 1.0 } else { -1.0 };
         let row = b.len();
         for_each_term(lhs, |coef, name| {
-            triplets.push((row, intern(&mut vars, name), sign * coef));
+            triplets.push((row, vars.intern(name), sign * coef));
         })?;
         b.push(sign * rhs_val);
     }
 
-    let n = vars.len();
+    let n = vars.len;
     if n == 0 {
         return Err(syntax("at least one variable", "none found"));
     }
@@ -104,11 +105,72 @@ pub fn parse(text: &str) -> Result<LpProblem, LpError> {
     LpProblem::from_sparse(a, b, c)
 }
 
-/// The column of `name`: variables are numbered in order of first
-/// appearance, and names stay borrowed from the text.
-fn intern<'a>(vars: &mut BTreeMap<&'a str, usize>, name: &'a str) -> usize {
-    let next = vars.len();
-    *vars.entry(name).or_insert(next)
+/// Variable names to columns: an open-addressed table keyed by a fixed
+/// FNV-1a hash with linear probing, names borrowed from the text. It is
+/// only looked up, never iterated, so its layout cannot reach the parsed
+/// problem.
+#[derive(Default)]
+struct NameTable<'a> {
+    /// `(name, column)` per slot; the length is zero or a power of two.
+    slots: Vec<Option<(&'a str, usize)>>,
+    /// Distinct names so far, the next column.
+    len: usize,
+}
+
+impl<'a> NameTable<'a> {
+    /// Slots allocated by the first insertion.
+    const INITIAL_SLOTS: usize = 64;
+
+    /// The column of `name`: variables are numbered in order of first
+    /// appearance.
+    fn intern(&mut self, name: &'a str) -> usize {
+        // Grow at a 1/2 load factor, so every probe run ends at an empty
+        // slot.
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let i = self.slot_of(name);
+        match self.slots[i] {
+            Some((_, column)) => column,
+            None => {
+                self.slots[i] = Some((name, self.len));
+                self.len += 1;
+                self.len - 1
+            }
+        }
+    }
+
+    /// The slot holding `name`, else the empty slot that ends its probe
+    /// run.
+    fn slot_of(&self, name: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = fnv1a(name) & mask;
+        while self.slots[i].is_some_and(|(key, _)| key != name) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Doubles the slot count (or allocates the first slots) and reinserts
+    /// every entry.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(Self::INITIAL_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![None; size]);
+        for entry @ (key, _) in old.into_iter().flatten() {
+            let i = self.slot_of(key);
+            self.slots[i] = Some(entry);
+        }
+    }
+}
+
+/// 64-bit FNV-1a of `name`, truncated to `usize`.
+fn fnv1a(name: &str) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in name.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h as usize
 }
 
 /// The text with every `\` comment cut off at its line end and CRLF line
@@ -393,6 +455,31 @@ mod tests {
         let lp = parse("max: x + x;\nc: x + x <= 2;").unwrap();
         assert_eq!(lp.c(), &[2.0]);
         assert_eq!(lp.a()[(0, 0)], 2.0);
+    }
+
+    #[test]
+    fn name_table_numbers_by_first_appearance_across_growth() {
+        let names: Vec<String> = (0..500).map(|k| format!("v{}", k * 7919 % 500)).collect();
+        let mut table = NameTable::default();
+        for (k, name) in names.iter().enumerate() {
+            assert_eq!(table.intern(name), k);
+        }
+        assert_eq!(table.len, names.len());
+        assert_eq!(table.slots.len(), 1024);
+        // Some name sits past its home slot, so lookups above walked a
+        // probe run.
+        let mask = table.slots.len() - 1;
+        let displaced = table
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(i, slot)| slot.is_some_and(|(key, _)| fnv1a(key) & mask != *i))
+            .count();
+        assert!(displaced > 0);
+        for (k, name) in names.iter().enumerate().rev() {
+            assert_eq!(table.intern(name), k);
+        }
+        assert_eq!(table.len, names.len());
     }
 
     #[test]

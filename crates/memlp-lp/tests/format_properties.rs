@@ -11,7 +11,11 @@
 //!    repeated and cancelling terms, `>=` rows and every coefficient
 //!    spelling (`2 x`, glued `2x` and `1e-3y`, `2*x`), the parsed CSR matrix
 //!    equals, bit for bit, `SparseMatrix::from_dense` of a dense matrix
-//!    built by adding each term into a zeroed cell in the order written.
+//!    built by adding each term into a zeroed cell in the order written,
+//!    columns numbered by first appearance. A second strategy draws from
+//!    300 generated names (a shared 40-byte prefix, names differing only
+//!    in their last byte, 65 or more distinct names per LP) so the
+//!    parser's name table grows past its first 64 slots and probes.
 //! 4. **The writer reads CSR rows without changing a byte.** On the four
 //!    domain LPs, `write` matches a reference that walks the dense rows.
 
@@ -102,9 +106,25 @@ const MAGNITUDES: [f64; 7] = [1.0, 2.0, 0.5, 1e-3, 0.1, 250.0, 3.75e-7];
 /// (`e`, `E`) so the glued spellings stay unambiguous.
 const NAMES: [&str; 5] = ["x", "y", "z1", "w_2", "q"];
 
-fn term() -> impl Strategy<Value = Term> {
+/// Size of [`name_pool`].
+const POOL: usize = 300;
+
+/// Names that make the parser's name table grow and probe: 100 sharing a
+/// 40-byte prefix, 100 in groups of 25 that differ only in their last
+/// byte, and 100 short ones. None starts with `e`/`E` (see [`NAMES`]).
+fn name_pool() -> Vec<String> {
+    let shared = "shared_prefix_forty_bytes_long_abcdefgh";
+    (0..100)
+        .map(|k| format!("{shared}{k}"))
+        .chain((0..100).map(|k| format!("tail{}_{}", k / 25, char::from(b'a' + (k % 25) as u8))))
+        .chain((0..100).map(|k| format!("x{k}")))
+        .collect()
+}
+
+/// A term over the first `names` names.
+fn term(names: usize) -> impl Strategy<Value = Term> {
     (
-        0usize..NAMES.len(),
+        0usize..names,
         0usize..MAGNITUDES.len(),
         any::<bool>(),
         0usize..6,
@@ -114,20 +134,24 @@ fn term() -> impl Strategy<Value = Term> {
 
 /// A row's terms, with a cancelling copy of some terms appended so
 /// entries that sum to exactly zero occur.
-fn terms() -> impl Strategy<Value = Vec<Term>> {
-    (proptest::collection::vec(term(), 1..6), any::<bool>()).prop_map(|(mut ts, cancel)| {
-        if cancel {
-            let (v, mag, neg, style) = ts[0];
-            ts.push((v, mag, !neg, (style + 1) % 6));
-        }
-        ts
-    })
+fn terms(names: usize, max_len: usize) -> impl Strategy<Value = Vec<Term>> {
+    (
+        proptest::collection::vec(term(names), 1..max_len),
+        any::<bool>(),
+    )
+        .prop_map(|(mut ts, cancel)| {
+            if cancel {
+                let (v, mag, neg, style) = ts[0];
+                ts.push((v, mag, !neg, (style + 1) % 6));
+            }
+            ts
+        })
 }
 
 /// Writes the terms in their spellings.
-fn write_terms(out: &mut String, terms: &[Term]) {
+fn write_terms(out: &mut String, terms: &[Term], names: &[&str]) {
     for (k, &(v, mag, neg, style)) in terms.iter().enumerate() {
-        let name = NAMES[v];
+        let name = names[v];
         out.push_str(match (k, neg) {
             (0, true) => " -",
             (0, false) => " ",
@@ -158,28 +182,50 @@ fn coefficient_of(&(_, mag, neg, style): &Term) -> f64 {
 /// An LP as written: (maximize?, objective, rows of (terms, `>=`?, rhs)).
 type Written = (bool, Vec<Term>, Vec<(Vec<Term>, bool, f64)>);
 
+/// Up to 5 rows of up to 6 terms over [`NAMES`].
 fn written_lp() -> impl Strategy<Value = Written> {
     (
         any::<bool>(),
-        terms(),
-        proptest::collection::vec((terms(), any::<bool>(), 0u32..19), 0..6),
+        terms(NAMES.len(), 6),
+        proptest::collection::vec((terms(NAMES.len(), 6), any::<bool>(), 0u32..19), 0..6),
     )
-        .prop_map(|(max, obj, rows)| {
-            let rows = rows
-                .into_iter()
-                .map(|(ts, ge, rhs)| (ts, ge, (f64::from(rhs) - 9.0) * 0.5))
+        .prop_map(|(max, obj, rows)| (max, obj, with_rhs(rows)))
+}
+
+/// An LP over [`name_pool`] whose objective names 65 to all 300 distinct
+/// pool names (more than the name table's first 64 slots, so it grows
+/// several times), term `k` with coefficient ±(k + 1) so a misnumbered
+/// column changes `c`; up to 7 rows of up to 12 terms draw from the whole
+/// pool.
+fn wide_written_lp() -> impl Strategy<Value = Written> {
+    (
+        any::<bool>(),
+        0usize..POOL,
+        65usize..=POOL,
+        proptest::collection::vec((terms(POOL, 12), any::<bool>(), 0u32..19), 0..8),
+    )
+        .prop_map(|(max, start, len, rows)| {
+            // 7 is coprime to POOL, so the names are distinct.
+            let obj = (0..len)
+                .map(|k| ((start + 7 * k) % POOL, (k + 1) as f64, k % 3 == 0, k % 5))
                 .collect();
-            (max, obj, rows)
+            (max, obj, with_rhs(rows))
         })
 }
 
-fn lp_text((max, obj, rows): &Written) -> String {
+fn with_rhs(rows: Vec<(Vec<Term>, bool, u32)>) -> Vec<(Vec<Term>, bool, f64)> {
+    rows.into_iter()
+        .map(|(ts, ge, rhs)| (ts, ge, (f64::from(rhs) - 9.0) * 0.5))
+        .collect()
+}
+
+fn lp_text((max, obj, rows): &Written, names: &[&str]) -> String {
     let mut text = String::from(if *max { "max:" } else { "min:" });
-    write_terms(&mut text, obj);
+    write_terms(&mut text, obj, names);
     text.push_str(";\n");
     for (i, (ts, ge, rhs)) in rows.iter().enumerate() {
         text.push_str(&format!("c{i}:"));
-        write_terms(&mut text, ts);
+        write_terms(&mut text, ts, names);
         text.push_str(&format!(" {} {rhs};\n", if *ge { ">=" } else { "<=" }));
     }
     text
@@ -223,6 +269,28 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Parses the written LP and compares it, bit for bit, with
+/// [`dense_reference`]: same first-appearance column numbering, same sums.
+fn matches_dense_accumulation(lp: &Written, names: &[&str]) -> Result<(), TestCaseError> {
+    let text = lp_text(lp, names);
+    let parsed = parse(&text).expect("generated LP parses");
+    let (a, b, c) = dense_reference(lp);
+    let got = parsed.sparse_a();
+    prop_assert_eq!(
+        (got.rows(), got.cols()),
+        (a.rows(), a.cols()),
+        "text:\n{}",
+        text
+    );
+    prop_assert_eq!(got.row_ptr(), a.row_ptr(), "text:\n{}", text);
+    prop_assert_eq!(got.col_idx(), a.col_idx(), "text:\n{}", text);
+    prop_assert_eq!(bits(got.values()), bits(a.values()), "text:\n{}", text);
+    prop_assert_eq!(bits(parsed.b()), bits(&b));
+    prop_assert_eq!(bits(parsed.c()), bits(&c), "text:\n{}", text);
+    prop_assert_eq!(bits(parsed.a().as_slice()), bits(a.to_dense().as_slice()));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -242,17 +310,14 @@ proptest! {
 
     #[test]
     fn parsed_csr_matches_dense_accumulation(lp in written_lp()) {
-        let text = lp_text(&lp);
-        let parsed = parse(&text).expect("generated LP parses");
-        let (a, b, c) = dense_reference(&lp);
-        let got = parsed.sparse_a();
-        prop_assert_eq!((got.rows(), got.cols()), (a.rows(), a.cols()), "text:\n{}", text);
-        prop_assert_eq!(got.row_ptr(), a.row_ptr(), "text:\n{}", text);
-        prop_assert_eq!(got.col_idx(), a.col_idx(), "text:\n{}", text);
-        prop_assert_eq!(bits(got.values()), bits(a.values()), "text:\n{}", text);
-        prop_assert_eq!(bits(parsed.b()), bits(&b));
-        prop_assert_eq!(bits(parsed.c()), bits(&c));
-        prop_assert_eq!(bits(parsed.a().as_slice()), bits(a.to_dense().as_slice()));
+        matches_dense_accumulation(&lp, &NAMES)?;
+    }
+
+    #[test]
+    fn parsed_csr_matches_dense_accumulation_over_many_names(lp in wide_written_lp()) {
+        let pool = name_pool();
+        let names: Vec<&str> = pool.iter().map(String::as_str).collect();
+        matches_dense_accumulation(&lp, &names)?;
     }
 
     #[test]

@@ -24,17 +24,20 @@
 //! `--transient-rate` flips ADC read-outs, and `--recovery` selects how far
 //! the solvers escalate when write–verify reports defects. The LP's
 //! constraint-matrix density picks the digital factorization (sparse or
-//! dense) of each Newton system. `--max-iters` caps total Newton iterations and `--timeout-iters` sets a
-//! deterministic per-solve deadline (in iteration polls); either budget
-//! expiring returns the best iterate found with a `degraded:` verdict
-//! instead of failing. `--solver pdhg` is the matrix-free first-order
-//! backend (digital CSR), `pdhg-analog` runs the same loop on crossbar
-//! MVMs, and `auto` picks per problem: PDIP while the dense Newton core
-//! fits the `DENSE_CORE_LIMIT_BYTES` allocation guard, PDHG past it.
+//! dense) of each Newton system. `--max-iters` caps total Newton
+//! iterations and `--timeout-iters` sets a deterministic per-solve
+//! deadline (in iteration polls); both take a count from 1 to `u32::MAX`
+//! in `solve`, `serve` and `client` alike. Either budget expiring returns
+//! the best iterate found with a `degraded:` verdict instead of failing.
+//! `--solver pdhg` is the matrix-free first-order backend (digital CSR),
+//! `pdhg-analog` runs the same loop on crossbar MVMs, and `auto` picks per
+//! problem: PDIP while the dense Newton core fits the
+//! `DENSE_CORE_LIMIT_BYTES` allocation guard, PDHG past it.
 //! `serve` runs the crossbar families `alg1` (default) and `pdhg-analog`
 //! under the same names. The `.lp` dialect is documented in
 //! `memlp_lp::format`.
 
+use std::num::NonZeroU32;
 use std::process::ExitCode;
 
 use memlp::prelude::*;
@@ -97,11 +100,12 @@ struct Flags {
     /// Recovery escalation policy: off | hardware | full.
     recovery: RecoveryPolicy,
     /// Cap on total Newton iterations (None = unlimited). `u32` is the
-    /// wire width, so an out-of-range value is refused at parse time.
-    max_iters: Option<u32>,
-    /// Deterministic deadline in iteration polls (None = none), `u32` for
-    /// the same reason.
-    timeout_iters: Option<u32>,
+    /// wire width, so an out-of-range value is refused at parse time, and
+    /// so is 0, which the wire reads as "unset".
+    max_iters: Option<NonZeroU32>,
+    /// Deterministic deadline in iteration polls (None = none), a non-zero
+    /// `u32` for the same reasons.
+    timeout_iters: Option<NonZeroU32>,
     /// Listen/connect address for serve/client.
     addr: String,
     /// Admission-queue depth for serve.
@@ -296,10 +300,12 @@ fn solve_cmd(args: &[String]) -> Result<(), String> {
     let results: Vec<Result<SolveRow, String>> =
         memlp_linalg::parallel::run_indexed(jobs, lps.len(), |i| {
             // Per-item budget: every problem gets its own fresh deadline.
-            let dl = f.timeout_iters.map(|t| IterationDeadline::new(t as usize));
+            let dl = f
+                .timeout_iters
+                .map(|t| IterationDeadline::new(t.get() as usize));
             let mut budget = Budget::none();
             if let Some(n) = f.max_iters {
-                budget = budget.with_max_iters(n as usize);
+                budget = budget.with_max_iters(n.get() as usize);
             }
             if let Some(d) = dl.as_ref() {
                 budget = budget.with_deadline(d);
@@ -430,8 +436,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .with_queue_depth(f.queue_depth)
         .with_workers(f.workers);
     let config = memlp_serve::ServeConfig {
-        default_max_iters: f.max_iters.unwrap_or(0),
-        default_deadline_ticks: f.timeout_iters.unwrap_or(0),
+        default_max_iters: f.max_iters.map_or(0, NonZeroU32::get),
+        default_deadline_ticks: f.timeout_iters.map_or(0, NonZeroU32::get),
         ..config
     };
     let server = memlp_serve::Server::bind(&f.addr, config)
@@ -459,8 +465,8 @@ fn job_for(lp: &LpProblem, f: &Flags) -> memlp_serve::SolveJob {
         a: lp.a().as_slice().to_vec(),
         b: lp.b().to_vec(),
         c: lp.c().to_vec(),
-        max_iters: f.max_iters.unwrap_or(0),
-        deadline_ticks: f.timeout_iters.unwrap_or(0),
+        max_iters: f.max_iters.map_or(0, NonZeroU32::get),
+        deadline_ticks: f.timeout_iters.map_or(0, NonZeroU32::get),
     }
 }
 

@@ -358,6 +358,40 @@ fn budget_flags_refuse_values_past_u32() {
     }
 }
 
+/// A budget of 0 is refused under the flag's name everywhere: `solve`
+/// would stop at once while the serving wire reads 0 as "no cap", so the
+/// same flag would mean two things. `client` refuses it before it dials
+/// (port 1 on loopback has no server) and `serve` before it binds (the
+/// address is malformed, so a regression fails here instead of starting a
+/// daemon).
+#[test]
+fn budget_flags_refuse_zero() {
+    let dir = std::env::temp_dir().join("memlp-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("budget-zero.lp");
+    let out = memlp()
+        .args(["generate", "8", "--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    std::fs::write(&path, &out.stdout).unwrap();
+    let file = path.to_str().unwrap();
+    for flag in ["--max-iters", "--timeout-iters"] {
+        for args in [
+            vec!["solve", file, flag, "0"],
+            vec!["client", "127.0.0.1:1", "solve", file, flag, "0"],
+            vec!["serve", "--addr", "no-such-host", flag, "0"],
+        ] {
+            let out = memlp().args(&args).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{args:?}: {err}");
+            assert!(err.contains(flag), "{args:?}: {err}");
+            assert!(!err.contains("cannot connect"), "{args:?}: {err}");
+            assert!(!err.contains("cannot bind"), "{args:?}: {err}");
+        }
+    }
+}
+
 /// Full serve lifecycle through the real binary: daemon up, warm repeat
 /// solves through `client solve`, health, budget degradation over the
 /// wire, and a graceful drain that stops the daemon.
