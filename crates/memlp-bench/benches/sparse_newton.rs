@@ -12,12 +12,13 @@
 //!
 //! A second section decomposes the digital baseline `NormalEqPdip` on
 //! transport@512: the seconds per iteration of a whole solve against one
-//! `BlockKkt::refactor` (the `n + m` diagonal writes plus the numeric
-//! refactor) and `solve(…, 2)` on that LP's quasidefinite KKT matrix —
-//! the work an iteration cannot avoid. The gate holds the
-//! ratio at or below 2.5×, so O(m·n) work creeping back into the loop
-//! (a dense residual product over the 0.4%-dense `A`) fails it on any
-//! host.
+//! `SymmetricKkt::refactor` (the `n + m` diagonal writes plus the numeric
+//! LDLᵀ) and `solve` (refinement to backward-error level, at most two
+//! rounds) on that LP's quasi-definite KKT matrix — the work an iteration
+//! cannot avoid. The gate holds the ratio at or below 2.5×, so O(m·n)
+//! work creeping back into the loop (a dense residual product over the
+//! 0.4%-dense `A`) fails it on any host. The row also records the LDLᵀ's
+//! own `kkt_flops` and `kkt_factor_nnz`.
 //!
 //! Emits `BENCH_sparse.json` at the repository root (hand-rolled JSON — no
 //! serde in the offline dependency set) and *asserts* the ≥ 5× gate on the
@@ -27,16 +28,16 @@
 //! once-per-solve setup is recorded on its own instead: each sparse row's
 //! `analyze_seconds` is the median of `BlockKkt::new` (fill-reducing
 //! ordering + symbolic analysis) on the LP's quasidefinite KKT matrix.
-//! The `flops` and `factor_nnz` fields are deterministic; CI diffs them
-//! against the committed file, so a change to the ordering has to
-//! re-commit it.
+//! The `flops`, `factor_nnz`, `kkt_flops` and `kkt_factor_nnz` fields are
+//! deterministic; CI diffs them against the committed file, so a change
+//! to the ordering has to re-commit it.
 
 use std::time::Instant;
 
 use memlp_bench::fmt_time;
 use memlp_core::{AugmentedSystem, FactorStats, Factorization, HwContext};
 use memlp_crossbar::CrossbarConfig;
-use memlp_linalg::BlockKkt;
+use memlp_linalg::{BlockKkt, SymmetricKkt};
 use memlp_lp::domains::{
     assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp, AssignmentProblem,
     MaxFlowNetwork, ProductionPlan, TransportationProblem,
@@ -50,7 +51,7 @@ const GATE_MIN_SPEEDUP: f64 = 5.0;
 /// Rows gated: (domain, target m).
 const GATED: [(&str, usize); 2] = [("routing", 512), ("transport", 512)];
 /// Most a whole `NormalEqPdip` iteration may cost, as a multiple of one
-/// sparse KKT refactor + two-round refine on the same LP.
+/// sparse KKT refactor + refined solve on the same LP.
 const GATE_MAX_ITER_OVER_KKT: f64 = 2.5;
 
 struct Timing {
@@ -173,9 +174,13 @@ struct NormalEqSplit {
     /// Median wall-clock of one `NormalEqPdip::default()` solve divided by
     /// its iteration count, seconds.
     iter_secs: f64,
-    /// Median wall-clock of one `BlockKkt::refactor` + `solve(…, 2)` on
-    /// the LP's KKT matrix, seconds.
+    /// Median wall-clock of one `SymmetricKkt::refactor` + `solve` on the
+    /// LP's KKT matrix, seconds.
     kkt_secs: f64,
+    /// Flops of one LDLᵀ refactor.
+    kkt_flops: u64,
+    /// Stored LDLᵀ entries, `|L|` plus the diagonal.
+    kkt_factor_nnz: usize,
 }
 
 fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
@@ -191,12 +196,11 @@ fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
     }
 
     // The KKT at the converged iterate: the most ill-conditioned one, where
-    // both refinement rounds run.
+    // refinement does the most work.
     let s = PdipState::warm_start(lp, &sol.x, &sol.y, 1e-9);
     let d_inv: Vec<f64> = s.z.iter().zip(&s.x).map(|(z, x)| z / x).collect();
     let e: Vec<f64> = s.w.iter().zip(&s.y).map(|(w, y)| w / y).collect();
-    let a = lp.sparse_a();
-    let mut kkt = BlockKkt::new(&a.transpose(), a).expect("KKT symbolic analysis");
+    let mut kkt = SymmetricKkt::new(lp.sparse_a());
     let rhs: Vec<f64> = (0..d_inv.len() + e.len())
         .map(|i| 1.0 + (i % 7) as f64)
         .collect();
@@ -204,7 +208,7 @@ fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
     for _ in 0..REPS {
         let t = Instant::now();
         kkt.refactor(&d_inv, &e).expect("KKT refactor");
-        let x = kkt.solve(&rhs, 2).expect("KKT refine");
+        let x = kkt.solve(&rhs).expect("KKT solve");
         kkts.push(t.elapsed().as_secs_f64());
         assert!(x.iter().all(|v| v.is_finite()));
     }
@@ -214,6 +218,8 @@ fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
         iterations: sol.iterations,
         iter_secs: median(solves) / sol.iterations.max(1) as f64,
         kkt_secs: median(kkts),
+        kkt_flops: kkt.flops(),
+        kkt_factor_nnz: kkt.factor_nnz(),
     }
 }
 
@@ -312,8 +318,15 @@ fn main() {
     json.push_str(&format!(
         "  \"normal_eq\": {{\"domain\": \"transport\", \"m_target\": 512, \"m\": {}, \"n\": {}, \
          \"iterations\": {}, \"iter_seconds\": {:.6}, \"kkt_refactor_refine_seconds\": {:.6}, \
+         \"kkt_flops\": {}, \"kkt_factor_nnz\": {}, \
          \"iter_over_kkt\": {ratio:.2}, \"gate_max_iter_over_kkt\": {GATE_MAX_ITER_OVER_KKT}}},\n",
-        split.m, split.n, split.iterations, split.iter_secs, split.kkt_secs,
+        split.m,
+        split.n,
+        split.iterations,
+        split.iter_secs,
+        split.kkt_secs,
+        split.kkt_flops,
+        split.kkt_factor_nnz,
     ));
     for &(domain, m_target) in &GATED {
         let row = rows

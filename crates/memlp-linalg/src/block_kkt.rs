@@ -1,12 +1,15 @@
-//! The fixed-pattern quasi-definite KKT matrix both sparse Newton paths
-//! factor.
+//! The fixed-pattern KKT matrix of Algorithm 1's sparse Newton core.
 //!
 //! Between interior-point iterations only the diagonal blocks of the
 //! Newton system move (§3.2, §3.5 of the paper): the off-diagonal blocks
 //! and the pattern are fixed for the whole solve. [`BlockKkt`] assembles
 //! that pattern once, remembers where each diagonal value lives, and runs
 //! the [`SparseLu`] symbolic analysis once; every iteration then writes
-//! `n + m` diagonal values and refactors numerically.
+//! `n + m` diagonal values and refactors numerically. Its blocks are the
+//! crossbar's *realized* `Ay` and `Ax`, which device variation makes
+//! unequal, so the matrix is not symmetric and takes the static-pivot LU;
+//! the symmetric normal-equations KKT has its own LDLᵀ
+//! ([`crate::SymmetricKkt`]).
 
 use crate::error::{dim_mismatch, LinalgError};
 use crate::sparse::SparseMatrix;

@@ -13,9 +13,14 @@
 //! * [`SparseMatrix`] / [`SparseLu`] — CSR kernels and a fill-reducing
 //!   sparse LU with symbolic-analysis reuse, the structure-exploiting
 //!   digital path matching the paper's O(N)-per-iteration argument,
-//! * [`BlockKkt`] — the fixed-pattern quasi-definite KKT matrix
+//! * [`BlockKkt`] — the fixed-pattern KKT matrix
 //!   `[[diag(p), B], [C, −diag(q)]]`, assembled once with its diagonal
-//!   slots and symbolic analysis, which both sparse Newton paths refactor,
+//!   slots and symbolic analysis, which Algorithm 1's sparse Newton core
+//!   (unsymmetric under device variation) refactors by [`SparseLu`],
+//! * [`SymmetricKkt`] — the symmetric quasi-definite KKT
+//!   `[[diag(p), Aᵀ], [A, −diag(q)]]` of the normal-equations PDIP, built
+//!   from `A` alone and refactored by a sparse LDLᵀ that stores only `L`
+//!   and `D`, with refinement that stops at backward-error level,
 //! * [`ops`] — vector kernels (dot, axpy, norms) on plain `&[f64]` slices,
 //! * [`kernels`] — register-tiled, autovectorizer-friendly microkernels
 //!   behind the dense and CSR entry points: one tile shape above a flop
@@ -51,7 +56,10 @@ mod lu;
 mod matrix;
 mod norms;
 mod sparse;
+mod sparse_ldl;
 mod sparse_lu;
+mod symbolic;
+mod symmetric_kkt;
 
 pub mod kernels;
 pub mod norm_est;
@@ -65,6 +73,7 @@ pub use matrix::Matrix;
 pub use norms::inf_norm_mat;
 pub use sparse::SparseMatrix;
 pub use sparse_lu::SparseLu;
+pub use symmetric_kkt::SymmetricKkt;
 
 /// Solves the dense linear system `A·x = b` by LU decomposition with partial
 /// pivoting.

@@ -1,9 +1,12 @@
 //! Property-based tests for the CSR sparse matrix: construction from
 //! triplets (including duplicates and explicit zeros), dense round-trips,
-//! agreement of the sparse kernels with their dense counterparts, and the
-//! block KKT matrix assembled straight into CSR.
+//! agreement of the sparse kernels with their dense counterparts, the
+//! block KKT matrix assembled straight into CSR, and the LDLᵀ of the
+//! symmetric quasi-definite KKT against dense LU.
 
-use memlp_linalg::{BlockKkt, LuFactors, Matrix, SparseLu, SparseMatrix};
+use memlp_linalg::{
+    BlockKkt, LinalgError, LuFactors, Matrix, SparseLu, SparseMatrix, SymmetricKkt,
+};
 use proptest::prelude::*;
 
 /// Strategy: arbitrary dimensions (1..=8 × 1..=8) with 0..=24 triplets,
@@ -116,6 +119,68 @@ fn accumulate(rows: usize, cols: usize, ts: &[(usize, usize, f64)]) -> Matrix {
         d[(i, j)] += v;
     }
     d
+}
+
+/// Strategy: `A` (`m×n`) built from a sparse base block whose rows are
+/// each kept and, at random, followed by their negation (a `≤`/`≥` pair,
+/// as routing's conservation rows come), plus diagonals `p`, `q` in
+/// `[0.5, 2)`. Empty rows and columns are common.
+fn quasidefinite_strategy() -> impl Strategy<Value = (SparseMatrix, Vec<f64>, Vec<f64>)> {
+    (1usize..=6, 1usize..=5).prop_flat_map(|(n, m0)| {
+        (
+            block(m0, n),
+            proptest::collection::vec(any::<bool>(), m0),
+            proptest::collection::vec(0.5f64..2.0, n),
+            proptest::collection::vec(0.5f64..2.0, 2 * m0),
+        )
+            .prop_map(move |(base, pair, p, q)| {
+                let mut ts: Vec<(usize, usize, f64)> = Vec::new();
+                let mut rows = 0;
+                for (i, &paired) in pair.iter().enumerate() {
+                    let row: Vec<(usize, f64)> = base
+                        .iter()
+                        .filter(|&(r, _, _)| r == i)
+                        .map(|(_, j, v)| (j, v))
+                        .collect();
+                    ts.extend(row.iter().map(|&(j, v)| (rows, j, v)));
+                    rows += 1;
+                    if paired {
+                        ts.extend(row.iter().map(|&(j, v)| (rows, j, -v)));
+                        rows += 1;
+                    }
+                }
+                let a = SparseMatrix::from_triplets(rows, n, &ts).expect("in bounds");
+                (a, p, q[..rows].to_vec())
+            })
+    })
+}
+
+/// `[[diag(p), Aᵀ], [A, −diag(q)]]` as a dense matrix.
+fn dense_kkt(a: &SparseMatrix, p: &[f64], q: &[f64]) -> Matrix {
+    let n = a.cols();
+    let mut k = Matrix::zeros(n + a.rows(), n + a.rows());
+    for (j, &v) in p.iter().enumerate() {
+        k[(j, j)] = v;
+    }
+    for (i, &v) in q.iter().enumerate() {
+        k[(n + i, n + i)] = -v;
+    }
+    for (i, j, v) in a.iter() {
+        k[(n + i, j)] = v;
+        k[(j, n + i)] = v;
+    }
+    k
+}
+
+/// `‖b − K·x‖∞` and the normwise bound `4ε(‖K‖∞‖x‖∞ + ‖b‖∞)`.
+fn backward_error(k: &Matrix, x: &[f64], b: &[f64]) -> (f64, f64) {
+    let inf = |v: &[f64]| v.iter().fold(0.0f64, |m, e| m.max(e.abs()));
+    let kx = k.matvec(x);
+    let r: Vec<f64> = b.iter().zip(&kx).map(|(bi, ki)| bi - ki).collect();
+    let k_norm = (0..k.rows())
+        .map(|i| (0..k.cols()).map(|j| k[(i, j)].abs()).sum::<f64>())
+        .fold(0.0f64, f64::max);
+    (inf(&r), 4.0 * f64::EPSILON * (k_norm * inf(x) + inf(b)))
 }
 
 proptest! {
@@ -358,6 +423,77 @@ proptest! {
     }
 
     #[test]
+    fn symmetric_kkt_solves_like_dense_lu(
+        (a, p, q) in quasidefinite_strategy(),
+        raw in proptest::collection::vec(-3.0f64..3.0, 16)
+    ) {
+        let mut kkt = SymmetricKkt::new(&a);
+        kkt.refactor(&p, &q).expect("quasi-definite");
+        let k = dense_kkt(&a, &p, &q);
+        let rhs = &raw[..kkt.dim()];
+        let got = kkt.solve(rhs).expect("sized rhs");
+        let want = LuFactors::factor(k.clone())
+            .expect("nonsingular")
+            .solve(rhs)
+            .expect("sized rhs");
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
+        }
+        // The same order and fill as the static-pivot LU on the assembled
+        // matrix: |L| + n against |L| + |U| + n with |U| = |L|.
+        let lu = SparseLu::factor(&SparseMatrix::from_dense(&k)).expect("quasi-definite");
+        prop_assert_eq!(2 * kkt.factor_nnz() - kkt.dim(), lu.factor_nnz());
+        prop_assert!(kkt.flops() <= lu.flops() + 2 * kkt.dim() as u64);
+    }
+
+    #[test]
+    fn symmetric_kkt_refactor_is_repeatable(
+        (a, p, q) in quasidefinite_strategy(),
+        f in 0.5f64..1.5
+    ) {
+        let mut kkt = SymmetricKkt::new(&a);
+        let rhs: Vec<f64> = (0..a.rows() + a.cols()).map(|i| (i as f64).cos()).collect();
+        let bits = |x: Vec<f64>| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        kkt.refactor(&p, &q).expect("quasi-definite");
+        let first = bits(kkt.solve(&rhs).expect("sized rhs"));
+        let other: Vec<f64> = p.iter().map(|v| v * f).collect();
+        kkt.refactor(&other, &q).expect("quasi-definite");
+        kkt.solve(&rhs).expect("sized rhs");
+        kkt.refactor(&p, &q).expect("quasi-definite");
+        prop_assert_eq!(bits(kkt.solve(&rhs).expect("sized rhs")), first);
+    }
+
+    #[test]
+    fn symmetric_kkt_refinement_stops_at_the_bound_or_two_rounds(
+        (a, p, q) in quasidefinite_strategy(),
+        spread in proptest::collection::vec(0u32..13, 16),
+        raw in proptest::collection::vec(-3.0f64..3.0, 16)
+    ) {
+        // Interior-point diagonals span many orders of magnitude.
+        let scale = |v: &[f64], off: usize| -> Vec<f64> {
+            v.iter()
+                .zip(&spread[off..])
+                .map(|(x, &e)| x * 10f64.powi(e as i32 - 6))
+                .collect()
+        };
+        let (p, q) = (scale(&p, 0), scale(&q, p.len()));
+        let mut kkt = SymmetricKkt::new(&a);
+        kkt.refactor(&p, &q).expect("quasi-definite");
+        let rhs = &raw[..kkt.dim()];
+        let x = kkt.solve(rhs).expect("sized rhs");
+        let rounds = kkt.refinement_rounds();
+        prop_assert!(rounds <= 2, "{rounds} rounds");
+        // The test's dense residual sums in another order than the CSR one,
+        // so the bound it checks carries a summation allowance.
+        let (err, bound) = backward_error(&dense_kkt(&a, &p, &q), &x, rhs);
+        let allowance = (kkt.dim() + 1) as f64;
+        prop_assert!(
+            err <= allowance * bound || rounds == 2,
+            "residual {err:e} over {allowance} x bound {bound:e} after {rounds} rounds"
+        );
+    }
+
+    #[test]
     fn out_of_bounds_triplets_are_rejected(
         rows in 1usize..=6,
         cols in 1usize..=6,
@@ -366,4 +502,32 @@ proptest! {
         prop_assert!(SparseMatrix::from_triplets(rows, cols, &[(rows + excess, 0, 1.0)]).is_err());
         prop_assert!(SparseMatrix::from_triplets(rows, cols, &[(0, cols + excess, 1.0)]).is_err());
     }
+}
+
+#[test]
+fn symmetric_kkt_reports_a_zero_pivot_as_singular() {
+    // Column 1 of A is empty, so K's node 1 is isolated: a zero p₁ is a
+    // zero pivot, reported in KKT indices, and NaN takes the same path.
+    let a = SparseMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (1, 0, -1.0), (1, 2, 2.0)])
+        .expect("in bounds");
+    let mut kkt = SymmetricKkt::new(&a);
+    assert!(matches!(
+        kkt.refactor(&[1.0, 0.0, 1.0], &[1.0, 1.0]),
+        Err(LinalgError::Singular { column: 1 })
+    ));
+    assert!(matches!(
+        kkt.refactor(&[1.0, 1.0, 1.0], &[f64::NAN, 1.0]),
+        Err(LinalgError::Singular { .. })
+    ));
+    // The factors recover on the next good diagonal.
+    kkt.refactor(&[1.0, 2.0, 1.0], &[1.0, 1.0])
+        .expect("quasi-definite");
+    let b = [1.0, 2.0, 3.0, 4.0, 5.0];
+    let x = kkt.solve(&b).expect("sized rhs");
+    let k = dense_kkt(&a, &[1.0, 2.0, 1.0], &[1.0, 1.0]);
+    let (err, bound) = backward_error(&k, &x, &b);
+    assert!(err <= 8.0 * bound, "{err:e} vs {bound:e}");
+    // Shapes.
+    assert!(kkt.refactor(&[1.0, 1.0], &[1.0, 1.0]).is_err());
+    assert!(kkt.solve(&b[..4]).is_err());
 }

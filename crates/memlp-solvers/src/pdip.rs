@@ -9,8 +9,9 @@
 //!
 //! The three digital baselines ([`crate::DensePdip`],
 //! [`crate::NormalEqPdip`], [`crate::MehrotraPdip`]) share one loop: the
-//! exit tests of [`PdipState::outcome`], one budget poll, the solver's
-//! Newton solve, then [`PdipState::step_length`] and
+//! residuals `ρ`, `σ` once, the exit tests of [`PdipState::outcome`] on
+//! them, one budget poll, the solver's Newton solve (which reads the same
+//! residuals), then [`PdipState::step_length`] and
 //! [`PdipState::apply_step`]. Each solver supplies only the Newton solve,
 //! and the two normal-equations solvers share its linear algebra: one
 //! core factors the reduced system per iteration (sparse KKT form when
@@ -31,16 +32,18 @@ use memlp_lp::{LpProblem, LpSolution, LpStatus};
 
 use crate::budget::{Budget, BudgetCause};
 
-/// Whether the digital Newton solve of `lp` runs on the sparse
-/// factorization (fill-reducing static-pivot LU with symbolic-analysis
-/// reuse, see `memlp_linalg::SparseLu`) instead of the dense one: true at
-/// a constraint-matrix density of a quarter or less, where the sparse
-/// factorization wins even after fill-in on the domains this workspace
-/// ships (DESIGN.md §13 has the measured crossover).
+/// Whether the digital Newton solve of `lp` runs on a sparse
+/// factorization with symbolic-analysis reuse (the LDLᵀ of
+/// `memlp_linalg::SymmetricKkt` for the normal equations, the
+/// static-pivot `memlp_linalg::SparseLu` for Algorithm 1's core) instead
+/// of the dense one: true at a constraint-matrix density of a quarter or
+/// less, where the sparse factorization wins even after fill-in on the
+/// domains this workspace ships (DESIGN.md §13 has the measured
+/// crossover).
 ///
 /// The input decides; no solver option or CLI flag overrides it. Both factorizations solve
 /// the same Newton system, and the sparse one falls back to the dense one
-/// for any iteration whose static pivots break down.
+/// for any iteration whose pivots break down.
 pub fn sparse_newton(lp: &LpProblem) -> bool {
     lp.density() <= 0.25
 }
@@ -307,19 +310,26 @@ impl PdipState {
         }
     }
 
-    /// Evaluates the §3.1 exit tests on the exact (digital) residuals:
-    /// numerical failure, divergence (infeasible/unbounded certificates)
-    /// or convergence ([`LpStatus::Optimal`]). `None` means keep
-    /// iterating.
-    pub fn outcome(&self, lp: &LpProblem, opts: &PdipOptions) -> Option<LpStatus> {
+    /// Evaluates the §3.1 exit tests on the exact (digital) residuals
+    /// `rho` ([`Self::primal_residual`]) and `sigma`
+    /// ([`Self::dual_residual`]) of this iterate: numerical failure,
+    /// divergence (infeasible/unbounded certificates) or convergence
+    /// ([`LpStatus::Optimal`]). `None` means keep iterating.
+    pub fn outcome(
+        &self,
+        lp: &LpProblem,
+        opts: &PdipOptions,
+        rho: &[f64],
+        sigma: &[f64],
+    ) -> Option<LpStatus> {
         if !(ops::all_finite(&self.w) && ops::all_finite(&self.z)) {
             return Some(LpStatus::NumericalFailure);
         }
         if let Some(status) = self.divergence(opts.divergence_bound) {
             return Some(status);
         }
-        let pr = ops::inf_norm(&self.primal_residual(lp)) / (1.0 + ops::inf_norm(lp.b()));
-        let dr = ops::inf_norm(&self.dual_residual(lp)) / (1.0 + ops::inf_norm(lp.c()));
+        let pr = ops::inf_norm(rho) / (1.0 + ops::inf_norm(lp.b()));
+        let dr = ops::inf_norm(sigma) / (1.0 + ops::inf_norm(lp.c()));
         let gap = self.duality_gap() / (1.0 + lp.objective(&self.x).abs());
         (pr <= opts.eps_primal && dr <= opts.eps_dual && gap <= opts.eps_gap)
             .then_some(LpStatus::Optimal)
@@ -363,9 +373,11 @@ pub fn classify_breakdown(state: &PdipState) -> LpStatus {
     }
 }
 
-/// The digital PDIP loop every software baseline runs: the [`outcome`]
-/// exit tests, one [`Budget`] poll, the Newton solve supplied by the
-/// caller, and the Eqn 11 damped step. `directions` returning `None` is a
+/// The digital PDIP loop every software baseline runs: the residuals
+/// `ρ = b − Ax − w` and `σ = c − Aᵀy + z`, computed once per iteration,
+/// then the [`outcome`] exit tests on them, one [`Budget`] poll, the
+/// Newton solve supplied by the caller (which reads the same residuals),
+/// and the Eqn 11 damped step. `directions` returning `None` is a
 /// numerical breakdown, classified by [`classify_breakdown`].
 ///
 /// [`outcome`]: PdipState::outcome
@@ -373,25 +385,31 @@ pub(crate) fn newton_loop(
     lp: &LpProblem,
     opts: &PdipOptions,
     budget: Budget<'_>,
-    mut directions: impl FnMut(&PdipState) -> Option<StepDirections>,
+    mut directions: impl FnMut(&PdipState, &[f64], &[f64]) -> Option<StepDirections>,
 ) -> (LpSolution, Option<BudgetCause>) {
     let mut state = PdipState::new(lp, opts);
     for iter in 0..opts.max_iterations {
-        if let Some(status) = state.outcome(lp, opts) {
+        let rho = state.primal_residual(lp);
+        let sigma = state.dual_residual(lp);
+        if let Some(status) = state.outcome(lp, opts, &rho, &sigma) {
             return (state.into_solution(lp, status, iter), None);
         }
         if let Some(cause) = budget.check(iter) {
             let sol = state.into_solution(lp, LpStatus::IterationLimit, iter);
             return (sol, Some(cause));
         }
-        let Some(dirs) = directions(&state) else {
+        let Some(dirs) = directions(&state, &rho, &sigma) else {
             let status = classify_breakdown(&state);
             return (state.into_solution(lp, status, iter), None);
         };
         let theta = state.step_length(&dirs, opts.step_safety);
         state.apply_step(&dirs, theta);
     }
-    let status = state.outcome(lp, opts).unwrap_or(LpStatus::IterationLimit);
+    let rho = state.primal_residual(lp);
+    let sigma = state.dual_residual(lp);
+    let status = state
+        .outcome(lp, opts, &rho, &sigma)
+        .unwrap_or(LpStatus::IterationLimit);
     (state.into_solution(lp, status, opts.max_iterations), None)
 }
 
@@ -561,6 +579,10 @@ mod tests {
         assert!(s2.x[0] > 0.0);
     }
 
+    fn outcome(s: &PdipState, lp: &LpProblem, opts: &PdipOptions) -> Option<LpStatus> {
+        s.outcome(lp, opts, &s.primal_residual(lp), &s.dual_residual(lp))
+    }
+
     #[test]
     fn outcome_detects_divergence() {
         let lp = sample();
@@ -570,10 +592,10 @@ mod tests {
         };
         let mut s = PdipState::new(&lp, &opts);
         s.y[0] = 100.0;
-        assert_eq!(s.outcome(&lp, &opts), Some(LpStatus::Infeasible));
+        assert_eq!(outcome(&s, &lp, &opts), Some(LpStatus::Infeasible));
         let mut s = PdipState::new(&lp, &opts);
         s.x[0] = 100.0;
-        assert_eq!(s.outcome(&lp, &opts), Some(LpStatus::Unbounded));
+        assert_eq!(outcome(&s, &lp, &opts), Some(LpStatus::Unbounded));
     }
 
     #[test]
@@ -600,7 +622,7 @@ mod tests {
         let opts = PdipOptions::default();
         let mut s = PdipState::new(&lp, &opts);
         s.z[1] = f64::NAN;
-        assert_eq!(s.outcome(&lp, &opts), Some(LpStatus::NumericalFailure));
+        assert_eq!(outcome(&s, &lp, &opts), Some(LpStatus::NumericalFailure));
     }
 
     #[test]
@@ -614,7 +636,7 @@ mod tests {
         s.w = vec![1e-12, 1e-12];
         s.y = vec![0.4, 0.2];
         s.z = vec![1e-12, 1e-12];
-        assert_eq!(s.outcome(&lp, &opts), Some(LpStatus::Optimal));
+        assert_eq!(outcome(&s, &lp, &opts), Some(LpStatus::Optimal));
     }
 
     #[test]

@@ -64,12 +64,12 @@ impl DensePdip {
         k
     }
 
-    fn newton_rhs(lp: &LpProblem, s: &PdipState, mu: f64) -> Vec<f64> {
-        let n = lp.num_vars();
-        let m = lp.num_constraints();
-        let mut r = Vec::with_capacity(2 * (n + m));
-        r.extend(s.primal_residual(lp));
-        r.extend(s.dual_residual(lp));
+    /// The Eqn 12 right-hand side from the iterate's residuals `rho` and
+    /// `sigma`.
+    fn newton_rhs(s: &PdipState, rho: &[f64], sigma: &[f64], mu: f64) -> Vec<f64> {
+        let mut r = Vec::with_capacity(2 * (rho.len() + sigma.len()));
+        r.extend_from_slice(rho);
+        r.extend_from_slice(sigma);
         r.extend(s.x.iter().zip(&s.z).map(|(x, z)| mu - x * z));
         r.extend(s.y.iter().zip(&s.w).map(|(y, w)| mu - y * w));
         r
@@ -85,10 +85,10 @@ impl LpSolver for DensePdip {
         let opts = &self.options;
         let n = lp.num_vars();
         let m = lp.num_constraints();
-        newton_loop(lp, opts, budget, |state| {
+        newton_loop(lp, opts, budget, |state, rho, sigma| {
             let mu = state.mu(opts.delta);
             let k = Self::newton_matrix(lp, state);
-            let rhs = Self::newton_rhs(lp, state, mu);
+            let rhs = Self::newton_rhs(state, rho, sigma, mu);
             let delta = LuFactors::factor(k).and_then(|lu| lu.solve(&rhs)).ok()?;
             Some(StepDirections {
                 dx: delta[..n].to_vec(),

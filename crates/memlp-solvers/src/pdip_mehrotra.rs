@@ -54,10 +54,8 @@ impl MehrotraPdip {
         budget: Budget<'_>,
         mut core: NormalEqCore<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
-        newton_loop(lp, &self.options, budget, |state| {
-            let rho = state.primal_residual(lp);
-            let sigma = state.dual_residual(lp);
-            core.step(state, |core| Self::step(core, state, &rho, &sigma))
+        newton_loop(lp, &self.options, budget, |state, rho, sigma| {
+            core.step(state, |core| Self::step(core, state, rho, sigma))
         })
     }
 
@@ -65,7 +63,7 @@ impl MehrotraPdip {
     /// `Z·Δx + X·Δz = comp_xz` and `W·Δy + Y·Δw = comp_yw`, with the
     /// iterate's residuals `ρ = b − Ax − w` and `σ = c − Aᵀy + z`.
     fn directions(
-        core: &NormalEqCore<'_>,
+        core: &mut NormalEqCore<'_>,
         s: &PdipState,
         rho: &[f64],
         sigma: &[f64],
@@ -92,7 +90,7 @@ impl MehrotraPdip {
     /// back-solve the affine predictor, then the re-centred corrector.
     /// `None` on a failed solve or non-finite predictor directions.
     fn step(
-        core: &NormalEqCore<'_>,
+        core: &mut NormalEqCore<'_>,
         state: &PdipState,
         rho: &[f64],
         sigma: &[f64],

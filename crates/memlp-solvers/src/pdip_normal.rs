@@ -1,4 +1,4 @@
-use memlp_linalg::{BlockKkt, LuFactors, Matrix};
+use memlp_linalg::{LuFactors, Matrix, SymmetricKkt};
 use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
@@ -31,12 +31,12 @@ use crate::LpSolver;
 /// ```
 ///
 /// The KKT pattern is fixed for the whole solve — only the two diagonals
-/// move between iterations. [`memlp_linalg::BlockKkt`] assembles it once,
-/// row by row from the CSR views of `Aᵀ` and `A` with no sort, and runs
-/// the fill-reducing symbolic analysis once; every iteration writes the
-/// two diagonals into their recorded slots and refactors numerically.
-/// Any sparse breakdown (static pivot failure) falls back to the dense
-/// normal equations for that iteration, keeping the solver total.
+/// move between iterations. [`memlp_linalg::SymmetricKkt`] keeps `A`'s
+/// CSR, runs the fill-reducing symbolic analysis once, and refactors the
+/// quasi-definite matrix by a sparse LDLᵀ every iteration. Any sparse
+/// breakdown (a zero or non-finite pivot, or non-finite directions) falls
+/// back to the dense normal equations for that iteration, keeping the
+/// solver total.
 /// [`crate::MehrotraPdip`] shares both factorizations.
 ///
 /// # Example
@@ -72,10 +72,8 @@ impl NormalEqPdip {
         let opts = &self.options;
         let n = lp.num_vars();
         let m = lp.num_constraints();
-        newton_loop(lp, opts, budget, |s| {
+        newton_loop(lp, opts, budget, |s, rho, sigma| {
             let mu = s.mu(opts.delta);
-            let rho = s.primal_residual(lp);
-            let sigma = s.dual_residual(lp);
             // σ̂ = σ + µX⁻¹e − z;  ρ̂ = ρ − µY⁻¹e + w.
             let sigma_hat: Vec<f64> = (0..n).map(|j| sigma[j] + mu / s.x[j] - s.z[j]).collect();
             let rho_hat: Vec<f64> = (0..m).map(|i| rho[i] - mu / s.y[i] + s.w[i]).collect();
@@ -111,10 +109,11 @@ impl LpSolver for NormalEqPdip {
 /// The Newton linear algebra of the normal-equations PDIP solvers
 /// ([`NormalEqPdip`], [`crate::MehrotraPdip`]), one per solve.
 /// [`Self::step`] factors the reduced system once per iteration;
-/// [`Self::solve`] back-solves it for any `(σ̂, ρ̂)`, with two rounds of
-/// iterative refinement on either factorization: the system grows
-/// ill-conditioned as µ → 0, and the reference solver should deliver the
-/// full double-precision digits the crossbar solutions are judged against.
+/// [`Self::solve`] back-solves it for any `(σ̂, ρ̂)` and refines it: the
+/// system grows ill-conditioned as µ → 0, and the reference solver should
+/// deliver the full double-precision digits the crossbar solutions are
+/// judged against. The KKT form refines until the backward error reaches
+/// `4ε` or two rounds have run; the dense normal equations always run two.
 pub(crate) struct NormalEqCore<'a> {
     lp: &'a LpProblem,
     /// Whether iterations try the sparse KKT factorization first (tests
@@ -122,7 +121,7 @@ pub(crate) struct NormalEqCore<'a> {
     sparse: bool,
     /// The sparse KKT matrix (pattern and symbolic analysis fixed per
     /// solve), built on the first sparse iteration.
-    kkt: Option<BlockKkt>,
+    kkt: Option<SymmetricKkt>,
     /// The dense normal equations of the latest dense factorization; its
     /// LU buffers are recycled by the next one.
     dense: Option<DenseNormal>,
@@ -158,7 +157,7 @@ impl<'a> NormalEqCore<'a> {
     pub(crate) fn step(
         &mut self,
         s: &PdipState,
-        mut step: impl FnMut(&Self) -> Option<StepDirections>,
+        mut step: impl FnMut(&mut Self) -> Option<StepDirections>,
     ) -> Option<StepDirections> {
         if self.sparse && self.factor_kkt(s).is_some() {
             if let Some(dirs) = step(self).filter(StepDirections::is_finite) {
@@ -171,12 +170,16 @@ impl<'a> NormalEqCore<'a> {
 
     /// Solves the reduced system of the current factorization for
     /// `(Δx, Δy)`.
-    pub(crate) fn solve(&self, sigma_hat: &[f64], rho_hat: &[f64]) -> Option<(Vec<f64>, Vec<f64>)> {
+    pub(crate) fn solve(
+        &mut self,
+        sigma_hat: &[f64],
+        rho_hat: &[f64],
+    ) -> Option<(Vec<f64>, Vec<f64>)> {
         if self.on_kkt {
             let mut rhs = Vec::with_capacity(sigma_hat.len() + rho_hat.len());
             rhs.extend_from_slice(sigma_hat);
             rhs.extend_from_slice(rho_hat);
-            let mut dx = self.kkt.as_ref()?.solve(&rhs, 2).ok()?;
+            let mut dx = self.kkt.as_mut()?.solve(&rhs).ok()?;
             let dy = dx.split_off(sigma_hat.len());
             return Some((dx, dy));
         }
@@ -198,14 +201,14 @@ impl<'a> NormalEqCore<'a> {
     /// Refactors the KKT form on the cached symbolic analysis.
     fn factor_kkt(&mut self, s: &PdipState) -> Option<()> {
         self.on_kkt = true;
-        if self.kkt.is_none() {
-            let a = self.lp.sparse_a();
-            self.kkt = Some(BlockKkt::new(&a.transpose(), a).ok()?);
-        }
+        let lp = self.lp;
+        let kkt = self
+            .kkt
+            .get_or_insert_with(|| SymmetricKkt::new(lp.sparse_a()));
         // D⁻¹ = Z X⁻¹ and E = W Y⁻¹.
         let d_inv: Vec<f64> = s.z.iter().zip(&s.x).map(|(z, x)| z / x).collect();
         let e: Vec<f64> = s.w.iter().zip(&s.y).map(|(w, y)| w / y).collect();
-        self.kkt.as_mut()?.refactor(&d_inv, &e).ok()
+        kkt.refactor(&d_inv, &e).ok()
     }
 
     /// Forms and factors the dense normal equations. This path and its

@@ -37,6 +37,7 @@
 //! under the same names. The `.lp` dialect is documented in
 //! `memlp_lp::format`.
 
+use std::io::{self, Write};
 use std::num::NonZeroU32;
 use std::process::ExitCode;
 
@@ -46,9 +47,13 @@ use memlp_lp::format;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+    let stdout = io::stdout();
+    let mut out = stdout.lock();
+    match run(&args, &mut out).and_then(|()| out.flush().map_err(Stop::from)) {
+        // A reader that closed the pipe early (`memlp … | head`) has
+        // taken what it wanted.
+        Ok(()) | Err(Stop::ClosedPipe) => ExitCode::SUCCESS,
+        Err(Stop::Error(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
@@ -56,6 +61,39 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Why a command stopped short of success.
+enum Stop {
+    /// A usage, input or solve error, reported on standard error.
+    Error(String),
+    /// Standard output was closed by its reader.
+    ClosedPipe,
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Self {
+        Stop::Error(msg)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(msg: &str) -> Self {
+        Stop::Error(msg.into())
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Stop::ClosedPipe
+        } else {
+            Stop::Error(format!("cannot write output: {e}"))
+        }
+    }
+}
+
+/// Every command writes through `out`, one locked standard-output handle.
+type Out<'a> = &'a mut dyn Write;
 
 const USAGE: &str = "usage:
   memlp solve <file.lp> [<file.lp> ...] [--solver alg1|alg2|simplex|pdip|mehrotra|pdhg|pdhg-analog|auto] [--variation <pct>] [--seed <n>] [--jobs <n>] [--quiet]
@@ -66,15 +104,15 @@ const USAGE: &str = "usage:
   memlp generate <m> [--seed <n>] [--infeasible]
   memlp info <file.lp>";
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: Out<'_>) -> Result<(), Stop> {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
-        Some("solve") => solve_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("client") => client_cmd(&args[1..]),
-        Some("generate") => generate_cmd(&args[1..]),
-        Some("info") => info_cmd(&args[1..]),
-        Some(other) => Err(format!("unknown command `{other}`")),
+        Some("solve") => solve_cmd(&args[1..], out),
+        Some("serve") => serve_cmd(&args[1..], out),
+        Some("client") => client_cmd(&args[1..], out),
+        Some("generate") => generate_cmd(&args[1..], out),
+        Some("info") => info_cmd(&args[1..], out),
+        Some(other) => Err(format!("unknown command `{other}`").into()),
         None => Err("missing command".into()),
     }
 }
@@ -266,7 +304,7 @@ fn solver_family(f: &Flags, config: CrossbarConfig) -> Result<SolveFn, String> {
     })
 }
 
-fn solve_cmd(args: &[String]) -> Result<(), String> {
+fn solve_cmd(args: &[String], out: Out<'_>) -> Result<(), Stop> {
     let f = parse_flags(args)?;
     if f.positional.is_empty() {
         return Err("solve needs a file argument".into());
@@ -317,59 +355,63 @@ fn solve_cmd(args: &[String]) -> Result<(), String> {
     let mut failures = Vec::new();
     for (path, row) in f.positional.iter().zip(&results) {
         if multi {
-            println!("== {path} ==");
+            writeln!(out, "== {path} ==")?;
         }
         let (solution, hardware, recovery, degraded) = match row {
             Ok(row) => row,
             Err(msg) => {
-                println!("status:    rejected ({msg})");
+                writeln!(out, "status:    rejected ({msg})")?;
                 failures.push((path.as_str(), LpStatus::NumericalFailure));
                 continue;
             }
         };
-        println!("status:    {}", solution.status);
+        writeln!(out, "status:    {}", solution.status)?;
         if let Some(cause) = degraded {
-            println!("degraded:  {cause} — best iterate returned");
+            writeln!(out, "degraded:  {cause} — best iterate returned")?;
         }
-        println!("objective: {:.9}", solution.objective);
-        println!("iterations: {}", solution.iterations);
+        writeln!(out, "objective: {:.9}", solution.objective)?;
+        writeln!(out, "iterations: {}", solution.iterations)?;
         if !f.quiet {
             for (j, v) in solution.x.iter().enumerate() {
-                println!("x{j} = {v:.6}");
+                writeln!(out, "x{j} = {v:.6}")?;
             }
         }
         if let Some(ledger) = hardware {
-            println!(
+            writeln!(
+                out,
                 "hardware:  run {:.3} ms, setup {:.3} ms, energy {:.3} mJ",
                 ledger.run_time_s() * 1e3,
                 ledger.setup_time_s() * 1e3,
                 ledger.energy_j(&CostParams::default()) * 1e3
-            );
-            println!("activity:  {ledger}");
+            )?;
+            writeln!(out, "activity:  {ledger}")?;
             let c = ledger.counts();
             let pulsed = c.setup_writes + c.update_writes;
             let offered = pulsed + c.skipped_writes;
             if offered > 0 {
-                println!(
+                writeln!(
+                    out,
                     "writes:    {pulsed} pulsed, {} skipped ({:.1}% sparsity), {} rebuilds avoided",
                     c.skipped_writes,
                     100.0 * c.skipped_writes as f64 / offered as f64,
                     c.rebuilds_avoided
-                );
+                )?;
             }
             if c.factorizations > 0 {
-                println!(
+                writeln!(
+                    out,
                     "newton:    {} factorization(s), {} flops ({:.0}/iter), {} factor entries",
                     c.factorizations,
                     c.factor_flops,
                     c.factor_flops as f64 / c.factorizations as f64,
                     c.factor_nnz
-                );
+                )?;
             }
         }
         if let Some(report) = recovery {
             if report.saw_faults() {
-                println!(
+                writeln!(
+                    out,
                     "recovery:  {} fault event(s), {} escalation(s){}",
                     report.events.len() - report.escalations(),
                     report.escalations(),
@@ -378,7 +420,7 @@ fn solve_cmd(args: &[String]) -> Result<(), String> {
                     } else {
                         ""
                     }
-                );
+                )?;
             }
         }
         // A budget expiry is a requested degradation, not a failure: the
@@ -389,8 +431,10 @@ fn solve_cmd(args: &[String]) -> Result<(), String> {
     }
     match failures.as_slice() {
         [] => Ok(()),
-        [(_, status)] if !multi => Err(format!("solve terminated with status: {status}")),
-        many => Err(format!(
+        [(_, status)] if !multi => Err(Stop::Error(format!(
+            "solve terminated with status: {status}"
+        ))),
+        many => Err(Stop::Error(format!(
             "{} of {} solves did not reach optimality ({})",
             many.len(),
             results.len(),
@@ -398,17 +442,17 @@ fn solve_cmd(args: &[String]) -> Result<(), String> {
                 .map(|(p, s)| format!("{p}: {s}"))
                 .collect::<Vec<_>>()
                 .join(", ")
-        )),
+        ))),
     }
 }
 
-fn serve_cmd(args: &[String]) -> Result<(), String> {
+fn serve_cmd(args: &[String], out: Out<'_>) -> Result<(), Stop> {
     let f = parse_flags(args)?;
     if !f.positional.is_empty() {
-        return Err(format!(
+        return Err(Stop::Error(format!(
             "serve takes no positional arguments, got `{}`",
             f.positional[0]
-        ));
+        )));
     }
     let crossbar = CrossbarConfig::paper_default()
         .with_variation(f.variation)
@@ -425,9 +469,9 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
                 "pdhg" => "; `pdhg` is digital, use --solver pdhg-analog",
                 _ => "",
             };
-            return Err(format!(
+            return Err(Stop::Error(format!(
                 "serve supports --solver alg1|pdhg-analog, got `{other}`{hint}"
-            ));
+            )));
         }
     };
     let config = memlp_serve::ServeConfig::default()
@@ -444,15 +488,16 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot bind {}: {e}", f.addr))?;
     // The literal `listening on <addr>` line is the startup handshake:
     // scripts (and tests/cli.rs) parse the ephemeral port out of it.
-    println!("listening on {}", server.addr());
-    println!(
+    writeln!(out, "listening on {}", server.addr())?;
+    writeln!(
+        out,
         "queue depth {}, {} worker(s); stop with `memlp client {} drain`",
         config.queue_depth,
         config.workers,
         server.addr()
-    );
+    )?;
     server.wait();
-    println!("drained; all in-flight work completed");
+    writeln!(out, "drained; all in-flight work completed")?;
     Ok(())
 }
 
@@ -470,7 +515,7 @@ fn job_for(lp: &LpProblem, f: &Flags) -> memlp_serve::SolveJob {
     }
 }
 
-fn client_cmd(args: &[String]) -> Result<(), String> {
+fn client_cmd(args: &[String], out: Out<'_>) -> Result<(), Stop> {
     let addr = args
         .first()
         .ok_or("client needs a server address (host:port)")?;
@@ -482,20 +527,24 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
     match action {
         Some("health") => {
             let h = connect()?.health().map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "ready:     {}{}",
                 h.ready,
                 if h.draining { " (draining)" } else { "" }
-            );
-            println!("queue:     {}/{}", h.queued, h.capacity);
-            println!("workers:   {}", h.workers);
-            println!("completed: {}", h.completed);
-            println!("rejected:  {}", h.rejected);
+            )?;
+            writeln!(out, "queue:     {}/{}", h.queued, h.capacity)?;
+            writeln!(out, "workers:   {}", h.workers)?;
+            writeln!(out, "completed: {}", h.completed)?;
+            writeln!(out, "rejected:  {}", h.rejected)?;
             Ok(())
         }
         Some("drain") => {
             let completed = connect()?.drain().map_err(|e| e.to_string())?;
-            println!("drained; server completed {completed} solve(s) over its lifetime");
+            writeln!(
+                out,
+                "drained; server completed {completed} solve(s) over its lifetime"
+            )?;
             Ok(())
         }
         Some("solve") => {
@@ -507,22 +556,23 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
             let mut failures: Vec<(&str, String)> = Vec::new();
             for path in &f.positional {
                 let lp = load(path)?;
-                println!("{path}:");
+                writeln!(out, "{path}:")?;
                 match client.solve(job_for(&lp, &f)).map_err(|e| e.to_string())? {
                     memlp_serve::Response::Solution(s) => {
-                        println!("  status:    {}", s.status);
+                        writeln!(out, "  status:    {}", s.status)?;
                         if let Some(cause) = s.degraded {
-                            println!("  degraded:  {cause} — best iterate returned");
+                            writeln!(out, "  degraded:  {cause} — best iterate returned")?;
                         }
-                        println!("  objective: {:.6}", s.objective);
-                        println!("  iters:     {}", s.iterations);
-                        println!(
+                        writeln!(out, "  objective: {:.6}", s.objective)?;
+                        writeln!(out, "  iters:     {}", s.iterations)?;
+                        writeln!(
+                            out,
                             "  hardware:  {} start, {} cells written, {} skipped",
                             if s.warm_start { "warm" } else { "cold" },
                             s.cells_written,
                             s.cells_skipped
-                        );
-                        println!("  latency:   {} us (server-side)", s.latency_us);
+                        )?;
+                        writeln!(out, "  latency:   {} us (server-side)", s.latency_us)?;
                         if !s.status.is_optimal() && s.degraded.is_none() {
                             failures.push((path, s.status.to_string()));
                         }
@@ -531,22 +581,23 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
                         retry_after_hint_ms,
                         queue_depth,
                     } => {
-                        println!(
+                        writeln!(
+                            out,
                             "  status:    overloaded (queue depth {queue_depth}); retry in {retry_after_hint_ms} ms"
-                        );
+                        )?;
                         failures.push((path, "overloaded".into()));
                     }
                     memlp_serve::Response::Error { message } => {
-                        println!("  status:    rejected ({message})");
+                        writeln!(out, "  status:    rejected ({message})")?;
                         failures.push((path, message));
                     }
-                    other => return Err(format!("unexpected response: {other:?}")),
+                    other => return Err(Stop::Error(format!("unexpected response: {other:?}"))),
                 }
             }
             if failures.is_empty() {
                 Ok(())
             } else {
-                Err(format!(
+                Err(Stop::Error(format!(
                     "{} of {} jobs did not complete ({})",
                     failures.len(),
                     f.positional.len(),
@@ -555,15 +606,15 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
                         .map(|(p, s)| format!("{p}: {s}"))
                         .collect::<Vec<_>>()
                         .join(", ")
-                ))
+                )))
             }
         }
-        Some(other) => Err(format!("unknown client action `{other}`")),
+        Some(other) => Err(Stop::Error(format!("unknown client action `{other}`"))),
         None => Err("client needs one of: solve, health, drain".into()),
     }
 }
 
-fn generate_cmd(args: &[String]) -> Result<(), String> {
+fn generate_cmd(args: &[String], out: Out<'_>) -> Result<(), Stop> {
     let f = parse_flags(args)?;
     let m: usize = f
         .positional
@@ -577,11 +628,11 @@ fn generate_cmd(args: &[String]) -> Result<(), String> {
     } else {
         gen.feasible()
     };
-    print!("{}", format::write(&lp));
+    write!(out, "{}", format::write(&lp))?;
     Ok(())
 }
 
-fn info_cmd(args: &[String]) -> Result<(), String> {
+fn info_cmd(args: &[String], out: Out<'_>) -> Result<(), Stop> {
     let f = parse_flags(args)?;
     let path = f.positional.first().ok_or("info needs a file argument")?;
     let lp = load(path)?;
@@ -597,20 +648,29 @@ fn info_cmd(args: &[String]) -> Result<(), String> {
         }
     }
     let compensations = neg_rows.iter().chain(&neg_cols).filter(|&&neg| neg).count();
-    println!("constraints (m):        {}", lp.num_constraints());
-    println!("variables (n):          {}", lp.num_vars());
-    println!(
+    writeln!(out, "constraints (m):        {}", lp.num_constraints())?;
+    writeln!(out, "variables (n):          {}", lp.num_vars())?;
+    writeln!(
+        out,
         "nonzeros in A:          {} (density {:.1}%)",
         sparse.nnz(),
         sparse.density() * 100.0
-    );
-    println!("max |coefficient|:      {:.6}", lp.max_abs_coefficient());
-    println!("compensation variables: {compensations} (§3.2 transform)");
+    )?;
+    writeln!(
+        out,
+        "max |coefficient|:      {:.6}",
+        lp.max_abs_coefficient()
+    )?;
+    writeln!(
+        out,
+        "compensation variables: {compensations} (§3.2 transform)"
+    )?;
     let dim = 3 * lp.num_vars() + 3 * lp.num_constraints() + compensations;
-    println!("Algorithm-1 system dim: {dim}");
-    println!(
+    writeln!(out, "Algorithm-1 system dim: {dim}")?;
+    writeln!(
+        out,
         "Algorithm-2 system dim: {}",
         lp.num_vars() + lp.num_constraints()
-    );
+    )?;
     Ok(())
 }

@@ -553,3 +553,34 @@ fn bad_usage_prints_help() {
         assert!(err.contains("--seed"), "{args:?}: {err}");
     }
 }
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    // `generate 400` writes megabytes, far past a pipe buffer, so the
+    // binary is still writing when the reader goes away after one line
+    // (`memlp generate 400 | head -1`).
+    let mut child = memlp()
+        .args(["generate", "400", "--seed", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(!first.is_empty());
+    // The reader (and with it the pipe) is dropped here.
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut err)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(status.code(), Some(101), "{err}");
+}
