@@ -18,7 +18,9 @@
 //! cannot avoid. The gate holds the ratio at or below 2.5×, so O(m·n)
 //! work creeping back into the loop (a dense residual product over the
 //! 0.4%-dense `A`) fails it on any host. The row also records the LDLᵀ's
-//! own `kkt_flops` and `kkt_factor_nnz`.
+//! own `kkt_flops` and `kkt_factor_nnz`, and its `analyze_seconds`: the
+//! median of `SymmetricKkt::new` (ordering and symbolic analysis), the
+//! setup a solve pays once.
 //!
 //! Emits `BENCH_sparse.json` at the repository root (hand-rolled JSON — no
 //! serde in the offline dependency set) and *asserts* the ≥ 5× gate on the
@@ -177,6 +179,9 @@ struct NormalEqSplit {
     /// Median wall-clock of one `SymmetricKkt::refactor` + `solve` on the
     /// LP's KKT matrix, seconds.
     kkt_secs: f64,
+    /// Median wall-clock of `SymmetricKkt::new` (ordering and symbolic
+    /// analysis, once per solve), seconds.
+    analyze_secs: f64,
     /// Flops of one LDLᵀ refactor.
     kkt_flops: u64,
     /// Stored LDLᵀ entries, `|L|` plus the diagonal.
@@ -200,6 +205,13 @@ fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
     let s = PdipState::warm_start(lp, &sol.x, &sol.y, 1e-9);
     let d_inv: Vec<f64> = s.z.iter().zip(&s.x).map(|(z, x)| z / x).collect();
     let e: Vec<f64> = s.w.iter().zip(&s.y).map(|(w, y)| w / y).collect();
+    let mut analyses = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let t = Instant::now();
+        let kkt = SymmetricKkt::new(lp.sparse_a());
+        analyses.push(t.elapsed().as_secs_f64());
+        drop(kkt);
+    }
     let mut kkt = SymmetricKkt::new(lp.sparse_a());
     let rhs: Vec<f64> = (0..d_inv.len() + e.len())
         .map(|i| 1.0 + (i % 7) as f64)
@@ -218,6 +230,7 @@ fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
         iterations: sol.iterations,
         iter_secs: median(solves) / sol.iterations.max(1) as f64,
         kkt_secs: median(kkts),
+        analyze_secs: median(analyses),
         kkt_flops: kkt.flops(),
         kkt_factor_nnz: kkt.factor_nnz(),
     }
@@ -273,10 +286,11 @@ fn main() {
     let ratio = split.iter_secs / split.kkt_secs;
     println!();
     println!(
-        "normal_eq transport@512: {} per iteration ({} iterations), KKT refactor+refine {}: {ratio:.2}x (gate <= {GATE_MAX_ITER_OVER_KKT}x)",
+        "normal_eq transport@512: {} per iteration ({} iterations), KKT refactor+refine {}: {ratio:.2}x (gate <= {GATE_MAX_ITER_OVER_KKT}x); analysis {} per solve",
         fmt_time(split.iter_secs),
         split.iterations,
         fmt_time(split.kkt_secs),
+        fmt_time(split.analyze_secs),
     );
 
     // --- BENCH_sparse.json at the repository root.
@@ -318,13 +332,14 @@ fn main() {
     json.push_str(&format!(
         "  \"normal_eq\": {{\"domain\": \"transport\", \"m_target\": 512, \"m\": {}, \"n\": {}, \
          \"iterations\": {}, \"iter_seconds\": {:.6}, \"kkt_refactor_refine_seconds\": {:.6}, \
-         \"kkt_flops\": {}, \"kkt_factor_nnz\": {}, \
+         \"analyze_seconds\": {:.6}, \"kkt_flops\": {}, \"kkt_factor_nnz\": {}, \
          \"iter_over_kkt\": {ratio:.2}, \"gate_max_iter_over_kkt\": {GATE_MAX_ITER_OVER_KKT}}},\n",
         split.m,
         split.n,
         split.iterations,
         split.iter_secs,
         split.kkt_secs,
+        split.analyze_secs,
         split.kkt_flops,
         split.kkt_factor_nnz,
     ));

@@ -264,8 +264,9 @@ impl SparseMatrix {
             if xi == 0.0 {
                 continue;
             }
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                y[self.col_idx[k]] += self.values[k] * xi;
+            let row = self.row_ptr[i]..self.row_ptr[i + 1];
+            for (&j, &v) in self.col_idx[row.clone()].iter().zip(&self.values[row]) {
+                y[j] += v * xi;
             }
         }
     }

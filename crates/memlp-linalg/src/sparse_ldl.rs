@@ -7,7 +7,8 @@
 //! (strictly lower, unit diagonal implicit) and `D` are stored: half the
 //! entries and fewer flops than the static-pivot LU on the same pattern.
 //!
-//! [`SparseLdl::analyze`] records everything the numeric phase needs:
+//! [`SparseLdl::analyze`] takes from [`symbolic::analyze`] everything
+//! the numeric phase needs:
 //! - the input's strictly-lower entries per permuted row, each with its
 //!   position in the caller's value array;
 //! - `L` by column (rows ascending), the storage the values live in;
@@ -63,70 +64,19 @@ impl SparseLdl {
     /// entry `p`'s value sits in the array later passed to
     /// [`refactor`](Self::refactor).
     pub(crate) fn analyze(ptr: &[usize], idx: &[usize], src: &[usize]) -> SparseLdl {
-        let n = ptr.len() - 1;
         let Symbolic {
             perm,
-            iperm,
             col_ptr,
             col_idx,
-        } = symbolic::analyze(ptr, idx);
-        let mut in_ptr = Vec::with_capacity(n + 1);
-        in_ptr.push(0);
-        let mut in_col = Vec::with_capacity(idx.len() / 2);
-        let mut in_src = Vec::with_capacity(idx.len() / 2);
-        for (k, &old) in perm.iter().enumerate() {
-            for p in ptr[old]..ptr[old + 1] {
-                let c = iperm[idx[p]];
-                if c < k {
-                    in_col.push(c);
-                    in_src.push(src[p]);
-                }
-            }
-            in_ptr.push(in_col.len());
-        }
-        // Rows of L in the order the elimination-tree walk reaches them:
-        // for each input entry of row k in turn, the path from it up the
-        // tree to the first node already reached, and each new path goes
-        // in front of the earlier ones. The tree parent of `j` is the
-        // first row of column `j`; rows enter a column in increasing `k`,
-        // so row k's slot in column i is the column's next free one.
-        const NONE: usize = usize::MAX;
-        let parent = |j: usize| {
-            if col_ptr[j] < col_ptr[j + 1] {
-                col_idx[col_ptr[j]]
-            } else {
-                NONE
-            }
-        };
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0);
-        let mut row_idx = Vec::with_capacity(col_idx.len());
-        let mut row_slot = Vec::with_capacity(col_idx.len());
-        let mut next = col_ptr[..n].to_vec();
-        let mut flag = vec![NONE; n];
-        let mut stack = vec![0usize; n];
-        let mut path = Vec::new();
-        for k in 0..n {
-            flag[k] = k;
-            let mut top = n;
-            for &c in &in_col[in_ptr[k]..in_ptr[k + 1]] {
-                path.clear();
-                let mut i = c;
-                while flag[i] != k {
-                    path.push(i);
-                    flag[i] = k;
-                    i = parent(i);
-                }
-                stack[top - path.len()..top].copy_from_slice(&path);
-                top -= path.len();
-            }
-            for &i in &stack[top..] {
-                row_idx.push(i);
-                row_slot.push(next[i]);
-                next[i] += 1;
-            }
-            row_ptr.push(row_idx.len());
-        }
+            in_ptr,
+            in_col,
+            in_src,
+            row_ptr,
+            row_idx,
+            row_slot,
+            ..
+        } = symbolic::analyze(ptr, idx, |p| src[p]);
+        let n = perm.len();
         // Entry (k, i) updates the column-`i` entries above row `k`
         // (2 flops each), then forms L[k][i] and updates D[k] (3 flops).
         let flops = row_idx
@@ -161,22 +111,23 @@ impl SparseLdl {
     /// non-finite or indistinguishable from zero.
     pub(crate) fn refactor(&mut self, values: &[f64], diag: &[f64]) -> Result<(), LinalgError> {
         let y = &mut self.work;
+        let l_val = &mut self.l_val;
         for (k, &old) in self.perm.iter().enumerate() {
-            for t in self.in_ptr[k]..self.in_ptr[k + 1] {
-                y[self.in_col[t]] = values[self.in_src[t]];
+            let input = self.in_ptr[k]..self.in_ptr[k + 1];
+            for (&c, &src) in self.in_col[input.clone()].iter().zip(&self.in_src[input]) {
+                y[c] = values[src];
             }
             let mut dk = diag[old];
-            for t in self.row_ptr[k]..self.row_ptr[k + 1] {
-                let i = self.row_idx[t];
-                let slot = self.row_slot[t];
-                let yi = y[i];
-                y[i] = 0.0;
-                for p in self.col_ptr[i]..slot {
-                    y[self.col_idx[p]] -= self.l_val[p] * yi;
+            let row = self.row_ptr[k]..self.row_ptr[k + 1];
+            for (&i, &slot) in self.row_idx[row.clone()].iter().zip(&self.row_slot[row]) {
+                let yi = std::mem::take(&mut y[i]);
+                let above = self.col_ptr[i]..slot;
+                for (&r, &l) in self.col_idx[above.clone()].iter().zip(&l_val[above]) {
+                    y[r] -= l * yi;
                 }
                 let lki = yi / self.d[i];
                 dk -= lki * yi;
-                self.l_val[slot] = lki;
+                l_val[slot] = lki;
             }
             // `!(.. > ..)` so that a NaN pivot takes the singular path too.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -197,9 +148,10 @@ impl SparseLdl {
             *zk = b[old];
         }
         for k in 0..z.len() {
+            let row = self.row_ptr[k]..self.row_ptr[k + 1];
             let mut s = z[k];
-            for t in self.row_ptr[k]..self.row_ptr[k + 1] {
-                s -= self.l_val[self.row_slot[t]] * z[self.row_idx[t]];
+            for (&i, &slot) in self.row_idx[row.clone()].iter().zip(&self.row_slot[row]) {
+                s -= self.l_val[slot] * z[i];
             }
             z[k] = s;
         }
@@ -207,9 +159,10 @@ impl SparseLdl {
             *zk /= dk;
         }
         for i in (0..z.len()).rev() {
+            let col = self.col_ptr[i]..self.col_ptr[i + 1];
             let mut s = z[i];
-            for p in self.col_ptr[i]..self.col_ptr[i + 1] {
-                s -= self.l_val[p] * z[self.col_idx[p]];
+            for (&r, &l) in self.col_idx[col.clone()].iter().zip(&self.l_val[col]) {
+                s -= l * z[r];
             }
             z[i] = s;
         }

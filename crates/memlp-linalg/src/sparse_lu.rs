@@ -115,7 +115,8 @@ impl SparseLu {
             iperm,
             col_ptr: u_ptr,
             col_idx: u_idx,
-        } = symbolic::analyze(&sym_ptr, &sym_idx);
+            ..
+        } = symbolic::analyze(&sym_ptr, &sym_idx, |p| p);
         let (l_ptr, l_idx, _) = transpose_pattern(n, &u_ptr, &u_idx);
 
         Ok(SparseLu {

@@ -12,21 +12,23 @@
 //! every other, further bookkeeping cannot reduce fill and the tail is
 //! emitted in index order. It runs on flat data. The pattern is CSR; a
 //! node's adjacency list is its CSR row until the list first changes,
-//! then a sorted `Vec` of its own. The next pivot comes off a binary
-//! min-heap of `(degree, node)` with lazy deletion. Eliminating a node
-//! updates the lists of its `d` live neighbours: each gets the clique's
-//! missing members by binary-search insertion (clique short against the
-//! list; the eliminated node stays as a dead entry until half the list is
-//! dead) or by one sorted merge, and each neighbour whose degree changed
-//! costs one `O(log n)` heap push. That is the exact greedy rule, lowest
-//! degree first and ties to the lowest index, so the permutation is the
-//! one the first, `BTreeSet`-based version computed (the test module
-//! keeps that version as its oracle); only the per-entry tree nodes and
-//! rebalancing are gone. The fill pattern itself comes from the classic
-//! one-pass elimination-tree symbolic analysis (column counts + column
-//! lists) over the permuted strictly-lower pattern, which is counted into
-//! CSR from the symmetric pattern with its rows already sorted, so that
-//! part is O(|L|), not O(n²).
+//! then a sorted `Vec` of its own. The next pivot comes off a min-queue
+//! of `(degree, node)` keys, each packed into one `u64`, with lazy
+//! deletion: the initial keys sorted once, and a binary heap for the keys
+//! pushed later. Eliminating a node updates the lists of its `d` live
+//! neighbours: each gets the clique's missing members by binary-search
+//! insertion (clique short against the list; the eliminated node stays as
+//! a dead entry until half the list is dead) or by one sorted merge, and
+//! each neighbour whose degree changed costs one `O(log n)` heap push.
+//! That is the exact greedy rule, lowest degree first and ties to the
+//! lowest index, so the permutation is the one the first,
+//! `BTreeSet`-based version computed (the test module keeps that version
+//! as its oracle); only the per-entry tree nodes and rebalancing are
+//! gone. The fill pattern itself comes from one pass
+//! that lists the permuted strictly-lower input entries row by row and
+//! one elimination-tree walk over them, which yields the factor's rows in
+//! the order an up-looking LDLᵀ consumes them, the column counts and,
+//! dealt out by row, the sorted column lists: O(|L|), not O(n²).
 
 use crate::sparse::SparseMatrix;
 use std::cmp::Reverse;
@@ -50,71 +52,113 @@ pub(crate) struct Symbolic {
     /// column `j` lists the rows `k > j` with `L[k][j] ≠ 0`, ascending.
     pub(crate) col_ptr: Vec<usize>,
     pub(crate) col_idx: Vec<usize>,
+    /// Strictly-lower input entries of permuted row `k`, in the order the
+    /// input row lists them: permuted column and `src` of the entry's
+    /// position in `idx`.
+    pub(crate) in_ptr: Vec<usize>,
+    pub(crate) in_col: Vec<usize>,
+    pub(crate) in_src: Vec<usize>,
+    /// The factor pattern by row, in the order the elimination-tree walk
+    /// reaches it (see [`analyze`]), with each entry's slot in the column
+    /// storage `col_idx`.
+    pub(crate) row_ptr: Vec<usize>,
+    pub(crate) row_idx: Vec<usize>,
+    pub(crate) row_slot: Vec<usize>,
 }
 
 /// Minimum-degree order and factor pattern of the symmetric off-diagonal
-/// pattern `ptr`/`idx` (CSR, sorted duplicate-free rows, no diagonal).
-pub(crate) fn analyze(ptr: &[usize], idx: &[usize]) -> Symbolic {
+/// pattern `ptr`/`idx` (CSR, sorted duplicate-free rows, no diagonal);
+/// `src(p)` is recorded for each strictly-lower input entry at position
+/// `p` of `idx`.
+///
+/// After the ordering, one pass over the pattern lists each permuted
+/// row's strictly-lower input entries, and one elimination-tree walk
+/// yields the factor's rows: for each input entry of row `k` in turn, the
+/// path from it up the tree to the first node already reached, each new
+/// path going in front of the earlier ones. The tree parent of `j` is the
+/// first row that reaches it. Rows are walked in increasing `k`, so
+/// dealing each row's entries out to their columns fills every column
+/// list in ascending order, and row `k`'s slot in column `i` is the
+/// column's next free one.
+pub(crate) fn analyze(ptr: &[usize], idx: &[usize], src: impl Fn(usize) -> usize) -> Symbolic {
     let n = ptr.len() - 1;
     let perm = min_degree_order(ptr, idx);
     let mut iperm = vec![0usize; n];
     for (new, &old) in perm.iter().enumerate() {
         iperm[old] = new;
     }
-    let (lower_ptr, lower_idx) = permuted_lower_pattern(ptr, idx, &perm, &iperm);
+    let mut in_ptr = Vec::with_capacity(n + 1);
+    in_ptr.push(0);
+    let mut in_col = Vec::with_capacity(idx.len() / 2);
+    let mut in_src = Vec::with_capacity(idx.len() / 2);
+    for (k, &old) in perm.iter().enumerate() {
+        for p in ptr[old]..ptr[old + 1] {
+            let c = iperm[idx[p]];
+            if c < k {
+                in_col.push(c);
+                in_src.push(src(p));
+            }
+        }
+        in_ptr.push(in_col.len());
+    }
 
-    // One-pass elimination-tree symbolic analysis: column counts, then
-    // column lists. Row `k` of the factor is the set of tree nodes
-    // reached walking up from each entry of row `k` of the input.
     const NONE: usize = usize::MAX;
     let mut parent = vec![NONE; n];
     let mut flag = vec![NONE; n];
-    let mut col_count = vec![0usize; n];
-    for k in 0..n {
-        flag[k] = k;
-        for &j0 in &lower_idx[lower_ptr[k]..lower_ptr[k + 1]] {
-            let mut j = j0;
-            while flag[j] != k {
-                col_count[j] += 1;
-                flag[j] = k;
-                if parent[j] == NONE {
-                    parent[j] = k;
-                }
-                j = parent[j];
-            }
-        }
-    }
     let mut col_ptr = vec![0usize; n + 1];
-    for j in 0..n {
-        col_ptr[j + 1] = col_ptr[j] + col_count[j];
-    }
-    let mut col_idx = vec![0usize; col_ptr[n]];
-    let mut next = col_ptr.clone();
-    let mut flag = vec![NONE; n];
-    for p in parent.iter_mut() {
-        *p = NONE;
-    }
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut row_idx = Vec::with_capacity(in_col.len());
+    let mut stack = vec![0usize; n];
+    let mut path = Vec::new();
     for k in 0..n {
         flag[k] = k;
-        for &j0 in &lower_idx[lower_ptr[k]..lower_ptr[k + 1]] {
-            let mut j = j0;
-            while flag[j] != k {
-                col_idx[next[j]] = k;
-                next[j] += 1;
-                flag[j] = k;
-                if parent[j] == NONE {
-                    parent[j] = k;
+        let mut top = n;
+        for &c in &in_col[in_ptr[k]..in_ptr[k + 1]] {
+            path.clear();
+            let mut i = c;
+            while flag[i] != k {
+                path.push(i);
+                flag[i] = k;
+                if parent[i] == NONE {
+                    parent[i] = k;
                 }
-                j = parent[j];
+                i = parent[i];
             }
+            stack[top - path.len()..top].copy_from_slice(&path);
+            top -= path.len();
+        }
+        for &i in &stack[top..] {
+            col_ptr[i + 1] += 1;
+        }
+        row_idx.extend_from_slice(&stack[top..]);
+        row_ptr.push(row_idx.len());
+    }
+    for j in 0..n {
+        col_ptr[j + 1] += col_ptr[j];
+    }
+    let mut next = col_ptr[..n].to_vec();
+    let mut col_idx = vec![0usize; row_idx.len()];
+    let mut row_slot = vec![0usize; row_idx.len()];
+    for k in 0..n {
+        for t in row_ptr[k]..row_ptr[k + 1] {
+            let i = row_idx[t];
+            col_idx[next[i]] = k;
+            row_slot[t] = next[i];
+            next[i] += 1;
         }
     }
-    // Column lists were appended in increasing `k`, so they are sorted.
     Symbolic {
         perm,
         iperm,
         col_ptr,
         col_idx,
+        in_ptr,
+        in_col,
+        in_src,
+        row_ptr,
+        row_idx,
+        row_slot,
     }
 }
 
@@ -122,10 +166,11 @@ pub(crate) fn analyze(ptr: &[usize], idx: &[usize]) -> Symbolic {
 /// (CSR, sorted rows, no diagonal), with deterministic tie-breaking
 /// (lowest node index) and a dense-tail cutoff.
 ///
-/// The next pivot comes off a min-heap of `(degree, node)` entries with
+/// The next pivot comes off a min-queue of `(degree, node)` entries with
 /// lazy deletion: an entry is pushed whenever a node's degree changes and
 /// skipped when popped if its node is gone or its degree is stale, so the
-/// first live entry is the lowest `(degree, node)` pair. Eliminating `v`
+/// first live entry is the lowest `(degree, node)` pair. Each entry is
+/// packed into one `u64` ([`key`]); the queue is [`Queue`]. Eliminating `v`
 /// joins its live neighbours into a clique. A neighbour whose list is long
 /// against the clique gets the missing members by binary-search insertion
 /// and keeps `v` as a dead entry (counted, and dropped by one compaction
@@ -133,6 +178,9 @@ pub(crate) fn analyze(ptr: &[usize], idx: &[usize]) -> Symbolic {
 /// list is rebuilt by one sorted merge that drops its dead entries.
 fn min_degree_order(ptr: &[usize], idx: &[usize]) -> Vec<usize> {
     let n = ptr.len() - 1;
+    // Keys pack node and degree into 32 bits each ([`key`]). A pattern
+    // with 2³² nodes would need 32 GiB for `ptr` alone.
+    debug_assert!(u32::try_from(n).is_ok(), "node indices fit in 32 bits");
     let mut adj = Adjacency {
         ptr,
         idx,
@@ -141,12 +189,15 @@ fn min_degree_order(ptr: &[usize], idx: &[usize]) -> Vec<usize> {
     // `dead[u]`: entries of `u`'s list that name eliminated nodes.
     let mut dead = vec![0usize; n];
     let mut eliminated = vec![false; n];
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|v| Reverse((adj.list(v).len(), v))).collect();
+    let mut queue = Queue::new((0..n).map(|v| key(adj.list(v).len(), v)).collect());
     let mut order = Vec::with_capacity(n);
     let mut clique: Vec<usize> = Vec::new();
     let mut merged: Vec<usize> = Vec::new();
-    while let Some(Reverse((deg, v))) = heap.pop() {
+    while let Some(packed) = queue.pop() {
+        let (deg, v) = (
+            (packed >> 32) as usize,
+            (packed & u64::from(u32::MAX)) as usize,
+        );
         if eliminated[v] || deg != adj.list(v).len() - dead[v] {
             continue;
         }
@@ -189,11 +240,58 @@ fn min_degree_order(ptr: &[usize], idx: &[usize]) -> Vec<usize> {
             }
             let after = adj.list(u).len() - dead[u];
             if after != before {
-                heap.push(Reverse((after, u)));
+                queue.push(key(after, u));
             }
         }
     }
     order
+}
+
+/// The queue key of `node` at `degree`: `degree << 32 | node`, so keys
+/// compare as `(degree, node)` pairs do. Both are below the node count,
+/// which is below `2³²`.
+fn key(degree: usize, node: usize) -> u64 {
+    (degree as u64) << 32 | node as u64
+}
+
+/// The ordering's min-queue of keys: the `n` initial keys sorted once and
+/// taken front to back, and a binary heap of the keys pushed since. The
+/// smaller front comes off first, so keys leave in the order one heap of
+/// all of them would give; most nodes leave at their initial degree, at
+/// the cost of a cursor step rather than a heap pop.
+struct Queue {
+    initial: Vec<u64>,
+    next: usize,
+    pushed: BinaryHeap<Reverse<u64>>,
+}
+
+impl Queue {
+    fn new(mut initial: Vec<u64>) -> Self {
+        initial.sort_unstable();
+        Queue {
+            initial,
+            next: 0,
+            pushed: BinaryHeap::new(),
+        }
+    }
+
+    fn push(&mut self, key: u64) {
+        self.pushed.push(Reverse(key));
+    }
+
+    fn pop(&mut self) -> Option<u64> {
+        match (self.initial.get(self.next), self.pushed.peek()) {
+            (Some(&first), Some(&Reverse(top))) if top < first => {
+                self.pushed.pop();
+                Some(top)
+            }
+            (Some(&first), _) => {
+                self.next += 1;
+                Some(first)
+            }
+            (None, _) => self.pushed.pop().map(|Reverse(top)| top),
+        }
+    }
 }
 
 /// The ordering's sorted adjacency lists: each node's row of the input
@@ -266,42 +364,6 @@ fn merge_union(
     }
     out.extend(a[i..].iter().copied().filter(|&x| keep(x)));
     out.extend(b[j..].iter().copied().filter(|&y| y != skip));
-}
-
-/// Strictly-lower pattern of `P·S·Pᵀ` for the symmetric pattern `S`
-/// (`ptr`/`idx`) and `perm[new] = old`, `iperm[old] = new`: CSR by row.
-/// Columns are visited in ascending new index and appended to the rows
-/// below them, so every row comes out sorted without a sort.
-fn permuted_lower_pattern(
-    ptr: &[usize],
-    idx: &[usize],
-    perm: &[usize],
-    iperm: &[usize],
-) -> (Vec<usize>, Vec<usize>) {
-    let n = perm.len();
-    let mut l_ptr = vec![0usize; n + 1];
-    for (c, &old) in perm.iter().enumerate() {
-        for &nb in &idx[ptr[old]..ptr[old + 1]] {
-            if iperm[nb] > c {
-                l_ptr[iperm[nb] + 1] += 1;
-            }
-        }
-    }
-    for r in 0..n {
-        l_ptr[r + 1] += l_ptr[r];
-    }
-    let mut next = l_ptr.clone();
-    let mut l_idx = vec![0usize; l_ptr[n]];
-    for (c, &old) in perm.iter().enumerate() {
-        for &nb in &idx[ptr[old]..ptr[old + 1]] {
-            let r = iperm[nb];
-            if r > c {
-                l_idx[next[r]] = c;
-                next[r] += 1;
-            }
-        }
-    }
-    (l_ptr, l_idx)
 }
 
 /// Counting-sort transpose of the CSR index pattern `ptr`/`idx` with
@@ -444,6 +506,156 @@ pub(crate) mod tests {
             trips.push((i, 0, 1.0));
         }
         SparseMatrix::from_triplets(n, n, &trips).unwrap()
+    }
+
+    /// The factor pattern as first computed: the permuted strictly-lower
+    /// pattern counted into sorted CSR, one elimination-tree walk for the
+    /// column counts and a second for the column lists; then, as the LDLᵀ
+    /// analysis did, the input entries per row with their `src` and a third
+    /// walk for the rows in tree order, slotted into the columns.
+    #[allow(clippy::type_complexity)]
+    fn three_walks(
+        ptr: &[usize],
+        idx: &[usize],
+        src: impl Fn(usize) -> usize,
+        perm: &[usize],
+    ) -> [Vec<usize>; 8] {
+        const NONE: usize = usize::MAX;
+        let n = perm.len();
+        let mut iperm = vec![0usize; n];
+        for (new, &old) in perm.iter().enumerate() {
+            iperm[old] = new;
+        }
+        let mut lower_ptr = vec![0usize; n + 1];
+        for (c, &old) in perm.iter().enumerate() {
+            for &nb in &idx[ptr[old]..ptr[old + 1]] {
+                if iperm[nb] > c {
+                    lower_ptr[iperm[nb] + 1] += 1;
+                }
+            }
+        }
+        for r in 0..n {
+            lower_ptr[r + 1] += lower_ptr[r];
+        }
+        let mut next = lower_ptr.clone();
+        let mut lower_idx = vec![0usize; lower_ptr[n]];
+        for (c, &old) in perm.iter().enumerate() {
+            for &nb in &idx[ptr[old]..ptr[old + 1]] {
+                let r = iperm[nb];
+                if r > c {
+                    lower_idx[next[r]] = c;
+                    next[r] += 1;
+                }
+            }
+        }
+        let walk = |mut visit: Box<dyn FnMut(usize, usize) + '_>| {
+            let mut parent = vec![NONE; n];
+            let mut flag = vec![NONE; n];
+            for k in 0..n {
+                flag[k] = k;
+                for &j0 in &lower_idx[lower_ptr[k]..lower_ptr[k + 1]] {
+                    let mut j = j0;
+                    while flag[j] != k {
+                        visit(j, k);
+                        flag[j] = k;
+                        if parent[j] == NONE {
+                            parent[j] = k;
+                        }
+                        j = parent[j];
+                    }
+                }
+            }
+        };
+        let mut col_ptr = vec![0usize; n + 1];
+        walk(Box::new(|j, _| col_ptr[j + 1] += 1));
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut col_idx = vec![0usize; col_ptr[n]];
+        let mut fill = col_ptr.clone();
+        walk(Box::new(|j, k| {
+            col_idx[fill[j]] = k;
+            fill[j] += 1;
+        }));
+        let (mut in_ptr, mut in_col, mut in_src) = (vec![0], Vec::new(), Vec::new());
+        for (k, &old) in perm.iter().enumerate() {
+            for p in ptr[old]..ptr[old + 1] {
+                if iperm[idx[p]] < k {
+                    in_col.push(iperm[idx[p]]);
+                    in_src.push(src(p));
+                }
+            }
+            in_ptr.push(in_col.len());
+        }
+        let parent = |j: usize| {
+            if col_ptr[j] < col_ptr[j + 1] {
+                col_idx[col_ptr[j]]
+            } else {
+                NONE
+            }
+        };
+        let (mut row_ptr, mut row_idx, mut row_slot) = (vec![0], Vec::new(), Vec::new());
+        let mut next = col_ptr[..n].to_vec();
+        let mut flag = vec![NONE; n];
+        let mut stack = vec![0usize; n];
+        for k in 0..n {
+            flag[k] = k;
+            let mut top = n;
+            for &c in &in_col[in_ptr[k]..in_ptr[k + 1]] {
+                let mut path = Vec::new();
+                let mut i = c;
+                while flag[i] != k {
+                    path.push(i);
+                    flag[i] = k;
+                    i = parent(i);
+                }
+                stack[top - path.len()..top].copy_from_slice(&path);
+                top -= path.len();
+            }
+            for &i in &stack[top..] {
+                row_idx.push(i);
+                row_slot.push(next[i]);
+                next[i] += 1;
+            }
+            row_ptr.push(row_idx.len());
+        }
+        [
+            col_ptr, col_idx, in_ptr, in_col, in_src, row_ptr, row_idx, row_slot,
+        ]
+    }
+
+    #[test]
+    fn one_walk_matches_the_three_walks() {
+        let mut patterns: Vec<(String, SparseMatrix)> = (1..=12)
+            .map(|seed| {
+                let a = quasidefinite_kkt(6 + seed as usize, 9 + 2 * seed as usize, seed);
+                (format!("quasidefinite_kkt seed {seed}"), a)
+            })
+            .collect();
+        patterns.extend([2, 9, 40, 300].map(|n| (format!("arrow n {n}"), arrow(n))));
+        for (what, a) in patterns {
+            let (ptr, idx) = symmetrized_pattern(&a);
+            let src = |p: usize| 3 * p + 1;
+            let got = analyze(&ptr, &idx, src);
+            assert_eq!(got.perm, min_degree_order(&ptr, &idx), "{what}");
+            let mut iperm = vec![0usize; got.perm.len()];
+            for (new, &old) in got.perm.iter().enumerate() {
+                iperm[old] = new;
+            }
+            assert_eq!(got.iperm, iperm, "{what}");
+            let want = three_walks(&ptr, &idx, src, &got.perm);
+            let got = [
+                got.col_ptr,
+                got.col_idx,
+                got.in_ptr,
+                got.in_col,
+                got.in_src,
+                got.row_ptr,
+                got.row_idx,
+                got.row_slot,
+            ];
+            assert_eq!(got, want, "{what}");
+        }
     }
 
     fn assert_matches_reference(a: &SparseMatrix, what: &str) {

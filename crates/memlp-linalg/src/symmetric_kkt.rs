@@ -149,24 +149,35 @@ impl SymmetricKkt {
     /// Returns [`LinalgError::DimensionMismatch`] if `rhs` does not have
     /// length `n + m`.
     pub fn solve(&mut self, rhs: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let mut x = vec![0.0; self.diag.len()];
+        self.solve_into(rhs, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`solve`](Self::solve) into the caller's `x`, allocating nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `rhs` or `x` does not
+    /// have length `n + m`.
+    pub fn solve_into(&mut self, rhs: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
         let dim = self.diag.len();
-        if rhs.len() != dim {
+        if rhs.len() != dim || x.len() != dim {
             return Err(dim_mismatch(
-                format!("vector of length {dim}"),
-                format!("length {}", rhs.len()),
+                format!("vectors of length {dim}"),
+                format!("lengths {} and {}", rhs.len(), x.len()),
             ));
         }
-        let mut x = vec![0.0; dim];
-        self.ldl.solve_into(rhs, &mut x);
+        self.ldl.solve_into(rhs, x);
         let b_norm = ops::inf_norm(rhs);
-        let mut residual = kkt_residual(&self.a, &self.diag, rhs, &x, &mut self.r);
+        let mut residual = kkt_residual(&self.a, &self.diag, rhs, x, &mut self.r);
         self.rounds = 0;
         while self.rounds < MAX_ROUNDS
             && residual
-                > BACKWARD_ERROR_ULPS * f64::EPSILON * (self.k_norm * ops::inf_norm(&x) + b_norm)
+                > BACKWARD_ERROR_ULPS * f64::EPSILON * (self.k_norm * ops::inf_norm(x) + b_norm)
         {
             self.ldl.solve_into(&self.r, &mut self.cand);
-            for (c, xi) in self.cand.iter_mut().zip(&x) {
+            for (c, xi) in self.cand.iter_mut().zip(x.iter()) {
                 *c += xi;
             }
             let cand_residual =
@@ -174,12 +185,12 @@ impl SymmetricKkt {
             if !cand_residual.is_finite() || cand_residual >= residual {
                 break;
             }
-            std::mem::swap(&mut x, &mut self.cand);
+            x.copy_from_slice(&self.cand);
             std::mem::swap(&mut self.r, &mut self.r_cand);
             residual = cand_residual;
             self.rounds += 1;
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Refinement rounds the last [`solve`](Self::solve) kept.
@@ -285,6 +296,14 @@ mod tests {
                 }
                 let got = kkt.solve(&b).unwrap();
                 let rounds = kkt.refinement_rounds();
+                let mut into = vec![f64::NAN; kkt.dim()];
+                kkt.solve_into(&b, &mut into).unwrap();
+                assert_eq!(
+                    bits(&into),
+                    bits(&got),
+                    "seed {seed}, eps {eps}: solve_into"
+                );
+                assert_eq!(kkt.refinement_rounds(), rounds, "seed {seed}, eps {eps}");
                 let (want, want_rounds) = replayed(&mut kkt, &b);
                 assert_eq!(bits(&got), bits(&want), "seed {seed}, eps {eps}");
                 assert_eq!(rounds, want_rounds, "seed {seed}, eps {eps}");
@@ -292,6 +311,16 @@ mod tests {
             }
         }
         assert_eq!(seen, [true; MAX_ROUNDS + 1], "rounds 0, 1 and 2 all ran");
+    }
+
+    #[test]
+    fn solve_into_checks_both_lengths() {
+        let (a, p, q) = blocks(3, 4, 1);
+        let mut kkt = SymmetricKkt::new(&a);
+        kkt.refactor(&p, &q).unwrap();
+        let b = vec![1.0; kkt.dim()];
+        assert!(kkt.solve_into(&b, &mut vec![0.0; kkt.dim() - 1]).is_err());
+        assert!(kkt.solve_into(&b[1..], &mut vec![0.0; kkt.dim()]).is_err());
     }
 
     #[test]

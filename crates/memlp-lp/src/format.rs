@@ -177,7 +177,8 @@ fn fnv1a(name: &str) -> usize {
 /// ends turned into LF (error messages quote statements from it). Text
 /// with neither is borrowed as is.
 fn strip_comments(text: &str) -> Cow<'_, str> {
-    if !text.contains(['\\', '\r']) {
+    let bytes = text.as_bytes();
+    if !(bytes.contains(&b'\\') || bytes.contains(&b'\r')) {
         return Cow::Borrowed(text);
     }
     Cow::Owned(
@@ -250,100 +251,194 @@ fn split_relation(body: &str) -> Result<(&str, &'static str, &str), LpError> {
 /// Parses `[+-] [coef [*]] name …` and hands each term to `emit` as
 /// (coefficient, name), the name borrowed from `expr`.
 ///
-/// Terms start at every `+` or `-` after the first character, except the
-/// sign of an exponent (`1e-3`: the sign follows an `e`/`E` that follows
-/// a digit or `.`); U+001F also breaks a term.
+/// Terms start at every `+` or `-` after the first byte, except the sign
+/// of an exponent (`1e-3`: the sign follows an `e`/`E` that follows a
+/// digit or `.`); U+001F also breaks a term and is dropped. One pass over
+/// the bytes finds the breaks and, inside each term, its tokens: the runs
+/// of characters other than whitespace and `*`. Runs of plain ASCII bytes
+/// are skipped in a tight loop; a non-ASCII character is decoded where it
+/// starts, for [`char::is_whitespace`].
 fn for_each_term<'a>(expr: &'a str, mut emit: impl FnMut(f64, &'a str)) -> Result<(), LpError> {
     let bytes = expr.as_bytes();
     let mut any = false;
-    let mut start = 0;
-    for (k, &ch) in bytes.iter().enumerate() {
-        let breaks = match ch {
-            b'+' | b'-' => {
-                k > 0
-                    && !(k >= 2
-                        && matches!(bytes[k - 1], b'e' | b'E')
-                        && (bytes[k - 2].is_ascii_digit() || bytes[k - 2] == b'.'))
+    let mut term = Term::at(0);
+    let mut k = 0;
+    while k < bytes.len() {
+        let byte = bytes[k];
+        if PLAIN[usize::from(byte)] {
+            term.word(k);
+            k += 1;
+            while k < bytes.len() && PLAIN[usize::from(bytes[k])] {
+                k += 1;
             }
-            0x1f => true,
-            _ => false,
-        };
-        if breaks {
-            any |= parse_term(&expr[start..k], &mut emit)?;
-            // The separator byte itself is dropped; a sign opens the next
-            // term.
-            start = if ch == 0x1f { k + 1 } else { k };
+            continue;
         }
+        let mut width = 1;
+        match byte {
+            b'+' | b'-' => {
+                let exponent = k >= 2
+                    && matches!(bytes[k - 1], b'e' | b'E')
+                    && (bytes[k - 2].is_ascii_digit() || bytes[k - 2] == b'.');
+                if k > 0 && !exponent {
+                    any |= term.finish(expr, k, &mut emit)?;
+                    term = Term::at(k);
+                }
+                // A sign opens its term; an exponent's sign is part of a
+                // token.
+                if k == term.start {
+                    term.sign(byte);
+                } else {
+                    term.word(k);
+                }
+            }
+            0x1f => {
+                any |= term.finish(expr, k, &mut emit)?;
+                term = Term::at(k + 1);
+            }
+            b'*' => term.star(k),
+            // `char::is_whitespace` on ASCII: tab, LF, VT, FF, CR, space.
+            b'\t'..=b'\r' | b' ' => term.close(k),
+            _ => {
+                let c = expr[k..].chars().next().unwrap_or_default();
+                width = c.len_utf8();
+                if c.is_whitespace() {
+                    term.close(k);
+                } else {
+                    term.word(k);
+                }
+            }
+        }
+        k += width;
     }
-    any |= parse_term(&expr[start..], &mut emit)?;
+    any |= term.finish(expr, bytes.len(), &mut emit)?;
     if !any {
         return Err(syntax("at least one term", expr));
     }
     Ok(())
 }
 
-/// Parses one signed term; blank text is no term (`Ok(false)`).
-fn parse_term<'a>(raw: &'a str, emit: &mut impl FnMut(f64, &'a str)) -> Result<bool, LpError> {
-    let term = raw.trim();
-    if term.is_empty() {
-        return Ok(false);
+/// ASCII bytes that neither break a term nor separate tokens: everything
+/// but whitespace, `*`, `+`, `-` and U+001F. Non-ASCII bytes are not
+/// plain either; their characters are decoded.
+const PLAIN: [bool; 256] = {
+    let mut plain = [false; 256];
+    let mut b = 0;
+    while b < 128 {
+        plain[b] = !matches!(b as u8, b'\t'..=b'\r' | b' ' | b'*' | b'+' | b'-' | 0x1f);
+        b += 1;
     }
-    let (sign, rest) = match term.strip_prefix('-') {
-        Some(r) => (-1.0, r.trim_start()),
-        None => (1.0, term.strip_prefix('+').unwrap_or(term).trim_start()),
-    };
-    if rest.is_empty() {
-        return Err(syntax("a term after the sign", term));
-    }
-    // Split into leading number and variable name; `*` separates like
-    // whitespace.
-    let mut parts = rest
-        .split(|c: char| c.is_whitespace() || c == '*')
-        .filter(|p| !p.is_empty());
-    let first = parts.next().ok_or_else(|| syntax("a term", term))?;
-    let (coef, name) = if first
-        .chars()
-        .next()
-        .map(|c| c.is_ascii_digit() || c == '.')
-        .unwrap_or(false)
-    {
-        // Either `2 x` (separate tokens) or the glued form `2x`. For
-        // the glued form take the longest numeric prefix (so exponents
-        // like `1e-3` are not split at the `e`).
-        if let Ok(coef) = first.parse::<f64>() {
-            let name = parts
-                .next()
-                .ok_or_else(|| syntax("a variable after the coefficient", term))?;
-            (coef, name)
-        } else {
-            let (split_at, coef) = (1..first.len())
-                .rev()
-                .filter(|&k| first.is_char_boundary(k))
-                .find_map(|k| first[..k].parse::<f64>().ok().map(|coef| (k, coef)))
-                .ok_or_else(|| LpError::NonFinite {
-                    location: format!("coefficient `{first}`"),
-                })?;
-            if parts.next().is_some() {
-                return Err(syntax("a single `coef var` term", term));
-            }
-            (coef, &first[split_at..])
+    plain
+};
+
+/// One term of [`for_each_term`] as its characters arrive: where it
+/// starts, its sign, and its tokens (a term has one or two; a third only
+/// has to be counted to be refused).
+struct Term {
+    start: usize,
+    /// `-1.0` or `1.0` when the term opens with `-` or `+`.
+    sign: Option<f64>,
+    /// No token character or `*` yet: with no sign either, the term is
+    /// blank.
+    empty: bool,
+    /// Byte ranges of the first two tokens, the number of tokens closed,
+    /// and the start of the open one.
+    tokens: [(usize, usize); 2],
+    count: usize,
+    open: Option<usize>,
+}
+
+impl Term {
+    fn at(start: usize) -> Self {
+        Term {
+            start,
+            sign: None,
+            empty: true,
+            tokens: [(0, 0); 2],
+            count: 0,
+            open: None,
         }
-    } else {
-        (1.0, first)
-    };
-    if parts.next().is_some() {
-        return Err(syntax("a single `coef var` term", term));
     }
-    if !name
-        .chars()
-        .next()
-        .map(char::is_alphabetic)
-        .unwrap_or(false)
-    {
-        return Err(syntax("a variable name starting with a letter", name));
+
+    /// The term's opening `+` or `-`.
+    fn sign(&mut self, byte: u8) {
+        self.sign = Some(if byte == b'-' { -1.0 } else { 1.0 });
     }
-    emit(sign * coef, name);
-    Ok(true)
+
+    /// A token character at `k`: opens a token unless one is open.
+    fn word(&mut self, k: usize) {
+        self.empty = false;
+        if self.open.is_none() {
+            self.open = Some(k);
+        }
+    }
+
+    /// A `*` at `k`: separates tokens like whitespace, but is not blank.
+    fn star(&mut self, k: usize) {
+        self.empty = false;
+        self.close(k);
+    }
+
+    /// Ends the open token, if any, at `k`.
+    fn close(&mut self, k: usize) {
+        if let Some(open) = self.open.take() {
+            if let Some(span) = self.tokens.get_mut(self.count) {
+                *span = (open, k);
+            }
+            self.count += 1;
+        }
+    }
+
+    /// Parses the term, which ends at byte `end` of `expr`; blank text is
+    /// no term (`Ok(false)`).
+    fn finish<'a>(
+        mut self,
+        expr: &'a str,
+        end: usize,
+        emit: &mut impl FnMut(f64, &'a str),
+    ) -> Result<bool, LpError> {
+        if self.empty && self.sign.is_none() {
+            return Ok(false);
+        }
+        self.close(end);
+        let term = &expr[self.start..end];
+        let sign = match self.sign {
+            Some(_) if self.empty => return Err(syntax("a term after the sign", term)),
+            Some(sign) => sign,
+            None => 1.0,
+        };
+        let token = |t: usize| (t < self.count).then(|| &expr[self.tokens[t].0..self.tokens[t].1]);
+        let first = token(0).ok_or_else(|| syntax("a term", term))?;
+        // The coefficient and name, and how many tokens they took.
+        let (coef, name, used) = if first.starts_with(|c: char| c.is_ascii_digit() || c == '.') {
+            // Either `2 x` (separate tokens) or the glued form `2x`. For
+            // the glued form take the longest numeric prefix (so exponents
+            // like `1e-3` are not split at the `e`).
+            if let Ok(coef) = first.parse::<f64>() {
+                let name =
+                    token(1).ok_or_else(|| syntax("a variable after the coefficient", term))?;
+                (coef, name, 2)
+            } else {
+                let (split_at, coef) = (1..first.len())
+                    .rev()
+                    .filter(|&k| first.is_char_boundary(k))
+                    .find_map(|k| first[..k].parse::<f64>().ok().map(|coef| (k, coef)))
+                    .ok_or_else(|| LpError::NonFinite {
+                        location: format!("coefficient `{first}`"),
+                    })?;
+                (coef, &first[split_at..], 1)
+            }
+        } else {
+            (1.0, first, 1)
+        };
+        if self.count > used {
+            return Err(syntax("a single `coef var` term", term));
+        }
+        if !name.starts_with(char::is_alphabetic) {
+            return Err(syntax("a variable name starting with a letter", name));
+        }
+        emit(sign * coef, name);
+        Ok(true)
+    }
 }
 
 /// Writes `(column, coefficient)` terms as ` a x0 + b x1 …`, or

@@ -18,6 +18,14 @@
 //!    parser's name table grows past its first 64 slots and probes.
 //! 4. **The writer reads CSR rows without changing a byte.** On the four
 //!    domain LPs, `write` matches a reference that walks the dense rows.
+//! 5. **The byte-level term scanner parses as the `char`-splitting parser
+//!    did.** The earlier parser is kept below as the oracle. On token
+//!    soup, on written LPs with tokens spliced in, and on written LPs with
+//!    non-ASCII names and Unicode whitespace, `parse` returns `Ok` exactly
+//!    when the oracle does, with the same CSR matrix, `b` and `c` bit for
+//!    bit, and otherwise the same `LpError`. The inputs mix U+00A0,
+//!    U+2003 and U+0085 whitespace, non-ASCII names, `*`, glued `2x`,
+//!    `1e-3`, U+001F, CRLF and `\` comments.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -382,5 +390,406 @@ fn writer_matches_the_dense_row_writer_on_domain_lps() {
         let text = write(&lp);
         assert_eq!(text, write_from_dense_rows(&lp));
         assert_eq!(parse(&text).expect("written LP parses"), lp);
+    }
+}
+
+/// The parser as it was before the byte-level term scanner: statements
+/// split on `;`, each term cut out at its break and split into tokens by
+/// `char`. Only the name table differs: a `BTreeMap` numbering names by
+/// first appearance, as the open-addressed table does.
+mod reference {
+    use std::borrow::Cow;
+    use std::collections::BTreeMap;
+
+    use memlp_linalg::SparseMatrix;
+    use memlp_lp::{LpError, LpProblem};
+
+    #[derive(Default)]
+    struct Names<'a> {
+        columns: BTreeMap<&'a str, usize>,
+        len: usize,
+    }
+
+    impl<'a> Names<'a> {
+        fn intern(&mut self, name: &'a str) -> usize {
+            let next = self.columns.len();
+            let column = *self.columns.entry(name).or_insert(next);
+            self.len = self.columns.len();
+            column
+        }
+    }
+
+    pub fn parse(text: &str) -> Result<LpProblem, LpError> {
+        let cleaned = strip_comments(text);
+        let mut statements = cleaned.split(';').map(str::trim).filter(|s| !s.is_empty());
+        let objective = statements
+            .next()
+            .ok_or_else(|| syntax("an objective statement", "empty input"))?;
+
+        let mut vars = Names::default();
+
+        // Objective.
+        let (sense, obj_expr) = split_objective(objective)?;
+        let mut c_terms: Vec<(usize, f64)> = Vec::new();
+        for_each_term(obj_expr, |coef, name| {
+            c_terms.push((vars.intern(name), coef));
+        })?;
+
+        // Constraints, as CSR triplets.
+        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        let mut b: Vec<f64> = Vec::new();
+        for stmt in statements {
+            // Optional "name:" prefix — but be careful not to eat "<=".
+            let body = match stmt.find(':') {
+                Some(pos) => &stmt[pos + 1..],
+                None => stmt,
+            };
+            let (lhs, op, rhs) = split_relation(body)?;
+            let rhs_val: f64 = rhs.trim().parse().map_err(|_| LpError::NonFinite {
+                location: format!("right-hand side `{rhs}`"),
+            })?;
+            // Canonicalize: `expr >= r` becomes `−expr <= −r`.
+            let sign = if op == "<=" { 1.0 } else { -1.0 };
+            let row = b.len();
+            for_each_term(lhs, |coef, name| {
+                triplets.push((row, vars.intern(name), sign * coef));
+            })?;
+            b.push(sign * rhs_val);
+        }
+
+        let n = vars.len;
+        if n == 0 {
+            return Err(syntax("at least one variable", "none found"));
+        }
+        let a = SparseMatrix::from_triplets(b.len(), n, &triplets)?;
+        let mut c = vec![0.0; n];
+        let obj_sign = if sense == Sense::Max { 1.0 } else { -1.0 };
+        for (j, v) in c_terms {
+            c[j] += obj_sign * v;
+        }
+        LpProblem::from_sparse(a, b, c)
+    }
+
+    fn strip_comments(text: &str) -> Cow<'_, str> {
+        if !text.contains(['\\', '\r']) {
+            return Cow::Borrowed(text);
+        }
+        Cow::Owned(
+            text.lines()
+                .map(|l| l.split('\\').next().unwrap_or(""))
+                .collect::<Vec<_>>()
+                .join("\n"),
+        )
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Sense {
+        Max,
+        Min,
+    }
+
+    fn split_objective(stmt: &str) -> Result<(Sense, &str), LpError> {
+        // Match the keyword on the original text: lowercasing can change a
+        // character's byte length, so offsets into a lowercased copy do not
+        // index `stmt`.
+        let trimmed = stmt.trim_start();
+        let (sense, keyword) = match trimmed.get(..3) {
+            Some(k) if k.eq_ignore_ascii_case("max") => (Sense::Max, "`max:`"),
+            Some(k) if k.eq_ignore_ascii_case("min") => (Sense::Min, "`min:`"),
+            _ => return Err(syntax("an objective starting with `max:` or `min:`", stmt)),
+        };
+        let rest = trimmed[3..]
+            .trim_start()
+            .strip_prefix(':')
+            .ok_or_else(|| syntax(keyword, stmt))?;
+        Ok((sense, rest))
+    }
+
+    fn split_relation(body: &str) -> Result<(&str, &'static str, &str), LpError> {
+        if let Some(pos) = body.find("<=") {
+            Ok((&body[..pos], "<=", &body[pos + 2..]))
+        } else if let Some(pos) = body.find(">=") {
+            Ok((&body[..pos], ">=", &body[pos + 2..]))
+        } else {
+            Err(syntax("a `<=` or `>=` relation", body))
+        }
+    }
+
+    /// Parses `[+-] [coef [*]] name …` and hands each term to `emit` as
+    /// (coefficient, name), the name borrowed from `expr`.
+    ///
+    /// Terms start at every `+` or `-` after the first character, except the
+    /// sign of an exponent (`1e-3`: the sign follows an `e`/`E` that follows
+    /// a digit or `.`); U+001F also breaks a term.
+    fn for_each_term<'a>(expr: &'a str, mut emit: impl FnMut(f64, &'a str)) -> Result<(), LpError> {
+        let bytes = expr.as_bytes();
+        let mut any = false;
+        let mut start = 0;
+        for (k, &ch) in bytes.iter().enumerate() {
+            let breaks = match ch {
+                b'+' | b'-' => {
+                    k > 0
+                        && !(k >= 2
+                            && matches!(bytes[k - 1], b'e' | b'E')
+                            && (bytes[k - 2].is_ascii_digit() || bytes[k - 2] == b'.'))
+                }
+                0x1f => true,
+                _ => false,
+            };
+            if breaks {
+                any |= parse_term(&expr[start..k], &mut emit)?;
+                // The separator byte itself is dropped; a sign opens the next
+                // term.
+                start = if ch == 0x1f { k + 1 } else { k };
+            }
+        }
+        any |= parse_term(&expr[start..], &mut emit)?;
+        if !any {
+            return Err(syntax("at least one term", expr));
+        }
+        Ok(())
+    }
+
+    /// Parses one signed term; blank text is no term (`Ok(false)`).
+    fn parse_term<'a>(raw: &'a str, emit: &mut impl FnMut(f64, &'a str)) -> Result<bool, LpError> {
+        let term = raw.trim();
+        if term.is_empty() {
+            return Ok(false);
+        }
+        let (sign, rest) = match term.strip_prefix('-') {
+            Some(r) => (-1.0, r.trim_start()),
+            None => (1.0, term.strip_prefix('+').unwrap_or(term).trim_start()),
+        };
+        if rest.is_empty() {
+            return Err(syntax("a term after the sign", term));
+        }
+        // Split into leading number and variable name; `*` separates like
+        // whitespace.
+        let mut parts = rest
+            .split(|c: char| c.is_whitespace() || c == '*')
+            .filter(|p| !p.is_empty());
+        let first = parts.next().ok_or_else(|| syntax("a term", term))?;
+        let (coef, name) = if first
+            .chars()
+            .next()
+            .map(|c| c.is_ascii_digit() || c == '.')
+            .unwrap_or(false)
+        {
+            // Either `2 x` (separate tokens) or the glued form `2x`. For
+            // the glued form take the longest numeric prefix (so exponents
+            // like `1e-3` are not split at the `e`).
+            if let Ok(coef) = first.parse::<f64>() {
+                let name = parts
+                    .next()
+                    .ok_or_else(|| syntax("a variable after the coefficient", term))?;
+                (coef, name)
+            } else {
+                let (split_at, coef) = (1..first.len())
+                    .rev()
+                    .filter(|&k| first.is_char_boundary(k))
+                    .find_map(|k| first[..k].parse::<f64>().ok().map(|coef| (k, coef)))
+                    .ok_or_else(|| LpError::NonFinite {
+                        location: format!("coefficient `{first}`"),
+                    })?;
+                if parts.next().is_some() {
+                    return Err(syntax("a single `coef var` term", term));
+                }
+                (coef, &first[split_at..])
+            }
+        } else {
+            (1.0, first)
+        };
+        if parts.next().is_some() {
+            return Err(syntax("a single `coef var` term", term));
+        }
+        if !name
+            .chars()
+            .next()
+            .map(char::is_alphabetic)
+            .unwrap_or(false)
+        {
+            return Err(syntax("a variable name starting with a letter", name));
+        }
+        emit(sign * coef, name);
+        Ok(true)
+    }
+
+    fn syntax(expected: &str, found: &str) -> LpError {
+        LpError::ShapeMismatch {
+            expected: expected.into(),
+            found: found.trim().into(),
+        }
+    }
+}
+
+/// Tokens for the differential test: the format's punctuation, numbers in
+/// every spelling, names with non-ASCII letters, Unicode whitespace,
+/// U+001F, line ends and comments.
+const DIFF_ALPHABET: [&str; 46] = [
+    "max:",
+    "min:",
+    "MAX:",
+    "c0:",
+    ":",
+    ";",
+    "<=",
+    ">=",
+    "+",
+    "-",
+    "*",
+    " ",
+    "\n",
+    "\r\n",
+    "\r",
+    "\t",
+    "\\ note; x\n",
+    "\\",
+    "\u{a0}",
+    "\u{2003}",
+    "\u{85}",
+    "\u{1f}",
+    "0",
+    "2",
+    "2x",
+    "1e-3",
+    "1e-3y",
+    "2.5",
+    ".5",
+    "5.",
+    "e",
+    "E",
+    "x",
+    "y",
+    "é",
+    "zé",
+    "Ωmega",
+    "名",
+    "\u{212A}",
+    "\u{130}",
+    "3*x",
+    "1e999",
+    "inf",
+    "2e",
+    "1E-3",
+    "2E+2y",
+];
+
+/// Spellings of the gaps between tokens in a written LP.
+const SPACES: [&str; 6] = [" ", "\u{a0}", "\u{2003}", "\t", "\u{85}", "  "];
+
+/// Variable names that start with a non-ASCII letter or hold one.
+const UNICODE_NAMES: [&str; 5] = ["é", "zé", "Ωmega", "名x", "\u{212A}k"];
+
+fn diff_soup() -> impl Strategy<Value = String> {
+    (
+        0usize..OPENERS.len(),
+        proptest::collection::vec(0usize..DIFF_ALPHABET.len(), 0..40),
+    )
+        .prop_map(|(open, tokens)| {
+            let mut s = String::from(OPENERS[open]);
+            for t in tokens {
+                s.push_str(DIFF_ALPHABET[t]);
+            }
+            s
+        })
+}
+
+/// A written LP, its gaps respelled, with up to three alphabet tokens
+/// inserted at character boundaries.
+fn spliced_lp() -> impl Strategy<Value = String> {
+    (
+        written_lp(),
+        0usize..SPACES.len(),
+        any::<bool>(),
+        proptest::collection::vec((0usize..4096, 0usize..DIFF_ALPHABET.len()), 0..4),
+    )
+        .prop_map(|(lp, space, unicode, inserts)| {
+            let names: &[&str] = if unicode { &UNICODE_NAMES } else { &NAMES };
+            let mut text = lp_text(&lp, names).replace(' ', SPACES[space]);
+            for (at, token) in inserts {
+                let mut pos = at % (text.len() + 1);
+                while !text.is_char_boundary(pos) {
+                    pos -= 1;
+                }
+                text.insert_str(pos, DIFF_ALPHABET[token]);
+            }
+            text
+        })
+}
+
+/// `parse` against the oracle: both `Ok` with the same bits, or both
+/// `Err` with the same error.
+fn agrees_with_reference(text: &str) -> Result<(), TestCaseError> {
+    match (parse(text), reference::parse(text)) {
+        (Ok(got), Ok(want)) => {
+            let (g, w) = (got.sparse_a(), want.sparse_a());
+            prop_assert_eq!((g.rows(), g.cols()), (w.rows(), w.cols()), "{:?}", text);
+            prop_assert_eq!(g.row_ptr(), w.row_ptr(), "{:?}", text);
+            prop_assert_eq!(g.col_idx(), w.col_idx(), "{:?}", text);
+            prop_assert_eq!(bits(g.values()), bits(w.values()), "{:?}", text);
+            prop_assert_eq!(bits(got.b()), bits(want.b()), "{:?}", text);
+            prop_assert_eq!(bits(got.c()), bits(want.c()), "{:?}", text);
+        }
+        (Err(got), Err(want)) => prop_assert_eq!(got, want, "{:?}", text),
+        (got, want) => prop_assert!(
+            false,
+            "parse {:?}, reference {:?} on {:?}",
+            got.map(|_| ()),
+            want.map(|_| ()),
+            text
+        ),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn parse_matches_the_reference_on_token_soup(text in diff_soup()) {
+        agrees_with_reference(&text)?;
+    }
+
+    #[test]
+    fn parse_matches_the_reference_on_spliced_lps(text in spliced_lp()) {
+        agrees_with_reference(&text)?;
+    }
+
+    #[test]
+    fn parse_matches_the_reference_on_the_old_soup(text in token_soup()) {
+        agrees_with_reference(&text)?;
+    }
+}
+
+#[test]
+fn parse_matches_the_reference_on_chosen_cases() {
+    let cases = [
+        "max: 2x + 1e-3y - 3 * z;\r\nc0: x + y <= 4; \\ comment; here\n c1: 2x >= -1e-3;",
+        "max: \u{a0}x\u{2003}+\u{2003}2\u{a0}y; c: x\u{85}<= 1;",
+        "min: 名 + é; c: 2名 - 3é >= 1;",
+        "max: x\u{1f}y; c: x\u{1f}-y <= 2;",
+        "max: 2e; c: 2e-x <= 1;",
+        "max: 2E-3x + 1E+2 y - 3.E-1z; c: .5E+1 x >= 2E-1;",
+        "max: 1.5.3x;",
+        "max: - ; c: x <= 1;",
+        "max: - * ;",
+        "max: 2 x y;",
+        "max: 2x y;",
+        "max: x y;",
+        "max: 2;",
+        "max: x; c: x <= banana;",
+        "max: x; c: x + 1;",
+        "max: 3 4x;",
+        "max: 1e999x; c: x <= 1;",
+        "max: x; c: 1e999 x <= 1;",
+        "",
+        "c: x <= 1;",
+        "max x;",
+        "max: \u{130}x; c0: \u{130}x <= 1;",
+    ];
+    for text in cases {
+        if let Err(e) = agrees_with_reference(text) {
+            panic!("{text:?}: {e:?}");
+        }
     }
 }

@@ -9,10 +9,11 @@
 //!
 //! The three digital baselines ([`crate::DensePdip`],
 //! [`crate::NormalEqPdip`], [`crate::MehrotraPdip`]) share one loop: the
-//! residuals `ρ`, `σ` once, the exit tests of [`PdipState::outcome`] on
-//! them, one budget poll, the solver's Newton solve (which reads the same
-//! residuals), then [`PdipState::step_length`] and
-//! [`PdipState::apply_step`]. Each solver supplies only the Newton solve,
+//! residuals `ρ`, `σ` once, the §3.1 exit tests on them, one budget poll,
+//! the solver's Newton solve (which reads the same residuals), then
+//! [`PdipState::step_length`] and [`PdipState::apply_step`]. The loop
+//! owns its residual and direction buffers for the whole solve, and
+//! `‖b‖∞`, `‖c‖∞` are taken once. Each solver supplies only the Newton solve,
 //! and the two normal-equations solvers share its linear algebra: one
 //! core factors the reduced system per iteration (sparse KKT form when
 //! [`sparse_newton`] holds, else dense normal equations), which
@@ -155,12 +156,56 @@ pub struct StepDirections {
 }
 
 impl StepDirections {
-    /// Whether every component of all four directions is finite.
-    pub(crate) fn is_finite(&self) -> bool {
-        ops::all_finite(&self.dx)
-            && ops::all_finite(&self.dy)
-            && ops::all_finite(&self.dw)
-            && ops::all_finite(&self.dz)
+    /// Zero directions for `n` variables and `m` constraints: the buffers
+    /// a solve's Newton steps are written into.
+    pub(crate) fn zeros(n: usize, m: usize) -> Self {
+        StepDirections {
+            dx: vec![0.0; n],
+            dy: vec![0.0; m],
+            dw: vec![0.0; m],
+            dz: vec![0.0; n],
+        }
+    }
+}
+
+/// The residuals `ρ = b − Ax − w` and `σ = c − Aᵀy + z` and the duality
+/// gap of the current iterate, the residuals in buffers kept for a whole
+/// solve, and the scales `1 + ‖b‖∞` and `1 + ‖c‖∞` of the exit tests,
+/// fixed per LP.
+#[derive(Debug, Clone)]
+pub(crate) struct Residuals {
+    /// `ρ` (length m).
+    pub(crate) rho: Vec<f64>,
+    /// `σ` (length n).
+    pub(crate) sigma: Vec<f64>,
+    /// [`PdipState::duality_gap`].
+    pub(crate) gap: f64,
+    primal_scale: f64,
+    dual_scale: f64,
+}
+
+impl Residuals {
+    /// Zero residuals and the exit-test scales of `lp`.
+    pub(crate) fn new(lp: &LpProblem) -> Self {
+        Residuals {
+            rho: vec![0.0; lp.num_constraints()],
+            sigma: vec![0.0; lp.num_vars()],
+            gap: 0.0,
+            primal_scale: 1.0 + ops::inf_norm(lp.b()),
+            dual_scale: 1.0 + ops::inf_norm(lp.c()),
+        }
+    }
+
+    /// Recomputes `ρ`, `σ` and the gap at `state`.
+    pub(crate) fn update(&mut self, lp: &LpProblem, state: &PdipState) {
+        state.primal_residual_into(lp, &mut self.rho);
+        state.dual_residual_into(lp, &mut self.sigma);
+        self.gap = state.duality_gap();
+    }
+
+    /// [`PdipState::mu`] of the iterate, from the gap already taken.
+    pub(crate) fn mu(&self, delta: f64) -> f64 {
+        delta * self.gap / (self.sigma.len() + self.rho.len()) as f64
     }
 }
 
@@ -224,22 +269,32 @@ impl PdipState {
 
     /// Primal residual vector `b − A·x − w` (zero at primal feasibility).
     pub fn primal_residual(&self, lp: &LpProblem) -> Vec<f64> {
-        let ax = lp.sparse_a().matvec(&self.x);
-        lp.b()
-            .iter()
-            .zip(ax.iter().zip(&self.w))
-            .map(|(b, (ax, w))| b - ax - w)
-            .collect()
+        let mut rho = vec![0.0; lp.num_constraints()];
+        self.primal_residual_into(lp, &mut rho);
+        rho
     }
 
     /// Dual residual vector `c − Aᵀ·y + z` (zero at dual feasibility).
     pub fn dual_residual(&self, lp: &LpProblem) -> Vec<f64> {
-        let aty = lp.sparse_a().matvec_transposed(&self.y);
-        lp.c()
-            .iter()
-            .zip(aty.iter().zip(&self.z))
-            .map(|(c, (aty, z))| c - aty + z)
-            .collect()
+        let mut sigma = vec![0.0; lp.num_vars()];
+        self.dual_residual_into(lp, &mut sigma);
+        sigma
+    }
+
+    /// [`Self::primal_residual`] written into `rho` (length m).
+    fn primal_residual_into(&self, lp: &LpProblem, rho: &mut [f64]) {
+        lp.sparse_a().matvec_into(&self.x, rho);
+        for ((r, b), w) in rho.iter_mut().zip(lp.b()).zip(&self.w) {
+            *r = b - *r - w;
+        }
+    }
+
+    /// [`Self::dual_residual`] written into `sigma` (length n).
+    fn dual_residual_into(&self, lp: &LpProblem, sigma: &mut [f64]) {
+        lp.sparse_a().matvec_transposed_into(&self.y, sigma);
+        for ((s, c), z) in sigma.iter_mut().zip(lp.c()).zip(&self.z) {
+            *s = c - *s + z;
+        }
     }
 
     /// Duality gap `zᵀx + yᵀw` (§3.1).
@@ -255,19 +310,14 @@ impl PdipState {
     /// The Eqn 11 step length: `θ = r·min(max_ratio⁻¹, 1)` where
     /// `max_ratio = max(−Δv_i/v_i)` over every component of every variable.
     pub fn step_length(&self, dirs: &StepDirections, safety: f64) -> f64 {
-        let mut max_ratio = 0.0f64;
-        for (v, dv) in self
-            .x
-            .iter()
-            .zip(&dirs.dx)
-            .chain(self.y.iter().zip(&dirs.dy))
-            .chain(self.w.iter().zip(&dirs.dw))
-            .chain(self.z.iter().zip(&dirs.dz))
-        {
-            if *dv < 0.0 {
-                max_ratio = max_ratio.max(-dv / v.max(f64::MIN_POSITIVE));
-            }
-        }
+        let max_ratio = [
+            max_ratio(&self.x, &dirs.dx),
+            max_ratio(&self.y, &dirs.dy),
+            max_ratio(&self.w, &dirs.dw),
+            max_ratio(&self.z, &dirs.dz),
+        ]
+        .into_iter()
+        .fold(0.0, f64::max);
         if max_ratio <= 0.0 {
             return 1.0;
         }
@@ -311,16 +361,14 @@ impl PdipState {
     }
 
     /// Evaluates the §3.1 exit tests on the exact (digital) residuals
-    /// `rho` ([`Self::primal_residual`]) and `sigma`
-    /// ([`Self::dual_residual`]) of this iterate: numerical failure,
-    /// divergence (infeasible/unbounded certificates) or convergence
+    /// `res` of this iterate: numerical failure, divergence
+    /// (infeasible/unbounded certificates) or convergence
     /// ([`LpStatus::Optimal`]). `None` means keep iterating.
-    pub fn outcome(
+    pub(crate) fn outcome(
         &self,
         lp: &LpProblem,
         opts: &PdipOptions,
-        rho: &[f64],
-        sigma: &[f64],
+        res: &Residuals,
     ) -> Option<LpStatus> {
         if !(ops::all_finite(&self.w) && ops::all_finite(&self.z)) {
             return Some(LpStatus::NumericalFailure);
@@ -328,9 +376,9 @@ impl PdipState {
         if let Some(status) = self.divergence(opts.divergence_bound) {
             return Some(status);
         }
-        let pr = ops::inf_norm(rho) / (1.0 + ops::inf_norm(lp.b()));
-        let dr = ops::inf_norm(sigma) / (1.0 + ops::inf_norm(lp.c()));
-        let gap = self.duality_gap() / (1.0 + lp.objective(&self.x).abs());
+        let pr = ops::inf_norm(&res.rho) / res.primal_scale;
+        let dr = ops::inf_norm(&res.sigma) / res.dual_scale;
+        let gap = res.gap / (1.0 + lp.objective(&self.x).abs());
         (pr <= opts.eps_primal && dr <= opts.eps_dual && gap <= opts.eps_gap)
             .then_some(LpStatus::Optimal)
     }
@@ -352,6 +400,39 @@ impl PdipState {
             y: self.y,
         }
     }
+}
+
+/// `max(0, max_i −Δv_i / max(v_i, MIN_POSITIVE))` over the `i` with
+/// `Δv_i < 0`, without a data-dependent branch: every component is
+/// divided and the maximum, starting at 0, is kept by a compare-and-select
+/// in four independent lanes. A non-negative `Δv_i` gives a ratio of at
+/// most `-0`, and a NaN ratio never wins the `>`, as it never wins
+/// `f64::max`; so the result does not depend on the order the components
+/// are taken in and is the maximum a branch over the negative components
+/// takes, bit for bit.
+fn max_ratio(v: &[f64], dv: &[f64]) -> f64 {
+    let ratio = |v: f64, dv: f64| {
+        let den = if v > f64::MIN_POSITIVE {
+            v
+        } else {
+            f64::MIN_POSITIVE
+        };
+        -dv / den
+    };
+    let keep = |m: f64, r: f64| if r > m { r } else { m };
+    let (v4, dv4) = (v.chunks_exact(4), dv.chunks_exact(4));
+    let tail = v4
+        .remainder()
+        .iter()
+        .zip(dv4.remainder())
+        .fold(0.0, |m, (&v, &dv)| keep(m, ratio(v, dv)));
+    let mut lanes = [0.0; 4];
+    for (v, dv) in v4.zip(dv4) {
+        for ((m, &v), &dv) in lanes.iter_mut().zip(v).zip(dv) {
+            *m = keep(*m, ratio(v, dv));
+        }
+    }
+    lanes.into_iter().fold(tail, keep)
 }
 
 /// Classifies a numerical breakdown: iterates that were already diverging
@@ -376,39 +457,41 @@ pub fn classify_breakdown(state: &PdipState) -> LpStatus {
 /// The digital PDIP loop every software baseline runs: the residuals
 /// `ρ = b − Ax − w` and `σ = c − Aᵀy + z`, computed once per iteration,
 /// then the [`outcome`] exit tests on them, one [`Budget`] poll, the
-/// Newton solve supplied by the caller (which reads the same residuals),
-/// and the Eqn 11 damped step. `directions` returning `None` is a
-/// numerical breakdown, classified by [`classify_breakdown`].
+/// Newton solve supplied by the caller (which reads the same residuals
+/// and writes the directions), and the Eqn 11 damped step. The residuals
+/// and directions live in buffers kept for the whole solve. `directions`
+/// returning `None` is a numerical breakdown, classified by
+/// [`classify_breakdown`].
 ///
 /// [`outcome`]: PdipState::outcome
 pub(crate) fn newton_loop(
     lp: &LpProblem,
     opts: &PdipOptions,
     budget: Budget<'_>,
-    mut directions: impl FnMut(&PdipState, &[f64], &[f64]) -> Option<StepDirections>,
+    mut directions: impl FnMut(&PdipState, &Residuals, &mut StepDirections) -> Option<()>,
 ) -> (LpSolution, Option<BudgetCause>) {
     let mut state = PdipState::new(lp, opts);
+    let mut res = Residuals::new(lp);
+    let mut dirs = StepDirections::zeros(lp.num_vars(), lp.num_constraints());
     for iter in 0..opts.max_iterations {
-        let rho = state.primal_residual(lp);
-        let sigma = state.dual_residual(lp);
-        if let Some(status) = state.outcome(lp, opts, &rho, &sigma) {
+        res.update(lp, &state);
+        if let Some(status) = state.outcome(lp, opts, &res) {
             return (state.into_solution(lp, status, iter), None);
         }
         if let Some(cause) = budget.check(iter) {
             let sol = state.into_solution(lp, LpStatus::IterationLimit, iter);
             return (sol, Some(cause));
         }
-        let Some(dirs) = directions(&state, &rho, &sigma) else {
+        if directions(&state, &res, &mut dirs).is_none() {
             let status = classify_breakdown(&state);
             return (state.into_solution(lp, status, iter), None);
-        };
+        }
         let theta = state.step_length(&dirs, opts.step_safety);
         state.apply_step(&dirs, theta);
     }
-    let rho = state.primal_residual(lp);
-    let sigma = state.dual_residual(lp);
+    res.update(lp, &state);
     let status = state
-        .outcome(lp, opts, &rho, &sigma)
+        .outcome(lp, opts, &res)
         .unwrap_or(LpStatus::IterationLimit);
     (state.into_solution(lp, status, opts.max_iterations), None)
 }
@@ -579,8 +662,76 @@ mod tests {
         assert!(s2.x[0] > 0.0);
     }
 
+    #[test]
+    fn step_length_matches_the_branchy_loop_bitwise() {
+        // The loop `step_length` replaced: divide only where Δv < 0.
+        fn branchy(s: &PdipState, d: &StepDirections, safety: f64) -> f64 {
+            let mut max_ratio = 0.0f64;
+            for (v, dv) in
+                s.x.iter()
+                    .zip(&d.dx)
+                    .chain(s.y.iter().zip(&d.dy))
+                    .chain(s.w.iter().zip(&d.dw))
+                    .chain(s.z.iter().zip(&d.dz))
+            {
+                if *dv < 0.0 {
+                    max_ratio = max_ratio.max(-dv / v.max(f64::MIN_POSITIVE));
+                }
+            }
+            if max_ratio <= 0.0 {
+                return 1.0;
+            }
+            (safety / max_ratio).min(1.0)
+        }
+        let pool = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.37,
+            -2.5e-3,
+            -7.0e5,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let pick = |len: usize, seed: usize| -> Vec<f64> {
+            (0..len)
+                .map(|k| pool[(seed + 7 * k + k * k / 3) % pool.len()])
+                .collect()
+        };
+        for (n, m) in [(1, 1), (2, 3), (5, 4), (9, 6), (13, 11)] {
+            for seed in 0..40 {
+                let s = PdipState {
+                    x: pick(n, seed),
+                    w: pick(m, seed + 1),
+                    y: pick(m, seed + 2),
+                    z: pick(n, seed + 3),
+                };
+                let d = StepDirections {
+                    dx: pick(n, 3 * seed + 5),
+                    dy: pick(m, 5 * seed + 1),
+                    dw: pick(m, 2 * seed + 9),
+                    dz: pick(n, seed + 11),
+                };
+                for safety in [0.9995, 1.0] {
+                    assert_eq!(
+                        s.step_length(&d, safety).to_bits(),
+                        branchy(&s, &d, safety).to_bits(),
+                        "n {n} m {m} seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
     fn outcome(s: &PdipState, lp: &LpProblem, opts: &PdipOptions) -> Option<LpStatus> {
-        s.outcome(lp, opts, &s.primal_residual(lp), &s.dual_residual(lp))
+        let mut res = Residuals::new(lp);
+        res.update(lp, s);
+        s.outcome(lp, opts, &res)
     }
 
     #[test]

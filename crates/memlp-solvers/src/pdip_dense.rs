@@ -2,7 +2,7 @@ use memlp_linalg::{LuFactors, Matrix};
 use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
-use crate::pdip::{newton_loop, PdipOptions, PdipState, StepDirections};
+use crate::pdip::{newton_loop, PdipOptions, PdipState};
 use crate::LpSolver;
 
 /// The PDIP method solving the **full** `2(n+m)` Newton system (Eqn 12) by
@@ -85,17 +85,16 @@ impl LpSolver for DensePdip {
         let opts = &self.options;
         let n = lp.num_vars();
         let m = lp.num_constraints();
-        newton_loop(lp, opts, budget, |state, rho, sigma| {
-            let mu = state.mu(opts.delta);
+        newton_loop(lp, opts, budget, |state, res, dirs| {
+            let mu = res.mu(opts.delta);
             let k = Self::newton_matrix(lp, state);
-            let rhs = Self::newton_rhs(state, rho, sigma, mu);
+            let rhs = Self::newton_rhs(state, &res.rho, &res.sigma, mu);
             let delta = LuFactors::factor(k).and_then(|lu| lu.solve(&rhs)).ok()?;
-            Some(StepDirections {
-                dx: delta[..n].to_vec(),
-                dy: delta[n..n + m].to_vec(),
-                dw: delta[n + m..n + 2 * m].to_vec(),
-                dz: delta[n + 2 * m..].to_vec(),
-            })
+            dirs.dx.copy_from_slice(&delta[..n]);
+            dirs.dy.copy_from_slice(&delta[n..n + m]);
+            dirs.dw.copy_from_slice(&delta[n + m..n + 2 * m]);
+            dirs.dz.copy_from_slice(&delta[n + 2 * m..]);
+            Some(())
         })
     }
 

@@ -1,7 +1,7 @@
 use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
-use crate::pdip::{newton_loop, PdipOptions, PdipState, StepDirections};
+use crate::pdip::{newton_loop, PdipOptions, PdipState, Residuals, StepDirections};
 use crate::pdip_normal::NormalEqCore;
 use crate::LpSolver;
 
@@ -54,59 +54,90 @@ impl MehrotraPdip {
         budget: Budget<'_>,
         mut core: NormalEqCore<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
-        newton_loop(lp, &self.options, budget, |state, rho, sigma| {
-            core.step(state, |core| Self::step(core, state, rho, sigma))
+        let mut work = Predictor::new(lp.num_vars(), lp.num_constraints());
+        newton_loop(lp, &self.options, budget, |state, res, dirs| {
+            core.step(state, dirs, |core, dirs| {
+                Self::step(core, state, res, &mut work, dirs)
+            })
         })
     }
 
     /// Back-solves the factored system for given complementarity targets,
     /// `Z·Δx + X·Δz = comp_xz` and `W·Δy + Y·Δw = comp_yw`, with the
-    /// iterate's residuals `ρ = b − Ax − w` and `σ = c − Aᵀy + z`.
+    /// iterate's residuals `ρ = b − Ax − w` and `σ = c − Aᵀy + z`, into
+    /// `dirs`. `None` on a failed solve or non-finite directions.
     fn directions(
         core: &mut NormalEqCore<'_>,
         s: &PdipState,
-        rho: &[f64],
-        sigma: &[f64],
+        res: &Residuals,
         comp_xz: &[f64],
         comp_yw: &[f64],
-    ) -> Option<StepDirections> {
-        let sigma_hat: Vec<f64> = (0..s.x.len())
-            .map(|j| sigma[j] + comp_xz[j] / s.x[j])
-            .collect();
-        let rho_hat: Vec<f64> = (0..s.y.len())
-            .map(|i| rho[i] - comp_yw[i] / s.y[i])
-            .collect();
-        let (dx, dy) = core.solve(&sigma_hat, &rho_hat)?;
-        let dz = (0..dx.len())
-            .map(|j| (comp_xz[j] - s.z[j] * dx[j]) / s.x[j])
-            .collect();
-        let dw = (0..dy.len())
-            .map(|i| (comp_yw[i] - s.w[i] * dy[i]) / s.y[i])
-            .collect();
-        Some(StepDirections { dx, dy, dw, dz })
+        dirs: &mut StepDirections,
+    ) -> Option<()> {
+        let (sigma_hat, rho_hat) = core.rhs_mut();
+        for (((h, sigma), c), x) in sigma_hat.iter_mut().zip(&res.sigma).zip(comp_xz).zip(&s.x) {
+            *h = sigma + c / x;
+        }
+        for (((h, rho), c), y) in rho_hat.iter_mut().zip(&res.rho).zip(comp_yw).zip(&s.y) {
+            *h = rho - c / y;
+        }
+        core.solve(&mut dirs.dx, &mut dirs.dy)?;
+        let mut finite = true;
+        for ((((dz, c), z), x), dx) in dirs
+            .dz
+            .iter_mut()
+            .zip(comp_xz)
+            .zip(&s.z)
+            .zip(&s.x)
+            .zip(&dirs.dx)
+        {
+            *dz = (c - z * dx) / x;
+            finite &= dz.is_finite() & dx.is_finite();
+        }
+        for ((((dw, c), w), y), dy) in dirs
+            .dw
+            .iter_mut()
+            .zip(comp_yw)
+            .zip(&s.w)
+            .zip(&s.y)
+            .zip(&dirs.dy)
+        {
+            *dw = (c - w * dy) / y;
+            finite &= dw.is_finite() & dy.is_finite();
+        }
+        finite.then_some(())
     }
 
     /// One predictor–corrector Newton solve on the factored system:
-    /// back-solve the affine predictor, then the re-centred corrector.
-    /// `None` on a failed solve or non-finite predictor directions.
+    /// back-solve the affine predictor, then the re-centred corrector,
+    /// into `dirs`. `None` on a failed solve or non-finite directions.
     fn step(
         core: &mut NormalEqCore<'_>,
         state: &PdipState,
-        rho: &[f64],
-        sigma: &[f64],
-    ) -> Option<StepDirections> {
+        res: &Residuals,
+        work: &mut Predictor,
+        dirs: &mut StepDirections,
+    ) -> Option<()> {
         let n = state.x.len();
         let m = state.y.len();
+        let Predictor {
+            comp_xz,
+            comp_yw,
+            aff,
+        } = work;
 
         // Predictor: pure affine step (µ = 0).
-        let comp_xz_aff: Vec<f64> = (0..n).map(|j| -state.x[j] * state.z[j]).collect();
-        let comp_yw_aff: Vec<f64> = (0..m).map(|i| -state.y[i] * state.w[i]).collect();
-        let aff = Self::directions(core, state, rho, sigma, &comp_xz_aff, &comp_yw_aff)
-            .filter(StepDirections::is_finite)?;
-        let alpha_aff = state.step_length(&aff, 1.0);
+        for ((c, x), z) in comp_xz.iter_mut().zip(&state.x).zip(&state.z) {
+            *c = -x * z;
+        }
+        for ((c, y), w) in comp_yw.iter_mut().zip(&state.y).zip(&state.w) {
+            *c = -y * w;
+        }
+        Self::directions(core, state, res, comp_xz, comp_yw, aff)?;
+        let alpha_aff = state.step_length(aff, 1.0);
 
         // Adaptive centring: σ = (µ_aff / µ)³.
-        let mu = state.duality_gap() / (n + m) as f64;
+        let mu = res.gap / (n + m) as f64;
         let mut gap_aff = 0.0;
         for j in 0..n {
             gap_aff += (state.x[j] + alpha_aff * aff.dx[j]) * (state.z[j] + alpha_aff * aff.dz[j]);
@@ -119,13 +150,31 @@ impl MehrotraPdip {
 
         // Corrector: recentre and cancel the predictor's second-order
         // complementarity error.
-        let comp_xz: Vec<f64> = (0..n)
-            .map(|j| sigma_c * mu - state.x[j] * state.z[j] - aff.dx[j] * aff.dz[j])
-            .collect();
-        let comp_yw: Vec<f64> = (0..m)
-            .map(|i| sigma_c * mu - state.y[i] * state.w[i] - aff.dy[i] * aff.dw[i])
-            .collect();
-        Self::directions(core, state, rho, sigma, &comp_xz, &comp_yw)
+        for (j, c) in comp_xz.iter_mut().enumerate() {
+            *c = sigma_c * mu - state.x[j] * state.z[j] - aff.dx[j] * aff.dz[j];
+        }
+        for (i, c) in comp_yw.iter_mut().enumerate() {
+            *c = sigma_c * mu - state.y[i] * state.w[i] - aff.dy[i] * aff.dw[i];
+        }
+        Self::directions(core, state, res, comp_xz, comp_yw, dirs)
+    }
+}
+
+/// The predictor's buffers, kept for a whole solve: the complementarity
+/// targets and the affine directions.
+struct Predictor {
+    comp_xz: Vec<f64>,
+    comp_yw: Vec<f64>,
+    aff: StepDirections,
+}
+
+impl Predictor {
+    fn new(n: usize, m: usize) -> Self {
+        Predictor {
+            comp_xz: vec![0.0; n],
+            comp_yw: vec![0.0; m],
+            aff: StepDirections::zeros(n, m),
+        }
     }
 }
 

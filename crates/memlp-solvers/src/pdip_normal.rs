@@ -70,23 +70,51 @@ impl NormalEqPdip {
         mut core: NormalEqCore<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
         let opts = &self.options;
-        let n = lp.num_vars();
-        let m = lp.num_constraints();
-        newton_loop(lp, opts, budget, |s, rho, sigma| {
-            let mu = s.mu(opts.delta);
+        // µX⁻¹e and µY⁻¹e, once per iteration for both σ̂/ρ̂ and Δz/Δw.
+        let mut mu_x = vec![0.0; lp.num_vars()];
+        let mut mu_y = vec![0.0; lp.num_constraints()];
+        newton_loop(lp, opts, budget, |s, res, dirs| {
+            let mu = res.mu(opts.delta);
             // σ̂ = σ + µX⁻¹e − z;  ρ̂ = ρ − µY⁻¹e + w.
-            let sigma_hat: Vec<f64> = (0..n).map(|j| sigma[j] + mu / s.x[j] - s.z[j]).collect();
-            let rho_hat: Vec<f64> = (0..m).map(|i| rho[i] - mu / s.y[i] + s.w[i]).collect();
-            core.step(s, |core| {
-                let (dx, dy) = core.solve(&sigma_hat, &rho_hat)?;
+            let (sigma_hat, rho_hat) = core.rhs_mut();
+            let terms = sigma_hat.iter_mut().zip(&mut mu_x).zip(&s.x);
+            for (((h, q), x), (sigma, z)) in terms.zip(res.sigma.iter().zip(&s.z)) {
+                *q = mu / x;
+                *h = sigma + *q - z;
+            }
+            let terms = rho_hat.iter_mut().zip(&mut mu_y).zip(&s.y);
+            for (((h, q), y), (rho, w)) in terms.zip(res.rho.iter().zip(&s.w)) {
+                *q = mu / y;
+                *h = rho - *q + w;
+            }
+            core.step(s, dirs, |core, dirs| {
+                core.solve(&mut dirs.dx, &mut dirs.dy)?;
+                let (z_x, w_y) = core.quotients();
                 // Δz = µX⁻¹e − z − X⁻¹Z·Δx;  Δw = µY⁻¹e − w − Y⁻¹W·Δy.
-                let dz = (0..n)
-                    .map(|j| mu / s.x[j] - s.z[j] - s.z[j] / s.x[j] * dx[j])
-                    .collect();
-                let dw = (0..m)
-                    .map(|i| mu / s.y[i] - s.w[i] - s.w[i] / s.y[i] * dy[i])
-                    .collect();
-                Some(StepDirections { dx, dy, dw, dz })
+                let mut finite = true;
+                for ((((dz, q), z), zx), dx) in dirs
+                    .dz
+                    .iter_mut()
+                    .zip(&mu_x)
+                    .zip(&s.z)
+                    .zip(z_x)
+                    .zip(&dirs.dx)
+                {
+                    *dz = q - z - zx * dx;
+                    finite &= dz.is_finite() & dx.is_finite();
+                }
+                for ((((dw, q), w), wy), dy) in dirs
+                    .dw
+                    .iter_mut()
+                    .zip(&mu_y)
+                    .zip(&s.w)
+                    .zip(w_y)
+                    .zip(&dirs.dy)
+                {
+                    *dw = q - w - wy * dy;
+                    finite &= dw.is_finite() & dy.is_finite();
+                }
+                finite.then_some(())
             })
         })
     }
@@ -107,13 +135,15 @@ impl LpSolver for NormalEqPdip {
 }
 
 /// The Newton linear algebra of the normal-equations PDIP solvers
-/// ([`NormalEqPdip`], [`crate::MehrotraPdip`]), one per solve.
+/// ([`NormalEqPdip`], [`crate::MehrotraPdip`]), one per solve, with every
+/// buffer it needs for the whole solve.
 /// [`Self::step`] factors the reduced system once per iteration;
-/// [`Self::solve`] back-solves it for any `(σ̂, ρ̂)` and refines it: the
-/// system grows ill-conditioned as µ → 0, and the reference solver should
-/// deliver the full double-precision digits the crossbar solutions are
-/// judged against. The KKT form refines until the backward error reaches
-/// `4ε` or two rounds have run; the dense normal equations always run two.
+/// [`Self::solve`] back-solves it for the `(σ̂, ρ̂)` written into
+/// [`Self::rhs_mut`] and refines it: the system grows ill-conditioned as
+/// µ → 0, and the reference solver should deliver the full
+/// double-precision digits the crossbar solutions are judged against. The
+/// KKT form refines until the backward error reaches `4ε` or two rounds
+/// have run; the dense normal equations always run two.
 pub(crate) struct NormalEqCore<'a> {
     lp: &'a LpProblem,
     /// Whether iterations try the sparse KKT factorization first (tests
@@ -127,6 +157,14 @@ pub(crate) struct NormalEqCore<'a> {
     dense: Option<DenseNormal>,
     /// Whether [`Self::solve`] uses the KKT factors (else `dense`).
     on_kkt: bool,
+    /// `X⁻¹Z` and `Y⁻¹W` at the iterate of the latest [`Self::step`]: the
+    /// KKT form's `D⁻¹` and `E`.
+    z_x: Vec<f64>,
+    w_y: Vec<f64>,
+    /// `[σ̂; ρ̂]`, the right-hand side [`Self::solve`] reads.
+    rhs: Vec<f64>,
+    /// `[Δx; Δy]` of the latest KKT solve.
+    sol: Vec<f64>,
 }
 
 /// `N = A·D·Aᵀ + E`, kept unfactored for refinement, its scaling
@@ -140,75 +178,94 @@ struct DenseNormal {
 impl<'a> NormalEqCore<'a> {
     /// The core for `lp`, on the factorization [`sparse_newton`] picks.
     pub(crate) fn new(lp: &'a LpProblem) -> Self {
+        let (n, m) = (lp.num_vars(), lp.num_constraints());
         NormalEqCore {
             lp,
             sparse: sparse_newton(lp),
             kkt: None,
             dense: None,
             on_kkt: false,
+            z_x: vec![0.0; n],
+            w_y: vec![0.0; m],
+            rhs: vec![0.0; n + m],
+            sol: vec![0.0; n + m],
         }
+    }
+
+    /// `(σ̂, ρ̂)`: where the caller writes the right-hand side of the next
+    /// [`Self::solve`].
+    pub(crate) fn rhs_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        self.rhs.split_at_mut(self.lp.num_vars())
+    }
+
+    /// `(X⁻¹Z, Y⁻¹W)` at the iterate of the latest [`Self::step`].
+    pub(crate) fn quotients(&self) -> (&[f64], &[f64]) {
+        (&self.z_x, &self.w_y)
     }
 
     /// One iteration's Newton work at `s`: factors the reduced system,
-    /// then runs `step`, which solves it as often as it needs. A sparse
-    /// breakdown — a failed refactor, a failed solve or non-finite
-    /// directions — re-runs the whole step on the dense normal equations.
-    /// `None` when the dense path breaks down too.
+    /// then runs `step`, which solves it as often as it needs and writes
+    /// `dirs`, returning `None` on a failed solve or non-finite
+    /// directions. A sparse breakdown — a failed refactor or a `None`
+    /// from `step` — re-runs the whole step on the dense normal
+    /// equations. `None` when the dense path breaks down too.
     pub(crate) fn step(
         &mut self,
         s: &PdipState,
-        mut step: impl FnMut(&mut Self) -> Option<StepDirections>,
-    ) -> Option<StepDirections> {
-        if self.sparse && self.factor_kkt(s).is_some() {
-            if let Some(dirs) = step(self).filter(StepDirections::is_finite) {
-                return Some(dirs);
-            }
+        dirs: &mut StepDirections,
+        mut step: impl FnMut(&mut Self, &mut StepDirections) -> Option<()>,
+    ) -> Option<()> {
+        for ((q, z), x) in self.z_x.iter_mut().zip(&s.z).zip(&s.x) {
+            *q = z / x;
+        }
+        for ((q, w), y) in self.w_y.iter_mut().zip(&s.w).zip(&s.y) {
+            *q = w / y;
+        }
+        if self.sparse && self.factor_kkt().is_some() && step(self, dirs).is_some() {
+            return Some(());
         }
         self.factor_dense(s)?;
-        step(self).filter(StepDirections::is_finite)
+        step(self, dirs)
     }
 
     /// Solves the reduced system of the current factorization for
-    /// `(Δx, Δy)`.
-    pub(crate) fn solve(
-        &mut self,
-        sigma_hat: &[f64],
-        rho_hat: &[f64],
-    ) -> Option<(Vec<f64>, Vec<f64>)> {
+    /// `(Δx, Δy)` at the right-hand side in [`Self::rhs_mut`].
+    pub(crate) fn solve(&mut self, dx: &mut [f64], dy: &mut [f64]) -> Option<()> {
+        let n = dx.len();
         if self.on_kkt {
-            let mut rhs = Vec::with_capacity(sigma_hat.len() + rho_hat.len());
-            rhs.extend_from_slice(sigma_hat);
-            rhs.extend_from_slice(rho_hat);
-            let mut dx = self.kkt.as_mut()?.solve(&rhs).ok()?;
-            let dy = dx.split_off(sigma_hat.len());
-            return Some((dx, dy));
+            self.kkt
+                .as_mut()?
+                .solve_into(&self.rhs, &mut self.sol)
+                .ok()?;
+            dx.copy_from_slice(&self.sol[..n]);
+            dy.copy_from_slice(&self.sol[n..]);
+            return Some(());
         }
         let DenseNormal { nmat, d, lu } = self.dense.as_ref()?;
+        let (sigma_hat, rho_hat) = self.rhs.split_at(n);
         let a = self.lp.a();
         // RHS: A·D·σ̂ − ρ̂.
         let dsig: Vec<f64> = d.iter().zip(sigma_hat).map(|(d, s)| d * s).collect();
         let adsig = a.matvec(&dsig);
         let rhs: Vec<f64> = adsig.iter().zip(rho_hat).map(|(ad, r)| ad - r).collect();
-        let dy = lu.refine(nmat, &rhs, 2).ok()?;
+        dy.copy_from_slice(&lu.refine(nmat, &rhs, 2).ok()?);
         // Δx = D·(σ̂ − Aᵀ·Δy).
-        let atdy = a.matvec_transposed(&dy);
-        let dx = (0..d.len())
-            .map(|j| d[j] * (sigma_hat[j] - atdy[j]))
-            .collect();
-        Some((dx, dy))
+        let atdy = a.matvec_transposed(dy);
+        for (j, dxj) in dx.iter_mut().enumerate() {
+            *dxj = d[j] * (sigma_hat[j] - atdy[j]);
+        }
+        Some(())
     }
 
-    /// Refactors the KKT form on the cached symbolic analysis.
-    fn factor_kkt(&mut self, s: &PdipState) -> Option<()> {
+    /// Refactors the KKT form, `D⁻¹ = X⁻¹Z` and `E = Y⁻¹W`, on the cached
+    /// symbolic analysis.
+    fn factor_kkt(&mut self) -> Option<()> {
         self.on_kkt = true;
         let lp = self.lp;
         let kkt = self
             .kkt
             .get_or_insert_with(|| SymmetricKkt::new(lp.sparse_a()));
-        // D⁻¹ = Z X⁻¹ and E = W Y⁻¹.
-        let d_inv: Vec<f64> = s.z.iter().zip(&s.x).map(|(z, x)| z / x).collect();
-        let e: Vec<f64> = s.w.iter().zip(&s.y).map(|(w, y)| w / y).collect();
-        kkt.refactor(&d_inv, &e).ok()
+        kkt.refactor(&self.z_x, &self.w_y).ok()
     }
 
     /// Forms and factors the dense normal equations. This path and its
@@ -226,8 +283,8 @@ impl<'a> NormalEqCore<'a> {
         // N = A·D·Aᵀ + E (A·D·Aᵀ via the threaded gram kernel — the
         // dominant per-iteration cost at O(m²n)).
         let mut nmat = self.lp.a().scaled_gram(&d);
-        for i in 0..m {
-            nmat[(i, i)] += s.w[i] / s.y[i];
+        for (i, e) in self.w_y.iter().enumerate() {
+            nmat[(i, i)] += e;
         }
         // Tiny static regularization keeps the factorization alive when a
         // diverging dual drives e_i → 0 on linearly dependent rows (the

@@ -37,6 +37,14 @@
 //! count and budget cause stayed. The dense-instance lines kept their
 //! bits: computing the residuals once per iteration, for both the exit
 //! tests and the Newton solve, left their arithmetic as it was.
+//!
+//! Three lines were added, recorded before the digital PDIP loop moved to
+//! buffers kept for the whole solve, cached quotients, a branch-free step
+//! length and a one-walk symbolic analysis: `normal` and `mehrotra` on
+//! `TransportationProblem::random(4, 508, 101)`, the shape of the `.lp`
+//! files `memlp solve --solver auto` is benchmarked on, and `mehrotra` on
+//! the routing LP whose KKT factorization falls back to the dense normal
+//! equations mid-solve. None of them, and no other line, moved.
 
 use memlp_lp::domains::{max_flow_lp, transportation_lp, MaxFlowNetwork, TransportationProblem};
 use memlp_lp::generator::RandomLp;
@@ -128,6 +136,28 @@ fn normal_eq_kkt_fallback_snapshot() {
     assert_eq!(
         line("normal", "routing12", "solve", &s, None),
         "normal routing12 solve: Optimal iters=16 cause=None b96c1910b25a2b8c"
+    );
+    let s = MehrotraPdip::default().solve(&lp);
+    assert_eq!(
+        line("mehrotra", "routing12", "solve", &s, None),
+        "mehrotra routing12 solve: Optimal iters=8 cause=None 2bc1918090b3fcb6"
+    );
+}
+
+#[test]
+fn normal_eq_transport_4x508_snapshot() {
+    let lp = transportation_lp(&TransportationProblem::random(4, 508, 101)).expect("valid domain");
+    let normal = NormalEqPdip::default().solve(&lp);
+    let mehrotra = MehrotraPdip::default().solve(&lp);
+    assert_eq!(
+        [
+            line("normal", "transport508", "solve", &normal, None),
+            line("mehrotra", "transport508", "solve", &mehrotra, None),
+        ],
+        [
+            "normal transport508 solve: Optimal iters=22 cause=None b9b0fd6fb4ec8230",
+            "mehrotra transport508 solve: Optimal iters=15 cause=None 10fe98cd0fb6a7c8",
+        ]
     );
 }
 
