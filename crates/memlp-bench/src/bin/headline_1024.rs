@@ -2,7 +2,7 @@
 //! EXPERIMENTS.md: both solvers, feasible + infeasible, all variation
 //! levels, against the measured software baseline.
 
-use memlp_bench::experiments::{run_one, SolverKind};
+use memlp_bench::experiments::{report_reference_misses, run_one, SolverKind};
 use memlp_bench::{cpu_energy_j, fmt_energy, fmt_time, Stats, Table};
 use memlp_lp::generator::RandomLp;
 use memlp_lp::LpStatus;
@@ -14,30 +14,38 @@ fn main() {
     let trials = 2;
     println!("m = {m} headline experiment ({trials} trials/cell)");
 
-    // ~30% of m = 1024 instances push the single-step reference past its
-    // iteration cap; sample seeds until `trials` clean baselines land.
-    let mut sw_feas = Stats::new();
-    let mut sw_inf = Stats::new();
-    let mut seed = 9000u64;
-    while sw_feas.count() < trials && seed < 9020 {
-        let lp = RandomLp::paper(m, seed).feasible();
-        let t0 = Instant::now();
-        let s = NormalEqPdip::default().solve(&lp);
-        if s.status.is_optimal() {
-            sw_feas.push(t0.elapsed().as_secs_f64());
+    // The software baseline: `trials` draws of each kind, every one timed
+    // and its verdict counted.
+    let expected = |infeasible: bool| {
+        if infeasible {
+            LpStatus::Infeasible
+        } else {
+            LpStatus::Optimal
         }
-        seed += 1;
-    }
-    let mut seed = 9100u64;
-    while sw_inf.count() < trials && seed < 9120 {
-        let lp = RandomLp::paper(m, seed).infeasible();
-        let t0 = Instant::now();
-        let s = NormalEqPdip::default().solve(&lp);
-        if s.status == LpStatus::Infeasible {
-            sw_inf.push(t0.elapsed().as_secs_f64());
+    };
+    let baseline = |first_seed: u64, infeasible: bool| {
+        let mut wall = Stats::new();
+        let mut statuses = Vec::with_capacity(trials);
+        for seed in first_seed..first_seed + trials as u64 {
+            let gen = RandomLp::paper(m, seed);
+            let lp = if infeasible {
+                gen.infeasible()
+            } else {
+                gen.feasible()
+            };
+            let t0 = Instant::now();
+            statuses.push(NormalEqPdip::default().solve(&lp).status);
+            wall.push(t0.elapsed().as_secs_f64());
         }
-        seed += 1;
-    }
+        report_reference_misses(
+            &format!("software baseline from seed {first_seed}"),
+            statuses,
+            expected(infeasible),
+        );
+        wall
+    };
+    let sw_feas = baseline(9000, false);
+    let sw_inf = baseline(9100, true);
     println!(
         "software feasible {} infeasible {}",
         fmt_time(sw_feas.mean()),
@@ -71,11 +79,13 @@ fn main() {
             for (label, infeasible, sw) in
                 [("feasible", false, &sw_feas), ("infeasible", true, &sw_inf)]
             {
+                let expected = expected(infeasible);
                 let mut lat = Stats::new();
                 let mut en = Stats::new();
                 let mut err = Stats::new();
                 let mut iters = Stats::new();
                 let mut ok = 0;
+                let mut references = Vec::with_capacity(trials);
                 for t in 0..trials {
                     let seed = 9200 + t as u64 + (var as u64) * 7;
                     let gen = RandomLp::paper(m, seed);
@@ -85,11 +95,7 @@ fn main() {
                         gen.feasible()
                     };
                     let o = run_one(kind, &lp, var, seed);
-                    let expected = if infeasible {
-                        LpStatus::Infeasible
-                    } else {
-                        LpStatus::Optimal
-                    };
+                    references.push(o.reference);
                     if o.status == expected {
                         ok += 1;
                         lat.push(o.hw_run_s);
@@ -110,8 +116,11 @@ fn main() {
                     format!("{:.1}x", cpu_energy_j(sw.mean()) / en.mean()),
                     format!("{ok}/{trials}"),
                 ]);
-                // stream progress
-                println!("done {} {} var {}", kind.label(), label, var);
+                report_reference_misses(
+                    &format!("{} {label} var {var}", kind.label()),
+                    references,
+                    expected,
+                );
             }
         }
     }

@@ -35,8 +35,12 @@ impl SolverKind {
 pub struct TrialOutcome {
     /// Terminal status.
     pub status: LpStatus,
-    /// Relative objective error vs the f64 reference (NaN if not optimal).
+    /// Relative objective error vs the f64 reference (NaN unless both are
+    /// optimal).
     pub rel_error: f64,
+    /// Terminal status of the `NormalEqPdip` reference; callers count the
+    /// trials where it missed the expected verdict.
+    pub reference: LpStatus,
     /// PDIP iterations.
     pub iterations: usize,
     /// Estimated hardware run-phase latency, s (retries included).
@@ -74,6 +78,7 @@ pub fn run_one(kind: SolverKind, lp: &LpProblem, var_pct: f64, seed: u64) -> Tri
     TrialOutcome {
         status: solution.status,
         rel_error,
+        reference: reference.status,
         iterations: solution.iterations,
         hw_run_s: ledger.run_time_s(),
         hw_energy_j: ledger.energy_j(&CostParams::default()),
@@ -132,6 +137,11 @@ fn grid(kind: SolverKind, sweep: &Sweep, infeasible: bool) -> Vec<GridPoint> {
                 LpStatus::Optimal
             };
             let successes = outcomes.iter().filter(|o| o.status == expected).count();
+            report_reference_misses(
+                &format!("{} m = {m}, {var}% variation", kind.label()),
+                outcomes.iter().map(|o| o.reference),
+                expected,
+            );
             out.push(GridPoint {
                 m,
                 var_pct: var,
@@ -159,40 +169,47 @@ fn grid(kind: SolverKind, sweep: &Sweep, infeasible: bool) -> Vec<GridPoint> {
     out
 }
 
+/// Prints how many of the `statuses` of a reference solver missed
+/// `expected`: a reference that does not converge is reported, not
+/// dropped from the statistics.
+pub fn report_reference_misses(
+    what: &str,
+    statuses: impl IntoIterator<Item = LpStatus>,
+    expected: LpStatus,
+) {
+    let (mut total, mut misses) = (0, 0);
+    for status in statuses {
+        total += 1;
+        misses += usize::from(status != expected);
+    }
+    println!("{what}: {misses} of {total} reference solves did not reach {expected:?}");
+}
+
 /// Measures the software baselines' wall time on feasible instances at one
 /// size: `(normal_eq_seconds, dense_seconds_if_run)`. The dense baseline is
-/// skipped above `dense_limit` (O(N³) per iteration gets slow).
+/// skipped above `dense_limit` (O(N³) per iteration gets slow). Every
+/// trial's time counts; the solves that do not reach optimality are
+/// counted and printed.
 pub fn software_latency(m: usize, trials: usize, dense_limit: usize) -> (Stats, Stats) {
-    // Trials whose solve does not reach optimality are dropped (NaN is
-    // ignored by `Stats`); a rare hard instance must not abort the sweep.
-    let normal: Stats = run_trials(trials, |trial| {
-        let lp = RandomLp::paper(m, 500 + trial as u64).feasible();
-        let t = Instant::now();
-        let s = NormalEqPdip::default().solve(&lp);
-        let wall = t.elapsed().as_secs_f64();
-        if s.status.is_optimal() {
-            wall
-        } else {
-            f64::NAN
-        }
-    })
-    .into_iter()
-    .collect();
-
-    let dense: Stats = if m <= dense_limit {
+    let time = |solver: &(dyn LpSolver + Sync)| {
         run_trials(trials, |trial| {
             let lp = RandomLp::paper(m, 500 + trial as u64).feasible();
             let t = Instant::now();
-            let s = DensePdip::default().solve(&lp);
-            let wall = t.elapsed().as_secs_f64();
-            if s.status.is_optimal() {
-                wall
-            } else {
-                f64::NAN
-            }
+            let s = solver.solve(&lp);
+            (t.elapsed().as_secs_f64(), s.status)
         })
-        .into_iter()
-        .collect()
+    };
+    let stats = |name: &str, runs: Vec<(f64, LpStatus)>| -> Stats {
+        report_reference_misses(
+            &format!("{name} m = {m}"),
+            runs.iter().map(|&(_, status)| status),
+            LpStatus::Optimal,
+        );
+        runs.into_iter().map(|(wall, _)| wall).collect()
+    };
+    let normal = stats("NormalEqPdip", time(&NormalEqPdip::default()));
+    let dense = if m <= dense_limit {
+        stats("DensePdip", time(&DensePdip::default()))
     } else {
         Stats::new()
     };

@@ -1,7 +1,6 @@
 use crate::error::{dim_mismatch, LinalgError};
 use crate::kernels::{self, TILE_CUTOFF_FLOPS};
 use crate::matrix::Matrix;
-use crate::ops;
 use crate::parallel::{self, Threads};
 
 /// Block size for the right-looking blocked factorization. 48 keeps the
@@ -213,50 +212,6 @@ impl LuFactors {
         Ok(x)
     }
 
-    /// Solves `A·x = b` and polishes with up to `rounds` rounds of
-    /// iterative refinement against the unfactored matrix `a`: each round
-    /// solves `A·δ = b − A·x` with these factors and sets `x ← x + δ`,
-    /// keeping only strict residual improvements (the dense twin of
-    /// [`SparseLu::refine`](crate::SparseLu::refine)).
-    ///
-    /// The factors may be of `a` itself (classical refinement, recovering
-    /// digits lost to pivot growth and cancellation) or of a nearby
-    /// matrix, in which case refinement corrects the difference as long as
-    /// the iteration contracts; when it diverges the unrefined solve is
-    /// returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `a` is not
-    /// `dim × dim` or `b` has the wrong length.
-    pub fn refine(&self, a: &Matrix, b: &[f64], rounds: usize) -> Result<Vec<f64>, LinalgError> {
-        let n = self.dim();
-        if a.rows() != n || a.cols() != n {
-            return Err(dim_mismatch(
-                format!("{n}x{n} matrix"),
-                format!("{}x{}", a.rows(), a.cols()),
-            ));
-        }
-        let mut x = self.solve(b)?;
-        let mut residual = residual_inf(a, &x, b);
-        for _ in 0..rounds {
-            if residual == 0.0 {
-                break;
-            }
-            let ax = a.matvec(&x);
-            let r = ops::sub(b, &ax);
-            let delta = self.solve(&r)?;
-            let candidate: Vec<f64> = x.iter().zip(&delta).map(|(xi, di)| xi + di).collect();
-            let cand_residual = residual_inf(a, &candidate, b);
-            if !cand_residual.is_finite() || cand_residual >= residual {
-                break;
-            }
-            x = candidate;
-            residual = cand_residual;
-        }
-        Ok(x)
-    }
-
     /// Consumes the factorization and returns both reusable buffers — the
     /// packed LU matrix and the pivot vector — for
     /// [`Self::factor_reusing`].
@@ -269,10 +224,6 @@ impl LuFactors {
     pub fn det(&self) -> f64 {
         self.perm_sign * self.lu.diag().iter().product::<f64>()
     }
-}
-
-fn residual_inf(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-    ops::inf_norm(&ops::sub(b, &a.matvec(x)))
 }
 
 /// Borrows two distinct rows of a matrix mutably. Rows must differ.
@@ -352,55 +303,5 @@ mod tests {
         let b = a.matvec(&xtrue);
         let x = LuFactors::factor(a).unwrap().solve(&b).unwrap();
         assert_close(&x, &xtrue, 1e-8);
-    }
-
-    fn dominant_system() -> (Matrix, Vec<f64>, Vec<f64>) {
-        let a =
-            Matrix::from_rows(&[&[10.0, 1.0, 2.0], &[1.0, 8.0, -1.0], &[2.0, -1.0, 12.0]]).unwrap();
-        let xtrue = vec![1.0, -2.0, 0.5];
-        let b = a.matvec(&xtrue);
-        (a, b, xtrue)
-    }
-
-    #[test]
-    fn refine_polishes_an_exact_factorization() {
-        let (a, b, xtrue) = dominant_system();
-        let lu = LuFactors::factor(a.clone()).unwrap();
-        let x = lu.refine(&a, &b, 3).unwrap();
-        assert_close(&x, &xtrue, 1e-12);
-        assert!(residual_inf(&a, &x, &b) <= residual_inf(&a, &lu.solve(&b).unwrap(), &b));
-    }
-
-    #[test]
-    fn refine_corrects_a_perturbed_factorization() {
-        // Factor a nearby (realized) matrix, refine against the true target:
-        // digital refinement undoes the stored matrix's error.
-        let (a, b, xtrue) = dominant_system();
-        let mut perturbed = a.clone();
-        for i in 0..3 {
-            for j in 0..3 {
-                perturbed[(i, j)] *= 1.0 + 0.01 * ((i + 2 * j) as f64 - 2.0);
-            }
-        }
-        let lu = LuFactors::factor(perturbed).unwrap();
-        let max_err = |x: &[f64]| {
-            x.iter()
-                .zip(&xtrue)
-                .map(|(x, t)| (x - t).abs())
-                .fold(0.0, f64::max)
-        };
-        let raw_err = max_err(&lu.solve(&b).unwrap());
-        let ref_err = max_err(&lu.refine(&a, &b, 20).unwrap());
-        assert!(
-            ref_err < 0.1 * raw_err,
-            "refinement {ref_err} vs raw {raw_err}"
-        );
-    }
-
-    #[test]
-    fn refine_rejects_mismatched_factors() {
-        let (a, b, _) = dominant_system();
-        let lu = LuFactors::factor(Matrix::identity(2)).unwrap();
-        assert!(lu.refine(&a, &b, 2).is_err());
     }
 }

@@ -258,9 +258,9 @@ impl SparseLu {
     }
 
     /// Solves `A·x = b` and polishes with up to `rounds` rounds of
-    /// iterative refinement against the exact matrix `a` (the static-pivot
-    /// analogue of [`LuFactors::refine`](crate::LuFactors::refine) — only
-    /// strict residual improvements are kept).
+    /// iterative refinement against the exact matrix `a`: each round
+    /// solves `A·δ = b − A·x` with these factors and sets `x ← x + δ`,
+    /// keeping only strict residual improvements.
     ///
     /// # Errors
     ///

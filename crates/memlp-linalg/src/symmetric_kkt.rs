@@ -17,6 +17,9 @@ use crate::symbolic::transpose_pattern;
 /// Most refinement rounds one [`SymmetricKkt::solve`] runs.
 const MAX_ROUNDS: usize = 2;
 
+/// The shift of [`SymmetricKkt::refactor_shifted`], relative to `‖K‖∞`.
+const SHIFT: f64 = 1e-12;
+
 /// Refinement stops once `‖r‖∞ ≤ BACKWARD_ERROR_ULPS·ε·(‖K‖∞‖x‖∞ + ‖b‖∞)`:
 /// the computed `x` then solves a system within a few roundings of `K`,
 /// and another round cannot be told from noise.
@@ -28,7 +31,10 @@ const BACKWARD_ERROR_ULPS: f64 = 4.0;
 /// [`refactor`](Self::refactor) takes new diagonals and factors;
 /// [`solve`](Self::solve) solves and refines against `K` until the
 /// normwise backward error reaches `4ε` or two rounds have run, keeping
-/// only rounds that strictly shrink the residual.
+/// only rounds that strictly shrink the residual. When `K` has lost
+/// definiteness, [`refactor_shifted`](Self::refactor_shifted) factors a
+/// nearby quasi-definite matrix instead, and refinement still runs
+/// against `K`.
 ///
 /// # Example
 ///
@@ -138,6 +144,28 @@ impl SymmetricKkt {
         }
         self.k_norm = k_norm;
         self.ldl.refactor(self.a.values(), &self.diag)
+    }
+
+    /// Refactors `K` with its diagonal shifted to `[p + δ; −(q + δ)]`,
+    /// `δ = 1e-12·‖K‖∞`, for the diagonals of the latest
+    /// [`refactor`](Self::refactor). The shift restores the quasi-definite
+    /// sign pattern that cancellation or a vanishing `p_j` or `q_i` broke
+    /// (a row and its negation with `q = 0` make `K` singular).
+    /// [`solve`](Self::solve) keeps refining against the unshifted `K`,
+    /// which corrects the shift where `K` itself is nonsingular.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::Singular`] (in KKT indices) when a pivot of the
+    /// shifted matrix is still zero or non-finite.
+    pub fn refactor_shifted(&mut self) -> Result<(), LinalgError> {
+        let delta = SHIFT * self.k_norm;
+        let n = self.a.cols();
+        // `cand` is free between solves; it carries the shifted diagonal.
+        for (k, (s, &d)) in self.cand.iter_mut().zip(&self.diag).enumerate() {
+            *s = if k < n { d + delta } else { d - delta };
+        }
+        self.ldl.refactor(self.a.values(), &self.cand)
     }
 
     /// Solves `K·x = rhs` with the current factors and refines: a round
@@ -311,6 +339,69 @@ mod tests {
             }
         }
         assert_eq!(seen, [true; MAX_ROUNDS + 1], "rounds 0, 1 and 2 all ran");
+    }
+
+    #[test]
+    fn shifted_refactor_solves_a_row_and_its_negation() {
+        // A = [a; −a] with q = 0: the lower block is singular and so is K,
+        // whose null space is (0, 1, 1). A consistent right-hand side still
+        // has solutions; the shifted factors must reach one by refining
+        // against the unshifted K.
+        let a = SparseMatrix::from_triplets(
+            2,
+            3,
+            &[
+                (0, 0, 1.0),
+                (0, 1, 2.0),
+                (0, 2, 0.5),
+                (1, 0, -1.0),
+                (1, 1, -2.0),
+                (1, 2, -0.5),
+            ],
+        )
+        .unwrap();
+        let (p, q) = ([1.0, 3.0, 0.25], [0.0, 0.0]);
+        let mut kkt = SymmetricKkt::new(&a);
+        assert!(matches!(
+            kkt.refactor(&p, &q),
+            Err(LinalgError::Singular { .. })
+        ));
+        kkt.refactor_shifted().unwrap();
+        // K by rows, dense, to check the answer without the refinement's
+        // own residual.
+        let k = [
+            [1.0, 0.0, 0.0, 1.0, -1.0],
+            [0.0, 3.0, 0.0, 2.0, -2.0],
+            [0.0, 0.0, 0.25, 0.5, -0.5],
+            [1.0, 2.0, 0.5, 0.0, 0.0],
+            [-1.0, -2.0, -0.5, 0.0, 0.0],
+        ];
+        let want = [0.5, -1.0, 2.0, 3.0, 1.5];
+        let b: Vec<f64> = k
+            .iter()
+            .map(|row| row.iter().zip(&want).map(|(k, x)| k * x).sum())
+            .collect();
+        let x = kkt.solve(&b).unwrap();
+        let residual = k
+            .iter()
+            .zip(&b)
+            .map(|(row, bi)| (bi - row.iter().zip(&x).map(|(k, x)| k * x).sum::<f64>()).abs())
+            .fold(0.0, f64::max);
+        let bound = BACKWARD_ERROR_ULPS
+            * f64::EPSILON
+            * (kkt.k_norm * ops::inf_norm(&x) + ops::inf_norm(&b));
+        assert!(
+            residual <= bound || kkt.refinement_rounds() == MAX_ROUNDS,
+            "residual {residual:e} over {bound:e} after {} rounds",
+            kkt.refinement_rounds()
+        );
+        // The shift alone leaves a residual of δ·‖x‖∞ ≈ 1e-11; refining
+        // against K takes it well below.
+        assert!(residual < 1e-14, "residual {residual:e}");
+        // x solves K·x = b up to the null space: its x block is unique.
+        for (got, want) in x[..3].iter().zip(&want) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
     }
 
     #[test]

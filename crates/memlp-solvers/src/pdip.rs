@@ -13,14 +13,17 @@
 //! the solver's Newton solve (which reads the same residuals), then
 //! [`PdipState::step_length`] and [`PdipState::apply_step`]. The loop
 //! owns its residual and direction buffers for the whole solve, and
-//! `‖b‖∞`, `‖c‖∞` are taken once. Each solver supplies only the Newton solve,
-//! and the two normal-equations solvers share its linear algebra: one
-//! core factors the reduced system per iteration (sparse KKT form when
-//! [`sparse_newton`] holds, else dense normal equations), which
-//! `NormalEqPdip` back-solves once and `MehrotraPdip` twice.
+//! the exit-test scales are taken once. Each solver supplies only the
+//! Newton solve, and the two normal-equations solvers share its linear
+//! algebra: one core factors the quasi-definite KKT form by a sparse LDLᵀ
+//! per iteration, whatever the density of `A`, which `NormalEqPdip`
+//! back-solves once and `MehrotraPdip` twice. After the Newton solve the
+//! loop reads the direction as a certificate: a Farkas ray ends the solve
+//! `Infeasible`, a primal ray `Unbounded`.
 //! The Ω divergence rule ([`PdipState::divergence`]: non-finite `x`/`y`,
-//! then `‖y‖∞ > Ω`, then `‖x‖∞ > Ω`) is the one both crossbar algorithms
-//! in `memlp-core` also apply at the top of every iteration.
+//! then `‖y‖∞ > Ω`, then `‖x‖∞ > Ω`) stays as the backstop; it is the one
+//! both crossbar algorithms in `memlp-core` also apply at the top of every
+//! iteration.
 //!
 //! [`PdipState`] touches `A` only through its CSR view
 //! ([`LpProblem::sparse_a`]): the residuals and the warm-start slacks cost
@@ -33,18 +36,18 @@ use memlp_lp::{LpProblem, LpSolution, LpStatus};
 
 use crate::budget::{Budget, BudgetCause};
 
-/// Whether the digital Newton solve of `lp` runs on a sparse
-/// factorization with symbolic-analysis reuse (the LDLᵀ of
-/// `memlp_linalg::SymmetricKkt` for the normal equations, the
-/// static-pivot `memlp_linalg::SparseLu` for Algorithm 1's core) instead
-/// of the dense one: true at a constraint-matrix density of a quarter or
-/// less, where the sparse factorization wins even after fill-in on the
-/// domains this workspace ships (DESIGN.md §13 has the measured
-/// crossover).
+/// Whether Algorithm 1's digital Newton core (`memlp-core`'s `newton.rs`)
+/// factors `lp` by the static-pivot `memlp_linalg::SparseLu` with
+/// symbolic-analysis reuse instead of the dense Schur reduction: true at a
+/// constraint-matrix density of a quarter or less, where the sparse
+/// factorization wins even after fill-in on the domains this workspace
+/// ships (DESIGN.md §13 has the measured crossover). The digital
+/// baselines apply no such test: every normal-equations solve factors the
+/// quasi-definite KKT LDLᵀ.
 ///
-/// The input decides; no solver option or CLI flag overrides it. Both factorizations solve
-/// the same Newton system, and the sparse one falls back to the dense one
-/// for any iteration whose pivots break down.
+/// The input decides; no solver option or CLI flag overrides it. Both
+/// factorizations solve the same Newton system, and the sparse one falls
+/// back to the dense one for any iteration whose pivots break down.
 pub fn sparse_newton(lp: &LpProblem) -> bool {
     lp.density() <= 0.25
 }
@@ -170,8 +173,8 @@ impl StepDirections {
 
 /// The residuals `ρ = b − Ax − w` and `σ = c − Aᵀy + z` and the duality
 /// gap of the current iterate, the residuals in buffers kept for a whole
-/// solve, and the scales `1 + ‖b‖∞` and `1 + ‖c‖∞` of the exit tests,
-/// fixed per LP.
+/// solve, and the scales of the exit tests, fixed per LP: `1 + ‖b‖∞` and
+/// `1 + ‖c‖∞` for convergence, `‖b‖₁` and `‖c‖₁` for [`ray_verdict`].
 #[derive(Debug, Clone)]
 pub(crate) struct Residuals {
     /// `ρ` (length m).
@@ -182,6 +185,8 @@ pub(crate) struct Residuals {
     pub(crate) gap: f64,
     primal_scale: f64,
     dual_scale: f64,
+    b_norm1: f64,
+    c_norm1: f64,
 }
 
 impl Residuals {
@@ -193,6 +198,8 @@ impl Residuals {
             gap: 0.0,
             primal_scale: 1.0 + ops::inf_norm(lp.b()),
             dual_scale: 1.0 + ops::inf_norm(lp.c()),
+            b_norm1: ops::one_norm(lp.b()),
+            c_norm1: ops::one_norm(lp.c()),
         }
     }
 
@@ -454,14 +461,56 @@ pub fn classify_breakdown(state: &PdipState) -> LpStatus {
     }
 }
 
+/// Sign tolerance of [`ray_verdict`], relative to the direction's `‖·‖∞`.
+const RAY_TOL: f64 = 1e-9;
+
+/// Reads a Newton direction as a certificate. `Δy ⪰ 0`, `AᵀΔy ⪰ 0` and
+/// `bᵀΔy < 0` is a Farkas ray: the primal is [`LpStatus::Infeasible`].
+/// `Δx ⪰ 0`, `AΔx ⪯ 0` and `cᵀΔx > 0` is a ray along which the objective
+/// grows without bound: [`LpStatus::Unbounded`]. Signs are taken to
+/// within `tol = RAY_TOL·‖Δ‖∞`, and the objective must move by more than
+/// errors of `tol` in every component could explain. Those tests are
+/// O(n + m) and reject almost every direction of a feasible LP, so the
+/// products with `A` are formed only for a candidate ray.
+fn ray_verdict(lp: &LpProblem, res: &Residuals, dirs: &StepDirections) -> Option<LpStatus> {
+    let a = lp.sparse_a();
+    let gain = -ops::dot(lp.b(), &dirs.dy);
+    if let Some(tol) = ray_tolerance(&dirs.dy, gain, res.b_norm1) {
+        let mut aty = vec![0.0; lp.num_vars()];
+        a.matvec_transposed_into(&dirs.dy, &mut aty);
+        if aty.iter().all(|&v| v >= -tol) {
+            return Some(LpStatus::Infeasible);
+        }
+    }
+    let gain = ops::dot(lp.c(), &dirs.dx);
+    if let Some(tol) = ray_tolerance(&dirs.dx, gain, res.c_norm1) {
+        let mut ax = vec![0.0; lp.num_constraints()];
+        a.matvec_into(&dirs.dx, &mut ax);
+        if ax.iter().all(|&v| v <= tol) {
+            return Some(LpStatus::Unbounded);
+        }
+    }
+    None
+}
+
+/// `tol = RAY_TOL·‖d‖∞` when the objective gain along `d` exceeds
+/// `tol·‖g‖₁`, `g` the objective's coefficients, and `d ⪰ −tol`.
+fn ray_tolerance(d: &[f64], gain: f64, g_norm1: f64) -> Option<f64> {
+    (gain > 0.0)
+        .then(|| RAY_TOL * ops::inf_norm(d))
+        .filter(|&tol| gain > tol * g_norm1 && d.iter().all(|&v| v >= -tol))
+}
+
 /// The digital PDIP loop every software baseline runs: the residuals
 /// `ρ = b − Ax − w` and `σ = c − Aᵀy + z`, computed once per iteration,
 /// then the [`outcome`] exit tests on them, one [`Budget`] poll, the
 /// Newton solve supplied by the caller (which reads the same residuals
-/// and writes the directions), and the Eqn 11 damped step. The residuals
-/// and directions live in buffers kept for the whole solve. `directions`
+/// and writes the directions), the [`ray_verdict`] certificate test on
+/// the directions, and the Eqn 11 damped step. The residuals and
+/// directions live in buffers kept for the whole solve. `directions`
 /// returning `None` is a numerical breakdown, classified by
-/// [`classify_breakdown`].
+/// [`classify_breakdown`]. The Ω rule of [`PdipState::divergence`] stays
+/// in the exit tests as the backstop for rays the direction test misses.
 ///
 /// [`outcome`]: PdipState::outcome
 pub(crate) fn newton_loop(
@@ -484,6 +533,9 @@ pub(crate) fn newton_loop(
         }
         if directions(&state, &res, &mut dirs).is_none() {
             let status = classify_breakdown(&state);
+            return (state.into_solution(lp, status, iter), None);
+        }
+        if let Some(status) = ray_verdict(lp, &res, &dirs) {
             return (state.into_solution(lp, status, iter), None);
         }
         let theta = state.step_length(&dirs, opts.step_safety);
@@ -788,6 +840,41 @@ mod tests {
         s.y = vec![0.4, 0.2];
         s.z = vec![1e-12, 1e-12];
         assert_eq!(outcome(&s, &lp, &opts), Some(LpStatus::Optimal));
+    }
+
+    #[test]
+    fn ray_verdict_reads_certificates() {
+        let lp = |rows: &[&[f64]], b: Vec<f64>, c: Vec<f64>| {
+            LpProblem::new(Matrix::from_rows(rows).unwrap(), b, c).unwrap()
+        };
+        let verdict = |lp: &LpProblem, dx: Vec<f64>, dy: Vec<f64>| {
+            let (n, m) = (dx.len(), dy.len());
+            let dirs = StepDirections {
+                dx,
+                dy,
+                dw: vec![0.0; m],
+                dz: vec![0.0; n],
+            };
+            ray_verdict(lp, &Residuals::new(lp), &dirs)
+        };
+        // x₁ − x₂ ≥ −1 leaves x₁ free to grow: d = (1, 0) is a primal ray.
+        let unbounded = lp(&[&[-1.0, 1.0]], vec![1.0], vec![1.0, 0.0]);
+        assert_eq!(
+            verdict(&unbounded, vec![1.0, 0.0], vec![0.0]),
+            Some(LpStatus::Unbounded)
+        );
+        // The same direction with a component below −tol is no ray.
+        assert_eq!(verdict(&unbounded, vec![1.0, -1e-6], vec![0.0]), None);
+        // x ≤ 1 and x ≥ 2: y = (1, 1) is a Farkas ray.
+        let infeasible = lp(&[&[1.0], &[-1.0]], vec![1.0, -2.0], vec![1.0]);
+        assert_eq!(
+            verdict(&infeasible, vec![0.0], vec![1.0, 1.0]),
+            Some(LpStatus::Infeasible)
+        );
+        // x ≤ 1 and x ≥ 1 is feasible: bᵀy = −1e-12 along y ≈ (1, 1) is
+        // rounding, not a certificate.
+        let tight = lp(&[&[1.0], &[-1.0]], vec![1.0, -1.0], vec![1.0]);
+        assert_eq!(verdict(&tight, vec![0.0], vec![1.0, 1.0 + 1e-12]), None);
     }
 
     #[test]

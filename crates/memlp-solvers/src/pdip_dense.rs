@@ -171,6 +171,20 @@ mod tests {
     }
 
     #[test]
+    fn routing_last_steps_are_not_farkas_rays() {
+        // Near its optimum the last Newton step of these max-flow LPs has
+        // Δy ⪰ 0 and AᵀΔy ⪰ 0 to within rounding and bᵀΔy ≈ −1e-7: a ray
+        // test that ignores the scale of b reads that as `Infeasible`,
+        // though every max-flow LP is feasible at x = 0.
+        use memlp_lp::domains::{max_flow_lp, MaxFlowNetwork};
+        for seed in [1, 8] {
+            let lp = max_flow_lp(&MaxFlowNetwork::random_layered(3, 4, seed)).unwrap();
+            let sol = DensePdip::default().solve(&lp);
+            assert_eq!(sol.status, LpStatus::Optimal, "seed {seed}: {sol}");
+        }
+    }
+
+    #[test]
     fn iteration_counts_are_moderate() {
         // IPMs should converge in tens of iterations, not hundreds.
         let lp = RandomLp::paper(48, 2).feasible();

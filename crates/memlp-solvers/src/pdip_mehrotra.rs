@@ -10,8 +10,8 @@ use crate::LpSolver;
 /// interior-point mode).
 ///
 /// Each iteration factors the reduced Newton system **once** and
-/// back-solves it twice, on the same factorization as
-/// [`crate::NormalEqPdip`] (sparse KKT form or dense normal equations):
+/// back-solves it twice, on the same quasi-definite KKT LDLᵀ as
+/// [`crate::NormalEqPdip`]:
 ///
 /// 1. **predictor** (affine scaling, µ = 0) — measures how much progress a
 ///    pure Newton step on the complementarity conditions could make;
@@ -44,22 +44,6 @@ impl MehrotraPdip {
     /// Creates the solver with explicit options.
     pub fn new(options: PdipOptions) -> Self {
         MehrotraPdip { options }
-    }
-
-    /// [`LpSolver::solve_budgeted`] with the Newton systems solved on
-    /// `core`.
-    pub(crate) fn solve_on(
-        &self,
-        lp: &LpProblem,
-        budget: Budget<'_>,
-        mut core: NormalEqCore<'_>,
-    ) -> (LpSolution, Option<BudgetCause>) {
-        let mut work = Predictor::new(lp.num_vars(), lp.num_constraints());
-        newton_loop(lp, &self.options, budget, |state, res, dirs| {
-            core.step(state, dirs, |core, dirs| {
-                Self::step(core, state, res, &mut work, dirs)
-            })
-        })
     }
 
     /// Back-solves the factored system for given complementarity targets,
@@ -184,7 +168,13 @@ impl LpSolver for MehrotraPdip {
         lp: &LpProblem,
         budget: Budget<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
-        self.solve_on(lp, budget, NormalEqCore::new(lp))
+        let mut core = NormalEqCore::new(lp);
+        let mut work = Predictor::new(lp.num_vars(), lp.num_constraints());
+        newton_loop(lp, &self.options, budget, |state, res, dirs| {
+            core.step(state, dirs, |core, dirs| {
+                Self::step(core, state, res, &mut work, dirs)
+            })
+        })
     }
 
     fn name(&self) -> &'static str {

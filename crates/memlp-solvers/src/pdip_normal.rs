@@ -1,8 +1,8 @@
-use memlp_linalg::{LuFactors, Matrix, SymmetricKkt};
+use memlp_linalg::SymmetricKkt;
 use memlp_lp::{LpProblem, LpSolution};
 
 use crate::budget::{Budget, BudgetCause};
-use crate::pdip::{newton_loop, sparse_newton, PdipOptions, PdipState, StepDirections};
+use crate::pdip::{newton_loop, PdipOptions, PdipState, StepDirections};
 use crate::LpSolver;
 
 /// PDIP with the Newton system reduced to `m×m` **normal equations** — the
@@ -21,9 +21,8 @@ use crate::LpSolver;
 /// with `σ̂ = σ + X⁻¹µe − z` and `ρ̂ = ρ − Y⁻¹µe + w`, where
 /// `ρ = b − Ax − w` and `σ = c − Aᵀy + z`.
 ///
-/// When [`sparse_newton`] holds for the LP (a quarter fill or less), the
-/// same reduction is solved in its **quasidefinite KKT form** instead of
-/// forming `A·D·Aᵀ` densely:
+/// The reduction is solved in its **quasi-definite KKT form**, never by
+/// forming `A·D·Aᵀ`:
 ///
 /// ```text
 /// ⎡ D⁻¹  Aᵀ ⎤ ⎡Δx⎤   ⎡σ̂⎤          D = Z⁻¹X,  E = Y⁻¹W
@@ -33,11 +32,13 @@ use crate::LpSolver;
 /// The KKT pattern is fixed for the whole solve — only the two diagonals
 /// move between iterations. [`memlp_linalg::SymmetricKkt`] keeps `A`'s
 /// CSR, runs the fill-reducing symbolic analysis once, and refactors the
-/// quasi-definite matrix by a sparse LDLᵀ every iteration. Any sparse
-/// breakdown (a zero or non-finite pivot, or non-finite directions) falls
-/// back to the dense normal equations for that iteration, keeping the
-/// solver total.
-/// [`crate::MehrotraPdip`] shares both factorizations.
+/// quasi-definite matrix by a sparse LDLᵀ every iteration; a fully dense
+/// `A` (the paper's random instances) is one dense front of the same
+/// factorization. An iteration whose LDLᵀ breaks down (a zero or
+/// non-finite pivot, or non-finite directions) refactors once with the
+/// diagonal shifted by `1e-12·‖K‖∞` and refines against the unshifted
+/// matrix, keeping the solver total without a second factorization.
+/// [`crate::MehrotraPdip`] shares the factorization.
 ///
 /// # Example
 ///
@@ -60,15 +61,15 @@ impl NormalEqPdip {
     pub fn new(options: PdipOptions) -> Self {
         NormalEqPdip { options }
     }
+}
 
-    /// [`LpSolver::solve_budgeted`] with the Newton systems solved on
-    /// `core`.
-    pub(crate) fn solve_on(
+impl LpSolver for NormalEqPdip {
+    fn solve_budgeted(
         &self,
         lp: &LpProblem,
         budget: Budget<'_>,
-        mut core: NormalEqCore<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
+        let mut core = NormalEqCore::new(lp);
         let opts = &self.options;
         // µX⁻¹e and µY⁻¹e, once per iteration for both σ̂/ρ̂ and Δz/Δw.
         let mut mu_x = vec![0.0; lp.num_vars()];
@@ -118,16 +119,6 @@ impl NormalEqPdip {
             })
         })
     }
-}
-
-impl LpSolver for NormalEqPdip {
-    fn solve_budgeted(
-        &self,
-        lp: &LpProblem,
-        budget: Budget<'_>,
-    ) -> (LpSolution, Option<BudgetCause>) {
-        self.solve_on(lp, budget, NormalEqCore::new(lp))
-    }
 
     fn name(&self) -> &'static str {
         "pdip-normal-eq"
@@ -137,54 +128,33 @@ impl LpSolver for NormalEqPdip {
 /// The Newton linear algebra of the normal-equations PDIP solvers
 /// ([`NormalEqPdip`], [`crate::MehrotraPdip`]), one per solve, with every
 /// buffer it needs for the whole solve.
-/// [`Self::step`] factors the reduced system once per iteration;
+/// [`Self::step`] factors the quasi-definite KKT form once per iteration;
 /// [`Self::solve`] back-solves it for the `(σ̂, ρ̂)` written into
-/// [`Self::rhs_mut`] and refines it: the system grows ill-conditioned as
-/// µ → 0, and the reference solver should deliver the full
-/// double-precision digits the crossbar solutions are judged against. The
-/// KKT form refines until the backward error reaches `4ε` or two rounds
-/// have run; the dense normal equations always run two.
+/// [`Self::rhs_mut`] and refines it until the backward error reaches `4ε`
+/// or two rounds have run: the system grows ill-conditioned as µ → 0, and
+/// the reference solver should deliver the full double-precision digits
+/// the crossbar solutions are judged against.
 pub(crate) struct NormalEqCore<'a> {
     lp: &'a LpProblem,
-    /// Whether iterations try the sparse KKT factorization first (tests
-    /// force either path by setting it).
-    sparse: bool,
-    /// The sparse KKT matrix (pattern and symbolic analysis fixed per
-    /// solve), built on the first sparse iteration.
-    kkt: Option<SymmetricKkt>,
-    /// The dense normal equations of the latest dense factorization; its
-    /// LU buffers are recycled by the next one.
-    dense: Option<DenseNormal>,
-    /// Whether [`Self::solve`] uses the KKT factors (else `dense`).
-    on_kkt: bool,
+    /// The KKT matrix, its pattern and symbolic analysis fixed per solve.
+    kkt: SymmetricKkt,
     /// `X⁻¹Z` and `Y⁻¹W` at the iterate of the latest [`Self::step`]: the
     /// KKT form's `D⁻¹` and `E`.
     z_x: Vec<f64>,
     w_y: Vec<f64>,
     /// `[σ̂; ρ̂]`, the right-hand side [`Self::solve`] reads.
     rhs: Vec<f64>,
-    /// `[Δx; Δy]` of the latest KKT solve.
+    /// `[Δx; Δy]` of the latest solve.
     sol: Vec<f64>,
 }
 
-/// `N = A·D·Aᵀ + E`, kept unfactored for refinement, its scaling
-/// `D = Z⁻¹X` and its LU factors.
-struct DenseNormal {
-    nmat: Matrix,
-    d: Vec<f64>,
-    lu: LuFactors,
-}
-
 impl<'a> NormalEqCore<'a> {
-    /// The core for `lp`, on the factorization [`sparse_newton`] picks.
+    /// The core for `lp`.
     pub(crate) fn new(lp: &'a LpProblem) -> Self {
         let (n, m) = (lp.num_vars(), lp.num_constraints());
         NormalEqCore {
             lp,
-            sparse: sparse_newton(lp),
-            kkt: None,
-            dense: None,
-            on_kkt: false,
+            kkt: SymmetricKkt::new(lp.sparse_a()),
             z_x: vec![0.0; n],
             w_y: vec![0.0; m],
             rhs: vec![0.0; n + m],
@@ -203,12 +173,15 @@ impl<'a> NormalEqCore<'a> {
         (&self.z_x, &self.w_y)
     }
 
-    /// One iteration's Newton work at `s`: factors the reduced system,
-    /// then runs `step`, which solves it as often as it needs and writes
-    /// `dirs`, returning `None` on a failed solve or non-finite
-    /// directions. A sparse breakdown — a failed refactor or a `None`
-    /// from `step` — re-runs the whole step on the dense normal
-    /// equations. `None` when the dense path breaks down too.
+    /// One iteration's Newton work at `s`: factors the KKT form, `D⁻¹ =
+    /// X⁻¹Z` and `E = Y⁻¹W`, on the cached symbolic analysis, then runs
+    /// `step`, which solves it as often as it needs and writes `dirs`,
+    /// returning `None` on a failed solve or non-finite directions. A
+    /// breakdown — a failed refactor or a `None` from `step` — refactors
+    /// once more with the diagonal shifted away from zero
+    /// ([`SymmetricKkt::refactor_shifted`]) and re-runs `step`; the
+    /// solves still refine against the unshifted matrix. `None` when the
+    /// shifted factors break down too.
     pub(crate) fn step(
         &mut self,
         s: &PdipState,
@@ -221,81 +194,20 @@ impl<'a> NormalEqCore<'a> {
         for ((q, w), y) in self.w_y.iter_mut().zip(&s.w).zip(&s.y) {
             *q = w / y;
         }
-        if self.sparse && self.factor_kkt().is_some() && step(self, dirs).is_some() {
+        if self.kkt.refactor(&self.z_x, &self.w_y).is_ok() && step(self, dirs).is_some() {
             return Some(());
         }
-        self.factor_dense(s)?;
+        self.kkt.refactor_shifted().ok()?;
         step(self, dirs)
     }
 
-    /// Solves the reduced system of the current factorization for
-    /// `(Δx, Δy)` at the right-hand side in [`Self::rhs_mut`].
+    /// Solves the factored KKT form for `(Δx, Δy)` at the right-hand side
+    /// in [`Self::rhs_mut`].
     pub(crate) fn solve(&mut self, dx: &mut [f64], dy: &mut [f64]) -> Option<()> {
-        let n = dx.len();
-        if self.on_kkt {
-            self.kkt
-                .as_mut()?
-                .solve_into(&self.rhs, &mut self.sol)
-                .ok()?;
-            dx.copy_from_slice(&self.sol[..n]);
-            dy.copy_from_slice(&self.sol[n..]);
-            return Some(());
-        }
-        let DenseNormal { nmat, d, lu } = self.dense.as_ref()?;
-        let (sigma_hat, rho_hat) = self.rhs.split_at(n);
-        let a = self.lp.a();
-        // RHS: A·D·σ̂ − ρ̂.
-        let dsig: Vec<f64> = d.iter().zip(sigma_hat).map(|(d, s)| d * s).collect();
-        let adsig = a.matvec(&dsig);
-        let rhs: Vec<f64> = adsig.iter().zip(rho_hat).map(|(ad, r)| ad - r).collect();
-        dy.copy_from_slice(&lu.refine(nmat, &rhs, 2).ok()?);
-        // Δx = D·(σ̂ − Aᵀ·Δy).
-        let atdy = a.matvec_transposed(dy);
-        for (j, dxj) in dx.iter_mut().enumerate() {
-            *dxj = d[j] * (sigma_hat[j] - atdy[j]);
-        }
-        Some(())
-    }
-
-    /// Refactors the KKT form, `D⁻¹ = X⁻¹Z` and `E = Y⁻¹W`, on the cached
-    /// symbolic analysis.
-    fn factor_kkt(&mut self) -> Option<()> {
-        self.on_kkt = true;
-        let lp = self.lp;
-        let kkt = self
-            .kkt
-            .get_or_insert_with(|| SymmetricKkt::new(lp.sparse_a()));
-        kkt.refactor(&self.z_x, &self.w_y).ok()
-    }
-
-    /// Forms and factors the dense normal equations. This path and its
-    /// back-solve are the only readers of the dense view of A.
-    fn factor_dense(&mut self, s: &PdipState) -> Option<()> {
-        self.on_kkt = false;
-        let m = self.lp.num_constraints();
-        // Refinement needs the unfactored matrix too, so the LU works on
-        // a working copy recycled from the previous dense factorization.
-        let (mut work, piv) = match self.dense.take() {
-            Some(dense) => dense.lu.into_parts(),
-            None => (Matrix::zeros(m, m), Vec::new()),
-        };
-        let d: Vec<f64> = s.x.iter().zip(&s.z).map(|(x, z)| x / z).collect();
-        // N = A·D·Aᵀ + E (A·D·Aᵀ via the threaded gram kernel — the
-        // dominant per-iteration cost at O(m²n)).
-        let mut nmat = self.lp.a().scaled_gram(&d);
-        for (i, e) in self.w_y.iter().enumerate() {
-            nmat[(i, i)] += e;
-        }
-        // Tiny static regularization keeps the factorization alive when a
-        // diverging dual drives e_i → 0 on linearly dependent rows (the
-        // infeasible-detection path); far below solution accuracy.
-        let reg = 1e-12 * (1.0 + nmat.max_abs());
-        for i in 0..m {
-            nmat[(i, i)] += reg;
-        }
-        work.as_mut_slice().copy_from_slice(nmat.as_slice());
-        let lu = LuFactors::factor_reusing(work, piv).ok()?;
-        self.dense = Some(DenseNormal { nmat, d, lu });
+        self.kkt.solve_into(&self.rhs, &mut self.sol).ok()?;
+        let (sol_x, sol_y) = self.sol.split_at(dx.len());
+        dx.copy_from_slice(sol_x);
+        dy.copy_from_slice(sol_y);
         Some(())
     }
 }
@@ -362,119 +274,98 @@ mod tests {
     }
 
     #[test]
-    fn sparse_path_matches_dense_path_on_domain_lps() {
-        use crate::MehrotraPdip;
-        use memlp_lp::domains::{transportation_lp, TransportationProblem};
-        // Both normal-equations solvers with the factorization forced.
-        let solve = |lp: &LpProblem, sparse: bool| {
-            let core = || NormalEqCore {
-                sparse,
-                ..NormalEqCore::new(lp)
-            };
-            [
-                (
-                    "normal",
-                    NormalEqPdip::default().solve_on(lp, Budget::none(), core()),
-                ),
+    fn auto_path_verdicts_on_domain_lps() {
+        use crate::{MehrotraPdip, Simplex};
+        use memlp_lp::domains::{
+            max_flow_lp, production_schedule_lp, transportation_lp, MaxFlowNetwork, ProductionPlan,
+            TransportationProblem,
+        };
+        let transport = |k, seed| transportation_lp(&TransportationProblem::random(4, k, seed));
+        // (name, LP, iterations of NormalEqPdip and of MehrotraPdip). Every
+        // LP factors the same KKT LDLᵀ, sparse or dense; each solve must
+        // reach Simplex's optimum.
+        let cases = [
+            ("transport 4x9 s0", transport(9, 0), 14, 9),
+            ("transport 4x9 s1", transport(9, 1), 14, 9),
+            ("transport 4x9 s2", transport(9, 2), 13, 10),
+            ("transport 4x9 s3", transport(9, 3), 15, 10),
+            ("transport 4x24", transport(24, 1), 16, 10),
+            (
+                "routing 3x4",
+                max_flow_lp(&MaxFlowNetwork::random_layered(3, 4, 1)),
+                14,
+                6,
+            ),
+            (
+                "scheduling 4x3",
+                production_schedule_lp(&ProductionPlan::random(4, 3, 1)),
+                10,
+                10,
+            ),
+            ("paper 16", Ok(RandomLp::paper(16, 3).feasible()), 13, 7),
+        ];
+        for (name, lp, normal_iters, mehrotra_iters) in cases {
+            let lp = lp.unwrap();
+            let reference = Simplex::default().solve(&lp);
+            assert_eq!(reference.status, LpStatus::Optimal, "{name}");
+            let runs = [
+                ("normal", NormalEqPdip::default().solve(&lp), normal_iters),
                 (
                     "mehrotra",
-                    MehrotraPdip::default().solve_on(lp, Budget::none(), core()),
+                    MehrotraPdip::default().solve(&lp),
+                    mehrotra_iters,
                 ),
-            ]
-        };
-        for seed in 0..3 {
-            let lp = transportation_lp(&TransportationProblem::random(4, 9, seed)).unwrap();
-            for ((name, (dense, _)), (_, (sparse, _))) in
-                solve(&lp, false).into_iter().zip(solve(&lp, true))
-            {
-                assert_eq!(dense.status, LpStatus::Optimal, "{name} seed {seed}");
-                assert_eq!(sparse.status, LpStatus::Optimal, "{name} seed {seed}");
+            ];
+            for (solver, sol, iterations) in runs {
+                assert_eq!(sol.status, LpStatus::Optimal, "{solver} {name}");
+                assert_eq!(sol.iterations, iterations, "{solver} {name}");
                 let rel =
-                    (dense.objective - sparse.objective).abs() / (1.0 + dense.objective.abs());
-                assert!(rel < 1e-7, "{name} seed {seed}: rel {rel:.3e}");
-                assert_eq!(
-                    dense.iterations, sparse.iterations,
-                    "{name} seed {seed}: iterate counts diverged"
+                    (sol.objective - reference.objective).abs() / (1.0 + reference.objective.abs());
+                assert!(
+                    rel < 1e-6,
+                    "{solver} {name}: {} vs {}",
+                    sol.objective,
+                    reference.objective
                 );
             }
         }
     }
 
     #[test]
-    fn auto_path_verdicts_on_domain_lps() {
-        use crate::Simplex;
-        use memlp_lp::domains::{
-            max_flow_lp, production_schedule_lp, transportation_lp, MaxFlowNetwork, ProductionPlan,
-            TransportationProblem,
-        };
-        // (name, LP, the sparse KKT path runs, iterations). Every case
-        // takes its residuals through the CSR view of A, whose row sums
-        // group their terms differently from the dense product, so only
-        // the verdict, the iteration count and the objective are pinned.
-        let cases = [
-            (
-                "transport 4x9",
-                transportation_lp(&TransportationProblem::random(4, 9, 1)),
-                true,
-                14,
-            ),
-            (
-                "transport 4x24",
-                transportation_lp(&TransportationProblem::random(4, 24, 1)),
-                true,
-                16,
-            ),
-            (
-                "routing 3x4",
-                max_flow_lp(&MaxFlowNetwork::random_layered(3, 4, 1)),
-                true,
-                14,
-            ),
-            // Density 2/7 sits above the sparse threshold: the dense normal
-            // equations solve its Newton systems.
-            (
-                "scheduling 4x3",
-                production_schedule_lp(&ProductionPlan::random(4, 3, 1)),
-                false,
-                10,
-            ),
-        ];
-        for (name, lp, sparse, iterations) in cases {
-            let lp = lp.unwrap();
-            assert_eq!(sparse_newton(&lp), sparse, "{name}");
-            let sol = NormalEqPdip::default().solve(&lp);
-            assert_eq!(sol.status, LpStatus::Optimal, "{name}");
-            assert_eq!(sol.iterations, iterations, "{name}");
-            let reference = Simplex::default().solve(&lp);
-            assert_eq!(reference.status, LpStatus::Optimal, "{name}");
-            let rel =
-                (sol.objective - reference.objective).abs() / (1.0 + reference.objective.abs());
-            assert!(
-                rel < 1e-6,
-                "{name}: {} vs {}",
-                sol.objective,
-                reference.objective
-            );
+    fn converges_on_paper_256_seeds_that_stalled_the_dense_normal_equations() {
+        // The dense normal equations stopped at the 200-iteration cap on
+        // these three draws, with the primal residual frozen near 1e-6.
+        use crate::MehrotraPdip;
+        for seed in [14, 20, 23] {
+            let lp = RandomLp::paper(256, seed).feasible();
+            for sol in [
+                NormalEqPdip::default().solve(&lp),
+                MehrotraPdip::default().solve(&lp),
+            ] {
+                assert_eq!(sol.status, LpStatus::Optimal, "seed {seed}: {sol}");
+            }
         }
     }
 
     #[test]
-    fn auto_path_picks_sparse_for_sparse_problems() {
-        // Transport at 4×9 has density 2/13 → sparse; RandomLp is
-        // fully dense → dense. Both must still solve.
-        use memlp_lp::domains::{transportation_lp, TransportationProblem};
-        let sparse_lp = transportation_lp(&TransportationProblem::random(4, 9, 3)).unwrap();
-        assert!(sparse_newton(&sparse_lp));
-        let dense_lp = RandomLp::paper(16, 3).feasible();
-        assert!(!sparse_newton(&dense_lp));
-        assert_eq!(
-            NormalEqPdip::default().solve(&sparse_lp).status,
-            LpStatus::Optimal
-        );
-        assert_eq!(
-            NormalEqPdip::default().solve(&dense_lp).status,
-            LpStatus::Optimal
-        );
+    fn verdicts_on_infeasible_and_unbounded_paper_lps() {
+        use crate::MehrotraPdip;
+        for m in [10, 16, 64] {
+            for seed in 0..10 {
+                let gen = RandomLp::paper(m, seed);
+                for (lp, want) in [
+                    (gen.infeasible(), LpStatus::Infeasible),
+                    (gen.unbounded(), LpStatus::Unbounded),
+                ] {
+                    for (name, sol) in [
+                        ("normal", NormalEqPdip::default().solve(&lp)),
+                        ("mehrotra", MehrotraPdip::default().solve(&lp)),
+                    ] {
+                        assert_eq!(sol.status, want, "{name} paper({m}, {seed})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! Solvers: simplex, dense PDIP, normal-equations PDIP, Mehrotra PDIP and
 //! digital PDHG. LPs: two feasible paper instances (m = 24 and m = 48), one
-//! infeasible and one unbounded — all dense, so the normal-equations PDIP
-//! factors them densely — and a transportation LP, whose density puts the
-//! normal-equations PDIP on its sparse KKT path. Runs: plain `solve`, a
-//! `max_iters(3)` budget and a two-poll `IterationDeadline`.
+//! infeasible and one unbounded — all fully dense — and a transportation
+//! LP. Runs: plain `solve`, a `max_iters(3)` budget and a two-poll
+//! `IterationDeadline`.
 //!
 //! Each run pins its status, iteration count, budget cause and a hash of
 //! the solution bits. The expected lines were recorded before the three
@@ -45,6 +44,27 @@
 //! files `memlp solve --solver auto` is benchmarked on, and `mehrotra` on
 //! the routing LP whose KKT factorization falls back to the dense normal
 //! equations mid-solve. None of them, and no other line, moved.
+//!
+//! Twenty-eight lines were re-recorded when the normal-equations PDIP
+//! stopped forming `A·D·Aᵀ` densely and the shared loop started reading
+//! each Newton direction as an infeasibility or unboundedness ray:
+//! - `normal` and `mehrotra` on feasible24, feasible48, infeasible and
+//!   unbounded, all three runs (24 lines): these dense LPs now factor the
+//!   same KKT LDLᵀ as the sparse ones, which rounds differently. Every
+//!   feasible status and iteration count stayed. On infeasible and
+//!   unbounded the ray test fires before the iterate reaches Ω: `normal`
+//!   goes 9→6 and 22→12 iterations, `mehrotra` 5→4 and 8→5.
+//! - `dense` infeasible and unbounded `solve` (2 lines): the ray test
+//!   gives the same verdicts after 6 and 12 iterations instead of 21 and
+//!   22. The `dense` budget lines stop before the ray shows and kept
+//!   their bits.
+//! - the `normal` and `mehrotra` routing pins (2 lines): the iterations
+//!   whose LDLᵀ breaks down now refactor with a shifted diagonal instead
+//!   of falling back to the dense normal equations. Status and iteration
+//!   count stayed.
+//!
+//! The transport lines and the transport508 pins factor the same LDLᵀ as
+//! before, meet no breakdown and no ray, and kept their bits.
 
 use memlp_lp::domains::{max_flow_lp, transportation_lp, MaxFlowNetwork, TransportationProblem};
 use memlp_lp::generator::RandomLp;
@@ -135,12 +155,12 @@ fn normal_eq_kkt_fallback_snapshot() {
     let s = NormalEqPdip::default().solve(&lp);
     assert_eq!(
         line("normal", "routing12", "solve", &s, None),
-        "normal routing12 solve: Optimal iters=16 cause=None b96c1910b25a2b8c"
+        "normal routing12 solve: Optimal iters=16 cause=None b293d50e1532841e"
     );
     let s = MehrotraPdip::default().solve(&lp);
     assert_eq!(
         line("mehrotra", "routing12", "solve", &s, None),
-        "mehrotra routing12 solve: Optimal iters=8 cause=None 2bc1918090b3fcb6"
+        "mehrotra routing12 solve: Optimal iters=8 cause=None c5689e5984333e44"
     );
 }
 
@@ -183,42 +203,42 @@ const EXPECTED: &[&str] = &[
     "dense feasible48 solve: Optimal iters=13 cause=None 054ccef0937c07fe",
     "dense feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) b3cdf67e081e269e",
     "dense feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 5bc71a6781ac5a05",
-    "dense infeasible solve: Infeasible iters=21 cause=None e4ff37bdebb0c633",
+    "dense infeasible solve: Infeasible iters=6 cause=None 2eb41ef48383a05c",
     "dense infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) d953d0b3610953f5",
     "dense infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 2e192176efec2ae4",
-    "dense unbounded solve: Unbounded iters=22 cause=None 31b806e25ee04689",
+    "dense unbounded solve: Unbounded iters=12 cause=None fc01eb6e2ae4253a",
     "dense unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) e5b7c8e767d844c2",
     "dense unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f5266773193c2128",
     "dense transport solve: Optimal iters=14 cause=None 650735b6e350d98b",
     "dense transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 2294ca21e81d0df5",
     "dense transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) b72524c686cecc34",
-    "normal feasible24 solve: Optimal iters=12 cause=None 420a85d23cbfe773",
-    "normal feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) bf2cbde6d16f7c1f",
-    "normal feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) e62befd46cebd128",
-    "normal feasible48 solve: Optimal iters=13 cause=None 6593047c6f04f2f8",
-    "normal feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7d31bef5252f9593",
-    "normal feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) e34d14799eda27be",
-    "normal infeasible solve: Infeasible iters=9 cause=None 404754c5299c86c5",
-    "normal infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 41271ca109123c36",
-    "normal infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f97b03da1460236f",
-    "normal unbounded solve: Unbounded iters=22 cause=None 224c8e2034fb6d32",
-    "normal unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 7ef79d1df76ef5eb",
-    "normal unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 6057fd0bc531af7e",
+    "normal feasible24 solve: Optimal iters=12 cause=None 6cbbc867fe29076c",
+    "normal feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) d1cf4ace40ed2249",
+    "normal feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) c05c4883b7d3f9a9",
+    "normal feasible48 solve: Optimal iters=13 cause=None 79fbe0a12f461e87",
+    "normal feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 8211a13e457edd6c",
+    "normal feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 76307f90e7c36b46",
+    "normal infeasible solve: Infeasible iters=6 cause=None fa23cd4fe01f73ab",
+    "normal infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 57543c9517a52cde",
+    "normal infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 76ef23ccda9435b3",
+    "normal unbounded solve: Unbounded iters=12 cause=None 8e5e9ca593c37c7b",
+    "normal unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 781863e957423a5b",
+    "normal unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 6c1c7e4600f8f8eb",
     "normal transport solve: Optimal iters=14 cause=None d5b6c3561318a989",
     "normal transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 16fb790d0a32cd40",
     "normal transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) a63993cfa1286451",
-    "mehrotra feasible24 solve: Optimal iters=7 cause=None f930ee8f13889775",
-    "mehrotra feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 20e578c576df9e33",
-    "mehrotra feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 1630300aa27cfe51",
-    "mehrotra feasible48 solve: Optimal iters=7 cause=None 58ecb6ba1c5be850",
-    "mehrotra feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 4bcc2bb080aafc97",
-    "mehrotra feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) a4ee93f4db6a2f0b",
-    "mehrotra infeasible solve: Infeasible iters=5 cause=None 0a1836dec6c7bbc4",
-    "mehrotra infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 2d138e5f532fc540",
-    "mehrotra infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) b04940864d02584d",
-    "mehrotra unbounded solve: Unbounded iters=8 cause=None a49dab92c1cbd92e",
-    "mehrotra unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 9bdb2b9860fb93c9",
-    "mehrotra unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) db5f880b6df9266a",
+    "mehrotra feasible24 solve: Optimal iters=7 cause=None d92036999c5d6db2",
+    "mehrotra feasible24 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 3d3224d2590d76a1",
+    "mehrotra feasible24 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) e9f44b0d4e2badc1",
+    "mehrotra feasible48 solve: Optimal iters=7 cause=None f14f132d47837b1b",
+    "mehrotra feasible48 max_iters3: IterationLimit iters=3 cause=Some(MaxIters) afa53a363d8c58e7",
+    "mehrotra feasible48 deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f029389685e3af65",
+    "mehrotra infeasible solve: Infeasible iters=4 cause=None 98d8da27749a7114",
+    "mehrotra infeasible max_iters3: IterationLimit iters=3 cause=Some(MaxIters) ef4f401797634010",
+    "mehrotra infeasible deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) 88eedb206a64db7e",
+    "mehrotra unbounded solve: Unbounded iters=5 cause=None ce4b2fa72b183111",
+    "mehrotra unbounded max_iters3: IterationLimit iters=3 cause=Some(MaxIters) 33226465951b2a5b",
+    "mehrotra unbounded deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) f95bd89ca5ec0c4d",
     "mehrotra transport solve: Optimal iters=9 cause=None 4a78d49cf4c0d240",
     "mehrotra transport max_iters3: IterationLimit iters=3 cause=Some(MaxIters) ac6560bcae9ad82e",
     "mehrotra transport deadline2: IterationLimit iters=2 cause=Some(DeadlineExceeded) bef4c6e17c5994eb",

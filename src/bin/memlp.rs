@@ -23,12 +23,14 @@
 //! stuck-on and stuck-off), `--dead-line-rate` kills whole word/bit lines,
 //! `--transient-rate` flips ADC read-outs, and `--recovery` selects how far
 //! the solvers escalate when write–verify reports defects. The LP's
-//! constraint-matrix density picks the digital factorization (sparse or
-//! dense) of each Newton system. `--max-iters` caps total Newton
-//! iterations and `--timeout-iters` sets a deterministic per-solve
-//! deadline (in iteration polls); both take a count from 1 to `u32::MAX`
-//! in `solve`, `serve` and `client` alike. Either budget expiring returns
-//! the best iterate found with a `degraded:` verdict instead of failing.
+//! constraint-matrix density picks Algorithm 1's digital factorization
+//! (sparse or dense) of each Newton system; `pdip` and `mehrotra` factor
+//! the quasi-definite KKT by a sparse LDLᵀ on every LP. `--max-iters`
+//! caps total Newton iterations and `--timeout-iters` sets a
+//! deterministic per-solve deadline (in iteration polls); both take a
+//! count from 1 to `u32::MAX` in `solve`, `serve` and `client` alike.
+//! Either budget expiring returns the best iterate found with a
+//! `degraded:` verdict instead of failing.
 //! `--solver pdhg` is the matrix-free first-order backend (digital CSR),
 //! `pdhg-analog` runs the same loop on crossbar MVMs, and `auto` picks per
 //! problem: PDIP while the dense Newton core fits the
