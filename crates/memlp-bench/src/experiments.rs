@@ -1,4 +1,4 @@
-//! Shared experiment execution for the figure/table benches.
+//! Grid execution behind the §4 suite ([`crate::paper`]).
 
 use std::time::Instant;
 
@@ -117,25 +117,34 @@ pub fn infeasible_grid(kind: SolverKind, sweep: &Sweep) -> Vec<GridPoint> {
     grid(kind, sweep, true)
 }
 
+/// The §4.2 random LP of size `m` drawn from `seed`, feasible or not.
+pub(crate) fn draw(m: usize, seed: u64, infeasible: bool) -> LpProblem {
+    let gen = RandomLp::paper(m, seed);
+    if infeasible {
+        gen.infeasible()
+    } else {
+        gen.feasible()
+    }
+}
+
+/// The verdict a draw must reach to count as a success.
+pub(crate) fn expected(infeasible: bool) -> LpStatus {
+    if infeasible {
+        LpStatus::Infeasible
+    } else {
+        LpStatus::Optimal
+    }
+}
+
 fn grid(kind: SolverKind, sweep: &Sweep, infeasible: bool) -> Vec<GridPoint> {
     let mut out = Vec::new();
     for &m in &sweep.sizes {
         for &var in &sweep.variations {
             let outcomes = run_trials(sweep.trials, |trial| {
                 let seed = 1000 + m as u64 * 131 + (var as u64) * 17 + trial as u64;
-                let gen = RandomLp::paper(m, seed);
-                let lp = if infeasible {
-                    gen.infeasible()
-                } else {
-                    gen.feasible()
-                };
-                run_one(kind, &lp, var, seed ^ 0xBEEF)
+                run_one(kind, &draw(m, seed, infeasible), var, seed ^ 0xBEEF)
             });
-            let expected = if infeasible {
-                LpStatus::Infeasible
-            } else {
-                LpStatus::Optimal
-            };
+            let expected = expected(infeasible);
             let successes = outcomes.iter().filter(|o| o.status == expected).count();
             report_reference_misses(
                 &format!("{} m = {m}, {var}% variation", kind.label()),

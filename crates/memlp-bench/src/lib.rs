@@ -1,8 +1,9 @@
 #![forbid(unsafe_code)]
 //! Benchmark harness reproducing the paper's evaluation (§4).
 //!
-//! Every figure and table has a dedicated bench target (see DESIGN.md §5
-//! for the experiment index); this library holds the shared machinery:
+//! [`paper::run`] (bench target `paper_eval`) regenerates every §4
+//! figure and table in one pass; the ablation and gate benches share the
+//! rest of this library (see DESIGN.md §5 for the experiment index):
 //!
 //! * [`Sweep`] — the §4.2 experimental grid (constraint counts swept
 //!   exponentially 4…1024, n = m/3, variation ∈ {0, 5, 10, 20}%, repeated
@@ -18,6 +19,7 @@
 //!   the constant implied by its 218.1 J / 6.23 s figures).
 
 pub mod experiments;
+pub mod paper;
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -36,21 +38,17 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// The default grid: a fast subset unless `MEMLP_FULL=1`.
-    ///
-    /// `heavy_limit` caps the largest size for expensive solvers (the
-    /// simulator pays O(N³) where the hardware would pay O(1); Algorithm 1
-    /// at m = 1024 costs ~20 s of simulation per trial).
-    pub fn paper(heavy_limit: usize) -> Sweep {
+    /// The default grid: m ≤ 256 and 3 trials unless `MEMLP_FULL=1`,
+    /// which adds m = 1024 and runs 10 trials.
+    pub fn paper() -> Sweep {
         let full = std::env::var("MEMLP_FULL")
             .map(|v| v == "1")
             .unwrap_or(false);
-        let mut sizes: Vec<usize> = if full {
+        let sizes = if full {
             vec![4, 16, 64, 256, 1024]
         } else {
             vec![4, 16, 64, 256]
         };
-        sizes.retain(|&m| m <= heavy_limit);
         let trials = trials(if full { 10 } else { 3 });
         Sweep {
             sizes,
@@ -290,10 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_respects_heavy_limit() {
-        let s = Sweep::paper(256);
-        assert!(s.sizes.iter().all(|&m| m <= 256));
-        assert!(!s.sizes.is_empty());
+    fn paper_sweep_spans_the_grid() {
+        let s = Sweep::paper();
+        assert_eq!(s.sizes[..4], [4, 16, 64, 256]);
         assert_eq!(s.variations, vec![0.0, 5.0, 10.0, 20.0]);
     }
 

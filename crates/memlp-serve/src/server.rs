@@ -7,13 +7,17 @@
 //! race a drain get a structured `Error`/`Overloaded` response, never a
 //! dropped connection with work silently discarded.
 //!
+//! The accept loop blocks in `accept`; whatever stops the server (a
+//! drain, [`ServerHandle::shutdown`] or dropping the handle) sets the
+//! stop flag and then wakes it with one connection to the bound address.
+//!
 //! Sizing note: one worker serving sequential requests is end-to-end
 //! deterministic (iteration-tick deadlines, seeded hardware); more
 //! workers trade that for throughput, which is the serve path's analogue
 //! of the batch API's thread-count invariance caveat.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -26,8 +30,9 @@ use crate::config::ServeConfig;
 use crate::queue::{JobQueue, PushError};
 use crate::worker::{run_worker, QueuedJob};
 
-/// Interval the accept loop polls for shutdown between connections.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Pause after a failed `accept` (e.g. out of file descriptors) so the
+/// loop does not spin while the condition lasts.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Monotonic service counters, shared by workers and connections.
 #[derive(Debug, Default)]
@@ -81,6 +86,7 @@ impl ServerStats {
 
 struct Shared {
     config: ServeConfig,
+    addr: SocketAddr,
     queue: JobQueue<QueuedJob>,
     stats: ServerStats,
     draining: AtomicBool,
@@ -101,6 +107,20 @@ impl Shared {
             completed: self.stats.completed(),
             rejected: self.stats.rejected(),
         }
+    }
+
+    /// Stops the accept loop: sets the flag it checks after every
+    /// `accept`, then connects once so a blocked `accept` returns.
+    fn stop_accepting(&self) {
+        self.stop.store(true, Ordering::Release);
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(addr);
     }
 
     /// Blocks until every worker thread has exited its loop.
@@ -135,9 +155,9 @@ impl Server {
             ..config
         };
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
+            addr: local,
             queue: JobQueue::new(config.queue_depth),
             stats: ServerStats::default(),
             draining: AtomicBool::new(false),
@@ -219,9 +239,9 @@ impl ServerHandle {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
         self.shared.queue.close();
         if let Some(accept) = self.accept.take() {
+            self.shared.stop_accepting();
             let _ = accept.join();
         }
         self.join_workers();
@@ -242,10 +262,13 @@ impl Drop for ServerHandle {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
+        // Checked after `accept` returns: the wake-up connection that
+        // follows every stop lands here and is dropped unserved.
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let shared = Arc::clone(&shared);
                 // Connection threads are detached: they exit when the
@@ -254,15 +277,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 // waiting on a solve.
                 thread::spawn(move || handle_connection(stream, shared));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_nonblocking(false);
     loop {
         let request = match read_request(&mut stream) {
             Ok(req) => req,
@@ -300,7 +321,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                     completed: shared.stats.completed(),
                 };
                 let _ = write_frame(&mut stream, &encode_response(&resp));
-                shared.stop.store(true, Ordering::Release);
+                shared.stop_accepting();
                 return;
             }
         }

@@ -66,7 +66,10 @@
 //! The transport lines and the transport508 pins factor the same LDLᵀ as
 //! before, meet no breakdown and no ray, and kept their bits.
 
-use memlp_lp::domains::{max_flow_lp, transportation_lp, MaxFlowNetwork, TransportationProblem};
+use memlp_lp::domains::{
+    assignment_lp, max_flow_lp, transportation_lp, AssignmentProblem, MaxFlowNetwork,
+    TransportationProblem,
+};
 use memlp_lp::generator::RandomLp;
 use memlp_lp::{LpProblem, LpSolution};
 use memlp_solvers::{
@@ -178,6 +181,29 @@ fn normal_eq_transport_4x508_snapshot() {
             "normal transport508 solve: Optimal iters=22 cause=None b9b0fd6fb4ec8230",
             "mehrotra transport508 solve: Optimal iters=15 cause=None 10fe98cd0fb6a7c8",
         ]
+    );
+}
+
+/// A known stall of the normal-equations PDIP: on this assignment draw it
+/// ends `IterationLimit` at its 200-iteration cap with the duality gap
+/// near 2e-6, while Mehrotra PDIP on the same Newton core converges. The
+/// pin records the defect as it stands; a fix moves the `normal` line.
+#[test]
+fn normal_eq_assignment16_stall_snapshot() {
+    let lp = assignment_lp(&AssignmentProblem::random(16, 12)).expect("valid domain");
+    let normal = NormalEqPdip::default().solve(&lp);
+    let mehrotra = MehrotraPdip::default().solve(&lp);
+    assert_eq!(
+        [
+            line("normal", "assignment16", "solve", &normal, None),
+            line("mehrotra", "assignment16", "solve", &mehrotra, None),
+        ],
+        [
+            "normal assignment16 solve: IterationLimit iters=200 cause=None a956ebae266b69f8",
+            "mehrotra assignment16 solve: Optimal iters=10 cause=None e4556a8ac36fea20",
+        ],
+        "normal gap {:e}",
+        normal.duality_gap
     );
 }
 
