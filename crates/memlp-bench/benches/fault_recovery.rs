@@ -6,9 +6,11 @@
 //! paper's Fig 5 envelope (rel err ≤ 0.10); with recovery disabled the same
 //! seeds fail or leave the envelope. The sweep mirrors the
 //! `fault_recovery` acceptance test so CI archives the evidence as
-//! `BENCH_fault_recovery.json` at the repository root (hand-rolled JSON —
-//! no serde in the offline dependency set).
+//! `BENCH_fault_recovery.json` at the repository root. Every field is
+//! deterministic: the run fails when one moved against the committed file.
 
+use memlp_bench::artifact::{self, quote, Rows};
+use memlp_bench::obj;
 use memlp_core::{
     CrossbarPdipSolver, CrossbarSolution, CrossbarSolverOptions, LargeScaleOptions,
     LargeScaleSolver, RecoveryPolicy,
@@ -23,18 +25,6 @@ const ENVELOPE: f64 = 0.10;
 const M: usize = 24;
 const ALG1_SEEDS: [u64; 4] = [2, 4, 9, 12];
 const ALG2_SEEDS: [u64; 3] = [2, 3, 7];
-
-struct Row {
-    alg: &'static str,
-    seed: u64,
-    policy: &'static str,
-    status: LpStatus,
-    rel_err: f64,
-    fault_events: usize,
-    escalations: usize,
-    digital_fallback: bool,
-    in_envelope: bool,
-}
 
 /// 1% total stuck cells plus ~one dead word line per array — the ISSUE's
 /// acceptance operating point, identical to the `fault_recovery` test.
@@ -71,10 +61,6 @@ fn solve(alg: &'static str, seed: u64, lp: &LpProblem, policy: RecoveryPolicy) -
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     println!("fault-recovery sweep: m = {M}, 1% stuck cells + ~1 dead line per array");
     println!();
@@ -83,7 +69,9 @@ fn main() {
         "alg", "seed", "policy", "status", "rel err %", "events", "escal", "fallback"
     );
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows = Vec::new();
+    // Seeds inside the envelope with the ladder on (index 0) and off (1).
+    let mut in_envelope = [0usize; 2];
     let cases: Vec<(&'static str, u64)> = ALG1_SEEDS
         .iter()
         .map(|&s| ("alg1", s))
@@ -92,48 +80,44 @@ fn main() {
     for &(alg, seed) in &cases {
         let lp = RandomLp::paper(M, 900 + seed).feasible();
         let reference = NormalEqPdip::default().solve(&lp);
-        for (policy, name) in [
+        for (i, (policy, name)) in [
             (RecoveryPolicy::Full, "full"),
             (RecoveryPolicy::Disabled, "disabled"),
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let r = solve(alg, seed, &lp, policy);
+            let status = r.solution.status;
             let rel_err = (r.solution.objective - reference.objective).abs()
                 / (1.0 + reference.objective.abs());
             let escalations = r.recovery.escalations();
-            let row = Row {
-                alg,
-                seed,
-                policy: name,
-                status: r.solution.status,
-                rel_err,
-                fault_events: r.recovery.events.len() - escalations,
-                escalations,
-                digital_fallback: r.recovery.used_digital_fallback(),
-                in_envelope: r.solution.status == LpStatus::Optimal && rel_err <= ENVELOPE,
-            };
+            let fault_events = r.recovery.events.len() - escalations;
+            let fallback = r.recovery.used_digital_fallback();
+            let ok = status == LpStatus::Optimal && rel_err <= ENVELOPE;
+            in_envelope[i] += usize::from(ok);
             println!(
-                "{:>5} {:>5} {:>9} {:>17} {:>10.3} {:>7} {:>6} {:>9}",
-                row.alg,
-                row.seed,
-                row.policy,
-                format!("{:?}", row.status),
-                row.rel_err * 100.0,
-                row.fault_events,
-                row.escalations,
-                if row.digital_fallback { "yes" } else { "no" },
+                "{alg:>5} {seed:>5} {name:>9} {:>17} {:>10.3} {fault_events:>7} {escalations:>6} {:>9}",
+                format!("{status:?}"),
+                rel_err * 100.0,
+                if fallback { "yes" } else { "no" },
             );
-            rows.push(row);
+            // NaN (a failed solve has no finite objective) is not valid JSON.
+            let rel_err = if rel_err.is_finite() {
+                format!("{rel_err:.6}")
+            } else {
+                String::from("null")
+            };
+            rows.push(obj! {
+                alg: quote(alg), seed: seed, policy: quote(name),
+                status: quote(&format!("{status:?}")), rel_err: rel_err,
+                fault_events: fault_events, escalations: escalations,
+                digital_fallback: fallback, in_envelope: ok,
+            });
         }
     }
 
-    let recovered = rows
-        .iter()
-        .filter(|r| r.policy == "full" && r.in_envelope)
-        .count();
-    let unrecovered_ok = rows
-        .iter()
-        .filter(|r| r.policy == "disabled" && r.in_envelope)
-        .count();
+    let [recovered, unrecovered_ok] = in_envelope;
     println!();
     println!(
         "recovery on : {recovered}/{} seeds Optimal within envelope",
@@ -145,65 +129,18 @@ fn main() {
     );
     let gate_pass = recovered == cases.len() && unrecovered_ok == 0;
 
-    // --- BENCH_fault_recovery.json at the repository root.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"fault_recovery\",\n");
-    json.push_str(&format!(
-        "  \"suite\": \"RandomLp::paper(m={M}), 1% stuck cells + dead-line rate 0.04\",\n"
-    ));
-    json.push_str(&format!("  \"envelope_rel_err\": {ENVELOPE},\n"));
-    json.push_str(&format!(
-        "  \"note\": \"{}\",\n",
-        json_escape(
+    let doc = obj! {
+        bench: quote("fault_recovery"),
+        suite: quote(&format!("RandomLp::paper(m={M}), 1% stuck cells + dead-line rate 0.04")),
+        envelope_rel_err: ENVELOPE,
+        note: quote(
             "each seed is solved twice on identical fault plans: recovery ladder on \
              (reprogram weak cells -> remap to spares -> variation redraw -> digital \
-             fallback) then off; deterministic, so reruns reproduce these rows exactly"
-        )
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        // NaN (a failed solve has no finite objective) is not valid JSON.
-        let rel_err = if r.rel_err.is_finite() {
-            format!("{:.6}", r.rel_err)
-        } else {
-            String::from("null")
-        };
-        json.push_str(&format!(
-            "    {{\"alg\": \"{}\", \"seed\": {}, \"policy\": \"{}\", \"status\": \"{:?}\", \
-             \"rel_err\": {}, \"fault_events\": {}, \"escalations\": {}, \
-             \"digital_fallback\": {}, \"in_envelope\": {}}}{}\n",
-            r.alg,
-            r.seed,
-            r.policy,
-            r.status,
-            rel_err,
-            r.fault_events,
-            r.escalations,
-            r.digital_fallback,
-            r.in_envelope,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"recovered_in_envelope\": \"{recovered}/{}\",\n",
-        cases.len()
-    ));
-    json.push_str(&format!(
-        "  \"unrecovered_in_envelope\": \"{unrecovered_ok}/{}\",\n",
-        cases.len()
-    ));
-    json.push_str(&format!("  \"gate_pass\": {gate_pass}\n}}\n"));
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_fault_recovery.json");
-    std::fs::write(&path, &json).expect("write BENCH_fault_recovery.json");
-    println!("wrote {}", path.display());
-
-    assert!(
-        gate_pass,
-        "fault-recovery gate failed: ladder on {recovered}/{} in envelope, \
-         ladder off {unrecovered_ok} (must be 0)",
-        cases.len()
-    );
+             fallback) then off; deterministic, so reruns reproduce these rows exactly",
+        ),
+        rows: Rows(rows),
+        recovered_in_envelope: quote(&format!("{recovered}/{}", cases.len())),
+        unrecovered_in_envelope: quote(&format!("{unrecovered_ok}/{}", cases.len())),
+    };
+    artifact::finish("BENCH_fault_recovery.json", doc, gate_pass);
 }

@@ -10,13 +10,16 @@
 //! identical between the two columns (enforced by
 //! `memlp-core/tests/delta_identity.rs`); only the cost ledger moves.
 //!
-//! Emits `BENCH_incremental.json` at the repository root (hand-rolled
-//! JSON — no serde in the offline dependency set). The headline metric is
-//! the reduction in cells written after initial programming
-//! (`update_writes`), which CI guards against regression.
+//! Emits `BENCH_incremental.json` at the repository root. The headline
+//! metric is the reduction in cells written after initial programming
+//! (`update_writes`), which CI guards against regression; every field but
+//! the wall-clock `seconds` is deterministic and must match the committed
+//! file.
 
 use std::time::Instant;
 
+use memlp_bench::artifact::{self, quote};
+use memlp_bench::obj;
 use memlp_core::{CrossbarPdipSolver, CrossbarSolverOptions};
 use memlp_crossbar::CrossbarConfig;
 use memlp_device::CostParams;
@@ -128,45 +131,26 @@ fn main() {
     let within_budget = cells_written as f64 <= BASELINE_CELLS_WRITTEN as f64 * 1.10;
     let gate_pass = reduction_ok && within_budget;
 
-    // --- BENCH_incremental.json at the repository root.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"incremental\",\n");
-    json.push_str(&format!(
-        "  \"suite\": \"RandomLp::paper(m={M}), Algorithm 1, 5% variation, refresh every {REFRESH_EVERY} iters, {} LPs\",\n",
-        lps.len()
-    ));
-    for (name, c) in [("full_reprogram", &full), ("delta", &delta)] {
-        json.push_str(&format!(
-            "  \"{name}\": {{\"setup_writes\": {}, \"update_writes\": {}, \"skipped_writes\": {}, \"rebuilds_avoided\": {}, \"energy_mj\": {:.3}, \"seconds\": {:.6}}},\n",
-            c.setup, c.update, c.skipped, c.reuse, c.energy_j * 1e3, c.secs
-        ));
-    }
-    json.push_str(&format!(
-        "  \"update_write_reduction\": {update_reduction:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"total_write_reduction\": {total_reduction:.4},\n"
-    ));
-    json.push_str(&format!("  \"energy_reduction\": {energy_reduction:.4},\n"));
-    json.push_str(&format!("  \"cells_written\": {cells_written},\n"));
-    json.push_str(&format!(
-        "  \"baseline_cells_written\": {BASELINE_CELLS_WRITTEN},\n"
-    ));
-    json.push_str(&format!("  \"within_budget\": {within_budget},\n"));
-    json.push_str(&format!("  \"gate_pass\": {gate_pass}\n}}\n"));
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_incremental.json");
-    std::fs::write(&path, &json).expect("write BENCH_incremental.json");
-    println!("wrote {}", path.display());
-
-    assert!(
-        reduction_ok,
-        "delta programming must cut post-setup writes by >= 50% (got {:.1}%)",
-        update_reduction * 100.0
-    );
-    assert!(
-        within_budget,
-        "cells written ({cells_written}) exceeds baseline ({BASELINE_CELLS_WRITTEN}) by more than 10%"
-    );
+    let column = |c: &Column| {
+        obj! {
+            setup_writes: c.setup, update_writes: c.update, skipped_writes: c.skipped,
+            rebuilds_avoided: c.reuse, energy_mj: format!("{:.3}", c.energy_j * 1e3),
+            ~seconds: format!("{:.6}", c.secs),
+        }
+    };
+    let doc = obj! {
+        bench: quote("incremental"),
+        suite: quote(&format!(
+            "RandomLp::paper(m={M}), Algorithm 1, 5% variation, refresh every \
+             {REFRESH_EVERY} iters, {} LPs",
+            lps.len()
+        )),
+        full_reprogram: column(&full), delta: column(&delta),
+        update_write_reduction: format!("{update_reduction:.4}"),
+        total_write_reduction: format!("{total_reduction:.4}"),
+        energy_reduction: format!("{energy_reduction:.4}"),
+        cells_written: cells_written, baseline_cells_written: BASELINE_CELLS_WRITTEN,
+        within_budget: within_budget,
+    };
+    artifact::finish("BENCH_incremental.json", doc, gate_pass);
 }

@@ -7,6 +7,9 @@
 //! (`with_threads(1)`) so they measure instruction-level throughput, not
 //! the thread pool.
 //!
+//! It also prints the median time of the §3.2 sign split of a paper LP
+//! at m ∈ {64, 256} (stdout only).
+//!
 //! Emits `BENCH_kernels.json` at the repository root and *asserts*:
 //!   * every measured rate is physically sane (0.01–1000 GF/s — the
 //!     flop-rate assertion that catches a mis-counted flops model), and
@@ -22,8 +25,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use memlp_bench::artifact::{self, quote, Rows};
+use memlp_bench::{fmt_time, median, obj};
+use memlp_core::SignSplit;
 use memlp_linalg::parallel::{self, with_threads, MIN_FLOPS_PER_THREAD};
 use memlp_linalg::{LuFactors, Matrix, SparseMatrix};
+use memlp_lp::generator::RandomLp;
 
 /// Tiled-over-naive speedup the m = 512 dense matvec must clear.
 const GATE_MIN_SPEEDUP: f64 = 2.0;
@@ -61,11 +68,6 @@ fn band_matrix(n: usize) -> SparseMatrix {
         }
     }
     SparseMatrix::from_triplets(n, n, &triplets).expect("valid band pattern")
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// Median GF/s of `f`, which performs `flops` floating-point operations
@@ -307,6 +309,21 @@ fn measure_cutoff(tiled_matvec_gflops: f64) -> (f64, f64) {
     (overhead, implied)
 }
 
+/// Median wall time of the §3.2 sign split of a paper LP's `A` — the
+/// host-side transform before programming; stdout only.
+fn sign_split_secs(m: usize) -> f64 {
+    let lp = RandomLp::paper(m, 1).feasible();
+    median(
+        (0..15)
+            .map(|_| {
+                let t = Instant::now();
+                black_box(SignSplit::split(black_box(lp.a())));
+                t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
 fn main() {
     println!("register-tiled kernel microbench (single-thread rates, GF/s)");
     println!();
@@ -325,6 +342,10 @@ fn main() {
             r.tiled,
             r.speedup()
         );
+    }
+
+    for m in [64, 256] {
+        println!("sign_split@{m}: {} per split", fmt_time(sign_split_secs(m)));
     }
 
     let gate_row = rows
@@ -381,58 +402,38 @@ fn main() {
         gate_trials.len()
     );
 
-    // --- BENCH_kernels.json at the repository root.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"kernel_tiles\",\n");
-    json.push_str("  \"suite\": \"register-tiled digital kernels, single-thread flop rates\",\n");
-    json.push_str(&format!("  \"gate_min_speedup\": {GATE_MIN_SPEEDUP},\n"));
-    json.push_str("  \"gate_row\": \"matvec@512 tiled vs naive scalar\",\n");
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"m\": {}, \"flops\": {}, \
-             \"naive_gflops\": {:.3}, \"tiled_gflops\": {:.3}, \
-             \"speedup_vs_naive\": {:.3}}}{}\n",
-            r.kernel,
-            r.m,
-            r.flops,
-            r.naive,
-            r.tiled,
-            r.speedup(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"threading_cutoff\": {{\"min_flops_per_thread\": {MIN_FLOPS_PER_THREAD}, \
-         \"tiled_matvec_gflops\": {:.3}, \"dispatch_overhead_secs\": {:.3e}, \
-         \"implied_cutoff_flops\": {:.0}, \"method\": \"single-thread tiled matvec rate \
-         times the measured two-worker par_bands dispatch wall cost; the constant is \
-         that product rounded up to a power of two so a spawned worker amortizes at \
-         least one dispatch of work\"}},\n",
-        gate_row.tiled, overhead, implied
-    ));
-    json.push_str("  \"gate_trials\": [\n");
-    for (i, (nv, td)) in gate_trials.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"naive_gflops\": {nv:.3}, \"tiled_gflops\": {td:.3}, \
-             \"speedup\": {:.3}}}{}\n",
-            td / nv,
-            if i + 1 < gate_trials.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"gate_speedup\": {gate_speedup:.3},\n"));
-    json.push_str(&format!("  \"gate_pass\": {gate_pass}\n}}\n"));
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_kernels.json");
-    std::fs::write(&path, &json).expect("write BENCH_kernels.json");
-    println!("wrote {}", path.display());
-
-    assert!(
-        gate_pass,
-        "kernel gate failed: tiled m=512 matvec is {gate_speedup:.2}x the naive \
-         scalar baseline (need >= {GATE_MIN_SPEEDUP}x)"
-    );
+    let rows_json = rows.iter().map(|r| {
+        obj! {
+            kernel: quote(r.kernel), m: r.m, flops: r.flops,
+            ~naive_gflops: format!("{:.3}", r.naive), ~tiled_gflops: format!("{:.3}", r.tiled),
+            ~speedup_vs_naive: format!("{:.3}", r.speedup()),
+        }
+    });
+    let trials_json = gate_trials.iter().map(|(nv, td)| {
+        obj! {
+            naive_gflops: format!("{nv:.3}"), tiled_gflops: format!("{td:.3}"),
+            speedup: format!("{:.3}", td / nv),
+        }
+    });
+    let doc = obj! {
+        bench: quote("kernel_tiles"),
+        suite: quote("register-tiled digital kernels, single-thread flop rates"),
+        gate_min_speedup: GATE_MIN_SPEEDUP,
+        gate_row: quote("matvec@512 tiled vs naive scalar"),
+        rows: Rows(rows_json.collect()),
+        threading_cutoff: obj! {
+            min_flops_per_thread: MIN_FLOPS_PER_THREAD,
+            ~tiled_matvec_gflops: format!("{:.3}", gate_row.tiled),
+            ~dispatch_overhead_secs: format!("{overhead:.3e}"),
+            ~implied_cutoff_flops: format!("{implied:.0}"),
+            method: quote(
+                "single-thread tiled matvec rate times the measured two-worker par_bands \
+                 dispatch wall cost; the constant is that product rounded up to a power of \
+                 two so a spawned worker amortizes at least one dispatch of work",
+            ),
+        },
+        ~gate_trials: Rows(trials_json.collect()),
+        ~gate_speedup: format!("{gate_speedup:.3}"),
+    };
+    artifact::finish("BENCH_kernels.json", doc, gate_pass);
 }

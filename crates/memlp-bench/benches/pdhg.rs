@@ -1,7 +1,9 @@
 //! First-order backend study: PDIP vs PDHG past the dense-core wall
 //! (DESIGN.md §17).
 //!
-//! Three measurements, one JSON artifact (`BENCH_pdhg.json`):
+//! Three measurements, one JSON artifact (`BENCH_pdhg.json`; its
+//! wall-clock `seconds` and crossover `winner`s are host-dependent, every
+//! other field must match the committed file):
 //!
 //! 1. **Crossover** — every memlp-lp domain at m ∈ {128, 512}, digital
 //!    NormalEqPdip vs digital PdhgSolver at a *shared* KKT tolerance
@@ -24,14 +26,11 @@
 
 use std::time::Instant;
 
-use memlp_bench::fmt_time;
+use memlp_bench::artifact::{self, quote, Obj, Rows};
+use memlp_bench::{domain_lp, fmt_time, obj, DOMAINS};
 use memlp_core::{CrossbarPdhgOptions, CrossbarPdhgSolver, DENSE_CORE_LIMIT_BYTES};
 use memlp_crossbar::CrossbarConfig;
 use memlp_device::CostParams;
-use memlp_lp::domains::{
-    assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp, AssignmentProblem,
-    MaxFlowNetwork, ProductionPlan, TransportationProblem,
-};
 use memlp_lp::{LpProblem, LpStatus};
 use memlp_solvers::pdhg::{PdhgOptions, PdhgSolver};
 use memlp_solvers::{Budget, LpSolver, NormalEqPdip, PdipOptions};
@@ -46,24 +45,6 @@ fn shared_pdip_options() -> PdipOptions {
         eps_gap: TOL,
         ..PdipOptions::default()
     }
-}
-
-/// Domain instances sized to `m_target` constraints (same constructors
-/// and seed as the sparse-Newton study, so rows are comparable across
-/// benches).
-fn build(domain: &'static str, m_target: usize) -> LpProblem {
-    let lp = match (domain, m_target) {
-        ("transport", 128) => transportation_lp(&TransportationProblem::random(4, 124, 21)),
-        ("transport", 512) => transportation_lp(&TransportationProblem::random(4, 508, 21)),
-        ("routing", 128) => max_flow_lp(&MaxFlowNetwork::random_layered(6, 6, 21)),
-        ("routing", 512) => max_flow_lp(&MaxFlowNetwork::random_layered(12, 12, 21)),
-        ("scheduling", 128) => production_schedule_lp(&ProductionPlan::random(8, 120, 21)),
-        ("scheduling", 512) => production_schedule_lp(&ProductionPlan::random(8, 504, 21)),
-        ("assignment", 128) => assignment_lp(&AssignmentProblem::random(64, 21)),
-        ("assignment", 512) => assignment_lp(&AssignmentProblem::random(256, 21)),
-        _ => unreachable!("unknown bench row"),
-    };
-    lp.expect("valid domain instance")
 }
 
 struct SolveRecord {
@@ -109,59 +90,49 @@ fn run_pdhg_with(lp: &LpProblem, equilibrate: bool) -> SolveRecord {
     }
 }
 
-fn fmt_record(r: &SolveRecord) -> String {
-    let mut s = format!(
-        "{{\"seconds\": {:.6}, \"iterations\": {}, \"status\": \"{}\"",
-        r.secs, r.iterations, r.status
-    );
-    if let Some(m) = r.mvms {
-        s.push_str(&format!(", \"mvms\": {m}"));
+fn record(r: &SolveRecord) -> Obj {
+    let mut o = obj! {
+        ~seconds: format!("{:.6}", r.secs), iterations: r.iterations,
+        status: quote(&r.status.to_string()),
+    };
+    if let (Some(mvms), Some(restarts)) = (r.mvms, r.restarts) {
+        o = o
+            .field("mvms", false, mvms)
+            .field("restarts", false, restarts);
     }
-    if let Some(rs) = r.restarts {
-        s.push_str(&format!(", \"restarts\": {rs}"));
-    }
-    s.push('}');
-    s
-}
-
-struct AnalogRow {
-    domain: &'static str,
-    m: usize,
-    n: usize,
-    verdict_analog: LpStatus,
-    verdict_digital: LpStatus,
-    agree: bool,
-    mvms: u64,
-    setup_writes: u64,
-    update_writes: u64,
-    energy_mj: f64,
+    o
 }
 
 /// Runs the analog crossbar PDHG and the digital loop at the *analog*
-/// default tolerances on the same instance; verdicts must match.
-fn analog_row(domain: &'static str, lp: &LpProblem) -> AnalogRow {
+/// default tolerances on the same instance, prints the row and returns
+/// it with whether the verdicts agree and the run phase wrote no cell.
+fn analog_row(domain: &'static str, lp: &LpProblem) -> (Obj, bool, bool) {
     let opts = CrossbarPdhgOptions::default();
-    let analog = CrossbarPdhgSolver::new(
-        CrossbarConfig::paper_default()
-            .with_variation(5.0)
-            .with_seed(21),
-        opts,
-    )
-    .solve(lp);
+    let config = CrossbarConfig::paper_default()
+        .with_variation(5.0)
+        .with_seed(21);
+    let analog = CrossbarPdhgSolver::new(config, opts).solve(lp);
     let digital = PdhgSolver::new(opts.pdhg).solve(lp);
     let c = analog.ledger.counts();
-    AnalogRow {
-        domain,
-        m: lp.num_constraints(),
-        n: lp.num_vars(),
-        verdict_analog: analog.solution.status,
-        verdict_digital: digital.status,
-        agree: analog.solution.status == digital.status,
-        mvms: c.mvm_ops,
-        setup_writes: c.setup_writes,
-        update_writes: c.update_writes,
-        energy_mj: analog.ledger.energy_j(&CostParams::default()) * 1e3,
-    }
+    let (m, n) = (lp.num_constraints(), lp.num_vars());
+    let (verdict_analog, verdict_digital) = (analog.solution.status, digital.status);
+    let agree = verdict_analog == verdict_digital;
+    let energy_mj = analog.ledger.energy_j(&CostParams::default()) * 1e3;
+    println!(
+        "{domain:>11} {m:>5} {n:>6} {:>10} {:>10} {:>8} {:>8} {energy_mj:>10.3}",
+        verdict_analog.to_string(),
+        verdict_digital.to_string(),
+        c.mvm_ops,
+        c.setup_writes,
+    );
+    let row = obj! {
+        domain: quote(domain), m: m, n: n,
+        verdict_analog: quote(&verdict_analog.to_string()),
+        verdict_digital: quote(&verdict_digital.to_string()), agree: agree,
+        mvms: c.mvm_ops, setup_writes: c.setup_writes, update_writes: c.update_writes,
+        energy_mj: format!("{energy_mj:.3}"),
+    };
+    (row, agree, c.update_writes == 0)
 }
 
 /// The digital PDHG working set: the CSR matrix (values plus column
@@ -184,32 +155,24 @@ fn main() {
         "domain", "m", "n", "pdip", "iters", "pdhg", "iters", "mvms", "winner"
     );
 
-    let mut crossover = String::new();
-    let mut equilibration = String::new();
+    let mut crossover = Vec::new();
+    let mut equilibration = Vec::new();
     let mut all_verdicts_ok = true;
-    let domains = ["transport", "routing", "scheduling", "assignment"];
-    let mut first = true;
     for &m_target in &[128usize, 512] {
-        for domain in domains {
-            let lp = build(domain, m_target);
+        for domain in DOMAINS {
+            let lp = domain_lp(domain, m_target);
             let pdip = run_pdip(&lp);
             let pdhg = run_pdhg(&lp);
             // Equilibration study: the same loop with the pre-step off.
             // Positive delta = iterations the row scaling saves.
             let raw = run_pdhg_with(&lp, false);
-            if !equilibration.is_empty() {
-                equilibration.push_str(",\n");
-            }
-            equilibration.push_str(&format!(
-                "    {{\"domain\": \"{domain}\", \"m_target\": {m_target}, \
-                 \"iterations_equilibrated\": {}, \"status_equilibrated\": \"{}\", \
-                 \"iterations_raw\": {}, \"status_raw\": \"{}\", \"iters_delta\": {}}}",
-                pdhg.iterations,
-                pdhg.status,
-                raw.iterations,
-                raw.status,
-                raw.iterations as i64 - pdhg.iterations as i64,
-            ));
+            equilibration.push(obj! {
+                domain: quote(domain), m_target: m_target,
+                iterations_equilibrated: pdhg.iterations,
+                status_equilibrated: quote(&pdhg.status.to_string()),
+                iterations_raw: raw.iterations, status_raw: quote(&raw.status.to_string()),
+                iters_delta: raw.iterations as i64 - pdhg.iterations as i64,
+            });
             // Both solvers must deliver at the shared tolerance for the
             // comparison to mean anything.
             all_verdicts_ok &= pdip.status == LpStatus::Optimal;
@@ -229,24 +192,16 @@ fn main() {
                 pdhg.iterations,
                 pdhg.mvms.unwrap_or(0),
             );
-            if !first {
-                crossover.push_str(",\n");
-            }
-            first = false;
-            crossover.push_str(&format!(
-                "    {{\"domain\": \"{domain}\", \"m_target\": {m_target}, \"m\": {}, \
-                 \"n\": {}, \"nnz\": {}, \"pdip\": {}, \"pdhg\": {}, \"winner\": \"{winner}\"}}",
-                lp.num_constraints(),
-                lp.num_vars(),
-                lp.sparse_a().nnz(),
-                fmt_record(&pdip),
-                fmt_record(&pdhg),
-            ));
+            crossover.push(obj! {
+                domain: quote(domain), m_target: m_target, m: lp.num_constraints(),
+                n: lp.num_vars(), nnz: lp.sparse_a().nnz(), pdip: record(&pdip),
+                pdhg: record(&pdhg), ~winner: quote(winner),
+            });
         }
     }
 
     // --- Headline: assignment at k = 256, past the dense-core wall.
-    let lp = build("assignment", 512);
+    let lp = domain_lp("assignment", 512);
     let dense_core_dim = (lp.num_vars() + lp.num_constraints()) as u64;
     let dense_core_bytes = 8 * dense_core_dim * dense_core_dim;
     let workset = pdhg_workset_bytes(&lp);
@@ -277,86 +232,40 @@ fn main() {
     let mut analog_rows = Vec::new();
     let mut all_agree = true;
     let mut run_writes_free = true;
-    for domain in domains {
-        let lp = build(domain, 128);
-        let row = analog_row(domain, &lp);
-        println!(
-            "{:>11} {:>5} {:>6} {:>10} {:>10} {:>8} {:>8} {:>10.3}",
-            row.domain,
-            row.m,
-            row.n,
-            row.verdict_analog.to_string(),
-            row.verdict_digital.to_string(),
-            row.mvms,
-            row.setup_writes,
-            row.energy_mj
-        );
-        all_agree &= row.agree;
-        run_writes_free &= row.update_writes == 0;
+    for domain in DOMAINS {
+        let (row, agree, writes_free) = analog_row(domain, &domain_lp(domain, 128));
+        all_agree &= agree;
+        run_writes_free &= writes_free;
         analog_rows.push(row);
     }
 
     let gate_pass = all_verdicts_ok && headline_gate && all_agree && run_writes_free;
 
-    // --- BENCH_pdhg.json at the repository root.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"pdhg\",\n");
-    json.push_str(
-        "  \"suite\": \"first-order backend: PDIP-vs-PDHG crossover, dense-wall headline, \
-         analog verdict agreement\",\n",
-    );
-    json.push_str(&format!("  \"shared_tolerance\": {TOL:e},\n"));
-    json.push_str("  \"crossover\": [\n");
-    json.push_str(&crossover);
-    json.push_str("\n  ],\n");
-    json.push_str("  \"equilibration\": [\n");
-    json.push_str(&equilibration);
-    json.push_str("\n  ],\n");
-    json.push_str(&format!(
-        "  \"headline\": {{\"domain\": \"assignment\", \"agents\": 256, \"m\": {}, \"n\": {}, \
-         \"result\": {}, \"pdhg_workset_bytes\": {}, \"dense_core_bytes\": {}, \
-         \"dense_core_limit_bytes\": {}, \"memory_gate\": {}, \
-         \"note\": \"workset = CSR(A) + O(n+m) iterate vectors; the dense Newton core is \
-         refused by the allocation guard, so no dense path can run this instance\"}},\n",
-        lp.num_constraints(),
-        lp.num_vars(),
-        fmt_record(&headline),
-        workset,
-        dense_core_bytes,
-        DENSE_CORE_LIMIT_BYTES,
-        memory_gate,
-    ));
-    json.push_str("  \"analog_agreement\": [\n");
-    for (i, r) in analog_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"domain\": \"{}\", \"m\": {}, \"n\": {}, \"verdict_analog\": \"{}\", \
-             \"verdict_digital\": \"{}\", \"agree\": {}, \"mvms\": {}, \"setup_writes\": {}, \
-             \"update_writes\": {}, \"energy_mj\": {:.3}}}{}\n",
-            r.domain,
-            r.m,
-            r.n,
-            r.verdict_analog,
-            r.verdict_digital,
-            r.agree,
-            r.mvms,
-            r.setup_writes,
-            r.update_writes,
-            r.energy_mj,
-            if i + 1 < analog_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"gate_pass\": {gate_pass}\n}}\n"));
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_pdhg.json");
-    std::fs::write(&path, &json).expect("write BENCH_pdhg.json");
+    let doc = obj! {
+        bench: quote("pdhg"),
+        suite: quote(
+            "first-order backend: PDIP-vs-PDHG crossover, dense-wall headline, \
+             analog verdict agreement",
+        ),
+        shared_tolerance: format!("{TOL:e}"),
+        crossover: Rows(crossover),
+        equilibration: Rows(equilibration),
+        headline: obj! {
+            domain: quote("assignment"), agents: 256, m: lp.num_constraints(), n: lp.num_vars(),
+            result: record(&headline), pdhg_workset_bytes: workset,
+            dense_core_bytes: dense_core_bytes, dense_core_limit_bytes: DENSE_CORE_LIMIT_BYTES,
+            memory_gate: memory_gate,
+            note: quote(
+                "workset = CSR(A) + O(n+m) iterate vectors; the dense Newton core is \
+                 refused by the allocation guard, so no dense path can run this instance",
+            ),
+        },
+        analog_agreement: Rows(analog_rows),
+    };
     println!();
-    println!("wrote {}", path.display());
-
-    assert!(
-        gate_pass,
-        "pdhg gate failed: verdicts_ok={all_verdicts_ok} headline={headline_gate} \
+    println!(
+        "gates: verdicts_ok={all_verdicts_ok} headline={headline_gate} \
          agree={all_agree} writes_free={run_writes_free}"
     );
+    artifact::finish("BENCH_pdhg.json", doc, gate_pass);
 }

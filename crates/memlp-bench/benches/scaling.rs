@@ -7,14 +7,16 @@
 //! (DESIGN.md §8), each cell performs the *identical* computation — the
 //! grid measures pure scheduling efficiency.
 //!
-//! Emits `BENCH_parallel.json` at the repository root (hand-rolled JSON —
-//! no serde in the offline dependency set) alongside the usual stdout
-//! table. The host's `available_parallelism` is recorded so speedups can
-//! be judged against the cores actually present.
+//! Emits `BENCH_parallel.json` at the repository root alongside the usual
+//! stdout table. The host's `available_parallelism` is recorded so
+//! speedups can be judged against the cores actually present; it and the
+//! timings are host-dependent, the grid itself must match the committed
+//! file.
 
 use std::time::Instant;
 
-use memlp_bench::fmt_time;
+use memlp_bench::artifact::{self, quote, Rows};
+use memlp_bench::{fmt_time, median, obj};
 use memlp_core::{CrossbarPdipSolver, CrossbarSolver, CrossbarSolverOptions};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::parallel::with_threads;
@@ -45,15 +47,6 @@ fn suite(count: usize) -> Vec<LpProblem> {
     (0..count)
         .map(|i| RandomLp::paper(M, 1000 + i as u64).feasible())
         .collect()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -121,36 +114,6 @@ fn main() {
         println!();
     }
 
-    // --- BENCH_parallel.json at the repository root.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"scaling\",\n");
-    json.push_str(&format!(
-        "  \"suite\": \"RandomLp::paper(m={M}), Algorithm 1, 10% variation\",\n"
-    ));
-    json.push_str(&format!("  \"available_parallelism\": {available},\n"));
-    json.push_str(&format!("  \"reps\": {REPS},\n"));
-    json.push_str(&format!(
-        "  \"note\": \"{}\",\n",
-        json_escape(
-            "oversubscribed cells (threads > available_parallelism) measure \
-             scheduler churn, not parallel speedup, and are excluded from the \
-             honest headline numbers; results stay deterministic across all cells"
-        )
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"threads\": {}, \"batch\": {}, \"seconds\": {:.6}, \
-             \"solves_per_sec\": {:.3}, \"oversubscribed\": {}}}{}\n",
-            c.threads,
-            c.batch,
-            c.secs,
-            c.throughput,
-            c.oversubscribed,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
     // Headline speedup is judged on honest cells only: the largest thread
     // budget the host can actually schedule, at the largest batch.
     let honest_threads = THREADS
@@ -177,20 +140,27 @@ fn main() {
     // the only defensible claim is "no regression"; multi-core hosts must
     // not lose throughput by going parallel.
     let gate_pass = honest > 0.85;
-    json.push_str(&format!(
-        "  \"honest_threads\": {honest_threads},\n  \
-         \"speedup_honest_batch_64\": {:.3},\n",
-        honest
-    ));
-    json.push_str(&format!("  \"gate_pass\": {gate_pass}\n}}\n"));
+    println!("honest speedup at {honest_threads} thread(s), batch 64: {honest:.3}x (need > 0.85x)");
 
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_parallel.json");
-    std::fs::write(&path, &json).expect("write BENCH_parallel.json");
-    println!("wrote {}", path.display());
-
-    assert!(
-        gate_pass,
-        "honest speedup {honest:.3} at {honest_threads} thread(s) regressed"
-    );
+    let cells_json = cells.iter().map(|c| {
+        obj! {
+            threads: c.threads, batch: c.batch, ~seconds: format!("{:.6}", c.secs),
+            ~solves_per_sec: format!("{:.3}", c.throughput), ~oversubscribed: c.oversubscribed,
+        }
+    });
+    let doc = obj! {
+        bench: quote("scaling"),
+        suite: quote(&format!("RandomLp::paper(m={M}), Algorithm 1, 10% variation")),
+        ~available_parallelism: available,
+        reps: REPS,
+        note: quote(
+            "oversubscribed cells (threads > available_parallelism) measure scheduler \
+             churn, not parallel speedup, and are excluded from the honest headline \
+             numbers; results stay deterministic across all cells",
+        ),
+        cells: Rows(cells_json.collect()),
+        ~honest_threads: honest_threads,
+        ~speedup_honest_batch_64: format!("{honest:.3}"),
+    };
+    artifact::finish("BENCH_parallel.json", doc, gate_pass);
 }

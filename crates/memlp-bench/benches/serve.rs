@@ -14,9 +14,13 @@
 //! Plus a closed-loop concurrency sweep (1/8/64 clients) where every
 //! request must be accounted for: ok + degraded + shed == sent, zero
 //! transport errors. Evidence lands in `BENCH_serve.json` at the
-//! repository root (hand-rolled JSON — no serde in the offline set) with
-//! a single `"gate_pass"` verdict for CI to grep.
+//! repository root with a single `"gate_pass"` verdict for CI to grep.
+//! Latencies, rates and whatever the scheduler decides (burst ok/shed
+//! splits, sweep warm hits) are host-dependent; the rest must match the
+//! committed file.
 
+use memlp_bench::artifact::{self, quote, Rows};
+use memlp_bench::{median, obj};
 use memlp_crossbar::CrossbarConfig;
 use memlp_lp::generator::RandomLp;
 use memlp_lp::LpStatus;
@@ -168,22 +172,13 @@ fn drain_completes() -> (u64, usize) {
     (completed, finished)
 }
 
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    if v.is_empty() {
-        0
-    } else {
-        v[v.len() / 2]
-    }
-}
-
 fn main() {
     println!("serve bench: in-process daemon, loopback sockets");
     println!();
 
     // --- warm vs cold + deadline.
     let (cold, warm, degraded) = warm_cold_and_deadline();
-    let warm_p50 = median(warm.iter().map(|s| s.latency_us).collect());
+    let warm_p50 = median(warm.iter().map(|s| s.latency_us as f64).collect()) as u64;
     let warm_skipped: u64 = warm.iter().map(|s| s.cells_skipped).sum();
     let warm_hits = warm.iter().filter(|s| s.warm_start).count();
     println!(
@@ -241,73 +236,43 @@ fn main() {
     println!();
     println!("gates: warm_faster={gate_warm_faster} delta_skips={gate_skipped} degraded={gate_degraded} burst={gate_burst} sweep={gate_sweep} drain={gate_drain}");
 
-    // --- BENCH_serve.json at the repository root.
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"serve\",\n");
-    json.push_str(
-        "  \"suite\": \"in-process daemon on loopback, RandomLp::paper families, variation 5%\",\n",
-    );
-    json.push_str(&format!(
-        "  \"warm_cold\": {{\"cold_us\": {}, \"cold_iters\": {}, \"warm_p50_us\": {}, \
-         \"warm_iters\": {}, \"warm_cells_skipped\": {}, \"warm_hits\": \"{}/{}\"}},\n",
-        cold.latency_us,
-        cold.iterations,
-        warm_p50,
-        warm[0].iterations,
-        warm_skipped,
-        warm_hits,
-        warm.len()
-    ));
-    json.push_str(&format!(
-        "  \"deadline\": {{\"cause\": \"{}\", \"iterations\": {}, \"finite_iterate\": {}}},\n",
-        degraded
-            .degraded
-            .map(|c| c.to_string())
-            .unwrap_or_else(|| "missing".into()),
-        degraded.iterations,
-        degraded.x.iter().all(|v| v.is_finite())
-    ));
-    json.push_str(&format!(
-        "  \"burst\": {{\"queue_depth\": 4, \"sent\": {}, \"ok\": {}, \"shed\": {}, \
-         \"overload_replies\": {}, \"errors\": {}}},\n",
-        burst.sent, burst.ok, burst.shed, burst.overload_replies, burst.errors
-    ));
-    json.push_str("  \"sweep\": [\n");
-    for (i, (c, r)) in sweep.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"concurrency\": {}, \"sent\": {}, \"ok\": {}, \"degraded\": {}, \
-             \"shed\": {}, \"errors\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"solves_per_sec\": {:.1}, \"warm_hits\": {}}}{}\n",
-            c,
-            r.sent,
-            r.ok,
-            r.degraded,
-            r.shed,
-            r.errors,
-            r.p50_us,
-            r.p99_us,
-            r.solves_per_sec,
-            r.warm_hits,
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"drain\": {{\"posted\": 2, \"replies_delivered\": {drain_finished}, \
-         \"ack_completed\": {drain_ack}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"gates\": {{\"warm_p50_below_cold\": {gate_warm_faster}, \
-         \"nonzero_skipped_writes\": {gate_skipped}, \"deadline_degrades\": {gate_degraded}, \
-         \"burst_sheds_never_drops\": {gate_burst}, \"sweep_accounting_balances\": {gate_sweep}, \
-         \"drain_completes_inflight\": {gate_drain}}},\n"
-    ));
-    json.push_str(&format!("  \"gate_pass\": {gate_pass}\n}}\n"));
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_serve.json");
-    std::fs::write(&path, &json).expect("write BENCH_serve.json");
-    println!("wrote {}", path.display());
-
-    assert!(gate_pass, "serve robustness gates failed");
+    let cause = degraded
+        .degraded
+        .map(|c| c.to_string())
+        .unwrap_or_else(|| "missing".into());
+    // Which request of a family lands first, and on which worker, is up
+    // to the scheduler: of the burst and sweep counts only the accounting
+    // is reproducible.
+    let sweep_json = sweep.iter().map(|(c, r)| {
+        obj! {
+            concurrency: c, sent: r.sent, ~ok: r.ok, ~degraded: r.degraded, ~shed: r.shed,
+            errors: r.errors, ~p50_us: r.p50_us, ~p99_us: r.p99_us,
+            ~solves_per_sec: format!("{:.1}", r.solves_per_sec), ~warm_hits: r.warm_hits,
+        }
+    });
+    let doc = obj! {
+        bench: quote("serve"),
+        suite: quote("in-process daemon on loopback, RandomLp::paper families, variation 5%"),
+        warm_cold: obj! {
+            ~cold_us: cold.latency_us, cold_iters: cold.iterations, ~warm_p50_us: warm_p50,
+            warm_iters: warm[0].iterations, warm_cells_skipped: warm_skipped,
+            warm_hits: quote(&format!("{warm_hits}/{}", warm.len())),
+        },
+        deadline: obj! {
+            cause: quote(&cause), iterations: degraded.iterations,
+            finite_iterate: degraded.x.iter().all(|v| v.is_finite()),
+        },
+        burst: obj! {
+            queue_depth: 4, sent: burst.sent, ~ok: burst.ok, ~shed: burst.shed,
+            ~overload_replies: burst.overload_replies, errors: burst.errors,
+        },
+        sweep: Rows(sweep_json.collect()),
+        drain: obj! { posted: 2, replies_delivered: drain_finished, ack_completed: drain_ack },
+        gates: obj! {
+            ~warm_p50_below_cold: gate_warm_faster, nonzero_skipped_writes: gate_skipped,
+            deadline_degrades: gate_degraded, ~burst_sheds_never_drops: gate_burst,
+            sweep_accounting_balances: gate_sweep, drain_completes_inflight: gate_drain,
+        },
+    };
+    artifact::finish("BENCH_serve.json", doc, gate_pass);
 }

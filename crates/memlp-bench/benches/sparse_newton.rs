@@ -23,8 +23,7 @@
 //! median of `SymmetricKkt::new` (ordering and symbolic analysis), the
 //! setup a solve pays once.
 //!
-//! Emits `BENCH_sparse.json` at the repository root (hand-rolled JSON — no
-//! serde in the offline dependency set) and *asserts* the ≥ 5× gate on the
+//! Emits `BENCH_sparse.json` at the repository root and *asserts* the ≥ 5× gate on the
 //! routing and transport rows at m = 512 and the `normal_eq` ratio gate.
 //! The sparse warmup call (symbolic analysis + first refactor) is excluded,
 //! exactly as a solver run amortizes it over iterations 2..k. That
@@ -32,19 +31,17 @@
 //! `analyze_seconds` is the median of `BlockKkt::new` (fill-reducing
 //! ordering + symbolic analysis) on the LP's quasidefinite KKT matrix.
 //! The `flops`, `factor_nnz`, `kkt_flops` and `kkt_factor_nnz` fields are
-//! deterministic; CI diffs them against the committed file, so a change
-//! to the ordering has to re-commit it.
+//! deterministic, like every field but the timings: the run fails when
+//! one moved against the committed file, so a change to the ordering has
+//! to re-commit it.
 
 use std::time::Instant;
 
-use memlp_bench::fmt_time;
+use memlp_bench::artifact::{self, quote, Obj, Rows};
+use memlp_bench::{domain_lp, fmt_time, median, obj, DOMAINS};
 use memlp_core::{AugmentedSystem, FactorStats, Factorization, HwContext};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::{BlockKkt, SymmetricKkt};
-use memlp_lp::domains::{
-    assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp, AssignmentProblem,
-    MaxFlowNetwork, ProductionPlan, TransportationProblem,
-};
 use memlp_lp::LpProblem;
 use memlp_solvers::pdip::{PdipOptions, PdipState};
 use memlp_solvers::{LpSolver, NormalEqPdip};
@@ -79,31 +76,6 @@ struct Row {
     sparse: Timing,
     /// Median wall-clock of `BlockKkt::new` on the LP's KKT matrix, seconds.
     analyze_secs: f64,
-}
-
-/// Domain instances sized so the LP has exactly `m_target` constraints
-/// (routing lands within ±2%: its row count is structural).
-fn build(domain: &'static str, m_target: usize) -> LpProblem {
-    let lp = match (domain, m_target) {
-        ("transport", 128) => transportation_lp(&TransportationProblem::random(4, 124, 21)),
-        ("transport", 512) => transportation_lp(&TransportationProblem::random(4, 508, 21)),
-        ("routing", 128) => max_flow_lp(&MaxFlowNetwork::random_layered(6, 6, 21)),
-        ("routing", 512) => max_flow_lp(&MaxFlowNetwork::random_layered(12, 12, 21)),
-        ("scheduling", 128) => production_schedule_lp(&ProductionPlan::random(8, 120, 21)),
-        ("scheduling", 512) => production_schedule_lp(&ProductionPlan::random(8, 504, 21)),
-        ("assignment", 128) => assignment_lp(&AssignmentProblem::random(64, 21)),
-        // k = 256 agents give m = 512 but n = k² = 65536: the (n+m)² LU
-        // buffer would be ~35 GB, past `DENSE_CORE_LIMIT_BYTES`, but the
-        // dense column's min(n,m) Schur solve needs ~270 MB and runs.
-        ("assignment", 512) => assignment_lp(&AssignmentProblem::random(256, 21)),
-        _ => unreachable!("unknown bench row"),
-    };
-    lp.expect("valid domain instance")
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// Times the per-iteration core solve under `factorization`. Programming,
@@ -241,11 +213,8 @@ fn measure_normal_eq(lp: &LpProblem) -> NormalEqSplit {
     }
 }
 
-fn fmt_timing(t: &Timing, extra: &str) -> String {
-    format!(
-        "{{\"seconds\": {:.6}, \"flops\": {}, \"factor_nnz\": {}{extra}}}",
-        t.secs, t.flops, t.factor_nnz
-    )
+fn timing(t: &Timing) -> Obj {
+    obj! { ~seconds: format!("{:.6}", t.secs), flops: t.flops, factor_nnz: t.factor_nnz }
 }
 
 fn main() {
@@ -258,8 +227,8 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for &m_target in &[128usize, 512] {
-        for domain in ["transport", "routing", "scheduling", "assignment"] {
-            let lp = build(domain, m_target);
+        for domain in DOMAINS {
+            let lp = domain_lp(domain, m_target);
             let dense = measure(&lp, Factorization::Dense).expect("dense core solve");
             let sparse = measure(&lp, Factorization::Sparse).expect("sparse core solve");
             let analyze_secs = measure_analyze(&lp);
@@ -287,7 +256,7 @@ fn main() {
         }
     }
 
-    let split = measure_normal_eq(&build("transport", 512));
+    let split = measure_normal_eq(&domain_lp("transport", 512));
     let ratio = split.iter_secs / split.kkt_secs;
     println!();
     println!(
@@ -298,56 +267,7 @@ fn main() {
         fmt_time(split.analyze_secs),
     );
 
-    // --- BENCH_sparse.json at the repository root.
     let mut gate_pass = ratio <= GATE_MAX_ITER_OVER_KKT;
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"sparse_newton\",\n");
-    json.push_str(
-        "  \"suite\": \"memlp-lp domains, per-iteration core solve on ideal hardware\",\n",
-    );
-    json.push_str(&format!("  \"gate_min_speedup\": {GATE_MIN_SPEEDUP},\n"));
-    json.push_str("  \"gate_rows\": [\"routing@512\", \"transport@512\"],\n");
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let flops_ratio = if r.sparse.flops > 0 {
-            format!("{:.2}", r.dense.flops as f64 / r.sparse.flops as f64)
-        } else {
-            "null".into()
-        };
-        json.push_str(&format!(
-            "    {{\"domain\": \"{}\", \"m_target\": {}, \"m\": {}, \"n\": {}, \
-             \"density\": {:.5}, \"dense\": {}, \"sparse\": {}, \
-             \"speedup_time\": {:.2}, \"speedup_flops\": {}}}{}\n",
-            r.domain,
-            r.m_target,
-            r.m,
-            r.n,
-            r.density,
-            fmt_timing(&r.dense, ""),
-            fmt_timing(
-                &r.sparse,
-                &format!(", \"analyze_seconds\": {:.6}", r.analyze_secs)
-            ),
-            r.dense.secs / r.sparse.secs,
-            flops_ratio,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"normal_eq\": {{\"domain\": \"transport\", \"m_target\": 512, \"m\": {}, \"n\": {}, \
-         \"iterations\": {}, \"iter_seconds\": {:.6}, \"kkt_refactor_refine_seconds\": {:.6}, \
-         \"analyze_seconds\": {:.6}, \"kkt_flops\": {}, \"kkt_factor_nnz\": {}, \
-         \"iter_over_kkt\": {ratio:.2}, \"gate_max_iter_over_kkt\": {GATE_MAX_ITER_OVER_KKT}}},\n",
-        split.m,
-        split.n,
-        split.iterations,
-        split.iter_secs,
-        split.kkt_secs,
-        split.analyze_secs,
-        split.kkt_flops,
-        split.kkt_factor_nnz,
-    ));
     for &(domain, m_target) in &GATED {
         let row = rows
             .iter()
@@ -359,16 +279,36 @@ fn main() {
             gate_pass = false;
         }
     }
-    json.push_str(&format!("  \"gate_pass\": {gate_pass}\n}}\n"));
 
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_sparse.json");
-    std::fs::write(&path, &json).expect("write BENCH_sparse.json");
-    println!("wrote {}", path.display());
-
-    assert!(
-        gate_pass,
-        "sparse Newton gate failed: a gated row fell below {GATE_MIN_SPEEDUP}x, \
-         or a NormalEqPdip iteration cost above {GATE_MAX_ITER_OVER_KKT}x its KKT solve"
-    );
+    let rows_json = rows.iter().map(|r| {
+        let flops_ratio = if r.sparse.flops > 0 {
+            format!("{:.2}", r.dense.flops as f64 / r.sparse.flops as f64)
+        } else {
+            "null".into()
+        };
+        let analyze = format!("{:.6}", r.analyze_secs);
+        obj! {
+            domain: quote(r.domain), m_target: r.m_target, m: r.m, n: r.n,
+            density: format!("{:.5}", r.density), dense: timing(&r.dense),
+            sparse: timing(&r.sparse).field("analyze_seconds", true, analyze),
+            ~speedup_time: format!("{:.2}", r.dense.secs / r.sparse.secs),
+            speedup_flops: flops_ratio,
+        }
+    });
+    let doc = obj! {
+        bench: quote("sparse_newton"),
+        suite: quote("memlp-lp domains, per-iteration core solve on ideal hardware"),
+        gate_min_speedup: GATE_MIN_SPEEDUP,
+        gate_rows: "[\"routing@512\", \"transport@512\"]",
+        rows: Rows(rows_json.collect()),
+        normal_eq: obj! {
+            domain: quote("transport"), m_target: 512, m: split.m, n: split.n,
+            iterations: split.iterations, ~iter_seconds: format!("{:.6}", split.iter_secs),
+            ~kkt_refactor_refine_seconds: format!("{:.6}", split.kkt_secs),
+            ~analyze_seconds: format!("{:.6}", split.analyze_secs),
+            kkt_flops: split.kkt_flops, kkt_factor_nnz: split.kkt_factor_nnz,
+            ~iter_over_kkt: format!("{ratio:.2}"), gate_max_iter_over_kkt: GATE_MAX_ITER_OVER_KKT,
+        },
+    };
+    artifact::finish("BENCH_sparse.json", doc, gate_pass);
 }

@@ -23,41 +23,23 @@
 //!
 //! Run cost is modeled hardware cost from the [`CostLedger`], not
 //! wall-clock: the win is fewer cells programmed and fewer tile transfers
-//! scheduled, which the ledger prices deterministically.
+//! scheduled, which the ledger prices deterministically — so every field
+//! of `BENCH_tile_sparsity.json` must match the committed file.
 //!
 //! [`CostLedger`]: memlp_crossbar::CostLedger
 
+use memlp_bench::artifact::{self, quote, Obj, Rows};
+use memlp_bench::{domain_lp, obj, DOMAINS};
 use memlp_core::{CrossbarPdhgOptions, CrossbarPdhgSolver, ANALOG_TILE_SIDE};
 use memlp_crossbar::{CrossbarConfig, TileOccupancy};
 use memlp_device::CostParams;
 use memlp_linalg::parallel::with_threads;
 use memlp_linalg::Matrix;
-use memlp_lp::domains::{
-    assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp, AssignmentProblem,
-    MaxFlowNetwork, ProductionPlan, TransportationProblem,
-};
 use memlp_lp::LpProblem;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const SEED: u64 = 21;
 const VARIATION_PCT: f64 = 5.0;
-
-/// Same constructors and seed as the PDHG crossover study, so rows line
-/// up across benches.
-fn build(domain: &'static str, m_target: usize) -> LpProblem {
-    let lp = match (domain, m_target) {
-        ("transport", 128) => transportation_lp(&TransportationProblem::random(4, 124, SEED)),
-        ("transport", 512) => transportation_lp(&TransportationProblem::random(4, 508, SEED)),
-        ("routing", 128) => max_flow_lp(&MaxFlowNetwork::random_layered(6, 6, SEED)),
-        ("routing", 512) => max_flow_lp(&MaxFlowNetwork::random_layered(12, 12, SEED)),
-        ("scheduling", 128) => production_schedule_lp(&ProductionPlan::random(8, 120, SEED)),
-        ("scheduling", 512) => production_schedule_lp(&ProductionPlan::random(8, 504, SEED)),
-        ("assignment", 128) => assignment_lp(&AssignmentProblem::random(64, SEED)),
-        ("assignment", 512) => assignment_lp(&AssignmentProblem::random(256, SEED)),
-        _ => unreachable!("unknown bench row"),
-    };
-    lp.expect("valid domain instance")
-}
 
 /// Tile-grid geometry of the sign-split planes the analog operator
 /// programs (planned coefficients only — the same index the solver
@@ -138,24 +120,14 @@ fn reduction(off: f64, on: f64) -> f64 {
     }
 }
 
-fn mode_json(m: &ModeCost) -> String {
-    format!(
-        "{{\"status\": \"{}\", \"iterations\": {}, \"setup_writes\": {}, \
-         \"tiles_elided\": {}, \"elided_writes\": {}, \"noc_transfers\": {}, \
-         \"mvms\": {}, \"write_energy_j\": {:.6}, \"energy_j\": {:.6}, \
-         \"run_time_s\": {:.9}, \"setup_time_s\": {:.6}}}",
-        m.status,
-        m.iterations,
-        m.setup_writes,
-        m.tiles_elided,
-        m.elided_writes,
-        m.noc_transfers,
-        m.mvms,
-        m.write_energy_j,
-        m.energy_j,
-        m.run_time_s,
-        m.setup_time_s,
-    )
+fn mode_json(m: &ModeCost) -> Obj {
+    obj! {
+        status: quote(&m.status), iterations: m.iterations, setup_writes: m.setup_writes,
+        tiles_elided: m.tiles_elided, elided_writes: m.elided_writes,
+        noc_transfers: m.noc_transfers, mvms: m.mvms,
+        write_energy_j: format!("{:.6}", m.write_energy_j), energy_j: format!("{:.6}", m.energy_j),
+        run_time_s: format!("{:.9}", m.run_time_s), setup_time_s: format!("{:.6}", m.setup_time_s),
+    }
 }
 
 fn main() {
@@ -178,13 +150,12 @@ fn main() {
         "bitwise"
     );
 
-    let domains = ["transport", "routing", "scheduling", "assignment"];
-    let mut rows_json = String::new();
+    let mut rows_json = Vec::new();
     let mut all_bitwise = true;
     let mut headline_pair: Option<(ModeCost, ModeCost)> = None;
     for &m_target in &[128usize, 512] {
-        for domain in domains {
-            let lp = build(domain, m_target);
+        for domain in DOMAINS {
+            let lp = domain_lp(domain, m_target);
             let (grid, live) = plane_geometry(&lp);
 
             // Oracle: elision off, one worker. Bit-for-bit, not a tolerance.
@@ -216,21 +187,16 @@ fn main() {
                 en_red * 100.0,
                 if bitwise { "ok" } else { "FAIL" },
             );
-            if !rows_json.is_empty() {
-                rows_json.push_str(",\n");
-            }
-            rows_json.push_str(&format!(
-                "    {{\"domain\": \"{domain}\", \"m_target\": {m_target}, \"m\": {}, \
-                 \"n\": {}, \"grid_tiles\": {grid}, \"live_tiles\": {live}, \
-                 \"off\": {}, \"on\": {}, \"write_reduction\": {wr_red:.6}, \
-                 \"write_energy_reduction\": {we_red:.6}, \"energy_reduction\": {en_red:.6}, \
-                 \"run_time_reduction\": {rt_red:.6}, \"bitwise_identical\": {bitwise}, \
-                 \"threads_checked\": [1, 2, 8]}}",
-                lp.num_constraints(),
-                lp.num_vars(),
-                mode_json(&off),
-                mode_json(&on),
-            ));
+            rows_json.push(obj! {
+                domain: quote(domain), m_target: m_target, m: lp.num_constraints(),
+                n: lp.num_vars(), grid_tiles: grid, live_tiles: live,
+                off: mode_json(&off), on: mode_json(&on),
+                write_reduction: format!("{wr_red:.6}"),
+                write_energy_reduction: format!("{we_red:.6}"),
+                energy_reduction: format!("{en_red:.6}"),
+                run_time_reduction: format!("{rt_red:.6}"),
+                bitwise_identical: bitwise, threads_checked: format!("{THREADS:?}"),
+            });
             if domain == "assignment" && m_target == 512 {
                 headline_pair = Some((off, on));
             }
@@ -241,7 +207,7 @@ fn main() {
     // tiles and the whole negative plane are planned dead, so the full-
     // grid fabrication sweep is mostly hardware that never needed to
     // exist.
-    let lp = build("assignment", 512);
+    let lp = domain_lp("assignment", 512);
     let (grid, live) = plane_geometry(&lp);
     let (off, on) = headline_pair.expect("assignment@512 row ran");
     let hl_bitwise = on.x_bits == off.x_bits && on.y_bits == off.y_bits;
@@ -265,44 +231,29 @@ fn main() {
     let gate_pass =
         all_bitwise && hl_bitwise && wr_red >= 0.5 && we_red >= 0.5 && en_red >= 0.5 && latency_win;
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"tile_sparsity\",\n");
-    json.push_str(
-        "  \"suite\": \"block-sparse analog execution: zero-tile elision on the analog PDHG \
-         backend, elision-off as bitwise oracle\",\n",
-    );
-    json.push_str(&format!("  \"tile_side\": {ANALOG_TILE_SIDE},\n"));
-    json.push_str(&format!("  \"variation_pct\": {VARIATION_PCT},\n"));
-    json.push_str("  \"rows\": [\n");
-    json.push_str(&rows_json);
-    json.push_str("\n  ],\n");
-    json.push_str(&format!(
-        "  \"headline\": {{\"domain\": \"assignment\", \"agents\": 256, \"m\": {}, \"n\": {}, \
-         \"grid_tiles\": {grid}, \"live_tiles\": {live}, \"off\": {}, \"on\": {}, \
-         \"write_reduction\": {wr_red:.6}, \"write_energy_reduction\": {we_red:.6}, \
-         \"energy_reduction\": {en_red:.6}, \"mvm_latency_win\": {latency_win}, \
-         \"bitwise_identical\": {hl_bitwise}}},\n",
-        lp.num_constraints(),
-        lp.num_vars(),
-        mode_json(&off),
-        mode_json(&on),
-    ));
-    json.push_str(&format!(
-        "  \"gates\": {{\"all_rows_bitwise\": {all_bitwise}, \"write_reduction_min\": 0.5, \
-         \"write_energy_reduction_min\": 0.5, \"energy_reduction_min\": 0.5, \
-         \"mvm_latency_win\": {latency_win}}},\n"
-    ));
-    json.push_str(&format!("  \"gate_pass\": {gate_pass}\n}}\n"));
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_tile_sparsity.json");
-    std::fs::write(&path, &json).expect("write BENCH_tile_sparsity.json");
-    println!("wrote {}", path.display());
-
-    assert!(
-        gate_pass,
-        "tile-sparsity gate failed: bitwise={all_bitwise}/{hl_bitwise} \
-         write_red={wr_red:.3} write_energy_red={we_red:.3} energy_red={en_red:.3} \
-         latency_win={latency_win}"
-    );
+    let doc = obj! {
+        bench: quote("tile_sparsity"),
+        suite: quote(
+            "block-sparse analog execution: zero-tile elision on the analog PDHG \
+             backend, elision-off as bitwise oracle",
+        ),
+        tile_side: ANALOG_TILE_SIDE,
+        variation_pct: VARIATION_PCT,
+        rows: Rows(rows_json),
+        headline: obj! {
+            domain: quote("assignment"), agents: 256, m: lp.num_constraints(),
+            n: lp.num_vars(), grid_tiles: grid, live_tiles: live,
+            off: mode_json(&off), on: mode_json(&on),
+            write_reduction: format!("{wr_red:.6}"),
+            write_energy_reduction: format!("{we_red:.6}"),
+            energy_reduction: format!("{en_red:.6}"),
+            mvm_latency_win: latency_win, bitwise_identical: hl_bitwise,
+        },
+        gates: obj! {
+            all_rows_bitwise: all_bitwise, write_reduction_min: 0.5,
+            write_energy_reduction_min: 0.5, energy_reduction_min: 0.5,
+            mvm_latency_win: latency_win,
+        },
+    };
+    artifact::finish("BENCH_tile_sparsity.json", doc, gate_pass);
 }

@@ -2,15 +2,17 @@
 //! Benchmark harness reproducing the paper's evaluation (§4).
 //!
 //! [`paper::run`] (bench target `paper_eval`) regenerates every §4
-//! figure and table in one pass; the ablation and gate benches share the
-//! rest of this library (see DESIGN.md §5 for the experiment index):
+//! figure and table in one pass and [`ablation::run`] (bench target
+//! `ablations`) every ablation study; the gate benches write their
+//! `BENCH_*.json` files through [`artifact`]. They share the rest of this
+//! library (see DESIGN.md §5 for the experiment index):
 //!
 //! * [`Sweep`] — the §4.2 experimental grid (constraint counts swept
 //!   exponentially 4…1024, n = m/3, variation ∈ {0, 5, 10, 20}%, repeated
 //!   trials), scaled by environment variables:
 //!   - `MEMLP_FULL=1` — full paper grid (sizes to 1024, more trials),
 //!   - `MEMLP_TRIALS=k` — override the trial count (read by [`trials`],
-//!     which the ablation benches share),
+//!     which the ablations share),
 //! * [`Stats`] — streaming mean/min/max summaries,
 //! * [`Table`] — aligned console tables plus CSV files under
 //!   `target/memlp-results/`,
@@ -18,13 +20,19 @@
 //! * [`cpu_energy_j`] — the paper's CPU energy model (wall-clock × 35 W,
 //!   the constant implied by its 218.1 J / 6.23 s figures).
 
+pub mod ablation;
+pub mod artifact;
 pub mod experiments;
 pub mod paper;
 
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use memlp_device::CostParams;
+use memlp_lp::domains::{
+    assignment_lp, max_flow_lp, production_schedule_lp, transportation_lp, AssignmentProblem,
+    MaxFlowNetwork, ProductionPlan, TransportationProblem,
+};
+use memlp_lp::LpProblem;
 
 /// The experimental grid of §4.2.
 #[derive(Debug, Clone)]
@@ -143,21 +151,41 @@ pub struct Table {
     title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
+    note: &'static str,
 }
 
 impl Table {
-    /// Starts a table with a title and column headers.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Table {
+    /// Starts a table with a title and its comma-separated column
+    /// headers (the CSV header line).
+    pub fn new(title: impl Into<String>, header: &str) -> Table {
         Table {
             title: title.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.split(',').map(str::to_string).collect(),
             rows: Vec::new(),
+            note: "",
         }
+    }
+
+    /// Sets a note printed after the table, such as the shape it should
+    /// show.
+    pub fn note(mut self, note: &'static str) -> Table {
+        self.note = note;
+        self
     }
 
     /// Appends a row (stringified cells).
     pub fn row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
+    }
+
+    /// The table as CSV: the header line, then one line per row.
+    pub fn csv(&self) -> String {
+        let mut out = format!("{}\n", self.header.join(","));
+        for row in &self.rows {
+            out.push_str(&row.join(","));
+            out.push('\n');
+        }
+        out
     }
 
     /// Prints the aligned table to stdout and writes `<name>.csv` under
@@ -192,27 +220,56 @@ impl Table {
         for row in &self.rows {
             println!("{}", fmt_row(row));
         }
+        if !self.note.is_empty() {
+            println!("\n{}", self.note);
+        }
 
-        // Resolve against the workspace root so `cargo bench` (whose CWD is
-        // the package directory) and direct binary runs land in one place.
-        let root = std::env::var("CARGO_MANIFEST_DIR")
-            .ok()
-            .map(|d| PathBuf::from(d).join("../.."))
-            .filter(|p| p.join("Cargo.toml").exists())
-            .unwrap_or_else(|| PathBuf::from("."));
-        let dir = root.join("target/memlp-results");
-        if std::fs::create_dir_all(&dir).is_err() {
-            return None;
-        }
+        let dir = repo_root().join("target/memlp-results");
+        std::fs::create_dir_all(&dir).ok()?;
         let path = dir.join(format!("{csv_name}.csv"));
-        let mut f = std::fs::File::create(&path).ok()?;
-        writeln!(f, "{}", self.header.join(",")).ok()?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(",")).ok()?;
-        }
+        std::fs::write(&path, self.csv()).ok()?;
         println!("(csv: {})", path.display());
         Some(path)
     }
+}
+
+/// The workspace root, where the `BENCH_*.json` files and
+/// `target/memlp-results/` live.
+pub(crate) fn repo_root() -> &'static Path {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+}
+
+/// The memlp-lp domains the sparse-Newton, PDHG and tile-sparsity benches
+/// sweep, each at m ∈ {128, 512} through [`domain_lp`].
+pub const DOMAINS: [&str; 4] = ["transport", "routing", "scheduling", "assignment"];
+
+/// The `domain` instance sized to `m_target` ∈ {128, 512} constraints
+/// (routing lands within ±2%: its row count is structural), seed 21, so
+/// rows line up across benches.
+///
+/// # Panics
+/// On any other domain or size.
+pub fn domain_lp(domain: &str, m_target: usize) -> LpProblem {
+    let lp = match (domain, m_target) {
+        ("transport", 128) => transportation_lp(&TransportationProblem::random(4, 124, 21)),
+        ("transport", 512) => transportation_lp(&TransportationProblem::random(4, 508, 21)),
+        ("routing", 128) => max_flow_lp(&MaxFlowNetwork::random_layered(6, 6, 21)),
+        ("routing", 512) => max_flow_lp(&MaxFlowNetwork::random_layered(12, 12, 21)),
+        ("scheduling", 128) => production_schedule_lp(&ProductionPlan::random(8, 120, 21)),
+        ("scheduling", 512) => production_schedule_lp(&ProductionPlan::random(8, 504, 21)),
+        ("assignment", 128) => assignment_lp(&AssignmentProblem::random(64, 21)),
+        // k = 256 agents give m = 512 but n = k² = 65536: past the dense
+        // Newton core's allocation guard.
+        ("assignment", 512) => assignment_lp(&AssignmentProblem::random(256, 21)),
+        _ => panic!("no {domain}@{m_target} bench instance"),
+    };
+    lp.expect("valid domain instance")
+}
+
+/// The median of `xs` (the upper one for an even count).
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// The trial count: `MEMLP_TRIALS` when it parses, else `default`.
@@ -315,7 +372,7 @@ mod tests {
 
     #[test]
     fn table_writes_csv() {
-        let mut t = Table::new("test", &["a", "b"]);
+        let mut t = Table::new("test", "a,b");
         t.row(vec!["1".into(), "2".into()]);
         let path = t.finish("bench_harness_selftest");
         if let Some(p) = path {

@@ -114,17 +114,7 @@ fn header(sweep: &Sweep) -> String {
 
 /// Fig 5: relative objective error per grid point, and the worst case.
 fn accuracy_table(title: &str, grid: &[GridPoint], csv: &str, paper: &str) {
-    let mut t = Table::new(
-        title,
-        &[
-            "m",
-            "var %",
-            "mean err %",
-            "max err %",
-            "success",
-            "iterations",
-        ],
-    );
+    let mut t = Table::new(title, "m,var %,mean err %,max err %,success,iterations");
     for p in grid {
         t.row(vec![
             p.m.to_string(),
@@ -163,24 +153,11 @@ fn latency_tables(
 ) {
     let mut a = Table::new(
         "Fig 6(a): estimated latency, Algorithm 1 vs software",
-        &[
-            "m",
-            "var %",
-            "crossbar (est)",
-            "linprog-sub (wall)",
-            "dense PDIP (wall)",
-            "speedup",
-        ],
+        "m,var %,crossbar (est),linprog-sub (wall),dense PDIP (wall),speedup",
     );
     let mut b = Table::new(
         "Fig 6(b): estimated latency, Algorithm 2 (large-scale) vs software",
-        &[
-            "m",
-            "var %",
-            "crossbar (est)",
-            "linprog-sub (wall)",
-            "speedup",
-        ],
+        "m,var %,crossbar (est),linprog-sub (wall),speedup",
     );
     for (&m, (normal, dense)) in sweep.sizes.iter().zip(software) {
         for p in alg1.iter().filter(|p| p.m == m) {
@@ -236,10 +213,7 @@ fn energy_tables(
         ),
     ];
     for (title, grid, csv) in tables {
-        let mut t = Table::new(
-            title,
-            &["m", "var %", "crossbar (est)", "linprog-sub (cpu)", "ratio"],
-        );
+        let mut t = Table::new(title, "m,var %,crossbar (est),linprog-sub (cpu),ratio");
         for (&m, (normal, _)) in sweep.sizes.iter().zip(software) {
             let cpu = cpu_energy_j(normal.mean());
             for p in grid.iter().filter(|p| p.m == m) {
@@ -270,16 +244,7 @@ fn energy_tables(
 fn iterations_table(grids: &[(SolverKind, &[GridPoint], &[GridPoint])]) {
     let mut t = Table::new(
         "Iterations to converge / to detect infeasibility",
-        &[
-            "solver",
-            "workload",
-            "m",
-            "var %",
-            "mean iters",
-            "min",
-            "max",
-            "success",
-        ],
+        "solver,workload,m,var %,mean iters,min,max,success",
     );
     for &(kind, feasible, infeasible) in grids {
         for (workload, grid) in [("feasible", feasible), ("infeasible", infeasible)] {
@@ -334,18 +299,7 @@ fn headline(sweep: &Sweep) {
 
     let mut t = Table::new(
         format!("§4.4 headline (m = {m}): latency & energy vs variation"),
-        &[
-            "workload",
-            "solver",
-            "var %",
-            "latency",
-            "energy",
-            "err %",
-            "iters",
-            "speedup",
-            "energy ratio",
-            "ok",
-        ],
+        "workload,solver,var %,latency,energy,err %,iters,speedup,energy ratio,ok",
     );
     for (label, _, (wall, ok)) in &software {
         t.row(vec![
@@ -415,7 +369,7 @@ fn perturb_lp(lp: &LpProblem, var_pct: f64, seed: u64) -> LpProblem {
 fn variation_control(sweep: &Sweep) {
     let mut t = Table::new(
         "Software (f64) on Eqn-18-perturbed problems: relative objective error",
-        &["m", "var %", "mean err %", "max err %"],
+        "m,var %,mean err %,max err %",
     );
     for &m in &sweep.sizes {
         for &var in sweep.variations.iter().filter(|&&v| v != 0.0) {

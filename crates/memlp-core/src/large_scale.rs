@@ -57,30 +57,37 @@ const THETA_DECAY: f64 = 30.0;
 /// least-squares residual of `A`.
 const DUAL_FEEDBACK: f64 = 1.0;
 
+/// The base step length θ (§3.4: "θ … were found to be better to be
+/// constant to guarantee convergence"), decayed by [`THETA_DECAY`].
+const THETA: f64 = 0.30;
+/// The §3.2 relaxed feasibility parameter α for the final check. The
+/// large-scale solver's residual floor is coarser than Algorithm 1's (as
+/// is its accuracy in the paper), so its "close but greater than 1" α is
+/// looser.
+const ALPHA: f64 = 1.10;
+/// Iterations without improvement before declaring a noise-floor stall.
+const STALL_WINDOW: usize = 40;
+/// Largest relative score accepted as converged at a stall. The split
+/// iteration stalls at a higher residual floor than Algorithm 1 (the paper
+/// likewise reports coarser accuracy for the large-scale solver: 0.8–8.5%
+/// vs 0.2–9.9%); the αb post-check remains the hard guard on what is
+/// accepted.
+const ACCEPT_FLOOR: f64 = 0.25;
+/// Relative primal-residual level at (or above) which a stalled run is
+/// classified as infeasible: a planted contradiction pins the residual at
+/// the contradiction gap, far above the solver's noise floor.
+const INFEASIBLE_FLOOR: f64 = 0.30;
+
 /// Options for the large-scale solver (Algorithm 2, §3.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LargeScaleOptions {
     /// Outer-loop options (tolerances, iteration cap, divergence bound).
     pub pdip: PdipOptions,
-    /// The base step length θ (§3.4: "θ … were found to be better to be
-    /// constant to guarantee convergence"), decayed with a fixed
-    /// 30-iteration half-life.
-    pub theta: f64,
     /// Magnitude of the `RU`/`RL` fill relative to the mean |A| coefficient
     /// — the "very small" values that make Eqn 16c non-singular.
     pub fill_scale: f64,
-    /// The §3.2 relaxed feasibility parameter α for the final check.
-    pub alpha: f64,
     /// Re-solve attempts (the §4.3 double-checking scheme).
     pub retries: usize,
-    /// Iterations without improvement before declaring a noise-floor stall.
-    pub stall_window: usize,
-    /// Largest relative score accepted as converged at a stall.
-    pub accept_floor: f64,
-    /// Relative primal-residual level at (or above) which a stalled run is
-    /// classified as infeasible: a planted contradiction pins the residual
-    /// at the contradiction gap, far above the solver's noise floor.
-    pub infeasible_floor: f64,
     /// How far the solver may escalate when write–verify reports defects
     /// (see [`RecoveryPolicy`]).
     pub recovery: RecoveryPolicy,
@@ -96,20 +103,8 @@ impl Default for LargeScaleOptions {
                 max_iterations: 400,
                 ..PdipOptions::default()
             },
-            theta: 0.30,
             fill_scale: 0.05,
-            // The large-scale solver's residual floor is coarser than
-            // Algorithm 1's (as is its accuracy in the paper), so its
-            // "close but greater than 1" α is looser.
-            alpha: 1.10,
             retries: 3,
-            stall_window: 40,
-            // The split iteration stalls at a higher residual floor than
-            // Algorithm 1 (the paper likewise reports coarser accuracy for
-            // the large-scale solver: 0.8–8.5% vs 0.2–9.9%); the αb
-            // post-check remains the hard guard on what is accepted.
-            accept_floor: 0.25,
-            infeasible_floor: 0.30,
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -213,7 +208,7 @@ impl CrossbarSolver for LargeScaleSolver {
         let ladder = Ladder {
             policy: self.options.recovery,
             retries: self.options.retries,
-            alpha: self.options.alpha,
+            alpha: ALPHA,
             seed_base: 0x1A26_0000,
             alpha_check_always: false,
             keep_best: true,
@@ -263,16 +258,14 @@ impl LargeScaleSolver {
         ) && !solution.x.is_empty()
         {
             let pr = solution.primal_residual / (1.0 + ops::inf_norm(lp.b()));
-            if pr >= self.options.infeasible_floor
-                && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha)
-            {
+            if pr >= INFEASIBLE_FLOOR && !lp.satisfies_relaxed_scaled(&solution.x, ALPHA) {
                 solution.status = LpStatus::Infeasible;
-            } else if attempt_score(lp, solution) <= self.options.accept_floor
+            } else if attempt_score(lp, solution) <= ACCEPT_FLOOR
                 && {
                     let dual: f64 = lp.b().iter().zip(&solution.y).map(|(b, y)| b * y).sum();
                     (solution.objective - dual).abs() / (1.0 + solution.objective.abs()) <= 0.5
                 }
-                && lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha)
+                && lp.satisfies_relaxed_scaled(&solution.x, ALPHA)
             {
                 // Fall back to the coarse acceptance level once the retry
                 // budget is spent: the tighter small-problem floor was
@@ -305,14 +298,13 @@ impl LargeScaleSolver {
 
         let bnorm = 1.0 + ops::inf_norm(lp.b());
         let cnorm = 1.0 + ops::inf_norm(lp.c());
-        let base_theta = self.options.theta;
         // Small systems have genuinely lower noise floors (fewer summed
         // noise terms per output line), so the stall-acceptance level
         // tightens below ~40 state variables.
         let accept_floor = if lp.num_vars() + lp.num_constraints() < 40 {
-            0.4 * self.options.accept_floor
+            0.4 * ACCEPT_FLOOR
         } else {
-            self.options.accept_floor
+            ACCEPT_FLOOR
         };
         let mut best_state = state.clone();
         let mut best_score = f64::INFINITY;
@@ -338,7 +330,7 @@ impl LargeScaleSolver {
                 return finish(state, status, iter, trace, None);
             }
 
-            let theta = base_theta / (1.0 + iter as f64 / THETA_DECAY);
+            let theta = THETA / (1.0 + iter as f64 / THETA_DECAY);
 
             // --- System 1: r1 via the fill-free MVM (Eqn 17a).
             let mu = state.mu(opts.delta);
@@ -355,7 +347,7 @@ impl LargeScaleSolver {
                 theta,
             });
             if pr <= opts.eps_primal && dr <= opts.eps_dual && gap <= opts.eps_gap {
-                let status = if lp.satisfies_relaxed_scaled(&state.x, self.options.alpha) {
+                let status = if lp.satisfies_relaxed_scaled(&state.x, ALPHA) {
                     LpStatus::Optimal
                 } else {
                     LpStatus::NumericalFailure
@@ -369,7 +361,7 @@ impl LargeScaleSolver {
                 best_iter = iter;
             } else {
                 tail.accumulate(&state);
-                if iter - best_iter >= self.options.stall_window {
+                if iter - best_iter >= STALL_WINDOW {
                     // Noise-floor stall: prefer the orbit average when it
                     // is (digitally verified) more primal-feasible, then
                     // classify via the §3.2 relaxed check.
@@ -391,13 +383,13 @@ impl LargeScaleSolver {
                     let cdual: f64 = lp.b().iter().zip(&candidate.y).map(|(b, y)| b * y).sum();
                     let obj_gap = (cobj - cdual).abs() / (1.0 + cobj.abs());
                     // Classification by stall level: the solver's noise
-                    // floor sits well below accept_floor; a residual pinned
-                    // at infeasible_floor or above is a contradiction gap,
+                    // floor sits well below ACCEPT_FLOOR; a residual pinned
+                    // at INFEASIBLE_FLOOR or above is a contradiction gap,
                     // not noise. The band in between is ambiguous — retry
                     // with fresh variation (§4.3 double checking).
                     let status = if cand_score <= accept_floor && obj_gap <= 0.5 {
                         LpStatus::Optimal
-                    } else if cand_score >= self.options.infeasible_floor {
+                    } else if cand_score >= INFEASIBLE_FLOOR {
                         LpStatus::Infeasible
                     } else {
                         LpStatus::NumericalFailure

@@ -156,14 +156,6 @@ pub struct AugmentedSystem {
     /// reduced solve's residual check scales by.
     ax_norm: f64,
     ay_norm: f64,
-    /// The `(n+m)²` core with the **static** blocks (`ax_eff`, `ay_eff`)
-    /// pre-placed and the diagonal coupling blocks zeroed, for the `(n+m)`
-    /// LU fallback of the dense path. Built **lazily** on the first
-    /// fallback after a (re)programming — never for a run the reduced or
-    /// sparse solve serves, and never past [`DENSE_CORE_LIMIT_BYTES`] —
-    /// then each fallback copies it and overwrites only the two diagonal
-    /// blocks instead of reassembling the matrix from its blocks.
-    core_base: Matrix,
     /// Reduce-and-solve scratch buffers, reused across iterations.
     scratch: SolveScratch,
     /// Total cell count (for settle-energy estimates).
@@ -300,7 +292,6 @@ impl AugmentedSystem {
             ay_eff: Matrix::default(),
             ax_norm: 0.0,
             ay_norm: 0.0,
-            core_base: Matrix::default(),
             scratch: SolveScratch::default(),
             cells,
             sparse_input: sparse_newton(lp),
@@ -341,12 +332,8 @@ impl AugmentedSystem {
         self.ax_norm = inf_norm_mat(&self.ax_eff);
         self.ay_norm = inf_norm_mat(&self.ay_eff);
         // The realized off-diagonal values (and possibly the realized
-        // pattern, under faults/repairs) just changed; both cached cores
-        // must be rebuilt from the new statics. The dense base is rebuilt
-        // lazily by the next dense solve — eagerly allocating it here would
-        // commit `8(n+m)²` bytes even for runs the sparse path serves
-        // entirely (the assignment@512 wall).
-        self.core_base = Matrix::default();
+        // pattern, under faults/repairs) just changed; the cached sparse
+        // core must be rebuilt from the new statics.
         self.sparse_core = None;
     }
 
@@ -388,7 +375,6 @@ impl AugmentedSystem {
             &mut self.atn,
             &mut self.ax_eff,
             &mut self.ay_eff,
-            &mut self.core_base,
         ] {
             m.scale_mut(f);
         }
@@ -839,27 +825,22 @@ impl AugmentedSystem {
         Some(core)
     }
 
-    /// The `(n+m)` LU fallback: flat-copy the cached static base,
-    /// overwrite the two coupling diagonals, LU-factor with the recycled
-    /// buffers. The rhs order matches the base's row order `[R1; R2]`.
+    /// The `(n+m)` LU fallback, rare enough (see `REDUCED_RESIDUAL_TOL`)
+    /// to assemble its core from the blocks each time: the static blocks
+    /// (`ax_eff`, `ay_eff`) and the two coupling diagonals, LU-factored
+    /// in the recycled buffers. The rhs order matches the core's row order
+    /// `[R1; R2]`. `solve_core_dense` has already checked
+    /// `DENSE_CORE_LIMIT_BYTES`.
     fn solve_core_full(&mut self, hw: &mut HwContext) -> Option<Vec<f64>> {
         let (n, m) = (self.n, self.m);
         let dim = n + m;
-        if self.core_base.rows() != dim {
-            // Lazy (re)build of the static base — see `rebuild_effective`.
-            // `solve_core_dense` has already checked `DENSE_CORE_LIMIT_BYTES`.
-            let mut base = Matrix::zeros(dim, dim);
-            base.set_block(0, 0, &self.ax_eff);
-            base.set_block(m, n, &self.ay_eff);
-            self.core_base = base;
-        }
         if self.scratch.k.rows() != dim {
             self.scratch.k = Matrix::zeros(dim, dim);
+        } else {
+            self.scratch.k.as_mut_slice().fill(0.0);
         }
-        self.scratch
-            .k
-            .as_mut_slice()
-            .copy_from_slice(self.core_base.as_slice());
+        self.scratch.k.set_block(0, 0, &self.ax_eff);
+        self.scratch.k.set_block(m, n, &self.ay_eff);
         let neg_d1: Vec<f64> = self.scratch.d1.iter().map(|v| -v).collect();
         self.scratch.k.set_diag_block(0, n, &neg_d1);
         self.scratch.k.set_diag_block(m, 0, &self.scratch.d2);

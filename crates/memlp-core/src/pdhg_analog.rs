@@ -53,6 +53,16 @@ mod key {
     pub const NEG: u32 = 33;
 }
 
+/// The §3.2 relaxed feasibility parameter `α`: a converged iterate must
+/// satisfy `A·x ⪯ α·b` on the *true* problem or the attempt is re-run with
+/// fresh variation. Wider than Algorithm 1's because first-order iterates
+/// converge **onto** the boundary of the realized polytope — an
+/// interior-point iterate approaches from inside and keeps a natural
+/// margin, but a PDHG solution's active rows sit at `Ãx = b` exactly, so
+/// the true-`A` margin must absorb the whole realized-vs-true deviation
+/// (process variation plus the converter floor).
+const ALPHA: f64 = 1.1;
+
 /// Options for the crossbar PDHG solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossbarPdhgOptions {
@@ -60,16 +70,6 @@ pub struct CrossbarPdhgOptions {
     /// digital baselines: the 8-bit analog I/O sets a noise floor well
     /// above 1e-8, exactly as for the crossbar PDIP solvers.
     pub pdhg: PdhgOptions,
-    /// The §3.2 relaxed feasibility parameter `α`: a converged iterate
-    /// must satisfy `A·x ⪯ α·b` on the *true* problem or the attempt is
-    /// re-run with fresh variation. The default is wider than the PDIP
-    /// solvers' because first-order iterates converge **onto** the
-    /// boundary of the realized polytope — an interior-point iterate
-    /// approaches from inside and keeps a natural margin, but a PDHG
-    /// solution's active rows sit at `Ãx = b` exactly, so the true-`A`
-    /// margin must absorb the whole realized-vs-true deviation (process
-    /// variation plus the converter floor).
-    pub alpha: f64,
     /// Re-solve attempts on failure (§4.3 double checking — each retry
     /// rewrites the arrays, redrawing variation).
     pub retries: usize,
@@ -94,7 +94,6 @@ impl Default for CrossbarPdhgOptions {
                 max_iterations: 50_000,
                 ..PdhgOptions::default()
             },
-            alpha: 1.1,
             retries: 2,
             recovery: RecoveryPolicy::default(),
         }
@@ -357,7 +356,7 @@ impl CrossbarSolver for CrossbarPdhgSolver {
         let ladder = Ladder {
             policy: self.options.recovery,
             retries: self.options.retries,
-            alpha: self.options.alpha,
+            alpha: ALPHA,
             seed_base: 0,
             alpha_check_always: true,
             keep_best: false,
@@ -491,8 +490,7 @@ impl CrossbarPdhgSolver {
     /// Exhaustion rule: an α-violating "Optimal" (one that failed the α
     /// check on every attempt) is demoted before the fallback decision.
     fn classify_exhausted(&self, lp: &LpProblem, solution: &mut LpSolution) {
-        if solution.status == LpStatus::Optimal
-            && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha)
+        if solution.status == LpStatus::Optimal && !lp.satisfies_relaxed_scaled(&solution.x, ALPHA)
         {
             solution.status = LpStatus::NumericalFailure;
         }

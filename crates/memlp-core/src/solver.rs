@@ -9,6 +9,20 @@ use crate::newton::{AugmentedSystem, Factorization};
 use crate::recovery::{Attempt, Ladder, RecoveryPolicy, RecoveryReport};
 use crate::trace::{IterationRecord, SolverTrace};
 
+/// The §3.2 relaxed feasibility parameter `α` (slightly above 1) of
+/// Algorithm 1: the final solution must satisfy `A·x ⪯ α·b`.
+const ALPHA: f64 = 1.05;
+/// Iterations without best-score improvement before Algorithm 1 declares
+/// a stall. Quantized analog I/O imposes a noise floor on the observable
+/// residuals; once progress stops, more iterations only burn energy.
+const STALL_WINDOW: usize = 25;
+/// Largest relative residual/gap score accepted as "converged at the
+/// hardware noise floor" when a stall is declared.
+const ACCEPT_FLOOR: f64 = 8e-2;
+/// Relative primal-residual level at (or above) which a stalled run is
+/// classified as infeasible (a contradiction gap, not noise).
+const INFEASIBLE_FLOOR: f64 = 0.30;
+
 /// Options specific to the crossbar solvers, wrapping [`PdipOptions`] with
 /// the paper's hardware-level policies.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,22 +31,9 @@ pub struct CrossbarSolverOptions {
     /// software baselines: the 8-bit analog I/O sets a noise floor well
     /// above 1e-8.
     pub pdip: PdipOptions,
-    /// The §3.2 relaxed feasibility parameter `α` (slightly above 1): the
-    /// final solution must satisfy `A·x ⪯ α·b`.
-    pub alpha: f64,
     /// Re-solve attempts on numerical failure (the §4.3 "double checking
     /// scheme" — each retry rewrites the array, redrawing variation).
     pub retries: usize,
-    /// Iterations without best-score improvement before declaring a stall.
-    /// Quantized analog I/O imposes a noise floor on the observable
-    /// residuals; once progress stops, more iterations only burn energy.
-    pub stall_window: usize,
-    /// Largest relative residual/gap score accepted as "converged at the
-    /// hardware noise floor" when a stall is declared.
-    pub accept_floor: f64,
-    /// Relative primal-residual level at (or above) which a stalled run is
-    /// classified as infeasible (a contradiction gap, not noise).
-    pub infeasible_floor: f64,
     /// Re-program the static blocks every `refresh_every` iterations
     /// (0 = never) — the mitigation for conductance drift
     /// ([`memlp_device::DriftModel`]); the rewrites are charged to the
@@ -59,11 +60,7 @@ impl Default for CrossbarSolverOptions {
                 max_iterations: 250,
                 ..PdipOptions::default()
             },
-            alpha: 1.05,
             retries: 2,
-            stall_window: 25,
-            accept_floor: 8e-2,
-            infeasible_floor: 0.30,
             refresh_every: 0,
             recovery: RecoveryPolicy::default(),
         }
@@ -246,7 +243,7 @@ impl CrossbarSolver for CrossbarPdipSolver {
         let ladder = Ladder {
             policy: self.options.recovery,
             retries: self.options.retries,
-            alpha: self.options.alpha,
+            alpha: ALPHA,
             seed_base: 0,
             alpha_check_always: false,
             keep_best: false,
@@ -306,8 +303,8 @@ impl CrossbarPdipSolver {
             // because the α-check must *also* fail) and the iterate
             // grossly violates A·x ⪯ α·b.
             let bnorm = 1.0 + ops::inf_norm(lp.b());
-            if solution.primal_residual / bnorm >= 0.5 * self.options.infeasible_floor
-                && !lp.satisfies_relaxed_scaled(&solution.x, self.options.alpha)
+            if solution.primal_residual / bnorm >= 0.5 * INFEASIBLE_FLOOR
+                && !lp.satisfies_relaxed_scaled(&solution.x, ALPHA)
             {
                 solution.status = LpStatus::Infeasible;
             }
@@ -415,9 +412,7 @@ impl CrossbarPdipSolver {
                 if status == LpStatus::Optimal && hw.saw_faults() {
                     let dual_obj: f64 = lp.b().iter().zip(&state.y).map(|(b, y)| b * y).sum();
                     let primal_obj = lp.objective(&state.x);
-                    if (primal_obj - dual_obj).abs() / (1.0 + primal_obj.abs())
-                        > self.options.accept_floor
-                    {
+                    if (primal_obj - dual_obj).abs() / (1.0 + primal_obj.abs()) > ACCEPT_FLOOR {
                         status = LpStatus::NumericalFailure;
                     }
                 }
@@ -428,13 +423,13 @@ impl CrossbarPdipSolver {
                 best_score = score;
                 best_state = state.clone();
                 best_iter = iter;
-            } else if iter - best_iter >= self.options.stall_window {
+            } else if iter - best_iter >= STALL_WINDOW {
                 // Progress has hit the analog noise floor; classify by the
-                // stall level (see LargeScaleOptions::infeasible_floor).
+                // stall level (see Algorithm 2's `INFEASIBLE_FLOOR`).
                 // Acceptance still passes the §3.2 constraint check, at the
                 // slack the floor implies (observed residual ≤ floor·scale
                 // plus read-out noise ⇒ α = 1 + 2·floor).
-                let alpha_stall = 1.0 + 2.0 * self.options.accept_floor;
+                let alpha_stall = 1.0 + 2.0 * ACCEPT_FLOOR;
                 // Primal–dual objective agreement closes the loophole where
                 // a feasible iterate with corrupted duals sails through the
                 // residual score (cf. the Algorithm-2 gate).
@@ -446,18 +441,18 @@ impl CrossbarPdipSolver {
                 // markedly suboptimal iterate whose corrupted duals agree
                 // just well enough for the stock gate.
                 let gap_cap = if hw.saw_faults() {
-                    self.options.accept_floor
+                    ACCEPT_FLOOR
                 } else {
-                    2.0 * self.options.accept_floor
+                    2.0 * ACCEPT_FLOOR
                 };
-                let status = if best_score <= self.options.accept_floor {
+                let status = if best_score <= ACCEPT_FLOOR {
                     if lp.satisfies_relaxed_scaled(&best_state.x, alpha_stall) && obj_gap <= gap_cap
                     {
                         LpStatus::Optimal
                     } else {
                         LpStatus::NumericalFailure
                     }
-                } else if best_score >= self.options.infeasible_floor {
+                } else if best_score >= INFEASIBLE_FLOOR {
                     LpStatus::Infeasible
                 } else {
                     LpStatus::NumericalFailure
@@ -477,7 +472,7 @@ impl CrossbarPdipSolver {
                 // Require a dozen iterations of history so a transient
                 // early singularity on a feasible problem is retried
                 // rather than misread as a certificate.
-                let status = if iter >= 12 && best_score >= self.options.infeasible_floor {
+                let status = if iter >= 12 && best_score >= INFEASIBLE_FLOOR {
                     LpStatus::Infeasible
                 } else {
                     LpStatus::NumericalFailure
@@ -510,7 +505,7 @@ impl CrossbarPdipSolver {
     /// constraints); report it as a numerical failure so the retry loop
     /// re-solves with fresh variation.
     fn final_status(&self, lp: &LpProblem, state: &PdipState) -> LpStatus {
-        if lp.satisfies_relaxed_scaled(&state.x, self.options.alpha) {
+        if lp.satisfies_relaxed_scaled(&state.x, ALPHA) {
             LpStatus::Optimal
         } else {
             LpStatus::NumericalFailure

@@ -51,7 +51,12 @@ pub struct CrossbarConfig {
     /// Conductance drift / retention loss (beyond-paper physical effect;
     /// perfect retention by default, matching the paper's assumption).
     pub drift: DriftModel,
-    /// Simulation fidelity.
+    /// Simulation fidelity. Read only by the standalone [`Crossbar`]
+    /// array (`array.rs`): the solvers' hardware context ignores it, so
+    /// [`CrossbarConfig::circuit`] on a solver config still runs
+    /// functional fidelity.
+    ///
+    /// [`Crossbar`]: crate::Crossbar
     pub fidelity: Fidelity,
     /// ADC resolution in bits for analog outputs (paper: 8).
     pub adc_bits: u32,
@@ -79,9 +84,13 @@ pub struct CrossbarConfig {
     /// exact zero. Fault-free results are bitwise identical with this on
     /// or off; only writes, energy and fabric traffic differ.
     pub tile_elision: bool,
-    /// MVM read-out calibration mode.
+    /// MVM read-out calibration mode. Read only by the standalone
+    /// [`Crossbar`](crate::Crossbar) at circuit fidelity; no solver path
+    /// reads it.
     pub readout: ReadoutMode,
-    /// Sense conductance `g_s` at each bit line, S (Eqn 5).
+    /// Sense conductance `g_s` at each bit line, S (Eqn 5). Read only by
+    /// the standalone [`Crossbar`](crate::Crossbar) at circuit fidelity;
+    /// no solver path reads it.
     pub sense_conductance: f64,
     /// Timing/energy constants for the cost ledger.
     pub cost: CostParams,

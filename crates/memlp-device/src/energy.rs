@@ -15,8 +15,11 @@ pub struct CostParams {
     pub pulse_width_s: f64,
     /// Time for one verify read between pulses, s.
     pub verify_read_s: f64,
-    /// Average pulse+verify cycles to program one coefficient to 8-bit
-    /// precision on ideal hardware.
+    /// Average pulse+verify cycles to program one coefficient on ideal
+    /// hardware, a constant charged per write whatever its code step. The
+    /// crossbar writes at `CrossbarConfig::write_bits` (12 by default);
+    /// `PulseProgrammer` fails to converge on most moves at that precision
+    /// on the default device, so this figure is not derived from it.
     pub base_write_cycles: f64,
     /// Extra write–verify cycles per percentage point of process variation
     /// (variation makes each landed value noisier, so the verify loop

@@ -23,7 +23,7 @@ fn the_scan_set_covers_every_crate_class() {
         "examples/quickstart.rs",
         // A library crate and the bench crate's benches/.
         "crates/memlp-core/src/lib.rs",
-        "crates/memlp-bench/benches/kernels.rs",
+        "crates/memlp-bench/benches/kernel_tiles.rs",
         // The lint tool itself is not above its own law.
         "crates/memlp-lint/src/lib.rs",
     ] {
@@ -51,7 +51,7 @@ fn the_scan_set_covers_every_crate_class() {
 fn crate_class_exemptions_hold_for_the_scanned_paths() {
     use memlp_lint::rules::FileCtx;
     // Benches and examples are test scope (may time, may unwrap).
-    assert!(FileCtx::classify("crates/memlp-bench/benches/kernels.rs").test_file);
+    assert!(FileCtx::classify("crates/memlp-bench/benches/kernel_tiles.rs").test_file);
     assert!(FileCtx::classify("examples/quickstart.rs").test_file);
     assert!(FileCtx::classify("tests/end_to_end.rs").test_file);
     // Root-package library code is the `memlp` crate and full scope.

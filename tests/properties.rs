@@ -27,7 +27,7 @@ proptest! {
         prop_assume!(r.solution.status.is_optimal());
         let rel = (r.solution.objective - reference.objective).abs() / (1.0 + reference.objective.abs());
         // Accepted runs are bounded by ~2.5× the stall-acceptance floor
-        // (accept_floor = 8%); mean errors are far lower (see Fig 5a).
+        // (`ACCEPT_FLOOR` = 8%); mean errors are far lower (see Fig 5a).
         prop_assert!(rel < 0.20, "error {} at m={} var={}", rel, m, var);
     }
 
@@ -62,7 +62,7 @@ proptest! {
             CrossbarSolverOptions::default(),
         ).solve(&lp);
         prop_assume!(r.solution.status.is_optimal());
-        // The solver's stall acceptance enforces α = 1 + 2·accept_floor
+        // The solver's stall acceptance enforces α = 1 + 2·`ACCEPT_FLOOR`
         // (= 1.16 at defaults); assert it with a small observation margin.
         prop_assert!(lp.satisfies_relaxed_scaled(&r.solution.x, 1.20));
     }
