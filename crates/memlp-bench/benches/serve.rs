@@ -19,13 +19,15 @@
 //! splits, sweep warm hits) are host-dependent; the rest must match the
 //! committed file.
 
+use std::time::{Duration, Instant};
+
 use memlp_bench::artifact::{self, quote, Rows};
 use memlp_bench::{median, obj};
 use memlp_crossbar::CrossbarConfig;
 use memlp_lp::generator::RandomLp;
 use memlp_lp::LpStatus;
-use memlp_serve::codec::{Response, SolutionBody, SolveJob};
-use memlp_serve::{LoadConfig, LoadReport, ServeClient, ServeConfig, Server};
+use memlp_serve::codec::{Request, Response, SolutionBody, SolveJob};
+use memlp_serve::{HealthInfo, LoadConfig, LoadReport, ServeClient, ServeConfig, Server};
 
 fn job(family: &str, m: usize, seed: u64, max_iters: u32, deadline_ticks: u32) -> SolveJob {
     let lp = RandomLp::paper(m, seed).feasible();
@@ -53,6 +55,25 @@ fn solution(resp: Response) -> SolutionBody {
     match resp {
         Response::Solution(s) => s,
         other => panic!("expected a solution, got {other:?}"),
+    }
+}
+
+/// Polls `Health` on `client` until `done` holds, so a scenario moves on
+/// from what the server reports rather than from how fast the host is.
+/// Panics after 30 s: a wedged server fails the bench instead of hanging
+/// it.
+fn await_health(client: &mut ServeClient, what: &str, done: impl Fn(&HealthInfo) -> bool) {
+    let start = Instant::now();
+    loop {
+        let h = client.health().expect("health");
+        if done(&h) {
+            return;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "timed out waiting for {what}: {h:?}"
+        );
+        std::thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -93,12 +114,22 @@ fn warm_cold_and_deadline() -> (SolutionBody, Vec<SolutionBody>, SolutionBody) {
 }
 
 /// Scenario 3: burst of 12 one-shot clients against queue depth 4 and a
-/// single worker chewing a slow cold solve. No retries: every request
-/// resolves to exactly one of ok/shed.
+/// single worker. The worker is first put on a long cold solve (m = 512),
+/// confirmed in service through `Health` (admitted, neither queued nor
+/// completed), so the burst meets a busy worker and a queue with four
+/// slots whatever the host speed. No retries: every request resolves to
+/// exactly one of ok/shed.
 fn overload_burst() -> LoadReport {
     let server =
         Server::bind("127.0.0.1:0", config().with_queue_depth(4).with_workers(1)).expect("bind");
     let addr = server.addr().to_string();
+    let mut hold = ServeClient::connect(&addr).expect("connect hold");
+    hold.send(&Request::Solve(job("hold", 512, 77, 0, 0)))
+        .expect("post hold");
+    let mut probe = ServeClient::connect(&addr).expect("connect probe");
+    await_health(&mut probe, "the hold solve in service", |h| {
+        h.admitted == 1 && h.queued == 0 && h.completed == 0
+    });
     let report = memlp_serve::run_load(
         &LoadConfig {
             addr,
@@ -115,6 +146,12 @@ fn overload_burst() -> LoadReport {
                 0,
             )
         },
+    );
+    let held = solution(hold.recv().expect("hold reply"));
+    assert_eq!(
+        held.status,
+        LpStatus::Optimal,
+        "the hold solve must converge"
     );
     server.shutdown();
     report
@@ -142,24 +179,23 @@ fn sweep_point(concurrency: usize) -> LoadReport {
     report
 }
 
-/// Scenario 4: two posted-but-unread jobs, then a drain. The ack arrives
-/// only after both complete, and both replies are real solutions.
+/// Scenario 4: two posted-but-unread jobs, then a drain, sent once
+/// `Health` shows both admitted (a drain that overtook a post would
+/// refuse it). The ack arrives only after both complete, and both
+/// replies are real solutions.
 fn drain_completes() -> (u64, usize) {
     let server = Server::bind("127.0.0.1:0", config()).expect("bind");
     let addr = server.addr().to_string();
 
     let mut a = ServeClient::connect(&addr).expect("connect a");
     let mut b = ServeClient::connect(&addr).expect("connect b");
-    a.send(&memlp_serve::codec::Request::Solve(job(
-        "drain", 16, 5, 0, 0,
-    )))
-    .expect("post a");
-    b.send(&memlp_serve::codec::Request::Solve(job(
-        "drain", 16, 6, 0, 0,
-    )))
-    .expect("post b");
+    a.send(&Request::Solve(job("drain", 16, 5, 0, 0)))
+        .expect("post a");
+    b.send(&Request::Solve(job("drain", 16, 6, 0, 0)))
+        .expect("post b");
 
     let mut ctl = ServeClient::connect(&addr).expect("connect ctl");
+    await_health(&mut ctl, "both drain solves admitted", |h| h.admitted == 2);
     let completed = ctl.drain().expect("drain ack");
 
     let mut finished = 0usize;

@@ -43,7 +43,7 @@ use memlp_core::{AugmentedSystem, FactorStats, Factorization, HwContext};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::{BlockKkt, SymmetricKkt};
 use memlp_lp::LpProblem;
-use memlp_solvers::pdip::{PdipOptions, PdipState};
+use memlp_solvers::pdip::PdipState;
 use memlp_solvers::{LpSolver, NormalEqPdip};
 
 /// Per-iteration digital speedup the gated rows must clear.
@@ -84,11 +84,10 @@ struct Row {
 /// (diagonal updates, factorization, triangular solves, back-substitution).
 fn measure(lp: &LpProblem, factorization: Factorization) -> Option<Timing> {
     let mut hw = HwContext::new(CrossbarConfig::ideal().with_seed(11));
-    let opts = PdipOptions::default();
-    let state = PdipState::new(lp, &opts);
+    let state = PdipState::new(lp);
     let mut sys = AugmentedSystem::program(lp, &state, &mut hw);
     sys.force_factorization(factorization);
-    let mu = state.mu(opts.delta);
+    let mu = state.mu();
     let s = sys.s_vector(&state);
     let ms = sys.mvm(&s, &mut hw);
     let constant = sys.rhs_constant(lp, mu);

@@ -1086,7 +1086,6 @@ mod tests {
         });
         let mut c = ctx(0.0);
         let t = c.write_matrix_tiled(0, &m, 128, Phase::Setup);
-        assert!(t.elides());
         assert_eq!(t.occupancy().live_tiles(), 2);
         assert_eq!(t.occupancy().grid_tiles(), 4);
         let counts = c.ledger().counts();

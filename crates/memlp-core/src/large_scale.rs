@@ -2,7 +2,7 @@ use memlp_crossbar::{CrossbarConfig, Phase};
 use memlp_linalg::{ops, LuFactors, Matrix};
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::{Budget, BudgetCause};
-use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState};
+use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState, DIVERGENCE_BOUND};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,17 +77,18 @@ const ACCEPT_FLOOR: f64 = 0.25;
 /// classified as infeasible: a planted contradiction pins the residual at
 /// the contradiction gap, far above the solver's noise floor.
 const INFEASIBLE_FLOOR: f64 = 0.30;
+/// Re-solve attempts after the first (the §4.3 double-checking scheme),
+/// one more than Algorithm 1 allows.
+const RETRIES: usize = 3;
 
 /// Options for the large-scale solver (Algorithm 2, §3.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LargeScaleOptions {
-    /// Outer-loop options (tolerances, iteration cap, divergence bound).
+    /// Outer-loop options (tolerances, iteration cap).
     pub pdip: PdipOptions,
     /// Magnitude of the `RU`/`RL` fill relative to the mean |A| coefficient
     /// — the "very small" values that make Eqn 16c non-singular.
     pub fill_scale: f64,
-    /// Re-solve attempts (the §4.3 double-checking scheme).
-    pub retries: usize,
     /// How far the solver may escalate when write–verify reports defects
     /// (see [`RecoveryPolicy`]).
     pub recovery: RecoveryPolicy,
@@ -104,7 +105,6 @@ impl Default for LargeScaleOptions {
                 ..PdipOptions::default()
             },
             fill_scale: 0.05,
-            retries: 3,
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -207,13 +207,12 @@ impl CrossbarSolver for LargeScaleSolver {
     ) -> CrossbarSolution {
         let ladder = Ladder {
             policy: self.options.recovery,
-            retries: self.options.retries,
+            retries: RETRIES,
             alpha: ALPHA,
             seed_base: 0x1A26_0000,
             alpha_check_always: false,
             keep_best: true,
             classify_accepted: true,
-            fallback_iterations: self.options.pdip.max_iterations,
         };
         // Aᵀ is attempt-invariant; hoist it out of the retry loop so each
         // attempt only redraws hardware variation.
@@ -292,7 +291,7 @@ impl LargeScaleSolver {
                       cause: Option<BudgetCause>| {
             Some((state.into_solution(lp, status, iter), trace, cause))
         };
-        let mut state = PdipState::new(lp, opts);
+        let mut state = PdipState::new(lp);
         let mut trace = SolverTrace::new();
         let mut sys = LargeScaleSystem::program(lp, at, &state, self.options.fill_scale, hw, salt)?;
 
@@ -326,14 +325,14 @@ impl LargeScaleSolver {
                 return finish(chosen, LpStatus::IterationLimit, iter, trace, Some(cause));
             }
             *spent += 1;
-            if let Some(status) = state.divergence(opts.divergence_bound) {
+            if let Some(status) = state.divergence() {
                 return finish(state, status, iter, trace, None);
             }
 
             let theta = THETA / (1.0 + iter as f64 / THETA_DECAY);
 
             // --- System 1: r1 via the fill-free MVM (Eqn 17a).
-            let mu = state.mu(opts.delta);
+            let mu = state.mu();
             let r1 = sys.rhs1(lp, &state, hw);
             let (rho, sigma) = (&r1[..sys.m], &r1[sys.m..sys.m + sys.n]);
             let pr = ops::inf_norm(rho) / bnorm;
@@ -440,8 +439,8 @@ impl LargeScaleSolver {
         }
 
         let status = match () {
-            _ if ops::inf_norm(&state.y) > opts.divergence_bound => LpStatus::Infeasible,
-            _ if ops::inf_norm(&state.x) > opts.divergence_bound => LpStatus::Unbounded,
+            _ if ops::inf_norm(&state.y) > DIVERGENCE_BOUND => LpStatus::Infeasible,
+            _ if ops::inf_norm(&state.x) > DIVERGENCE_BOUND => LpStatus::Unbounded,
             _ => LpStatus::IterationLimit,
         };
         let iters = opts.max_iterations;

@@ -935,7 +935,6 @@ mod tests {
     use memlp_crossbar::CrossbarConfig;
     use memlp_lp::domains::{transportation_lp, TransportationProblem};
     use memlp_lp::generator::RandomLp;
-    use memlp_solvers::pdip::PdipOptions;
 
     /// Programs `lp` at its start iterate and runs one dense solve, which
     /// leaves the reduced right-hand sides and coupling diagonals in the
@@ -947,8 +946,7 @@ mod tests {
         variation_pct: f64,
         w_cell: Option<(usize, f64)>,
     ) -> (AugmentedSystem, HwContext) {
-        let opts = PdipOptions::default();
-        let state = PdipState::new(lp, &opts);
+        let state = PdipState::new(lp);
         let cfg = CrossbarConfig::paper_default()
             .with_variation(variation_pct)
             .with_seed(17);
@@ -960,7 +958,7 @@ mod tests {
         }
         let s = sys.s_vector(&state);
         let ms = sys.mvm(&s, &mut hw);
-        let r = sys.assemble_rhs(&sys.rhs_constant(lp, state.mu(opts.delta)), &ms);
+        let r = sys.assemble_rhs(&sys.rhs_constant(lp, state.mu()), &ms);
         sys.solve(&r, &mut hw).expect("solvable realized system");
         (sys, hw)
     }

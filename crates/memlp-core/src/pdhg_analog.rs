@@ -361,7 +361,6 @@ impl CrossbarSolver for CrossbarPdhgSolver {
             alpha_check_always: true,
             keep_best: false,
             classify_accepted: false,
-            fallback_iterations: 250,
         };
         // Row equilibration (when enabled) happens *before* the arrays
         // are programmed: the crossbar maps every coefficient onto one

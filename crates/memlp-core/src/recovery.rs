@@ -35,7 +35,7 @@
 use memlp_linalg::ops;
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::BudgetCause;
-use memlp_solvers::{LpSolver, NormalEqPdip, PdhgOptions, PdhgSolver, PdipOptions};
+use memlp_solvers::{LpSolver, NormalEqPdip, PdhgOptions, PdhgSolver};
 
 use crate::hw::HwContext;
 use crate::solver::CrossbarSolution;
@@ -203,8 +203,6 @@ pub(crate) struct Ladder {
     /// Apply the exhaustion rule to accepted attempts too (Algorithm 2);
     /// the other families return an accepted attempt unclassified.
     pub classify_accepted: bool,
-    /// Iteration cap of the dense digital fallback rung.
-    pub fallback_iterations: usize,
 }
 
 impl Ladder {
@@ -288,7 +286,7 @@ impl Ladder {
         ) || (solution.status == LpStatus::Optimal
             && !lp.satisfies_relaxed_scaled(&solution.x, self.alpha));
         if unresolved && self.policy.allows_digital() && report.saw_faults() {
-            let (digital, events) = digital_fallback(lp, self.fallback_iterations);
+            let (digital, events) = digital_fallback(lp);
             report.events.extend(events);
             solution = digital;
         }
@@ -388,10 +386,11 @@ fn escalate_hardware(policy: RecoveryPolicy, hw: &mut HwContext, report: &mut Re
 /// first-order solve (digital PDHG at tight tolerance) first — O(nnz)
 /// memory and MVM-only work make it the cheaper rung, and past the
 /// dense-core wall the only admissible one. A non-`Optimal` first-order
-/// exit falls through to the bounded iterative-refinement PDIP, whose
+/// exit falls through to the digital reference PDIP as it stands
+/// ([`NormalEqPdip::default`], 200 iterations), whose
 /// infeasibility/unboundedness certificates are the trusted ones.
 /// Returns the adopted solution plus the rung events in climb order.
-fn digital_fallback(lp: &LpProblem, max_iterations: usize) -> (LpSolution, Vec<RecoveryEvent>) {
+fn digital_fallback(lp: &LpProblem) -> (LpSolution, Vec<RecoveryEvent>) {
     let first_order = PdhgSolver::new(PdhgOptions {
         eps_primal: 1e-6,
         eps_dual: 1e-6,
@@ -405,11 +404,7 @@ fn digital_fallback(lp: &LpProblem, max_iterations: usize) -> (LpSolution, Vec<R
     if sol.status == LpStatus::Optimal {
         return (sol, events);
     }
-    let solver = NormalEqPdip::new(PdipOptions {
-        max_iterations,
-        ..PdipOptions::default()
-    });
-    let sol = solver.solve(lp);
+    let sol = NormalEqPdip::default().solve(lp);
     events.push(RecoveryEvent::DigitalFallback {
         iterations: sol.iterations,
     });
@@ -461,7 +456,7 @@ mod tests {
     #[test]
     fn digital_fallback_solves_a_feasible_lp() {
         let lp = RandomLp::paper(10, 3).feasible();
-        let (sol, events) = digital_fallback(&lp, 200);
+        let (sol, events) = digital_fallback(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         // A feasible LP is settled by the cheap first-order rung alone.
         assert_eq!(events.len(), 1);
@@ -474,7 +469,7 @@ mod tests {
     #[test]
     fn digital_fallback_escalates_to_pdip_on_infeasible() {
         let lp = RandomLp::paper(10, 4).infeasible();
-        let (sol, events) = digital_fallback(&lp, 200);
+        let (sol, events) = digital_fallback(&lp);
         assert_eq!(sol.status, LpStatus::Infeasible);
         // The first-order rung could not certify; the dense rung did.
         assert_eq!(events.len(), 2);

@@ -2,7 +2,7 @@ use memlp_crossbar::{CostLedger, CrossbarConfig};
 use memlp_linalg::{ops, parallel, Matrix};
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::{Budget, BudgetCause};
-use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState};
+use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState, DIVERGENCE_BOUND, STEP_SAFETY};
 
 use crate::hw::HwContext;
 use crate::newton::{AugmentedSystem, Factorization};
@@ -22,6 +22,9 @@ const ACCEPT_FLOOR: f64 = 8e-2;
 /// Relative primal-residual level at (or above) which a stalled run is
 /// classified as infeasible (a contradiction gap, not noise).
 const INFEASIBLE_FLOOR: f64 = 0.30;
+/// Re-solve attempts after the first (the §4.3 "double checking scheme":
+/// each retry rewrites the array, redrawing variation).
+const RETRIES: usize = 2;
 
 /// Options specific to the crossbar solvers, wrapping [`PdipOptions`] with
 /// the paper's hardware-level policies.
@@ -31,9 +34,6 @@ pub struct CrossbarSolverOptions {
     /// software baselines: the 8-bit analog I/O sets a noise floor well
     /// above 1e-8.
     pub pdip: PdipOptions,
-    /// Re-solve attempts on numerical failure (the §4.3 "double checking
-    /// scheme" — each retry rewrites the array, redrawing variation).
-    pub retries: usize,
     /// Re-program the static blocks every `refresh_every` iterations
     /// (0 = never) — the mitigation for conductance drift
     /// ([`memlp_device::DriftModel`]); the rewrites are charged to the
@@ -60,7 +60,6 @@ impl Default for CrossbarSolverOptions {
                 max_iterations: 250,
                 ..PdipOptions::default()
             },
-            retries: 2,
             refresh_every: 0,
             recovery: RecoveryPolicy::default(),
         }
@@ -242,13 +241,12 @@ impl CrossbarSolver for CrossbarPdipSolver {
     ) -> CrossbarSolution {
         let ladder = Ladder {
             policy: self.options.recovery,
-            retries: self.options.retries,
+            retries: RETRIES,
             alpha: ALPHA,
             seed_base: 0,
             alpha_check_always: false,
             keep_best: false,
             classify_accepted: false,
-            fallback_iterations: self.options.pdip.max_iterations,
         };
         // Aᵀ is attempt-invariant; hoist it out of the retry loop. Fault
         // plans persist in `hw` across attempts (only the Eqn 18
@@ -328,7 +326,7 @@ impl CrossbarPdipSolver {
         // (near-zero) coordinates.
         let mut state = match init {
             Some((x0, y0)) => PdipState::warm_start(lp, x0, y0, opts.warm_start_floor),
-            None => PdipState::new(lp, opts),
+            None => PdipState::new(lp),
         };
         let mut trace = SolverTrace::new();
         let mut system = AugmentedSystem::program_with_at(lp, at, &state, hw);
@@ -366,7 +364,7 @@ impl CrossbarPdipSolver {
             }
             *spent += 1;
             // Divergence / NaN checks are digital (the controller tracks s).
-            if let Some(status) = state.divergence(opts.divergence_bound) {
+            if let Some(status) = state.divergence() {
                 return (state.into_solution(lp, status, iter), trace, None);
             }
 
@@ -384,7 +382,7 @@ impl CrossbarPdipSolver {
             }
 
             // (2) r from the crossbar MVM (Eqn 15a/15b).
-            let mu = state.mu(opts.delta);
+            let mu = state.mu();
             let s = system.s_vector(&state);
             let ms = system.mvm(&s, hw);
             let constant = system.rhs_constant(lp, mu);
@@ -481,7 +479,7 @@ impl CrossbarPdipSolver {
             };
 
             // (4) damped update.
-            let theta = state.step_length(&aug.dirs, opts.step_safety);
+            let theta = state.step_length(&aug.dirs, STEP_SAFETY);
             if let Some(last) = trace.records.last_mut() {
                 last.theta = theta;
             }
@@ -489,8 +487,8 @@ impl CrossbarPdipSolver {
         }
 
         let status = match () {
-            _ if ops::inf_norm(&state.y) > opts.divergence_bound => LpStatus::Infeasible,
-            _ if ops::inf_norm(&state.x) > opts.divergence_bound => LpStatus::Unbounded,
+            _ if ops::inf_norm(&state.y) > DIVERGENCE_BOUND => LpStatus::Infeasible,
+            _ if ops::inf_norm(&state.x) > DIVERGENCE_BOUND => LpStatus::Unbounded,
             _ => LpStatus::IterationLimit,
         };
         (

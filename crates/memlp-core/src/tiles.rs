@@ -86,11 +86,6 @@ impl TiledMatrix {
         self.realized.cols()
     }
 
-    /// Whether live-tile elision is in force.
-    pub fn elides(&self) -> bool {
-        self.elide
-    }
-
     /// Tiles an MVM drives: live only under elision, the full grid
     /// otherwise.
     pub fn scheduled_tiles(&self) -> usize {

@@ -136,20 +136,6 @@ impl SolverTrace {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Geometric mean of the per-iteration gap reduction factor — a scalar
-    /// summary of convergence speed.
-    pub fn mean_gap_reduction(&self) -> Option<f64> {
-        if self.records.len() < 2 {
-            return None;
-        }
-        let first = self.records.first()?.gap;
-        let last = self.records.last()?.gap;
-        if first <= 0.0 || last <= 0.0 {
-            return None;
-        }
-        Some((last / first).powf(1.0 / (self.records.len() - 1) as f64))
-    }
 }
 
 #[cfg(test)]
@@ -176,16 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn gap_reduction_geometric_mean() {
-        let mut t = SolverTrace::new();
-        for k in 0..5 {
-            t.push(rec(1.0 * 0.5f64.powi(k)));
-        }
-        let r = t.mean_gap_reduction().unwrap();
-        assert!((r - 0.5).abs() < 1e-12, "reduction {r}");
-    }
-
-    #[test]
     fn write_stats_delta_is_saturating() {
         let before = WriteStats {
             cells_written: 10,
@@ -207,13 +183,5 @@ mod tests {
         );
         // A reset context (counters behind the snapshot) clamps to zero.
         assert_eq!(before.since(&after), WriteStats::default());
-    }
-
-    #[test]
-    fn gap_reduction_requires_two_records() {
-        let mut t = SolverTrace::new();
-        assert_eq!(t.mean_gap_reduction(), None);
-        t.push(rec(1.0));
-        assert_eq!(t.mean_gap_reduction(), None);
     }
 }

@@ -20,7 +20,7 @@ use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::Matrix;
 use memlp_lp::domains::{assignment_lp, AssignmentProblem};
 use memlp_lp::LpProblem;
-use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState};
+use memlp_solvers::pdip::{CoreSolveError, PdipState};
 
 /// A fully dense LP with 8 constraints over 16 400 non-negative-coefficient
 /// variables (so no compensation variables are programmed).
@@ -36,7 +36,7 @@ fn rhs_for(
     state: &PdipState,
     hw: &mut HwContext,
 ) -> Vec<f64> {
-    let mu = state.mu(PdipOptions::default().delta);
+    let mu = state.mu();
     let constant = sys.rhs_constant(lp, mu);
     let s = sys.s_vector(state);
     let ms = sys.mvm(&s, hw);
@@ -50,7 +50,7 @@ fn schur_solve_serves_a_dense_core_past_the_lu_limit() {
     assert!(dense_core_bytes(n + m) > DENSE_CORE_LIMIT_BYTES);
 
     let mut hw = HwContext::new(CrossbarConfig::ideal());
-    let state = PdipState::new(&lp, &PdipOptions::default());
+    let state = PdipState::new(&lp);
     let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
     let r = rhs_for(&mut sys, &lp, &state, &mut hw);
     let before = FactorStats::from_ledger(hw.ledger());
@@ -77,7 +77,7 @@ fn lu_fallback_refuses_past_the_limit() {
     let lp = wide_dense_lp();
     let dim = lp.num_vars() + lp.num_constraints();
     let mut hw = HwContext::new(CrossbarConfig::ideal());
-    let mut state = PdipState::new(&lp, &PdipOptions::default());
+    let mut state = PdipState::new(&lp);
     state.z[0] = 0.0;
     let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
     sys.force_factorization(Factorization::Dense);
@@ -103,7 +103,7 @@ fn oversized_sparse_core_solves_on_the_sparse_factorization() {
     assert!(dense_core_bytes(n + m) > DENSE_CORE_LIMIT_BYTES);
 
     let mut hw = HwContext::new(CrossbarConfig::ideal());
-    let state = PdipState::new(&lp, &PdipOptions::default());
+    let state = PdipState::new(&lp);
     let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
     let r = rhs_for(&mut sys, &lp, &state, &mut hw);
     let aug = sys

@@ -7,7 +7,7 @@ use memlp_linalg::ops;
 use memlp_lp::domains::{transportation_lp, TransportationProblem};
 use memlp_lp::generator::RandomLp;
 use memlp_lp::LpProblem;
-use memlp_solvers::pdip::{PdipOptions, PdipState};
+use memlp_solvers::pdip::PdipState;
 use memlp_solvers::{DensePdip, LpSolver};
 
 /// Ideal hardware (no variation, 16-bit converters) for exact comparisons.
@@ -20,7 +20,7 @@ fn dimensions_follow_eqn_14a() {
     let lp = RandomLp::paper(18, 1).feasible();
     let n = lp.num_vars();
     let m = lp.num_constraints();
-    let state = PdipState::new(&lp, &PdipOptions::default());
+    let state = PdipState::new(&lp);
     let mut hw = ideal_hw();
     let sys = AugmentedSystem::program(&lp, &state, &mut hw);
     // k = columns of A with negatives + rows of A with negatives.
@@ -35,7 +35,7 @@ fn mvm_consistency_rows_vanish() {
     // Rows R5–R7 of M·s encode u = −w, v = −z, p = −(x|y)_sel; on ideal
     // hardware they must evaluate to ~0 (quantization only).
     let lp = RandomLp::paper(15, 3).feasible();
-    let state = PdipState::new(&lp, &PdipOptions::default());
+    let state = PdipState::new(&lp);
     let mut hw = ideal_hw();
     let sys = AugmentedSystem::program(&lp, &state, &mut hw);
     let s = sys.s_vector(&state);
@@ -54,7 +54,7 @@ fn mvm_consistency_rows_vanish() {
 #[test]
 fn mvm_rows_3_4_are_twice_the_complementarity_products() {
     let lp = RandomLp::paper(12, 5).feasible();
-    let mut state = PdipState::new(&lp, &PdipOptions::default());
+    let mut state = PdipState::new(&lp);
     // Non-uniform state exercises the diagonal blocks properly.
     for (i, v) in state.x.iter_mut().enumerate() {
         *v = 0.5 + 0.1 * i as f64;
@@ -85,12 +85,11 @@ fn augmented_solve_matches_dense_newton_directions() {
     // the full Eqn-12 system solved in f64 (they are algebraically the
     // same system; the compensation rows only re-encode negativity).
     let lp = RandomLp::paper(12, 7).feasible();
-    let opts = PdipOptions::default();
-    let state = PdipState::new(&lp, &opts);
+    let state = PdipState::new(&lp);
     let mut hw = ideal_hw();
     let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
 
-    let mu = state.mu(opts.delta);
+    let mu = state.mu();
     let constant = sys.rhs_constant(&lp, mu);
     let s = sys.s_vector(&state);
     let ms = sys.mvm(&s, &mut hw);
@@ -172,7 +171,7 @@ fn ageing_scales_static_blocks_and_refresh_restores_them() {
     use memlp_device::DriftModel;
 
     let lp = RandomLp::paper(12, 13).feasible();
-    let state = PdipState::new(&lp, &PdipOptions::default());
+    let state = PdipState::new(&lp);
     let cfg = CrossbarConfig {
         drift: DriftModel::exponential(1.0),
         ..CrossbarConfig::ideal()
@@ -204,7 +203,7 @@ fn ageing_scales_static_blocks_and_refresh_restores_them() {
 #[test]
 fn update_diagonals_uses_run_phase_budget() {
     let lp = RandomLp::paper(12, 11).feasible();
-    let state = PdipState::new(&lp, &PdipOptions::default());
+    let state = PdipState::new(&lp);
     let mut hw = ideal_hw();
     let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
     let before = hw.ledger().counts();
@@ -256,8 +255,7 @@ fn newton_step(
     variation_pct: f64,
     zero: ZeroCell,
 ) -> (AugmentedDirections, FactorStats) {
-    let opts = PdipOptions::default();
-    let mut state = PdipState::new(lp, &opts);
+    let mut state = PdipState::new(lp);
     match zero {
         ZeroCell::None => {}
         ZeroCell::W(i) => state.w[i] = 0.0,
@@ -271,7 +269,7 @@ fn newton_step(
     sys.force_factorization(factorization);
     let s = sys.s_vector(&state);
     let ms = sys.mvm(&s, &mut hw);
-    let constant = sys.rhs_constant(lp, state.mu(opts.delta));
+    let constant = sys.rhs_constant(lp, state.mu());
     let r = sys.assemble_rhs(&constant, &ms);
     let before = FactorStats::from_ledger(hw.ledger());
     let dirs = sys.solve(&r, &mut hw).expect("solvable realized system");

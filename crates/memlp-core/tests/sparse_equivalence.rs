@@ -10,7 +10,7 @@
 use memlp_core::{AugmentedSystem, Factorization};
 use memlp_crossbar::CrossbarConfig;
 use memlp_lp::domains::{transportation_lp, TransportationProblem};
-use memlp_solvers::pdip::{PdipOptions, PdipState};
+use memlp_solvers::pdip::PdipState;
 
 #[test]
 fn directions_identical_through_shared_adc() {
@@ -19,13 +19,12 @@ fn directions_identical_through_shared_adc() {
     // ADC read-out quantizes away: the solved directions must be equal to
     // 1e-9 relative (and in practice bitwise).
     let lp = transportation_lp(&TransportationProblem::random(3, 9, 5)).expect("valid domain");
-    let opts = PdipOptions::default();
-    let state = PdipState::new(&lp, &opts);
+    let state = PdipState::new(&lp);
     let run = |factorization: Factorization| {
         let mut hw = memlp_core::HwContext::new(CrossbarConfig::paper_default().with_seed(17));
         let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
         sys.force_factorization(factorization);
-        let mu = state.mu(opts.delta);
+        let mu = state.mu();
         let s = sys.s_vector(&state);
         let ms = sys.mvm(&s, &mut hw);
         let constant = sys.rhs_constant(&lp, mu);

@@ -41,10 +41,6 @@ pub struct Crossbar {
     /// Realized conductance matrix (only materialized at circuit fidelity).
     gmat: Option<Matrix>,
     map: Option<ConductanceMap>,
-    /// Conductance codes most recently programmed (row-major over the
-    /// logical target), kept for [`Crossbar::program_delta`]. Coherent with
-    /// the cells because every write path updates it in place.
-    codes: Option<Vec<u64>>,
     adc: Quantizer,
     dac: Quantizer,
     /// Write-precision quantizer (`config.write_bits` significant bits).
@@ -87,7 +83,6 @@ impl Crossbar {
             realized: None,
             gmat: None,
             map: None,
-            codes: None,
             g_total: 0.0,
             config,
         })
@@ -133,7 +128,6 @@ impl Crossbar {
         let map = ConductanceMap::new(a_max, &self.config.device);
 
         let mut realized = Matrix::zeros(matrix.rows(), matrix.cols());
-        let mut codes = vec![0u64; matrix.rows() * matrix.cols()];
         let mut gmat = if self.config.fidelity == Fidelity::Circuit {
             Some(Matrix::zeros(matrix.rows(), matrix.cols()))
         } else {
@@ -142,7 +136,6 @@ impl Crossbar {
         for i in 0..matrix.rows() {
             for j in 0..matrix.cols() {
                 let (logical, g) = self.write_cell(&map, i, j, matrix[(i, j)]);
-                codes[i * matrix.cols() + j] = self.wq.code(matrix[(i, j)]);
                 realized[(i, j)] = logical;
                 if let Some(gm) = gmat.as_mut() {
                     gm[(i, j)] = g;
@@ -166,86 +159,6 @@ impl Crossbar {
         self.realized = Some(realized);
         self.gmat = gmat;
         self.map = Some(map);
-        self.codes = Some(codes);
-        Ok(())
-    }
-
-    /// Re-programs a matrix of the **same shape** as the current target,
-    /// pulsing only cells whose `config.write_bits`-bit conductance code
-    /// changed (run phase). Unchanged cells charge neither time nor energy;
-    /// the skip count lands in the ledger's `skipped_writes`. Every healthy
-    /// cell still resolves through the write-verify pass (one variation
-    /// draw each), so fault-free arrays are bitwise identical whether delta
-    /// programming is on or off — only the write counts differ. The
-    /// full-scale value of the original [`Crossbar::program_with_scale`]
-    /// call is retained.
-    ///
-    /// # Errors
-    ///
-    /// * [`CrossbarError::NotProgrammed`] before the first program,
-    /// * [`CrossbarError::ShapeMismatch`] if the shape differs from the
-    ///   programmed target,
-    /// * [`CrossbarError::NegativeCoefficient`] if any entry is negative.
-    pub fn program_delta(&mut self, matrix: &Matrix) -> Result<(), CrossbarError> {
-        let map = self.map.ok_or(CrossbarError::NotProgrammed)?;
-        {
-            let target = self.target.as_ref().ok_or(CrossbarError::NotProgrammed)?;
-            if matrix.rows() != target.rows() || matrix.cols() != target.cols() {
-                return Err(CrossbarError::ShapeMismatch {
-                    expected: format!("{}x{} delta target", target.rows(), target.cols()),
-                    found: format!("{}x{}", matrix.rows(), matrix.cols()),
-                });
-            }
-        }
-        self.check_nonnegative(matrix)?;
-        if !self.config.delta_writes || self.codes.is_none() {
-            // Delta programming off (or cache never built): behave as a
-            // wholesale run-phase rewrite of every cell.
-            let updates: Vec<(usize, usize, f64)> = (0..matrix.rows())
-                .flat_map(|i| (0..matrix.cols()).map(move |j| (i, j, matrix[(i, j)])))
-                .collect();
-            return self.update_cells(&updates);
-        }
-        let cols = matrix.cols();
-        let mut written = 0u64;
-        let mut skipped = 0u64;
-        for i in 0..matrix.rows() {
-            for j in 0..cols {
-                let v = matrix[(i, j)];
-                let code = self.wq.code(v);
-                let unchanged = self.codes.as_ref().is_some_and(|c| c[i * cols + j] == code);
-                // The cell state resolves through the same verify pass
-                // either way — the verify read draws its deviate whether or
-                // not a pulse fires — so a skip changes only the pulse
-                // accounting, never the realized values.
-                let (logical, g) = self.write_cell(&map, i, j, v);
-                if let Some(r) = self.realized.as_mut() {
-                    r[(i, j)] = logical;
-                }
-                if let Some(gm) = self.gmat.as_mut() {
-                    gm[(i, j)] = g;
-                }
-                if let Some(c) = self.codes.as_mut() {
-                    c[i * cols + j] = code;
-                }
-                if unchanged && self.plan.fault_at(i, j) == FaultKind::Healthy {
-                    skipped += 1;
-                } else {
-                    written += 1;
-                }
-                if let Some(t) = self.target.as_mut() {
-                    t[(i, j)] = v;
-                }
-            }
-        }
-        self.refresh_g_total(&map)?;
-        self.ledger.charge_writes(
-            &self.config.cost,
-            Phase::Run,
-            written,
-            self.config.variation.max_fraction,
-        );
-        self.ledger.note_skipped_writes(skipped);
         Ok(())
     }
 
@@ -279,7 +192,6 @@ impl Crossbar {
                 }
             }
         }
-        let cols = self.target.as_ref().map_or(0, |t| t.cols());
         for &(i, j, v) in updates {
             let (logical, g) = self.write_cell(&map, i, j, v);
             if let Some(t) = self.target.as_mut() {
@@ -290,9 +202,6 @@ impl Crossbar {
             }
             if let Some(gm) = self.gmat.as_mut() {
                 gm[(i, j)] = g;
-            }
-            if let Some(c) = self.codes.as_mut() {
-                c[i * cols + j] = self.wq.code(v);
             }
         }
         // Refresh the cached conductance total (cheap relative to a solve).

@@ -200,18 +200,12 @@ impl FaultModel {
     }
 
     /// Returns `true` if this model never injects hard faults (dead lines
-    /// or stuck cells). Transient upsets are reported separately by
-    /// [`FaultModel::has_transients`].
+    /// or stuck cells); transient upsets are not counted.
     pub fn is_none(&self) -> bool {
         self.stuck_on_rate == 0.0
             && self.stuck_off_rate == 0.0
             && self.dead_row_rate == 0.0
             && self.dead_col_rate == 0.0
-    }
-
-    /// Returns `true` if transient read upsets are enabled.
-    pub fn has_transients(&self) -> bool {
-        self.transient_flip_rate > 0.0
     }
 
     /// Draws the stuck-fault state of one cell. Construction guarantees the
@@ -480,7 +474,6 @@ mod tests {
             assert_eq!(f.draw(&mut rng), FaultKind::Healthy);
         }
         assert!(f.is_none());
-        assert!(!f.has_transients());
     }
 
     #[test]

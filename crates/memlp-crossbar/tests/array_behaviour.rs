@@ -420,80 +420,3 @@ fn different_seeds_differ() {
     };
     assert_ne!(mk(1), mk(2));
 }
-
-// ----- delta programming ----------------------------------------------------
-
-#[test]
-fn program_delta_skips_unchanged_cells() {
-    let mut xb = Crossbar::new(8, CrossbarConfig::paper_default()).unwrap();
-    let a = test_matrix();
-    xb.program(&a).unwrap();
-    let setup = xb.ledger().counts().setup_writes;
-    assert_eq!(setup, 16, "full program writes every cell");
-
-    // Identical matrix: every cell's code is unchanged.
-    xb.program_delta(&a).unwrap();
-    assert_eq!(xb.ledger().counts().update_writes, 0);
-    assert_eq!(xb.ledger().counts().skipped_writes, 16);
-
-    // One materially changed cell writes exactly one cell.
-    let mut b = a.clone();
-    b[(2, 2)] = 3.7;
-    xb.program_delta(&b).unwrap();
-    assert_eq!(xb.ledger().counts().update_writes, 1);
-    assert_eq!(xb.ledger().counts().skipped_writes, 31);
-    let r = xb.realized().unwrap();
-    assert!((r[(2, 2)] - 3.7).abs() <= 3.7 / 4096.0 + 1e-12);
-}
-
-#[test]
-fn program_delta_matches_full_reprogram_bitwise_when_fault_free() {
-    // Same seed, same write sequence: the delta path must realize exactly
-    // what wholesale re-programming realizes, at zero variation and under
-    // a 20% redraw regime for the cells it does write.
-    let a = test_matrix();
-    let mut b = a.clone();
-    b[(0, 0)] = 3.1;
-    b[(3, 3)] = 1.9;
-
-    let cfg = CrossbarConfig::paper_default().with_seed(5);
-    let mut with_delta = Crossbar::new(8, cfg).unwrap();
-    with_delta.program(&a).unwrap();
-    with_delta.program_delta(&b).unwrap();
-
-    let mut without = Crossbar::new(8, cfg.with_delta_writes(false)).unwrap();
-    without.program(&a).unwrap();
-    without.program_delta(&b).unwrap();
-
-    let bits = |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
-    assert_eq!(
-        bits(with_delta.realized().unwrap()),
-        bits(without.realized().unwrap())
-    );
-}
-
-#[test]
-fn program_delta_rejects_shape_change_and_unprogrammed() {
-    let mut xb = Crossbar::new(8, CrossbarConfig::paper_default()).unwrap();
-    assert!(matches!(
-        xb.program_delta(&test_matrix()),
-        Err(CrossbarError::NotProgrammed)
-    ));
-    xb.program(&test_matrix()).unwrap();
-    assert!(matches!(
-        xb.program_delta(&Matrix::identity(3)),
-        Err(CrossbarError::ShapeMismatch { .. })
-    ));
-}
-
-#[test]
-fn program_delta_sub_lsb_drift_is_free() {
-    // Nudging every coefficient by much less than one 8-bit code step is
-    // the common late-PDIP case: nothing should be written.
-    let mut xb = Crossbar::new(8, CrossbarConfig::paper_default()).unwrap();
-    let a = test_matrix();
-    xb.program(&a).unwrap();
-    let nudged = Matrix::from_fn(4, 4, |i, j| a[(i, j)] * (1.0 + 1e-7));
-    xb.program_delta(&nudged).unwrap();
-    assert_eq!(xb.ledger().counts().update_writes, 0);
-}

@@ -38,8 +38,6 @@ pub struct TiledCrossbar {
     rows: usize,
     cols: usize,
     tile_side: usize,
-    a_max: f64,
-    config: CrossbarConfig,
     noc: NocConfig,
     noise_rng: StdRng,
     noc_ledger: CostLedger,
@@ -118,8 +116,6 @@ impl TiledCrossbar {
             rows: matrix.rows(),
             cols: matrix.cols(),
             tile_side,
-            a_max,
-            config,
             noise_rng: StdRng::seed_from_u64(noc.seed),
             noc,
             noc_ledger,
@@ -185,55 +181,6 @@ impl TiledCrossbar {
             }
         }
         total
-    }
-
-    /// Re-programs the fabric with a same-shape `matrix` (run phase): live
-    /// tiles delta-program their block (unchanged conductance codes skip
-    /// pulses), a previously-elided position whose block became nonzero is
-    /// fabricated and receives a **real first program** — setup-phase
-    /// pulses on its own per-position variation stream — and positions
-    /// that stay all-zero stay elided (another round of avoided pulses,
-    /// recorded in `elided_writes`). The programming-time full-scale value
-    /// is retained, as in [`Crossbar::program_delta`].
-    ///
-    /// # Errors
-    ///
-    /// * [`CrossbarError::ShapeMismatch`] on a shape change,
-    /// * any tile-level programming error.
-    pub fn refresh(&mut self, matrix: &Matrix) -> Result<(), CrossbarError> {
-        if matrix.rows() != self.rows || matrix.cols() != self.cols {
-            return Err(CrossbarError::ShapeMismatch {
-                expected: format!("{}x{} refresh operand", self.rows, self.cols),
-                found: format!("{}x{}", matrix.rows(), matrix.cols()),
-            });
-        }
-        let incoming = TileOccupancy::from_matrix(matrix, self.tile_side);
-        for bi in 0..self.tiles.len() {
-            for bj in 0..self.tiles[bi].len() {
-                let r0 = bi * self.tile_side;
-                let c0 = bj * self.tile_side;
-                let nr = self.tile_side.min(self.rows - r0);
-                let nc = self.tile_side.min(self.cols - c0);
-                if let Some(xb) = self.tiles[bi][bj].as_mut() {
-                    // Hardware exists: delta refresh (even if the block is
-                    // now all-zero — fabricated cells must be erased).
-                    xb.program_delta(&matrix.block(r0, c0, nr, nc))?;
-                } else if incoming.is_live(bi, bj) {
-                    // Revival: the position gains hardware now, on the same
-                    // (bi, bj)-salted seed it would have used at setup.
-                    let tile_cfg = self
-                        .config
-                        .with_seed(self.config.seed ^ ((bi as u64) << 32) ^ (bj as u64) ^ 0x7173);
-                    let mut xb = Crossbar::new(self.tile_side, tile_cfg)?;
-                    xb.program_with_scale(&matrix.block(r0, c0, nr, nc), self.a_max)?;
-                    self.tiles[bi][bj] = Some(xb);
-                    self.occupancy.mark_live(bi, bj);
-                } else {
-                    self.noc_ledger.note_elided_tiles(1, (nr * nc) as u64);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Analog tiled MVM `y = A·x`, scheduling live tiles only.
@@ -508,49 +455,6 @@ mod tests {
             on.ledger().counts().noc_transfers < off.ledger().counts().noc_transfers,
             "elision must cut NoC transfers"
         );
-    }
-
-    #[test]
-    fn refresh_revives_elided_tiles_with_a_first_program() {
-        let a = block_sparse_matrix();
-        let cfg = CrossbarConfig::ideal();
-        let noc = NocConfig::hierarchical().with_buffer_noise(0.0);
-        let mut t = TiledCrossbar::program(&a, 4, cfg, noc).unwrap();
-        assert!(!t.occupancy().is_live(1, 0));
-        let before = t.ledger().counts().setup_writes;
-
-        // Make block (1, 0) live; everything else keeps its values.
-        let mut b = a.clone();
-        b[(5, 1)] = 2.5;
-        t.refresh(&b).unwrap();
-        assert!(t.occupancy().is_live(1, 0), "revived in the index");
-        assert_eq!(t.tile_count(), 5);
-        let counts = t.ledger().counts();
-        assert_eq!(
-            counts.setup_writes,
-            before + 16,
-            "revival is a real first program"
-        );
-        // The other four elided positions were skipped again.
-        assert_eq!(counts.tiles_elided, 5 + 4);
-
-        let y = t.mvm(&[1.0; 12]).unwrap();
-        let exact = b.matvec(&[1.0; 12]);
-        for (got, want) in y.iter().zip(&exact) {
-            assert!((got - want).abs() < 2e-3 * want.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn refresh_rejects_shape_changes() {
-        let a = block_sparse_matrix();
-        let mut t =
-            TiledCrossbar::program(&a, 4, CrossbarConfig::ideal(), NocConfig::default()).unwrap();
-        let wrong = Matrix::zeros(10, 12);
-        assert!(matches!(
-            t.refresh(&wrong),
-            Err(CrossbarError::ShapeMismatch { .. })
-        ));
     }
 
     #[test]

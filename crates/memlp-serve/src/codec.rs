@@ -3,7 +3,7 @@
 //! Every message travels as one **frame**:
 //!
 //! ```text
-//! [u32 payload_len LE] [u8 version = 1] [u8 kind] [body ...]
+//! [u32 payload_len LE] [u8 version = 2] [u8 kind] [body ...]
 //! ```
 //!
 //! `payload_len` counts everything after the length word (version byte,
@@ -24,7 +24,7 @@ use memlp_core::BudgetCause;
 use memlp_lp::LpStatus;
 
 /// Protocol version carried in every frame.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard ceiling on a frame's payload (version + kind + body), bytes.
 /// Large enough for a dense 1024×1024 job (~8 MiB of `A` plus slack),
@@ -128,6 +128,9 @@ pub struct HealthInfo {
     pub capacity: u32,
     /// Worker threads.
     pub workers: u32,
+    /// Jobs admitted to the queue since startup. A job counted here but
+    /// neither queued nor completed is in a worker's hands.
+    pub admitted: u64,
     /// Jobs completed since startup.
     pub completed: u64,
     /// Jobs shed by backpressure since startup.
@@ -437,6 +440,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             b.u32(h.queued);
             b.u32(h.capacity);
             b.u32(h.workers);
+            b.u64(h.admitted);
             b.u64(h.completed);
             b.u64(h.rejected);
             b.finish()
@@ -543,6 +547,7 @@ fn decode_response_body(kind: u8, body: &[u8]) -> Result<Response, DecodeError> 
             queued: c.u32()?,
             capacity: c.u32()?,
             workers: c.u32()?,
+            admitted: c.u64()?,
             completed: c.u64()?,
             rejected: c.u64()?,
         }),

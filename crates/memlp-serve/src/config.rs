@@ -1,13 +1,14 @@
 //! Server configuration.
 
-use memlp_core::CrossbarSolverOptions;
 use memlp_crossbar::CrossbarConfig;
 
 /// Which crossbar solver family the workers run (`memlp serve --solver
 /// alg1|pdhg-analog`).
 ///
 /// Both families share the warm-context pool, budgets, and recovery
-/// machinery; the choice is the per-iteration primitive. PDIP converges
+/// machinery, and each runs its own default options
+/// (`CrossbarSolverOptions::default()`, `CrossbarPdhgOptions::default()`);
+/// the choice is the per-iteration primitive. PDIP converges
 /// in tens of iterations but pays O(N) diagonal rewrites plus an analog
 /// solve each one; PDHG takes more iterations but each is two writes-free
 /// analog MVMs, so repeat requests against a warm array consume no write
@@ -29,25 +30,12 @@ pub struct ServeConfig {
     pub crossbar: CrossbarConfig,
     /// Solver family the workers instantiate.
     pub solver: ServeSolver,
-    /// Solver policy (tolerances, retries, recovery ladder). The PDHG
-    /// family adopts the recovery policy from here; its first-order
-    /// tolerances come from `CrossbarPdhgOptions::default()`.
-    pub options: CrossbarSolverOptions,
     /// Admission-queue capacity (jobs), summed across families. Full
     /// queue ⇒ load shed with `Overloaded`.
     pub queue_depth: usize,
     /// Worker threads, each owning a private warm-context pool. One
     /// worker serving sequential requests is deterministic end to end.
     pub workers: usize,
-    /// Warm contexts each worker keeps before LRU eviction.
-    pub pool_capacity: usize,
-    /// Extra solve attempts on a *replacement* array after a solve fails
-    /// with confirmed hardware defects (this is on top of the solver's
-    /// own in-context recovery ladder).
-    pub retry_limit: usize,
-    /// Base worker backoff before retrying on a replacement array,
-    /// milliseconds; decays by half per further attempt.
-    pub backoff_ms: u64,
     /// Server-side default Newton-iteration cap applied to jobs that
     /// carry none (`0` = unlimited). A job's own nonzero cap wins.
     pub default_max_iters: u32,
@@ -61,12 +49,8 @@ impl Default for ServeConfig {
         ServeConfig {
             crossbar: CrossbarConfig::paper_default(),
             solver: ServeSolver::default(),
-            options: CrossbarSolverOptions::default(),
             queue_depth: 16,
             workers: 1,
-            pool_capacity: 8,
-            retry_limit: 1,
-            backoff_ms: 1,
             default_max_iters: 0,
             default_deadline_ticks: 0,
         }

@@ -15,7 +15,7 @@
 //! | [`codec`] | Versioned length-prefixed wire protocol (hand-rolled, dependency-free) |
 //! | [`queue`] | Bounded admission queue: load-shedding backpressure, per-family fairness |
 //! | [`pool`] | Warm [`HwContext`](memlp_core::HwContext) pool keyed by family, fingerprint-gated warm starts |
-//! | [`worker`] | Solve loop: budgets, degradation, defective-array replacement with decaying backoff |
+//! | [`worker`] | Solve loop: budgets, degradation, one run of the solver's recovery ladder per job |
 //! | [`server`] | Accept loop, health/readiness, graceful drain |
 //! | [`client`] | Synchronous client used by the CLI and benches |
 //! | [`loadgen`] | Closed-loop load generator behind `BENCH_serve.json` |
@@ -28,10 +28,10 @@
 //!    hanging the connection.
 //! 2. **Bounded admission** — a full queue sheds load *immediately* with
 //!    a structured `Overloaded` reply carrying a depth-scaled retry hint.
-//! 3. **Retry on confirmed-defective hardware** — beyond the solver's
-//!    in-context recovery ladder, the worker scraps and refabricates a
-//!    family's array (fresh fault plan) and retries with decaying
-//!    backoff.
+//! 3. **One retry ladder** — defective or variation-struck hardware is
+//!    handled by the solver's own §4.3 recovery ladder on the warm array
+//!    (variation redraws, re-programming, remapping, digital fallback);
+//!    the worker answers from that ladder's result once.
 //! 4. **Graceful degradation & lifecycle** — health/readiness frames, and
 //!    a drain that completes every admitted job before acking.
 //!

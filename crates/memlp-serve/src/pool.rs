@@ -78,8 +78,6 @@ pub struct PoolEntry {
     pub fingerprint: u64,
     /// Solves dispatched onto this entry (also the reuse salt).
     pub solves: u64,
-    /// Times this slot was rebuilt after confirmed-defective hardware.
-    pub resets: u64,
 }
 
 /// Per-worker pool of warm contexts, LRU-bounded by entry count.
@@ -142,34 +140,12 @@ impl ContextPool {
                 warm: None,
                 fingerprint,
                 solves: 0,
-                resets: 0,
             });
         if entry.fingerprint != fingerprint {
             entry.warm = None;
             entry.fingerprint = fingerprint;
         }
         entry
-    }
-
-    /// Replaces `key`'s array with a freshly fabricated one (new seed, so
-    /// fault plans and variation redraw) — the escape hatch once write–
-    /// verify keeps confirming defects on the warm array. The warm iterate
-    /// is dropped with it: it was computed on the defective hardware.
-    pub fn reset(&mut self, key: &FamilyKey) {
-        if let Some(entry) = self.entries.get_mut(key) {
-            let resets = entry.resets + 1;
-            let seed = self
-                .config
-                .seed
-                .wrapping_add(resets.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            *entry = PoolEntry {
-                hw: HwContext::new(self.config.with_seed(seed)),
-                warm: None,
-                fingerprint: entry.fingerprint,
-                solves: 0,
-                resets,
-            };
-        }
     }
 }
 
@@ -230,18 +206,5 @@ mod tests {
         pool.entry(&key("a"), 1);
         assert_eq!(pool.entries.get(&key("a")).unwrap().fingerprint, 1);
         assert!(!pool.entries.contains_key(&key("b")));
-    }
-
-    #[test]
-    fn reset_rebuilds_hardware_and_drops_warm_state() {
-        let mut pool = ContextPool::new(CrossbarConfig::paper_default(), 2);
-        let e = pool.entry(&key("a"), 7);
-        e.warm = Some((vec![0.5; 4], vec![0.5; 12]));
-        e.solves = 9;
-        pool.reset(&key("a"));
-        let e = pool.entry(&key("a"), 7);
-        assert!(e.warm.is_none());
-        assert_eq!(e.solves, 0);
-        assert_eq!(e.resets, 1);
     }
 }

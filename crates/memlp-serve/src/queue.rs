@@ -43,6 +43,8 @@ struct State<T> {
     /// Next lane index the round-robin scan starts from.
     cursor: usize,
     len: usize,
+    /// Jobs admitted since creation.
+    admitted: u64,
     closed: bool,
 }
 
@@ -62,6 +64,7 @@ impl<T> JobQueue<T> {
                 lanes: Vec::new(),
                 cursor: 0,
                 len: 0,
+                admitted: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -85,6 +88,11 @@ impl<T> JobQueue<T> {
     /// Jobs currently queued.
     pub fn len(&self) -> usize {
         self.locked().len
+    }
+
+    /// Jobs admitted since creation (queued, taken or finished).
+    pub fn admitted(&self) -> u64 {
+        self.locked().admitted
     }
 
     /// `true` when no jobs are queued.
@@ -113,6 +121,7 @@ impl<T> JobQueue<T> {
             }),
         }
         s.len += 1;
+        s.admitted += 1;
         drop(s);
         self.ready.notify_one();
         Ok(())

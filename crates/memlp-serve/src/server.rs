@@ -98,12 +98,18 @@ struct Shared {
 impl Shared {
     fn health(&self) -> HealthInfo {
         let draining = self.draining.load(Ordering::Acquire);
+        // Read in the order a job moves (admitted, then dequeued, then
+        // completed), so a job counted admitted but neither queued nor
+        // completed was in a worker's hands when `completed` was read.
+        let admitted = self.queue.admitted();
+        let queued = self.queue.len() as u32;
         HealthInfo {
             ready: !draining && !self.stop.load(Ordering::Acquire),
             draining,
-            queued: self.queue.len() as u32,
+            queued,
             capacity: self.queue.capacity() as u32,
             workers: self.config.workers as u32,
+            admitted,
             completed: self.stats.completed(),
             rejected: self.stats.rejected(),
         }

@@ -2,22 +2,19 @@
 //! hardware contexts.
 //!
 //! Each worker owns a private [`ContextPool`], so no lock is held across
-//! a solve. Beyond the solver's own in-context recovery ladder, the
-//! worker adds one more robustness rung: when a solve comes back
-//! non-optimal with *confirmed* hardware faults, the family's array is
-//! scrapped and refabricated (new seed ⇒ fresh fault plan and variation
-//! draw) and the job retried after a decaying backoff — the service-level
-//! answer to a warm context that has accumulated unrecoverable defects.
-//! Budget-degraded results are returned immediately, never retried: past
-//! the deadline the client wants the best iterate now, not a better one
-//! later.
+//! a solve. Every job is answered from one run of the solver's own §4.3
+//! recovery ladder (variation redraws, hardware rungs, digital fallback)
+//! on the family's warm array; the worker adds no retry of its own, so a
+//! reply is exactly what [`CrossbarSolver::solve_on`] returns on that
+//! context. Budget-degraded results come back as they are: past the
+//! deadline the client wants the best iterate now.
 
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use memlp_core::{
     Budget, CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolver,
-    IterationDeadline, WriteStats,
+    CrossbarSolverOptions, IterationDeadline, WriteStats,
 };
 use memlp_linalg::Matrix;
 use memlp_lp::LpProblem;
@@ -36,11 +33,14 @@ pub struct QueuedJob {
     pub reply: mpsc::Sender<Response>,
 }
 
+/// Warm contexts each worker keeps before LRU eviction.
+const POOL_CAPACITY: usize = 8;
+
 /// Runs until the queue is closed **and** drained, so a graceful drain
 /// finishes every admitted job before the worker exits.
 pub fn run_worker(queue: &JobQueue<QueuedJob>, cfg: &ServeConfig, stats: &ServerStats) {
     let solver = instantiate(cfg);
-    let mut pool = ContextPool::new(cfg.crossbar, cfg.pool_capacity);
+    let mut pool = ContextPool::new(cfg.crossbar, POOL_CAPACITY);
     while let Some(q) = queue.pop() {
         let resp = solve_one(solver.as_ref(), &mut pool, cfg, &q.job);
         stats.record(&resp);
@@ -50,20 +50,20 @@ pub fn run_worker(queue: &JobQueue<QueuedJob>, cfg: &ServeConfig, stats: &Server
     }
 }
 
-/// The worker's solver: the configured [`ServeSolver`] family,
-/// instantiated at startup and driven through the warm-pool
-/// [`CrossbarSolver::solve_on`] contract (warm `(x, y)` seeds plus
-/// delta-programmed setup writes work the same way for Newton iterates
-/// and PDHG iterates).
+/// The worker's solver: the configured [`ServeSolver`] family at its
+/// default options, instantiated at startup and driven through the
+/// warm-pool [`CrossbarSolver::solve_on`] contract (warm `(x, y)` seeds
+/// plus delta-programmed setup writes work the same way for Newton
+/// iterates and PDHG iterates).
 fn instantiate(cfg: &ServeConfig) -> Box<dyn CrossbarSolver> {
     match cfg.solver {
-        ServeSolver::Pdip => Box::new(CrossbarPdipSolver::new(cfg.crossbar, cfg.options)),
+        ServeSolver::Pdip => Box::new(CrossbarPdipSolver::new(
+            cfg.crossbar,
+            CrossbarSolverOptions::default(),
+        )),
         ServeSolver::Pdhg => Box::new(CrossbarPdhgSolver::new(
             cfg.crossbar,
-            CrossbarPdhgOptions {
-                recovery: cfg.options.recovery,
-                ..CrossbarPdhgOptions::default()
-            },
+            CrossbarPdhgOptions::default(),
         )),
     }
 }
@@ -101,82 +101,60 @@ fn solve_one(
     };
     let fingerprint = problem_fingerprint(&lp);
 
-    let mut replacements = 0usize;
-    loop {
-        // Per-request budgets override the server-side defaults.
-        let max_iters = if job.max_iters > 0 {
-            job.max_iters
-        } else {
-            cfg.default_max_iters
-        };
-        let deadline_ticks = if job.deadline_ticks > 0 {
-            job.deadline_ticks
-        } else {
-            cfg.default_deadline_ticks
-        };
-        // Deadline object must outlive the budget borrowing it.
-        let deadline =
-            (deadline_ticks > 0).then(|| IterationDeadline::new(deadline_ticks as usize));
-        let mut budget = Budget::none();
-        if max_iters > 0 {
-            budget = budget.with_max_iters(max_iters as usize);
-        }
-        if let Some(d) = deadline.as_ref() {
-            budget = budget.with_deadline(d);
-        }
-
-        let entry = pool.entry(&key, fingerprint);
-        let warm_start = entry.warm.is_some();
-        let salt = entry.solves;
-        entry.solves += 1;
-        let before = WriteStats::from_ledger(entry.hw.ledger());
-        let result = {
-            // Split borrows: the warm iterate is read while the hardware
-            // context is mutably driven.
-            let warm = entry
-                .warm
-                .as_ref()
-                .map(|(x, y)| (x.as_slice(), y.as_slice()));
-            solver.solve_on(&lp, &mut entry.hw, budget, warm, Some(salt))
-        };
-        let writes = WriteStats::from_ledger(entry.hw.ledger()).since(&before);
-
-        let optimal = result.solution.status.is_optimal();
-        if optimal {
-            entry.warm = Some((result.solution.x.clone(), result.solution.y.clone()));
-        }
-
-        // Service-level retry: only for non-optimal outcomes with
-        // confirmed defects, never past a budget expiry.
-        if !optimal
-            && result.degraded.is_none()
-            && result.recovery.saw_faults()
-            && replacements < cfg.retry_limit
-        {
-            pool.reset(&key);
-            let backoff = cfg.backoff_ms >> replacements;
-            if backoff > 0 {
-                std::thread::sleep(Duration::from_millis(backoff));
-            }
-            replacements += 1;
-            continue;
-        }
-
-        return Response::Solution(SolutionBody {
-            status: result.solution.status,
-            degraded: result.degraded,
-            objective: result.solution.objective,
-            iterations: result.solution.iterations as u64,
-            x: result.solution.x,
-            y: result.solution.y,
-            retries: (result.retries_used + replacements) as u32,
-            escalations: result.recovery.escalations() as u32,
-            saw_faults: result.recovery.saw_faults(),
-            used_digital: result.recovery.used_digital_fallback(),
-            cells_written: writes.cells_written,
-            cells_skipped: writes.cells_skipped,
-            warm_start,
-            latency_us: started.elapsed().as_micros() as u64,
-        });
+    // Per-request budgets override the server-side defaults.
+    let max_iters = if job.max_iters > 0 {
+        job.max_iters
+    } else {
+        cfg.default_max_iters
+    };
+    let deadline_ticks = if job.deadline_ticks > 0 {
+        job.deadline_ticks
+    } else {
+        cfg.default_deadline_ticks
+    };
+    // Deadline object must outlive the budget borrowing it.
+    let deadline = (deadline_ticks > 0).then(|| IterationDeadline::new(deadline_ticks as usize));
+    let mut budget = Budget::none();
+    if max_iters > 0 {
+        budget = budget.with_max_iters(max_iters as usize);
     }
+    if let Some(d) = deadline.as_ref() {
+        budget = budget.with_deadline(d);
+    }
+
+    let entry = pool.entry(&key, fingerprint);
+    let warm_start = entry.warm.is_some();
+    let salt = entry.solves;
+    entry.solves += 1;
+    let before = WriteStats::from_ledger(entry.hw.ledger());
+    let result = {
+        // Split borrows: the warm iterate is read while the hardware
+        // context is mutably driven.
+        let warm = entry
+            .warm
+            .as_ref()
+            .map(|(x, y)| (x.as_slice(), y.as_slice()));
+        solver.solve_on(&lp, &mut entry.hw, budget, warm, Some(salt))
+    };
+    let writes = WriteStats::from_ledger(entry.hw.ledger()).since(&before);
+    if result.solution.status.is_optimal() {
+        entry.warm = Some((result.solution.x.clone(), result.solution.y.clone()));
+    }
+
+    Response::Solution(SolutionBody {
+        status: result.solution.status,
+        degraded: result.degraded,
+        objective: result.solution.objective,
+        iterations: result.solution.iterations as u64,
+        x: result.solution.x,
+        y: result.solution.y,
+        retries: result.retries_used as u32,
+        escalations: result.recovery.escalations() as u32,
+        saw_faults: result.recovery.saw_faults(),
+        used_digital: result.recovery.used_digital_fallback(),
+        cells_written: writes.cells_written,
+        cells_skipped: writes.cells_skipped,
+        warm_start,
+        latency_us: started.elapsed().as_micros() as u64,
+    })
 }

@@ -128,20 +128,25 @@ fn response() -> BoxedStrategy<Response> {
         (
             (any::<bool>(), any::<bool>()),
             (0u32..1000, 0u32..1000, 0u32..64),
-            (0u64..1 << 40, 0u64..1 << 40),
+            (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
         )
             .prop_map(
-                |((ready, draining), (queued, capacity, workers), (completed, rejected))| {
+                |(
+                    (ready, draining),
+                    (queued, capacity, workers),
+                    (admitted, completed, rejected),
+                )| {
                     Response::Health(HealthInfo {
                         ready,
                         draining,
                         queued,
                         capacity,
                         workers,
+                        admitted,
                         completed,
                         rejected,
                     })
-                }
+                },
             ),
         tag().prop_map(|message| Response::Error { message }),
         (0u64..1 << 40).prop_map(|completed| Response::DrainAck { completed }),

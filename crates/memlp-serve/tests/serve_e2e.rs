@@ -7,15 +7,27 @@
 //! never decides correctness: assertions are on protocol outcomes
 //! ("every request got exactly one response"), not on who won a race.
 
-use memlp_core::BudgetCause;
-use memlp_crossbar::CrossbarConfig;
-use memlp_lp::{generator::RandomLp, LpStatus};
+use std::time::{Duration, Instant};
+
+use memlp_core::{
+    Budget, BudgetCause, CrossbarPdipSolver, CrossbarSolver, CrossbarSolverOptions, HwContext,
+};
+use memlp_crossbar::{CrossbarConfig, FaultModel};
+use memlp_lp::{generator::RandomLp, LpProblem, LpStatus};
 use memlp_serve::codec::{Request, Response, SolveJob};
 use memlp_serve::{ServeClient, ServeConfig, ServeSolver, Server};
 
 /// Builds a solve job from a deterministic random LP.
 fn job(family: &str, m: usize, seed: u64, max_iters: u32, deadline_ticks: u32) -> SolveJob {
-    let lp = RandomLp::paper(m, seed).feasible();
+    job_for(
+        family,
+        &RandomLp::paper(m, seed).feasible(),
+        max_iters,
+        deadline_ticks,
+    )
+}
+
+fn job_for(family: &str, lp: &LpProblem, max_iters: u32, deadline_ticks: u32) -> SolveJob {
     SolveJob {
         family: family.to_string(),
         rows: lp.num_constraints() as u32,
@@ -170,10 +182,18 @@ fn drain_completes_inflight_work_then_stops() {
     let mut b = ServeClient::connect(&addr).expect("connect");
     a.send(&Request::Solve(job("drain", 24, 9, 0, 0))).unwrap();
     b.send(&Request::Solve(job("drain", 24, 10, 0, 0))).unwrap();
-    // Let the connection threads admit both before closing the queue.
-    std::thread::sleep(std::time::Duration::from_millis(100));
 
+    // Close the queue only once Health shows both admitted: a drain that
+    // overtook a post would refuse it.
     let mut ctl = ServeClient::connect(&addr).expect("connect");
+    let start = Instant::now();
+    while ctl.health().unwrap().admitted < 2 {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "posts never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let completed = ctl.drain().expect("drain must ack");
     assert_eq!(
         completed, 2,
@@ -186,6 +206,51 @@ fn drain_completes_inflight_work_then_stops() {
 
     // The server stopped on its own: wait() joins without force-stop.
     server.wait();
+}
+
+/// A crossbar with stuck cells and dead lines: the daemon answers from
+/// one run of the solver's own recovery ladder, so its first reply is
+/// exactly what `solve_on` returns on a fresh context of the same
+/// configuration with reuse salt 0 — no service-level retry on top, even
+/// for the infeasible LP whose ladder ends non-optimal on faulty hardware.
+#[test]
+fn faulted_array_replies_match_one_ladder_run() {
+    let faults = FaultModel::symmetric(0.01)
+        .and_then(|f| f.with_dead_lines(0.02, 0.02))
+        .expect("valid fault model");
+    let crossbar = CrossbarConfig::paper_default()
+        .with_variation(5.0)
+        .with_seed(41)
+        .with_faults(faults);
+    let gen = RandomLp::paper(24, 3);
+    for lp in [gen.feasible(), gen.infeasible()] {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServeConfig::default().with_crossbar(crossbar),
+        )
+        .expect("bind");
+        let mut client = ServeClient::connect(&server.addr().to_string()).expect("connect");
+        let served = expect_solution(client.solve(job_for("faulty", &lp, 0, 0)).unwrap());
+        server.shutdown();
+
+        let direct = CrossbarPdipSolver::new(crossbar, CrossbarSolverOptions::default()).solve_on(
+            &lp,
+            &mut HwContext::new(crossbar),
+            Budget::none(),
+            None,
+            Some(0),
+        );
+        assert!(served.saw_faults, "the configured defects must be detected");
+        assert_eq!(served.status, direct.solution.status);
+        assert_eq!(
+            served.objective.to_bits(),
+            direct.solution.objective.to_bits()
+        );
+        assert_eq!(served.iterations, direct.solution.iterations as u64);
+        assert_eq!(served.retries as usize, direct.retries_used);
+        assert_eq!(served.saw_faults, direct.recovery.saw_faults());
+        assert_eq!(served.used_digital, direct.recovery.used_digital_fallback());
+    }
 }
 
 /// A single-worker server fed the same request sequence twice (fresh

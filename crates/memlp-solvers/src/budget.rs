@@ -122,11 +122,6 @@ impl<'a> Budget<'a> {
         self
     }
 
-    /// `true` when no limit is set (the checks cannot fire).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_iters.is_none() && self.deadline.is_none()
-    }
-
     /// Polls the budget with `spent` iterations already executed. Returns
     /// the cause if the next iteration must not start. The `max_iters` cap
     /// is checked first so an exactly-simultaneous expiry reports the
@@ -162,7 +157,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_fires() {
         let b = Budget::none();
-        assert!(b.is_unlimited());
         for spent in [0, 1, 10_000] {
             assert_eq!(b.check(spent), None);
         }

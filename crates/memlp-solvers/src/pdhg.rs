@@ -40,8 +40,27 @@ use memlp_linalg::{norm_est, ops, SparseMatrix};
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 
 use crate::budget::{Budget, BudgetCause};
-use crate::pdip::PdipOptions;
+use crate::pdip::{PdipOptions, DIVERGENCE_BOUND};
 use crate::LpSolver;
+
+/// KKT evaluation cadence in iterations: termination, restarts and trace
+/// samples all happen at these checkpoints. Checkpoints reuse the
+/// iteration's own MVMs, so the cadence trades latency of detection
+/// against bookkeeping only.
+const CHECK_EVERY: usize = 16;
+
+/// Sufficient-decay factor `β` of the adaptive restart: restart when the
+/// best candidate KKT score has dropped below `β ×` the score at the last
+/// restart.
+const RESTART_BETA: f64 = 0.5;
+
+/// Force a restart after this many checkpoints without one (the
+/// "artificial restart" that bounds the window length).
+const RESTART_EVERY: usize = 64;
+
+/// Initial primal weight `ω` (τ/σ balance), re-estimated at every restart
+/// from the observed movement ratio.
+const INITIAL_WEIGHT: f64 = 1.0;
 
 /// The matrix oracle PDHG iterates through: one forward and one
 /// transposed MVM per iteration, with an MVM meter for cost accounting.
@@ -136,29 +155,10 @@ pub struct PdhgOptions {
     pub eps_dual: f64,
     /// Gap tolerance (relative to `1 + |cᵀx| + |bᵀy|`), on `|cᵀx − bᵀy|`.
     pub eps_gap: f64,
-    /// Iterate-magnitude bound `Ω`: `‖y‖∞ > Ω` certifies primal
-    /// infeasibility, `‖x‖∞ > Ω` primal unboundedness (same mapping as
-    /// PDIP's §3.1 test).
-    pub divergence_bound: f64,
     /// Maximum iterations. First-order methods trade per-iteration cost
     /// for iteration count, so this is orders of magnitude above the
     /// PDIP default.
     pub max_iterations: usize,
-    /// KKT evaluation cadence in iterations; termination, restarts, and
-    /// trace samples all happen at these checkpoints. Checkpoints reuse
-    /// the iteration's own MVMs, so the cadence trades latency of
-    /// detection against bookkeeping only.
-    pub check_every: usize,
-    /// Sufficient-decay factor for adaptive restarts: restart when the
-    /// best candidate KKT score has dropped below `β ×` the score at the
-    /// last restart.
-    pub restart_beta: f64,
-    /// Force a restart after this many checkpoints without one (the
-    /// "artificial restart" that bounds the window length).
-    pub restart_every: usize,
-    /// Initial primal weight `ω` (τ/σ balance). Re-estimated at every
-    /// restart from the observed movement ratio.
-    pub initial_weight: f64,
     /// Floor applied to warm-start iterates, shared knob with
     /// [`PdipOptions::warm_start_floor`]: warm components are clamped to
     /// `[floor, ∞)`. Unlike the interior-point solvers, PDHG is a
@@ -189,12 +189,7 @@ impl Default for PdhgOptions {
             eps_primal: 1e-8,
             eps_dual: 1e-8,
             eps_gap: 1e-8,
-            divergence_bound: 1e6,
             max_iterations: 100_000,
-            check_every: 16,
-            restart_beta: 0.5,
-            restart_every: 64,
-            initial_weight: 1.0,
             warm_start_floor: 0.0,
             equilibrate: true,
         }
@@ -202,8 +197,9 @@ impl Default for PdhgOptions {
 }
 
 impl PdhgOptions {
-    /// Derives PDHG options from PDIP options: identical tolerances,
-    /// divergence bound, and warm-start floor, so a PDHG verdict means
+    /// Derives PDHG options from PDIP options: identical tolerances and
+    /// warm-start floor (the divergence bound is the one
+    /// [`DIVERGENCE_BOUND`] both families test), so a PDHG verdict means
     /// the same thing as a PDIP verdict at the same settings. The
     /// iteration cap stays at the first-order default (PDIP iteration
     /// counts are not comparable).
@@ -212,7 +208,6 @@ impl PdhgOptions {
             eps_primal: p.eps_primal,
             eps_dual: p.eps_dual,
             eps_gap: p.eps_gap,
-            divergence_bound: p.divergence_bound,
             warm_start_floor: p.warm_start_floor,
             ..PdhgOptions::default()
         }
@@ -285,13 +280,6 @@ impl PdhgSolver {
     /// Creates the solver with explicit options.
     pub fn new(options: PdhgOptions) -> Self {
         PdhgSolver { options }
-    }
-
-    /// Creates the solver with tolerances derived from PDIP options.
-    pub fn matching(pdip: &PdipOptions) -> Self {
-        PdhgSolver {
-            options: PdhgOptions::from_pdip(pdip),
-        }
     }
 
     /// The options in effect.
@@ -460,7 +448,6 @@ pub fn solve_with_operator(
     } else {
         1.0
     };
-    let check_every = opts.check_every.max(1);
 
     // Every buffer the hot loop touches is allocated here, once — the
     // loop body itself performs no allocations (`stats.alloc_events`
@@ -480,7 +467,7 @@ pub fn solve_with_operator(
     alloc_events += 2;
     // PDLP weight convention: τ = 1/(ω·‖A‖), σ = ω/‖A‖, so a larger ω
     // (dual movement dominating) buys larger dual steps.
-    let mut omega = opts.initial_weight.max(1e-6);
+    let mut omega = INITIAL_WEIGHT;
     let mut tau = 1.0 / (omega * norm);
     let mut sig = omega / norm;
 
@@ -562,7 +549,7 @@ pub fn solve_with_operator(
         window += 1;
 
         let last = iter + 1 == opts.max_iterations;
-        if (iter + 1) % check_every != 0 && !last {
+        if (iter + 1) % CHECK_EVERY != 0 && !last {
             continue;
         }
 
@@ -571,11 +558,11 @@ pub fn solve_with_operator(
             status = Some(LpStatus::NumericalFailure);
             break;
         }
-        if ops::inf_norm(&y) > opts.divergence_bound {
+        if ops::inf_norm(&y) > DIVERGENCE_BOUND {
             status = Some(LpStatus::Infeasible);
             break;
         }
-        if ops::inf_norm(&x) > opts.divergence_bound {
+        if ops::inf_norm(&x) > DIVERGENCE_BOUND {
             status = Some(LpStatus::Unbounded);
             break;
         }
@@ -631,8 +618,8 @@ pub fn solve_with_operator(
             None
         };
         let candidate_score = avg_score.map_or(score, |s| s.min(score));
-        let decayed = candidate_score <= opts.restart_beta * restart_score;
-        let overdue = checks_since_restart >= opts.restart_every.max(1);
+        let decayed = candidate_score <= RESTART_BETA * restart_score;
+        let overdue = checks_since_restart >= RESTART_EVERY;
         if decayed || overdue {
             // Jump to the better of current iterate and window average.
             if let Some(s) = avg_score {
@@ -813,11 +800,7 @@ mod tests {
         // max x, no binding constraint in the growth direction.
         let lp =
             LpProblem::new(Matrix::from_rows(&[&[-1.0]]).unwrap(), vec![1.0], vec![1.0]).unwrap();
-        let sol = PdhgSolver::new(PdhgOptions {
-            divergence_bound: 1e3,
-            ..loose()
-        })
-        .solve(&lp);
+        let sol = PdhgSolver::new(loose()).solve(&lp);
         assert_eq!(sol.status, LpStatus::Unbounded);
     }
 

@@ -97,6 +97,27 @@ impl std::fmt::Display for CoreSolveError {
 
 impl std::error::Error for CoreSolveError {}
 
+/// Barrier reduction factor `δ ∈ (0, 1)` of Eqn 8: every PDIP loop
+/// targets `µ = δ·(zᵀx + yᵀw)/(n + m)` ([`PdipState::mu`]).
+pub const DELTA: f64 = 0.1;
+
+/// Step-length safety factor `r < 1` of Eqn 11, the damping every PDIP
+/// loop passes to [`PdipState::step_length`] (Mehrotra's affine predictor
+/// alone measures its step at `r = 1`).
+pub const STEP_SAFETY: f64 = 0.9995;
+
+/// Iterate-magnitude bound `Ω` of the §3.1 divergence test ("constraints
+/// are infeasible if the element with the largest absolute value in x, y
+/// is greater than a certain enough large number"): `‖y‖∞ > Ω` certifies
+/// an infeasible primal, `‖x‖∞ > Ω` an unbounded one. Every PDIP loop and
+/// the PDHG checkpoints test against this one bound.
+pub const DIVERGENCE_BOUND: f64 = 1e6;
+
+/// Starting value of every component of `(x, w, y, z)` on a cold start
+/// ([`PdipState::new`]): the paper initializes "as arbitrary vectors", and
+/// a strictly positive constant is the conventional choice.
+pub const INITIAL_VALUE: f64 = 1.0;
+
 /// Options for PDIP iterations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PdipOptions {
@@ -106,19 +127,8 @@ pub struct PdipOptions {
     pub eps_dual: f64,
     /// Duality-gap tolerance `ε_g` (relative to `1 + |cᵀx|`).
     pub eps_gap: f64,
-    /// Barrier reduction factor `δ ∈ (0, 1)` of Eqn 8.
-    pub delta: f64,
-    /// Step-length safety factor `r < 1` of Eqn 11.
-    pub step_safety: f64,
-    /// Iterate-magnitude bound `Ω` for infeasibility/unboundedness
-    /// detection (§3.1: "constraints are infeasible if the element with the
-    /// largest absolute value in x, y is greater than a certain enough
-    /// large number").
-    pub divergence_bound: f64,
     /// Maximum iterations.
     pub max_iterations: usize,
-    /// Initial value for every component of `(x, w, y, z)`.
-    pub initial_value: f64,
     /// Interiority floor applied when warm-starting from a previous
     /// solution ([`PdipState::warm_start`]): every warm component is
     /// clamped to at least this value so the barrier path starts strictly
@@ -135,11 +145,7 @@ impl Default for PdipOptions {
             eps_primal: 1e-8,
             eps_dual: 1e-8,
             eps_gap: 1e-8,
-            delta: 0.1,
-            step_safety: 0.9995,
-            divergence_bound: 1e6,
             max_iterations: 200,
-            initial_value: 1.0,
             warm_start_floor: 1e-2,
         }
     }
@@ -211,8 +217,8 @@ impl Residuals {
     }
 
     /// [`PdipState::mu`] of the iterate, from the gap already taken.
-    pub(crate) fn mu(&self, delta: f64) -> f64 {
-        delta * self.gap / (self.sigma.len() + self.rho.len()) as f64
+    pub(crate) fn mu(&self) -> f64 {
+        DELTA * self.gap / (self.sigma.len() + self.rho.len()) as f64
     }
 }
 
@@ -230,18 +236,15 @@ pub struct PdipState {
 }
 
 impl PdipState {
-    /// Initializes all variables to `opts.initial_value` (the paper
-    /// initializes "as arbitrary vectors"; a strictly positive constant is
-    /// the conventional choice).
-    pub fn new(lp: &LpProblem, opts: &PdipOptions) -> Self {
+    /// The cold start: every variable at [`INITIAL_VALUE`].
+    pub fn new(lp: &LpProblem) -> Self {
         let n = lp.num_vars();
         let m = lp.num_constraints();
-        let v = opts.initial_value;
         PdipState {
-            x: vec![v; n],
-            w: vec![v; m],
-            y: vec![v; m],
-            z: vec![v; n],
+            x: vec![INITIAL_VALUE; n],
+            w: vec![INITIAL_VALUE; m],
+            y: vec![INITIAL_VALUE; m],
+            z: vec![INITIAL_VALUE; n],
         }
     }
 
@@ -309,9 +312,10 @@ impl PdipState {
         ops::dot(&self.z, &self.x) + ops::dot(&self.y, &self.w)
     }
 
-    /// Barrier parameter `µ = δ·(zᵀx + yᵀw)/(n + m)` (Eqn 8).
-    pub fn mu(&self, delta: f64) -> f64 {
-        delta * self.duality_gap() / (self.x.len() + self.y.len()) as f64
+    /// Barrier parameter `µ = δ·(zᵀx + yᵀw)/(n + m)` (Eqn 8, `δ` =
+    /// [`DELTA`]).
+    pub fn mu(&self) -> f64 {
+        DELTA * self.duality_gap() / (self.x.len() + self.y.len()) as f64
     }
 
     /// The Eqn 11 step length: `θ = r·min(max_ratio⁻¹, 1)` where
@@ -353,14 +357,15 @@ impl PdipState {
     /// The §3.1 divergence rule, shared by every PDIP loop: NaN/∞ in `x`
     /// or `y` is a [`LpStatus::NumericalFailure`]; `‖y‖∞ > Ω` means the
     /// dual is unbounded, so the primal is [`LpStatus::Infeasible`];
-    /// `‖x‖∞ > Ω` means the primal is [`LpStatus::Unbounded`]. `None`
-    /// while the iterate stays inside the bound.
-    pub fn divergence(&self, bound: f64) -> Option<LpStatus> {
+    /// `‖x‖∞ > Ω` means the primal is [`LpStatus::Unbounded`], `Ω` being
+    /// [`DIVERGENCE_BOUND`]. `None` while the iterate stays inside the
+    /// bound.
+    pub fn divergence(&self) -> Option<LpStatus> {
         if !(ops::all_finite(&self.x) && ops::all_finite(&self.y)) {
             Some(LpStatus::NumericalFailure)
-        } else if ops::inf_norm(&self.y) > bound {
+        } else if ops::inf_norm(&self.y) > DIVERGENCE_BOUND {
             Some(LpStatus::Infeasible)
-        } else if ops::inf_norm(&self.x) > bound {
+        } else if ops::inf_norm(&self.x) > DIVERGENCE_BOUND {
             Some(LpStatus::Unbounded)
         } else {
             None
@@ -380,7 +385,7 @@ impl PdipState {
         if !(ops::all_finite(&self.w) && ops::all_finite(&self.z)) {
             return Some(LpStatus::NumericalFailure);
         }
-        if let Some(status) = self.divergence(opts.divergence_bound) {
+        if let Some(status) = self.divergence() {
             return Some(status);
         }
         let pr = ops::inf_norm(&res.rho) / res.primal_scale;
@@ -519,7 +524,7 @@ pub(crate) fn newton_loop(
     budget: Budget<'_>,
     mut directions: impl FnMut(&PdipState, &Residuals, &mut StepDirections) -> Option<()>,
 ) -> (LpSolution, Option<BudgetCause>) {
-    let mut state = PdipState::new(lp, opts);
+    let mut state = PdipState::new(lp);
     let mut res = Residuals::new(lp);
     let mut dirs = StepDirections::zeros(lp.num_vars(), lp.num_constraints());
     for iter in 0..opts.max_iterations {
@@ -538,7 +543,7 @@ pub(crate) fn newton_loop(
         if let Some(status) = ray_verdict(lp, &res, &dirs) {
             return (state.into_solution(lp, status, iter), None);
         }
-        let theta = state.step_length(&dirs, opts.step_safety);
+        let theta = state.step_length(&dirs, STEP_SAFETY);
         state.apply_step(&dirs, theta);
     }
     res.update(lp, &state);
@@ -565,7 +570,7 @@ mod tests {
     #[test]
     fn new_state_is_strictly_positive() {
         let lp = sample();
-        let s = PdipState::new(&lp, &PdipOptions::default());
+        let s = PdipState::new(&lp);
         assert!(s.x.iter().all(|&v| v > 0.0));
         assert!(s.w.iter().all(|&v| v > 0.0));
         assert_eq!(s.x.len(), 2);
@@ -587,7 +592,7 @@ mod tests {
     #[test]
     fn residuals_zero_at_feasible_points() {
         let lp = sample();
-        let mut s = PdipState::new(&lp, &PdipOptions::default());
+        let mut s = PdipState::new(&lp);
         // Force primal feasibility: x = (1,1), w = b − A·x = (1, 2).
         s.x = vec![1.0, 1.0];
         s.w = vec![1.0, 2.0];
@@ -677,28 +682,28 @@ mod tests {
     #[test]
     fn mu_follows_eqn8() {
         let lp = sample();
-        let s = PdipState::new(&lp, &PdipOptions::default());
+        let s = PdipState::new(&lp);
         // all ones: gap = n + m = 4, so µ = δ·4/4 = δ.
-        assert!((s.mu(0.1) - 0.1).abs() < 1e-15);
+        assert!((s.mu() - DELTA).abs() < 1e-15);
     }
 
     #[test]
     fn step_length_full_when_directions_positive() {
         let lp = sample();
-        let s = PdipState::new(&lp, &PdipOptions::default());
+        let s = PdipState::new(&lp);
         let dirs = StepDirections {
             dx: vec![1.0, 1.0],
             dy: vec![0.5, 0.0],
             dw: vec![0.1, 0.1],
             dz: vec![0.0, 2.0],
         };
-        assert_eq!(s.step_length(&dirs, 0.9995), 1.0);
+        assert_eq!(s.step_length(&dirs, STEP_SAFETY), 1.0);
     }
 
     #[test]
     fn step_length_blocks_at_boundary() {
         let lp = sample();
-        let s = PdipState::new(&lp, &PdipOptions::default());
+        let s = PdipState::new(&lp);
         // Δx = −2 on a variable at 1.0 → ratio 2 → θ = r/2.
         let dirs = StepDirections {
             dx: vec![-2.0, 0.0],
@@ -706,8 +711,8 @@ mod tests {
             dw: vec![0.0, 0.0],
             dz: vec![0.0, 0.0],
         };
-        let theta = s.step_length(&dirs, 0.9995);
-        assert!((theta - 0.9995 / 2.0).abs() < 1e-12);
+        let theta = s.step_length(&dirs, STEP_SAFETY);
+        assert!((theta - STEP_SAFETY / 2.0).abs() < 1e-12);
         // Applying it keeps positivity.
         let mut s2 = s.clone();
         s2.apply_step(&dirs, theta);
@@ -769,7 +774,7 @@ mod tests {
                     dw: pick(m, 2 * seed + 9),
                     dz: pick(n, seed + 11),
                 };
-                for safety in [0.9995, 1.0] {
+                for safety in [STEP_SAFETY, 1.0] {
                     assert_eq!(
                         s.step_length(&d, safety).to_bits(),
                         branchy(&s, &d, safety).to_bits(),
@@ -789,41 +794,37 @@ mod tests {
     #[test]
     fn outcome_detects_divergence() {
         let lp = sample();
-        let opts = PdipOptions {
-            divergence_bound: 10.0,
-            ..Default::default()
-        };
-        let mut s = PdipState::new(&lp, &opts);
-        s.y[0] = 100.0;
+        let opts = PdipOptions::default();
+        let mut s = PdipState::new(&lp);
+        s.y[0] = 10.0 * DIVERGENCE_BOUND;
         assert_eq!(outcome(&s, &lp, &opts), Some(LpStatus::Infeasible));
-        let mut s = PdipState::new(&lp, &opts);
-        s.x[0] = 100.0;
+        let mut s = PdipState::new(&lp);
+        s.x[0] = 10.0 * DIVERGENCE_BOUND;
         assert_eq!(outcome(&s, &lp, &opts), Some(LpStatus::Unbounded));
     }
 
     #[test]
     fn divergence_checks_finiteness_then_duals_then_primals() {
         let lp = sample();
-        let opts = PdipOptions::default();
-        let s = PdipState::new(&lp, &opts);
-        assert_eq!(s.divergence(10.0), None);
+        let s = PdipState::new(&lp);
+        assert_eq!(s.divergence(), None);
         let mut both = s.clone();
-        both.x[0] = 100.0;
-        both.y[0] = 100.0;
-        assert_eq!(both.divergence(10.0), Some(LpStatus::Infeasible));
+        both.x[0] = 10.0 * DIVERGENCE_BOUND;
+        both.y[0] = 10.0 * DIVERGENCE_BOUND;
+        assert_eq!(both.divergence(), Some(LpStatus::Infeasible));
         both.x[1] = f64::INFINITY;
-        assert_eq!(both.divergence(10.0), Some(LpStatus::NumericalFailure));
+        assert_eq!(both.divergence(), Some(LpStatus::NumericalFailure));
         // The slacks are not part of the rule.
         let mut slack = s;
         slack.w[0] = f64::NAN;
-        assert_eq!(slack.divergence(10.0), None);
+        assert_eq!(slack.divergence(), None);
     }
 
     #[test]
     fn outcome_detects_nan() {
         let lp = sample();
         let opts = PdipOptions::default();
-        let mut s = PdipState::new(&lp, &opts);
+        let mut s = PdipState::new(&lp);
         s.z[1] = f64::NAN;
         assert_eq!(outcome(&s, &lp, &opts), Some(LpStatus::NumericalFailure));
     }
@@ -834,7 +835,7 @@ mod tests {
         let opts = PdipOptions::default();
         // Optimum of the sample LP: x = (8/5, 6/5), obj = 14/5.
         // Duals: y from Aᵀy = c → y = (2/5, 1/5).
-        let mut s = PdipState::new(&lp, &opts);
+        let mut s = PdipState::new(&lp);
         s.x = vec![1.6, 1.2];
         s.w = vec![1e-12, 1e-12];
         s.y = vec![0.4, 0.2];
@@ -880,7 +881,7 @@ mod tests {
     #[test]
     fn into_solution_carries_state() {
         let lp = sample();
-        let s = PdipState::new(&lp, &PdipOptions::default());
+        let s = PdipState::new(&lp);
         let sol = s.into_solution(&lp, LpStatus::IterationLimit, 42);
         assert_eq!(sol.iterations, 42);
         assert_eq!(sol.x.len(), 2);

@@ -82,11 +82,10 @@ impl LpSolver for DensePdip {
         lp: &LpProblem,
         budget: Budget<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
-        let opts = &self.options;
         let n = lp.num_vars();
         let m = lp.num_constraints();
-        newton_loop(lp, opts, budget, |state, res, dirs| {
-            let mu = res.mu(opts.delta);
+        newton_loop(lp, &self.options, budget, |state, res, dirs| {
+            let mu = res.mu();
             let k = Self::newton_matrix(lp, state);
             let rhs = Self::newton_rhs(state, &res.rho, &res.sigma, mu);
             let delta = LuFactors::factor(k).and_then(|lu| lu.solve(&rhs)).ok()?;

@@ -70,12 +70,11 @@ impl LpSolver for NormalEqPdip {
         budget: Budget<'_>,
     ) -> (LpSolution, Option<BudgetCause>) {
         let mut core = NormalEqCore::new(lp);
-        let opts = &self.options;
         // µX⁻¹e and µY⁻¹e, once per iteration for both σ̂/ρ̂ and Δz/Δw.
         let mut mu_x = vec![0.0; lp.num_vars()];
         let mut mu_y = vec![0.0; lp.num_constraints()];
-        newton_loop(lp, opts, budget, |s, res, dirs| {
-            let mu = res.mu(opts.delta);
+        newton_loop(lp, &self.options, budget, |s, res, dirs| {
+            let mu = res.mu();
             // σ̂ = σ + µX⁻¹e − z;  ρ̂ = ρ − µY⁻¹e + w.
             let (sigma_hat, rho_hat) = core.rhs_mut();
             let terms = sigma_hat.iter_mut().zip(&mut mu_x).zip(&s.x);

@@ -537,6 +537,7 @@ fn client_cmd(args: &[String], out: Out<'_>) -> Result<(), Stop> {
             )?;
             writeln!(out, "queue:     {}/{}", h.queued, h.capacity)?;
             writeln!(out, "workers:   {}", h.workers)?;
+            writeln!(out, "admitted:  {}", h.admitted)?;
             writeln!(out, "completed: {}", h.completed)?;
             writeln!(out, "rejected:  {}", h.rejected)?;
             Ok(())
