@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use memlp_bench::artifact::{self, quote, Obj, Rows};
 use memlp_bench::{domain_lp, fmt_time, median, obj, DOMAINS};
-use memlp_core::{AugmentedSystem, FactorStats, Factorization, HwContext};
+use memlp_core::{AugmentedSystem, Factorization, HwContext};
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::{BlockKkt, SymmetricKkt};
 use memlp_lp::LpProblem;
@@ -96,14 +96,14 @@ fn measure(lp: &LpProblem, factorization: Factorization) -> Option<Timing> {
     sys.solve(&r, &mut hw).ok()?; // warmup: sparse symbolic analysis amortizes here
     let core = lp.num_vars() + lp.num_constraints();
     let reps = if core >= 2000 { 2 } else { 5 };
-    let before = FactorStats::from_ledger(hw.ledger());
+    let before = hw.ledger().counts();
     let mut times = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = Instant::now();
         sys.solve(&r, &mut hw).ok()?;
         times.push(t.elapsed().as_secs_f64());
     }
-    let after = FactorStats::from_ledger(hw.ledger());
+    let after = hw.ledger().counts();
     let done = after.factorizations - before.factorizations;
     assert_eq!(
         done, reps as u64,
@@ -111,7 +111,7 @@ fn measure(lp: &LpProblem, factorization: Factorization) -> Option<Timing> {
     );
     Some(Timing {
         secs: median(times),
-        flops: (after.flops - before.flops) / done,
+        flops: (after.factor_flops - before.factor_flops) / done,
         factor_nnz: (after.factor_nnz - before.factor_nnz) / done,
     })
 }

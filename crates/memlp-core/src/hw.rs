@@ -17,9 +17,8 @@
 //! it to every write of that key: a stuck cell stays stuck across the
 //! per-iteration diagonal rewrites *and* across §4.3 re-solve attempts
 //! ([`HwContext::begin_attempt`] redraws variation, never defects). The
-//! first faulty write of a key runs a write–verify pass
-//! ([`memlp_device::FaultMap`]) and queues a
-//! [`RecoveryEvent::FaultsDetected`] for the solver to drain; the recovery
+//! first faulty write of a key queues a [`RecoveryEvent::FaultsDetected`],
+//! read from the key's [`FaultPlan`], for the solver to drain; the recovery
 //! rungs ([`HwContext::reprogram_faulty`], [`HwContext::remap_dead_lines`])
 //! mutate the plans so the *next* attempt's writes realize repaired
 //! hardware.
@@ -30,7 +29,6 @@ use memlp_crossbar::{
     CostLedger, CrossbarConfig, FaultKind, FaultPlan, LineRemap, Phase, Quantizer, TileOccupancy,
     WriteQuantizer,
 };
-use memlp_device::FaultMap;
 use memlp_linalg::Matrix;
 use memlp_noc::NocConfig;
 use rand::rngs::StdRng;
@@ -345,7 +343,7 @@ impl HwContext {
         );
         self.ledger.note_skipped_writes(skipped);
         self.store_codes(key, target.rows(), target.cols(), codes);
-        self.verify_block(key, target.as_slice(), realized.as_slice(), target.cols());
+        self.report_faults(key);
         realized
     }
 
@@ -390,7 +388,7 @@ impl HwContext {
         );
         self.ledger.note_skipped_writes(skipped);
         self.store_codes(key, target.len(), 1, codes);
-        self.verify_block(key, target, &realized, 1);
+        self.report_faults(key);
         realized
     }
 
@@ -686,12 +684,12 @@ impl HwContext {
         entry.plan.clone()
     }
 
-    /// Write–verify: on the first write of a defective block, compare the
-    /// realized values against the target (the verify read) and queue a
-    /// detection event. A dead line fails verify on every cell, so the
-    /// detector sees dead lines exactly; the weak/hard split comes from the
-    /// controller's extended-verify classification (modelled by the plan).
-    fn verify_block(&mut self, key: u32, target: &[f64], realized: &[f64], cols: usize) {
+    /// Write–verify: on the first write of a defective block, queue a
+    /// detection event read from the block's [`FaultPlan`]. The model's
+    /// verify sees every defect the plan holds: a dead line fails verify
+    /// on every cell, and the weak/hard split is the controller's
+    /// extended-verify classification.
+    fn report_faults(&mut self, key: u32) {
         let Some(b) = self.blocks.get_mut(&key) else {
             return;
         };
@@ -699,14 +697,6 @@ impl HwContext {
             return;
         }
         b.reported = true;
-        let rows = target.len() / cols.max(1);
-        // A healthy cell realizes factor · quantize(target): the band must
-        // cover variation *and* write-code rounding or quantized-but-honest
-        // cells read back as defects.
-        let var = self.config.variation.max_fraction;
-        let rel_band = var + self.wq.rel_step() * (1.0 + var) + 1e-9;
-        let fmap = FaultMap::detect(rows, cols, target, realized, rel_band, 1e-12);
-        let _ = fmap.len(); // detection runs the real verify path
         self.pending_events.push(RecoveryEvent::FaultsDetected {
             block: key,
             stuck_cells: b.plan.stuck_cells(),

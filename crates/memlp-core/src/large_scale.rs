@@ -11,7 +11,7 @@ use crate::newton::{dense_core_bytes, DENSE_CORE_LIMIT_BYTES};
 use crate::recovery::{attempt_score, Attempt, Ladder, RecoveryPolicy};
 use crate::solver::{CrossbarSolution, CrossbarSolver};
 use crate::tiles::{TiledMatrix, ANALOG_TILE_SIDE};
-use crate::trace::{IterationRecord, SolverTrace};
+use crate::trace::IterationRecord;
 use crate::transform::SignSplit;
 
 /// Stable block keys: each physical crossbar region the solver programs gets
@@ -287,12 +287,12 @@ impl LargeScaleSolver {
         let finish = |state: PdipState,
                       status: LpStatus,
                       iter: usize,
-                      trace: SolverTrace,
+                      trace: Vec<IterationRecord>,
                       cause: Option<BudgetCause>| {
             Some((state.into_solution(lp, status, iter), trace, cause))
         };
         let mut state = PdipState::new(lp);
-        let mut trace = SolverTrace::new();
+        let mut trace = Vec::new();
         let mut sys = LargeScaleSystem::program(lp, at, &state, self.options.fill_scale, hw, salt)?;
 
         let bnorm = 1.0 + ops::inf_norm(lp.b());

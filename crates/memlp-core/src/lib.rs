@@ -22,10 +22,10 @@
 //!
 //! Both solvers return a [`CrossbarSolution`] bundling the LP result with
 //! the hardware [`memlp_crossbar::CostLedger`] (latency/energy estimates in
-//! the style of the paper's §4.4), a per-iteration [`SolverTrace`], and a
-//! [`RecoveryReport`] describing any fault detections and the recovery
-//! rungs climbed (re-program → remap → variation redraw → digital
-//! fallback; see [`RecoveryPolicy`]).
+//! the style of the paper's §4.4), a per-iteration trace of
+//! [`IterationRecord`]s, and a [`RecoveryReport`] describing any fault
+//! detections and the recovery rungs climbed (re-program → remap →
+//! variation redraw → digital fallback; see [`RecoveryPolicy`]).
 //!
 //! These two and the analog PDHG backend ([`CrossbarPdhgSolver`])
 //! implement [`CrossbarSolver`], the one surface the CLI and the serve
@@ -68,7 +68,7 @@ pub use pdhg_analog::{CrossbarPdhgOptions, CrossbarPdhgSolver};
 pub use recovery::{RecoveryEvent, RecoveryPolicy, RecoveryReport};
 pub use solver::{CrossbarPdipSolver, CrossbarSolution, CrossbarSolver, CrossbarSolverOptions};
 pub use tiles::{TiledMatrix, ANALOG_TILE_SIDE};
-pub use trace::{FactorStats, IterationRecord, SolverTrace, WriteStats};
+pub use trace::IterationRecord;
 pub use transform::SignSplit;
 
 // Budget machinery, re-exported so callers holding a crossbar solver (the

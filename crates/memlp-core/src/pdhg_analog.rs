@@ -42,7 +42,7 @@ use crate::hw::{HwContext, TileTraffic};
 use crate::recovery::{Attempt, Ladder, RecoveryPolicy};
 use crate::solver::{CrossbarSolution, CrossbarSolver};
 use crate::tiles::{TiledMatrix, ANALOG_TILE_SIDE};
-use crate::trace::{IterationRecord, SolverTrace};
+use crate::trace::IterationRecord;
 use crate::transform::SignSplit;
 
 /// Stable block keys for the PDHG arrays. Disjoint from the Newton-system
@@ -499,18 +499,18 @@ impl CrossbarPdhgSolver {
 /// Mirrors the PDHG checkpoint samples into the workspace's common trace
 /// format: first-order methods have no barrier parameter or step length,
 /// so `mu`/`theta` are 0 and the KKT residuals fill the residual fields.
-fn trace_from_stats(stats: &PdhgStats) -> SolverTrace {
-    let mut trace = SolverTrace::new();
-    for s in &stats.samples {
-        trace.push(IterationRecord {
+fn trace_from_stats(stats: &PdhgStats) -> Vec<IterationRecord> {
+    stats
+        .samples
+        .iter()
+        .map(|s| IterationRecord {
             mu: 0.0,
             gap: s.gap,
             primal_residual: s.primal,
             dual_residual: s.dual,
             theta: 0.0,
-        });
-    }
-    trace
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -673,9 +673,9 @@ mod tests {
     fn trace_mirrors_checkpoints() {
         let lp = RandomLp::paper(12, 8).feasible();
         let res = solver(0.0, 11).solve(&lp);
-        assert!(!res.trace.records.is_empty());
-        let last = res.trace.records.last().unwrap();
+        assert!(!res.trace.is_empty());
+        let last = res.trace.last().unwrap();
         assert!(last.primal_residual <= 2e-2 + 1e-12);
-        assert!(res.trace.records.iter().all(|r| r.mu == 0.0));
+        assert!(res.trace.iter().all(|r| r.mu == 0.0));
     }
 }

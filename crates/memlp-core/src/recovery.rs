@@ -11,14 +11,11 @@
 //!    ([`memlp_crossbar::LineRemap`]).
 //! 3. **Variation redraw** — the existing §4.3 double-checking scheme:
 //!    re-write everything, redrawing Eqn 18 variation, and re-solve.
-//! 4. **First-order digital fallback** — a matrix-free digital PDHG solve
-//!    ([`memlp_solvers::PdhgSolver`]) at tight tolerance: O(nnz) working
-//!    memory and MVM-only work make it the cheaper digital rung, and past
-//!    the dense-core allocation wall it is the only one that fits.
-//! 5. **Dense digital fallback** — a bounded digital iterative-refinement
-//!    PDIP solve ([`memlp_solvers::NormalEqPdip`]) guarantees an answer
-//!    (and the trusted infeasibility/unboundedness certificates) when the
-//!    first-order rung does not converge, at digital latency/energy cost.
+//! 4. **Digital fallback** — the digital reference PDIP
+//!    ([`memlp_solvers::NormalEqPdip`], sparse LDLᵀ on every LP) solves the
+//!    true problem and its answer replaces the analog one, at digital
+//!    latency/energy cost; its infeasibility/unboundedness certificates
+//!    are the trusted ones.
 //!
 //! The full ladder is the [`RecoveryPolicy::Full`] policy;
 //! [`RecoveryPolicy::Hardware`] stops after rung 3 (analog-only recovery),
@@ -35,11 +32,11 @@
 use memlp_linalg::ops;
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::BudgetCause;
-use memlp_solvers::{LpSolver, NormalEqPdip, PdhgOptions, PdhgSolver};
+use memlp_solvers::{LpSolver, NormalEqPdip};
 
 use crate::hw::HwContext;
 use crate::solver::CrossbarSolution;
-use crate::trace::{FactorStats, SolverTrace, WriteStats};
+use crate::trace::IterationRecord;
 
 /// How far the solvers may escalate when faults are detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,8 +47,8 @@ pub enum RecoveryPolicy {
     /// Hardware-only recovery: re-program weak cells, remap dead lines,
     /// redraw variation. Never leaves the analog path.
     Hardware,
-    /// Hardware recovery plus the bounded digital iterative-refinement
-    /// fallback when the analog path cannot deliver an in-tolerance answer.
+    /// Hardware recovery plus the digital fallback (the reference PDIP)
+    /// when the analog path cannot deliver an in-tolerance answer.
     #[default]
     Full,
 }
@@ -106,14 +103,14 @@ pub enum RecoveryEvent {
         /// Attempt number the redraw precedes (1-based).
         attempt: usize,
     },
-    /// Rung 4: matrix-free digital PDHG ran as the cheap first digital
-    /// rung; its result replaced the analog one only if it converged.
+    /// A digital PDHG rung that no solver emits any more: the digital
+    /// fallback is the single [`RecoveryEvent::DigitalFallback`] rung. The
+    /// variant stays so that matches over recorded events keep compiling.
     FirstOrderFallback {
         /// Iterations the first-order solver spent.
         iterations: usize,
     },
-    /// Rung 5: bounded digital iterative-refinement solve replaced the
-    /// analog result.
+    /// Rung 4: the digital reference PDIP replaced the analog result.
     DigitalFallback {
         /// Iterations the digital solver spent.
         iterations: usize,
@@ -121,24 +118,14 @@ pub enum RecoveryEvent {
 }
 
 /// Structured account of every recovery action a solve took, surfaced on
-/// `CrossbarSolution` and mirrored into the solve trace.
+/// `CrossbarSolution`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoveryReport {
-    /// Policy the solve ran under.
-    pub policy: RecoveryPolicy,
     /// Events in the order they occurred.
     pub events: Vec<RecoveryEvent>,
 }
 
 impl RecoveryReport {
-    /// An empty report under `policy`.
-    pub fn new(policy: RecoveryPolicy) -> Self {
-        RecoveryReport {
-            policy,
-            events: Vec::new(),
-        }
-    }
-
     /// Appends an event.
     pub fn push(&mut self, e: RecoveryEvent) {
         self.events.push(e);
@@ -159,22 +146,18 @@ impl RecoveryReport {
             .any(|e| matches!(e, RecoveryEvent::FaultsDetected { .. }))
     }
 
-    /// `true` if either digital fallback rung (first-order PDHG or dense
-    /// iterative-refinement PDIP) ran.
+    /// `true` if the digital fallback (the reference PDIP) ran.
     pub fn used_digital_fallback(&self) -> bool {
-        self.events.iter().any(|e| {
-            matches!(
-                e,
-                RecoveryEvent::DigitalFallback { .. } | RecoveryEvent::FirstOrderFallback { .. }
-            )
-        })
+        self.events
+            .iter()
+            .any(|e| matches!(e, RecoveryEvent::DigitalFallback { .. }))
     }
 }
 
 /// What one solve attempt of a crossbar family produced: the verdict and
 /// iterate (in the caller's unscaled space), the attempt's per-iteration
 /// trace, and `Some(cause)` when the solve budget expired during it.
-pub(crate) type Attempt = (LpSolution, SolverTrace, Option<BudgetCause>);
+pub(crate) type Attempt = (LpSolution, Vec<IterationRecord>, Option<BudgetCause>);
 
 /// The §4.3 double-checking scheme as one retry ladder: re-solve with
 /// fresh variation on failure, escalating through the hardware rungs
@@ -220,8 +203,8 @@ impl Ladder {
         mut attempt: impl FnMut(&mut HwContext, usize) -> Option<Attempt>,
         exhausted: impl Fn(&mut LpSolution),
     ) -> CrossbarSolution {
-        let mut report = RecoveryReport::new(self.policy);
-        let mut kept: Option<(f64, LpSolution, SolverTrace, usize)> = None;
+        let mut report = RecoveryReport::default();
+        let mut kept: Option<(f64, LpSolution, Vec<IterationRecord>, usize)> = None;
         for k in 0..=self.retries {
             match reuse_salt {
                 Some(salt) if k == 0 => hw.begin_reuse(salt),
@@ -239,7 +222,7 @@ impl Ladder {
                 Some((solution, trace, None)) => (solution, trace),
                 None => (
                     LpSolution::failed(LpStatus::NumericalFailure, 0),
-                    SolverTrace::new(),
+                    Vec::new(),
                 ),
             };
             if !self.failed(lp, &solution, &report, k) {
@@ -268,12 +251,12 @@ impl Ladder {
             (
                 f64::INFINITY,
                 LpSolution::failed(LpStatus::NumericalFailure, 0),
-                SolverTrace::new(),
+                Vec::new(),
                 0,
             )
         });
         exhausted(&mut solution);
-        // Rungs 4–5 — a run that defective hardware left unresolved falls
+        // Rung 4 — a run that defective hardware left unresolved falls
         // back to the digital solve (fault-free failures keep their analog
         // verdict: the fallback is a fault countermeasure, not a general
         // safety net). Fault-era Infeasible verdicts are re-checked too —
@@ -286,8 +269,8 @@ impl Ladder {
         ) || (solution.status == LpStatus::Optimal
             && !lp.satisfies_relaxed_scaled(&solution.x, self.alpha));
         if unresolved && self.policy.allows_digital() && report.saw_faults() {
-            let (digital, events) = digital_fallback(lp);
-            report.events.extend(events);
+            let (digital, event) = digital_fallback(lp);
+            report.push(event);
             solution = digital;
         }
         finish(solution, trace, hw, k, report, None)
@@ -335,19 +318,16 @@ pub(crate) fn attempt_score(lp: &LpProblem, solution: &LpSolution) -> f64 {
     pr.max(dr).max(gap)
 }
 
-/// Builds the [`CrossbarSolution`], mirroring the recovery events and the
-/// ledger's write and factorization figures into the trace.
+/// Builds the [`CrossbarSolution`] from the kept attempt and the
+/// context's ledger.
 fn finish(
     solution: LpSolution,
-    mut trace: SolverTrace,
+    trace: Vec<IterationRecord>,
     hw: &HwContext,
     retries_used: usize,
     recovery: RecoveryReport,
     degraded: Option<BudgetCause>,
 ) -> CrossbarSolution {
-    trace.events = recovery.events.clone();
-    trace.writes = WriteStats::from_ledger(hw.ledger());
-    trace.factors = FactorStats::from_ledger(hw.ledger());
     CrossbarSolution {
         solution,
         ledger: *hw.ledger(),
@@ -382,33 +362,16 @@ fn escalate_hardware(policy: RecoveryPolicy, hw: &mut HwContext, report: &mut Re
     }
 }
 
-/// Rungs 4–5: the digital fallback ladder. Tries the matrix-free
-/// first-order solve (digital PDHG at tight tolerance) first — O(nnz)
-/// memory and MVM-only work make it the cheaper rung, and past the
-/// dense-core wall the only admissible one. A non-`Optimal` first-order
-/// exit falls through to the digital reference PDIP as it stands
-/// ([`NormalEqPdip::default`], 200 iterations), whose
-/// infeasibility/unboundedness certificates are the trusted ones.
-/// Returns the adopted solution plus the rung events in climb order.
-fn digital_fallback(lp: &LpProblem) -> (LpSolution, Vec<RecoveryEvent>) {
-    let first_order = PdhgSolver::new(PdhgOptions {
-        eps_primal: 1e-6,
-        eps_dual: 1e-6,
-        eps_gap: 1e-6,
-        ..PdhgOptions::default()
-    });
-    let sol = first_order.solve(lp);
-    let mut events = vec![RecoveryEvent::FirstOrderFallback {
-        iterations: sol.iterations,
-    }];
-    if sol.status == LpStatus::Optimal {
-        return (sol, events);
-    }
+/// Rung 4: the digital reference PDIP as it stands
+/// ([`NormalEqPdip::default`], 200 iterations) solves the true problem;
+/// its infeasibility/unboundedness certificates are the trusted ones.
+/// Returns the adopted solution and the rung's event.
+fn digital_fallback(lp: &LpProblem) -> (LpSolution, RecoveryEvent) {
     let sol = NormalEqPdip::default().solve(lp);
-    events.push(RecoveryEvent::DigitalFallback {
+    let event = RecoveryEvent::DigitalFallback {
         iterations: sol.iterations,
-    });
-    (sol, events)
+    };
+    (sol, event)
 }
 
 #[cfg(test)]
@@ -428,7 +391,7 @@ mod tests {
 
     #[test]
     fn report_counts_escalations_not_detections() {
-        let mut r = RecoveryReport::new(RecoveryPolicy::Full);
+        let mut r = RecoveryReport::default();
         assert!(!r.saw_faults());
         r.push(RecoveryEvent::FaultsDetected {
             block: 0,
@@ -454,29 +417,27 @@ mod tests {
     }
 
     #[test]
-    fn digital_fallback_solves_a_feasible_lp() {
+    fn digital_fallback_is_the_reference_pdip() {
         let lp = RandomLp::paper(10, 3).feasible();
-        let (sol, events) = digital_fallback(&lp);
+        let (sol, event) = digital_fallback(&lp);
+        let reference = NormalEqPdip::default().solve(&lp);
         assert_eq!(sol.status, LpStatus::Optimal);
-        // A feasible LP is settled by the cheap first-order rung alone.
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0],
-            RecoveryEvent::FirstOrderFallback { iterations } if iterations > 0
-        ));
+        // `{:?}` prints every f64 to its shortest round-trip form, so equal
+        // strings mean bit-identical solutions.
+        assert_eq!(format!("{sol:?}"), format!("{reference:?}"));
+        assert_eq!(
+            event,
+            RecoveryEvent::DigitalFallback {
+                iterations: reference.iterations
+            }
+        );
     }
 
     #[test]
-    fn digital_fallback_escalates_to_pdip_on_infeasible() {
+    fn digital_fallback_certifies_infeasibility() {
         let lp = RandomLp::paper(10, 4).infeasible();
-        let (sol, events) = digital_fallback(&lp);
+        let (sol, event) = digital_fallback(&lp);
         assert_eq!(sol.status, LpStatus::Infeasible);
-        // The first-order rung could not certify; the dense rung did.
-        assert_eq!(events.len(), 2);
-        assert!(matches!(
-            events[0],
-            RecoveryEvent::FirstOrderFallback { .. }
-        ));
-        assert!(matches!(events[1], RecoveryEvent::DigitalFallback { .. }));
+        assert!(matches!(event, RecoveryEvent::DigitalFallback { .. }));
     }
 }

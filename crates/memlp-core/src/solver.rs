@@ -7,7 +7,7 @@ use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState, DIVERGENCE_BOU
 use crate::hw::HwContext;
 use crate::newton::{AugmentedSystem, Factorization};
 use crate::recovery::{Attempt, Ladder, RecoveryPolicy, RecoveryReport};
-use crate::trace::{IterationRecord, SolverTrace};
+use crate::trace::IterationRecord;
 
 /// The §3.2 relaxed feasibility parameter `α` (slightly above 1) of
 /// Algorithm 1: the final solution must satisfy `A·x ⪯ α·b`.
@@ -74,7 +74,7 @@ pub struct CrossbarSolution {
     /// Hardware latency/energy/operation ledger (all retries merged).
     pub ledger: CostLedger,
     /// Per-iteration convergence trace of the final attempt.
-    pub trace: SolverTrace,
+    pub trace: Vec<IterationRecord>,
     /// Re-solve attempts that were needed (0 = first attempt succeeded).
     pub retries_used: usize,
     /// Structured account of fault detections and every recovery rung the
@@ -328,7 +328,7 @@ impl CrossbarPdipSolver {
             Some((x0, y0)) => PdipState::warm_start(lp, x0, y0, opts.warm_start_floor),
             None => PdipState::new(lp),
         };
-        let mut trace = SolverTrace::new();
+        let mut trace = Vec::new();
         let mut system = AugmentedSystem::program_with_at(lp, at, &state, hw);
         if let Some(factorization) = self.forced {
             system.force_factorization(factorization);
@@ -480,7 +480,7 @@ impl CrossbarPdipSolver {
 
             // (4) damped update.
             let theta = state.step_length(&aug.dirs, STEP_SAFETY);
-            if let Some(last) = trace.records.last_mut() {
+            if let Some(last) = trace.last_mut() {
                 last.theta = theta;
             }
             state.apply_step(&aug.dirs, theta);
@@ -597,9 +597,9 @@ mod tests {
     fn trace_records_convergence() {
         let lp = RandomLp::paper(12, 8).feasible();
         let res = solver(0.0, 11).solve(&lp);
-        assert!(!res.trace.records.is_empty());
-        let first_gap = res.trace.records.first().unwrap().gap;
-        let last_gap = res.trace.records.last().unwrap().gap;
+        assert!(!res.trace.is_empty());
+        let first_gap = res.trace.first().unwrap().gap;
+        let last_gap = res.trace.last().unwrap().gap;
         assert!(
             last_gap < first_gap,
             "gap should shrink: {first_gap} → {last_gap}"
@@ -805,13 +805,13 @@ mod tests {
             let config = CrossbarConfig::paper_default().with_seed(5);
             let dense = solve_forced(&lp, config, Factorization::Dense);
             let sparse = solve_forced(&lp, config, Factorization::Sparse);
-            let (d, sp) = (&dense.trace.factors, &sparse.trace.factors);
+            let (d, sp) = (dense.ledger.counts(), sparse.ledger.counts());
             assert!(sp.factorizations > 0, "{name}: sparse core never factored");
             assert!(
-                sp.flops < d.flops,
+                sp.factor_flops < d.factor_flops,
                 "{name}: sparse flops {} not below dense {}",
-                sp.flops,
-                d.flops
+                sp.factor_flops,
+                d.factor_flops
             );
             assert!(
                 sp.factor_nnz < d.factor_nnz,

@@ -13,8 +13,7 @@
 //! `8·dim²` of ≈ 2.2 GB), the smallest shipped domain past the limit.
 
 use memlp_core::{
-    dense_core_bytes, AugmentedSystem, FactorStats, Factorization, HwContext,
-    DENSE_CORE_LIMIT_BYTES,
+    dense_core_bytes, AugmentedSystem, Factorization, HwContext, DENSE_CORE_LIMIT_BYTES,
 };
 use memlp_crossbar::CrossbarConfig;
 use memlp_linalg::Matrix;
@@ -53,7 +52,7 @@ fn schur_solve_serves_a_dense_core_past_the_lu_limit() {
     let state = PdipState::new(&lp);
     let mut sys = AugmentedSystem::program(&lp, &state, &mut hw);
     let r = rhs_for(&mut sys, &lp, &state, &mut hw);
-    let before = FactorStats::from_ledger(hw.ledger());
+    let before = hw.ledger().counts();
     let aug = sys
         .solve(&r, &mut hw)
         .expect("the Schur solve fits under the limit");
@@ -63,7 +62,7 @@ fn schur_solve_serves_a_dense_core_past_the_lu_limit() {
     // One factorization holding the Schur solve's entries: S's k² plus
     // the K·k scaled block. The sparse factorization would report its own
     // |L|+|U|+diagonal count instead.
-    let after = FactorStats::from_ledger(hw.ledger());
+    let after = hw.ledger().counts();
     let (k, big) = (m as u64, n as u64);
     assert_eq!(after.factorizations - before.factorizations, 1);
     assert_eq!(after.factor_nnz - before.factor_nnz, k * k + big * k);

@@ -53,8 +53,8 @@ fn assert_same_behaviour(a: &CrossbarSolution, b: &CrossbarSolution, ctx: &str) 
     );
     assert_eq!(a.solution.iterations, b.solution.iterations, "{ctx}: iters");
     assert_eq!(a.retries_used, b.retries_used, "{ctx}: retries");
-    assert_eq!(a.trace.records, b.trace.records, "{ctx}: trace records");
-    assert_eq!(a.trace.events, b.trace.events, "{ctx}: trace events");
+    assert_eq!(a.trace, b.trace, "{ctx}: trace");
+    assert_eq!(a.recovery, b.recovery, "{ctx}: recovery events");
 }
 
 /// Delta accounting must be lossless: every pulse the delta run skipped is
@@ -142,16 +142,14 @@ fn alg1_is_bitwise_thread_invariant_past_the_kernel_cutoff() {
     }
 }
 
-/// The trace's write stats mirror the ledger and expose the skip fraction.
+/// Algorithm 1 updates its Newton workspace in place instead of
+/// rebuilding the core matrix every iteration.
 #[test]
-fn trace_write_stats_mirror_the_ledger() {
+fn workspace_reuse_engages() {
     let lp = RandomLp::paper(24, 621).feasible();
     let res = CrossbarPdipSolver::new(config(7, true), CrossbarSolverOptions::default()).solve(&lp);
-    let c = res.ledger.counts();
-    let w = res.trace.writes;
-    assert_eq!(w.cells_written, c.setup_writes + c.update_writes);
-    assert_eq!(w.cells_skipped, c.skipped_writes);
-    assert_eq!(w.rebuilds_avoided, c.rebuilds_avoided);
-    assert!(w.rebuilds_avoided > 0, "workspace reuse never engaged");
-    assert!(w.skip_fraction() >= 0.0 && w.skip_fraction() < 1.0);
+    assert!(
+        res.ledger.counts().rebuilds_avoided > 0,
+        "workspace reuse never engaged"
+    );
 }

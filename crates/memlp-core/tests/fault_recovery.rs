@@ -3,8 +3,8 @@
 //! `Optimal` within the paper's Fig 5 accuracy envelope (rel err ≤ 0.10)
 //! with recovery enabled, while the *same seeds* fail or leave the envelope
 //! with recovery disabled — proving the ladder, not luck, delivers the
-//! answer. Every escalation rung must be visible in both the
-//! [`RecoveryReport`] and the solve trace.
+//! answer. Every escalation rung must be visible in the
+//! [`RecoveryReport`].
 
 use memlp_core::{
     CrossbarPdipSolver, CrossbarSolverOptions, LargeScaleOptions, LargeScaleSolver, RecoveryEvent,
@@ -139,15 +139,8 @@ fn every_ladder_rung_is_recorded() {
             RecoveryEvent::Remapped { rows, .. } if *rows > 0
         )));
         assert!(has(&|e| matches!(e, RecoveryEvent::VariationRedraw { .. })));
-        // The digital ladder climbs the cheap first-order rung first and
-        // only escalates to the dense PDIP rung if PDHG fails to certify.
-        assert!(has(&|e| matches!(
-            e,
-            RecoveryEvent::FirstOrderFallback { .. } | RecoveryEvent::DigitalFallback { .. }
-        )));
+        assert!(has(&|e| matches!(e, RecoveryEvent::DigitalFallback { .. })));
         assert!(res.recovery.used_digital_fallback());
-        // The trace mirrors the report event-for-event.
-        assert_eq!(res.trace.events, res.recovery.events);
     }
 }
 
@@ -163,7 +156,6 @@ fn disabled_policy_detects_but_never_acts() {
             e,
             RecoveryEvent::Reprogrammed { .. }
                 | RecoveryEvent::Remapped { .. }
-                | RecoveryEvent::FirstOrderFallback { .. }
                 | RecoveryEvent::DigitalFallback { .. }
         )));
     }
@@ -198,8 +190,7 @@ fn clean_hardware_reports_no_recovery() {
     .solve(&lp);
     assert_eq!(res.solution.status, LpStatus::Optimal);
     assert!(!res.recovery.saw_faults());
-    assert!(!res.recovery.used_digital_fallback());
-    assert!(res.trace.events.is_empty() || !res.recovery.saw_faults());
+    assert!(res.recovery.events.is_empty());
 }
 
 /// Genuinely infeasible problems stay Infeasible even with defective

@@ -21,6 +21,12 @@
 //! transportation LP and a routing LP, whose densities put its Newton core
 //! on the sparse factorization; those lines were recorded before the
 //! sparse core moved onto the shared KKT type of `memlp-linalg`.
+//!
+//! The three Algorithm 1 `Faulty` runs end in the digital fallback. They
+//! were re-recorded, header and fallback line only, when that fallback
+//! dropped its digital PDHG rung: the reference PDIP now gives their
+//! answers, so their hashes moved and `FirstOrderFallback` became
+//! `DigitalFallback`.
 
 use memlp_core::{
     Budget, CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolution,
@@ -210,7 +216,7 @@ fn pdhg_analog_ladder_snapshot() {
 
 const ALG1: &[&str] = &[
     "alg1 FaultFree: b5a2e014eafc5881 Optimal retries=0 degraded=None",
-    "alg1 Faulty: 6f7ae5e60de390fb Optimal retries=2 degraded=None",
+    "alg1 Faulty: 77eba5b340b86b7d Optimal retries=2 degraded=None",
     "  FaultsDetected { block: 0, stuck_cells: 1, weak_cells: 0, dead_rows: 0, dead_cols: 0 }",
     "  FaultsDetected { block: 1, stuck_cells: 1, weak_cells: 0, dead_rows: 1, dead_cols: 0 }",
     "  FaultsDetected { block: 2, stuck_cells: 1, weak_cells: 0, dead_rows: 0, dead_cols: 0 }",
@@ -225,13 +231,13 @@ const ALG1: &[&str] = &[
     "  VariationRedraw { attempt: 1 }",
     "  Remapped { rows: 0, cols: 0, unmapped: 1 }",
     "  VariationRedraw { attempt: 2 }",
-    "  FirstOrderFallback { iterations: 1808 }",
+    "  DigitalFallback { iterations: 13 }",
     "alg1 BudgetExpires: 5d77445f5d9057c1 IterationLimit retries=0 degraded=Some(MaxIters)",
     "alg1 Infeasible: 7a6e6d33bb21e32e Infeasible retries=0 degraded=None",
 ];
 const ALG1_SPARSE: &[&str] = &[
     "alg1 transport FaultFree: 165b54f75a00dd75 Optimal retries=0 degraded=None",
-    "alg1 transport Faulty: 0afdd0ce65e557ae Optimal retries=2 degraded=None",
+    "alg1 transport Faulty: 529cc1022237e067 Optimal retries=2 degraded=None",
     "  FaultsDetected { block: 0, stuck_cells: 2, weak_cells: 0, dead_rows: 0, dead_cols: 0 }",
     "  FaultsDetected { block: 1, stuck_cells: 5, weak_cells: 2, dead_rows: 1, dead_cols: 0 }",
     "  FaultsDetected { block: 2, stuck_cells: 3, weak_cells: 2, dead_rows: 1, dead_cols: 0 }",
@@ -251,10 +257,10 @@ const ALG1_SPARSE: &[&str] = &[
     "  Remapped { rows: 16, cols: 0, unmapped: 0 }",
     "  VariationRedraw { attempt: 1 }",
     "  VariationRedraw { attempt: 2 }",
-    "  FirstOrderFallback { iterations: 1520 }",
+    "  DigitalFallback { iterations: 14 }",
     "alg1 routing FaultFree: 7c32d0970cad9873 Infeasible retries=1 degraded=None",
     "  VariationRedraw { attempt: 1 }",
-    "alg1 routing Faulty: 47e92cabce230f76 Optimal retries=2 degraded=None",
+    "alg1 routing Faulty: 6f94783b395caa71 Optimal retries=2 degraded=None",
     "  FaultsDetected { block: 0, stuck_cells: 7, weak_cells: 3, dead_rows: 0, dead_cols: 0 }",
     "  FaultsDetected { block: 1, stuck_cells: 10, weak_cells: 4, dead_rows: 1, dead_cols: 0 }",
     "  FaultsDetected { block: 2, stuck_cells: 7, weak_cells: 4, dead_rows: 0, dead_cols: 0 }",
@@ -275,7 +281,7 @@ const ALG1_SPARSE: &[&str] = &[
     "  VariationRedraw { attempt: 1 }",
     "  Remapped { rows: 0, cols: 0, unmapped: 2 }",
     "  VariationRedraw { attempt: 2 }",
-    "  FirstOrderFallback { iterations: 736 }",
+    "  DigitalFallback { iterations: 15 }",
 ];
 const ALG2: &[&str] = &[
     "alg2 FaultFree: 6004f79df3b705ac Optimal retries=0 degraded=None",

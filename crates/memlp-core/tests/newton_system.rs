@@ -1,8 +1,8 @@
 //! Direct tests of the Eqn-14a augmented system against the textbook
 //! Newton system it must reproduce.
 
-use memlp_core::{AugmentedDirections, AugmentedSystem, FactorStats, Factorization, HwContext};
-use memlp_crossbar::CrossbarConfig;
+use memlp_core::{AugmentedDirections, AugmentedSystem, Factorization, HwContext};
+use memlp_crossbar::{CrossbarConfig, OpCounts};
 use memlp_linalg::ops;
 use memlp_lp::domains::{transportation_lp, TransportationProblem};
 use memlp_lp::generator::RandomLp;
@@ -254,7 +254,7 @@ fn newton_step(
     factorization: Factorization,
     variation_pct: f64,
     zero: ZeroCell,
-) -> (AugmentedDirections, FactorStats) {
+) -> (AugmentedDirections, OpCounts) {
     let mut state = PdipState::new(lp);
     match zero {
         ZeroCell::None => {}
@@ -271,13 +271,14 @@ fn newton_step(
     let ms = sys.mvm(&s, &mut hw);
     let constant = sys.rhs_constant(lp, state.mu());
     let r = sys.assemble_rhs(&constant, &ms);
-    let before = FactorStats::from_ledger(hw.ledger());
+    let before = hw.ledger().counts();
     let dirs = sys.solve(&r, &mut hw).expect("solvable realized system");
-    let after = FactorStats::from_ledger(hw.ledger());
-    let added = FactorStats {
+    let after = hw.ledger().counts();
+    let added = OpCounts {
         factorizations: after.factorizations - before.factorizations,
-        flops: after.flops - before.flops,
+        factor_flops: after.factor_flops - before.factor_flops,
         factor_nnz: after.factor_nnz - before.factor_nnz,
+        ..OpCounts::default()
     };
     (dirs, added)
 }
@@ -304,24 +305,26 @@ fn assert_same_directions(got: &AugmentedDirections, want: &AugmentedDirections,
 }
 
 /// Ledger counters of one `(n+m)` partial-pivot LU.
-fn full_lu(lp: &LpProblem) -> FactorStats {
+fn full_lu(lp: &LpProblem) -> OpCounts {
     let d = (lp.num_vars() + lp.num_constraints()) as u64;
-    FactorStats {
+    OpCounts {
         factorizations: 1,
-        flops: 2 * d * d * d / 3,
+        factor_flops: 2 * d * d * d / 3,
         factor_nnz: d * d,
+        ..OpCounts::default()
     }
 }
 
 /// Ledger counters of one `min(n,m)` Schur solve: `2·k²·K + ⅔·k³` flops,
 /// `k²` LU entries plus the `K·k` scaled block.
-fn schur(lp: &LpProblem) -> FactorStats {
+fn schur(lp: &LpProblem) -> OpCounts {
     let (n, m) = (lp.num_vars() as u64, lp.num_constraints() as u64);
     let (k, big) = (n.min(m), n.max(m));
-    FactorStats {
+    OpCounts {
         factorizations: 1,
-        flops: 2 * k * k * big + 2 * k * k * k / 3,
+        factor_flops: 2 * k * k * big + 2 * k * k * k / 3,
         factor_nnz: k * k + big * k,
+        ..OpCounts::default()
     }
 }
 
@@ -339,7 +342,7 @@ fn reduced_dense_solve_matches_the_unreduced_core() {
             let (unreduced, sparse) =
                 newton_step(&lp, Factorization::Sparse, variation, ZeroCell::None);
             assert!(
-                sparse.flops < full_lu(&lp).flops,
+                sparse.factor_flops < full_lu(&lp).factor_flops,
                 "{ctx}: the sparse reference fell back to the dense path"
             );
             assert_same_directions(&reduced, &unreduced, &ctx);

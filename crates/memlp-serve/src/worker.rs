@@ -14,8 +14,9 @@ use std::time::Instant;
 
 use memlp_core::{
     Budget, CrossbarPdhgOptions, CrossbarPdhgSolver, CrossbarPdipSolver, CrossbarSolver,
-    CrossbarSolverOptions, IterationDeadline, WriteStats,
+    CrossbarSolverOptions, IterationDeadline,
 };
+use memlp_crossbar::OpCounts;
 use memlp_linalg::Matrix;
 use memlp_lp::LpProblem;
 
@@ -126,7 +127,7 @@ fn solve_one(
     let warm_start = entry.warm.is_some();
     let salt = entry.solves;
     entry.solves += 1;
-    let before = WriteStats::from_ledger(entry.hw.ledger());
+    let before = entry.hw.ledger().counts();
     let result = {
         // Split borrows: the warm iterate is read while the hardware
         // context is mutably driven.
@@ -136,7 +137,10 @@ fn solve_one(
             .map(|(x, y)| (x.as_slice(), y.as_slice()));
         solver.solve_on(&lp, &mut entry.hw, budget, warm, Some(salt))
     };
-    let writes = WriteStats::from_ledger(entry.hw.ledger()).since(&before);
+    // The warm context's ledger spans its whole life: this request's
+    // writes are the (saturating) difference across the solve.
+    let after = entry.hw.ledger().counts();
+    let written = |c: &OpCounts| c.setup_writes + c.update_writes;
     if result.solution.status.is_optimal() {
         entry.warm = Some((result.solution.x.clone(), result.solution.y.clone()));
     }
@@ -152,8 +156,8 @@ fn solve_one(
         escalations: result.recovery.escalations() as u32,
         saw_faults: result.recovery.saw_faults(),
         used_digital: result.recovery.used_digital_fallback(),
-        cells_written: writes.cells_written,
-        cells_skipped: writes.cells_skipped,
+        cells_written: written(&after).saturating_sub(written(&before)),
+        cells_skipped: after.skipped_writes.saturating_sub(before.skipped_writes),
         warm_start,
         latency_us: started.elapsed().as_micros() as u64,
     })

@@ -258,6 +258,48 @@ fn fault_flags_drive_the_recovery_ladder() {
     assert!(err.contains("fault"), "{err}");
 }
 
+/// The digital fallback is the reference PDIP: where defective hardware
+/// leaves Algorithm 1 unresolved on transport 4×24, the answer's objective
+/// and iteration count are `--solver pdip`'s on the same file.
+#[test]
+fn digital_fallback_answers_as_the_reference_pdip() {
+    use memlp_lp::domains::{transportation_lp, TransportationProblem};
+
+    let dir = std::env::temp_dir().join("memlp-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("transport-4x24.lp");
+    let lp = transportation_lp(&TransportationProblem::random(4, 24, 5)).unwrap();
+    std::fs::write(&path, memlp_lp::format::write(&lp)).unwrap();
+
+    let solve = |args: &[&str]| {
+        let out = memlp()
+            .args(["solve", path.to_str().unwrap(), "--quiet"])
+            .args(args)
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{args:?}: {text}");
+        text
+    };
+    let faulty = solve(&[
+        "--solver",
+        "alg1",
+        "--stuck-rate",
+        "0.01",
+        "--dead-line-rate",
+        "0.005",
+        "--seed",
+        "1",
+    ]);
+    assert!(faulty.contains("digital fallback"), "{faulty}");
+    let pdip = solve(&["--solver", "pdip"]);
+    for key in ["objective:", "iterations:"] {
+        let line = |text: &str| text.lines().find(|l| l.starts_with(key)).map(str::to_owned);
+        assert!(line(&pdip).is_some(), "{pdip}");
+        assert_eq!(line(&faulty), line(&pdip), "{key}");
+    }
+}
+
 /// `--max-iters` / `--timeout-iters` degrade gracefully: the exhausted
 /// budget is reported with a `degraded:` verdict, the best iterate is
 /// still printed, and the exit code stays zero (a requested degradation
