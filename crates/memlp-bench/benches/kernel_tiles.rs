@@ -1,9 +1,11 @@
 //! Microbenchmark for the register-tiled digital kernels (DESIGN.md §14).
 //!
 //! Measures flop rates for the hot dense kernels — matvec, matmul,
-//! `scaled_gram`, blocked LU, CSR SpMV — at m ∈ {128, 512} against a
-//! *naive* single-accumulator scalar loop written here (the pre-lane,
-//! pre-tiling baseline). Rates are pinned to one worker
+//! `scaled_gram`, blocked LU, CSR SpMV — at m ∈ {128, 512}, and for
+//! Algorithm 1's Schur product (`schur`: a k × m by m × k `matmul_into`
+//! with k = m/3, the dense product of the min(n, m) Schur solve) at
+//! m ∈ {128, 1024}, against a *naive* single-accumulator scalar loop
+//! written here (the pre-lane, pre-tiling baseline). Rates are pinned to one worker
 //! (`with_threads(1)`) so they measure instruction-level throughput, not
 //! the thread pool.
 //!
@@ -36,6 +38,9 @@ use memlp_lp::generator::RandomLp;
 const GATE_MIN_SPEEDUP: f64 = 2.0;
 /// Problem sizes for every kernel row.
 const SIZES: [usize; 2] = [128, 512];
+/// LP sizes of the `schur` rows: the paper's §4.2 grid point and the
+/// §4.4 m = 1024 headline.
+const SCHUR_SIZES: [usize; 2] = [128, 1024];
 
 fn test_matrix(rows: usize, cols: usize, seed: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |i, j| {
@@ -264,6 +269,27 @@ fn measure_kernels() -> Vec<KernelRow> {
                 naive: gflops(sp_flops, || naive_spmv(&sp, black_box(&x), &mut ys)),
                 tiled: gflops(sp_flops, || {
                     black_box(sp.matvec(black_box(&x)));
+                }),
+            });
+        });
+    }
+    // Algorithm 1's Schur product S = L·(R/e) at k = m/3 (DESIGN.md §13),
+    // into a reused buffer as the Newton step forms it.
+    for &m in &SCHUR_SIZES {
+        let k = m / 3;
+        let left = test_matrix(k, m, 6);
+        let scaled = test_matrix(m, k, 7);
+        let flops = 2 * (k * m * k) as u64;
+        let mut s = Matrix::zeros(k, k);
+        with_threads(1, || {
+            rows.push(KernelRow {
+                kernel: "schur",
+                m,
+                flops,
+                naive: gflops(flops, || naive_matmul(&left, black_box(&scaled), &mut s)),
+                tiled: gflops(flops, || {
+                    left.matmul_into(black_box(&scaled), &mut s).unwrap();
+                    black_box(&s);
                 }),
             });
         });

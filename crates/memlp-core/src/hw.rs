@@ -298,6 +298,9 @@ impl HwContext {
         let mut codes = vec![0u64; target.rows() * target.cols()];
         let mut realized = Matrix::zeros(target.rows(), target.cols());
         let ts = tiled.map_or(1, |(o, _)| o.tile_side());
+        // A fault-free block (every config without `faults`) skips the
+        // per-cell defect lookup: three binary searches a cell.
+        let clean = plan.is_clean();
         for i in 0..target.rows() {
             for j in 0..target.cols() {
                 if let Some((occ, true)) = tiled {
@@ -308,7 +311,12 @@ impl HwContext {
                 let idx = i * target.cols() + j;
                 let code = self.wq.code(target[(i, j)]);
                 codes[idx] = code;
-                realized[(i, j)] = match plan.fault_at(i, j) {
+                let fault = if clean {
+                    FaultKind::Healthy
+                } else {
+                    plan.fault_at(i, j)
+                };
+                realized[(i, j)] = match fault {
                     FaultKind::StuckOn => a_max,
                     FaultKind::StuckOff => 0.0,
                     FaultKind::Healthy => {
@@ -365,10 +373,16 @@ impl HwContext {
         let mut skipped = 0u64;
         let mut codes = vec![0u64; target.len()];
         let mut realized = Vec::with_capacity(target.len());
+        let clean = plan.is_clean();
         for (i, &v) in target.iter().enumerate() {
             let code = self.wq.code(v.max(0.0));
             codes[i] = code;
-            realized.push(match plan.fault_at(i, 0) {
+            let fault = if clean {
+                FaultKind::Healthy
+            } else {
+                plan.fault_at(i, 0)
+            };
+            realized.push(match fault {
                 FaultKind::StuckOn => a_max,
                 FaultKind::StuckOff => 0.0,
                 FaultKind::Healthy => {

@@ -1,8 +1,9 @@
 //! Register-tiled, autovectorizer-friendly microkernels for the dense hot
 //! paths (and the blocked CSR SpMV). There is one tile shape — [`MR`]-row
-//! matvec tiles and [`MR`] × [`NR`] update tiles — and plain loops below
-//! [`TILE_CUTOFF_FLOPS`]; the `Matrix` and LU entry points pick between
-//! the two from the operation's flop count alone.
+//! matvec tiles and [`MR`] × [`NR`] update tiles, whose 2- and 1-wide,
+//! 2- and 1-row edge tiles cover the rest of the update's output — and
+//! plain loops below [`TILE_CUTOFF_FLOPS`]; the `Matrix` and LU entry
+//! points pick between the two from the operation's flop count alone.
 //!
 //! # Why tiles help on this workload
 //!
@@ -45,8 +46,10 @@
 //! row scaling, the LU trailing update's strided `L21` panel) first pack
 //! them into a reusable thread-local scratch buffer via
 //! [`with_pack_buffer`] — the same buffer-recycling approach as the
-//! solver-side scratch workspaces, so steady-state iterations do not
-//! allocate.
+//! solver-side scratch workspaces. [`gemm_acc`] packs its `B` panels into
+//! a second thread-local buffer of its own, so a caller that holds the
+//! first (the LU's negated `L21`) nests without allocating, and
+//! steady-state iterations do not allocate.
 
 use std::cell::Cell;
 
@@ -59,8 +62,11 @@ pub const LANES: usize = 4;
 /// DESIGN.md §14).
 pub const MR: usize = 4;
 
-/// Output columns per [`gemm_acc`] register tile.
-pub const NR: usize = 8;
+/// Output columns per [`gemm_acc`] main register tile. With `MR` = 4
+/// this is 16 accumulators — what the baseline x86-64 target's sixteen
+/// 2-lane vector registers hold beside a `B` row and the broadcast `A`
+/// values; a 4×8 tile spills (see DESIGN.md §14).
+pub const NR: usize = 4;
 
 /// Flop count below which the tiled paths stand down and the plain
 /// scalar loops run instead (dispatch and remainder handling cost more
@@ -81,6 +87,10 @@ thread_local! {
     /// Reusable packing scratch; taken/restored so nested users degrade to
     /// a fresh allocation instead of aliasing.
     static PACK: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+    /// [`gemm_acc`]'s packed `B` panels, kept apart from [`PACK`] so a
+    /// caller holding that buffer (the LU's negated `L₂₁`) does not make
+    /// every trailing update allocate.
+    static PANELS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
 /// Hands `f` a zeroed scratch slice of length `len` drawn from a reusable
@@ -93,6 +103,20 @@ pub fn with_pack_buffer<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
         buf.clear();
         buf.resize(len, 0.0);
         let out = f(&mut buf);
+        cell.set(buf);
+        out
+    })
+}
+
+/// Hands `f` the first `len` elements of [`PANELS`], grown as needed but
+/// not zeroed: [`gemm_acc`] writes every element it later reads.
+fn with_panel_buffer<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    PANELS.with(|cell| {
+        let mut buf = cell.take();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        let out = f(&mut buf[..len]);
         cell.set(buf);
         out
     })
@@ -152,26 +176,29 @@ fn matvec_tile(a: &[f64], cols: usize, x: &[f64], y: &mut [f64]) {
 
 /// `C[r, j] += Σ_k A[r, k] · B[k, j]` over `rows × n` outputs, with row
 /// strides `ldc`/`lda`/`ldb` (`B` is read at column offset 0), in
-/// [`MR`] × [`NR`] register tiles when `tiled`, else by the plain i-k-j
-/// loops. Each output element is seeded from its current value and
-/// accumulated **sequentially over `k`**, so the result is bitwise
-/// independent of `tiled`. The LU trailing update reuses this with a
-/// pre-negated packed `A` (IEEE negation is exact, so `C += (−L)·U` is
-/// bitwise `C −= L·U`).
+/// register tiles when `tiled`, else by the plain i-k-j loop. Each output
+/// element is seeded from its current value and accumulated
+/// **sequentially over `k`**, so the result is bitwise independent of
+/// `tiled`. The LU trailing update reuses this with a pre-negated packed
+/// `A` (IEEE negation is exact, so `C += (−L)·U` is bitwise `C −= L·U`).
 ///
-/// The tiled region packs `B` into `k × NR` column panels, as many at a
-/// time as fit [`PACK_BUDGET_BYTES`] of scratch, then sweeps the row
-/// tiles over each packed column block. The pack fixes the `B` walk — the
-/// unpacked tile reads `B` at stride `8·ldb` per `k` step, a fresh cache
-/// line (and, past ~4 KB rows, a fresh page) every step, where packed
-/// panels stream linearly and are reused by every row tile. The i-outer
-/// sweep inside a block keeps `C`'s access prefetch-friendly: each tile's
-/// `MR` output rows are revisited across consecutive panels rather than
-/// the whole `C` being re-strided per panel (the large-`C` trailing
-/// update is latency-bound exactly there). For the LU trailing shape
-/// (`k` = panel width, `B` a few hundred KB) one block covers all of `B`.
-/// Packing is a pure copy, so it cannot change the bits; tiles own
-/// disjoint outputs, so the block and panel order cannot either.
+/// The tiled path packs `B` into `k`-row column panels, as many at a time
+/// as fit [`PACK_BUDGET_BYTES`] of scratch, then sweeps the row tiles over
+/// each packed column block. Tiles cover the whole output: [`MR`] × [`NR`]
+/// main tiles, then 2- and 1-wide edge panels for the last `n mod NR`
+/// columns and 2- and 1-row edge tiles for the last `rows mod MR` rows,
+/// so no output element falls back to a scalar loop.
+/// The pack fixes the `B` walk — an unpacked tile reads `B` at stride
+/// `ldb` per `k` step, a fresh cache line (and, past ~4 KB rows, a fresh
+/// page) every step, where packed panels stream linearly and are reused
+/// by every row tile. The i-outer sweep inside a block keeps `C`'s access
+/// prefetch-friendly: each tile's output rows are revisited across
+/// consecutive panels rather than the whole `C` being re-strided per
+/// panel (the large-`C` trailing update is latency-bound exactly there).
+/// For the LU trailing shape (`k` = panel width, `B` a few hundred KB)
+/// one block covers all of `B`. Packing is a pure copy, so it cannot
+/// change the bits; tiles own disjoint outputs, so the block, panel and
+/// tile order cannot either.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_acc(
     tiled: bool,
@@ -188,51 +215,82 @@ pub fn gemm_acc(
     debug_assert!(rows == 0 || c.len() >= (rows - 1) * ldc + n);
     debug_assert!(rows == 0 || a.len() >= (rows - 1) * lda + k);
     debug_assert!(k == 0 || b.len() >= (k - 1) * ldb + n);
-    let (rt, nt) = if tiled {
-        (rows / MR * MR, n / NR * NR)
-    } else {
-        (0, 0)
-    };
-    if rt > 0 && nt > 0 {
-        // Whole NR-panels per column block, at least one even when a
-        // single panel overruns the budget (`k` very large).
-        let panels = (PACK_BUDGET_BYTES / 8 / (k * NR)).max(1);
-        let jc = (panels * NR).min(nt);
-        with_pack_buffer(k * jc, |bp| {
-            let mut jb = 0;
-            while jb < nt {
-                let jw = jc.min(nt - jb);
-                for p in 0..jw / NR {
-                    let j0 = jb + p * NR;
-                    let dst = &mut bp[p * k * NR..(p + 1) * k * NR];
-                    for kk in 0..k {
-                        dst[kk * NR..(kk + 1) * NR]
-                            .copy_from_slice(&b[kk * ldb + j0..kk * ldb + j0 + NR]);
-                    }
-                }
-                let mut i0 = 0;
-                while i0 < rt {
-                    for p in 0..jw / NR {
-                        let j0 = jb + p * NR;
-                        let panel = &bp[p * k * NR..(p + 1) * k * NR];
-                        let ct = &mut c[i0 * ldc + j0..];
-                        let at = &a[i0 * lda..];
-                        gemm_tile(ct, ldc, at, lda, panel, k);
-                    }
-                    i0 += MR;
-                }
-                jb += jw;
-            }
-        });
+    if !tiled {
+        gemm_plain(c, ldc, a, lda, b, ldb, rows, n, k);
+        return;
     }
-    // Column remainder of the tiled rows, then the row remainder (the
-    // whole matrix when `tiled` is false).
-    gemm_plain(c, ldc, a, lda, b, ldb, 0..rt, nt..n, k);
-    gemm_plain(c, ldc, a, lda, b, ldb, rt..rows, 0..n, k);
+    if rows == 0 || n == 0 || k == 0 {
+        return;
+    }
+    // Whole NR-panels per column block, at least one even when a single
+    // panel overruns the budget (`k` very large); the last block is
+    // ragged and ends in the edge panels.
+    let panels = (PACK_BUDGET_BYTES / 8 / (k * NR)).max(1);
+    let jc = (panels * NR).min(n);
+    with_panel_buffer(k * jc, |bp| {
+        let mut jb = 0;
+        while jb < n {
+            let jw = jc.min(n - jb);
+            // The panel of width `w` at block column `j` occupies
+            // `bp[j·k..(j + w)·k]`, row stride `w`.
+            let mut j = 0;
+            while j < jw {
+                let w = tile_step(jw - j, NR);
+                let dst = &mut bp[j * k..(j + w) * k];
+                for (kk, row) in dst.chunks_exact_mut(w).enumerate() {
+                    let src = kk * ldb + jb + j;
+                    row.copy_from_slice(&b[src..src + w]);
+                }
+                j += w;
+            }
+            let block = &bp[..k * jw];
+            let mut i0 = 0;
+            while i0 < rows {
+                let r = tile_step(rows - i0, MR);
+                let (ct, at) = (&mut c[i0 * ldc + jb..], &a[i0 * lda..]);
+                match r {
+                    MR => sweep::<MR>(ct, ldc, at, lda, block, k),
+                    2 => sweep::<2>(ct, ldc, at, lda, block, k),
+                    _ => sweep::<1>(ct, ldc, at, lda, block, k),
+                }
+                i0 += r;
+            }
+            jb += jw;
+        }
+    });
 }
 
-/// Plain i-k-j accumulation over a rectangular output region; the
-/// remainder path of [`gemm_acc`] and its full plain fallback.
+/// Size of the next tile along one dimension when `left` rows or columns
+/// remain: a `full` main tile while one fits, then a 2- and a 1-edge.
+#[inline]
+fn tile_step(left: usize, full: usize) -> usize {
+    match left {
+        l if l >= full => full,
+        l if l >= 2 => 2,
+        _ => 1,
+    }
+}
+
+/// Runs one band of `R` rows across a packed column block `bp` (laid out
+/// by [`gemm_acc`], `k` rows per panel).
+#[inline]
+fn sweep<const R: usize>(c: &mut [f64], ldc: usize, a: &[f64], lda: usize, bp: &[f64], k: usize) {
+    let jw = bp.len() / k;
+    let mut j = 0;
+    while j < jw {
+        let w = tile_step(jw - j, NR);
+        let (ct, panel) = (&mut c[j..], &bp[j * k..(j + w) * k]);
+        match w {
+            NR => gemm_tile::<R, NR>(ct, ldc, a, lda, panel),
+            2 => gemm_tile::<R, 2>(ct, ldc, a, lda, panel),
+            _ => gemm_tile::<R, 1>(ct, ldc, a, lda, panel),
+        }
+        j += w;
+    }
+}
+
+/// Plain i-k-j accumulation over a `rows × n` output; [`gemm_acc`]'s
+/// untiled path.
 #[allow(clippy::too_many_arguments)]
 fn gemm_plain(
     c: &mut [f64],
@@ -241,18 +299,18 @@ fn gemm_plain(
     lda: usize,
     b: &[f64],
     ldb: usize,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
+    rows: usize,
+    n: usize,
     k: usize,
 ) {
-    if cols.is_empty() {
+    if n == 0 {
         return;
     }
-    for i in rows {
-        let crow = &mut c[i * ldc + cols.start..i * ldc + cols.end];
+    for i in 0..rows {
+        let crow = &mut c[i * ldc..i * ldc + n];
         let arow = &a[i * lda..i * lda + k];
         for (kk, &aik) in arow.iter().enumerate() {
-            let brow = &b[kk * ldb + cols.start..kk * ldb + cols.end];
+            let brow = &b[kk * ldb..kk * ldb + n];
             for (cij, &bkj) in crow.iter_mut().zip(brow) {
                 *cij += aik * bkj;
             }
@@ -260,27 +318,35 @@ fn gemm_plain(
     }
 }
 
-/// One `MR × NR` register tile of [`gemm_acc`]: `c` and `a` are
-/// pre-offset to the tile's top-left corner (row strides `ldc`/`lda`
-/// still apply), `bp` a packed `k × NR` panel (row stride `NR`) whose
-/// chunks are shared across the `MR` rows, `k` strictly sequential.
+/// One `R × W` register tile of [`gemm_acc`]: `c` and `a` are pre-offset
+/// to the tile's top-left corner (row strides `ldc`/`lda` still apply),
+/// `bp` a packed `k × W` panel whose rows are shared across the `R` rows,
+/// `k` strictly sequential.
 #[inline]
-fn gemm_tile(c: &mut [f64], ldc: usize, a: &[f64], lda: usize, bp: &[f64], k: usize) {
-    let mut acc = [[0.0f64; NR]; MR];
+fn gemm_tile<const R: usize, const W: usize>(
+    c: &mut [f64],
+    ldc: usize,
+    a: &[f64],
+    lda: usize,
+    bp: &[f64],
+) {
+    let (panel, _) = bp.as_chunks::<W>();
+    let k = panel.len();
+    let mut acc = [[0.0f64; W]; R];
     for (r, acc_r) in acc.iter_mut().enumerate() {
-        acc_r.copy_from_slice(&c[r * ldc..r * ldc + NR]);
+        acc_r.copy_from_slice(&c[r * ldc..r * ldc + W]);
     }
-    for kk in 0..k {
-        let bc = &bp[kk * NR..(kk + 1) * NR];
-        for r in 0..MR {
-            let ar = a[r * lda + kk];
-            for l in 0..NR {
-                acc[r][l] += ar * bc[l];
+    let arows: [&[f64]; R] = std::array::from_fn(|r| &a[r * lda..r * lda + k]);
+    for (kk, bc) in panel.iter().enumerate() {
+        for (acc_r, ar) in acc.iter_mut().zip(&arows) {
+            let ark = ar[kk];
+            for (x, &bl) in acc_r.iter_mut().zip(bc) {
+                *x += ark * bl;
             }
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        c[r * ldc..r * ldc + NR].copy_from_slice(acc_r);
+        c[r * ldc..r * ldc + W].copy_from_slice(acc_r);
     }
 }
 

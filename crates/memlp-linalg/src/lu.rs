@@ -95,16 +95,17 @@ impl LuFactors {
                     a.swap_rows(p, j);
                     perm_sign = -perm_sign;
                 }
-                // Eliminate below the pivot within the panel columns only.
-                let pivot = a[(j, j)];
-                let inv_pivot = 1.0 / pivot;
+                // Eliminate below the pivot within the panel columns only,
+                // one contiguous row segment at a time.
+                let inv_pivot = 1.0 / a[(j, j)];
                 for i in j + 1..n {
-                    let lij = a[(i, j)] * inv_pivot;
-                    a[(i, j)] = lij;
+                    let (pivot_row, row) = borrow_two_rows(&mut a, j, i);
+                    let lij = row[j] * inv_pivot;
+                    row[j] = lij;
                     if lij != 0.0 {
-                        for c in j + 1..k + nb {
-                            let u = a[(j, c)];
-                            a[(i, c)] -= lij * u;
+                        let u = &pivot_row[j + 1..k + nb];
+                        for (x, &uc) in row[j + 1..k + nb].iter_mut().zip(u) {
+                            *x -= lij * uc;
                         }
                     }
                 }
@@ -125,13 +126,9 @@ impl LuFactors {
                         }
                     }
                 }
-                // Trailing update A22 ← A22 − L21 · U12.
-                // Copy U12 to a temp for alias-free, cache-friendly access.
-                let width = n - rest;
-                let mut u12 = vec![0.0; nb * width];
-                for (r, row) in u12.chunks_exact_mut(width).enumerate() {
-                    row.copy_from_slice(&a.row(k + r)[rest..]);
-                }
+                // Trailing update A22 ← A22 − L21 · U12. U12 sits in the
+                // panel rows above the trailing rows, so splitting the
+                // matrix there reads it in place (`gemm_acc` packs it).
                 // Each trailing row reads only its own L21 segment and
                 // writes only its own tail, and every tail element
                 // accumulates sequentially over the panel index, so the
@@ -142,11 +139,13 @@ impl LuFactors {
                 // the subtraction bit-for-bit — which both breaks the
                 // aliasing between the L21 columns and the updated tail
                 // and gives the tile kernel a contiguous operand.
+                let width = n - rest;
                 let flops = 2 * (n - rest) * nb * width;
                 let tiled = flops >= TILE_CUTOFF_FLOPS;
                 let threads = Threads::resolve().for_flops(flops);
                 let cols = a.cols();
-                let tail_rows = &mut a.as_mut_slice()[rest * cols..];
+                let (panel_rows, tail_rows) = a.as_mut_slice().split_at_mut(rest * cols);
+                let u12 = &panel_rows[k * cols + rest..];
                 parallel::par_chunk_bands(threads, tail_rows, cols, |_, band| {
                     let rows = band.len() / cols;
                     kernels::with_pack_buffer(rows * nb, |l21| {
@@ -156,9 +155,7 @@ impl LuFactors {
                             }
                         }
                         let tails = &mut band[rest..];
-                        kernels::gemm_acc(
-                            tiled, tails, cols, l21, nb, &u12, width, rows, width, nb,
-                        );
+                        kernels::gemm_acc(tiled, tails, cols, l21, nb, u12, cols, rows, width, nb);
                     });
                 });
             }

@@ -9,9 +9,12 @@
 //! bit-for-bit at two levels:
 //!
 //! * the kernels themselves, `tiled = true` against `tiled = false`, on
-//!   random shapes 1..=26 — every remainder class of `MR` = 4 and
-//!   `NR` = 8, including shapes with no whole tile at all — and on the LU
-//!   trailing-update form (negated packed `A`, `C` wider than the update);
+//!   random shapes 1..=26 — every remainder class of `MR` = `NR` = 4, so
+//!   every 2- and 1-wide edge panel and 2- and 1-row edge tile, including
+//!   shapes with no whole main tile at all — on the LU trailing-update
+//!   form (negated packed `A`, `C` wider than the update), on Algorithm
+//!   1's k × 3k × k Schur shapes around the paper's k = 42, and on a `B`
+//!   that spans several packed column blocks with a ragged last one;
 //! * the `Matrix` and `LuFactors` entry points on shapes above
 //!   `TILE_CUTOFF_FLOPS`, so the tiled path production takes is compared
 //!   against reference loops written out here.
@@ -48,6 +51,19 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `gemm_acc(true, …)` against `gemm_acc(false, …)` on one shape.
+fn assert_gemm_tiled_matches_plain(rows: usize, n: usize, k: usize, seed: u64) {
+    let a = random_vec(rows * k, seed);
+    let b = random_vec(k * n, seed ^ 0x9e77);
+    let c = random_vec(rows * n, seed ^ 0xc0de);
+    let update = |tiled: bool| {
+        let mut out = c.clone();
+        kernels::gemm_acc(tiled, &mut out, n, &a, k, &b, n, rows, n, k);
+        out
+    };
+    assert_eq!(bits(&update(true)), bits(&update(false)), "{rows}x{k}x{n}");
+}
+
 // --- Kernel level: tiled against plain on every remainder class.
 
 proptest! {
@@ -68,15 +84,7 @@ proptest! {
     fn gemm_acc_tiled_matches_plain(
         (rows, n, k, seed) in (1usize..=26, 1usize..=26, 1usize..=26, 0u64..1000),
     ) {
-        let a = random_vec(rows * k, seed);
-        let b = random_vec(k * n, seed ^ 0x9e77);
-        let c = random_vec(rows * n, seed ^ 0xc0de);
-        let update = |tiled: bool| {
-            let mut out = c.clone();
-            kernels::gemm_acc(tiled, &mut out, n, &a, k, &b, n, rows, n, k);
-            out
-        };
-        prop_assert_eq!(bits(&update(true)), bits(&update(false)));
+        assert_gemm_tiled_matches_plain(rows, n, k, seed);
     }
 
     /// The LU trailing update's call: `A` is the negated packed `L₂₁`
@@ -103,6 +111,24 @@ proptest! {
             prop_assert_eq!(bits(&tiled[left.clone()]), bits(&c[left]));
         }
     }
+}
+
+/// Shapes the random sweep above cannot reach:
+///
+/// * Algorithm 1's Schur product `S = L·(R/e)`, k × 3k × k at the paper's
+///   m = 128 (k = m/3 = 42), with every remainder class of the tile
+///   around it;
+/// * a `k` deep enough that the pack budget holds two `NR`-wide panels,
+///   so `B` packs in blocks of `2·NR` columns and the last of three
+///   blocks is ragged: its 2- and 1-wide edge panels sit in a block after
+///   the first.
+#[test]
+fn gemm_acc_fixed_shapes_match_plain() {
+    for k in [41, 42, 43] {
+        assert_gemm_tiled_matches_plain(k, k, 3 * k, k as u64);
+    }
+    let deep = kernels::PACK_BUDGET_BYTES / 8 / (2 * kernels::NR);
+    assert_gemm_tiled_matches_plain(kernels::MR + 3, 4 * kernels::NR + 3, deep, 48);
 }
 
 // --- Entry level: shapes above the cutoff against inline reference loops.

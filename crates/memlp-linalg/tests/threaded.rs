@@ -110,8 +110,7 @@ fn lu_factor_and_solve_large_are_bitwise_thread_invariant() {
 
 // --- Ragged shapes above the tile cutoff: no dimension is a multiple of
 // --- the register tile, so every band ends in remainder rows/columns and
-// --- the plain remainder loops run alongside the tiles at every thread
-// --- count. Threading partitions rows into bands; tiling partitions each
+// --- the edge tiles run alongside the main tiles at every thread count. Threading partitions rows into bands; tiling partitions each
 // --- band's rows into MR-tall register tiles — neither changes the
 // --- per-element reduction tree, so every thread budget lands on the same
 // --- bits.
@@ -129,6 +128,13 @@ fn matmul_ragged_is_bitwise_thread_invariant() {
     let b = random_matrix(93, 101, 23);
     assert_bitwise_invariant("matmul 157x93·93x101", || {
         a.matmul(&b).unwrap().as_slice().to_vec()
+    });
+    // Algorithm 1's Schur product at the paper's m = 128: k = m/3 = 42
+    // leaves 2 edge columns and, per band, edge rows.
+    let left = random_matrix(42, 128, 28);
+    let scaled = random_matrix(128, 42, 29);
+    assert_bitwise_invariant("matmul 42x128·128x42", || {
+        left.matmul(&scaled).unwrap().as_slice().to_vec()
     });
 }
 
