@@ -60,15 +60,15 @@ max var %,distribution,mean err %,max err %,success
 20,gaussian,1.901,2.606,2/2
 # ablation_fidelity
 n,fidelity,readout,mvm err %,solve err %
-8,functional,-,7.815,6.394
-8,circuit,calibrated,7.990,5.847
-8,circuit,raw-divider,20.165,5.847
-16,functional,-,4.957,4.221
-16,circuit,calibrated,5.159,7.837
-16,circuit,raw-divider,20.786,7.837
-32,functional,-,6.691,8.906
-32,circuit,calibrated,6.856,11.323
-32,circuit,raw-divider,30.423,11.323
+8,functional,-,7.948,6.292
+8,circuit,calibrated,7.815,5.941
+8,circuit,raw-divider,20.191,5.941
+16,functional,-,5.134,5.848
+16,circuit,calibrated,4.957,5.758
+16,circuit,raw-divider,20.820,5.758
+32,functional,-,6.929,8.930
+32,circuit,calibrated,6.691,11.152
+32,circuit,raw-divider,31.103,11.152
 # ablation_sparsity
 density,nnz(A),setup writes,setup time,run time,mean err %,success
 1,3072,6784,8.48 ms,2.35 ms,0.334,2/2

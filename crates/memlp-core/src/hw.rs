@@ -2,19 +2,22 @@
 //!
 //! The Newton systems the solvers build are huge but extremely structured —
 //! a handful of dense blocks (`A′`, `A″`, transposes) plus diagonals. The
-//! monolithic [`memlp_crossbar::Crossbar`] would materialize the full
-//! `≈4(n+m)` square array; this context instead realizes each block
-//! individually with exactly the same per-write physics (variation redrawn
-//! per write, Eqn 18) and the same ledger charging, which is both faithful
-//! and fast enough for the m = 1024 sweeps. See DESIGN.md §4.
+//! context realizes each block as its own array region through the one
+//! block routine ([`memlp_crossbar::ArrayBlock`]) that the standalone
+//! [`memlp_crossbar::Crossbar`] and the NoC-tiled array also program
+//! through, so per-write physics (write quantization, variation redrawn
+//! per write — Eqn 18 —, fault plans, delta codes, tile elision) lives in
+//! one place. This context keeps what is shared across blocks: the block
+//! keys, the variation and transient-upset streams, the converters, the
+//! recovery rungs and the NoC charging. See DESIGN.md §4.
 //!
 //! # Blocks, keys and faults
 //!
 //! Each write targets a **block key** — a stable identifier the solver
 //! assigns to one physical array region (the `A′` block, the `Z` diagonal,
 //! …). Hard defects are a property of the *physical region*, so the context
-//! draws one [`FaultPlan`] per key from a dedicated seed stream and applies
-//! it to every write of that key: a stuck cell stays stuck across the
+//! draws one [`FaultPlan`] per key from a dedicated seed stream and keeps
+//! it in the key's [`ArrayBlock`]: a stuck cell stays stuck across the
 //! per-iteration diagonal rewrites *and* across §4.3 re-solve attempts
 //! ([`HwContext::begin_attempt`] redraws variation, never defects). The
 //! first faulty write of a key queues a [`RecoveryEvent::FaultsDetected`],
@@ -25,9 +28,9 @@
 
 use std::collections::BTreeMap;
 
+use memlp_crossbar::mapping::ConductanceMap;
 use memlp_crossbar::{
-    CostLedger, CrossbarConfig, FaultKind, FaultPlan, LineRemap, Phase, Quantizer, TileOccupancy,
-    WriteQuantizer,
+    ArrayBlock, CostLedger, CrossbarConfig, FaultPlan, Phase, Quantizer, TiledMatrix, Writer,
 };
 use memlp_linalg::Matrix;
 use memlp_noc::NocConfig;
@@ -35,7 +38,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::recovery::RecoveryEvent;
-use crate::tiles::TiledMatrix;
 
 /// Salt separating per-block fault-plan seeds from the variation stream.
 const FAULT_STREAM_SALT: u64 = 0x0FA0_17ED_B10C_0000;
@@ -43,62 +45,24 @@ const FAULT_STREAM_SALT: u64 = 0x0FA0_17ED_B10C_0000;
 /// Salt for the transient-upset stream.
 const TRANSIENT_SALT: u64 = 0x0FA0_17ED_F11B_0000;
 
-/// Per-block persistent hardware state: the defect plan, the spare-line
-/// decoder table, and whether detection has been reported yet.
-#[derive(Debug, Clone)]
-struct BlockFaults {
-    plan: FaultPlan,
-    remap: LineRemap,
-    reported: bool,
-}
+/// Tile side the analog operand planes are partitioned at — the §3.4
+/// sub-array granularity the NoC schedules, finer than the single-array
+/// manufacturing limit so occupancy can resolve block structure inside
+/// one array's worth of operand.
+pub const ANALOG_TILE_SIDE: usize = 128;
 
-/// Delta-programming state for one block: the conductance codes most
-/// recently programmed. A later write of the same block skips every
-/// healthy cell whose code is unchanged (the cell already holds that code —
-/// re-verifying it needs no pulse). Skipped cells still resolve to the
-/// value the write-verify pass observes — the verify deviate is drawn
-/// whether or not a pulse fires — so realized state is bitwise identical
-/// with delta programming on or off; only the pulse accounting changes.
-///
-/// The cache is only trustworthy while the physical state it snapshots is:
-/// a variation redraw ([`HwContext::reseed`] / [`HwContext::begin_attempt`]),
-/// a weak-cell repair, a spare-line remap, or a drift refresh all
-/// invalidate it (DESIGN.md §12).
-#[derive(Debug, Clone)]
-struct BlockCodes {
-    rows: usize,
-    cols: usize,
-    codes: Vec<u64>,
-}
-
-/// NoC scheduling geometry for one occupancy-aware analog op: how many
-/// tiles actually fired, how many the die provisions (hop distances come
-/// from the full grid), and the line-segment length each live tile ships.
-#[derive(Debug, Clone, Copy)]
-pub struct TileTraffic {
-    /// Tiles that hold at least one planned non-zero and were scheduled.
-    pub live_tiles: usize,
-    /// Tiles the full grid provisions, live or not.
-    pub grid_tiles: usize,
-    /// Line segments each live tile ships through the fabric.
-    pub lines_per_tile: usize,
-}
-
-/// Per-solve hardware state: RNG, converters, per-block fault plans and the
-/// cost ledger.
+/// Per-solve hardware state: RNG streams, converters, per-block array
+/// state and the cost ledger.
 #[derive(Debug, Clone)]
 pub struct HwContext {
     config: CrossbarConfig,
     noc: NocConfig,
     rng: StdRng,
     transient_rng: StdRng,
-    /// Persistent per-block defect state, keyed by the solver's block ids.
-    /// A `BTreeMap` keeps iteration deterministic for the recovery sweeps.
-    blocks: BTreeMap<u32, BlockFaults>,
-    /// Per-block conductance-code caches for delta programming.
-    codes: BTreeMap<u32, BlockCodes>,
-    /// Write-precision quantizer (`config.write_bits` significant bits).
-    wq: WriteQuantizer,
+    /// Persistent per-block state (defects, spares, detection latch, delta
+    /// codes), keyed by the solver's block ids. A `BTreeMap` keeps
+    /// iteration deterministic for the recovery sweeps.
+    blocks: BTreeMap<u32, ArrayBlock>,
     /// Detection events not yet drained by the solver.
     pending_events: Vec<RecoveryEvent>,
     ledger: CostLedger,
@@ -111,22 +75,15 @@ impl HwContext {
     /// hierarchical NoC coordinating tiles whenever a system exceeds the
     /// configured maximum array size (§3.4).
     pub fn new(config: CrossbarConfig) -> Self {
-        HwContext::with_noc(config, NocConfig::hierarchical())
-    }
-
-    /// Creates a context with an explicit NoC fabric.
-    pub fn with_noc(config: CrossbarConfig, noc: NocConfig) -> Self {
         HwContext {
             adc: Quantizer::new(config.adc_bits),
             dac: Quantizer::new(config.dac_bits),
             rng: StdRng::seed_from_u64(config.seed),
             transient_rng: StdRng::seed_from_u64(config.seed ^ TRANSIENT_SALT),
             blocks: BTreeMap::new(),
-            codes: BTreeMap::new(),
-            wq: WriteQuantizer::new(config.write_bits),
             pending_events: Vec::new(),
             ledger: CostLedger::new(),
-            noc,
+            noc: NocConfig::hierarchical(),
             config,
         }
     }
@@ -178,7 +135,7 @@ impl HwContext {
     /// even though the target codes did not change) must call this first or
     /// the refresh would be skipped as a no-op.
     pub fn invalidate_codes(&mut self) {
-        self.codes.clear();
+        self.blocks.values_mut().for_each(ArrayBlock::invalidate);
     }
 
     /// Starts a new solve attempt: redraws variation (as [`reseed`]) and
@@ -212,48 +169,19 @@ impl HwContext {
         );
     }
 
-    /// Writes a non-negative block matrix under block key `key`; returns
-    /// the realized block. Targets are resolved to `config.write_bits`-bit
-    /// conductance codes; one write is charged per **non-zero** healthy
-    /// code (erased cells already sit at `g_off`; zero coefficients need no
-    /// pulse), and with `config.delta_writes` a cell whose code is
-    /// unchanged since the block's last program is *skipped* — no pulse is
-    /// charged, and the cell resolves to the value the write-verify pass
-    /// observes (identical to what a fresh write would have produced, so
-    /// delta programming never changes results). The block's persistent
-    /// [`FaultPlan`] pins stuck-on cells to the block's full-scale value
-    /// and stuck-off cells / dead lines to zero, regardless of the
-    /// programmed target; faulty cells consume no variation draw (the pulse
-    /// never moves the device). Healthy cells draw one verify-loop deviate
-    /// per write *or skip*, so the variation stream — and therefore every
-    /// realized value of cells that are written — is identical whether
-    /// delta programming is on or off.
+    /// Writes a non-negative block matrix under block key `key` as one
+    /// flat region ([`ArrayBlock::write_block`]: only non-zero codes are
+    /// pulsed and charged); returns the realized block.
     ///
     /// memlp-lint: analog_source
     pub fn write_matrix(&mut self, key: u32, target: &Matrix, phase: Phase) -> Matrix {
-        self.write_matrix_masked(key, target, phase, None)
+        let shape = (target.rows(), target.cols());
+        self.write(key, shape, phase, |b, w| b.write_block(target, w))
     }
 
-    /// [`HwContext::write_matrix`] over a tiled block region: the target's
-    /// [`TileOccupancy`] is scanned first (from *planned* coefficients,
-    /// never analog read-backs), and with `config.tile_elision` set the
-    /// all-zero tiles are never fabricated — no write pulses, no fault
-    /// pins, no delta-cache entries for their cells — and the elision is
-    /// noted on the ledger. Fault-free realizations are bitwise identical
-    /// with elision on or off (a planned-zero healthy cell realizes an
-    /// exact zero and draws no variation either way); with faults
-    /// configured, elision additionally keeps stuck-on defects out of
-    /// planned-dead tiles, because there is no hardware there to be stuck.
-    ///
-    /// Cost accounting differs from the flat path: programming a *tile* is
-    /// a full write-verify sweep over the tile's cell grid — the same
-    /// per-cell semantics the device layer charges (`Crossbar::program`
-    /// sweeps `side × side`; the NoC fabric charges every cell of every
-    /// fabricated tile) — so every healthy cell of a fabricated tile costs
-    /// one write (or one delta skip), planned zeros included. Only the
-    /// pulse of a *non-zero* code moves the device, so zero-code cells
-    /// still draw no variation deviate: the accounting change is invisible
-    /// to realized conductances.
+    /// Writes a non-negative block matrix under block key `key` as a grid
+    /// of `tile_side`-square tiles ([`ArrayBlock::write_tiled`]); returns
+    /// the realized block with its occupancy.
     ///
     /// memlp-lint: analog_source
     pub fn write_matrix_tiled(
@@ -263,146 +191,72 @@ impl HwContext {
         tile_side: usize,
         phase: Phase,
     ) -> TiledMatrix {
-        let occ = TileOccupancy::from_matrix(target, tile_side);
-        let elide = self.config.tile_elision;
-        if elide {
-            self.ledger
-                .note_elided_tiles(occ.dead_tiles() as u64, occ.dead_cells());
-        }
-        let realized = self.write_matrix_masked(key, target, phase, Some((&occ, elide)));
-        TiledMatrix::from_parts(realized, occ, elide)
+        let shape = (target.rows(), target.cols());
+        self.write(key, shape, phase, |b, w| {
+            b.write_tiled(target, tile_side, w)
+        })
     }
 
-    /// Shared write path. `tiled`, when present, carries the occupancy
-    /// index plus the elision flag: with elision on, dead-tile cells have
-    /// no hardware — they skip fault application entirely and realize
-    /// exact zeros (their planned values are zero by construction of the
-    /// occupancy index). Tiled writes charge one write (or delta skip) per
-    /// fabricated healthy cell — the device layer's per-cell sweep — while
-    /// the flat path charges non-zero codes only (§3.5: erased cells need
-    /// no pulse).
-    fn write_matrix_masked(
-        &mut self,
-        key: u32,
-        target: &Matrix,
-        phase: Phase,
-        tiled: Option<(&TileOccupancy, bool)>,
-    ) -> Matrix {
-        let plan = self.plan_for(key, target.rows(), target.cols());
-        let a_max = target.max_abs();
-        let cache = self
-            .delta_cache(key)
-            .filter(|c| c.rows == target.rows() && c.cols == target.cols());
-        let mut written = 0u64;
-        let mut skipped = 0u64;
-        let mut codes = vec![0u64; target.rows() * target.cols()];
-        let mut realized = Matrix::zeros(target.rows(), target.cols());
-        let ts = tiled.map_or(1, |(o, _)| o.tile_side());
-        // A fault-free block (every config without `faults`) skips the
-        // per-cell defect lookup: three binary searches a cell.
-        let clean = plan.is_clean();
-        for i in 0..target.rows() {
-            for j in 0..target.cols() {
-                if let Some((occ, true)) = tiled {
-                    if !occ.is_live(i / ts, j / ts) {
-                        continue; // elided tile: no hardware, exact zero
-                    }
-                }
-                let idx = i * target.cols() + j;
-                let code = self.wq.code(target[(i, j)]);
-                codes[idx] = code;
-                let fault = if clean {
-                    FaultKind::Healthy
-                } else {
-                    plan.fault_at(i, j)
-                };
-                realized[(i, j)] = match fault {
-                    FaultKind::StuckOn => a_max,
-                    FaultKind::StuckOff => 0.0,
-                    FaultKind::Healthy => {
-                        if code == 0 {
-                            // The tile sweep visits (and verifies) every
-                            // fabricated cell; only a non-zero pulse moves
-                            // the device, so no variation deviate here.
-                            if tiled.is_some() {
-                                match cache.as_ref() {
-                                    Some(c) if c.codes[idx] == code => skipped += 1,
-                                    _ => written += 1,
-                                }
-                            }
-                            0.0
-                        } else {
-                            let factor = self.config.variation.draw_factor(&mut self.rng);
-                            match cache.as_ref() {
-                                Some(c) if c.codes[idx] == code => skipped += 1,
-                                _ => written += 1,
-                            }
-                            (self.wq.decode(code) * factor).max(0.0)
-                        }
-                    }
-                };
-            }
-        }
-        self.ledger.charge_writes(
-            &self.config.cost,
-            phase,
-            written,
-            self.config.variation.max_fraction,
-        );
-        self.ledger.note_skipped_writes(skipped);
-        self.store_codes(key, target.rows(), target.cols(), codes);
-        self.report_faults(key);
-        realized
-    }
-
-    /// Writes a non-negative diagonal (or other dense vector of cells)
-    /// under block key `key`; returns realized values. Charges one write
-    /// per entry — diagonals are rewritten wholesale each iteration (the
-    /// paper's 2.7·N updates) — *except* entries skipped by delta
-    /// programming (unchanged `config.write_bits`-bit code since the
-    /// block's last write). The block's [`FaultPlan`] is a `len × 1` region
-    /// (a private line per cell, so no shared-bit-line faults).
+    /// Writes a diagonal (or other line of private cells) under block key
+    /// `key` ([`ArrayBlock::write_line`]: the paper's 2.7·N per-iteration
+    /// updates); returns the realized values. The key's [`FaultPlan`] is a
+    /// `len × 1` region (a private line per cell).
     ///
     /// memlp-lint: analog_source
     pub fn write_diag(&mut self, key: u32, target: &[f64], phase: Phase) -> Vec<f64> {
-        let plan = self.plan_for(key, target.len(), 1);
-        let a_max = target.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let cache = self
-            .delta_cache(key)
-            .filter(|c| c.rows == target.len() && c.cols == 1);
-        let mut skipped = 0u64;
-        let mut codes = vec![0u64; target.len()];
-        let mut realized = Vec::with_capacity(target.len());
-        let clean = plan.is_clean();
-        for (i, &v) in target.iter().enumerate() {
-            let code = self.wq.code(v.max(0.0));
-            codes[i] = code;
-            let fault = if clean {
-                FaultKind::Healthy
-            } else {
-                plan.fault_at(i, 0)
-            };
-            realized.push(match fault {
-                FaultKind::StuckOn => a_max,
-                FaultKind::StuckOff => 0.0,
-                FaultKind::Healthy => {
-                    let factor = self.config.variation.draw_factor(&mut self.rng);
-                    if matches!(cache.as_ref(), Some(c) if c.codes[i] == code) {
-                        skipped += 1;
-                    }
-                    (self.wq.decode(code) * factor).max(0.0)
-                }
+        self.write(key, (target.len(), 1), phase, |b, w| {
+            b.write_line(target, w)
+        })
+    }
+
+    /// Runs one write of block `key` at `shape`, drawing the block's fault
+    /// plan on its first write, then queues its first detection.
+    fn write<T>(
+        &mut self,
+        key: u32,
+        (rows, cols): (usize, usize),
+        phase: Phase,
+        write: impl FnOnce(&mut ArrayBlock, &mut Writer<'_>) -> T,
+    ) -> T {
+        // The plan seed mixes the configuration seed with the key only —
+        // never the attempt salt — so defects are a stable property of the
+        // physical block across re-solve attempts.
+        let seed = self.config.seed
+            ^ FAULT_STREAM_SALT
+            ^ (u64::from(key) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (faults, spares) = (self.config.faults, self.config.spare_lines);
+        let block = self
+            .blocks
+            .entry(key)
+            .or_insert_with(|| ArrayBlock::new(FaultPlan::draw(&faults, rows, cols, seed), spares));
+        // A long-lived (pooled) context may reprogram a block key at a new
+        // shape when a different problem lands on the same array. That is
+        // a re-allocation of silicon, not a rewrite: the old plan, its
+        // repairs, its reported-once latch and its codes all describe cells
+        // that no longer exist, so the block is drawn afresh (the shape is
+        // mixed into the seed to keep distinct allocations independent).
+        if (block.plan().rows(), block.plan().cols()) != (rows, cols) {
+            let reseed = seed ^ (rows as u64).rotate_left(32) ^ cols as u64;
+            *block = ArrayBlock::new(FaultPlan::draw(&faults, rows, cols, reseed), spares);
+        }
+        let realized = write(
+            block,
+            &mut Writer {
+                config: &self.config,
+                rng: &mut self.rng,
+                ledger: &mut self.ledger,
+                phase,
+            },
+        );
+        if let Some(plan) = block.first_detection() {
+            self.pending_events.push(RecoveryEvent::FaultsDetected {
+                block: key,
+                stuck_cells: plan.stuck_cells(),
+                weak_cells: plan.weak_cells(),
+                dead_rows: plan.dead_rows().len(),
+                dead_cols: plan.dead_cols().len(),
             });
         }
-        self.ledger.charge_writes(
-            &self.config.cost,
-            phase,
-            target.len() as u64 - skipped,
-            self.config.variation.max_fraction,
-        );
-        self.ledger.note_skipped_writes(skipped);
-        self.store_codes(key, target.len(), 1, codes);
-        self.report_faults(key);
         realized
     }
 
@@ -481,76 +335,73 @@ impl HwContext {
         out
     }
 
-    /// Charges one analog operation over an array of `dim` lines.
-    /// `g_estimate` is the total active conductance for settle energy.
+    /// Charges one analog operation over an array of `dim` lines whose
+    /// `cells` cells settle (their conductance sets the settle energy).
     /// When the system spans more than one physical tile (its side exceeds
     /// `max_size`), per-tile NoC transfers through the configured fabric
     /// are charged on top (§3.4): every tile ships its line segment to the
     /// accumulating arbiters.
-    pub fn charge_analog(
-        &mut self,
-        is_solve: bool,
-        inputs: usize,
-        outputs: usize,
-        g_estimate: f64,
-    ) {
-        self.ledger.charge_analog_op(
-            &self.config.cost,
-            is_solve,
-            inputs as u64,
-            outputs as u64,
-            g_estimate,
-            self.config.device.v_read,
-        );
+    pub fn charge_analog(&mut self, is_solve: bool, inputs: usize, outputs: usize, cells: usize) {
         let dim = inputs.max(outputs);
         let tiles = self.tiles_for(dim);
-        if tiles > 1 {
-            let lines = dim.div_ceil(tiles);
-            let (t, e) = self.noc.transfer_cost(tiles, lines);
-            self.ledger
-                .charge_noc_transfer(t * tiles as f64, e * tiles as f64, tiles as u64);
-        }
+        let traffic = (tiles, tiles, dim.div_ceil(tiles.max(1)));
+        self.charge_op(is_solve, inputs, outputs, cells, traffic);
     }
 
-    /// Occupancy-aware variant of [`HwContext::charge_analog`] for
-    /// operands carried as a [`TiledMatrix`]: only the `live_tiles` that
-    /// were actually scheduled ship their `lines_per_tile` line segments
-    /// through the fabric, while hop distances (and the decision that a
-    /// fabric exists at all) follow the full `grid_tiles` geometry — a
-    /// dead tile frees bandwidth, it does not shrink the die.
+    /// Occupancy-aware variant of [`HwContext::charge_analog`] for an op
+    /// over the tiled `planes` (plus `extra_cells` of diagonal cells): only
+    /// the tiles the planes schedule settle and ship their
+    /// [`ANALOG_TILE_SIDE`] line segments through the fabric, while hop
+    /// distances (and the decision that a fabric exists at all) follow the
+    /// full grid geometry — a dead tile frees bandwidth, it does not
+    /// shrink the die.
     pub fn charge_analog_tiled(
         &mut self,
         is_solve: bool,
         inputs: usize,
         outputs: usize,
-        g_estimate: f64,
-        traffic: TileTraffic,
+        extra_cells: usize,
+        planes: &[&TiledMatrix],
     ) {
+        let cells = extra_cells + planes.iter().map(|t| t.active_cells()).sum::<usize>();
+        let live = planes.iter().map(|t| t.scheduled_tiles()).sum();
+        let grid = planes.iter().map(|t| t.occupancy().grid_tiles()).sum();
+        self.charge_op(
+            is_solve,
+            inputs,
+            outputs,
+            cells,
+            (live, grid, ANALOG_TILE_SIDE),
+        );
+    }
+
+    /// Charges converters plus the settle of `cells` cells — each at `g_off`
+    /// leakage plus one unit of mapped conductance shared across the op —
+    /// and, on a multi-tile grid, one NoC transfer per live tile:
+    /// `traffic` is `(live tiles, grid tiles, lines per tile)`.
+    fn charge_op(
+        &mut self,
+        is_solve: bool,
+        inputs: usize,
+        outputs: usize,
+        cells: usize,
+        (live, grid, lines_per_tile): (usize, usize, usize),
+    ) {
+        let g = ConductanceMap::new(1.0, &self.config.device).total_conductance(cells, 1.0);
         self.ledger.charge_analog_op(
             &self.config.cost,
             is_solve,
             inputs as u64,
             outputs as u64,
-            g_estimate,
+            g,
             self.config.device.v_read,
         );
-        if traffic.grid_tiles > 1 && traffic.live_tiles > 0 {
-            let lines = traffic.lines_per_tile.min(inputs.max(outputs)).max(1);
-            let (t, e) = self.noc.transfer_cost(traffic.grid_tiles, lines);
-            self.ledger.charge_noc_transfer(
-                t * traffic.live_tiles as f64,
-                e * traffic.live_tiles as f64,
-                traffic.live_tiles as u64,
-            );
+        if grid > 1 && live > 0 {
+            let lines = lines_per_tile.min(inputs.max(outputs)).max(1);
+            let (t, e) = self.noc.transfer_cost(grid, lines);
+            self.ledger
+                .charge_noc_transfer(t * live as f64, e * live as f64, live as u64);
         }
-    }
-
-    /// Rough total-conductance estimate for a block set: `g_off` leakage on
-    /// every cell plus mapped conductance proportional to the stored sum.
-    pub fn conductance_estimate(&self, cells: usize, value_sum: f64, a_max: f64) -> f64 {
-        let d = &self.config.device;
-        let slope = (d.g_on() - d.g_off()) / a_max.max(f64::MIN_POSITIVE);
-        d.g_off() * cells as f64 + slope * value_sum
     }
 
     // ----- fault state and recovery ----------------------------------------
@@ -563,31 +414,31 @@ impl HwContext {
 
     /// `true` if any written block carries hard defects right now.
     pub fn saw_faults(&self) -> bool {
-        self.blocks.values().any(|b| !b.plan.is_clean())
+        self.blocks.values().any(|b| !b.plan().is_clean())
     }
 
     /// Weak (repairable) stuck cells across all written blocks.
     pub fn weak_faults(&self) -> usize {
-        self.blocks.values().map(|b| b.plan.weak_cells()).sum()
+        self.blocks.values().map(|b| b.plan().weak_cells()).sum()
     }
 
     /// `true` if any written block has a dead line left.
     pub fn has_dead_lines(&self) -> bool {
         self.blocks
             .values()
-            .any(|b| !b.plan.dead_rows().is_empty() || !b.plan.dead_cols().is_empty())
+            .any(|b| !b.plan().dead_rows().is_empty() || !b.plan().dead_cols().is_empty())
     }
 
     /// Recovery rung 1: re-programs every weak stuck cell with an extended
     /// pulse budget. Returns `(repaired, remaining_hard)`. The next write
-    /// of each block realizes the repaired cells; the pass itself charges
-    /// run-phase writes for the extra pulse trains.
+    /// of each repaired block realizes the repaired cells afresh; the pass
+    /// itself charges run-phase writes for the extra pulse trains.
     pub fn reprogram_faulty(&mut self) -> (usize, usize) {
         let mut repaired = 0;
         let mut remaining = 0;
         for b in self.blocks.values_mut() {
-            repaired += b.plan.repair_weak();
-            remaining += b.plan.stuck_cells();
+            repaired += b.repair_weak();
+            remaining += b.plan().stuck_cells();
         }
         if repaired > 0 {
             // The extended-budget pulse trains are an order of magnitude
@@ -599,9 +450,6 @@ impl HwContext {
                 10 * repaired as u64,
                 self.config.variation.max_fraction,
             );
-            // Repaired cells hold whatever the repair pulses left; the next
-            // write of each block must realize them fresh.
-            self.invalidate_codes();
         }
         (repaired, remaining)
     }
@@ -611,113 +459,12 @@ impl HwContext {
     /// block). Returns `(rows_remapped, cols_remapped, unmapped)`. The
     /// next write of each block realizes the relocated lines.
     pub fn remap_dead_lines(&mut self) -> (usize, usize, usize) {
-        let mut rows_done = 0;
-        let mut cols_done = 0;
-        let mut unmapped = 0;
+        let mut done = (0, 0, 0);
         for b in self.blocks.values_mut() {
-            for r in b.plan.dead_rows().to_vec() {
-                if b.remap.remap_row(r) {
-                    b.plan.revive_row(r);
-                    rows_done += 1;
-                } else {
-                    unmapped += 1;
-                }
-            }
-            for c in b.plan.dead_cols().to_vec() {
-                if b.remap.remap_col(c) {
-                    b.plan.revive_col(c);
-                    cols_done += 1;
-                } else {
-                    unmapped += 1;
-                }
-            }
+            let (rows, cols, unmapped) = b.remap_dead_lines();
+            done = (done.0 + rows, done.1 + cols, done.2 + unmapped);
         }
-        if rows_done + cols_done > 0 {
-            // Relocated lines land on spare cells that were never
-            // programmed; their logical positions must be written fresh.
-            self.invalidate_codes();
-        }
-        (rows_done, cols_done, unmapped)
-    }
-
-    // ----- internals -------------------------------------------------------
-
-    /// Takes (and thereby consumes) the delta cache for `key`, or `None`
-    /// when delta programming is off. The caller re-inserts the refreshed
-    /// cache via [`HwContext::store_codes`].
-    fn delta_cache(&mut self, key: u32) -> Option<BlockCodes> {
-        if self.config.delta_writes {
-            self.codes.remove(&key)
-        } else {
-            None
-        }
-    }
-
-    /// Snapshots the codes just written for block `key` (no-op when delta
-    /// programming is off).
-    fn store_codes(&mut self, key: u32, rows: usize, cols: usize, codes: Vec<u64>) {
-        if !self.config.delta_writes {
-            return;
-        }
-        self.codes.insert(key, BlockCodes { rows, cols, codes });
-    }
-
-    /// Returns (drawing if necessary) the fault plan for block `key`. The
-    /// plan seed mixes the configuration seed with the key only — never the
-    /// attempt salt — so defects are a stable property of the physical
-    /// block across re-solve attempts.
-    fn plan_for(&mut self, key: u32, rows: usize, cols: usize) -> FaultPlan {
-        if self.config.faults.is_none() {
-            return FaultPlan::clean(rows, cols);
-        }
-        let faults = self.config.faults;
-        let seed = self.config.seed
-            ^ FAULT_STREAM_SALT
-            ^ (u64::from(key) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let spares = self.config.spare_lines;
-        let entry = self.blocks.entry(key).or_insert_with(|| BlockFaults {
-            plan: FaultPlan::draw(&faults, rows, cols, seed),
-            remap: LineRemap::new(spares, spares),
-            reported: false,
-        });
-        // A long-lived (pooled) context may reprogram a block key at a new
-        // shape when a different problem lands on the same array. That is
-        // a re-allocation of silicon, not a rewrite: the old plan, its
-        // repairs, and its reported-once latch all describe cells that no
-        // longer exist, so the block's defect state is drawn afresh (the
-        // shape is mixed into the seed to keep distinct allocations
-        // independent).
-        if entry.plan.rows() != rows || entry.plan.cols() != cols {
-            let reseed = seed ^ (rows as u64).rotate_left(32) ^ cols as u64;
-            *entry = BlockFaults {
-                plan: FaultPlan::draw(&faults, rows, cols, reseed),
-                remap: LineRemap::new(spares, spares),
-                reported: false,
-            };
-        }
-        entry.plan.clone()
-    }
-
-    /// Write–verify: on the first write of a defective block, queue a
-    /// detection event read from the block's [`FaultPlan`]. The model's
-    /// verify sees every defect the plan holds: a dead line fails verify
-    /// on every cell, and the weak/hard split is the controller's
-    /// extended-verify classification.
-    fn report_faults(&mut self, key: u32) {
-        let Some(b) = self.blocks.get_mut(&key) else {
-            return;
-        };
-        if b.reported || b.plan.is_clean() {
-            return;
-        }
-        b.reported = true;
-        self.pending_events.push(RecoveryEvent::FaultsDetected {
-            block: key,
-            stuck_cells: b.plan.stuck_cells(),
-            weak_cells: b.plan.weak_cells(),
-            dead_rows: b.plan.dead_rows().len(),
-            dead_cols: b.plan.dead_cols().len(),
-        });
+        done
     }
 }
 
@@ -810,7 +557,7 @@ mod tests {
     #[test]
     fn analog_charges_accumulate() {
         let mut c = ctx(0.0);
-        c.charge_analog(true, 16, 16, 1e-3);
+        c.charge_analog(true, 16, 16, 256);
         assert_eq!(c.ledger().counts().solve_ops, 1);
         assert!(c.ledger().run_time_s() > 0.0);
     }
@@ -828,22 +575,14 @@ mod tests {
     fn oversized_systems_charge_noc_transfers() {
         let mut c = ctx(0.0);
         let max = c.config().max_size;
-        c.charge_analog(false, max, max, 1e-3);
+        c.charge_analog(false, max, max, max * max);
         assert_eq!(
             c.ledger().counts().noc_transfers,
             0,
             "single tile needs no NoC"
         );
-        c.charge_analog(false, 2 * max, 2 * max, 1e-3);
+        c.charge_analog(false, 2 * max, 2 * max, 4 * max * max);
         assert_eq!(c.ledger().counts().noc_transfers, 4, "2×2 tile grid");
-    }
-
-    #[test]
-    fn conductance_estimate_scales_with_content() {
-        let c = ctx(0.0);
-        let lo = c.conductance_estimate(100, 10.0, 10.0);
-        let hi = c.conductance_estimate(100, 90.0, 10.0);
-        assert!(hi > lo);
     }
 
     #[test]
@@ -1079,6 +818,37 @@ mod tests {
     }
 
     #[test]
+    fn crossbar_and_context_realize_the_same_bits() {
+        // Both entry points program through the one block routine: the
+        // same fault-free configuration realizes the same bits (planned
+        // zeros draw no deviate) and charges the same setup writes.
+        let side = 24;
+        let m = Matrix::from_fn(side, side, |i, j| {
+            if (i + 2 * j) % 5 == 0 {
+                0.0
+            } else {
+                0.1 + ((i * 7 + j * 3) % 17) as f64 * 0.05
+            }
+        });
+        let cfg = CrossbarConfig::paper_default()
+            .with_variation(10.0)
+            .with_seed(5);
+        let mut xb = memlp_crossbar::Crossbar::new(side, cfg).unwrap();
+        xb.program(&m).unwrap();
+        let mut c = HwContext::new(cfg);
+        let t = c.write_matrix_tiled(0, &m, side, Phase::Setup);
+        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(xb.realized().unwrap().as_slice()),
+            bits(t.realized().as_slice())
+        );
+        assert_eq!(
+            xb.ledger().counts().setup_writes,
+            c.ledger().counts().setup_writes
+        );
+    }
+
+    #[test]
     fn tiled_write_elides_planned_zero_tiles() {
         // 256×256 block-diagonal at tile 128: two live tiles, two dead.
         let m = Matrix::from_fn(256, 256, |i, j| {
@@ -1157,22 +927,22 @@ mod tests {
 
     #[test]
     fn charge_analog_tiled_scales_transfers_with_live_tiles() {
-        let traffic = |live_tiles, grid_tiles| TileTraffic {
-            live_tiles,
-            grid_tiles,
-            lines_per_tile: 128,
-        };
+        // 512×512 at tile 128: a 4×4 grid with 8 live tiles (the top half).
+        let planned = Matrix::from_fn(512, 512, |i, _| if i < 256 { 1.0 } else { 0.0 });
+        let plane = |elide| TiledMatrix::new(&planned, planned.clone(), ANALOG_TILE_SIDE, elide);
         let mut c = ctx(0.0);
-        c.charge_analog_tiled(false, 512, 512, 1e-3, traffic(8, 16));
+        c.charge_analog_tiled(false, 512, 512, 0, &[&plane(true)]);
         assert_eq!(c.ledger().counts().noc_transfers, 8, "live tiles ship");
         assert_eq!(c.ledger().counts().mvm_ops, 1);
+        c.charge_analog_tiled(false, 512, 512, 0, &[&plane(false)]);
+        assert_eq!(c.ledger().counts().noc_transfers, 8 + 16, "full grid ships");
         // Single-tile grids and fully dead operands need no fabric.
-        let mut c1 = ctx(0.0);
-        c1.charge_analog_tiled(false, 64, 64, 1e-3, traffic(1, 1));
-        assert_eq!(c1.ledger().counts().noc_transfers, 0);
-        let mut c0 = ctx(0.0);
-        c0.charge_analog_tiled(false, 512, 512, 1e-3, traffic(0, 16));
-        assert_eq!(c0.ledger().counts().noc_transfers, 0);
+        for planned in [Matrix::from_fn(64, 64, |_, _| 1.0), Matrix::zeros(512, 512)] {
+            let mut c = ctx(0.0);
+            let plane = TiledMatrix::new(&planned, planned.clone(), ANALOG_TILE_SIDE, true);
+            c.charge_analog_tiled(false, planned.rows(), planned.cols(), 0, &[&plane]);
+            assert_eq!(c.ledger().counts().noc_transfers, 0);
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use memlp_crossbar::{CrossbarConfig, Phase};
+use memlp_crossbar::{CrossbarConfig, Phase, TiledMatrix};
 use memlp_linalg::{ops, LuFactors, Matrix};
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::{Budget, BudgetCause};
@@ -6,11 +6,10 @@ use memlp_solvers::pdip::{CoreSolveError, PdipOptions, PdipState, DIVERGENCE_BOU
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::hw::{HwContext, TileTraffic};
+use crate::hw::{HwContext, ANALOG_TILE_SIDE};
 use crate::newton::{dense_core_bytes, DENSE_CORE_LIMIT_BYTES};
 use crate::recovery::{attempt_score, Attempt, Ladder, RecoveryPolicy};
-use crate::solver::{CrossbarSolution, CrossbarSolver};
-use crate::tiles::{TiledMatrix, ANALOG_TILE_SIDE};
+use crate::solver::{functional_only, CrossbarSolution, CrossbarSolver};
 use crate::trace::IterationRecord;
 use crate::transform::SignSplit;
 
@@ -161,13 +160,6 @@ struct LargeScaleSystem {
     xd: Vec<f64>,
     yd: Vec<f64>,
     cells: usize,
-    /// Cells with hardware behind them in the MVM realization (live tiles
-    /// under elision), for its settle-energy estimate.
-    mvm_cells: usize,
-    /// Tiles each fill-free MVM schedules across the four planes.
-    mvm_live_tiles: usize,
-    /// Fabric grid positions across the four MVM planes (hop geometry).
-    mvm_grid_tiles: usize,
     /// Nominal λ the controller targeted for the RU/RL fill.
     fill_nominal: f64,
 }
@@ -179,8 +171,10 @@ impl CrossbarSolver for LargeScaleSolver {
 
     /// The Eqn 16c core is a dense `(n+m)²` factorization on every path,
     /// so an instance whose core would blow the allocation guard is
-    /// refused up front instead of attempting the allocation.
+    /// refused up front instead of attempting the allocation, as is
+    /// circuit fidelity.
     fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError> {
+        functional_only(&self.config)?;
         let dim = lp.num_vars() + lp.num_constraints();
         let bytes = dense_core_bytes(dim);
         if bytes > DENSE_CORE_LIMIT_BYTES {
@@ -605,10 +599,6 @@ impl LargeScaleSystem {
         let ipy_mvm = hw.write_diag(key::IPY_M, &vec![1.0; ky], Phase::Setup);
 
         let cells = 2 * (m * n * 2 + m * kx + n * ky) + m * m + n * n + 2 * (kx + ky);
-        let mvm_blocks = [&ap_mvm, &an_mvm, &atp_mvm, &atn_mvm];
-        let mvm_cells = mvm_blocks.iter().map(|t| t.active_cells()).sum::<usize>() + 2 * (kx + ky);
-        let mvm_live_tiles = mvm_blocks.iter().map(|t| t.scheduled_tiles()).sum();
-        let mvm_grid_tiles = mvm_blocks.iter().map(|t| t.occupancy().grid_tiles()).sum();
         let mut sys = LargeScaleSystem {
             n,
             m,
@@ -630,9 +620,6 @@ impl LargeScaleSystem {
             xd: Vec::new(),
             yd: Vec::new(),
             cells,
-            mvm_cells,
-            mvm_live_tiles,
-            mvm_grid_tiles,
             fill_nominal: fill,
         };
         sys.update_diagonals(state, hw);
@@ -696,18 +683,9 @@ impl LargeScaleSystem {
                 .enumerate()
                 .map(|(r, &j)| self.sely_mvm[r] * y[j] + self.ipy_mvm[r] * py[r]),
         );
-        let g = hw.conductance_estimate(self.mvm_cells, 1.0, 1.0);
-        hw.charge_analog_tiled(
-            false,
-            sq.len(),
-            out.len(),
-            g,
-            TileTraffic {
-                live_tiles: self.mvm_live_tiles,
-                grid_tiles: self.mvm_grid_tiles,
-                lines_per_tile: ANALOG_TILE_SIDE,
-            },
-        );
+        // The four planes plus the selector and Ip diagonals settle.
+        let planes = [&self.ap_mvm, &self.an_mvm, &self.atp_mvm, &self.atn_mvm];
+        hw.charge_analog_tiled(false, sq.len(), out.len(), 2 * (kx + ky), &planes);
         let ms = hw.adc_blocks(&out, &[m, n, kx + ky]);
 
         // Constant part: [b − w, c + z, 0] (summing amplifiers).
@@ -758,7 +736,7 @@ impl LargeScaleSystem {
             }
         }
 
-        let g = hw.conductance_estimate(self.cells / 2, 1.0, 1.0);
+        let cells = self.cells / 2;
 
         // Solve 1: rhs [ρ, 0] → read the Δx lines, plus the Δy lines
         // (they carry r⊥/λ, the unresolved primal residual).
@@ -770,7 +748,7 @@ impl LargeScaleSystem {
         }
         let dx = hw.adc_clipped(&sol_a[..n], clip);
         let dy_feedback_raw = hw.adc_clipped(&sol_a[n..], clip / self.fill_nominal.max(1e-9));
-        hw.charge_analog(true, n + m, n + m, g);
+        hw.charge_analog(true, n + m, n + m, cells);
 
         // Solve 2: rhs [0, σ] → read the Δy lines (min-norm dual step).
         let mut rhs_b = vec![0.0; m];
@@ -780,7 +758,7 @@ impl LargeScaleSystem {
             return None;
         }
         let dy_minnorm = hw.adc_clipped(&sol_b[n..], clip);
-        hw.charge_analog(true, n + m, m, g);
+        hw.charge_analog(true, n + m, m, cells);
 
         // Combine in the summing-amplifier stage: re-scale the feedback by
         // −κ·λ (flipping the positive-fill polarity back to Newton's) and
@@ -812,8 +790,7 @@ impl LargeScaleSystem {
         let mut prod = Vec::with_capacity(n + m);
         prod.extend((0..n).map(|j| self.xd[j] * sq[j]));
         prod.extend((0..m).map(|i| self.yd[i] * sq[n + i]));
-        let g = hw.conductance_estimate(n + m, 1.0, 1.0);
-        hw.charge_analog(false, n + m, n + m, g);
+        hw.charge_analog(false, n + m, n + m, n + m);
         let prodq = hw.adc_blocks(&prod, &[n, m]);
 
         // r2 = [µ, µ] − M2·[z, w]; then the diagonal solve.
@@ -836,7 +813,7 @@ impl LargeScaleSystem {
             return None;
         }
         let outq = hw.adc_clipped(&out, clip);
-        hw.charge_analog(true, n + m, n + m, g);
+        hw.charge_analog(true, n + m, n + m, n + m);
         Some((outq[..n].to_vec(), outq[n..].to_vec()))
     }
 }
@@ -854,6 +831,17 @@ mod tests {
                 .with_seed(seed),
             LargeScaleOptions::default(),
         )
+    }
+
+    #[test]
+    fn preflight_refuses_circuit_fidelity() {
+        let lp = RandomLp::paper(12, 1).feasible();
+        let circuit = LargeScaleSolver::new(
+            CrossbarConfig::paper_default().circuit(),
+            LargeScaleOptions::default(),
+        );
+        assert_eq!(circuit.preflight(&lp), Err(CoreSolveError::CircuitFidelity));
+        assert!(solver(0.0, 1).preflight(&lp).is_ok());
     }
 
     #[test]

@@ -55,11 +55,10 @@ mod newton;
 mod pdhg_analog;
 mod recovery;
 mod solver;
-mod tiles;
 mod trace;
 mod transform;
 
-pub use hw::HwContext;
+pub use hw::{HwContext, ANALOG_TILE_SIDE};
 pub use large_scale::{LargeScaleOptions, LargeScaleSolver};
 pub use newton::{
     dense_core_bytes, AugmentedDirections, AugmentedSystem, Factorization, DENSE_CORE_LIMIT_BYTES,
@@ -67,7 +66,6 @@ pub use newton::{
 pub use pdhg_analog::{CrossbarPdhgOptions, CrossbarPdhgSolver};
 pub use recovery::{RecoveryEvent, RecoveryPolicy, RecoveryReport};
 pub use solver::{CrossbarPdipSolver, CrossbarSolution, CrossbarSolver, CrossbarSolverOptions};
-pub use tiles::{TiledMatrix, ANALOG_TILE_SIDE};
 pub use trace::IterationRecord;
 pub use transform::SignSplit;
 

@@ -117,7 +117,7 @@ pub enum Factorization {
 
 /// The realized augmented system: static blocks written once, diagonal
 /// blocks rewritten every iteration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AugmentedSystem {
     n: usize,
     m: usize,
@@ -248,56 +248,17 @@ impl AugmentedSystem {
         let split_at = SignSplit::split(at);
         let kx = split_a.num_compensations();
         let ky = split_at.num_compensations();
-
-        let ap = hw.write_matrix(key::AP, &split_a.pos, Phase::Setup);
-        let an = hw.write_matrix(key::AN, &split_a.neg, Phase::Setup);
-        let atp = hw.write_matrix(key::ATP, &split_at.pos, Phase::Setup);
-        let atn = hw.write_matrix(key::ATN, &split_at.neg, Phase::Setup);
-        let iw = hw.write_diag(key::IW, &vec![1.0; m], Phase::Setup);
-        let iv = hw.write_diag(key::IV, &vec![1.0; n], Phase::Setup);
-        let i1 = hw.write_diag(key::I1, &vec![1.0; m], Phase::Setup);
-        let i2 = hw.write_diag(key::I2, &vec![1.0; m], Phase::Setup);
-        let i3 = hw.write_diag(key::I3, &vec![1.0; n], Phase::Setup);
-        let i4 = hw.write_diag(key::I4, &vec![1.0; n], Phase::Setup);
-        let ipx = hw.write_diag(key::IPX, &vec![1.0; kx], Phase::Setup);
-        let ipy = hw.write_diag(key::IPY, &vec![1.0; ky], Phase::Setup);
-        let selx = hw.write_diag(key::SELX, &vec![1.0; kx], Phase::Setup);
-        let sely = hw.write_diag(key::SELY, &vec![1.0; ky], Phase::Setup);
-
         let cells = m * n * 2 + m * kx + n * ky + 4 * (n + m) + 2 * (kx + ky);
         let mut sys = AugmentedSystem {
             n,
             m,
             split_a,
             split_at,
-            ap,
-            an,
-            atp,
-            atn,
-            iw,
-            iv,
-            i1,
-            i2,
-            i3,
-            i4,
-            ipx,
-            ipy,
-            selx,
-            sely,
-            zd: Vec::new(),
-            xd: Vec::new(),
-            wd: Vec::new(),
-            yd: Vec::new(),
-            ax_eff: Matrix::default(),
-            ay_eff: Matrix::default(),
-            ax_norm: 0.0,
-            ay_norm: 0.0,
-            scratch: SolveScratch::default(),
             cells,
             sparse_input: sparse_newton(lp),
-            forced: None,
-            sparse_core: None,
+            ..AugmentedSystem::default()
         };
+        sys.write_static(hw, Phase::Setup);
         sys.rebuild_effective();
         sys.update_diagonals(state, hw);
         sys
@@ -399,6 +360,28 @@ impl AugmentedSystem {
         }
     }
 
+    /// Writes every static block from the pristine targets, in the fixed
+    /// order the variation stream is drawn in.
+    fn write_static(&mut self, hw: &mut HwContext, phase: Phase) {
+        let (n, m) = (self.n, self.m);
+        let kx = self.split_a.num_compensations();
+        let ky = self.split_at.num_compensations();
+        self.ap = hw.write_matrix(key::AP, &self.split_a.pos, phase);
+        self.an = hw.write_matrix(key::AN, &self.split_a.neg, phase);
+        self.atp = hw.write_matrix(key::ATP, &self.split_at.pos, phase);
+        self.atn = hw.write_matrix(key::ATN, &self.split_at.neg, phase);
+        self.iw = hw.write_diag(key::IW, &vec![1.0; m], phase);
+        self.iv = hw.write_diag(key::IV, &vec![1.0; n], phase);
+        self.i1 = hw.write_diag(key::I1, &vec![1.0; m], phase);
+        self.i2 = hw.write_diag(key::I2, &vec![1.0; m], phase);
+        self.i3 = hw.write_diag(key::I3, &vec![1.0; n], phase);
+        self.i4 = hw.write_diag(key::I4, &vec![1.0; n], phase);
+        self.ipx = hw.write_diag(key::IPX, &vec![1.0; kx], phase);
+        self.ipy = hw.write_diag(key::IPY, &vec![1.0; ky], phase);
+        self.selx = hw.write_diag(key::SELX, &vec![1.0; kx], phase);
+        self.sely = hw.write_diag(key::SELY, &vec![1.0; ky], phase);
+    }
+
     /// Re-programs all static blocks from the pristine targets (run-phase
     /// writes) — the periodic-refresh mitigation for drift.
     ///
@@ -411,24 +394,7 @@ impl AugmentedSystem {
         if !hw.config().drift.is_none() {
             hw.invalidate_codes();
         }
-        let kx = self.ipx.len();
-        let ky = self.ipy.len();
-        self.ap = hw.write_matrix(key::AP, &self.split_a.pos, Phase::Run);
-        self.an = hw.write_matrix(key::AN, &self.split_a.neg, Phase::Run);
-        self.atp = hw.write_matrix(key::ATP, &self.split_at.pos, Phase::Run);
-        self.atn = hw.write_matrix(key::ATN, &self.split_at.neg, Phase::Run);
-        let m = self.m;
-        let n = self.n;
-        self.iw = hw.write_diag(key::IW, &vec![1.0; m], Phase::Run);
-        self.iv = hw.write_diag(key::IV, &vec![1.0; n], Phase::Run);
-        self.i1 = hw.write_diag(key::I1, &vec![1.0; m], Phase::Run);
-        self.i2 = hw.write_diag(key::I2, &vec![1.0; m], Phase::Run);
-        self.i3 = hw.write_diag(key::I3, &vec![1.0; n], Phase::Run);
-        self.i4 = hw.write_diag(key::I4, &vec![1.0; n], Phase::Run);
-        self.ipx = hw.write_diag(key::IPX, &vec![1.0; kx], Phase::Run);
-        self.ipy = hw.write_diag(key::IPY, &vec![1.0; ky], Phase::Run);
-        self.selx = hw.write_diag(key::SELX, &vec![1.0; kx], Phase::Run);
-        self.sely = hw.write_diag(key::SELY, &vec![1.0; ky], Phase::Run);
+        self.write_static(hw, Phase::Run);
         self.rebuild_effective();
     }
 
@@ -516,8 +482,7 @@ impl AugmentedSystem {
                 .map(|(r, &j)| self.sely[r] * y[j] + self.ipy[r] * py[r]),
         );
 
-        let g = hw.conductance_estimate(self.cells, 1.0, 1.0);
-        hw.charge_analog(false, self.dim(), self.dim(), g);
+        hw.charge_analog(false, self.dim(), self.dim(), self.cells);
         let kx = self.ipx.len();
         let ky = self.ipy.len();
         hw.adc_blocks(&out, &[m, n, n, m, m, n, kx + ky])
@@ -687,8 +652,7 @@ impl AugmentedSystem {
             return Err(CoreSolveError::Singular);
         }
         let fullq = hw.adc_blocks(&self.scratch.full, &[n, m, m, n, m, n, kx + ky]);
-        let g = hw.conductance_estimate(self.cells, 1.0, 1.0);
-        hw.charge_analog(true, self.dim(), self.dim(), g);
+        hw.charge_analog(true, self.dim(), self.dim(), self.cells);
 
         let dx = fullq[..n].to_vec();
         let dy = fullq[n..n + m].to_vec();

@@ -31,17 +31,16 @@
 //! [`CrossbarPdipSolver`]: crate::CrossbarPdipSolver
 //! [`TiledCrossbar::mvm_transposed`]: memlp_noc::TiledCrossbar::mvm_transposed
 
-use memlp_crossbar::{CrossbarConfig, Phase};
+use memlp_crossbar::{CrossbarConfig, Phase, TiledMatrix};
 use memlp_linalg::{kernels, norm_est};
 use memlp_lp::{Equilibration, LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::Budget;
 use memlp_solvers::pdhg::{self, PdhgOperator, PdhgOptions, PdhgStats};
 use memlp_solvers::pdip::CoreSolveError;
 
-use crate::hw::{HwContext, TileTraffic};
+use crate::hw::{HwContext, ANALOG_TILE_SIDE};
 use crate::recovery::{Attempt, Ladder, RecoveryPolicy};
-use crate::solver::{CrossbarSolution, CrossbarSolver};
-use crate::tiles::{TiledMatrix, ANALOG_TILE_SIDE};
+use crate::solver::{functional_only, CrossbarSolution, CrossbarSolver};
 use crate::trace::IterationRecord;
 use crate::transform::SignSplit;
 
@@ -63,6 +62,10 @@ mod key {
 /// (process variation plus the converter floor).
 const ALPHA: f64 = 1.1;
 
+/// Re-solve attempts on failure (§4.3 double checking — each retry
+/// rewrites the arrays, redrawing variation).
+const RETRIES: usize = 2;
+
 /// Options for the crossbar PDHG solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossbarPdhgOptions {
@@ -70,9 +73,6 @@ pub struct CrossbarPdhgOptions {
     /// digital baselines: the 8-bit analog I/O sets a noise floor well
     /// above 1e-8, exactly as for the crossbar PDIP solvers.
     pub pdhg: PdhgOptions,
-    /// Re-solve attempts on failure (§4.3 double checking — each retry
-    /// rewrites the arrays, redrawing variation).
-    pub retries: usize,
     /// How far the solver may escalate when write–verify reports defects.
     pub recovery: RecoveryPolicy,
 }
@@ -94,7 +94,6 @@ impl Default for CrossbarPdhgOptions {
                 max_iterations: 50_000,
                 ..PdhgOptions::default()
             },
-            retries: 2,
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -111,13 +110,6 @@ struct AnalogSplitOperator<'hw> {
     neg: TiledMatrix,
     /// Source column of each compensation column.
     comp_cols: Vec<usize>,
-    /// Cells with hardware behind them (live tiles under elision), for
-    /// settle-energy estimates.
-    cells: usize,
-    /// Tiles each MVM schedules across both planes (live under elision).
-    live_tiles: usize,
-    /// Fabric grid positions across both planes (hop geometry).
-    grid_tiles: usize,
     mvms: u64,
 }
 
@@ -138,34 +130,19 @@ impl<'hw> AnalogSplitOperator<'hw> {
                 hw.config().tile_elision,
             )
         };
-        let cells = pos.active_cells() + neg.active_cells();
-        let live_tiles = pos.scheduled_tiles() + neg.scheduled_tiles();
-        let grid_tiles = pos.occupancy().grid_tiles() + neg.occupancy().grid_tiles();
         AnalogSplitOperator {
             hw,
             pos,
             neg,
             comp_cols: split.comp_cols,
-            cells,
-            live_tiles,
-            grid_tiles,
             mvms: 0,
         }
     }
 
     fn charge(&mut self, inputs: usize, outputs: usize) {
-        let g = self.hw.conductance_estimate(self.cells, 1.0, 1.0);
-        self.hw.charge_analog_tiled(
-            false,
-            inputs,
-            outputs,
-            g,
-            TileTraffic {
-                live_tiles: self.live_tiles,
-                grid_tiles: self.grid_tiles,
-                lines_per_tile: ANALOG_TILE_SIDE,
-            },
-        );
+        let planes = [&self.pos, &self.neg];
+        self.hw
+            .charge_analog_tiled(false, inputs, outputs, 0, &planes);
         self.mvms += 1;
     }
 
@@ -228,7 +205,7 @@ impl<'hw> AnalogSplitOperator<'hw> {
     /// buffer, so the per-MVM compensation costs no allocation.
     fn add_compensation_forward(&self, xq: &[f64], y: &mut [f64]) {
         let k = self.comp_cols.len();
-        let m = self.neg.rows();
+        let m = self.neg.realized().rows();
         kernels::with_pack_buffer(k + m, |buf| {
             let (p, extra) = buf.split_at_mut(k);
             for (pi, &j) in p.iter_mut().zip(&self.comp_cols) {
@@ -266,11 +243,11 @@ const REALIZED_NORM_MARGIN: f64 = 1.05;
 
 impl PdhgOperator for AnalogSplitOperator<'_> {
     fn rows(&self) -> usize {
-        self.pos.rows()
+        self.pos.realized().rows()
     }
 
     fn cols(&self) -> usize {
-        self.pos.cols()
+        self.pos.realized().cols()
     }
 
     /// `A·x` on the array: bit lines driven with the DAC-quantized `x`
@@ -340,9 +317,10 @@ impl CrossbarSolver for CrossbarPdhgSolver {
     }
 
     /// The first-order backend is matrix-free — it has no dense core to
-    /// refuse, so every well-formed problem is admitted.
+    /// refuse, so every well-formed problem is admitted unless the
+    /// configuration asks for circuit fidelity.
     fn preflight(&self, _lp: &LpProblem) -> Result<(), CoreSolveError> {
-        Ok(())
+        functional_only(&self.config)
     }
 
     fn solve_on(
@@ -355,7 +333,7 @@ impl CrossbarSolver for CrossbarPdhgSolver {
     ) -> CrossbarSolution {
         let ladder = Ladder {
             policy: self.options.recovery,
-            retries: self.options.retries,
+            retries: RETRIES,
             alpha: ALPHA,
             seed_base: 0,
             alpha_check_always: true,
@@ -530,6 +508,17 @@ mod tests {
     }
 
     #[test]
+    fn preflight_refuses_circuit_fidelity() {
+        let lp = RandomLp::paper(12, 1).feasible();
+        let circuit = CrossbarPdhgSolver::new(
+            CrossbarConfig::paper_default().circuit(),
+            CrossbarPdhgOptions::default(),
+        );
+        assert_eq!(circuit.preflight(&lp), Err(CoreSolveError::CircuitFidelity));
+        assert!(solver(0.0, 1).preflight(&lp).is_ok());
+    }
+
+    #[test]
     fn solves_small_ideal() {
         let lp = RandomLp::paper(12, 1).feasible();
         let res = solver(0.0, 1).solve(&lp);
@@ -633,7 +622,6 @@ mod tests {
                     max_iterations: 600,
                     ..CrossbarPdhgOptions::default().pdhg
                 },
-                retries: 0,
                 ..CrossbarPdhgOptions::default()
             };
             CrossbarPdhgSolver::new(cfg, opts).solve(&lp)

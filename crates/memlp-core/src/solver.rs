@@ -1,4 +1,4 @@
-use memlp_crossbar::{CostLedger, CrossbarConfig};
+use memlp_crossbar::{CostLedger, CrossbarConfig, Fidelity};
 use memlp_linalg::{ops, parallel, Matrix};
 use memlp_lp::{LpProblem, LpSolution, LpStatus};
 use memlp_solvers::budget::{Budget, BudgetCause};
@@ -25,6 +25,20 @@ const INFEASIBLE_FLOOR: f64 = 0.30;
 /// Re-solve attempts after the first (the §4.3 "double checking scheme":
 /// each retry rewrites the array, redrawing variation).
 const RETRIES: usize = 2;
+
+/// The solvers' block model realizes every write at functional fidelity
+/// ([`memlp_crossbar::ArrayBlock`]); a configuration asking for the circuit
+/// model is refused instead of silently downgraded.
+///
+/// # Errors
+///
+/// [`CoreSolveError::CircuitFidelity`] at [`Fidelity::Circuit`].
+pub(crate) fn functional_only(config: &CrossbarConfig) -> Result<(), CoreSolveError> {
+    match config.fidelity {
+        Fidelity::Functional => Ok(()),
+        Fidelity::Circuit => Err(CoreSolveError::CircuitFidelity),
+    }
+}
 
 /// Options specific to the crossbar solvers, wrapping [`PdipOptions`] with
 /// the paper's hardware-level policies.
@@ -103,7 +117,10 @@ pub trait CrossbarSolver: Sync {
     /// Algorithm 2's dense core past the [`crate::DENSE_CORE_LIMIT_BYTES`]
     /// allocation guard — is refused up front with
     /// [`CoreSolveError::CoreTooLarge`] instead of burning a full retry
-    /// ladder to learn the same thing.
+    /// ladder to learn the same thing. Every family refuses a
+    /// configuration at [`Fidelity::Circuit`] with
+    /// [`CoreSolveError::CircuitFidelity`] rather than silently run it at
+    /// functional fidelity.
     fn preflight(&self, lp: &LpProblem) -> Result<(), CoreSolveError>;
 
     /// Solves `lp` on an **existing** hardware context — the warm-pool
@@ -225,10 +242,10 @@ impl CrossbarSolver for CrossbarPdipSolver {
         &self.config
     }
 
-    /// Always passes: an oversized dense core reroutes to the sparse
-    /// factorization.
+    /// Refuses circuit fidelity only: an oversized dense core reroutes to
+    /// the sparse factorization.
     fn preflight(&self, _lp: &LpProblem) -> Result<(), CoreSolveError> {
-        Ok(())
+        functional_only(&self.config)
     }
 
     fn solve_on(
@@ -524,6 +541,19 @@ mod tests {
                 .with_seed(seed),
             CrossbarSolverOptions::default(),
         )
+    }
+
+    #[test]
+    fn preflight_refuses_circuit_fidelity() {
+        let lp = RandomLp::paper(12, 1).feasible();
+        let circuit = CrossbarPdipSolver::new(
+            CrossbarConfig::paper_default().circuit(),
+            CrossbarSolverOptions::default(),
+        );
+        let err = circuit.preflight(&lp).expect_err("circuit must be refused");
+        assert_eq!(err, CoreSolveError::CircuitFidelity);
+        assert!(err.to_string().contains("functional fidelity"), "{err}");
+        assert!(solver(0.0, 1).preflight(&lp).is_ok());
     }
 
     #[test]

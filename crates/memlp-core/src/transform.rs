@@ -17,7 +17,7 @@ use memlp_linalg::Matrix;
 /// The §3.2 sign decomposition of a matrix.
 ///
 /// For any `x`: `A·x = pos·x − neg·x[comp_cols]` (see [`SignSplit::split`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SignSplit {
     /// `A′`: the matrix with negative entries replaced by zero (m×n, ⪰ 0).
     pub pos: Matrix,

@@ -51,12 +51,9 @@ pub struct CrossbarConfig {
     /// Conductance drift / retention loss (beyond-paper physical effect;
     /// perfect retention by default, matching the paper's assumption).
     pub drift: DriftModel,
-    /// Simulation fidelity. Read only by the standalone [`Crossbar`]
-    /// array (`array.rs`): the solvers' hardware context ignores it, so
-    /// [`CrossbarConfig::circuit`] on a solver config still runs
-    /// functional fidelity.
-    ///
-    /// [`Crossbar`]: crate::Crossbar
+    /// Simulation fidelity. The circuit read-out exists only on the
+    /// standalone [`Crossbar`](crate::Crossbar); the tiled array and every
+    /// crossbar solver's `preflight` refuse [`CrossbarConfig::circuit`].
     pub fidelity: Fidelity,
     /// ADC resolution in bits for analog outputs (paper: 8).
     pub adc_bits: u32,
@@ -84,13 +81,10 @@ pub struct CrossbarConfig {
     /// exact zero. Fault-free results are bitwise identical with this on
     /// or off; only writes, energy and fabric traffic differ.
     pub tile_elision: bool,
-    /// MVM read-out calibration mode. Read only by the standalone
-    /// [`Crossbar`](crate::Crossbar) at circuit fidelity; no solver path
-    /// reads it.
+    /// MVM read-out calibration mode at circuit fidelity.
     pub readout: ReadoutMode,
-    /// Sense conductance `g_s` at each bit line, S (Eqn 5). Read only by
-    /// the standalone [`Crossbar`](crate::Crossbar) at circuit fidelity;
-    /// no solver path reads it.
+    /// Sense conductance `g_s` at each bit line, S (Eqn 5), at circuit
+    /// fidelity.
     pub sense_conductance: f64,
     /// Timing/energy constants for the cost ledger.
     pub cost: CostParams,
@@ -185,6 +179,22 @@ impl CrossbarConfig {
             tile_elision,
             ..self
         }
+    }
+
+    /// Refuses an array side beyond the manufacturing limit `max_size`
+    /// with [`CrossbarError::SizeExceeded`](crate::CrossbarError).
+    ///
+    /// # Errors
+    ///
+    /// When `side > max_size`.
+    pub fn check_side(&self, side: usize) -> Result<(), crate::CrossbarError> {
+        if side > self.max_size {
+            return Err(crate::CrossbarError::SizeExceeded {
+                requested: side,
+                capacity: self.max_size,
+            });
+        }
+        Ok(())
     }
 
     /// Returns a copy at circuit fidelity.

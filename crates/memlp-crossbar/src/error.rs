@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use memlp_linalg::LinalgError;
+use memlp_linalg::{LinalgError, Matrix};
 
 /// Errors produced by the crossbar simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,6 +42,36 @@ pub enum CrossbarError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// The array cannot model what the configuration asks for (e.g. the
+    /// circuit fidelity on a tiled array).
+    Unsupported {
+        /// Human-readable description of what is not modelled.
+        reason: String,
+    },
+}
+
+impl CrossbarError {
+    /// Refuses a matrix with a negative or non-finite coefficient:
+    /// memristances are non-negative (§2.3).
+    ///
+    /// # Errors
+    ///
+    /// [`CrossbarError::NegativeCoefficient`] at the first such entry,
+    /// row-major.
+    pub fn check_nonnegative(m: &Matrix) -> Result<(), CrossbarError> {
+        for i in 0..m.rows() {
+            for (j, &value) in m.row(i).iter().enumerate() {
+                if !(value.is_finite() && value >= 0.0) {
+                    return Err(CrossbarError::NegativeCoefficient {
+                        row: i,
+                        col: j,
+                        value,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for CrossbarError {
@@ -62,6 +92,7 @@ impl fmt::Display for CrossbarError {
             CrossbarError::InvalidFaultModel { reason } => {
                 write!(f, "invalid fault model: {reason}")
             }
+            CrossbarError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
         }
     }
 }

@@ -6,8 +6,12 @@
 //! §2.3). This crate simulates that hardware at two fidelity levels and
 //! accounts for every nanosecond and picojoule the hardware would spend:
 //!
-//! * [`Crossbar`] — an N×N array: program a matrix, run analog MVMs
-//!   ([`Crossbar::mvm`]) and analog linear solves ([`Crossbar::solve`]),
+//! * [`ArrayBlock`] — the one routine that realizes a written block; every
+//!   array and the solvers' hardware context program through it, and a
+//!   tiled write returns a [`TiledMatrix`],
+//! * [`Crossbar`] — an N×N array, one block: program a matrix, run analog
+//!   MVMs ([`Crossbar::mvm`]) and linear solves ([`Crossbar::solve`]),
+//!   with the Eqn 5 read-out at [`Fidelity::Circuit`],
 //! * [`CrossbarConfig`] / [`Fidelity`] / [`ReadoutMode`] — array geometry,
 //!   device parameters, variation, parasitics and read-out calibration,
 //! * [`Quantizer`] — the paper's 8-bit voltage I/O (§4.1: "All voltage
@@ -28,8 +32,8 @@
 //! # The simulation contract
 //!
 //! The analog array is simulated by carrying the **realized** matrix: the
-//! matrix that was actually stored after conductance mapping, clipping,
-//! process variation (per write, Eqn 18) and faults. Analog operations then
+//! matrix that was actually stored after write quantization, process
+//! variation (per write, Eqn 18) and faults. Analog operations then
 //! apply exact linear algebra to the realized matrix with quantized inputs
 //! and outputs — exactly the information the physical array embodies. On
 //! hardware the solve is O(1); the simulator pays O(N³), which is invisible
@@ -60,6 +64,7 @@
 //! ```
 
 mod array;
+mod block;
 mod config;
 mod cost;
 mod error;
@@ -70,6 +75,7 @@ mod quantize;
 pub mod mapping;
 
 pub use array::Crossbar;
+pub use block::{ArrayBlock, TiledMatrix, Writer};
 pub use config::{CrossbarConfig, Fidelity, ReadoutMode};
 pub use cost::{CostLedger, OpCounts, Phase};
 pub use error::CrossbarError;

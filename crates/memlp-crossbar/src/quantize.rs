@@ -159,11 +159,6 @@ impl WriteQuantizer {
         }
         f64::from_bits(code << (Self::EXACT_BITS - self.bits))
     }
-
-    /// Rounds a target to its stored value: `decode(code(v))`.
-    pub fn quantize(&self, v: f64) -> f64 {
-        self.decode(self.code(v))
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +284,11 @@ mod tests {
                 assert_eq!(wq.code(v), wq.code(v), "bits {bits}, v {v}");
                 // A round-tripped value maps back to the same code, so
                 // rewriting an unchanged coefficient is always a skip.
-                assert_eq!(wq.code(wq.quantize(v)), wq.code(v), "bits {bits}, v {v}");
+                assert_eq!(
+                    wq.code(wq.decode(wq.code(v))),
+                    wq.code(v),
+                    "bits {bits}, v {v}"
+                );
             }
         }
     }
@@ -298,7 +297,7 @@ mod tests {
     fn write_error_bounded_by_rel_step() {
         let wq = WriteQuantizer::new(8);
         for v in write_samples() {
-            let q = wq.quantize(v);
+            let q = wq.decode(wq.code(v));
             assert!(
                 (q - v).abs() <= wq.rel_step() * v * (1.0 + 1e-12),
                 "{v} -> {q} exceeds rel step {}",
@@ -317,14 +316,14 @@ mod tests {
         assert_eq!(wq.decode(0), 0.0);
         // The top of the range stays finite even though rounding up would
         // carry into the infinity exponent.
-        assert!(wq.quantize(f64::MAX).is_finite());
+        assert!(wq.decode(wq.code(f64::MAX)).is_finite());
     }
 
     #[test]
     fn exact_bits_is_identity() {
         let wq = WriteQuantizer::new(WriteQuantizer::EXACT_BITS);
         for v in write_samples() {
-            assert_eq!(wq.quantize(v).to_bits(), v.to_bits());
+            assert_eq!(wq.decode(wq.code(v)).to_bits(), v.to_bits());
         }
     }
 
@@ -333,7 +332,8 @@ mod tests {
         let lo = WriteQuantizer::new(6);
         let hi = WriteQuantizer::new(12);
         for v in write_samples() {
-            assert!((hi.quantize(v) - v).abs() <= (lo.quantize(v) - v).abs() + 1e-300);
+            let err = |q: WriteQuantizer| (q.decode(q.code(v)) - v).abs();
+            assert!(err(hi) <= err(lo) + 1e-300);
         }
         assert!(hi.rel_step() < lo.rel_step());
     }

@@ -1,4 +1,8 @@
-use memlp_crossbar::{CostLedger, Crossbar, CrossbarConfig, CrossbarError, TileOccupancy};
+use memlp_crossbar::mapping::ConductanceMap;
+use memlp_crossbar::{
+    ArrayBlock, CostLedger, CrossbarConfig, CrossbarError, FaultPlan, Fidelity, Phase, Quantizer,
+    TileOccupancy, Writer,
+};
 use memlp_linalg::parallel::{self, Threads};
 use memlp_linalg::{LuFactors, Matrix};
 use rand::rngs::StdRng;
@@ -6,56 +10,72 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::NocConfig;
 
+/// Salt separating the fault-plan seed stream from the variation stream.
+const FAULT_PLAN_SALT: u64 = 0x0FA0_17ED_7113_A001;
+
+/// Salt for the transient-upset stream.
+const TRANSIENT_SALT: u64 = 0x0FA0_17ED_7113_A002;
+
+/// One fabricated tile: its realized block and settle conductance.
+#[derive(Debug, Clone)]
+struct Tile {
+    realized: Matrix,
+    g: f64,
+}
+
 /// A matrix partitioned across a grid of crossbar tiles, coordinated by an
 /// analog NoC.
 ///
-/// Programming splits the matrix into `tile_side × tile_side` blocks, one
-/// per physical crossbar. With `config.tile_elision` on (the default),
-/// blocks that are entirely zero are **elided**: no tile is fabricated, no
-/// pulses are spent, and the NoC never schedules the position — the
-/// [`TileOccupancy`] index records which grid positions carry hardware.
-/// Operations:
+/// Programming is one [`ArrayBlock::write_tiled`] of the whole matrix at
+/// `tile_side` — the routine a solver's tiled block write uses — so each
+/// physical crossbar holds one block. With `config.tile_elision` on (the
+/// default), an all-zero block is **elided**: no tile is fabricated, no
+/// pulse is spent, and the NoC never schedules the position (the
+/// [`TileOccupancy`] index records which positions carry hardware). Every
+/// live tile has its own converters. Operations:
 ///
-/// * **MVM** — each live tile multiplies its block by its input segment;
-///   row partial sums flow through the NoC (analog buffers) to
-///   accumulating arbiters. One NoC transfer per live tile is charged, and
-///   buffer noise is added per nonzero partial sum (a zero-signal partial
-///   induces no offset, so elided positions and zero-input live tiles are
-///   indistinguishable to the noise stream — elision stays bitwise exact).
-/// * **Solve** — bit-line drive voltages are distributed to the tiles and
-///   the composite resistive network settles jointly; the settled state is
-///   the solution of the *assembled* realized system (live tile
-///   realizations stitched together, elided blocks exactly zero), read
-///   back through the NoC with buffer noise.
+/// * **MVM** — each live tile multiplies its block by its DAC-quantized
+///   input segment and ADC-quantizes its partial; partials flow through
+///   the NoC's analog buffers to accumulating arbiters. One analog op and
+///   one NoC transfer per live tile are charged, and buffer noise is added
+///   per nonzero partial (a zero-signal partial draws none, so elision
+///   stays bitwise exact).
+/// * **Solve** — the live tiles settle jointly on DAC-quantized drive
+///   voltages as the *assembled* realized system (elided blocks exactly
+///   zero); the ADC-quantized read-back crosses the NoC buffers. One
+///   analog solve and one read-back transfer per live tile are charged.
 ///
-/// All per-tile ledgers plus NoC transfer costs merge into one
-/// [`CostLedger`]; elided positions appear in its `tiles_elided` /
-/// `elided_writes` counters and nowhere else.
+/// Tiles are functional-fidelity arrays: a configuration at
+/// [`Fidelity::Circuit`] is refused rather than silently downgraded.
 #[derive(Debug, Clone)]
 pub struct TiledCrossbar {
-    tiles: Vec<Vec<Option<Crossbar>>>, // [row_block][col_block], None = elided
+    config: CrossbarConfig,
+    /// Grid positions row-major; `None` where elided.
+    tiles: Vec<Option<Tile>>,
+    /// Which grid positions carry hardware (every one with elision off).
     occupancy: TileOccupancy,
-    rows: usize,
-    cols: usize,
-    tile_side: usize,
     noc: NocConfig,
+    adc: Quantizer,
+    dac: Quantizer,
+    transient_rng: StdRng,
     noise_rng: StdRng,
-    noc_ledger: CostLedger,
+    ledger: CostLedger,
 }
 
 impl TiledCrossbar {
     /// Partitions `matrix` into tiles of side `tile_side` and programs each
     /// live tile (setup phase), skipping all-zero blocks when
-    /// `config.tile_elision` is set. Tile `(i, j)` receives a distinct RNG
-    /// seed so variation draws are independent across tiles — and
-    /// independent of which *other* tiles exist, so elision never shifts a
-    /// live tile's stream.
+    /// `config.tile_elision` is set. Variation is drawn from one stream in
+    /// row-major cell order over live tiles, and every tile maps onto the
+    /// shared full-scale conductance range analog accumulation needs.
     ///
     /// # Errors
     ///
     /// * [`CrossbarError::ShapeMismatch`] if `tile_side` is zero,
-    /// * any programming error from the underlying tiles (negative
-    ///   coefficients, size violations).
+    /// * [`CrossbarError::SizeExceeded`] if `tile_side` exceeds
+    ///   `config.max_size`,
+    /// * [`CrossbarError::NegativeCoefficient`] for a negative coefficient,
+    /// * [`CrossbarError::Unsupported`] at circuit fidelity.
     pub fn program(
         matrix: &Matrix,
         tile_side: usize,
@@ -68,68 +88,68 @@ impl TiledCrossbar {
                 found: "0".into(),
             });
         }
-        let row_blocks = matrix.rows().div_ceil(tile_side);
-        let col_blocks = matrix.cols().div_ceil(tile_side);
-        // One shared full-scale value so every tile maps coefficients onto
-        // the same conductance scale (required for analog accumulation).
-        let a_max = matrix.max_abs().max(f64::MIN_POSITIVE);
-        // Occupancy is decided by the *planned* coefficients — never by
-        // realized read-backs — so hardware noise can't gate scheduling.
-        let mut occupancy = TileOccupancy::from_matrix(matrix, tile_side);
-        let elide = config.tile_elision;
-        let mut noc_ledger = CostLedger::new();
-
-        let mut tiles = Vec::with_capacity(row_blocks);
-        for bi in 0..row_blocks {
-            let mut row = Vec::with_capacity(col_blocks);
-            for bj in 0..col_blocks {
-                let r0 = bi * tile_side;
-                let c0 = bj * tile_side;
-                let nr = tile_side.min(matrix.rows() - r0);
-                let nc = tile_side.min(matrix.cols() - c0);
-                if elide && !occupancy.is_live(bi, bj) {
-                    // No hardware: no fabrication, no fault plan, no pulses.
-                    noc_ledger.note_elided_tiles(1, (nr * nc) as u64);
-                    row.push(None);
-                    continue;
-                }
-                let block = matrix.block(r0, c0, nr, nc);
-                let tile_cfg =
-                    config.with_seed(config.seed ^ ((bi as u64) << 32) ^ (bj as u64) ^ 0x7173);
-                let mut xb = Crossbar::new(tile_side, tile_cfg)?;
-                xb.program_with_scale(&block, a_max)?;
-                row.push(Some(xb));
-            }
-            tiles.push(row);
+        config.check_side(tile_side)?;
+        if config.fidelity == Fidelity::Circuit {
+            return Err(CrossbarError::Unsupported {
+                reason: "tiled arrays model functional fidelity only; the Eqn 5 \
+                         circuit read-out runs on a single Crossbar"
+                    .into(),
+            });
         }
-        if !elide {
-            // Every position carries hardware; the index reflects that.
-            for bi in 0..row_blocks {
-                for bj in 0..col_blocks {
+        CrossbarError::check_nonnegative(matrix)?;
+        let (rows, cols) = (matrix.rows(), matrix.cols());
+        let plan = FaultPlan::draw(&config.faults, rows, cols, config.seed ^ FAULT_PLAN_SALT);
+        let mut ledger = CostLedger::new();
+        let mut writer = Writer {
+            config: &config,
+            rng: &mut StdRng::seed_from_u64(config.seed),
+            ledger: &mut ledger,
+            phase: Phase::Setup,
+        };
+        let realized = ArrayBlock::new(plan, config.spare_lines)
+            .write_tiled(matrix, tile_side, &mut writer)
+            .into_realized();
+        // Live positions follow the planned coefficients, never the
+        // realized read-back; with elision off every position is hardware.
+        let mut occupancy = TileOccupancy::from_matrix(matrix, tile_side);
+        if !config.tile_elision {
+            for bi in 0..occupancy.row_blocks() {
+                for bj in 0..occupancy.col_blocks() {
                     occupancy.mark_live(bi, bj);
                 }
             }
         }
+        // One shared full-scale value so every tile maps coefficients onto
+        // the same conductance scale (required for analog accumulation).
+        let map = ConductanceMap::new(matrix.max_abs().max(f64::MIN_POSITIVE), &config.device);
+        let tiles = (0..occupancy.grid_tiles())
+            .map(|k| {
+                let (r0, c0, nr, nc) = span(&occupancy, k);
+                let live = occupancy.is_live(r0 / tile_side, c0 / tile_side);
+                live.then(|| {
+                    let realized = realized.block(r0, c0, nr, nc);
+                    let g = map.total_conductance(nr * nc, realized.as_slice().iter().sum());
+                    Tile { realized, g }
+                })
+            })
+            .collect();
         Ok(TiledCrossbar {
             tiles,
             occupancy,
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            tile_side,
+            adc: Quantizer::new(config.adc_bits),
+            dac: Quantizer::new(config.dac_bits),
+            transient_rng: StdRng::seed_from_u64(config.seed ^ TRANSIENT_SALT),
             noise_rng: StdRng::seed_from_u64(noc.seed),
             noc,
-            noc_ledger,
+            ledger,
+            config,
         })
     }
 
     /// Number of physical (fabricated) tiles. With elision off this equals
     /// [`TiledCrossbar::grid_tile_count`].
     pub fn tile_count(&self) -> usize {
-        self.tiles
-            .iter()
-            .flat_map(|r| r.iter())
-            .filter(|t| t.is_some())
-            .count()
+        self.occupancy.live_tiles()
     }
 
     /// Total grid positions (`row_blocks × col_blocks`) — the fabric
@@ -145,7 +165,7 @@ impl TiledCrossbar {
 
     /// Logical matrix dimensions `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        self.occupancy.shape()
     }
 
     /// The assembled **realized** logical matrix: every live tile's
@@ -154,33 +174,21 @@ impl TiledCrossbar {
     /// positions contribute exact zeros. This is the exact matrix the
     /// analog fabric multiplies by — digital reference computations (solve
     /// cores, property tests) compare against it.
-    ///
-    /// # Errors
-    ///
-    /// [`CrossbarError::NotProgrammed`] if any live tile lost its state.
-    pub fn assembled_realized(&self) -> Result<Matrix, CrossbarError> {
-        let mut assembled = Matrix::zeros(self.rows, self.cols);
-        for (bi, tile_row) in self.tiles.iter().enumerate() {
-            for (bj, tile) in tile_row.iter().enumerate() {
-                if let Some(tile) = tile {
-                    let block = tile.realized()?;
-                    assembled.set_block(bi * self.tile_side, bj * self.tile_side, block);
-                }
-            }
+    pub fn assembled_realized(&self) -> Matrix {
+        let (rows, cols) = self.shape();
+        let mut assembled = Matrix::zeros(rows, cols);
+        for (k, tile) in self.live() {
+            let (r0, c0, _, _) = span(&self.occupancy, k);
+            assembled.set_block(r0, c0, &tile.realized);
         }
-        Ok(assembled)
+        assembled
     }
 
-    /// Merged cost ledger: every live tile plus the NoC fabric (which
-    /// carries the elision counters).
+    /// The cost ledger: tile programming, analog ops and NoC transfers,
+    /// with elided positions in its `tiles_elided` / `elided_writes`
+    /// counters and nowhere else.
     pub fn ledger(&self) -> CostLedger {
-        let mut total = self.noc_ledger;
-        for row in &self.tiles {
-            for t in row.iter().flatten() {
-                total.merge(t.ledger());
-            }
-        }
-        total
+        self.ledger
     }
 
     /// Analog tiled MVM `y = A·x`, scheduling live tiles only.
@@ -188,188 +196,163 @@ impl TiledCrossbar {
     /// # Errors
     ///
     /// Returns [`CrossbarError::ShapeMismatch`] if `x.len()` differs from
-    /// the logical column count, or any tile-level error.
+    /// the logical column count.
+    ///
+    /// memlp-lint: analog_source
     pub fn mvm(&mut self, x: &[f64]) -> Result<Vec<f64>, CrossbarError> {
-        if x.len() != self.cols {
-            return Err(CrossbarError::ShapeMismatch {
-                expected: format!("input of length {}", self.cols),
-                found: format!("length {}", x.len()),
-            });
-        }
-        let grid = self.occupancy.grid_tiles();
-        let live_cells = self.occupancy.live_cells();
-        let mut y = vec![0.0; self.rows];
-        let tile_side = self.tile_side;
-        let cols = self.cols;
-        let col_blocks = self.occupancy.col_blocks();
-
-        // Phase 1: every live tile computes its partial product
-        // concurrently. Each tile owns a private RNG stream (seeded per
-        // (bi, bj) at programming time), so its variation/noise draws are
-        // independent of worker scheduling — and of which other tiles
-        // exist — and the partials are bit-for-bit reproducible at any
-        // thread count, elided or not.
-        let threads = Threads::resolve().for_flops(2 * live_cells as usize);
-        let mut refs: Vec<(usize, &mut Crossbar)> = self
-            .tiles
-            .iter_mut()
-            .flat_map(|r| r.iter_mut())
-            .enumerate()
-            .filter_map(|(idx, slot)| slot.as_mut().map(|t| (idx, t)))
-            .collect();
-        let partials = parallel::par_map_mut(threads, &mut refs, |_, (idx, tile)| {
-            let c0 = (*idx % col_blocks) * tile_side;
-            let seg = &x[c0..(c0 + tile_side).min(cols)];
-            tile.mvm(seg)
-        });
-        let idxs: Vec<usize> = refs.iter().map(|(idx, _)| *idx).collect();
-
-        // Phase 2: partial sums ride the NoC to the accumulating arbiters
-        // in fixed (bi, bj) order over the live set — the shared
-        // buffer-noise RNG and the fabric ledger see exactly the serial
-        // event sequence. Elided positions contribute exact zeros and no
-        // events; a zero-signal partial draws no offset noise, so the
-        // noise stream is identical whether an all-zero block is elided or
-        // physically driven.
-        let noisy_fabric = self.noc.buffer_noise > 0.0 && grid > 1;
-        for (idx, partial) in idxs.into_iter().zip(partials) {
-            let partial = partial?;
-            let r0 = (idx / col_blocks) * tile_side;
-            // Each line picks up bounded buffer offset noise.
-            let scale = partial.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            if noisy_fabric && scale > 0.0 {
-                for (k, p) in partial.iter().enumerate() {
-                    let noise =
-                        self.noise_rng.random_range(-1.0..=1.0) * self.noc.buffer_noise * scale;
-                    y[r0 + k] += p + noise;
-                }
-            } else {
-                for (k, p) in partial.iter().enumerate() {
-                    y[r0 + k] += p;
-                }
-            }
-            let (t, e) = self.noc.transfer_cost(grid, partial.len());
-            self.noc_ledger.charge_noc_transfer(t, e, 1);
-        }
-        Ok(y)
+        check_len("input", x.len(), self.shape().1)?;
+        Ok(self.drive(x, false))
     }
 
     /// Analog tiled transposed MVM `x = Aᵀ·y`: every live tile drives its
-    /// **word lines** with its row segment of `y` and senses the bit
-    /// lines ([`Crossbar::mvm_transposed`]), so the transpose costs no
-    /// second array program — tile `(bi, bj)` contributes `Aᵢⱼᵀ·y_bi`
-    /// into the output segment at its *column* offset, and the partials
-    /// ride the same NoC fan-in as the forward product. The tile-transpose
-    /// reduction iterates live tiles only.
+    /// **word lines** with its row segment of `y` and senses the bit lines,
+    /// so the transpose costs no second array program — tile `(bi, bj)`
+    /// contributes `Aᵢⱼᵀ·y_bi` into the output segment at its *column*
+    /// offset, and the partials ride the same NoC fan-in as the forward
+    /// product.
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::ShapeMismatch`] if `y.len()` differs from
-    /// the logical row count, or any tile-level error.
+    /// the logical row count.
+    ///
+    /// memlp-lint: analog_source
     pub fn mvm_transposed(&mut self, y: &[f64]) -> Result<Vec<f64>, CrossbarError> {
-        if y.len() != self.rows {
-            return Err(CrossbarError::ShapeMismatch {
-                expected: format!("input of length {}", self.rows),
-                found: format!("length {}", y.len()),
-            });
-        }
-        let grid = self.occupancy.grid_tiles();
-        let live_cells = self.occupancy.live_cells();
-        let mut x = vec![0.0; self.cols];
-        let tile_side = self.tile_side;
-        let rows = self.rows;
-        let col_blocks = self.occupancy.col_blocks();
-
-        // Phase 1: concurrent per-tile transposed partials over the live
-        // set (private RNG stream per tile, as in `mvm`).
-        let threads = Threads::resolve().for_flops(2 * live_cells as usize);
-        let mut refs: Vec<(usize, &mut Crossbar)> = self
-            .tiles
-            .iter_mut()
-            .flat_map(|r| r.iter_mut())
-            .enumerate()
-            .filter_map(|(idx, slot)| slot.as_mut().map(|t| (idx, t)))
-            .collect();
-        let partials = parallel::par_map_mut(threads, &mut refs, |_, (idx, tile)| {
-            let r0 = (*idx / col_blocks) * tile_side;
-            let seg = &y[r0..(r0 + tile_side).min(rows)];
-            tile.mvm_transposed(seg)
-        });
-        let idxs: Vec<usize> = refs.iter().map(|(idx, _)| *idx).collect();
-
-        // Phase 2: fixed-order NoC accumulation at the live tiles' *column*
-        // offsets; noise and ledger events replay serially, zero-signal
-        // partials drawing no offset (see `mvm`).
-        let noisy_fabric = self.noc.buffer_noise > 0.0 && grid > 1;
-        for (idx, partial) in idxs.into_iter().zip(partials) {
-            let partial = partial?;
-            let c0 = (idx % col_blocks) * tile_side;
-            let scale = partial.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            if noisy_fabric && scale > 0.0 {
-                for (k, p) in partial.iter().enumerate() {
-                    let noise =
-                        self.noise_rng.random_range(-1.0..=1.0) * self.noc.buffer_noise * scale;
-                    x[c0 + k] += p + noise;
-                }
-            } else {
-                for (k, p) in partial.iter().enumerate() {
-                    x[c0 + k] += p;
-                }
-            }
-            let (t, e) = self.noc.transfer_cost(grid, partial.len());
-            self.noc_ledger.charge_noc_transfer(t, e, 1);
-        }
-        Ok(x)
+        check_len("input", y.len(), self.shape().0)?;
+        Ok(self.drive(y, true))
     }
 
     /// Analog tiled solve `A·x = b` for a square logical matrix: the live
     /// tiles settle jointly as one composite resistive network, equivalent
     /// to solving the assembled realized system (elided blocks exactly
-    /// zero); the word-line read-back passes through the NoC buffers.
+    /// zero) on DAC-quantized drive voltages; the ADC-quantized word-line
+    /// read-back passes through the NoC buffers.
     ///
     /// # Errors
     ///
     /// * [`CrossbarError::ShapeMismatch`] for non-square matrices or a
     ///   wrong-length `b`,
     /// * [`CrossbarError::Linalg`] if the assembled realized system is
-    ///   singular,
-    /// * [`CrossbarError::NotProgrammed`] if any live tile lost its state.
+    ///   singular.
+    ///
+    /// memlp-lint: analog_source
     pub fn solve(&mut self, b: &[f64]) -> Result<Vec<f64>, CrossbarError> {
-        if self.rows != self.cols {
+        let (rows, cols) = self.shape();
+        if rows != cols {
             return Err(CrossbarError::ShapeMismatch {
                 expected: "square logical matrix".into(),
-                found: format!("{}x{}", self.rows, self.cols),
+                found: format!("{rows}x{cols}"),
             });
         }
-        if b.len() != self.rows {
-            return Err(CrossbarError::ShapeMismatch {
-                expected: format!("rhs of length {}", self.rows),
-                found: format!("length {}", b.len()),
-            });
-        }
-        // Assemble the realized system the composite network embodies
-        // (cheap block copies; the LU below runs on the threaded kernels).
-        let assembled = self.assembled_realized()?;
-        let mut x = LuFactors::factor(assembled)?.solve(b)?;
+        check_len("rhs", b.len(), rows)?;
+        let bq = self.dac.quantize_vec(b);
+        let mut x = LuFactors::factor(self.assembled_realized())?.solve(&bq)?;
+        self.adc.quantize_in_place(&mut x);
+        self.config
+            .faults
+            .upset_read(&mut x, &mut self.transient_rng);
+        let g = self.live().map(|(_, t)| t.g).sum();
+        let n = rows as u64;
+        self.ledger
+            .charge_analog_op(&self.config.cost, true, n, n, g, self.config.device.v_read);
         // Read-back through NoC buffers: bounded offset per line. The
         // fabric geometry (grid), not the population, decides whether the
         // read-back crosses buffers.
         let grid = self.occupancy.grid_tiles();
-        let live = self.tile_count();
         if self.noc.buffer_noise > 0.0 && grid > 1 {
             let scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             for v in &mut x {
                 *v += self.noise_rng.random_range(-1.0..=1.0) * self.noc.buffer_noise * scale;
             }
         }
-        // Charge: one settle on every live tile (they participate jointly)
-        // plus the read-back transfers — an elided position has no array to
-        // settle and nothing to transfer.
-        let (t, e) = self.noc.transfer_cost(grid, self.rows);
-        self.noc_ledger
+        // Every live tile ships its read-back; an elided position has no
+        // array to settle and nothing to transfer.
+        let live = self.tile_count();
+        let (t, e) = self.noc.transfer_cost(grid, rows);
+        self.ledger
             .charge_noc_transfer(t * live as f64, e * live as f64, live as u64);
         Ok(x)
     }
+
+    /// Live tiles with their grid index, row-major.
+    fn live(&self) -> impl Iterator<Item = (usize, &Tile)> {
+        let tiles = self.tiles.iter().enumerate();
+        tiles.filter_map(|(k, t)| t.as_ref().map(|t| (k, t)))
+    }
+
+    /// One tiled MVM (`Aᵀ·input` when `transposed`). Phase 1: every live
+    /// tile converts its segment of `input` (DAC), multiplies and converts
+    /// its partial (ADC), concurrently; the converters draw nothing at
+    /// random, so the partials are bit-for-bit reproducible at any thread
+    /// count. Phase 2, in fixed row-major order over the live set: each
+    /// partial takes its transient upsets, is charged as one analog op of
+    /// its tile, picks up bounded buffer offset noise on its way through
+    /// the NoC (a zero-signal partial draws none) and accumulates at its
+    /// row offset (column offset when `transposed`).
+    fn drive(&mut self, input: &[f64], transposed: bool) -> Vec<f64> {
+        let live: Vec<(usize, &Tile)> = self.live().collect();
+        let threads = Threads::resolve().for_flops(2 * self.occupancy.live_cells() as usize);
+        let (dac, adc) = (self.dac, self.adc);
+        let partials = parallel::run_indexed(threads, live.len(), |n| {
+            let (k, tile) = live[n];
+            let (r0, c0, nr, nc) = span(&self.occupancy, k);
+            let (inputs, mut partial) = if transposed {
+                let yq = dac.quantize_vec(&input[r0..r0 + nr]);
+                (nr, tile.realized.matvec_transposed(&yq))
+            } else {
+                let xq = dac.quantize_vec(&input[c0..c0 + nc]);
+                (nc, tile.realized.matvec(&xq))
+            };
+            adc.quantize_in_place(&mut partial);
+            (k, inputs, tile.g, partial)
+        });
+        let grid = self.occupancy.grid_tiles();
+        let noisy_fabric = self.noc.buffer_noise > 0.0 && grid > 1;
+        let (rows, cols) = self.occupancy.shape();
+        let mut out = vec![0.0; if transposed { cols } else { rows }];
+        for (idx, inputs, g, mut partial) in partials {
+            self.config
+                .faults
+                .upset_read(&mut partial, &mut self.transient_rng);
+            let (inputs, outputs) = (inputs as u64, partial.len() as u64);
+            let (cost, v_read) = (&self.config.cost, self.config.device.v_read);
+            self.ledger
+                .charge_analog_op(cost, false, inputs, outputs, g, v_read);
+            let (r0, c0, _, _) = span(&self.occupancy, idx);
+            let at = if transposed { c0 } else { r0 };
+            let scale = partial.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (o, p) in out[at..].iter_mut().zip(&partial) {
+                if noisy_fabric && scale > 0.0 {
+                    let noise =
+                        self.noise_rng.random_range(-1.0..=1.0) * self.noc.buffer_noise * scale;
+                    *o += p + noise;
+                } else {
+                    *o += p;
+                }
+            }
+            let (t, e) = self.noc.transfer_cost(grid, partial.len());
+            self.ledger.charge_noc_transfer(t, e, 1);
+        }
+        out
+    }
+}
+
+/// Row offset, column offset, rows and columns of grid position `k`.
+fn span(occ: &TileOccupancy, k: usize) -> (usize, usize, usize, usize) {
+    let (bi, bj) = (k / occ.col_blocks(), k % occ.col_blocks());
+    let (nr, nc) = occ.tile_dims(bi, bj);
+    (bi * occ.tile_side(), bj * occ.tile_side(), nr, nc)
+}
+
+/// Refuses an operand of the wrong length.
+fn check_len(what: &str, got: usize, want: usize) -> Result<(), CrossbarError> {
+    if got != want {
+        return Err(CrossbarError::ShapeMismatch {
+            expected: format!("{what} of length {want}"),
+            found: format!("length {got}"),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! 1. **Elision is bitwise invisible.** On a fault-free fabric, `mvm` and
 //!    `mvm_transposed` with elision on must produce bit-for-bit the same
 //!    outputs as with elision off, at every thread count — a dead tile's
-//!    contribution is an exact `±0.0`, the live tiles' private RNG
-//!    streams are position-salted (not order-dependent), and the noise
-//!    gating replays over the full grid geometry either way.
+//!    contribution is an exact `±0.0`, a planned zero draws no variation
+//!    deviate (so live cells keep their draws from the one stream), and
+//!    the noise gating replays over the full grid geometry either way.
 //! 2. **The occupancy index round-trips.** It is built from the planned
 //!    coefficients at `program`.
 

@@ -1,9 +1,8 @@
 //! Cross-thread-count determinism for the tiled-crossbar NoC fan-out.
 //!
-//! The per-tile MVMs run concurrently (phase 1), but each tile owns a
-//! private RNG stream seeded from its `(row, col)` position, and the
-//! partial sums are accumulated through the shared buffer-noise RNG and
-//! fabric ledger in fixed tile order (phase 2). A freshly programmed array
+//! The per-tile MVMs and their converters run concurrently (phase 1) and
+//! draw nothing at random; transient upsets, buffer noise and the ledger
+//! see the partial sums in fixed tile order (phase 2). A freshly programmed array
 //! must therefore produce **bit-for-bit** identical outputs — and an
 //! identical cost ledger — at every worker count.
 //!

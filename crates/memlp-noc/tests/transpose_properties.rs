@@ -116,7 +116,7 @@ proptest! {
         let mut t = TiledCrossbar::program(&a, tile_side, cfg, noc).expect("programmable");
 
         let analog = t.mvm_transposed(&y).expect("transposed MVM");
-        let realized = t.assembled_realized().expect("programmed");
+        let realized = t.assembled_realized();
         let digital = SparseMatrix::from_dense(&realized).matvec_transposed(&y);
         let budget = quantization_budget(&realized, &y, tile_side, &cfg);
 

@@ -79,6 +79,9 @@ pub enum CoreSolveError {
         /// The configured allocation limit in bytes.
         limit: u64,
     },
+    /// The hardware configuration asks for circuit fidelity, which the
+    /// solvers' block model does not simulate.
+    CircuitFidelity,
 }
 
 impl std::fmt::Display for CoreSolveError {
@@ -90,6 +93,12 @@ impl std::fmt::Display for CoreSolveError {
                 "dense Newton core of dimension {dim} needs {bytes} bytes, \
                  over the {limit}-byte limit; Algorithm 1 (`alg1`), PDHG \
                  (`pdhg`) and `--solver auto` solve it without a dense core"
+            ),
+            CoreSolveError::CircuitFidelity => write!(
+                f,
+                "circuit fidelity (the Eqn 5 divider and g_off leakage) is modelled \
+                 only by the standalone Crossbar; the crossbar solvers realize their \
+                 blocks at functional fidelity"
             ),
         }
     }
