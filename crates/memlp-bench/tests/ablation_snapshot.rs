@@ -6,6 +6,12 @@
 //! (run with `MEMLP_TRIALS=2`). The tables hold only seeded, modelled
 //! quantities — no wall-clock — so they must match at any
 //! `MEMLP_THREADS`.
+//!
+//! Two Algorithm 1 cells were re-recorded when a stall whose verdict is
+//! already settled began to exit after 12 iterations without improvement
+//! instead of 25: `ablation_bits` at 6 bits (mean error 1.057% → 0.942%,
+//! max error held) and `ablation_sparsity` at density 0.1 (run time
+//! 5.88 → 4.79 ms). Every success count held.
 
 #[test]
 fn ablation_tables_snapshot() {
@@ -20,7 +26,7 @@ const EXPECTED: &str = "\
 # ablation_bits
 bits,mean err %,max err %,success
 4,NaN,NaN,0/2
-6,1.057,1.869,2/2
+6,0.942,1.869,2/2
 8,1.223,2.204,2/2
 10,1.079,1.928,2/2
 12,1.075,1.940,2/2
@@ -74,7 +80,7 @@ density,nnz(A),setup writes,setup time,run time,mean err %,success
 1,3072,6784,8.48 ms,2.35 ms,0.334,2/2
 0.5,1554,3748,4.69 ms,2.82 ms,0.306,2/2
 0.25,769,2166,2.71 ms,3.85 ms,0.275,2/2
-0.1,314,1191,1.49 ms,5.88 ms,0.330,2/2
+0.1,314,1191,1.49 ms,4.79 ms,0.330,2/2
 # ablation_drift
 tau,refresh every,mean err %,max err %,success,extra writes
 none,never,0.234,0.448,2/2,885
