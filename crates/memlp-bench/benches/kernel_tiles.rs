@@ -9,6 +9,15 @@
 //! (`with_threads(1)`) so they measure instruction-level throughput, not
 //! the thread pool.
 //!
+//! Two rows measure the simulated array rather than a digital kernel:
+//! `adc` converts Algorithm 1's m = 128 bank layout (the seven blocks of
+//! the Newton vector, one auto-ranged bank each) through the vector
+//! converter kernel `Quantizer::quantize_into` against the scalar
+//! `quantize_against` loop it replaces, asserting the two agree bit for
+//! bit (4 flops an entry: two divisions, two multiplies); `write` programs
+//! the m = 128 sign-split `A′` block (128×42) at 10% variation through
+//! `ArrayBlock::write_block` and reports nanoseconds a cell.
+//!
 //! It also prints the median time of the §3.2 sign split of a paper LP
 //! at m ∈ {64, 256} (stdout only).
 //!
@@ -30,9 +39,13 @@ use std::time::Instant;
 use memlp_bench::artifact::{self, quote, Rows};
 use memlp_bench::{fmt_time, median, obj};
 use memlp_core::SignSplit;
+use memlp_crossbar::{ArrayBlock, CostLedger, CrossbarConfig, FaultPlan, Phase, Quantizer, Writer};
 use memlp_linalg::parallel::{self, with_threads, MIN_FLOPS_PER_THREAD};
 use memlp_linalg::{LuFactors, Matrix, SparseMatrix};
 use memlp_lp::generator::RandomLp;
+use memlp_lp::LpProblem;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Tiled-over-naive speedup the m = 512 dense matvec must clear.
 const GATE_MIN_SPEEDUP: f64 = 2.0;
@@ -76,9 +89,15 @@ fn band_matrix(n: usize) -> SparseMatrix {
 }
 
 /// Median GF/s of `f`, which performs `flops` floating-point operations
-/// per call. Each rep times `inner` back-to-back calls so short kernels
-/// are measured over ≥ milliseconds, not timer granularity.
+/// per call.
 fn gflops(flops: u64, f: impl FnMut()) -> f64 {
+    flops as f64 / median_secs(f) / 1e9
+}
+
+/// Median seconds a call of `f`. Each rep times `inner` back-to-back
+/// calls so short kernels are measured over ≥ milliseconds, not timer
+/// granularity.
+fn median_secs(f: impl FnMut()) -> f64 {
     let mut f = f;
     // Calibrate the inner loop to ~10 ms per rep.
     let t0 = Instant::now();
@@ -94,7 +113,7 @@ fn gflops(flops: u64, f: impl FnMut()) -> f64 {
         }
         times.push(t.elapsed().as_secs_f64() / inner as f64);
     }
-    flops as f64 / median(times) / 1e9
+    median(times)
 }
 
 /// The naive scalar baseline: one accumulator, no lane structure — the
@@ -297,6 +316,92 @@ fn measure_kernels() -> Vec<KernelRow> {
     rows
 }
 
+/// The m of the `adc` and `write` rows: the paper's §4.2 grid point.
+const ARRAY_M: usize = 128;
+/// Process variation of the `write` row, percent.
+const WRITE_VARIATION_PCT: f64 = 10.0;
+
+/// Algorithm 1's converter banks for `lp`: the seven blocks
+/// `[m, n, n, m, m, n, kx + ky]` of its Newton vector.
+fn alg1_banks(lp: &LpProblem) -> Vec<usize> {
+    let (m, n) = (lp.num_constraints(), lp.num_vars());
+    let k = SignSplit::split(lp.a()).num_compensations()
+        + SignSplit::split(&lp.a().transpose()).num_compensations();
+    vec![m, n, n, m, m, n, k]
+}
+
+/// The `adc` row: every bank of the Newton vector through the vector
+/// converter kernel against the scalar reference loop, after checking
+/// that the two agree bit for bit.
+fn measure_adc(lp: &LpProblem) -> KernelRow {
+    let banks = alg1_banks(lp);
+    let len: usize = banks.iter().sum();
+    // Per-bank scales a decade apart, as a converging iterate's blocks are.
+    let v: Vec<f64> = test_vec(len, 8)
+        .iter()
+        .enumerate()
+        .map(|(i, x)| x * 10f64.powi((i * 7 / len) as i32 - 3))
+        .collect();
+    let q = Quantizer::new(8);
+    let scalar = |out: &mut [f64]| {
+        let mut at = 0;
+        for &b in &banks {
+            let seg = &v[at..at + b];
+            let fs = seg.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            for (o, &x) in out[at..at + b].iter_mut().zip(seg) {
+                *o = q.quantize_against(x, fs);
+            }
+            at += b;
+        }
+    };
+    let vector = |out: &mut [f64]| {
+        let mut at = 0;
+        for &b in &banks {
+            q.quantize_into(&v[at..at + b], &mut out[at..at + b]);
+            at += b;
+        }
+    };
+    let (mut want, mut got) = (vec![0.0; len], vec![0.0; len]);
+    scalar(&mut want);
+    vector(&mut got);
+    assert!(
+        want.iter()
+            .zip(&got)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "adc: the vector converter kernel moved a bit against quantize_against"
+    );
+    let flops = 4 * len as u64;
+    KernelRow {
+        kernel: "adc",
+        m: ARRAY_M,
+        flops,
+        naive: gflops(flops, || scalar(black_box(&mut want))),
+        tiled: gflops(flops, || vector(black_box(&mut got))),
+    }
+}
+
+/// The `write` row: median nanoseconds a cell of programming `lp`'s
+/// sign-split `A′` block through a fault-free [`ArrayBlock`], delta
+/// programming on; returns `(cells, ns_per_cell)`.
+fn measure_write(lp: &LpProblem) -> (usize, f64) {
+    let target = SignSplit::split(lp.a()).pos;
+    let cells = target.rows() * target.cols();
+    let config = CrossbarConfig::paper_default().with_variation(WRITE_VARIATION_PCT);
+    let mut block = ArrayBlock::new(FaultPlan::clean(target.rows(), target.cols()), 0);
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut ledger = CostLedger::new();
+    let secs = median_secs(|| {
+        let mut w = Writer {
+            config: &config,
+            rng: &mut rng,
+            ledger: &mut ledger,
+            phase: Phase::Setup,
+        };
+        black_box(block.write_block(black_box(&target), &mut w));
+    });
+    (cells, secs / cells as f64 * 1e9)
+}
+
 /// One extra naive/tiled matvec@512 pair, timed back-to-back, for the
 /// gate retrials.
 fn gate_matvec_trial() -> (f64, f64) {
@@ -357,7 +462,9 @@ fn main() {
         "{:>12} {:>5} {:>12} {:>8} {:>8} {:>9}",
         "kernel", "m", "flops", "naive", "tiled", "tiled/nv"
     );
-    let rows = measure_kernels();
+    let array_lp = RandomLp::paper(ARRAY_M, 1).feasible();
+    let mut rows = measure_kernels();
+    rows.push(measure_adc(&array_lp));
     for r in &rows {
         println!(
             "{:>12} {:>5} {:>12} {:>8.2} {:>8.2} {:>8.2}x",
@@ -369,6 +476,9 @@ fn main() {
             r.speedup()
         );
     }
+
+    let (write_cells, write_ns) = measure_write(&array_lp);
+    println!("write@{ARRAY_M}: {write_cells} cells, {write_ns:.2} ns a cell");
 
     for m in [64, 256] {
         println!("sign_split@{m}: {} per split", fmt_time(sign_split_secs(m)));
@@ -428,12 +538,19 @@ fn main() {
         gate_trials.len()
     );
 
-    let rows_json = rows.iter().map(|r| {
-        obj! {
-            kernel: quote(r.kernel), m: r.m, flops: r.flops,
-            ~naive_gflops: format!("{:.3}", r.naive), ~tiled_gflops: format!("{:.3}", r.tiled),
-            ~speedup_vs_naive: format!("{:.3}", r.speedup()),
-        }
+    let mut rows_json: Vec<_> = rows
+        .iter()
+        .map(|r| {
+            obj! {
+                kernel: quote(r.kernel), m: r.m, flops: r.flops,
+                ~naive_gflops: format!("{:.3}", r.naive), ~tiled_gflops: format!("{:.3}", r.tiled),
+                ~speedup_vs_naive: format!("{:.3}", r.speedup()),
+            }
+        })
+        .collect();
+    rows_json.push(obj! {
+        kernel: quote("write"), m: ARRAY_M, cells: write_cells, variation_pct: WRITE_VARIATION_PCT,
+        ~ns_per_cell: format!("{write_ns:.3}"),
     });
     let trials_json = gate_trials.iter().map(|(nv, td)| {
         obj! {
@@ -446,7 +563,7 @@ fn main() {
         suite: quote("register-tiled digital kernels, single-thread flop rates"),
         gate_min_speedup: GATE_MIN_SPEEDUP,
         gate_row: quote("matvec@512 tiled vs naive scalar"),
-        rows: Rows(rows_json.collect()),
+        rows: Rows(rows_json),
         threading_cutoff: obj! {
             min_flops_per_thread: MIN_FLOPS_PER_THREAD,
             ~tiled_matvec_gflops: format!("{:.3}", gate_row.tiled),

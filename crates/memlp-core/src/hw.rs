@@ -27,6 +27,7 @@
 //! hardware.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use memlp_crossbar::mapping::ConductanceMap;
 use memlp_crossbar::{
@@ -271,12 +272,9 @@ impl HwContext {
     /// block (e.g. a nearly-converged residual) is not crushed by the
     /// dynamic range of its large-scale neighbours.
     pub fn dac_blocks(&mut self, v: &[f64], lens: &[usize]) -> Vec<f64> {
-        debug_assert_eq!(lens.iter().sum::<usize>(), v.len());
-        let mut out = Vec::with_capacity(v.len());
-        let mut at = 0;
-        for &len in lens {
-            out.extend(self.dac.quantize_vec(&v[at..at + len]));
-            at += len;
+        let mut out = vec![0.0; v.len()];
+        for bank in banks(lens, v.len()) {
+            self.dac.quantize_into(&v[bank.clone()], &mut out[bank]);
         }
         out
     }
@@ -287,16 +285,11 @@ impl HwContext {
     ///
     /// memlp-lint: analog_source
     pub fn adc_blocks(&mut self, v: &[f64], lens: &[usize]) -> Vec<f64> {
-        debug_assert_eq!(lens.iter().sum::<usize>(), v.len());
-        let mut out = Vec::with_capacity(v.len());
-        let mut at = 0;
-        for &len in lens {
-            let mut seg = self.adc.quantize_vec(&v[at..at + len]);
-            self.config
-                .faults
-                .upset_read(&mut seg, &mut self.transient_rng);
-            out.extend(seg);
-            at += len;
+        let mut out = vec![0.0; v.len()];
+        for bank in banks(lens, v.len()) {
+            let seg = &mut out[bank.clone()];
+            self.adc.quantize_into(&v[bank], seg);
+            self.config.faults.upset_read(seg, &mut self.transient_rng);
         }
         out
     }
@@ -306,11 +299,7 @@ impl HwContext {
     ///
     /// memlp-lint: analog_source
     pub fn adc(&mut self, v: &[f64]) -> Vec<f64> {
-        let mut out = self.adc.quantize_vec(v);
-        self.config
-            .faults
-            .upset_read(&mut out, &mut self.transient_rng);
-        out
+        self.adc_clipped(v, f64::INFINITY)
     }
 
     /// ADC-quantizes with an auto-ranged reference **capped** at
@@ -323,12 +312,8 @@ impl HwContext {
     ///
     /// memlp-lint: analog_source
     pub fn adc_clipped(&mut self, v: &[f64], max_scale: f64) -> Vec<f64> {
-        let auto = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-        let fs = auto.min(max_scale);
-        let mut out: Vec<f64> = v
-            .iter()
-            .map(|&x| self.adc.quantize_against(x, fs))
-            .collect();
+        let mut out = vec![0.0; v.len()];
+        self.adc.quantize_capped_into(v, max_scale, &mut out);
         self.config
             .faults
             .upset_read(&mut out, &mut self.transient_rng);
@@ -466,6 +451,17 @@ impl HwContext {
         }
         done
     }
+}
+
+/// The index ranges of consecutive converter banks of lengths `lens`,
+/// which together cover a vector of length `len`.
+fn banks(lens: &[usize], len: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    debug_assert_eq!(lens.iter().sum::<usize>(), len);
+    lens.iter().scan(0, |at, &n| {
+        let bank = *at..*at + n;
+        *at += n;
+        Some(bank)
+    })
 }
 
 #[cfg(test)]

@@ -563,19 +563,9 @@ impl LargeScaleSystem {
 
         // Eliminate Δp: effective A blocks get column corrections.
         let mut ax_eff = ap_s.realized().clone();
-        for (r, &j) in split_a.comp_cols.iter().enumerate() {
-            let f = selx[r] / ipx[r];
-            for i in 0..m {
-                ax_eff[(i, j)] -= an_s.realized()[(i, r)] * f;
-            }
-        }
+        split_a.fold_compensations(&mut ax_eff, an_s.realized(), &selx, &ipx);
         let mut ay_eff = atp_s.realized().clone();
-        for (r, &j) in split_at.comp_cols.iter().enumerate() {
-            let f = sely[r] / ipy[r];
-            for i in 0..n {
-                ay_eff[(i, j)] -= atn_s.realized()[(i, r)] * f;
-            }
-        }
+        split_at.fold_compensations(&mut ay_eff, atn_s.realized(), &sely, &ipy);
         // Core (m+n) system: [A_eff λI; λI Aᵀ_eff], factored once.
         let dim = n + m;
         let mut k = Matrix::zeros(dim, dim);

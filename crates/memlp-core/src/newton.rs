@@ -265,31 +265,17 @@ impl AugmentedSystem {
     }
 
     /// Rebuilds the cached effective `A` blocks (`A′` with the Δp column
-    /// corrections folded in) from the current realized statics. Rows whose
-    /// `Ip` entry realized as zero are skipped — [`Self::solve`] rejects
-    /// such systems before the cache is ever used.
+    /// corrections folded in) from the current realized statics
+    /// ([`SignSplit::fold_compensations`]). Compensations whose `Ip` entry
+    /// realized as zero are skipped — [`Self::solve`] rejects such systems
+    /// before the cache is ever used.
     fn rebuild_effective(&mut self) {
-        let (n, m) = (self.n, self.m);
         self.ax_eff = self.ap.clone();
-        for (rr, &j) in self.split_a.comp_cols.iter().enumerate() {
-            if self.ipx[rr] == 0.0 {
-                continue;
-            }
-            let f = self.selx[rr] / self.ipx[rr];
-            for i in 0..m {
-                self.ax_eff[(i, j)] -= self.an[(i, rr)] * f;
-            }
-        }
+        self.split_a
+            .fold_compensations(&mut self.ax_eff, &self.an, &self.selx, &self.ipx);
         self.ay_eff = self.atp.clone();
-        for (rr, &j) in self.split_at.comp_cols.iter().enumerate() {
-            if self.ipy[rr] == 0.0 {
-                continue;
-            }
-            let f = self.sely[rr] / self.ipy[rr];
-            for i in 0..n {
-                self.ay_eff[(i, j)] -= self.atn[(i, rr)] * f;
-            }
-        }
+        self.split_at
+            .fold_compensations(&mut self.ay_eff, &self.atn, &self.sely, &self.ipy);
         self.ax_norm = inf_norm_mat(&self.ax_eff);
         self.ay_norm = inf_norm_mat(&self.ay_eff);
         // The realized off-diagonal values (and possibly the realized

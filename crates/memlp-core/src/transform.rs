@@ -30,35 +30,57 @@ pub struct SignSplit {
 }
 
 impl SignSplit {
-    /// Splits `a` into its crossbar-mappable parts.
+    /// Splits `a` into its crossbar-mappable parts. Two row-major passes
+    /// with selects rather than sign branches: the first fills `A′` and
+    /// flags the columns holding a negative entry, the second gathers each
+    /// row's negative entries of the flagged columns into `A″`.
     pub fn split(a: &Matrix) -> SignSplit {
-        let m = a.rows();
-        let n = a.cols();
-        let comp_cols: Vec<usize> = (0..n)
-            .filter(|&j| (0..m).any(|i| a[(i, j)] < 0.0))
-            .collect();
+        let (m, n) = (a.rows(), a.cols());
         let mut pos = Matrix::zeros(m, n);
-        let mut neg = Matrix::zeros(m, comp_cols.len());
+        let mut negative = vec![false; n];
         for i in 0..m {
-            for j in 0..n {
-                let v = a[(i, j)];
-                if v >= 0.0 {
-                    pos[(i, j)] = v;
-                }
+            let row = pos.row_mut(i).iter_mut().zip(&mut negative);
+            for ((p, flag), &v) in row.zip(a.row(i)) {
+                *p = if v >= 0.0 { v } else { 0.0 };
+                *flag |= v < 0.0;
             }
         }
-        for (r, &j) in comp_cols.iter().enumerate() {
-            for i in 0..m {
-                let v = a[(i, j)];
-                if v < 0.0 {
-                    neg[(i, r)] = -v;
-                }
+        let comp_cols: Vec<usize> = (0..n).filter(|&j| negative[j]).collect();
+        let mut neg = Matrix::zeros(m, comp_cols.len());
+        for i in 0..m {
+            let src = a.row(i);
+            for (o, &j) in neg.row_mut(i).iter_mut().zip(&comp_cols) {
+                let v = src[j];
+                *o = if v < 0.0 { -v } else { 0.0 };
             }
         }
         SignSplit {
             pos,
             neg,
             comp_cols,
+        }
+    }
+
+    /// Folds the Δp elimination of the augmented system into `eff`, a
+    /// realized `A′`: for every compensation `r` whose realized `ip[r]` is
+    /// non-zero, each row `i` of column `comp_cols[r]` loses
+    /// `neg[(i, r)] · (sel[r] / ip[r])`, where `neg` is the realized `A″`
+    /// and `sel`, `ip` the realized selector and identity lines. One
+    /// subtraction an entry (the compensated columns are distinct), walked
+    /// row-major.
+    pub fn fold_compensations(&self, eff: &mut Matrix, neg: &Matrix, sel: &[f64], ip: &[f64]) {
+        let terms: Vec<(usize, usize, f64)> = self
+            .comp_cols
+            .iter()
+            .enumerate()
+            .filter(|&(r, _)| ip[r] != 0.0)
+            .map(|(r, &j)| (r, j, sel[r] / ip[r]))
+            .collect();
+        for i in 0..eff.rows() {
+            let (src, row) = (neg.row(i), eff.row_mut(i));
+            for &(r, j, f) in &terms {
+                row[j] -= src[r] * f;
+            }
         }
     }
 

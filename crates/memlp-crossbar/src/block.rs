@@ -91,41 +91,72 @@ struct Pass<'a> {
 }
 
 impl Pass<'_> {
-    /// Realizes row-major cell `idx` programmed to `t`.
-    #[inline(always)]
-    fn cell(&mut self, idx: usize, t: f64) -> f64 {
-        let code = self.wq.code(t);
-        let hit = match self.codes.as_deref_mut() {
-            Some(codes) => {
-                let hit = self.cached && codes[idx] == code;
-                codes[idx] = code;
-                hit
-            }
-            None => false,
-        };
-        // A fault-free block skips the per-cell defect lookup: three
-        // binary searches a cell.
-        let fault = if self.clean {
-            FaultKind::Healthy
+    /// Realizes the row-major cells `start..start + target.len()` into
+    /// `out`, on the fault-free instantiation of [`Pass::span`] when the
+    /// block holds no defect.
+    fn run(&mut self, start: usize, target: &[f64], out: &mut [f64]) {
+        if self.clean {
+            self.span::<true>(start, target, out);
         } else {
-            self.plan.fault_at(idx / self.cols, idx % self.cols)
-        };
-        let line = self.sweep == Sweep::Line;
-        let (value, charged) = match fault {
-            FaultKind::StuckOn => (self.a_max, line),
-            FaultKind::StuckOff => (0.0, line),
-            FaultKind::Healthy if code == 0 && !line => (0.0, self.sweep == Sweep::Tiles),
-            FaultKind::Healthy => {
-                let factor = self.variation.draw_factor(self.rng);
-                ((self.wq.decode(code) * factor).max(0.0), true)
-            }
-        };
-        // A stuck cell's pulse is always charged: verify never sees its
-        // code held.
-        let skip = charged && hit && fault == FaultKind::Healthy;
-        self.skipped += u64::from(skip);
-        self.written += u64::from(charged && !skip);
-        value
+            self.span::<false>(start, target, out);
+        }
+    }
+
+    /// The one cell sweep: realizes a run of contiguous row-major cells.
+    /// The variation stream, the tallies and the sweep flags live in locals
+    /// for the run, so the stores into `out` and the code cache cannot
+    /// alias them and the stream's state stays in registers; the stream is
+    /// written back once at the end. `CLEAN` (a fault-free plan) drops the
+    /// defect walk from the loop.
+    fn span<const CLEAN: bool>(&mut self, start: usize, target: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(target.len(), out.len());
+        let (wq, variation, a_max) = (self.wq, self.variation, self.a_max);
+        let (line, tiles) = (self.sweep == Sweep::Line, self.sweep == Sweep::Tiles);
+        let cached = self.cached;
+        let mut rng = self.rng.clone();
+        let (mut written, mut skipped) = (0u64, 0u64);
+        let mut codes = self
+            .codes
+            .as_deref_mut()
+            .map(|c| &mut c[start..start + target.len()]);
+        let mut faults = self.plan.walk(start, self.cols);
+        for (k, (o, &t)) in out.iter_mut().zip(target).enumerate() {
+            let code = wq.code(t);
+            let hit = match codes.as_deref_mut() {
+                Some(c) => {
+                    let hit = cached && c[k] == code;
+                    c[k] = code;
+                    hit
+                }
+                None => false,
+            };
+            let fault = if CLEAN {
+                FaultKind::Healthy
+            } else {
+                faults.step()
+            };
+            let healthy = fault == FaultKind::Healthy;
+            // A healthy cell pulses unless it holds an erased code off a
+            // line; a tile charges its healthy zeros too; a stuck cell is
+            // charged on a line only and draws no deviate.
+            let pulse = healthy && (line || code != 0);
+            let charged = if healthy { pulse || tiles } else { line };
+            *o = if pulse {
+                (wq.decode(code) * variation.draw_factor(&mut rng)).max(0.0)
+            } else if fault == FaultKind::StuckOn {
+                a_max
+            } else {
+                0.0
+            };
+            // A stuck cell's pulse is always charged: verify never sees its
+            // code held.
+            let skip = charged && hit && healthy;
+            skipped += u64::from(skip);
+            written += u64::from(charged && !skip);
+        }
+        *self.rng = rng;
+        self.written += written;
+        self.skipped += skipped;
     }
 }
 
@@ -216,10 +247,10 @@ impl ArrayBlock {
     ) -> Vec<f64> {
         let cols = self.shape.1;
         let mut pass = self.pass(Sweep::Line, a_max, w);
-        let out = cells
-            .iter()
-            .map(|&(i, j, v)| pass.cell(i * cols + j, v))
-            .collect();
+        let mut out = vec![0.0; cells.len()];
+        for (o, &(i, j, v)) in out.iter_mut().zip(cells) {
+            pass.run(i * cols + j, &[v], std::slice::from_mut(o));
+        }
         let (written, skipped) = (pass.written, pass.skipped);
         charge(w, written, skipped);
         out
@@ -334,9 +365,7 @@ impl ArrayBlock {
                     for (bj, j0) in (0..cols).step_by(ts).enumerate() {
                         let span = i * cols + j0..i * cols + (j0 + ts).min(cols);
                         if occ.is_live(i / ts, bj) {
-                            for idx in span {
-                                out[idx] = pass.cell(idx, target[idx]);
-                            }
+                            pass.run(span.start, &target[span.clone()], &mut out[span]);
                         } else if let Some(codes) = pass.codes.as_deref_mut() {
                             // No hardware: an exact zero, no code to remember.
                             codes[span].fill(0);
@@ -344,11 +373,7 @@ impl ArrayBlock {
                     }
                 }
             }
-            _ => {
-                for (idx, (o, &t)) in out.iter_mut().zip(target).enumerate() {
-                    *o = pass.cell(idx, t);
-                }
-            }
+            _ => pass.run(0, target, out),
         }
         let (written, skipped) = (pass.written, pass.skipped);
         charge(w, written, skipped);
@@ -539,8 +564,180 @@ impl TiledMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultModel;
+    use rand::{Rng, SeedableRng};
+    use std::ops::Range;
 
     const TILE: usize = 128;
+
+    /// The per-cell body [`Pass::span`] replaced, kept as its reference:
+    /// realizes row-major cell `idx` programmed to `t`.
+    fn reference_cell(p: &mut Pass<'_>, idx: usize, t: f64) -> f64 {
+        let code = p.wq.code(t);
+        let hit = match p.codes.as_deref_mut() {
+            Some(codes) => {
+                let hit = p.cached && codes[idx] == code;
+                codes[idx] = code;
+                hit
+            }
+            None => false,
+        };
+        let fault = if p.clean {
+            FaultKind::Healthy
+        } else {
+            p.plan.fault_at(idx / p.cols, idx % p.cols)
+        };
+        let line = p.sweep == Sweep::Line;
+        let (value, charged) = match fault {
+            FaultKind::StuckOn => (p.a_max, line),
+            FaultKind::StuckOff => (0.0, line),
+            FaultKind::Healthy if code == 0 && !line => (0.0, p.sweep == Sweep::Tiles),
+            FaultKind::Healthy => {
+                let factor = p.variation.draw_factor(p.rng);
+                ((p.wq.decode(code) * factor).max(0.0), true)
+            }
+        };
+        let skip = charged && hit && fault == FaultKind::Healthy;
+        p.skipped += u64::from(skip);
+        p.written += u64::from(charged && !skip);
+        value
+    }
+
+    /// How a test sweep visits the cells of its target.
+    enum Visit<'a> {
+        /// The per-cell reference, in this cell order.
+        Reference(&'a [usize]),
+        /// [`Pass::run`] over these runs of contiguous cells.
+        Runs(&'a [Range<usize>]),
+    }
+
+    /// What one sweep leaves behind: realized bits, codes, tallies and the
+    /// variation stream.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        out: Vec<u64>,
+        codes: Option<Vec<u64>>,
+        tallies: (u64, u64),
+        rng: StdRng,
+    }
+
+    /// Sweeps `target` (row-major, `cols` wide) over `plan`, starting from
+    /// the cached codes `prev` when given.
+    fn sweep_outcome(
+        plan: &FaultPlan,
+        sweep: Sweep,
+        (target, cols): (&[f64], usize),
+        (prev, cached): (Option<&[u64]>, bool),
+        visit: Visit<'_>,
+    ) -> Outcome {
+        let mut codes = prev.map(<[u64]>::to_vec);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut out = vec![0.0; target.len()];
+        let mut pass = Pass {
+            plan,
+            clean: plan.is_clean(),
+            cols,
+            codes: codes.as_deref_mut(),
+            cached,
+            wq: WriteQuantizer::new(12),
+            variation: VariationModel::uniform_pct(10.0),
+            rng: &mut rng,
+            sweep,
+            a_max: 2.5,
+            written: 0,
+            skipped: 0,
+        };
+        match visit {
+            Visit::Reference(order) => {
+                for &idx in order {
+                    out[idx] = reference_cell(&mut pass, idx, target[idx]);
+                }
+            }
+            Visit::Runs(runs) => {
+                for r in runs {
+                    pass.run(r.start, &target[r.clone()], &mut out[r.clone()]);
+                }
+            }
+        }
+        let tallies = (pass.written, pass.skipped);
+        Outcome {
+            out: out.iter().map(|v| v.to_bits()).collect(),
+            codes,
+            tallies,
+            rng,
+        }
+    }
+
+    #[test]
+    fn span_matches_the_per_cell_reference() {
+        let (rows, cols) = (23, 17);
+        let cells = rows * cols;
+        let mut g = StdRng::seed_from_u64(5);
+        // Mixed signs and exact zeros, like a sign-split block; a second
+        // target that changes about a third of the cells, for cache hits
+        // and misses both.
+        let draw = |g: &mut StdRng| match g.random_range(0u32..4) {
+            0 => 0.0,
+            1 => -g.random_range(0.1..2.0),
+            _ => g.random_range(0.1..2.0),
+        };
+        let first: Vec<f64> = (0..cells).map(|_| draw(&mut g)).collect();
+        let second: Vec<f64> = (first.iter())
+            .map(|&v| {
+                if g.random_range(0u32..3) == 0 {
+                    draw(&mut g)
+                } else {
+                    v
+                }
+            })
+            .collect();
+        let wq = WriteQuantizer::new(12);
+        let prev: Vec<u64> = first.iter().map(|&v| wq.code(v)).collect();
+        let faulty = FaultModel::new(0.04, 0.04)
+            .and_then(|m| m.with_dead_lines(0.1, 0.1))
+            .expect("valid fault model");
+        let plans = [
+            FaultPlan::clean(rows, cols),
+            FaultPlan::draw(&faulty, rows, cols, 3),
+        ];
+        assert!(!plans[1].is_clean() && !plans[1].dead_rows().is_empty());
+        let row_major: Vec<usize> = (0..cells).collect();
+        // One run, and runs that break mid-row.
+        let all = 0..cells;
+        let whole = std::slice::from_ref(&all);
+        let ragged: Vec<_> = (0..cells)
+            .step_by(11)
+            .map(|s| s..(s + 11).min(cells))
+            .collect();
+        // `ArrayBlock::write_cells`: one-cell runs in a scattered order
+        // (37 is prime to 23·17, so this visits every cell once).
+        let scattered: Vec<usize> = (0..cells).map(|k| k * 37 % cells).collect();
+        let singles: Vec<_> = scattered.iter().map(|&i| i..i + 1).collect();
+        let caches = [
+            (None, false),
+            (Some(&prev[..]), false),
+            (Some(&prev[..]), true),
+        ];
+        for plan in &plans {
+            for sweep in [Sweep::Line, Sweep::Block, Sweep::Tiles] {
+                for cache in caches {
+                    for target in [&first, &second] {
+                        let run = |visit| sweep_outcome(plan, sweep, (target, cols), cache, visit);
+                        let want = run(Visit::Reference(&row_major));
+                        let what = format!("{sweep:?}, clean {}, cache {cache:?}", plan.is_clean());
+                        assert_eq!(run(Visit::Runs(whole)), want, "{what}");
+                        assert_eq!(run(Visit::Runs(&ragged)), want, "{what}, ragged runs");
+                        let want = run(Visit::Reference(&scattered));
+                        assert_eq!(run(Visit::Runs(&singles)), want, "{what}, one-cell runs");
+                        assert!(want.tallies.0 + want.tallies.1 > 0);
+                    }
+                }
+                // An unchanged cached rewrite skips pulses on both paths.
+                let run = |visit| sweep_outcome(plan, sweep, (&first, cols), caches[2], visit);
+                assert!(run(Visit::Runs(whole)).tallies.1 > 0);
+            }
+        }
+    }
 
     /// 300×`cols` at tile 128 → 3-row grid; live blocks on the diagonal
     /// plus (0, 2), everything else exactly zero.

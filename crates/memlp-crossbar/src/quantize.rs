@@ -45,7 +45,8 @@ impl Quantizer {
         ((1u32 << (self.bits - 1)) - 1) as f64
     }
 
-    /// Quantizes one value against an explicit full-scale range.
+    /// Quantizes one value against an explicit full-scale range — the
+    /// scalar reference [`Quantizer::quantize_into`] reproduces bit for bit.
     pub fn quantize_against(&self, v: f64, full_scale: f64) -> f64 {
         if full_scale == 0.0 || !v.is_finite() {
             return 0.0;
@@ -57,17 +58,44 @@ impl Quantizer {
 
     /// Quantizes a vector, auto-ranging on its largest absolute entry.
     pub fn quantize_vec(&self, v: &[f64]) -> Vec<f64> {
-        let full_scale = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-        v.iter()
-            .map(|&x| self.quantize_against(x, full_scale))
-            .collect()
+        let mut out = vec![0.0; v.len()];
+        self.quantize_into(v, &mut out);
+        out
     }
 
     /// Quantizes a vector in place; returns the full-scale range used.
     pub fn quantize_in_place(&self, v: &mut [f64]) -> f64 {
-        let full_scale = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let (full_scale, levels) = (full_scale(v), self.levels());
         for x in v.iter_mut() {
-            *x = self.quantize_against(*x, full_scale);
+            *x = convert(*x, full_scale, levels);
+        }
+        full_scale
+    }
+
+    /// The converter kernel: quantizes `v` into `out`, auto-ranging on the
+    /// largest absolute entry of `v`; returns the full-scale range used.
+    /// Bit-identical to [`Quantizer::quantize_against`] entry by entry, but
+    /// free of the `round` call, so the loop vectorizes (DESIGN.md §14).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != v.len()`.
+    pub fn quantize_into(&self, v: &[f64], out: &mut [f64]) -> f64 {
+        self.quantize_capped_into(v, f64::INFINITY, out)
+    }
+
+    /// [`Quantizer::quantize_into`] with the auto-ranged full scale capped at
+    /// `max_scale`: over-range entries saturate instead of stretching the
+    /// grid. Returns the full-scale range used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != v.len()`.
+    pub fn quantize_capped_into(&self, v: &[f64], max_scale: f64, out: &mut [f64]) -> f64 {
+        assert_eq!(out.len(), v.len(), "quantize_into: output length");
+        let (full_scale, levels) = (full_scale(v).min(max_scale), self.levels());
+        for (o, &x) in out.iter_mut().zip(v) {
+            *o = convert(x, full_scale, levels);
         }
         full_scale
     }
@@ -76,6 +104,52 @@ impl Quantizer {
     /// absolute entry is `full_scale` (half a step).
     pub fn max_error(&self, full_scale: f64) -> f64 {
         0.5 * full_scale / self.levels()
+    }
+}
+
+/// `2^52`: adding and subtracting it rounds a value in `[0, 2^52)` to the
+/// nearest integer, ties to even (the spacing of doubles in `[2^52, 2^53)`
+/// is exactly 1).
+const ROUND_MAGIC: f64 = 4_503_599_627_370_496.0;
+
+/// Largest absolute entry of `v`, `0` for an empty or all-NaN `v`. Four
+/// independent lanes: `max` is exact and order-free, so the lanes change
+/// no bit of the result, only the length of the dependency chain.
+fn full_scale(v: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = v.chunks_exact(4);
+    for c in &mut chunks {
+        for (l, x) in lanes.iter_mut().zip(c) {
+            *l = l.max(x.abs());
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0f64, |m, x| m.max(x.abs()));
+    lanes.iter().fold(tail, |m, &l| m.max(l))
+}
+
+/// One converter entry: [`Quantizer::quantize_against`] for a
+/// `full_scale` that is not NaN, written without branches or a `round`
+/// call. The code `y = x / fs · levels` is clamped to `levels` in
+/// magnitude first, which commutes with rounding because `levels` is an
+/// integer; `|y| ≤ levels < 2^52` then makes the [`ROUND_MAGIC`]
+/// round-to-nearest-even exact, and one step up on an exact `.5` remainder
+/// turns it into round-half-away-from-zero. `copysign` restores the sign
+/// (and `−0` for a small negative entry), and a select maps a non-finite
+/// entry or a zero full scale to `+0` as the reference does.
+#[inline(always)]
+fn convert(x: f64, full_scale: f64, levels: f64) -> f64 {
+    let y = x / full_scale * levels;
+    let a = y.abs().min(levels);
+    let even = (a + ROUND_MAGIC) - ROUND_MAGIC;
+    let n = even + if a - even == 0.5 { 1.0 } else { 0.0 };
+    let q = n.copysign(y) / levels * full_scale;
+    if full_scale != 0.0 && x.is_finite() {
+        q
+    } else {
+        0.0
     }
 }
 
@@ -134,29 +208,31 @@ impl WriteQuantizer {
     /// targets map to code 0 (the erased cell); positive targets map to
     /// their f64 bit pattern rounded (half-up) to `bits` significant bits.
     /// Monotone over non-negative finite targets.
+    ///
+    /// Branch-free, so a block write does not mispredict on the random
+    /// signs and zeros of its targets: the positive finite doubles are
+    /// exactly the bit patterns `1..INF`, the half-up rounding constant is
+    /// `0` at 53 bits (the code is the bit pattern itself), and a carry
+    /// into the infinity pattern at the top of the range steps back to the
+    /// largest finite code.
+    #[inline]
     pub fn code(&self, v: f64) -> u64 {
-        if !v.is_finite() || v <= 0.0 {
-            return 0;
-        }
+        const INF: u64 = 0x7FF0_0000_0000_0000;
+        let bits = v.to_bits();
         let drop = Self::EXACT_BITS - self.bits;
-        if drop == 0 {
-            return v.to_bits();
-        }
-        let rounded = (v.to_bits() + (1u64 << (drop - 1))) >> drop;
-        // Rounding at the very top of the exponent range would carry into
-        // the infinity bit pattern; keep the top code finite instead.
-        if f64::from_bits(rounded << drop).is_finite() {
-            rounded
+        let rounded = bits.wrapping_add((1u64 << drop) >> 1) >> drop;
+        let code = rounded - u64::from(rounded << drop >= INF);
+        if bits.wrapping_sub(1) < INF - 1 {
+            code
         } else {
-            rounded - 1
+            0
         }
     }
 
-    /// The stored value a code realizes (exact; codes round-trip).
+    /// The stored value a code realizes (exact; codes round-trip, and code
+    /// 0 is the bit pattern of `+0`).
+    #[inline]
     pub fn decode(&self, code: u64) -> f64 {
-        if code == 0 {
-            return 0.0;
-        }
         f64::from_bits(code << (Self::EXACT_BITS - self.bits))
     }
 }
