@@ -16,7 +16,9 @@
 //! `quantize_against` loop it replaces, asserting the two agree bit for
 //! bit (4 flops an entry: two divisions, two multiplies); `write` programs
 //! the m = 128 sign-split `A′` block (128×42) at 10% variation through
-//! `ArrayBlock::write_block` and reports nanoseconds a cell.
+//! `ArrayBlock::write_block` against the per-cell loop it replaces,
+//! asserting the same bits, stream state and tallies, and reports
+//! nanoseconds a cell for both.
 //!
 //! It also prints the median time of the §3.2 sign split of a paper LP
 //! at m ∈ {64, 256} (stdout only).
@@ -39,7 +41,10 @@ use std::time::Instant;
 use memlp_bench::artifact::{self, quote, Rows};
 use memlp_bench::{fmt_time, median, obj};
 use memlp_core::SignSplit;
-use memlp_crossbar::{ArrayBlock, CostLedger, CrossbarConfig, FaultPlan, Phase, Quantizer, Writer};
+use memlp_crossbar::{
+    ArrayBlock, CostLedger, CrossbarConfig, FaultKind, FaultPlan, Phase, Quantizer, Writer,
+};
+use memlp_device::VariationModel;
 use memlp_linalg::parallel::{self, with_threads, MIN_FLOPS_PER_THREAD};
 use memlp_linalg::{LuFactors, Matrix, SparseMatrix};
 use memlp_lp::generator::RandomLp;
@@ -380,26 +385,187 @@ fn measure_adc(lp: &LpProblem) -> KernelRow {
     }
 }
 
+/// The per-cell write body `ArrayBlock` ran before its span sweep, as the
+/// `write` row's reference: the pass holds the variation stream, the code
+/// cache and the plan behind references, and every cell reaches them and
+/// the tallies through `&mut self`, tests the plan and the sweep at run
+/// time, and codes its target with the branchy [`branchy_code`]. The
+/// sweep is a flat block's (`line` false).
+struct CellWriter<'a> {
+    plan: &'a FaultPlan,
+    clean: bool,
+    cols: usize,
+    codes: Option<&'a mut [u64]>,
+    cached: bool,
+    bits: u32,
+    variation: VariationModel,
+    rng: &'a mut StdRng,
+    line: bool,
+    a_max: f64,
+    written: u64,
+    skipped: u64,
+}
+
+impl CellWriter<'_> {
+    /// Realizes row-major cell `idx` programmed to `t`.
+    #[inline(always)]
+    fn cell(&mut self, idx: usize, t: f64) -> f64 {
+        let code = branchy_code(self.bits, t);
+        let hit = match self.codes.as_deref_mut() {
+            Some(codes) => {
+                let hit = self.cached && codes[idx] == code;
+                codes[idx] = code;
+                hit
+            }
+            None => false,
+        };
+        let fault = if self.clean {
+            FaultKind::Healthy
+        } else {
+            self.plan.fault_at(idx / self.cols, idx % self.cols)
+        };
+        let (value, charged) = match fault {
+            FaultKind::StuckOn => (self.a_max, self.line),
+            FaultKind::StuckOff => (0.0, self.line),
+            FaultKind::Healthy if code == 0 && !self.line => (0.0, false),
+            FaultKind::Healthy => {
+                let factor = self.variation.draw_factor(self.rng);
+                ((branchy_decode(self.bits, code) * factor).max(0.0), true)
+            }
+        };
+        let skip = charged && hit && fault == FaultKind::Healthy;
+        self.skipped += u64::from(skip);
+        self.written += u64::from(charged && !skip);
+        value
+    }
+}
+
+/// [`memlp_crossbar::WriteQuantizer::code`] as it was before it went branch-free: one
+/// branch on the target's sign, one on the precision, one on the
+/// top-of-range carry.
+fn branchy_code(bits: u32, v: f64) -> u64 {
+    if !v.is_finite() || v <= 0.0 {
+        return 0;
+    }
+    let drop = 53 - bits;
+    if drop == 0 {
+        return v.to_bits();
+    }
+    let rounded = (v.to_bits() + (1u64 << (drop - 1))) >> drop;
+    if f64::from_bits(rounded << drop).is_finite() {
+        rounded
+    } else {
+        rounded - 1
+    }
+}
+
+/// [`memlp_crossbar::WriteQuantizer::decode`] as it was, with its code-0 branch.
+fn branchy_decode(bits: u32, code: u64) -> f64 {
+    if code == 0 {
+        return 0.0;
+    }
+    f64::from_bits(code << (53 - bits))
+}
+
+/// What the per-cell reference keeps across writes of one block.
+struct CellState {
+    plan: FaultPlan,
+    codes: Vec<u64>,
+    cached: bool,
+    rng: StdRng,
+    written: u64,
+    skipped: u64,
+}
+
+impl CellState {
+    /// Writes the flat block `target` cell by cell through [`CellWriter`];
+    /// its codes are cached from then on.
+    fn write(&mut self, target: &Matrix, config: &CrossbarConfig) -> Matrix {
+        let mut out = Matrix::zeros(target.rows(), target.cols());
+        let mut pass = CellWriter {
+            plan: &self.plan,
+            clean: self.plan.is_clean(),
+            cols: target.cols(),
+            codes: Some(&mut self.codes[..]),
+            cached: self.cached,
+            bits: config.write_bits,
+            variation: config.variation,
+            rng: &mut self.rng,
+            line: false,
+            a_max: 0.0,
+            written: 0,
+            skipped: 0,
+        };
+        let cells = out.as_mut_slice().iter_mut().zip(target.as_slice());
+        for (idx, (o, &t)) in cells.enumerate() {
+            *o = pass.cell(idx, t);
+        }
+        let (written, skipped) = (pass.written, pass.skipped);
+        self.written += written;
+        self.skipped += skipped;
+        self.cached = true;
+        out
+    }
+}
+
 /// The `write` row: median nanoseconds a cell of programming `lp`'s
 /// sign-split `A′` block through a fault-free [`ArrayBlock`], delta
-/// programming on; returns `(cells, ns_per_cell)`.
-fn measure_write(lp: &LpProblem) -> (usize, f64) {
+/// programming on, against the per-cell reference loop [`CellWriter`],
+/// after checking that the two realize the same bits, leave the stream in
+/// the same state and charge the same writes. Returns `(cells,
+/// reference_ns, span_ns)`.
+fn measure_write(lp: &LpProblem) -> (usize, f64, f64) {
     let target = SignSplit::split(lp.a()).pos;
     let cells = target.rows() * target.cols();
     let config = CrossbarConfig::paper_default().with_variation(WRITE_VARIATION_PCT);
+    assert!(config.delta_writes);
     let mut block = ArrayBlock::new(FaultPlan::clean(target.rows(), target.cols()), 0);
     let mut rng = StdRng::seed_from_u64(9);
     let mut ledger = CostLedger::new();
-    let secs = median_secs(|| {
+    let mut span_write = |rng: &mut StdRng, ledger: &mut CostLedger| {
         let mut w = Writer {
             config: &config,
-            rng: &mut rng,
-            ledger: &mut ledger,
+            rng,
+            ledger,
             phase: Phase::Setup,
         };
-        black_box(block.write_block(black_box(&target), &mut w));
+        block.write_block(black_box(&target), &mut w)
+    };
+    let mut reference = CellState {
+        plan: FaultPlan::clean(target.rows(), target.cols()),
+        codes: vec![0; cells],
+        cached: false,
+        rng: StdRng::seed_from_u64(9),
+        written: 0,
+        skipped: 0,
+    };
+    // A first write (nothing cached) and a second (every code held).
+    for _ in 0..2 {
+        let (want, got) = (
+            reference.write(&target, &config),
+            span_write(&mut rng, &mut ledger),
+        );
+        assert!(
+            (want.as_slice().iter())
+                .zip(got.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "write: the span sweep moved a bit against the per-cell reference"
+        );
+    }
+    let c = ledger.counts();
+    assert_eq!(
+        (&reference.rng, reference.written, reference.skipped),
+        (&rng, c.setup_writes, c.skipped_writes),
+        "write: the span sweep left another stream state or tally than the per-cell reference"
+    );
+    let reference = median_secs(|| {
+        black_box(reference.write(black_box(&target), &config));
     });
-    (cells, secs / cells as f64 * 1e9)
+    let span = median_secs(|| {
+        black_box(span_write(&mut rng, &mut ledger));
+    });
+    let ns = |secs: f64| secs / cells as f64 * 1e9;
+    (cells, ns(reference), ns(span))
 }
 
 /// One extra naive/tiled matvec@512 pair, timed back-to-back, for the
@@ -477,8 +643,12 @@ fn main() {
         );
     }
 
-    let (write_cells, write_ns) = measure_write(&array_lp);
-    println!("write@{ARRAY_M}: {write_cells} cells, {write_ns:.2} ns a cell");
+    let (write_cells, write_ref_ns, write_ns) = measure_write(&array_lp);
+    println!(
+        "write@{ARRAY_M}: {write_cells} cells, {write_ref_ns:.2} ns a cell per cell, \
+         {write_ns:.2} span ({:.2}x)",
+        write_ref_ns / write_ns
+    );
 
     for m in [64, 256] {
         println!("sign_split@{m}: {} per split", fmt_time(sign_split_secs(m)));
@@ -550,7 +720,8 @@ fn main() {
         .collect();
     rows_json.push(obj! {
         kernel: quote("write"), m: ARRAY_M, cells: write_cells, variation_pct: WRITE_VARIATION_PCT,
-        ~ns_per_cell: format!("{write_ns:.3}"),
+        ~reference_ns_per_cell: format!("{write_ref_ns:.3}"), ~ns_per_cell: format!("{write_ns:.3}"),
+        ~speedup_vs_reference: format!("{:.3}", write_ref_ns / write_ns),
     });
     let trials_json = gate_trials.iter().map(|(nv, td)| {
         obj! {

@@ -107,7 +107,7 @@ impl Pass<'_> {
     /// for the run, so the stores into `out` and the code cache cannot
     /// alias them and the stream's state stays in registers; the stream is
     /// written back once at the end. `CLEAN` (a fault-free plan) drops the
-    /// defect walk from the loop.
+    /// defect lookup from the loop.
     fn span<const CLEAN: bool>(&mut self, start: usize, target: &[f64], out: &mut [f64]) {
         debug_assert_eq!(target.len(), out.len());
         let (wq, variation, a_max) = (self.wq, self.variation, self.a_max);
@@ -119,7 +119,6 @@ impl Pass<'_> {
             .codes
             .as_deref_mut()
             .map(|c| &mut c[start..start + target.len()]);
-        let mut faults = self.plan.walk(start, self.cols);
         for (k, (o, &t)) in out.iter_mut().zip(target).enumerate() {
             let code = wq.code(t);
             let hit = match codes.as_deref_mut() {
@@ -133,7 +132,8 @@ impl Pass<'_> {
             let fault = if CLEAN {
                 FaultKind::Healthy
             } else {
-                faults.step()
+                let idx = start + k;
+                self.plan.fault_at(idx / self.cols, idx % self.cols)
             };
             let healthy = fault == FaultKind::Healthy;
             // A healthy cell pulses unless it holds an erased code off a

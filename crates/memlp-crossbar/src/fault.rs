@@ -303,45 +303,6 @@ pub struct FaultPlan {
     dead_cols: Vec<usize>,
 }
 
-/// [`FaultPlan::fault_at`] of successive row-major cells, in step with a
-/// write sweep: one binary search places the walk, after which the stuck
-/// cells are met in order and a dead row is looked up once a row.
-pub(crate) struct FaultWalk<'a> {
-    plan: &'a FaultPlan,
-    cols: usize,
-    row: usize,
-    col: usize,
-    /// The first stuck cell not before `(row, col)`.
-    next: usize,
-    row_dead: bool,
-}
-
-impl FaultWalk<'_> {
-    /// The fault of the current cell; moves on to the next cell.
-    pub(crate) fn step(&mut self) -> FaultKind {
-        let (plan, here) = (self.plan, (self.row, self.col));
-        let cells = &plan.cells;
-        while cells.get(self.next).is_some_and(|c| (c.row, c.col) < here) {
-            self.next += 1;
-        }
-        let fault = if self.row_dead || plan.dead_cols.binary_search(&self.col).is_ok() {
-            FaultKind::StuckOff
-        } else {
-            match cells.get(self.next) {
-                Some(c) if (c.row, c.col) == here => c.kind,
-                _ => FaultKind::Healthy,
-            }
-        };
-        self.col += 1;
-        if self.col == self.cols {
-            self.col = 0;
-            self.row += 1;
-            self.row_dead = plan.dead_rows.binary_search(&self.row).is_ok();
-        }
-        fault
-    }
-}
-
 impl FaultPlan {
     /// A defect-free plan for a `rows × cols` array.
     pub fn clean(rows: usize, cols: usize) -> Self {
@@ -430,21 +391,6 @@ impl FaultPlan {
         {
             Ok(idx) => self.cells[idx].kind,
             Err(_) => FaultKind::Healthy,
-        }
-    }
-
-    /// A walk over the defects of the row-major cells from `idx` on, in a
-    /// sweep of `cols`-wide rows ([`FaultWalk`]).
-    pub(crate) fn walk(&self, idx: usize, cols: usize) -> FaultWalk<'_> {
-        let cols = cols.max(1);
-        let (row, col) = (idx / cols, idx % cols);
-        FaultWalk {
-            plan: self,
-            cols,
-            row,
-            col,
-            next: self.cells.partition_point(|c| (c.row, c.col) < (row, col)),
-            row_dead: self.dead_rows.binary_search(&row).is_ok(),
         }
     }
 
